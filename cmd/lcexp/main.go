@@ -24,8 +24,9 @@
 // many experiment cells concurrently per sweep (default GOMAXPROCS;
 // byte-identical output at any value); -parallel instead fans worker
 // compute within each cell across goroutines (bit-identical results,
-// faster wall-clock on multi-core — mutually exclusive with -jobs > 1
-// since both divide the same cores); -scenario replays a canned cluster-event
+// faster wall-clock on multi-core — it makes the -jobs default 1, and is
+// mutually exclusive with an explicit -jobs > 1, since both divide the same
+// cores); -scenario replays a canned cluster-event
 // timeline (congestion windows, crashes/recoveries, elastic resizes,
 // network partitions) under every experiment; -cpuprofile/-memprofile
 // write pprof profiles of the whole run so perf work can attach evidence
@@ -66,6 +67,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -87,6 +89,28 @@ var allExperiments = []string{
 	"tab1", "tab2", "tab3", "robust",
 }
 
+// resolveJobs turns the -jobs flag into the sweep pool size. 0 asks for
+// the default: every core — unless -parallel hands the cores to the workers
+// within each cell, which leaves one cell at a time. An explicit pool beside
+// -parallel is an error: both layers would claim the process-wide
+// matmul-parallelism cap (cells × matmul goroutines is the core budget), and
+// concurrent-backend runs serialize on a global lock, so combining them
+// would overlap nothing.
+func resolveJobs(jobs int, parallel bool) (int, error) {
+	switch {
+	case jobs < 0:
+		return 0, errors.New("-jobs must be non-negative")
+	case jobs == 0 && parallel:
+		return 1, nil
+	case jobs == 0:
+		return runtime.GOMAXPROCS(0), nil
+	case jobs > 1 && parallel:
+		return 0, errors.New("-jobs > 1 and -parallel are mutually exclusive: " +
+			"use -jobs to overlap whole cells, or -parallel to overlap workers within each cell")
+	}
+	return jobs, nil
+}
+
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "comma-separated experiment ids: fig2..fig8, tab1..tab3, robust, all")
@@ -96,7 +120,7 @@ func main() {
 		seed     = flag.Uint64("seed", 7, "base random seed")
 		csv      = flag.Bool("csv", false, "emit figure series as CSV tables instead of ASCII charts")
 		parallel = flag.Bool("parallel", false, "run worker compute on the concurrent backend (bit-identical, multi-core)")
-		jobs     = flag.Int("jobs", 0, "experiment cells to run concurrently in sweeps (0 = GOMAXPROCS, 1 = sequential; byte-identical output at any value)")
+		jobs     = flag.Int("jobs", 0, "experiment cells to run concurrently in sweeps (0 = GOMAXPROCS, or 1 with -parallel; 1 = sequential; byte-identical output at any value)")
 		scn      = flag.String("scenario", "none",
 			fmt.Sprintf("cluster-event timeline for every run: %s", strings.Join(scenario.Names(), ", ")))
 		topo = flag.String("topology", "",
@@ -169,20 +193,8 @@ func main() {
 		*jobs = 1
 		*parallel = false
 	}
-	if *jobs == 0 {
-		*jobs = runtime.GOMAXPROCS(0)
-	}
-	if *jobs < 0 {
-		fmt.Fprintln(os.Stderr, "lcexp: -jobs must be non-negative")
-		os.Exit(2)
-	}
-	if *jobs > 1 && *parallel {
-		// Both layers would claim the process-wide matmul-parallelism cap
-		// (cells × matmul goroutines is the core budget), and concurrent-
-		// backend runs serialize on a global lock, so combining them would
-		// oversubscribe nothing but also overlap nothing.
-		fmt.Fprintln(os.Stderr, "lcexp: -jobs > 1 and -parallel are mutually exclusive: "+
-			"use -jobs to overlap whole cells, or -parallel to overlap workers within each cell")
+	if *jobs, err = resolveJobs(*jobs, *parallel); err != nil {
+		fmt.Fprintf(os.Stderr, "lcexp: %v\n", err)
 		os.Exit(2)
 	}
 	if *resume && *ckptDir == "" {

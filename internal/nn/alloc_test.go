@@ -142,24 +142,60 @@ func TestReusedBuffersAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestBatchSizeChangeReallocatesSafely drives the same net with alternating
-// batch sizes (the evaluation remainder-batch pattern) and checks outputs
-// stay correct — reuseFor must key on shape, not just capacity.
-func TestBatchSizeChangeReallocatesSafely(t *testing.T) {
+// TestBatchSizeChangeReusesCapacity drives the same layer with alternating
+// batch sizes (the evaluation remainder-batch pattern): a smaller batch is
+// served from the buffer the larger one left, the next full batch from the
+// same buffer again, the outputs stay correct at every size, and once the
+// largest batch has been seen nothing reallocates.
+func TestBatchSizeChangeReusesCapacity(t *testing.T) {
 	g := rng.New(25)
 	d := NewDense("fc", 3, 2, g)
 	x4 := tensor.New(4, 3)
 	x2 := tensor.New(2, 3)
 	g.FillNormal(x4.Data, 1)
 	copy(x2.Data, x4.Data[:6])
-	out4 := d.Forward(x4, false).Clone()
+	full := d.Forward(x4, false)
+	out4 := full.Clone()
 	out2 := d.Forward(x2, false)
-	if out2.Shape[0] != 2 {
-		t.Fatalf("remainder batch output shape %v", out2.Shape)
+	if out2 != full {
+		t.Fatal("remainder batch reallocated the output buffer")
+	}
+	if out2.Shape[0] != 2 || len(out2.Data) != 4 {
+		t.Fatalf("remainder batch output shape %v, len %d", out2.Shape, len(out2.Data))
 	}
 	for i := 0; i < 4; i++ { // first two rows of x4 == x2
 		if out2.Data[i] != out4.Data[i] {
 			t.Fatalf("batch-size change corrupted output: %v vs %v", out2.Data[i], out4.Data[i])
+		}
+	}
+	back := d.Forward(x4, false)
+	if back != full || back.Shape[0] != 4 {
+		t.Fatalf("full batch after a remainder: buffer reused %v, shape %v", back == full, back.Shape)
+	}
+	for i, v := range out4.Data {
+		if back.Data[i] != v {
+			t.Fatalf("full batch after a remainder: out[%d] = %v, want %v", i, back.Data[i], v)
+		}
+	}
+
+	// The whole layer zoo, inference mode, sizes alternating.
+	net := convTestNet(g)
+	big, small := tensor.New(6, 64), tensor.New(2, 64)
+	g.FillNormal(big.Data, 1)
+	copy(small.Data, big.Data[:2*64])
+	wantSmall := net.Forward(small, false).Clone()
+	iter := func() {
+		net.Forward(big, false)
+		net.Forward(small, false)
+	}
+	iter()
+	if allocs := testing.AllocsPerRun(10, iter); allocs != 0 {
+		t.Fatalf("alternating batch sizes allocate %v times per pair, want 0", allocs)
+	}
+	got := net.Forward(small, false)
+	for i, v := range wantSmall.Data {
+		if got.Data[i] != v {
+			t.Fatalf("remainder batch through warm buffers: out[%d] = %v, want %v", i, got.Data[i], v)
 		}
 	}
 }

@@ -2,8 +2,9 @@ package nn
 
 import "lcasgd/internal/tensor"
 
-// reuseFor returns the cached buffer *buf when it already has the wanted
-// shape, replacing it with a fresh tensor otherwise.
+// reuseFor returns the cached buffer *buf re-pointed at the wanted shape
+// when only the leading (batch) dimension differs and the buffer's backing
+// array is large enough, replacing it with a fresh tensor otherwise.
 //
 // This is the memory model of the whole layer zoo (see DESIGN.md "Memory
 // model"): every layer keeps one output buffer and one input-gradient
@@ -12,18 +13,34 @@ import "lcasgd/internal/tensor"
 // network (the Layer contract) this is single-owner state, and because the
 // buffers are distinct per layer, forward activations cached for the
 // backward pass can never alias the gradients flowing back through other
-// layers. A shape change (a different batch size, e.g. an evaluation
-// remainder batch) reallocates exactly once per change.
+// layers. A smaller batch (an evaluation remainder batch) reslices the
+// buffer it already has and the next full batch reslices it back, so
+// alternating batch sizes allocate nothing once the largest has been seen;
+// only a larger batch or a different row shape reallocates. The header is
+// re-pointed in place: a tensor a layer returned describes that layer's
+// latest pass, never an earlier one.
 //
 // The returned tensor's contents are unspecified; callers either overwrite
 // every element or explicitly Zero() it first (the scatter-accumulate
 // kernels).
 func reuseFor(buf **tensor.Tensor, shape []int) *tensor.Tensor {
-	b := *buf
-	if b != nil && sameDims(b.Shape, shape) {
-		return b
+	if b := *buf; b != nil {
+		if sameDims(b.Shape, shape) {
+			return b // steady state: nothing is written
+		}
+		if len(shape) > 0 && len(b.Shape) == len(shape) && sameDims(b.Shape[1:], shape[1:]) {
+			n := 1
+			for _, d := range shape {
+				n *= d
+			}
+			if n <= cap(b.Data) {
+				b.Shape[0] = shape[0]
+				b.Data = b.Data[:n]
+				return b
+			}
+		}
 	}
-	b = tensor.New(shape...)
+	b := tensor.New(shape...)
 	*buf = b
 	return b
 }
@@ -31,13 +48,25 @@ func reuseFor(buf **tensor.Tensor, shape []int) *tensor.Tensor {
 // reuse2 is reuseFor for the common [r, c] case without building a shape
 // slice at the call site.
 func reuse2(buf **tensor.Tensor, r, c int) *tensor.Tensor {
-	b := *buf
-	if b != nil && len(b.Shape) == 2 && b.Shape[0] == r && b.Shape[1] == c {
-		return b
+	if b := *buf; b != nil && len(b.Shape) == 2 && b.Shape[1] == c {
+		if b.Shape[0] == r {
+			return b
+		}
+		if r*c <= cap(b.Data) {
+			repoint2(b, r, c)
+			return b
+		}
 	}
-	b = tensor.New(r, c)
+	b := tensor.New(r, c)
 	*buf = b
 	return b
+}
+
+// repoint2 re-points the header of a rank-2 tensor at the leading [r, c] of
+// its backing array, which must hold that many elements.
+func repoint2(t *tensor.Tensor, r, c int) {
+	t.Shape[0], t.Shape[1] = r, c
+	t.Data = t.Data[:r*c]
 }
 
 func sameDims(a, b []int) bool {

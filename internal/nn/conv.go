@@ -7,9 +7,23 @@ import (
 	"lcasgd/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution implemented with im2col lowering so the inner
-// kernel is the parallel matmul. Input rows are channel-major (C, H, W)
-// flattened images; output rows are (OutC, OutH, OutW) flattened.
+// Conv2D is a 2-D convolution lowered to matrix products over a
+// channel-major panel of a group of images (see tensor.ConvLowering). Input
+// rows are channel-major (C, H, W) flattened images; output rows are
+// (OutC, OutH, OutW) flattened.
+//
+// The float bits of every result are a contract (backend equivalence,
+// resume equivalence, the committed fingerprint). Four accumulation orders
+// carry it, each kept by the code that notes it below:
+//
+//  1. an output element sums its taps (c, ky, kx) ascending from +0, and
+//     the bias is added once, after the sum;
+//  2. W.Grad[r, oc] receives, image by image in batch order, that image's
+//     sum over output pixels p ascending, formed from +0;
+//  3. B.Grad[oc] likewise: one per-image sum over p ascending, in batch
+//     order;
+//  4. an input-gradient pixel accumulates its patch contributions in
+//     ascending (oy, ox) from a zeroed image.
 type Conv2D struct {
 	Geom tensor.ConvGeom
 	OutC int
@@ -17,17 +31,16 @@ type Conv2D struct {
 	B    *Param // [OutC]
 
 	x   *tensor.Tensor // cached input
-	col []float64      // reusable im2col buffer for one image
+	low *tensor.ConvLowering
 
-	// Batch-independent scratch allocated at construction: the im2col view,
-	// the per-image matmul products of both passes, and the weight-gradient
-	// accumulator. out/dx are per-batch-shape (see reuseFor).
-	colT    *tensor.Tensor // [ColRows, ColCols] view over col
-	prod    *tensor.Tensor // [ColRows, OutC]
-	dOutMat *tensor.Tensor // [ColRows, OutC], per-sample grad in [HW, OutC] layout
-	dW      *tensor.Tensor // [ColCols, OutC]
-	dCol    *tensor.Tensor // [ColRows, ColCols]
-	out, dx *tensor.Tensor
+	// Group scratch: the lowered input, its gradient, and the [OutC, cols]
+	// product of the forward pass, which the backward pass reuses for the
+	// gathered output gradient. Allocated at construction for a full group
+	// and re-pointed (repoint2) at the width of the group in hand, so a short
+	// last group gets a dense panel of its own width without a new header.
+	// out/dx are per-batch-shape (see reuseFor).
+	panel, dPanel, y *tensor.Tensor
+	out, dx          *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution layer with He initialization. It
@@ -42,18 +55,17 @@ func NewConv2D(name string, g tensor.ConvGeom, outC int, r *rng.RNG) *Conv2D {
 		OutC: outC,
 		W:    NewParam(name+".W", g.ColCols(), outC),
 		B:    NewParam(name+".b", outC),
+		low:  tensor.NewConvLowering(g, outC),
 	}
 	c.W.InitHe(r, g.ColCols())
-	c.col = make([]float64, g.ColRows()*g.ColCols())
-	c.colT = tensor.FromSlice(c.col, g.ColRows(), g.ColCols())
-	c.prod = tensor.New(g.ColRows(), outC)
-	c.dOutMat = tensor.New(g.ColRows(), outC)
-	c.dW = tensor.New(g.ColCols(), outC)
-	c.dCol = tensor.New(g.ColRows(), g.ColCols())
+	cols := c.low.Group() * g.ColRows()
+	c.panel = tensor.New(g.ColCols(), cols)
+	c.dPanel = tensor.New(g.ColCols(), cols)
+	c.y = tensor.New(outC, cols)
 	return c
 }
 
-// Forward convolves each image in the batch.
+// Forward convolves the batch, one group of images per matrix product.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	inFeat := c.Geom.InC * c.Geom.InH * c.Geom.InW
 	if x.Rank() != 2 || x.Shape[1] != inFeat {
@@ -61,21 +73,26 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	c.x = x
 	n := x.Shape[0]
-	outH, outW := c.Geom.OutH(), c.Geom.OutW()
-	outFeat := c.OutC * outH * outW
+	k, hw := c.Geom.ColCols(), c.Geom.ColRows()
+	outFeat := c.OutC * hw
 	out := reuse2(&c.out, n, outFeat)
-	prod := c.prod
-	hw := outH * outW
-	for i := 0; i < n; i++ {
-		img := x.Data[i*inFeat : (i+1)*inFeat]
-		tensor.Im2Col(c.col, img, c.Geom)
-		tensor.MatMulInto(prod, c.colT, c.W.Value) // [HW, OutC]
-		dst := out.Data[i*outFeat : (i+1)*outFeat]
-		// Transpose [HW, OutC] -> channel-major [OutC, HW] and add bias.
-		for p := 0; p < hw; p++ {
-			row := prod.Data[p*c.OutC : (p+1)*c.OutC]
-			for oc, v := range row {
-				dst[oc*hw+p] = v + c.B.Value.Data[oc]
+	bias := c.B.Value.Data
+	for i0 := 0; i0 < n; i0 += c.low.Group() {
+		g := min(c.low.Group(), n-i0)
+		cols := g * hw
+		repoint2(c.panel, k, cols)
+		repoint2(c.y, c.OutC, cols)
+		c.low.Lower(c.panel.Data, x.Data[i0*inFeat:(i0+g)*inFeat], g)
+		// Order 1: the product sums each element's taps r ascending from
+		// the zeroed y; the bias joins in the copy-out below.
+		tensor.MatMulTransAInto(c.y, c.W.Value, c.panel) // [OutC, cols]
+		for i := 0; i < g; i++ {
+			dst := out.Data[(i0+i)*outFeat : (i0+i+1)*outFeat]
+			for oc, b := range bias {
+				row := dst[oc*hw : (oc+1)*hw]
+				for p, v := range c.y.Data[oc*cols+i*hw:][:hw] {
+					row[p] = v + b
+				}
 			}
 		}
 	}
@@ -86,36 +103,38 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := c.x.Shape[0]
 	inFeat := c.Geom.InC * c.Geom.InH * c.Geom.InW
-	outH, outW := c.Geom.OutH(), c.Geom.OutW()
-	hw := outH * outW
+	k, hw := c.Geom.ColCols(), c.Geom.ColRows()
 	outFeat := c.OutC * hw
 	dx := reuse2(&c.dx, n, inFeat)
-	dx.Zero() // Col2Im accumulates into the image gradient
-	dOutMat := c.dOutMat
-	for i := 0; i < n; i++ {
-		// One pass per output channel both gathers the [OutC, HW] gradient
-		// into [HW, OutC] layout and sums the bias gradient over spatial
-		// positions — the bias sum reads the same values in the same
-		// ascending-p order the separate loop did, so fusing is bit-exact.
-		gslice := grad.Data[i*outFeat : (i+1)*outFeat]
-		for oc := 0; oc < c.OutC; oc++ {
-			s := 0.0
-			base := oc * hw
-			for p := 0; p < hw; p++ {
-				v := gslice[base+p]
-				dOutMat.Data[p*c.OutC+oc] = v
-				s += v
+	dx.Zero() // order 4 starts from a zeroed image; Scatter accumulates
+	dY, bGrad := c.y, c.B.Grad.Data
+	for i0 := 0; i0 < n; i0 += c.low.Group() {
+		g := min(c.low.Group(), n-i0)
+		cols := g * hw
+		repoint2(c.panel, k, cols)
+		repoint2(c.dPanel, k, cols)
+		repoint2(dY, c.OutC, cols)
+		// One pass per image gathers its [OutC, HW] gradient into the
+		// group's [OutC, cols] and — order 3 — sums each channel over p
+		// ascending from +0 into one addend for B.Grad.
+		for i := 0; i < g; i++ {
+			src := grad.Data[(i0+i)*outFeat : (i0+i+1)*outFeat]
+			for oc := range bGrad {
+				row := dY.Data[oc*cols+i*hw:][:hw]
+				s := 0.0
+				for p, v := range src[oc*hw : (oc+1)*hw] {
+					row[p] = v
+					s += v
+				}
+				bGrad[oc] += s
 			}
-			c.B.Grad.Data[oc] += s
 		}
-		// Weight gradient: colᵀ @ dOut.
-		img := c.x.Data[i*inFeat : (i+1)*inFeat]
-		tensor.Im2Col(c.col, img, c.Geom)
-		tensor.MatMulTransAInto(c.dW, c.colT, dOutMat)
-		tensor.AXPY(c.W.Grad, 1, c.dW)
-		// Input gradient: (dOut @ Wᵀ) scattered by col2im.
-		tensor.MatMulTransBInto(c.dCol, dOutMat, c.W.Value) // [HW, ColCols]
-		tensor.Col2Im(dx.Data[i*inFeat:(i+1)*inFeat], c.dCol.Data, c.Geom)
+		c.low.Lower(c.panel.Data, c.x.Data[i0*inFeat:(i0+g)*inFeat], g)
+		c.low.WeightGrad(c.W.Grad.Data, c.panel.Data, dY.Data, g) // order 2
+		// Input gradient: W @ dY sums oc ascending from the zeroed dPanel,
+		// then the scatter applies order 4.
+		c.low.InputGrad(c.dPanel, c.W.Value, dY) // [ColCols, cols]
+		c.low.Scatter(dx.Data[i0*inFeat:(i0+g)*inFeat], c.dPanel.Data, g)
 	}
 	return dx
 }

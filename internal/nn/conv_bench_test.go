@@ -8,10 +8,13 @@ import (
 	"lcasgd/internal/tensor"
 )
 
-// Layer-level conv benchmarks: the full im2col -> matmul -> transpose path
-// (forward) and the gather -> two matmuls -> col2im path (backward) at the
-// paper networks' layer shapes, with post-ReLU-like activations so the
-// numbers reflect what the training loop actually feeds these layers.
+// Layer-level conv benchmarks: the full lower -> matmul -> copy-out path
+// (forward) and the gather -> lower -> weight-grad -> matmul -> scatter path
+// (backward) at the paper networks' layer shapes, with post-ReLU-like
+// activations so the numbers reflect what the training loop actually feeds
+// these layers. The 4x4, 3x3 and 2x2 stages are the ones a channel-major
+// lowering loses on without grouping (rows only HW long), so they stay in
+// the set bench-smoke runs.
 
 type convBenchShape struct {
 	name          string
@@ -24,6 +27,9 @@ var convBenchShapes = []convBenchShape{
 	{"stage2_24_6x6", 24, 6, 24, 20}, // mid stage after one pool
 	{"stage3_48_3x3", 48, 3, 48, 20}, // deepest stage
 	{"quick_6_8x8", 6, 8, 6, 20},     // quick-profile stem (alloc-pinned path)
+	{"quick_12_4x4", 12, 4, 12, 20},  // QuickCIFAR stage 1
+	{"quick_24_2x2", 24, 2, 24, 20},  // QuickCIFAR stage 2
+	{"quick_32_3x3", 32, 3, 32, 27},  // QuickImageNet stage 2
 }
 
 func benchConvInput(c convBenchShape, g *rng.RNG) *tensor.Tensor {

@@ -1,0 +1,242 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"lcasgd/internal/rng"
+	"lcasgd/internal/tensor"
+)
+
+// refConv is direct convolution with the four accumulation orders of the
+// Conv2D contract spelled out loop by loop. It shares no code with the
+// lowering: no panel, no table, no matmul kernel.
+type refConv struct {
+	g    tensor.ConvGeom
+	outC int
+	w, b []float64 // [ColCols, OutC], [OutC]
+}
+
+// tap returns the input pixel tap (c, ky, kx) reads at output pixel
+// (oy, ox) of img, and its offset; ok is false in the padding.
+func (r refConv) tap(img []float64, c, ky, kx, oy, ox int) (v float64, off int, ok bool) {
+	g := r.g
+	iy, ix := oy*g.Stride-g.Pad+ky, ox*g.Stride-g.Pad+kx
+	if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
+		return 0, 0, false
+	}
+	off = c*g.InH*g.InW + iy*g.InW + ix
+	return img[off], off, true
+}
+
+func (r refConv) forward(x []float64, n int) []float64 {
+	g := r.g
+	outH, outW := g.OutH(), g.OutW()
+	inFeat, hw := g.InC*g.InH*g.InW, outH*outW
+	out := make([]float64, n*r.outC*hw)
+	for i := 0; i < n; i++ {
+		img := x[i*inFeat : (i+1)*inFeat]
+		for oc := 0; oc < r.outC; oc++ {
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					// Order 1: taps (c, ky, kx) ascending from +0 — a
+					// padding tap contributes its 0·w term — then the bias.
+					s := 0.0
+					row := 0
+					for c := 0; c < g.InC; c++ {
+						for ky := 0; ky < g.KH; ky++ {
+							for kx := 0; kx < g.KW; kx++ {
+								v, _, _ := r.tap(img, c, ky, kx, oy, ox)
+								s += v * r.w[row*r.outC+oc]
+								row++
+							}
+						}
+					}
+					out[(i*r.outC+oc)*hw+oy*outW+ox] = s + r.b[oc]
+				}
+			}
+		}
+	}
+	return out
+}
+
+// backward accumulates into wGrad and bGrad and returns dx.
+func (r refConv) backward(x, grad []float64, n int, wGrad, bGrad []float64) []float64 {
+	g := r.g
+	outH, outW := g.OutH(), g.OutW()
+	inFeat, hw := g.InC*g.InH*g.InW, outH*outW
+	dx := make([]float64, n*inFeat)
+	for i := 0; i < n; i++ {
+		img := x[i*inFeat : (i+1)*inFeat]
+		dOut := grad[i*r.outC*hw : (i+1)*r.outC*hw]
+		dImg := dx[i*inFeat : (i+1)*inFeat]
+		// Order 3: one addend per image, its sum over p ascending from +0.
+		for oc := 0; oc < r.outC; oc++ {
+			s := 0.0
+			for p := 0; p < hw; p++ {
+				s += dOut[oc*hw+p]
+			}
+			bGrad[oc] += s
+		}
+		// Order 2: likewise for every weight.
+		row := 0
+		for c := 0; c < g.InC; c++ {
+			for ky := 0; ky < g.KH; ky++ {
+				for kx := 0; kx < g.KW; kx++ {
+					for oc := 0; oc < r.outC; oc++ {
+						s := 0.0
+						for oy := 0; oy < outH; oy++ {
+							for ox := 0; ox < outW; ox++ {
+								v, _, _ := r.tap(img, c, ky, kx, oy, ox)
+								s += v * dOut[oc*hw+oy*outW+ox]
+							}
+						}
+						wGrad[row*r.outC+oc] += s
+					}
+					row++
+				}
+			}
+		}
+		// Order 4: output pixels in ascending (oy, ox) over a zeroed image;
+		// each patch entry is its own sum over oc ascending from +0.
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				row := 0
+				for c := 0; c < g.InC; c++ {
+					for ky := 0; ky < g.KH; ky++ {
+						for kx := 0; kx < g.KW; kx++ {
+							if _, off, ok := r.tap(img, c, ky, kx, oy, ox); ok {
+								s := 0.0
+								for oc := 0; oc < r.outC; oc++ {
+									s += dOut[oc*hw+oy*outW+ox] * r.w[row*r.outC+oc]
+								}
+								dImg[off] += s
+							}
+							row++
+						}
+					}
+				}
+			}
+		}
+	}
+	return dx
+}
+
+func bitsEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %x (%g), want %x (%g)", what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// TestConv2DBitIdenticalToDirectConvolution is the float-bits contract of
+// the grouped lowering: forward output, dx, W.Grad and B.Grad equal the
+// direct-convolution reference bit for bit, over the kernel/stride/pad
+// combinations the lowering has cases for, the quick profiles' stage shapes,
+// batch sizes on every side of the group size, post-ReLU-like inputs, and
+// gradients accumulated over two backward calls into non-zero Grad.
+func TestConv2DBitIdenticalToDirectConvolution(t *testing.T) {
+	sq := func(inC, hw, k, stride, pad int) tensor.ConvGeom {
+		return tensor.ConvGeom{InC: inC, InH: hw, InW: hw, KH: k, KW: k, Stride: stride, Pad: pad}
+	}
+	cases := []struct {
+		name string
+		g    tensor.ConvGeom
+		outC int
+	}{
+		{"3x3_s1_p1", sq(3, 6, 3, 1, 1), 4},
+		{"3x3_s2_p1", sq(2, 7, 3, 2, 1), 5},
+		{"1x1_s2_p0", sq(6, 8, 1, 2, 0), 12},
+		{"3x3_p0", sq(2, 6, 3, 1, 0), 3},
+		{"5x5_p2", sq(2, 7, 5, 1, 2), 3},
+		{"stride3", sq(2, 10, 3, 3, 1), 4},
+		{"nonsquare", tensor.ConvGeom{InC: 2, InH: 5, InW: 9, KH: 3, KW: 2, Stride: 2, Pad: 1}, 3},
+		// QuickCIFAR: 8x8 stem and stage, 8x8 -> 4x4 -> 2x2.
+		{"cifarq_stem", sq(3, 8, 3, 1, 1), 6},
+		{"cifarq_s0", sq(6, 8, 3, 1, 1), 6},
+		{"cifarq_s1_down", sq(6, 8, 3, 2, 1), 12},
+		{"cifarq_s1", sq(12, 4, 3, 1, 1), 12},
+		{"cifarq_s2_down", sq(12, 4, 3, 2, 1), 24},
+		{"cifarq_s2", sq(24, 2, 3, 1, 1), 24},
+		// QuickImageNet: 12x12 -> 6x6 -> 3x3.
+		{"imagenetq_stem", sq(3, 12, 3, 1, 1), 8},
+		{"imagenetq_s1_down", sq(8, 12, 3, 2, 1), 16},
+		{"imagenetq_s2_down", sq(16, 6, 3, 2, 1), 32},
+		{"imagenetq_s2", sq(32, 3, 3, 1, 1), 32},
+	}
+	for ci, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rng.New(uint64(ci) + 900)
+			layer := NewConv2D("c", tc.g, tc.outC, r)
+			r.FillNormal(layer.B.Value.Data, 0.5)
+			ref := refConv{g: tc.g, outC: tc.outC, w: layer.W.Value.Data, b: layer.B.Value.Data}
+			group := layer.low.Group()
+			inFeat := tc.g.InC * tc.g.InH * tc.g.InW
+			for _, n := range []int{1, group - 1, group, group + 1, 20, 27} {
+				if n < 1 {
+					continue
+				}
+				x := tensor.New(n, inFeat)
+				r.FillNormal(x.Data, 1)
+				for i := range x.Data { // about a third exact zeros
+					if r.Float64() < 1.0/3 {
+						x.Data[i] = 0
+					}
+				}
+				r.FillNormal(layer.W.Grad.Data, 0.3) // non-zero starting Grad
+				r.FillNormal(layer.B.Grad.Data, 0.3)
+				wantW := append([]float64(nil), layer.W.Grad.Data...)
+				wantB := append([]float64(nil), layer.B.Grad.Data...)
+
+				out := layer.Forward(x, true)
+				bitsEqual(t, fmt.Sprintf("n=%d out", n), out.Data, ref.forward(x.Data, n))
+				for pass := 0; pass < 2; pass++ {
+					grad := tensor.New(n, layer.OutFeatures())
+					r.FillNormal(grad.Data, 0.2)
+					dx := layer.Backward(grad)
+					wantDx := ref.backward(x.Data, grad.Data, n, wantW, wantB)
+					bitsEqual(t, fmt.Sprintf("n=%d pass %d dx", n, pass), dx.Data, wantDx)
+					bitsEqual(t, fmt.Sprintf("n=%d pass %d W.Grad", n, pass), layer.W.Grad.Data, wantW)
+					bitsEqual(t, fmt.Sprintf("n=%d pass %d B.Grad", n, pass), layer.B.Grad.Data, wantB)
+				}
+			}
+		})
+	}
+}
+
+// TestConv2DGroupedProductsStaySerial pins the group-size rule on the
+// shapes that stress it: the [OutC, cols] operand never exceeds the direct
+// matmul path, and a full-profile deep stage still gets a group (the rule
+// does not fall back to one image because a product would cross the
+// parallel threshold — InputGrad blocks its rows instead).
+func TestConv2DGroupedProductsStaySerial(t *testing.T) {
+	deep := tensor.ConvGeom{InC: 48, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	layer := NewConv2D("deep", deep, 48, rng.New(5))
+	if g := layer.low.Group(); g < 2 {
+		t.Fatalf("deep 3x3 stage group = %d, want a real group", g)
+	}
+	x := tensor.New(7, 48*9)
+	rng.New(6).FillNormal(x.Data, 1)
+	grad := tensor.New(7, layer.OutFeatures())
+	rng.New(7).FillNormal(grad.Data, 1)
+	iter := func() {
+		layer.Forward(x, true)
+		layer.Backward(grad)
+	}
+	iter()
+	if a := testing.AllocsPerRun(10, iter); a != 0 {
+		t.Fatalf("deep stage forward+backward allocates %v times, want 0 (a product went parallel or packed)", a)
+	}
+	ref := refConv{g: deep, outC: 48, w: layer.W.Value.Data, b: layer.B.Value.Data}
+	wantW := append([]float64(nil), layer.W.Grad.Data...)
+	wantB := append([]float64(nil), layer.B.Grad.Data...)
+	dx := layer.Backward(grad)
+	bitsEqual(t, "deep dx (row-blocked InputGrad)", dx.Data, ref.backward(x.Data, grad.Data, 7, wantW, wantB))
+}

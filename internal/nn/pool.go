@@ -33,9 +33,10 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	oh, ow := p.H/p.K, p.W/p.K
 	outFeat := p.C * oh * ow
 	out := reuse2(&p.out, n, outFeat)
-	if len(p.argmax) != n*outFeat {
+	if cap(p.argmax) < n*outFeat {
 		p.argmax = make([]int, n*outFeat)
 	}
+	p.argmax = p.argmax[:n*outFeat] // same rule as reuseFor
 	p.inShape = x.Shape
 	for i := 0; i < n; i++ {
 		for c := 0; c < p.C; c++ {

@@ -76,9 +76,10 @@ func TestReplicaPullResetsWorkspace(t *testing.T) {
 // loop. The tiny env's sizes are deliberately awkward for EvalBatch=150:
 // Train=160 is a full batch plus a 10-sample remainder and Test=80 is a
 // lone partial batch, so alternating the two datasets through the same
-// shard nets exercises the remainder-padding path that keeps the layers'
-// reuse buffers at one stable shape (an unpadded remainder would
-// reallocate the whole layer zoo twice per pass).
+// shard nets runs batches of 150, 10 and 80 rows back to back — each at
+// its true size, each served from the capacity the full batch left in the
+// layers' reuse buffers (a reallocation per size change would show up as
+// the whole layer zoo, twice per pass).
 func TestEvalZeroAllocSteadyState(t *testing.T) {
 	env := tinyEnvSeeded(ASGD, 1, 2)
 	cfg := env.Cfg.withDefaults()

@@ -95,7 +95,6 @@ type StrategySnapshotter interface {
 // prefix. The checkpoint must have been taken under the same ConfigKey;
 // resuming across backends is allowed.
 func Resume(env Env, ckpt []byte) (Result, error) {
-	warnEvalBatchDefault(env)
 	cfg := env.Cfg.withDefaults()
 	env.Cfg = cfg
 	if env.Train == nil || env.Test == nil || env.Build == nil {

@@ -101,42 +101,31 @@ func (e *evaluator) errOn(ds *data.Dataset, w []float64, bnAcc *core.BNAccumulat
 // countCorrect evaluates batches start, start+stride, start+2·stride, … and
 // returns the number of correctly classified samples.
 //
-// A remainder batch (ds.Len() not a multiple of batchSize) is padded back
-// to full size with repeats of its last sample: the layers' reuse buffers
-// keep a single stable shape — a smaller batch would reallocate the whole
-// layer zoo here and again on the next full-size batch, every evaluation
-// pass, on whichever shard owns the tail. Only the first size rows are
-// counted, and inference-mode forward is row-independent for every layer
-// (BN uses running statistics), so the counted rows are bit-identical to
-// an unpadded pass.
+// A remainder batch (ds.Len() not a multiple of batchSize) runs at its true
+// size: the layers' reuse buffers serve a smaller batch from the capacity
+// the full one left them (nn.reuseFor) and the workspace keeps one input
+// buffer per shape, so the tail allocates nothing once warm and infers no
+// padding rows.
 func (n *evalNet) countCorrect(ds *data.Dataset, batchSize, start, stride int) int {
 	nBatches := (ds.Len() + batchSize - 1) / batchSize
 	f := ds.Features()
 	correct := 0
 	for b := start; b < nBatches; b += stride {
 		lo := b * batchSize
-		hi := lo + batchSize
-		if hi > ds.Len() {
-			hi = ds.Len()
-		}
-		size := hi - lo
-		idx := n.idx[:batchSize]
+		size := min(batchSize, ds.Len()-lo)
+		idx := n.idx[:size]
 		for j := range idx {
-			k := lo + j
-			if k >= hi {
-				k = hi - 1
-			}
-			idx[j] = k
+			idx[j] = lo + j
 		}
 		n.ws.Reset()
-		x := n.ws.Get(batchSize, f)
-		y := n.y[:batchSize]
+		x := n.ws.Get(size, f)
+		y := n.y[:size]
 		ds.BatchInto(x, y, idx)
 		out := n.net.Forward(x, false)
-		pred := n.pred[:batchSize]
+		pred := n.pred[:size]
 		tensor.ArgmaxRowsInto(pred, out)
-		for i := 0; i < size; i++ {
-			if pred[i] == y[i] {
+		for i, p := range pred {
+			if p == y[i] {
 				correct++
 			}
 		}

@@ -1,27 +1,32 @@
 package ps
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"lcasgd/internal/scenario"
 )
 
-// TestFingerprint is a temporary harness used while refactoring: it dumps
-// exact float bits of every algorithm's results (stationary + scenarios) so
-// a refactor can be proven numerically invisible. Run with
-// FINGERPRINT=path go test -run TestFingerprint ./internal/ps
+// fingerprintGolden is the sha256 of the dump below. The dump is a pure
+// function of the code: any change to it means some result's float bits
+// moved, which every refactor and kernel change since PR 1 has promised not
+// to do. A change that moves them on purpose updates the golden in the same
+// commit and says why.
+const fingerprintGolden = "f861c1b277ed3946a8174e5299e693e02c6fd2b49221aaafcc7dc67c83a5bd2c"
+
+// TestFingerprint dumps the exact float bits of every algorithm's results
+// (both backends, stationary + scenarios, an MLP and a conv net) and checks
+// the dump's hash against the committed golden, so a change is proven
+// numerically invisible by tier-1 itself. The golden is checked on amd64
+// only: other architectures may fuse multiply-adds, which moves low bits
+// without anything being wrong. FINGERPRINT=path additionally writes the
+// dump there, for diffing against another commit's.
 func TestFingerprint(t *testing.T) {
-	path := os.Getenv("FINGERPRINT")
-	if path == "" {
-		t.Skip("set FINGERPRINT=path to dump")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := &bytes.Buffer{}
 	dump := func(label string, env Env) {
 		res := Run(env)
 		fmt.Fprintf(f, "== %s ==\n", label)
@@ -65,5 +70,17 @@ func TestFingerprint(t *testing.T) {
 	for _, algo := range []Algo{LCASGD, SSGD} {
 		env := convEnvSeeded(algo, 3, 2)
 		dump(fmt.Sprintf("%s/convnet", algo), env)
+	}
+	if path := os.Getenv("FINGERPRINT"); path != "" {
+		if err := os.WriteFile(path, f.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden is checked on amd64 only, this is %s", runtime.GOARCH)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(f.Bytes())); got != fingerprintGolden {
+		t.Fatalf("fingerprint %s, want %s: some result's float bits changed "+
+			"(FINGERPRINT=path writes the dump; diff it against the parent commit's)", got, fingerprintGolden)
 	}
 }

@@ -152,12 +152,6 @@ type Config struct {
 	RecoverOpt bool
 }
 
-// defaultEvalBatch is the inference batch size withDefaults picks when
-// Config.EvalBatch is zero. Evaluation pads remainder batches up to the
-// batch size (see eval.go), so datasets smaller than this default trip the
-// warning in telemetry.go.
-const defaultEvalBatch = 150
-
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
@@ -167,7 +161,7 @@ func (c Config) withDefaults() Config {
 		c.EvalEvery = 1
 	}
 	if c.EvalBatch == 0 {
-		c.EvalBatch = defaultEvalBatch
+		c.EvalBatch = 150
 	}
 	if c.BNDecay == 0 {
 		c.BNDecay = 0.2
@@ -252,7 +246,6 @@ type Result struct {
 // algorithm is looked up in the strategy registry, so algorithms added via
 // RegisterStrategy run through the same engine as the paper's five.
 func Run(env Env) Result {
-	warnEvalBatchDefault(env)
 	cfg := env.Cfg.withDefaults()
 	env.Cfg = cfg
 	if env.Train == nil || env.Test == nil || env.Build == nil {

@@ -2,8 +2,6 @@ package ps
 
 import (
 	"fmt"
-	"os"
-	"sync"
 
 	"lcasgd/internal/scenario"
 	"lcasgd/internal/snapshot"
@@ -322,42 +320,4 @@ func (e *Engine) restoreTelTrace(r *snapshot.Reader, want int) error {
 		})
 	}
 	return nil
-}
-
-// --- EvalBatch default warning ---
-
-// evalBatchWarnOnce rate-limits the warning to once per process: sweeps and
-// test binaries run hundreds of tiny cells and one line is enough.
-var evalBatchWarnOnce sync.Once
-
-// evalBatchDefaultTrap reports whether env is about to fall into the
-// EvalBatch-padding trap: Config.EvalBatch left at zero (so withDefaults
-// will pick 150) with a dataset split smaller than that. Evaluation pads
-// the remainder batch up to EvalBatch to keep layer shapes stable (see
-// eval.go), so a tiny split pays for 150 samples of inference per batch
-// however few it holds — up to 40× the expected eval cost on profile-sized
-// runs. The returned message names the offending split.
-func evalBatchDefaultTrap(env Env) (string, bool) {
-	if env.Cfg.EvalBatch != 0 || env.Train == nil || env.Test == nil {
-		return "", false
-	}
-	n, split := env.Train.Len(), "train"
-	if env.Test.Len() < n {
-		n, split = env.Test.Len(), "test"
-	}
-	if n >= defaultEvalBatch {
-		return "", false
-	}
-	return fmt.Sprintf(
-		"ps: EvalBatch defaults to %d but the %s split has only %d samples; "+
-			"evaluation pads every remainder batch up to EvalBatch, so tiny runs "+
-			"pay up to %dx the expected eval cost — set Config.EvalBatch explicitly",
-		defaultEvalBatch, split, n, (defaultEvalBatch+n-1)/n), true
-}
-
-// warnEvalBatchDefault emits the trap warning, once per process, to stderr.
-func warnEvalBatchDefault(env Env) {
-	if msg, ok := evalBatchDefaultTrap(env); ok {
-		evalBatchWarnOnce.Do(func() { fmt.Fprintln(os.Stderr, msg) })
-	}
 }

@@ -263,24 +263,6 @@ func TestTelemetryBarrierEventsCheckpointed(t *testing.T) {
 	}
 }
 
-// TestEvalBatchDefaultTrap pins the tiny-dataset warning predicate: it
-// fires only when EvalBatch is left to default against a split smaller
-// than the default batch.
-func TestEvalBatchDefaultTrap(t *testing.T) {
-	env := tinyEnvSeeded(ASGD, 1, 1) // test split: 80 < 150
-	msg, ok := evalBatchDefaultTrap(env)
-	if !ok {
-		t.Fatal("tiny env did not trip the trap")
-	}
-	if !strings.Contains(msg, "test split has only 80 samples") || !strings.Contains(msg, "2x") {
-		t.Fatalf("trap message wrong: %q", msg)
-	}
-	env.Cfg.EvalBatch = 80
-	if msg, ok := evalBatchDefaultTrap(env); ok {
-		t.Fatalf("explicit EvalBatch still warned: %q", msg)
-	}
-}
-
 // BenchmarkTelemetryOverhead measures the steady-state commit path with the
 // telemetry layer disabled (nil recorder — must stay 0 allocs/op, the
 // CI bench-smoke guard) and enabled (the trace append + instrument cost).

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // ConvGeom describes the geometry of a 2-D convolution: input channels and
 // spatial size, kernel size, stride, and zero padding. Output spatial size is
@@ -19,10 +22,11 @@ func (g ConvGeom) OutH() int { return (g.InH+2*g.Pad-g.KH)/g.Stride + 1 }
 // OutW returns the output width.
 func (g ConvGeom) OutW() int { return (g.InW+2*g.Pad-g.KW)/g.Stride + 1 }
 
-// ColRows returns the number of rows of the im2col matrix for one image.
+// ColRows returns the number of output pixels of one image, OutH*OutW: the
+// panel columns one image contributes.
 func (g ConvGeom) ColRows() int { return g.OutH() * g.OutW() }
 
-// ColCols returns the number of columns of the im2col matrix.
+// ColCols returns the number of kernel taps, InC*KH*KW: the panel rows.
 func (g ConvGeom) ColCols() int { return g.InC * g.KH * g.KW }
 
 // Validate checks the geometry is self-consistent.
@@ -42,49 +46,258 @@ func (g ConvGeom) Validate() error {
 	return nil
 }
 
-// Im2Col lowers one image (shape [InC, InH, InW] flattened) into a matrix of
-// shape [OutH*OutW, InC*KH*KW] so convolution becomes a matmul with the
-// [InC*KH*KW, OutC] weight matrix. dst must have ColRows()*ColCols()
-// elements.
-func Im2Col(dst []float64, img []float64, g ConvGeom) {
+// Convolution lowers to matrix products over a channel-major panel
+// [ColCols, n*ColRows]: row r = (c, ky, kx) is one kernel tap, column
+// (i, oy, ox) is one output pixel of image i of a group of n images, and
+// the entry is the input pixel that tap reads there (0 where it falls in
+// the padding). With W [ColCols, OutC]:
+//
+//	forward          Y  [OutC, n*HW]    = Wᵀ @ panel    (MatMulTransAInto)
+//	input gradient   dP [ColCols, n*HW] = W @ dY        (InputGrad: MatMulInto), then Scatter
+//	weight gradient  W.Grad[r, oc]     += panel[r]·dY[oc], image by image (WeightGrad)
+//
+// Rows of Y are already the layer's channel-major output, and every inner
+// loop of the two products runs along a row n*HW long.
+
+// convPanelFloats bounds one panel of a group (64 KiB; a layer holds two,
+// the lowered input and its gradient). Budgets of 4-16 Ki measured alike
+// end to end on both quick profiles — rows are long enough from about 64
+// columns on — so the budget is set by memory per replica, not speed.
+const convPanelFloats = 8 * 1024
+
+// convTable holds the gather offsets of one geometry. idx is [KH*KW][HW]:
+// for tap (ky, kx) and output pixel p, the offset of the input pixel inside
+// a staged channel — the InH*InW plane followed by one zero slot, which is
+// where every padding entry points, so lowering needs no bounds test.
+type convTable struct {
+	idx   []int32
+	stage sync.Pool // *[]float64 staged channels for the single-image entries
+}
+
+// Tables depend on the geometry alone, so replicas and eval nets of one
+// model share them the way data.GenerateCached shares datasets.
+var (
+	convMu     sync.Mutex
+	convTables = map[ConvGeom]*convTable{}
+)
+
+func convTableFor(g ConvGeom) *convTable {
+	convMu.Lock()
+	defer convMu.Unlock()
+	if t := convTables[g]; t != nil {
+		return t
+	}
 	outH, outW := g.OutH(), g.OutW()
-	cols := g.ColCols()
-	if len(dst) != outH*outW*cols {
-		panic(fmt.Sprintf("tensor: Im2Col dst len %d, want %d", len(dst), outH*outW*cols))
-	}
-	if len(img) != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2Col img len %d, want %d", len(img), g.InC*g.InH*g.InW))
-	}
-	// Per output pixel, the kx loop splits into prefix zeros / an in-bounds
-	// contiguous copy / suffix zeros, hoisting the per-element bounds checks
-	// out of the inner loop. kx0/kx1 clamp so the segment is empty (and only
-	// the zero fills run) when the whole row is out of range horizontally.
-	idx := 0
-	for oy := 0; oy < outH; oy++ {
-		iy0 := oy*g.Stride - g.Pad
-		for ox := 0; ox < outW; ox++ {
-			ix0 := ox*g.Stride - g.Pad
-			kx0 := min(max(-ix0, 0), g.KW)
-			kx1 := max(min(g.InW-ix0, g.KW), kx0)
-			for c := 0; c < g.InC; c++ {
-				chBase := c * g.InH * g.InW
-				for ky := 0; ky < g.KH; ky++ {
-					iy := iy0 + ky
-					row := dst[idx : idx+g.KW]
-					idx += g.KW
-					if iy < 0 || iy >= g.InH {
-						for kx := range row {
-							row[kx] = 0
-						}
-						continue
+	hw, plane := outH*outW, g.InH*g.InW
+	t := &convTable{idx: make([]int32, g.KH*g.KW*hw)}
+	t.stage.New = func() any { s := make([]float64, plane+1); return &s }
+	k := 0
+	for ky := 0; ky < g.KH; ky++ {
+		for kx := 0; kx < g.KW; kx++ {
+			for oy := 0; oy < outH; oy++ {
+				iy := oy*g.Stride - g.Pad + ky
+				for ox := 0; ox < outW; ox++ {
+					ix := ox*g.Stride - g.Pad + kx
+					if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
+						t.idx[k] = int32(plane)
+					} else {
+						t.idx[k] = int32(iy*g.InW + ix)
 					}
-					for kx := 0; kx < kx0; kx++ {
-						row[kx] = 0
-					}
-					rowBase := chBase + iy*g.InW + ix0
-					copy(row[kx0:kx1], img[rowBase+kx0:rowBase+kx1])
-					for kx := kx1; kx < g.KW; kx++ {
-						row[kx] = 0
+					k++
+				}
+			}
+		}
+	}
+	convTables[g] = t
+	return t
+}
+
+// ConvLowering is one convolution layer's handle on the lowering: the
+// shared table, the group size, a private staging buffer and the two view
+// headers InputGrad re-points. It is single-owner state like the layer that
+// holds it.
+type ConvLowering struct {
+	g     ConvGeom
+	outC  int
+	group int
+	tab   *convTable
+	stage []float64 // one staged channel: plane + zero slot
+	wBlk  Tensor    // InputGrad: a row block of W ...
+	dBlk  Tensor    // ... and the same rows of dPanel
+}
+
+// NewConvLowering returns the lowering of geometry g for a layer with outC
+// output channels. g must be valid.
+func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
+	// The group is the largest image count whose panel fits the budget and
+	// whose [OutC, n*HW] operand stays within mmDirectB: over it, MatMulInto
+	// packs panels from a pool, which may allocate.
+	k, hw := g.ColCols(), g.ColRows()
+	group := min(convPanelFloats/(k*hw), mmDirectB/(outC*hw))
+	return &ConvLowering{
+		g: g, outC: outC, group: max(group, 1),
+		tab:   convTableFor(g),
+		stage: make([]float64, g.InH*g.InW+1),
+		wBlk:  Tensor{Shape: make([]int, 2)},
+		dBlk:  Tensor{Shape: make([]int, 2)},
+	}
+}
+
+// Group returns the number of images lowered into one panel. It is a
+// function of the geometry and outC alone.
+func (l *ConvLowering) Group() int { return l.group }
+
+// Lower fills panel [ColCols, n*HW] from x, n images of [InC, InH, InW].
+func (l *ConvLowering) Lower(panel, x []float64, n int) {
+	convLower(panel, x, n, l.g, l.tab.idx, l.stage)
+}
+
+// InputGrad computes dPanel [ColCols, n*HW] = w [ColCols, OutC] @ dY
+// [OutC, n*HW], each element summing oc ascending from +0. It issues the
+// product in row blocks of w that each stay below parallelRowThreshold:
+// at or above it MatMulInto spawns goroutines, which allocates and would
+// spread a sequential run over the cores. Rows are independent, so the
+// blocking is invisible in the result.
+func (l *ConvLowering) InputGrad(dPanel, w, dY *Tensor) {
+	k, outC, cols := w.Shape[0], w.Shape[1], dY.Shape[1]
+	rows := max((parallelRowThreshold-1)/(outC*cols), 1)
+	for r0 := 0; r0 < k; r0 += rows {
+		r1 := min(r0+rows, k)
+		l.wBlk.Shape[0], l.wBlk.Shape[1], l.wBlk.Data = r1-r0, outC, w.Data[r0*outC:r1*outC]
+		l.dBlk.Shape[0], l.dBlk.Shape[1], l.dBlk.Data = r1-r0, cols, dPanel.Data[r0*cols:r1*cols]
+		MatMulInto(&l.dBlk, &l.wBlk, dY)
+	}
+}
+
+// Scatter accumulates dPanel [ColCols, n*HW] into dx, n image gradients
+// [InC, InH, InW] — the adjoint of Lower. dx is accumulated into.
+func (l *ConvLowering) Scatter(dx, dPanel []float64, n int) {
+	convScatter(dx, dPanel, n, l.g, l.tab.idx)
+}
+
+// WeightGrad accumulates the weight gradient of a group into wGrad
+// [ColCols, OutC] from panel [ColCols, n*HW] and dY [OutC, n*HW].
+//
+// Accumulation order (part of the float-bits contract): wGrad[r, oc]
+// receives one addend per image, in batch order, and each addend is that
+// image's sum over p ascending formed from +0.
+func (l *ConvLowering) WeightGrad(wGrad, panel, dY []float64, n int) {
+	k, hw := l.g.ColCols(), l.g.ColRows()
+	cols := n * hw
+	outC := l.outC
+	if len(wGrad) != k*outC || len(panel) != k*cols || len(dY) != outC*cols {
+		panic(fmt.Sprintf("tensor: WeightGrad lens wGrad %d panel %d dY %d for k %d outC %d cols %d",
+			len(wGrad), len(panel), len(dY), k, outC, cols))
+	}
+	// 2x2 register block: two panel rows against two dY rows give four
+	// independent chains per four loads, each one wGrad element's own.
+	r := 0
+	for ; r+2 <= k; r += 2 {
+		p0 := panel[r*cols : (r+1)*cols]
+		p1 := panel[(r+1)*cols : (r+2)*cols]
+		w0 := wGrad[r*outC : (r+1)*outC]
+		w1 := wGrad[(r+1)*outC : (r+2)*outC]
+		oc := 0
+		for ; oc+2 <= outC; oc += 2 {
+			d0 := dY[oc*cols : (oc+1)*cols]
+			d1 := dY[(oc+1)*cols : (oc+2)*cols]
+			a00, a01, a10, a11 := w0[oc], w0[oc+1], w1[oc], w1[oc+1]
+			for lo := 0; lo < cols; lo += hw {
+				var s00, s01, s10, s11 float64
+				q1, e0, e1 := p1[lo:lo+hw], d0[lo:lo+hw], d1[lo:lo+hw]
+				for p, v0 := range p0[lo : lo+hw] {
+					v1 := q1[p]
+					s00 += v0 * e0[p]
+					s01 += v0 * e1[p]
+					s10 += v1 * e0[p]
+					s11 += v1 * e1[p]
+				}
+				a00 += s00
+				a01 += s01
+				a10 += s10
+				a11 += s11
+			}
+			w0[oc], w0[oc+1], w1[oc], w1[oc+1] = a00, a01, a10, a11
+		}
+		for ; oc < outC; oc++ {
+			w0[oc] = convDotImages(w0[oc], p0, dY[oc*cols:(oc+1)*cols], hw)
+			w1[oc] = convDotImages(w1[oc], p1, dY[oc*cols:(oc+1)*cols], hw)
+		}
+	}
+	for ; r < k; r++ {
+		prow := panel[r*cols : (r+1)*cols]
+		for oc := 0; oc < outC; oc++ {
+			wGrad[r*outC+oc] = convDotImages(wGrad[r*outC+oc], prow, dY[oc*cols:(oc+1)*cols], hw)
+		}
+	}
+}
+
+// convDotImages returns acc plus, image by image, the dot product of the
+// image's hw-long segments of a and b.
+func convDotImages(acc float64, a, b []float64, hw int) float64 {
+	for lo := 0; lo < len(a); lo += hw {
+		s := 0.0
+		bs := b[lo : lo+hw]
+		for p, v := range a[lo : lo+hw] {
+			s += v * bs[p]
+		}
+		acc += s
+	}
+	return acc
+}
+
+func convCheckLens(op string, panel, x []float64, n int, g ConvGeom) {
+	if want := n * g.ColRows() * g.ColCols(); len(panel) != want {
+		panic(fmt.Sprintf("tensor: %s panel len %d, want %d", op, len(panel), want))
+	}
+	if want := n * g.InC * g.InH * g.InW; len(x) != want {
+		panic(fmt.Sprintf("tensor: %s image len %d, want %d", op, len(x), want))
+	}
+}
+
+// convLower is the gather: a channel is staged in front of its zero slot,
+// then each of its taps is one branch-free table-driven row segment.
+func convLower(panel, x []float64, n int, g ConvGeom, idx []int32, stage []float64) {
+	convCheckLens("Lower", panel, x, n, g)
+	hw, kk, plane := g.ColRows(), g.KH*g.KW, g.InH*g.InW
+	cols := n * hw
+	stage = stage[:plane+1]
+	for i := 0; i < n; i++ {
+		for c := 0; c < g.InC; c++ {
+			copy(stage, x[(i*g.InC+c)*plane:(i*g.InC+c+1)*plane])
+			for tap := 0; tap < kk; tap++ {
+				row := panel[(c*kk+tap)*cols+i*hw:][:hw]
+				for p, j := range idx[tap*hw:][:hw] {
+					row[p] = stage[j]
+				}
+			}
+		}
+	}
+}
+
+// convScatter is the adjoint gather. Accumulation order (part of the
+// float-bits contract): every input-gradient pixel receives its patch
+// contributions in ascending (oy, ox). A pixel meets tap (ky, kx) at
+// oy = (iy+Pad-ky)/Stride, ox = (ix+Pad-kx)/Stride — at most one output
+// pixel per tap, and a larger tap means a smaller (oy, ox) — so walking the
+// panel rows of a channel with (ky, kx) descending, and each row left to
+// right, is that order.
+func convScatter(dx, dPanel []float64, n int, g ConvGeom, idx []int32) {
+	convCheckLens("Scatter", dPanel, dx, n, g)
+	hw, kk, plane := g.ColRows(), g.KH*g.KW, g.InH*g.InW
+	cols := n * hw
+	for i := 0; i < n; i++ {
+		for c := 0; c < g.InC; c++ {
+			dst := dx[(i*g.InC+c)*plane:][:plane]
+			for tap := kk - 1; tap >= 0; tap-- {
+				row := dPanel[(c*kk+tap)*cols+i*hw:][:hw]
+				for p, j := range idx[tap*hw:][:hw] {
+					// Padding entries (j == plane) have no pixel. The
+					// pattern repeats every row, so the branch predicts; a
+					// trash slot measured no faster and costs a staging
+					// pass each way.
+					if uint(j) < uint(len(dst)) {
+						dst[j] += row[p]
 					}
 				}
 			}
@@ -92,44 +305,21 @@ func Im2Col(dst []float64, img []float64, g ConvGeom) {
 	}
 }
 
-// Col2Im scatters a column matrix's gradient back into image layout,
-// accumulating overlapping patches — the adjoint of Im2Col. dst (the image
-// gradient, [InC, InH, InW] flattened) is accumulated into, not zeroed.
+// Im2Col lowers one image (shape [InC, InH, InW] flattened) into its
+// channel-major panel [InC*KH*KW, OutH*OutW], so convolution becomes the
+// product of the transposed [InC*KH*KW, OutC] weight matrix with it. It is
+// the single-image entry to the code Conv2D runs on groups of images. dst
+// must have ColRows()*ColCols() elements.
+func Im2Col(dst []float64, img []float64, g ConvGeom) {
+	t := convTableFor(g)
+	stage := t.stage.Get().(*[]float64)
+	convLower(dst, img, 1, g, t.idx, *stage)
+	t.stage.Put(stage)
+}
+
+// Col2Im scatters a panel's gradient back into image layout, accumulating
+// overlapping patches — the adjoint of Im2Col. dst (the image gradient,
+// [InC, InH, InW] flattened) is accumulated into, not zeroed.
 func Col2Im(dst []float64, col []float64, g ConvGeom) {
-	outH, outW := g.OutH(), g.OutW()
-	cols := g.ColCols()
-	if len(col) != outH*outW*cols {
-		panic(fmt.Sprintf("tensor: Col2Im col len %d, want %d", len(col), outH*outW*cols))
-	}
-	if len(dst) != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Col2Im dst len %d, want %d", len(dst), g.InC*g.InH*g.InW))
-	}
-	// Same segment clipping as Im2Col: only the in-bounds [kx0, kx1) span of
-	// each kernel row is accumulated; padding positions are skipped by
-	// advancing idx past them.
-	idx := 0
-	for oy := 0; oy < outH; oy++ {
-		iy0 := oy*g.Stride - g.Pad
-		for ox := 0; ox < outW; ox++ {
-			ix0 := ox*g.Stride - g.Pad
-			kx0 := min(max(-ix0, 0), g.KW)
-			kx1 := max(min(g.InW-ix0, g.KW), kx0)
-			for c := 0; c < g.InC; c++ {
-				chBase := c * g.InH * g.InW
-				for ky := 0; ky < g.KH; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= g.InH {
-						idx += g.KW
-						continue
-					}
-					row := col[idx+kx0 : idx+kx1]
-					out := dst[chBase+iy*g.InW+ix0+kx0 : chBase+iy*g.InW+ix0+kx1]
-					for kx, v := range row {
-						out[kx] += v
-					}
-					idx += g.KW
-				}
-			}
-		}
-	}
+	convScatter(dst, col, 1, g, convTableFor(g).idx)
 }

@@ -81,10 +81,11 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 		r.FillNormal(w, 1)
 		col := make([]float64, g.ColRows()*g.ColCols())
 		Im2Col(col, img, g)
-		// conv = col @ w  (treat w as a single output filter)
-		colT := FromSlice(col, g.ColRows(), g.ColCols())
+		// conv = wᵀ @ panel (treat w as a single output filter): the panel
+		// is channel-major [ColCols, ColRows].
+		panel := FromSlice(col, g.ColCols(), g.ColRows())
 		wT := FromSlice(w, g.ColCols(), 1)
-		got := MatMul(colT, wT)
+		got := MatMulTransA(wT, panel)
 		want := naiveConv(img, w, g)
 		for i := range want {
 			if math.Abs(got.Data[i]-want[i]) > 1e-10 {
@@ -95,10 +96,18 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 }
 
 // TestCol2ImIsAdjoint checks <Im2Col(x), y> == <x, Col2Im(y)> — the defining
-// property of an adjoint pair, which is exactly what backprop requires.
+// property of an adjoint pair, which is exactly what backprop requires. The
+// inner product is layout-blind, so the geometries cover what the layout
+// touches: padding, stride, a pad-free kernel and a non-square image.
 func TestCol2ImIsAdjoint(t *testing.T) {
+	geoms := []ConvGeom{
+		{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1},
+		{InC: 2, InH: 4, InW: 4, KH: 1, KW: 1, Stride: 2, Pad: 0},
+		{InC: 1, InH: 5, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 0},
+	}
 	f := func(seed uint64) bool {
-		g := ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		g := geoms[seed%uint64(len(geoms))]
 		r := rng.New(seed)
 		x := make([]float64, g.InC*g.InH*g.InW)
 		y := make([]float64, g.ColRows()*g.ColCols())
@@ -134,13 +143,117 @@ func TestCol2ImAccumulates(t *testing.T) {
 	dst := make([]float64, 16)
 	dst[0] = 5 // pre-existing content must be preserved (accumulation)
 	Col2Im(dst, col, g)
-	if dst[0] <= 5 {
-		t.Fatalf("Col2Im must accumulate, got dst[0]=%v", dst[0])
+	// Corner pixel participates in 4 kernel positions; center in all 9.
+	if dst[0] != 5+4 {
+		t.Fatalf("Col2Im must accumulate, got dst[0]=%v, want 9", dst[0])
 	}
-	// Center pixel participates in all 9 kernel positions; corner in 4.
-	center := dst[1*4+1]
-	if center != 9 {
+	if center := dst[1*4+1]; center != 9 {
 		t.Fatalf("center accumulation = %v, want 9", center)
+	}
+	// Row r of the channel-major panel is one tap: the centre tap (1,1)
+	// reads pixel p at output pixel p, so its row alone scatters back as the
+	// identity.
+	for i := range col {
+		col[i] = 0
+	}
+	hw := g.ColRows()
+	for p := 0; p < hw; p++ {
+		col[4*hw+p] = float64(p + 1)
+	}
+	for i := range dst {
+		dst[i] = 0
+	}
+	Col2Im(dst, col, g)
+	for p, v := range dst {
+		if v != float64(p+1) {
+			t.Fatalf("centre-tap row scattered to dst[%d]=%v, want %d", p, v, p+1)
+		}
+	}
+}
+
+// TestConvLoweringGroupLayout pins the group panel's layout against the
+// single-image entries: column block i of the [ColCols, n*HW] panel is image
+// i's own panel, Scatter is Col2Im image by image, and WeightGrad adds each
+// image's panel·dYᵀ in batch order.
+func TestConvLoweringGroupLayout(t *testing.T) {
+	g := ConvGeom{InC: 2, InH: 5, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	const n, outC = 3, 4
+	k, hw, inFeat := g.ColCols(), g.ColRows(), g.InC*g.InH*g.InW
+	cols := n * hw
+	r := rng.New(41)
+	x := make([]float64, n*inFeat)
+	r.FillNormal(x, 1)
+	low := NewConvLowering(g, outC)
+
+	panel := make([]float64, k*cols)
+	low.Lower(panel, x, n)
+	single := make([]float64, k*hw)
+	for i := 0; i < n; i++ {
+		Im2Col(single, x[i*inFeat:(i+1)*inFeat], g)
+		for row := 0; row < k; row++ {
+			for p := 0; p < hw; p++ {
+				if got, want := panel[row*cols+i*hw+p], single[row*hw+p]; got != want {
+					t.Fatalf("panel[%d, image %d pixel %d] = %v, want %v", row, i, p, got, want)
+				}
+			}
+		}
+	}
+
+	dPanel := make([]float64, k*cols)
+	r.FillNormal(dPanel, 1)
+	dx := make([]float64, n*inFeat)
+	low.Scatter(dx, dPanel, n)
+	want := make([]float64, inFeat)
+	for i := 0; i < n; i++ {
+		for row := 0; row < k; row++ {
+			copy(single[row*hw:(row+1)*hw], dPanel[row*cols+i*hw:][:hw])
+		}
+		for j := range want {
+			want[j] = 0
+		}
+		Col2Im(want, single, g)
+		for j, w := range want {
+			if got := dx[i*inFeat+j]; got != w {
+				t.Fatalf("Scatter image %d pixel %d = %v, want %v", i, j, got, w)
+			}
+		}
+	}
+
+	dY := make([]float64, outC*cols)
+	r.FillNormal(dY, 1)
+	wGrad := make([]float64, k*outC)
+	r.FillNormal(wGrad, 1)
+	wantW := append([]float64(nil), wGrad...)
+	for i := 0; i < n; i++ {
+		for row := 0; row < k; row++ {
+			for oc := 0; oc < outC; oc++ {
+				s := 0.0
+				for p := 0; p < hw; p++ {
+					s += panel[row*cols+i*hw+p] * dY[oc*cols+i*hw+p]
+				}
+				wantW[row*outC+oc] += s
+			}
+		}
+	}
+	low.WeightGrad(wGrad, panel, dY, n)
+	for j, w := range wantW {
+		if wGrad[j] != w {
+			t.Fatalf("WeightGrad[%d] = %v, want %v", j, wGrad[j], w)
+		}
+	}
+}
+
+// TestConvTableSharedPerGeometry: lowerings of one geometry share one index
+// table, whatever their layer's width.
+func TestConvTableSharedPerGeometry(t *testing.T) {
+	g := ConvGeom{InC: 3, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
+	a, b := NewConvLowering(g, 4), NewConvLowering(g, 9)
+	if a.tab != b.tab {
+		t.Fatal("two lowerings of one geometry built two tables")
+	}
+	g.Pad = 0
+	if c := NewConvLowering(g, 4); c.tab == a.tab {
+		t.Fatal("different geometries share a table")
 	}
 }
 

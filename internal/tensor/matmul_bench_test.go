@@ -8,8 +8,13 @@ import (
 )
 
 // Kernel benchmarks over the shapes the paper's networks actually emit.
-// Conv layers lower to [OutH*OutW, InC*KH*KW] @ [InC*KH*KW, OutC] per
-// image; the MLP head and LSTM predictors emit [batch, in] @ [in, out].
+// The MLP head and LSTM predictors emit [batch, in] @ [in, out]. Conv
+// layers lower a group of n images to a channel-major panel (conv.go): the
+// forward product is MatMulTransA of W [K, OutC] with the panel [K, n*HW],
+// the input gradient MatMul of W with dY [OutC, n*HW] — the grouped_*
+// shapes. The conv_* shapes are the per-image pixel-major products of the
+// earlier lowering, kept so the kernels' own trajectory in BENCH_ps.json
+// stays comparable.
 // Each shape also runs with A at ~50% exact zeros — the sparsity profile of
 // post-ReLU activations — which is how the pre-tiling kernels' data-
 // dependent `if av == 0` skip was adjudicated:
@@ -33,6 +38,8 @@ var benchShapes = []mmShape{
 	{"conv_stem_144x108x12", 144, 108, 12}, // ResNetLite50 stem, 12x12 input
 	{"conv_mid_36x216x24", 36, 216, 24},    // stage-2 3x3 conv
 	{"conv_deep_9x432x48", 9, 432, 48},     // stage-3 3x3 conv
+	{"grouped_dx_54x6x128", 54, 6, 128},    // quick 8x8 stage: W @ dY, two images
+	{"grouped_dx_432x48x18", 432, 48, 18},  // stage-3 3x3 conv: W @ dY, two images
 	{"square_128", 128, 128, 128},          // generic mid-size
 	{"packed_64x300x130", 64, 300, 130},    // exercises the packed-panel path
 }
@@ -68,12 +75,15 @@ func BenchmarkMatMul(b *testing.B) {
 }
 
 func BenchmarkMatMulTransA(b *testing.B) {
-	// Weight gradient: colᵀ [ColCols, HW] @ dOut [HW, OutC]; A here is the
-	// im2col matrix, the post-ReLU-sparse operand.
+	// conv_*: the earlier lowering's weight gradient, colᵀ [ColCols, HW] @
+	// dOut [HW, OutC]; A is the post-ReLU-sparse operand. grouped_fwd_*:
+	// today's forward product, Wᵀ [OutC, K] @ panel [K, n*HW].
 	for _, s := range []mmShape{
 		{"conv_stem", 144, 108, 12},
 		{"conv_mid", 36, 216, 24},
 		{"conv_deep", 9, 432, 48},
+		{"grouped_fwd_quick", 54, 6, 128},
+		{"grouped_fwd_deep", 432, 48, 18},
 	} {
 		for _, sparse := range []bool{false, true} {
 			name := s.name
@@ -99,7 +109,8 @@ func BenchmarkMatMulTransA(b *testing.B) {
 }
 
 func BenchmarkMatMulTransB(b *testing.B) {
-	// Input gradient: dOut [HW, OutC] @ Wᵀ, W being [ColCols, OutC].
+	// The earlier lowering's input gradient: dOut [HW, OutC] @ Wᵀ, W being
+	// [ColCols, OutC]. Dense.Backward is the kernel's remaining caller.
 	for _, s := range []mmShape{
 		{"conv_stem", 144, 12, 108},
 		{"conv_mid", 36, 24, 216},
@@ -119,11 +130,20 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	}
 }
 
+// convBenchGeoms are the lowering benchmarks' shapes: the full-profile
+// stem and mid stage, and the quick profiles' 4x4, 3x3 and 2x2 stages, where
+// a tap's row is only HW floats long and per-row overhead is what is being
+// measured.
+var convBenchGeoms = []ConvGeom{
+	{InC: 12, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1},
+	{InC: 24, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1},
+	{InC: 12, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1},
+	{InC: 32, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1, Pad: 1},
+	{InC: 24, InH: 2, InW: 2, KH: 3, KW: 3, Stride: 1, Pad: 1},
+}
+
 func BenchmarkIm2Col(b *testing.B) {
-	for _, g := range []ConvGeom{
-		{InC: 12, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		{InC: 24, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1},
-	} {
+	for _, g := range convBenchGeoms {
 		b.Run(fmt.Sprintf("c%dx%d", g.InC, g.InH), func(b *testing.B) {
 			r := rng.New(7)
 			img := make([]float64, g.InC*g.InH*g.InW)
@@ -139,14 +159,17 @@ func BenchmarkIm2Col(b *testing.B) {
 }
 
 func BenchmarkCol2Im(b *testing.B) {
-	g := ConvGeom{InC: 12, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	r := rng.New(7)
-	col := make([]float64, g.ColRows()*g.ColCols())
-	r.FillNormal(col, 1)
-	dst := make([]float64, g.InC*g.InH*g.InW)
-	b.SetBytes(int64(8 * len(col)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Col2Im(dst, col, g)
+	for _, g := range convBenchGeoms {
+		b.Run(fmt.Sprintf("c%dx%d", g.InC, g.InH), func(b *testing.B) {
+			r := rng.New(7)
+			col := make([]float64, g.ColRows()*g.ColCols())
+			r.FillNormal(col, 1)
+			dst := make([]float64, g.InC*g.InH*g.InW)
+			b.SetBytes(int64(8 * len(col)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Col2Im(dst, col, g)
+			}
+		})
 	}
 }

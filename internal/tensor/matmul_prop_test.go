@@ -160,8 +160,8 @@ func TestMatMulParallelPackedMatchesSequential(t *testing.T) {
 }
 
 func TestConvSegmentsMatchReference(t *testing.T) {
-	// The segment-clipped Im2Col/Col2Im against a per-element reference,
-	// across strides and pads including pad wider than the input.
+	// The table-driven Im2Col/Col2Im against a per-element reference,
+	// bitwise, across strides and pads including pad wider than the input.
 	for _, g := range []ConvGeom{
 		{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1},
 		{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1},
@@ -199,24 +199,28 @@ func TestConvSegmentsMatchReference(t *testing.T) {
 	}
 }
 
-// refIm2Col is the pre-optimization per-element implementation.
+// refIm2Col is the per-element lowering: entry (r, p) of the channel-major
+// [ColCols, ColRows] panel is the pixel tap r = (c, ky, kx) reads at output
+// pixel p = (oy, ox), or 0 in the padding.
 func refIm2Col(dst []float64, img []float64, g ConvGeom) {
-	idx := 0
+	hw := g.ColRows()
 	for oy := 0; oy < g.OutH(); oy++ {
 		iy0 := oy*g.Stride - g.Pad
 		for ox := 0; ox < g.OutW(); ox++ {
 			ix0 := ox*g.Stride - g.Pad
+			p := oy*g.OutW() + ox
+			r := 0
 			for c := 0; c < g.InC; c++ {
 				for ky := 0; ky < g.KH; ky++ {
 					iy := iy0 + ky
 					for kx := 0; kx < g.KW; kx++ {
 						ix := ix0 + kx
 						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-							dst[idx] = img[c*g.InH*g.InW+iy*g.InW+ix]
+							dst[r*hw+p] = img[c*g.InH*g.InW+iy*g.InW+ix]
 						} else {
-							dst[idx] = 0
+							dst[r*hw+p] = 0
 						}
-						idx++
+						r++
 					}
 				}
 			}
@@ -224,22 +228,26 @@ func refIm2Col(dst []float64, img []float64, g ConvGeom) {
 	}
 }
 
-// refCol2Im is the pre-optimization per-element adjoint.
+// refCol2Im is the per-element adjoint. Output pixels are visited in
+// ascending (oy, ox), which is the order every image pixel must receive its
+// contributions in.
 func refCol2Im(dst []float64, col []float64, g ConvGeom) {
-	idx := 0
+	hw := g.ColRows()
 	for oy := 0; oy < g.OutH(); oy++ {
 		iy0 := oy*g.Stride - g.Pad
 		for ox := 0; ox < g.OutW(); ox++ {
 			ix0 := ox*g.Stride - g.Pad
+			p := oy*g.OutW() + ox
+			r := 0
 			for c := 0; c < g.InC; c++ {
 				for ky := 0; ky < g.KH; ky++ {
 					iy := iy0 + ky
 					for kx := 0; kx < g.KW; kx++ {
 						ix := ix0 + kx
 						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-							dst[c*g.InH*g.InW+iy*g.InW+ix] += col[idx]
+							dst[c*g.InH*g.InW+iy*g.InW+ix] += col[r*hw+p]
 						}
-						idx++
+						r++
 					}
 				}
 			}

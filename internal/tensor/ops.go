@@ -238,10 +238,3 @@ func checkSameLen(op string, ts ...*Tensor) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
