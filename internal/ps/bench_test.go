@@ -183,7 +183,8 @@ func fleetScaleEnv(algo Algo, workers int, scn *scenario.Scenario) Env {
 // regime (most of a big fleet idle or partitioned between barriers) where
 // delta encoding beats re-encoding the world. Reported metrics:
 // checkpoints per run, average container size, and the full-vs-delta
-// split (KB) that BENCH_ps.json records at M=1024; finalErr doubles as a
+// split (KB), the pair bench/'s ps.ckpt_full_kb/ps.ckpt_delta_kb read on
+// fleet_scale; finalErr doubles as a
 // trajectory fingerprint — it must be bit-identical across cadences and
 // across the before/after binaries of a perf comparison, since checkpoint
 // encoding must never perturb the run.

@@ -50,7 +50,7 @@ const parallelRowThreshold = 64 * 64 * 64
 // resume-fingerprint suites; do not reorder k.
 //
 // The pre-tiling kernels skipped zero a-elements; the tiled ones do not
-// (see the sparsity note on mmBlock). On finite data the two are
+// (see the sparsity note on mmKernel). On finite data the two are
 // bit-identical: the dropped/added terms are av*bv with av == ±0, whose
 // product is ±0, and x + ±0 == x bitwise for every finite x when the
 // accumulator starts at +0. Inputs are finite throughout training, so the
@@ -66,9 +66,7 @@ const (
 	// panel (<=256 KiB, L2-resident) and reused across every row of A.
 	mmKC = 256
 	mmNC = 128
-	// matMulTransA output tile: 64x64 floats = 32 KiB, L1-resident while k
-	// streams over it.
-	taIB = 64
+	// matMulTransA column tile: a k x 64 slab of b is 512 B per k step.
 	taJB = 64
 	// matMulTransB keeps a j-tile of B rows (about 16 KiB) L1-resident
 	// across the whole sweep over A's rows.
@@ -82,14 +80,12 @@ var mmPanels = sync.Pool{New: func() any { b := make([]float64, mmKC*mmNC); retu
 
 // MatMul returns a @ b for 2-D tensors a [m,k] and b [k,n].
 //
-// The kernel processes four output rows at a time against a shared B row
-// (register blocking: each loaded B element feeds four independent
-// multiply-adds, and B is streamed once per four rows of A instead of once
-// per row), falling back to a packed kc x nc B-panel micro-kernel when B
-// exceeds mmDirectB. It is parallelized over row blocks of A; row-block
-// partitioning keeps the floating-point accumulation order identical
-// regardless of the number of goroutines, so results are bit-reproducible
-// across machines.
+// Every product runs through mmKernel (four output rows against a shared B
+// row, accumulators in registers), over B in place when it fits mmDirectB
+// and over packed kc x nc panels of it otherwise. It is parallelized over
+// row blocks of A; row-block partitioning keeps the floating-point
+// accumulation order identical regardless of the number of goroutines, so
+// results are bit-reproducible across machines.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs rank-2 operands, got %v %v", a.Shape, b.Shape))
@@ -119,6 +115,9 @@ func MatMulInto(dst, a, b *Tensor) {
 func matMulInto(out, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
+	if m == 0 {
+		return
+	}
 	work := m * k * n
 	procs := int(maxProcs.Load())
 	if work < parallelRowThreshold || procs <= 1 || m == 1 {
@@ -129,7 +128,8 @@ func matMulInto(out, a, b *Tensor) {
 		procs = m
 	}
 	var wg sync.WaitGroup
-	chunk := (m + procs - 1) / procs
+	// Whole strips per goroutine: only the last chunk has remainder rows.
+	chunk := ((m+procs-1)/procs + 3) &^ 3
 	for lo := 0; lo < m; lo += chunk {
 		hi := lo + chunk
 		if hi > m {
@@ -153,7 +153,7 @@ func matMulRows(out, a, b *Tensor, lo, hi int) {
 	k := a.Shape[1]
 	n := b.Shape[1]
 	if k*n <= mmDirectB {
-		mmBlock(out.Data, a.Data, lo, hi, k, n, 0, k, b.Data, n, 0, n)
+		mmKernel(out.Data[lo*n:], n, a.Data[lo*k:], k, 1, b.Data, n, hi-lo, k, n)
 		return
 	}
 	panelPtr := mmPanels.Get().(*[]float64)
@@ -166,58 +166,10 @@ func matMulRows(out, a, b *Tensor, lo, hi int) {
 				src := (p0+pp)*n + j0
 				copy(panel[pp*jw:pp*jw+jw], b.Data[src:src+jw])
 			}
-			mmBlock(out.Data, a.Data, lo, hi, k, n, p0, kw, panel, jw, j0, jw)
+			mmKernel(out.Data[lo*n+j0:], n, a.Data[lo*k+p0:], k, 1, panel, jw, hi-lo, kw, jw)
 		}
 	}
 	mmPanels.Put(panelPtr)
-}
-
-// mmBlock is the register-blocked micro-kernel: it accumulates
-// out[lo:hi, j0:j0+jw] += a[lo:hi, p0:p0+kw] @ panel, where panel holds the
-// corresponding B sub-block with row stride bstride (B itself on the direct
-// path, a packed copy otherwise). Four A rows share each loaded B element;
-// per output element the k terms still arrive in ascending order.
-//
-// The pre-tiling kernel skipped zero A elements (`if av == 0`), which made
-// kernel time silently input-dependent. The skip is gone from every tiled
-// kernel: measured on post-ReLU-like inputs (~50% scattered exact zeros —
-// see the sparsity benchmarks in matmul_bench_test.go) the unpredictable
-// branch cost 25-35% over the straight-line loop, and even on dense inputs
-// the always-false compare cost ~20% in the tight inner loop. Dropping it
-// is bit-neutral on finite data — see the finiteness note on the tiling
-// constants.
-func mmBlock(out, a []float64, lo, hi, astride, ostride, p0, kw int, bp []float64, bstride, j0, jw int) {
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		a0 := a[i*astride+p0 : i*astride+p0+kw]
-		a1 := a[(i+1)*astride+p0 : (i+1)*astride+p0+kw]
-		a2 := a[(i+2)*astride+p0 : (i+2)*astride+p0+kw]
-		a3 := a[(i+3)*astride+p0 : (i+3)*astride+p0+kw]
-		o0 := out[i*ostride+j0 : i*ostride+j0+jw]
-		o1 := out[(i+1)*ostride+j0 : (i+1)*ostride+j0+jw]
-		o2 := out[(i+2)*ostride+j0 : (i+2)*ostride+j0+jw]
-		o3 := out[(i+3)*ostride+j0 : (i+3)*ostride+j0+jw]
-		for pp := 0; pp < kw; pp++ {
-			av0, av1, av2, av3 := a0[pp], a1[pp], a2[pp], a3[pp]
-			brow := bp[pp*bstride : pp*bstride+jw]
-			for j, bv := range brow {
-				o0[j] += av0 * bv
-				o1[j] += av1 * bv
-				o2[j] += av2 * bv
-				o3[j] += av3 * bv
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		arow := a[i*astride+p0 : i*astride+p0+kw]
-		orow := out[i*ostride+j0 : i*ostride+j0+jw]
-		for pp, av := range arow {
-			brow := bp[pp*bstride : pp*bstride+jw]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
 }
 
 // MatMulTransA returns aᵀ @ b without materializing the transpose of a.
@@ -244,50 +196,19 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	matMulTransA(dst, a, b)
 }
 
-// matMulTransA accumulates out[i][j] += Σ_p a[p][i]·b[p][j]. The output is
-// tiled into 64x64 (L1-resident) blocks; k streams over each block once, so
-// out is no longer re-streamed from L2 for every p the way the untiled
-// rank-1 update was. Four output rows share each loaded b element. The
-// pre-tiling kernel's per-(p,i) zero skip is gone — see the sparsity note
-// on mmBlock; the benchmarks showed it losing even here, where a is the
-// im2col matrix of post-ReLU activations and a taken skip saves a whole
-// jw-wide update. Tiles partition i/j only, so each out element's k chain
-// is untouched.
+// matMulTransA accumulates out[i][j] += Σ_p a[p][i]·b[p][j]: mmKernel with
+// A's strides swapped, so the transpose is never materialized. The output
+// is cut into column tiles so the k x taJB slab of b every row strip streams
+// stays cache-resident across the strips. Tiles partition j only, so each
+// out element's k chain is untouched.
 func matMulTransA(out, a, b *Tensor) {
 	k, m := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
-	for i0 := 0; i0 < m; i0 += taIB {
-		ib := min(taIB, m-i0)
-		for j0 := 0; j0 < n; j0 += taJB {
-			jw := min(taJB, n-j0)
-			for p := 0; p < k; p++ {
-				arow := a.Data[p*m+i0 : p*m+i0+ib]
-				brow := b.Data[p*n+j0 : p*n+j0+jw]
-				ii := 0
-				for ; ii+4 <= ib; ii += 4 {
-					av0, av1, av2, av3 := arow[ii], arow[ii+1], arow[ii+2], arow[ii+3]
-					base := (i0 + ii) * n
-					o0 := out.Data[base+j0 : base+j0+jw]
-					o1 := out.Data[base+n+j0 : base+n+j0+jw]
-					o2 := out.Data[base+2*n+j0 : base+2*n+j0+jw]
-					o3 := out.Data[base+3*n+j0 : base+3*n+j0+jw]
-					for j, bv := range brow {
-						o0[j] += av0 * bv
-						o1[j] += av1 * bv
-						o2[j] += av2 * bv
-						o3[j] += av3 * bv
-					}
-				}
-				for ; ii < ib; ii++ {
-					av := arow[ii]
-					base := (i0 + ii) * n
-					orow := out.Data[base+j0 : base+j0+jw]
-					for j, bv := range brow {
-						orow[j] += av * bv
-					}
-				}
-			}
-		}
+	if m == 0 || k == 0 {
+		return // empty operands cannot be tile-sliced
+	}
+	for j0 := 0; j0 < n; j0 += taJB {
+		mmKernel(out.Data[j0:], n, a.Data, 1, m, b.Data[j0:], n, m, k, min(taJB, n-j0))
 	}
 }
 

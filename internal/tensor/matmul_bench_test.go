@@ -12,109 +12,101 @@ import (
 // layers lower a group of n images to a channel-major panel (conv.go): the
 // forward product is MatMulTransA of W [K, OutC] with the panel [K, n*HW],
 // the input gradient MatMul of W with dY [OutC, n*HW] — the grouped_*
-// shapes. The conv_* shapes are the per-image pixel-major products of the
-// earlier lowering, kept so the kernels' own trajectory in BENCH_ps.json
-// stays comparable.
+// shapes, at the group sizes NewConvLowering picks for those layers.
+//
+// BenchmarkMatMul and BenchmarkMatMulTransA run every shape on both
+// implementations of the micro-kernel: /asm (skipped where this build or
+// CPU has none) and /go, which is what arm64 and -race builds execute.
+//
 // Each shape also runs with A at ~50% exact zeros — the sparsity profile of
 // post-ReLU activations — which is how the pre-tiling kernels' data-
-// dependent `if av == 0` skip was adjudicated:
-//
-// Measured on this box (Xeon 2.10GHz, go1.24, 300ms x 5 runs), the skip
-// variant of matMulTransA ran conv_stem at ~103µs dense / ~130µs sparse,
-// the no-skip variant at ~82µs for both. The unpredictable branch on
+// dependent `if av == 0` skip was adjudicated: the unpredictable branch on
 // scattered zeros cost 25-35%, and even the always-false compare on dense
-// data cost ~20% in the tight inner loop — so the skip was dropped from
-// every tiled kernel and their timing is now input-independent. The _relu
-// variants below stay as the regression guard for that property: sparse
-// and dense medians of the same shape should track within noise.
+// data ~20% in the tight inner loop, so the skip was dropped and kernel
+// timing is input-independent. The _relu variants stay as the regression
+// guard for that property: sparse and dense medians of the same shape
+// should track within noise.
 
 type mmShape struct {
 	name    string
-	m, k, n int
+	m, k, n int // out [m, n], inner dimension k
 }
 
 var benchShapes = []mmShape{
-	{"mlp_50x144x96", 50, 144, 96},         // MLP hidden layer, full batch
-	{"conv_stem_144x108x12", 144, 108, 12}, // ResNetLite50 stem, 12x12 input
-	{"conv_mid_36x216x24", 36, 216, 24},    // stage-2 3x3 conv
-	{"conv_deep_9x432x48", 9, 432, 48},     // stage-3 3x3 conv
-	{"grouped_dx_54x6x128", 54, 6, 128},    // quick 8x8 stage: W @ dY, two images
-	{"grouped_dx_432x48x18", 432, 48, 18},  // stage-3 3x3 conv: W @ dY, two images
-	{"square_128", 128, 128, 128},          // generic mid-size
-	{"packed_64x300x130", 64, 300, 130},    // exercises the packed-panel path
+	{"mlp_50x144x96", 50, 144, 96},        // MLP hidden layer, full batch
+	{"grouped_dx_27x6x256", 27, 6, 256},   // cifar-quick stem, group of 4 8x8 images
+	{"grouped_dx_54x6x128", 54, 6, 128},   // cifar-quick 8x8 stage, group of 2
+	{"grouped_dx_216x24x36", 216, 24, 36}, // cifar-quick deepest conv, group of 9 2x2 images
+	{"grouped_dx_27x8x288", 27, 8, 288},   // imagenet-quick 12x12 stem, group of 2
+	{"grouped_dx_432x48x18", 432, 48, 18}, // imagenet-full stage-3 conv, group of 2 3x3 images
+	{"square_128", 128, 128, 128},         // generic mid-size
+	{"packed_64x300x130", 64, 300, 130},   // exercises the packed-panel path
 }
 
-func benchMats(m, k, n int, sparse bool) (*Tensor, *Tensor) {
-	g := rng.New(7)
-	a := randMat(g, m, k)
-	b := randMat(g, k, n)
-	if sparse {
-		sparsify(a, g)
+// transAShapes: the forward products of the same layers, Y [OutC, n*HW] =
+// Wᵀ @ panel, and the dense weight gradient xᵀ @ dY.
+var transAShapes = []mmShape{
+	{"grouped_fwd_6x27x256", 6, 27, 256},
+	{"grouped_fwd_6x54x128", 6, 54, 128},
+	{"grouped_fwd_24x216x36", 24, 216, 36},
+	{"grouped_fwd_8x27x288", 8, 27, 288},
+	{"grouped_fwd_48x432x18", 48, 432, 18},
+	{"mlp_dw_144x50x96", 144, 50, 96},
+}
+
+// benchKernels times op once per shape, sparsity and micro-kernel
+// implementation, on an A built by mkA (sparsified for the _relu variant).
+func benchKernels(b *testing.B, shapes []mmShape, mkA func(g *rng.RNG, s mmShape) *Tensor, op func(dst, a, y *Tensor)) {
+	for _, s := range shapes {
+		for _, sparse := range []bool{false, true} {
+			for _, kernel := range []string{"asm", "go"} {
+				name := s.name
+				if sparse {
+					name += "_relu"
+				}
+				b.Run(name+"/"+kernel, func(b *testing.B) {
+					g := rng.New(7)
+					a := mkA(g, s)
+					if sparse {
+						sparsify(a, g)
+					}
+					y := randMat(g, s.k, s.n)
+					dst := New(s.m, s.n)
+					run := func() {
+						b.SetBytes(int64(8 * s.m * s.k * s.n))
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							op(dst, a, y)
+						}
+					}
+					if kernel == "asm" {
+						needAsm(b)
+						run()
+					} else {
+						withGoKernel(run)
+					}
+				})
+			}
+		}
 	}
-	return a, b
 }
 
 func BenchmarkMatMul(b *testing.B) {
-	for _, s := range benchShapes {
-		for _, sparse := range []bool{false, true} {
-			name := s.name
-			if sparse {
-				name += "_relu"
-			}
-			b.Run(name, func(b *testing.B) {
-				x, y := benchMats(s.m, s.k, s.n, sparse)
-				dst := New(s.m, s.n)
-				b.SetBytes(int64(8 * s.m * s.k * s.n))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					MatMulInto(dst, x, y)
-				}
-			})
-		}
-	}
+	benchKernels(b, benchShapes, func(g *rng.RNG, s mmShape) *Tensor { return randMat(g, s.m, s.k) }, MatMulInto)
 }
 
 func BenchmarkMatMulTransA(b *testing.B) {
-	// conv_*: the earlier lowering's weight gradient, colᵀ [ColCols, HW] @
-	// dOut [HW, OutC]; A is the post-ReLU-sparse operand. grouped_fwd_*:
-	// today's forward product, Wᵀ [OutC, K] @ panel [K, n*HW].
-	for _, s := range []mmShape{
-		{"conv_stem", 144, 108, 12},
-		{"conv_mid", 36, 216, 24},
-		{"conv_deep", 9, 432, 48},
-		{"grouped_fwd_quick", 54, 6, 128},
-		{"grouped_fwd_deep", 432, 48, 18},
-	} {
-		for _, sparse := range []bool{false, true} {
-			name := s.name
-			if sparse {
-				name += "_relu"
-			}
-			b.Run(name, func(b *testing.B) {
-				g := rng.New(7)
-				a := randMat(g, s.m, s.k) // [HW, ColCols] = aᵀ input
-				if sparse {
-					sparsify(a, g)
-				}
-				y := randMat(g, s.m, s.n)
-				dst := New(s.k, s.n)
-				b.SetBytes(int64(8 * s.m * s.k * s.n))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					MatMulTransAInto(dst, a, y)
-				}
-			})
-		}
-	}
+	// A is stored [k, m]: W for the forward product, the (post-ReLU-sparse)
+	// layer input for the dense weight gradient.
+	benchKernels(b, transAShapes, func(g *rng.RNG, s mmShape) *Tensor { return randMat(g, s.k, s.m) }, MatMulTransAInto)
 }
 
 func BenchmarkMatMulTransB(b *testing.B) {
-	// The earlier lowering's input gradient: dOut [HW, OutC] @ Wᵀ, W being
-	// [ColCols, OutC]. Dense.Backward is the kernel's remaining caller.
+	// Dense.Backward's input gradient dY [batch, out] @ Wᵀ, W being
+	// [in, out], is the kernel's remaining caller.
 	for _, s := range []mmShape{
-		{"conv_stem", 144, 12, 108},
-		{"conv_mid", 36, 24, 216},
-		{"conv_deep", 9, 48, 432},
+		{"mlp_dx_50x96x144", 50, 96, 144},
+		{"head_dx_50x10x24", 50, 10, 24},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			g := rng.New(7)

@@ -153,24 +153,3 @@ func TestMatMulAssociativityQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkMatMul128(b *testing.B) {
-	g := rng.New(1)
-	x := randMat(g, 128, 128)
-	y := randMat(g, 128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMulInto128(b *testing.B) {
-	g := rng.New(1)
-	x := randMat(g, 128, 128)
-	y := randMat(g, 128, 128)
-	dst := New(128, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
-	}
-}

@@ -1,0 +1,15 @@
+//go:build amd64 && !race
+
+package tensor
+
+// useAVX2 selects the assembly strips. It is a variable only so in-package
+// tests can compare the two implementations (the maxProcs precedent).
+var useAVX2 = cpuHasAVX2()
+
+func cpuHasAVX2() bool
+
+//go:noescape
+func mmStrip4AVX2(out *float64, ostride int, a *float64, aRow, aK int, b *float64, bstride, kw, jw int)
+
+//go:noescape
+func mmStrip1AVX2(out *float64, a *float64, aK int, b *float64, bstride, kw, jw int)

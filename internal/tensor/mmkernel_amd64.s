@@ -1,0 +1,291 @@
+//go:build amd64 && !race
+
+#include "textflag.h"
+
+// AVX2 implementation of the GEMM micro-kernel contract in mmkernel.go:
+//
+//	out[r*ostride+j] += Σ_p a[r*aRow+p*aK] * b[p*bstride+j]    j < jw, p = 0..kw-1
+//
+// for a strip of four rows (mmStrip4AVX2) or one row (mmStrip1AVX2).
+//
+// Float-bits rule. Each output element's chain is
+//
+//	((out + a_0*b_0) + a_1*b_1) + ... + a_{kw-1}*b_{kw-1}
+//
+// with p ascending, every product rounded (VMULPD) before it is added
+// (VADDPD) — exactly the scalar Go loop `o[j] += av * bv`. A vector lane is
+// one output element: lanes never meet, so a lane performs the same IEEE
+// operations on the same operands in the same order as the scalar loop and
+// ends on the same bits. Two things would break that and are therefore
+// absent from this file: fused multiply-add (VFMADD* rounds a*b+c once, the
+// Go loop twice) and any horizontal or k-direction reduction (splitting one
+// element's chain over lanes re-associates its sum). The accumulators live
+// in registers for the whole p loop; loading out once and storing it once
+// is the same value sequence as the Go loop's read-modify-write per p.
+//
+// Column tails narrower than four are run as a four-wide block under a
+// VMASKMOVPD lane mask: masked-out lanes load as zero, compute a dead
+// 0*a+0 and are never stored, and the architecture guarantees no access
+// (hence no fault) at a masked-out address. The p loops are do-while; the
+// Go wrapper never calls with kw == 0 or jw == 0.
+
+// Lane masks: 32 bytes read at offset 8*(4-n) have the first n lanes set.
+DATA mmLaneMask<>+0(SB)/8, $-1
+DATA mmLaneMask<>+8(SB)/8, $-1
+DATA mmLaneMask<>+16(SB)/8, $-1
+DATA mmLaneMask<>+24(SB)/8, $-1
+DATA mmLaneMask<>+32(SB)/8, $0
+DATA mmLaneMask<>+40(SB)/8, $0
+DATA mmLaneMask<>+48(SB)/8, $0
+DATA mmLaneMask<>+56(SB)/8, $0
+GLOBL mmLaneMask<>(SB), RODATA|NOPTR, $64
+
+// NARROW_MASK sets Y13 to the lane mask of min(CX, 4) columns. Clobbers AX, BX.
+#define NARROW_MASK \
+	MOVQ    $4, AX;                  \
+	CMPQ    CX, AX;                  \
+	CMOVQLT CX, AX;                  \
+	NEGQ    AX;                      \
+	LEAQ    mmLaneMask<>+32(SB), BX; \
+	VMOVDQU (BX)(AX*8), Y13
+
+// func mmStrip4AVX2(out *float64, ostride int, a *float64, aRow, aK int, b *float64, bstride, kw, jw int)
+//
+// DI out column cursor, R8 ostride, R13 3*ostride (bytes from here on)
+// SI a,                 R9 aRow,    R14 3*aRow,   R10 aK
+// DX b column cursor,   R11 bstride
+// R12 kw, CX columns left; AX/BX/R15 a cursor, b cursor and p countdown.
+// Y0-Y7 accumulators (row r in Y2r, Y2r+1), Y8-Y11 the four broadcast a
+// values, Y12-Y13 the b row, Y14-Y15 products.
+TEXT ·mmStrip4AVX2(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ ostride+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ aRow+24(FP), R9
+	MOVQ aK+32(FP), R10
+	MOVQ b+40(FP), DX
+	MOVQ bstride+48(FP), R11
+	MOVQ kw+56(FP), R12
+	MOVQ jw+64(FP), CX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11
+	LEAQ (R8)(R8*2), R13
+	LEAQ (R9)(R9*2), R14
+	CMPQ CX, $8
+	JLT  narrow4
+
+wide4:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD 32(DI)(R8*1), Y3
+	VMOVUPD (DI)(R8*2), Y4
+	VMOVUPD 32(DI)(R8*2), Y5
+	VMOVUPD (DI)(R13*1), Y6
+	VMOVUPD 32(DI)(R13*1), Y7
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+	MOVQ    R12, R15
+
+wide4p:
+	VMOVUPD      (BX), Y12
+	VMOVUPD      32(BX), Y13
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD (AX)(R9*1), Y9
+	VBROADCASTSD (AX)(R9*2), Y10
+	VBROADCASTSD (AX)(R14*1), Y11
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y0, Y0
+	VADDPD       Y15, Y1, Y1
+	VMULPD       Y12, Y9, Y14
+	VMULPD       Y13, Y9, Y15
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	VMULPD       Y12, Y10, Y14
+	VMULPD       Y13, Y10, Y15
+	VADDPD       Y14, Y4, Y4
+	VADDPD       Y15, Y5, Y5
+	VMULPD       Y12, Y11, Y14
+	VMULPD       Y13, Y11, Y15
+	VADDPD       Y14, Y6, Y6
+	VADDPD       Y15, Y7, Y7
+	ADDQ         R10, AX
+	ADDQ         R11, BX
+	DECQ         R15
+	JNZ          wide4p
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (DI)(R8*2)
+	VMOVUPD Y5, 32(DI)(R8*2)
+	VMOVUPD Y6, (DI)(R13*1)
+	VMOVUPD Y7, 32(DI)(R13*1)
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     wide4
+
+narrow4:
+	TESTQ CX, CX
+	JLE   done4
+	NARROW_MASK
+	VMASKMOVPD (DI), Y13, Y0
+	VMASKMOVPD (DI)(R8*1), Y13, Y2
+	VMASKMOVPD (DI)(R8*2), Y13, Y4
+	VMASKMOVPD (DI)(R13*1), Y13, Y6
+	MOVQ       SI, AX
+	MOVQ       DX, BX
+	MOVQ       R12, R15
+
+narrow4p:
+	VMASKMOVPD   (BX), Y13, Y12
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD (AX)(R9*1), Y9
+	VBROADCASTSD (AX)(R9*2), Y10
+	VBROADCASTSD (AX)(R14*1), Y11
+	VMULPD       Y12, Y8, Y8
+	VMULPD       Y12, Y9, Y9
+	VMULPD       Y12, Y10, Y10
+	VMULPD       Y12, Y11, Y11
+	VADDPD       Y8, Y0, Y0
+	VADDPD       Y9, Y2, Y2
+	VADDPD       Y10, Y4, Y4
+	VADDPD       Y11, Y6, Y6
+	ADDQ         R10, AX
+	ADDQ         R11, BX
+	DECQ         R15
+	JNZ          narrow4p
+
+	VMASKMOVPD Y0, Y13, (DI)
+	VMASKMOVPD Y2, Y13, (DI)(R8*1)
+	VMASKMOVPD Y4, Y13, (DI)(R8*2)
+	VMASKMOVPD Y6, Y13, (DI)(R13*1)
+	ADDQ       $32, DI
+	ADDQ       $32, DX
+	SUBQ       $4, CX
+	JMP        narrow4
+
+done4:
+	VZEROUPPER
+	RET
+
+// func mmStrip1AVX2(out *float64, a *float64, aK int, b *float64, bstride, kw, jw int)
+//
+// The one-row remainder strip: sixteen columns of accumulators (Y0-Y3)
+// give the adder the four independent chains one row can offer.
+// DI out cursor, SI a, R10 aK, DX b cursor, R11 bstride, R12 kw, CX columns
+// left; AX/BX/R15 as in mmStrip4AVX2.
+TEXT ·mmStrip1AVX2(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ aK+16(FP), R10
+	MOVQ b+24(FP), DX
+	MOVQ bstride+32(FP), R11
+	MOVQ kw+40(FP), R12
+	MOVQ jw+48(FP), CX
+	SHLQ $3, R10
+	SHLQ $3, R11
+	CMPQ CX, $16
+	JLT  narrow1
+
+wide1:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+	MOVQ    R12, R15
+
+wide1p:
+	VBROADCASTSD (AX), Y8
+	VMULPD       (BX), Y8, Y12
+	VMULPD       32(BX), Y8, Y13
+	VMULPD       64(BX), Y8, Y14
+	VMULPD       96(BX), Y8, Y15
+	VADDPD       Y12, Y0, Y0
+	VADDPD       Y13, Y1, Y1
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	ADDQ         R10, AX
+	ADDQ         R11, BX
+	DECQ         R15
+	JNZ          wide1p
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JGE     wide1
+
+narrow1:
+	TESTQ CX, CX
+	JLE   done1
+	NARROW_MASK
+	VMASKMOVPD (DI), Y13, Y0
+	MOVQ       SI, AX
+	MOVQ       DX, BX
+	MOVQ       R12, R15
+
+narrow1p:
+	VMASKMOVPD   (BX), Y13, Y12
+	VBROADCASTSD (AX), Y8
+	VMULPD       Y12, Y8, Y8
+	VADDPD       Y8, Y0, Y0
+	ADDQ         R10, AX
+	ADDQ         R11, BX
+	DECQ         R15
+	JNZ          narrow1p
+
+	VMASKMOVPD Y0, Y13, (DI)
+	ADDQ       $32, DI
+	ADDQ       $32, DX
+	SUBQ       $4, CX
+	JMP        narrow1
+
+done1:
+	VZEROUPPER
+	RET
+
+// func cpuHasAVX2() bool
+//
+// AVX2 is usable when CPUID reports it (leaf 7 EBX bit 5) and the OS saves
+// the YMM state: CPUID.1:ECX has OSXSAVE (bit 27) and AVX (bit 28), and
+// XCR0 has the SSE and AVX state bits (1 and 2) set.
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	MOVB   $0, ret+0(FP)
+	XORL   AX, AX
+	XORL   CX, CX
+	CPUID
+	CMPL   AX, $7
+	JLT    noavx2
+	MOVL   $1, AX
+	XORL   CX, CX
+	CPUID
+	ANDL   $0x18000000, CX
+	CMPL   CX, $0x18000000
+	JNE    noavx2
+	XORL   CX, CX
+	XGETBV
+	ANDL   $6, AX
+	CMPL   AX, $6
+	JNE    noavx2
+	MOVL   $7, AX
+	XORL   CX, CX
+	CPUID
+	BTL    $5, BX
+	JCC    noavx2
+	MOVB   $1, ret+0(FP)
+
+noavx2:
+	RET

@@ -1,0 +1,253 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"lcasgd/internal/rng"
+)
+
+// The assembly and Go strips implement one contract and must be
+// interchangeable bit for bit. These tests run the same call through both
+// by flipping useAVX2 (the detection result) in-package; in a build or on a
+// CPU with no assembly kernel there is nothing to compare and they skip.
+
+func needAsm(t testing.TB) {
+	if !useAVX2 {
+		t.Skip("no assembly kernel in this build or on this CPU")
+	}
+}
+
+// withGoKernel runs f on the Go strips.
+func withGoKernel(f func()) {
+	old := useAVX2
+	useAVX2 = false
+	defer func() { useAVX2 = old }()
+	f()
+}
+
+// hostile fills s with normals salted with what a vector kernel could get
+// wrong if lanes were not independent IEEE operations: about a third exact
+// zeros of both signs, and denormals.
+func hostile(g *rng.RNG, s []float64) {
+	g.FillNormal(s, 1)
+	for i := range s {
+		switch u := g.Float64(); {
+		case u < 0.30:
+			s[i] = 0
+		case u < 0.34:
+			s[i] = math.Copysign(0, -1)
+		case u < 0.40:
+			s[i] *= math.SmallestNonzeroFloat64 * 1024
+		}
+	}
+}
+
+// bitsEqual returns the first index where a and b differ as bit patterns
+// (so -0 != +0), or -1.
+func bitsEqual(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestMMKernelAsmMatchesGoGrid(t *testing.T) {
+	needAsm(t)
+	ks := []int{108, 216, 432}
+	ws := []int{63, 64, 65, 128, 1152}
+	for i := 1; i <= 40; i++ {
+		ks = append(ks, i)
+		ws = append(ws, i)
+	}
+	const maxRows, maxK, maxW, pad = 9, 432, 1152, 3
+	g := rng.New(211)
+	// One pool per operand, sliced per case; strides are wider than jw so
+	// the kernels must leave the gaps (another tile's columns) alone.
+	aPool := make([]float64, maxRows*maxK)
+	bPool := make([]float64, maxK*(maxW+pad))
+	oPool := make([]float64, maxRows*(maxW+pad))
+	hostile(g, aPool)
+	hostile(g, bPool)
+	hostile(g, oPool)
+	outAsm := make([]float64, len(oPool))
+	outGo := make([]float64, len(oPool))
+	for rows := 1; rows <= maxRows; rows++ {
+		for _, k := range ks {
+			for _, jw := range ws {
+				ostride, bstride := jw+pad, jw+pad-1
+				for _, transA := range []bool{false, true} {
+					aRow, aK := k, 1 // row-major a [rows, k]
+					if transA {
+						aRow, aK = 1, rows // a [k, rows], read transposed
+					}
+					a, b := aPool[:rows*k], bPool[:k*bstride]
+					oa, og := outAsm[:rows*ostride], outGo[:rows*ostride]
+					copy(oa, oPool)
+					copy(og, oPool)
+					mmKernel(oa, ostride, a, aRow, aK, b, bstride, rows, k, jw)
+					withGoKernel(func() { mmKernel(og, ostride, a, aRow, aK, b, bstride, rows, k, jw) })
+					if i := bitsEqual(oa, og); i >= 0 {
+						t.Fatalf("rows=%d k=%d jw=%d transA=%v: out[%d] asm %x go %x",
+							rows, k, jw, transA, i, math.Float64bits(oa[i]), math.Float64bits(og[i]))
+					}
+					for r := 0; r < rows; r++ {
+						if i := bitsEqual(oa[r*ostride+jw:(r+1)*ostride], oPool[r*ostride+jw:(r+1)*ostride]); i >= 0 {
+							t.Fatalf("rows=%d k=%d jw=%d transA=%v: wrote past jw in row %d", rows, k, jw, transA, r)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMMKernelEmptyExtents: the assembly loops are do-while, so the wrapper
+// must return before them when there is nothing to do.
+func TestMMKernelEmptyExtents(t *testing.T) {
+	for _, goKernel := range []bool{false, true} {
+		run := func() {
+			out := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+			want := append([]float64(nil), out...)
+			a, b := []float64{1, 2, 3, 4, 5, 6, 7, 8}, []float64{1, 2, 3, 4}
+			mmKernel(out, 2, a, 2, 1, b, 2, 0, 2, 2) // rows == 0
+			mmKernel(out, 2, a, 2, 1, b, 2, 4, 0, 2) // kw == 0
+			mmKernel(out, 2, a, 2, 1, b, 2, 4, 2, 0) // jw == 0
+			mmKernel(nil, 0, nil, 0, 1, nil, 0, 0, 0, 0)
+			if i := bitsEqual(out, want); i >= 0 {
+				t.Fatalf("goKernel=%v: empty extent wrote out[%d]", goKernel, i)
+			}
+		}
+		if goKernel {
+			withGoKernel(run)
+		} else {
+			run()
+		}
+	}
+	for _, dims := range [][3]int{{0, 5, 7}, {5, 0, 7}, {5, 7, 0}, {0, 300, 130}, {0, 0, 0}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		MatMulInto(New(m, n), New(m, k), New(k, n))
+		MatMulTransAInto(New(m, n), New(k, m), New(k, n))
+	}
+}
+
+// TestMMKernelBoundsPanics: a far corner past any operand must panic in the
+// Go wrapper — before a pointer reaches assembly — and leave out untouched.
+func TestMMKernelBoundsPanics(t *testing.T) {
+	const rows, k, jw = 5, 3, 9
+	ok := func() (out, a, b []float64) {
+		return make([]float64, rows*jw), make([]float64, rows*k), make([]float64, k*jw)
+	}
+	for name, call := range map[string]func(out, a, b []float64){
+		"out short":      func(out, a, b []float64) { mmKernel(out[:len(out)-1], jw, a, k, 1, b, jw, rows, k, jw) },
+		"a short":        func(out, a, b []float64) { mmKernel(out, jw, a[:len(a)-1], k, 1, b, jw, rows, k, jw) },
+		"a short transA": func(out, a, b []float64) { mmKernel(out, jw, a[:len(a)-1], 1, rows, b, jw, rows, k, jw) },
+		"b short":        func(out, a, b []float64) { mmKernel(out, jw, a, k, 1, b[:len(b)-1], jw, rows, k, jw) },
+		"out stride":     func(out, a, b []float64) { mmKernel(out, jw+1, a, k, 1, b, jw, rows, k, jw) },
+		"b stride":       func(out, a, b []float64) { mmKernel(out, jw, a, k, 1, b, jw+1, rows, k, jw) },
+		"negative":       func(out, a, b []float64) { mmKernel(out, -jw, a, k, 1, b, jw, rows, k, jw) },
+	} {
+		out, a, b := ok()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			call(out, a, b)
+		}()
+		for i, v := range out {
+			if v != 0 {
+				t.Fatalf("%s: out[%d] written before the panic", name, i)
+			}
+		}
+	}
+}
+
+// resnetConvs lists the (geometry, OutC) of every convolution of a
+// model.Config-shaped ResNetLite: stem, then per block c1, c2 and the 1x1
+// projection where the shape changes (mirrors model.Config.Build, which
+// this package cannot import).
+func resnetConvs(in, stem int, reps []int) (geoms []ConvGeom, outCs []int) {
+	add := func(g ConvGeom, outC int) { geoms, outCs = append(geoms, g), append(outCs, outC) }
+	add(ConvGeom{InC: 3, InH: in, InW: in, KH: 3, KW: 3, Stride: 1, Pad: 1}, stem)
+	h, ch := in, stem
+	for si, n := range reps {
+		outCh := stem << si
+		for r := 0; r < n; r++ {
+			stride := 1
+			if si > 0 && r == 0 {
+				stride = 2
+			}
+			g1 := ConvGeom{InC: ch, InH: h, InW: h, KH: 3, KW: 3, Stride: stride, Pad: 1}
+			add(g1, outCh)
+			add(ConvGeom{InC: outCh, InH: g1.OutH(), InW: g1.OutW(), KH: 3, KW: 3, Stride: 1, Pad: 1}, outCh)
+			if stride != 1 || ch != outCh {
+				add(ConvGeom{InC: ch, InH: h, InW: h, KH: 1, KW: 1, Stride: stride, Pad: 0}, outCh)
+			}
+			h, ch = g1.OutH(), outCh
+		}
+	}
+	return geoms, outCs
+}
+
+// TestMMKernelProfileShapes drives every GEMM the four experiment profiles
+// emit — per conv layer the forward Y [OutC, G*HW] = Wᵀ @ panel and the
+// input-gradient row blocks dPanel = W_blk @ dY, at the full group and at
+// the batch's short last group, plus the dense head's forward product and
+// weight gradient — through the exported entry points on both kernels.
+func TestMMKernelProfileShapes(t *testing.T) {
+	needAsm(t)
+	g := rng.New(223)
+	mat := func(r, c int) *Tensor {
+		m := New(r, c)
+		hostile(g, m.Data)
+		return m
+	}
+	both := func(what string, dst *Tensor, f func()) {
+		dst.Fill(99)
+		f()
+		asm := append([]float64(nil), dst.Data...)
+		dst.Fill(99)
+		withGoKernel(f)
+		if i := bitsEqual(asm, dst.Data); i >= 0 {
+			t.Fatalf("%s: element %d asm %x go %x", what, i, math.Float64bits(asm[i]), math.Float64bits(dst.Data[i]))
+		}
+	}
+	for _, p := range []struct {
+		name              string
+		in, stem          int
+		reps              []int
+		batch, hid, class int
+	}{
+		{"cifar-quick", 8, 6, []int{1, 1, 1}, 20, 24, 10},
+		{"cifar-full", 8, 8, []int{2, 2, 2}, 50, 32, 10},
+		{"imagenet-quick", 12, 8, []int{1, 1, 1}, 27, 32, 27},
+		{"imagenet-full", 12, 12, []int{3, 4, 3}, 50, 48, 27},
+	} {
+		geoms, outCs := resnetConvs(p.in, p.stem, p.reps)
+		for li, geom := range geoms {
+			outC, k, hw := outCs[li], geom.ColCols(), geom.ColRows()
+			low := NewConvLowering(geom, outC)
+			w := mat(k, outC)
+			for _, n := range []int{low.Group(), p.batch % low.Group()} {
+				if n == 0 {
+					continue
+				}
+				cols := n * hw
+				what := fmt.Sprintf("%s conv %d (%+v outC %d) n=%d", p.name, li, geom, outC, n)
+				panel, dY := mat(k, cols), mat(outC, cols)
+				y, dPanel := New(outC, cols), New(k, cols)
+				both(what+" forward", y, func() { MatMulTransAInto(y, w, panel) })
+				both(what+" input grad", dPanel, func() { low.InputGrad(dPanel, w, dY) })
+			}
+		}
+		x, w, dY := mat(p.batch, p.hid), mat(p.hid, p.class), mat(p.batch, p.class)
+		y, dW := New(p.batch, p.class), New(p.hid, p.class)
+		both(p.name+" head forward", y, func() { MatMulInto(y, x, w) })
+		both(p.name+" head weight grad", dW, func() { MatMulTransAInto(dW, x, dY) })
+	}
+}

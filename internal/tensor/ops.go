@@ -62,27 +62,29 @@ func Apply(dst, a *Tensor, f func(float64) float64) {
 	}
 }
 
-// ReLU computes dst = max(a, 0).
+// ReLU computes dst = max(a, 0). The builtin max compiles branch-free —
+// pre-activations are sign-random, so an `if v > 0` mispredicts half the
+// time — and agrees with the branch bit for bit on every non-NaN input
+// (-0 and negatives give +0); a NaN propagates instead of becoming 0.
 func ReLU(dst, a *Tensor) {
 	checkSameLen("ReLU", dst, a)
+	d := dst.Data[:len(a.Data)]
 	for i, v := range a.Data {
-		if v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
+		d[i] = max(v, 0)
 	}
 }
 
-// ReLUBackward computes dst = grad where x > 0, else 0.
+// ReLUBackward computes dst = grad where x > 0, else +0, as a bit mask so
+// the sign-random x costs no branch: x > 0 exactly when its bit pattern b,
+// read as an int64, is positive — ^b & -b has the sign bit set only then
+// (-0 is MinInt64, whose negation keeps the sign). A NaN x with a clear
+// sign bit passes grad through where the branch gave 0; inputs are finite.
 func ReLUBackward(dst, grad, x *Tensor) {
 	checkSameLen("ReLUBackward", dst, grad, x)
-	for i := range dst.Data {
-		if x.Data[i] > 0 {
-			dst.Data[i] = grad.Data[i]
-		} else {
-			dst.Data[i] = 0
-		}
+	d, g := dst.Data[:len(x.Data)], grad.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		b := int64(math.Float64bits(v))
+		d[i] = math.Float64frombits(math.Float64bits(g[i]) & uint64((^b&-b)>>63))
 	}
 }
 

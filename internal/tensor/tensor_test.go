@@ -130,6 +130,75 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
+// reluRef and reluBackwardRef are the branchy definitions the branch-free
+// kernels replaced; the kernels must agree with them bit for bit on every
+// non-NaN input.
+func reluRef(dst, a []float64) {
+	for i, v := range a {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+func reluBackwardRef(dst, grad, x []float64) {
+	for i := range dst {
+		if x[i] > 0 {
+			dst[i] = grad[i]
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+func TestReLUBitsMatchBranchReference(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	denorm := math.SmallestNonzeroFloat64
+	rows := [][]float64{
+		{0, negZero, 0, negZero},
+		{denorm, -denorm, 3 * denorm, -3 * denorm, math.Float64frombits(0x000fffffffffffff)},
+		{1, -1, 2.5, -2.5, 0, negZero, 1e-300, -1e-300, 1e300, -1e300},
+		{math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1)},
+	}
+	g := rng.New(41)
+	mixed := make([]float64, 257)
+	g.FillNormal(mixed, 1)
+	for i := range mixed {
+		if i%3 == 0 {
+			mixed[i] = 0
+		}
+	}
+	rows = append(rows, mixed)
+	for ri, x := range rows {
+		n := len(x)
+		// Gradients carry their own signs, zeros and denormals: the mask
+		// must pass them through untouched or replace them with +0.
+		grad := make([]float64, n)
+		g.FillNormal(grad, 1)
+		for i := range grad {
+			switch i % 5 {
+			case 1:
+				grad[i] = negZero
+			case 3:
+				grad[i] = -denorm
+			}
+		}
+		got, want := New(n), make([]float64, n)
+		ReLU(got, FromSlice(x, n))
+		reluRef(want, x)
+		if i := bitsEqual(got.Data, want); i >= 0 {
+			t.Fatalf("ReLU row %d [%d] x=%g: bits %x want %x", ri, i, x[i], math.Float64bits(got.Data[i]), math.Float64bits(want[i]))
+		}
+		ReLUBackward(got, FromSlice(grad, n), FromSlice(x, n))
+		reluBackwardRef(want, grad, x)
+		if i := bitsEqual(got.Data, want); i >= 0 {
+			t.Fatalf("ReLUBackward row %d [%d] x=%g grad=%g: bits %x want %x", ri, i, x[i], grad[i], math.Float64bits(got.Data[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
 func TestTransposeKnown(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	at := Transpose(a)

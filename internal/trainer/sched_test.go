@@ -204,9 +204,9 @@ func TestPoolPanicPropagates(t *testing.T) {
 }
 
 // BenchmarkRobustnessSweep measures sweep wall-clock at both pool shapes —
-// the scheduler-level number recorded in BENCH_ps.json. On a multi-core
-// runner jobs=4 should approach 4x; on one core the two are equal-ish,
-// which is itself evidence the pool adds no overhead.
+// the scheduler-level number bench/ reports as trainer.jobs_speedup. On a
+// multi-core runner jobs=4 should approach 4x; on one core the two are
+// equal-ish, which is itself evidence the pool adds no overhead.
 func BenchmarkRobustnessSweep(b *testing.B) {
 	for _, jobs := range []int{1, 4} {
 		b.Run(map[int]string{1: "jobs1", 4: "jobs4"}[jobs], func(b *testing.B) {
