@@ -166,3 +166,13 @@ func (a *BNAccumulator) Clone() *BNAccumulator {
 	c.mean, c.vari = a.Snapshot()
 	return c
 }
+
+// CopyFrom overwrites a's statistics with src's, reusing a's buffers — the
+// allocation-free refresh of a Clone taken earlier from the same
+// accumulator (the recorder's frozen copy, once per curve point).
+func (a *BNAccumulator) CopyFrom(src *BNAccumulator) {
+	for li := range a.mean {
+		copy(a.mean[li], src.mean[li])
+		copy(a.vari[li], src.vari[li])
+	}
+}

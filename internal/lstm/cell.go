@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"lcasgd/internal/rng"
+	"lcasgd/internal/tensor"
 )
 
 // gate index layout inside the packed 4H pre-activation vector.
@@ -30,13 +31,17 @@ const (
 	numGates
 )
 
-// Cell is a single LSTM layer with input size X and hidden size H.
-// Parameters are packed: Wx [4H x X], Wh [4H x H], B [4H].
+// Cell is a single LSTM layer with input size X and hidden size H. The
+// weights are one packed matrix W [(X+H), 4H]: row j < X multiplies input
+// j, row X+j multiplies hidden unit j, and column r is gate row r of the 4H
+// pre-activation vector — so a step's pre-activations are the row vector
+// [x; h] times W, and the micro-kernel's lanes are gates.
 type Cell struct {
-	X, H         int
-	Wx, Wh, B    []float64
-	dWx, dWh, dB []float64
+	X, H   int
+	W, B   []float64
+	dW, dB []float64
 
+	xh   []float64 // [X+H] the step's input row [x; h], reused every Step/Backward
 	pre  []float64 // [4H] pre-activation scratch, reused every Step
 	dAct []float64 // [4H] gate-gradient scratch, reused every Backward
 }
@@ -46,21 +51,39 @@ type Cell struct {
 func NewCell(x, h int, g *rng.RNG) *Cell {
 	c := &Cell{
 		X: x, H: h,
-		Wx:   make([]float64, numGates*h*x),
-		Wh:   make([]float64, numGates*h*h),
+		W:    make([]float64, (x+h)*numGates*h),
 		B:    make([]float64, numGates*h),
-		dWx:  make([]float64, numGates*h*x),
-		dWh:  make([]float64, numGates*h*h),
+		dW:   make([]float64, (x+h)*numGates*h),
 		dB:   make([]float64, numGates*h),
+		xh:   make([]float64, x+h),
 		pre:  make([]float64, numGates*h),
 		dAct: make([]float64, numGates*h),
 	}
-	g.FillNormal(c.Wx, math.Sqrt(1/float64(x+h)))
-	g.FillNormal(c.Wh, math.Sqrt(1/float64(x+h)))
+	// The draw order is the serialized one (input weights, then hidden).
+	wx, wh := make([]float64, numGates*h*x), make([]float64, numGates*h*h)
+	g.FillNormal(wx, math.Sqrt(1/float64(x+h)))
+	g.FillNormal(wh, math.Sqrt(1/float64(x+h)))
+	c.setSerialWeights(wx, wh)
 	for i := 0; i < h; i++ {
 		c.B[gateF*h+i] = 1
 	}
 	return c
+}
+
+// serialWeights returns the weights in the order snapshots (and the seed
+// stream) use: the input weights [4H, X], then the hidden weights [4H, H],
+// both gate-row major — the transposes of W's two row blocks.
+func (c *Cell) serialWeights() (wx, wh []float64) {
+	n4, split := numGates*c.H, c.X*numGates*c.H
+	return tensor.Transpose(tensor.FromSlice(c.W[:split], c.X, n4)).Data,
+		tensor.Transpose(tensor.FromSlice(c.W[split:], c.H, n4)).Data
+}
+
+// setSerialWeights loads weights given in serialWeights order.
+func (c *Cell) setSerialWeights(wx, wh []float64) {
+	n4, split := numGates*c.H, c.X*numGates*c.H
+	copy(c.W[:split], tensor.Transpose(tensor.FromSlice(wx, n4, c.X)).Data)
+	copy(c.W[split:], tensor.Transpose(tensor.FromSlice(wh, n4, c.H)).Data)
 }
 
 // State is the recurrent state (h, c) of one cell.
@@ -112,19 +135,14 @@ func (c *Cell) Step(x []float64, s State, cache *stepCache) {
 		panic(fmt.Sprintf("lstm: input size %d, want %d", len(x), c.X))
 	}
 	h := c.H
-	pre := c.pre
-	copy(pre, c.B)
-	for r := 0; r < numGates*h; r++ {
-		rowX := c.Wx[r*c.X : (r+1)*c.X]
-		sum := 0.0
-		for j, xv := range x {
-			sum += rowX[j] * xv
-		}
-		rowH := c.Wh[r*h : (r+1)*h]
-		for j, hv := range s.H {
-			sum += rowH[j] * hv
-		}
-		pre[r] += sum
+	xh, pre := c.xh, c.pre
+	copy(xh, x)
+	copy(xh[c.X:], s.H)
+	// Each gate's chain runs over [x; h] ascending from +0, and the bias
+	// joins once, after the sum.
+	tensor.VecMatMulInto(pre, xh, c.W)
+	for r, b := range c.B {
+		pre[r] += b
 	}
 	if cache != nil {
 		copy(cache.x, x)
@@ -150,10 +168,9 @@ func (c *Cell) Step(x []float64, s State, cache *stepCache) {
 // Backward consumes dh/dc for this timestep's outputs and the cache from
 // Step; it accumulates parameter gradients and writes the input gradient
 // into dx and the through-time gradients into dhPrev/dcPrev (all
-// caller-owned, sized X/H/H). dx and dhPrev are zeroed here before
-// accumulation; dcPrev is fully assigned and MAY alias dc (each element is
-// read before its aliased slot is written). dx and dhPrev must not alias
-// dh or dc.
+// caller-owned, sized X/H/H). All three are fully assigned; dcPrev MAY
+// alias dc (each element is read before its aliased slot is written), dx
+// and dhPrev must not alias dh or dc.
 func (c *Cell) Backward(dh, dc []float64, cache *stepCache, dx, dhPrev, dcPrev []float64) {
 	h := c.H
 	dAct := c.dAct
@@ -170,41 +187,39 @@ func (c *Cell) Backward(dh, dc []float64, cache *stepCache, dx, dhPrev, dcPrev [
 		dAct[gateG*h+j] = dg * (1 - cache.g[j]*cache.g[j])
 		dAct[gateO*h+j] = do * o * (1 - o)
 	}
-	zero(dx)
-	zero(dhPrev)
-	for r := 0; r < numGates*h; r++ {
-		da := dAct[r]
-		if da == 0 {
-			continue
-		}
+	for r, da := range dAct {
 		c.dB[r] += da
-		rowX := c.Wx[r*c.X : (r+1)*c.X]
-		dRowX := c.dWx[r*c.X : (r+1)*c.X]
-		for j := 0; j < c.X; j++ {
-			dRowX[j] += da * cache.x[j]
-			dx[j] += da * rowX[j]
-		}
-		rowH := c.Wh[r*h : (r+1)*h]
-		dRowH := c.dWh[r*h : (r+1)*h]
-		for j := 0; j < h; j++ {
-			dRowH[j] += da * cache.hPrev[j]
-			dhPrev[j] += da * rowH[j]
-		}
 	}
+	// Row j of W meets input j of [x; hPrev]: its dW row receives this
+	// timestep's one addend, and its input gradient sums over r ascending
+	// from +0. Exact-zero gate gradients take part: their ±0 terms are
+	// bit-neutral on finite data (the sums start at +0), so no branch.
+	n4, xh := numGates*h, c.xh
+	copy(xh, cache.x)
+	copy(xh[c.X:], cache.hPrev)
+	for j, v := range xh {
+		wRow, dRow := c.W[j*n4:(j+1)*n4], c.dW[j*n4:(j+1)*n4]
+		sum := 0.0
+		for r, da := range dAct {
+			dRow[r] += da * v
+			sum += da * wRow[r]
+		}
+		xh[j] = sum
+	}
+	copy(dx, xh)
+	copy(dhPrev, xh[c.X:])
 }
 
 // ZeroGrad clears the accumulated gradients.
 func (c *Cell) ZeroGrad() {
-	zero(c.dWx)
-	zero(c.dWh)
+	zero(c.dW)
 	zero(c.dB)
 }
 
 // SGDStep applies one gradient-descent update with the given learning rate
 // and per-element clip on the gradient.
 func (c *Cell) SGDStep(lr, clip float64) {
-	apply(c.Wx, c.dWx, lr, clip)
-	apply(c.Wh, c.dWh, lr, clip)
+	apply(c.W, c.dW, lr, clip)
 	apply(c.B, c.dB, lr, clip)
 }
 

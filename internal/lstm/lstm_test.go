@@ -58,8 +58,7 @@ func TestCellBackwardMatchesFiniteDiff(t *testing.T) {
 			}
 		}
 	}
-	check("Wx", c.Wx, c.dWx)
-	check("Wh", c.Wh, c.dWh)
+	check("W", c.W, c.dW)
 	check("B", c.B, c.dB)
 
 	// Input and previous-state gradients.
@@ -97,6 +96,79 @@ func TestCellBackwardMatchesFiniteDiff(t *testing.T) {
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-dcPrev[i]) > 1e-5*(1+math.Abs(num)) {
 			t.Fatalf("dcPrev[%d]: analytic %g numeric %g", i, dcPrev[i], num)
+		}
+	}
+}
+
+// TestCellSerialWeightOrder pins the serialized weight order — input
+// weights [4H, X] then hidden weights [4H, H], gate-row major — against the
+// packed in-memory W [(X+H), 4H], both ways: checkpoints and the init draw
+// depend on it.
+func TestCellSerialWeightOrder(t *testing.T) {
+	const x, h = 2, 3
+	c := NewCell(x, h, rng.New(1))
+	n4 := numGates * h
+	for j := 0; j < x+h; j++ {
+		for r := 0; r < n4; r++ {
+			c.W[j*n4+r] = float64(100*j + r)
+		}
+	}
+	wx, wh := c.serialWeights()
+	for r := 0; r < n4; r++ {
+		for j := 0; j < x; j++ {
+			if got, want := wx[r*x+j], float64(100*j+r); got != want {
+				t.Fatalf("wx[%d,%d] = %v, want %v", r, j, got, want)
+			}
+		}
+		for j := 0; j < h; j++ {
+			if got, want := wh[r*h+j], float64(100*(x+j)+r); got != want {
+				t.Fatalf("wh[%d,%d] = %v, want %v", r, j, got, want)
+			}
+		}
+	}
+	packed := append([]float64(nil), c.W...)
+	zero(c.W)
+	c.setSerialWeights(wx, wh)
+	for i := range packed {
+		if c.W[i] != packed[i] {
+			t.Fatalf("W[%d] = %v after the round trip, want %v", i, c.W[i], packed[i])
+		}
+	}
+}
+
+// TestCellStepBitsMatchRowLoops compares Step's gate pre-activations
+// bitwise with the row-by-row definition: pre[r] = B[r] + (Σ_j Wx[r,j]·x[j]
+// + Σ_j Wh[r,j]·h[j]), one chain per gate row, j ascending from +0. Widths
+// cover the kernel's 16-wide, 4-wide and masked column blocks.
+func TestCellStepBitsMatchRowLoops(t *testing.T) {
+	g := rng.New(5)
+	for _, dims := range [][2]int{{1, 8}, {3, 5}, {8, 8}, {1, 64}, {7, 1}} {
+		x, h := dims[0], dims[1]
+		c := NewCell(x, h, g)
+		g.FillNormal(c.B, 0.3)
+		in := make([]float64, x)
+		g.FillNormal(in, 1)
+		in[0] = 0 // an exact zero among the inputs
+		s := NewState(h)
+		g.FillNormal(s.H, 0.5)
+		g.FillNormal(s.C, 0.5)
+		wx, wh := c.serialWeights()
+		want := make([]float64, numGates*h)
+		for r := range want {
+			sum := 0.0
+			for j, xv := range in {
+				sum += wx[r*x+j] * xv
+			}
+			for j, hv := range s.H {
+				sum += wh[r*h+j] * hv
+			}
+			want[r] = c.B[r] + sum
+		}
+		c.Step(in, s, nil)
+		for r := range want {
+			if math.Float64bits(c.pre[r]) != math.Float64bits(want[r]) {
+				t.Fatalf("X=%d H=%d: pre[%d] = %x, row loop gives %x", x, h, r, c.pre[r], want[r])
+			}
 		}
 	}
 }

@@ -323,8 +323,9 @@ func (n *Network) SnapshotTo(w *snapshot.Writer) {
 	for _, c := range n.Cells {
 		w.Int(c.X)
 		w.Int(c.H)
-		w.F64s(c.Wx)
-		w.F64s(c.Wh)
+		wx, wh := c.serialWeights()
+		w.F64s(wx)
+		w.F64s(wh)
 		w.F64s(c.B)
 	}
 	w.F64s(n.HeadW)
@@ -351,8 +352,10 @@ func (n *Network) RestoreFrom(r *snapshot.Reader) error {
 			r.Fail(fmt.Errorf("lstm: snapshot cell %dx%d, network cell %dx%d", x, h, c.X, c.H))
 			return r.Err()
 		}
-		r.F64sInto(c.Wx)
-		r.F64sInto(c.Wh)
+		wx, wh := make([]float64, numGates*c.H*c.X), make([]float64, numGates*c.H*c.H)
+		r.F64sInto(wx)
+		r.F64sInto(wh)
+		c.setSerialWeights(wx, wh)
 		r.F64sInto(c.B)
 	}
 	r.F64sInto(n.HeadW)

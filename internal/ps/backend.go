@@ -12,8 +12,9 @@ import (
 type BackendKind string
 
 const (
-	// BackendSequential runs every compute task inline on the event loop —
-	// the deterministic single-goroutine simulator the seed shipped with.
+	// BackendSequential runs every worker compute task inline on the event
+	// loop — the seed's deterministic simulator. (Curve-point evaluation
+	// runs beside the loop on either backend, see eval.go.)
 	BackendSequential BackendKind = "sequential"
 	// BackendConcurrent fans worker forward/backward passes across
 	// goroutines (one lane per worker) while the event loop keeps committing
@@ -30,10 +31,16 @@ const (
 //     worker run in dispatch order; tasks for different workers may run
 //     concurrently. A task must touch only that worker's private state.
 //   - All shared state (server weights, BN accumulator, predictors, cost
-//     sampler, recorder) is read and written exclusively on the event loop,
-//     after wait() has returned for every task whose output is consumed.
+//     sampler, the recorder's points) is read and written exclusively on
+//     the event loop, after wait() has returned for every task whose output
+//     is consumed. The one goroutine beside the loop and the lanes is the
+//     recorder's evaluator (eval.go): it reads a frozen copy of (w, BN) the
+//     loop took at the boundary, owns the evaluation net pool, and hands
+//     its two error rates back through a channel the loop drains.
 //   - ParallelFor is for data-parallel side work (evaluation shards) whose
-//     combination is order-independent.
+//     combination is order-independent. It is called from the evaluator
+//     goroutine, concurrently with Dispatch on the loop, so it must not
+//     depend on loop-owned backend state.
 type Backend interface {
 	// Kind names the backend.
 	Kind() BackendKind

@@ -126,6 +126,9 @@ func Resume(env Env, ckpt []byte) (Result, error) {
 // sink, and re-arms the launches the drain deferred.
 func (e *Engine) takeCheckpoint() {
 	assertQuiescent(e, "checkpoint")
+	// Join the evaluation in flight before any section is planned: the
+	// snapshot's curve must end with the point of the boundary just crossed.
+	e.rec.drain()
 	e.quiescing = false
 	e.nextCkpt = (e.srv.epoch()/e.cfg.CheckpointEvery + 1) * e.cfg.CheckpointEvery
 	for m, w := range e.waits {

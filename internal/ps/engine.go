@@ -16,7 +16,8 @@ import (
 // discrete-event clock, and the execution backend. A Strategy drives it
 // through the exported primitives below; the engine guarantees that all
 // shared state mutates only on the event loop, in virtual-clock order, so
-// every backend produces bit-identical results.
+// every backend produces bit-identical results. (The recorder evaluates a
+// frozen copy of that state beside the loop; see eval.go.)
 type Engine struct {
 	cfg      Config
 	env      Env
@@ -136,7 +137,6 @@ func newEngine(env Env, st Strategy) *Engine {
 		cfg:         cfg,
 		env:         env,
 		strategy:    st,
-		backend:     backend,
 		clock:       simclock.New(),
 		sampler:     cfg.Cost.NewSampler(M, costRng),
 		reps:        reps,
@@ -154,11 +154,28 @@ func newEngine(env Env, st Strategy) *Engine {
 		wgen:        make([]uint64, M),
 		ck:          newCkptEnc(),
 	}
-	e.rec = newRecorder(env, modelSeed, backend)
+	e.rec = newRecorder(env, modelSeed, backend, e.srv)
+	e.backend = evalJoinBackend{backend, e.rec}
 	if env.Telemetry != nil {
 		e.tel = newTelState(env.Telemetry, M)
+		e.rec.wallMs = env.Telemetry.Meter("eval_wall_ms")
+		e.rec.stallMs = env.Telemetry.Meter("eval_stall_ms")
 	}
 	return e
+}
+
+// evalJoinBackend is the Backend an engine holds. Close first joins the
+// evaluation in flight (it runs on ParallelFor), so every path that closes
+// the backend — run, Resume, an engine a test builds and drops — leaves no
+// evaluator goroutine behind.
+type evalJoinBackend struct {
+	Backend
+	rec *recorder
+}
+
+func (b evalJoinBackend) Close() {
+	b.rec.drain()
+	b.Backend.Close()
 }
 
 // run executes the strategy to budget exhaustion and assembles the result.

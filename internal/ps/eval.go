@@ -2,11 +2,13 @@ package ps
 
 import (
 	"runtime"
+	"time"
 
 	"lcasgd/internal/core"
 	"lcasgd/internal/data"
 	"lcasgd/internal/nn"
 	"lcasgd/internal/rng"
+	"lcasgd/internal/telemetry"
 	"lcasgd/internal/tensor"
 )
 
@@ -133,25 +135,60 @@ func (n *evalNet) countCorrect(ds *data.Dataset, batchSize, start, stride int) i
 	return correct
 }
 
-// recorder collects curve points at epoch boundaries.
+// recorder collects curve points at epoch boundaries. A point is a two-step
+// transition: at the boundary the event loop freezes (w, BN) into the
+// recorder's own buffers and reserves the point's (Epoch, Time); an
+// evaluator goroutine then runs the two errOn passes on the frozen copy
+// while the loop goes on committing updates, and drain appends the point
+// once both errors have landed. At most one evaluation is in flight, and
+// points never holds an incomplete point — the checkpoint encoder caches
+// recorder chunks by point count (sectionGen), so a placeholder filled in
+// later would be served stale.
+//
+// errOn is a pure function of (w, BN, dataset) returning integer counts, so
+// where and when the goroutine runs cannot move a bit of the curve.
 type recorder struct {
 	env       Env
 	eval      *evaluator
 	evalEvery int
 	lastEpoch int
 	points    []Point
+
+	w       []float64           // frozen server weights of the point in flight
+	bn      *core.BNAccumulator // frozen BN statistics of the point in flight
+	pending Point               // its reserved (Epoch, Time)
+	busy    bool                // an evaluation is in flight; its report arrives on done
+	done    chan evalDone
+
+	// Measured meters (nil without telemetry), observed on the event loop
+	// at drain time: wall time inside the two passes, and wall time the
+	// loop spent blocked waiting for them.
+	wallMs, stallMs *telemetry.Meter
 }
 
-func newRecorder(env Env, modelSeed uint64, be Backend) *recorder {
+// evalDone is the evaluator goroutine's report.
+type evalDone struct {
+	trainErr, testErr float64
+	wallMs            float64
+}
+
+// evalHandoff is a test hook called on the event loop right after a
+// boundary's evaluation was handed to its goroutine.
+var evalHandoff func(r *recorder, srv *server)
+
+func newRecorder(env Env, modelSeed uint64, be Backend, srv *server) *recorder {
 	return &recorder{
 		env:       env,
 		eval:      newEvaluator(env.Build, modelSeed, env.Cfg.EvalBatch, be),
 		evalEvery: env.Cfg.EvalEvery,
 		lastEpoch: -1,
+		w:         make([]float64, len(srv.w)),
+		bn:        srv.bnAcc.Clone(),
+		done:      make(chan evalDone, 1),
 	}
 }
 
-// due reports whether maybeRecord would record a point now — the engine's
+// due reports whether maybeRecord would start a point now — the engine's
 // decentralized layer uses it to refresh the consensus cache only when an
 // evaluation is actually about to read it.
 func (r *recorder) due(srv *server) bool {
@@ -159,29 +196,65 @@ func (r *recorder) due(srv *server) bool {
 	return ep != r.lastEpoch && ep%r.evalEvery == 0
 }
 
-// maybeRecord evaluates and appends a point when a new (multiple-of-
-// EvalEvery) epoch boundary has been crossed, or when force is set (final
-// point).
-func (r *recorder) maybeRecord(srv *server, now float64, force bool) {
-	ep := srv.epoch()
-	if !force {
-		if ep == r.lastEpoch || ep%r.evalEvery != 0 {
-			return
-		}
+// maybeRecord starts a point when a new (multiple-of-EvalEvery) epoch
+// boundary has been crossed, or when force is set (final point), and
+// reports whether it did. It first joins the previous evaluation: the
+// back-pressure that keeps the recorder at one frozen copy.
+func (r *recorder) maybeRecord(srv *server, now float64, force bool) bool {
+	if !force && !r.due(srv) {
+		return false
 	}
-	if ep == r.lastEpoch && !force {
+	r.drain()
+	copy(r.w, srv.w)
+	r.bn.CopyFrom(srv.bnAcc)
+	r.lastEpoch = srv.epoch()
+	r.pending = Point{Epoch: r.lastEpoch, Time: now}
+	r.busy = true
+	go r.evaluate()
+	if evalHandoff != nil {
+		evalHandoff(r, srv)
+	}
+	return true
+}
+
+// evaluate is the evaluator goroutine's body. It reads only the frozen copy
+// and the datasets and reports through the channel; everything else of the
+// recorder belongs to the event loop.
+func (r *recorder) evaluate() {
+	start := time.Now()
+	d := evalDone{
+		trainErr: r.eval.errOn(r.env.Train, r.w, r.bn),
+		testErr:  r.eval.errOn(r.env.Test, r.w, r.bn),
+	}
+	d.wallMs = float64(time.Since(start).Nanoseconds()) / 1e6
+	r.done <- d
+}
+
+// drain joins the evaluation in flight, if any, and appends its point. The
+// engine calls it wherever points must be complete: before the next point
+// starts (maybeRecord), at the top of a checkpoint barrier, in finish, and
+// before the backend closes.
+func (r *recorder) drain() {
+	if !r.busy {
 		return
 	}
-	trainErr := r.eval.errOn(r.env.Train, srv.w, srv.bnAcc)
-	testErr := r.eval.errOn(r.env.Test, srv.w, srv.bnAcc)
-	r.lastEpoch = ep
-	r.points = append(r.points, Point{Epoch: ep, Time: now, TrainErr: trainErr, TestErr: testErr})
+	start := time.Now()
+	d := <-r.done
+	r.busy = false
+	r.pending.TrainErr, r.pending.TestErr = d.trainErr, d.testErr
+	r.points = append(r.points, r.pending)
+	if r.wallMs != nil {
+		r.wallMs.Observe(d.wallMs)
+		r.stallMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
+	}
 }
 
 // finish returns the collected points, guaranteeing a final sample.
 func (r *recorder) finish(srv *server, now float64) []Point {
+	r.drain()
 	if len(r.points) == 0 || r.points[len(r.points)-1].Epoch != srv.epoch() {
 		r.maybeRecord(srv, now, true)
+		r.drain()
 	}
 	return r.points
 }

@@ -86,17 +86,12 @@ func newTelState(rec *telemetry.Recorder, workers int) *telState {
 }
 
 // recordCurve wraps the recorder's epoch-boundary check and, when a new
-// curve point actually landed, snapshots the queue/fleet gauges into the
+// curve point was started, snapshots the queue/fleet gauges into the
 // metrics series at the same boundary — so the series rows line up with the
-// learning curve one-to-one.
+// learning curve one-to-one. The row is taken here, on the loop, at the
+// boundary's state; the point's errors arrive later from the evaluator.
 func (e *Engine) recordCurve() {
-	if e.tel == nil {
-		e.rec.maybeRecord(e.srv, e.clock.Now(), false)
-		return
-	}
-	before := len(e.rec.points)
-	e.rec.maybeRecord(e.srv, e.clock.Now(), false)
-	if len(e.rec.points) != before {
+	if e.rec.maybeRecord(e.srv, e.clock.Now(), false) && e.tel != nil {
 		e.telSample()
 	}
 }

@@ -122,6 +122,8 @@ type ConvLowering struct {
 	group int
 	tab   *convTable
 	stage []float64 // one staged channel: plane + zero slot
+	dYT   []float64 // WeightGrad: one image's dY transposed, [HW, OutC] ...
+	img   []float64 // ... and its addend to the weight gradient, [ColCols, OutC]
 	wBlk  Tensor    // InputGrad: a row block of W ...
 	dBlk  Tensor    // ... and the same rows of dPanel
 }
@@ -138,6 +140,8 @@ func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
 		g: g, outC: outC, group: max(group, 1),
 		tab:   convTableFor(g),
 		stage: make([]float64, g.InH*g.InW+1),
+		dYT:   make([]float64, hw*outC),
+		img:   make([]float64, k*outC),
 		wBlk:  Tensor{Shape: make([]int, 2)},
 		dBlk:  Tensor{Shape: make([]int, 2)},
 	}
@@ -180,7 +184,10 @@ func (l *ConvLowering) Scatter(dx, dPanel []float64, n int) {
 //
 // Accumulation order (part of the float-bits contract): wGrad[r, oc]
 // receives one addend per image, in batch order, and each addend is that
-// image's sum over p ascending formed from +0.
+// image's sum over p ascending formed from +0. Per image that addend matrix
+// is panel_i [ColCols, HW] @ dY_iᵀ [HW, OutC] from a zeroed scratch: the
+// micro-kernel's lanes are output elements (oc), never p, so each element's
+// chain is the scalar one.
 func (l *ConvLowering) WeightGrad(wGrad, panel, dY []float64, n int) {
 	k, hw := l.g.ColCols(), l.g.ColRows()
 	cols := n * hw
@@ -189,61 +196,18 @@ func (l *ConvLowering) WeightGrad(wGrad, panel, dY []float64, n int) {
 		panic(fmt.Sprintf("tensor: WeightGrad lens wGrad %d panel %d dY %d for k %d outC %d cols %d",
 			len(wGrad), len(panel), len(dY), k, outC, cols))
 	}
-	// 2x2 register block: two panel rows against two dY rows give four
-	// independent chains per four loads, each one wGrad element's own.
-	r := 0
-	for ; r+2 <= k; r += 2 {
-		p0 := panel[r*cols : (r+1)*cols]
-		p1 := panel[(r+1)*cols : (r+2)*cols]
-		w0 := wGrad[r*outC : (r+1)*outC]
-		w1 := wGrad[(r+1)*outC : (r+2)*outC]
-		oc := 0
-		for ; oc+2 <= outC; oc += 2 {
-			d0 := dY[oc*cols : (oc+1)*cols]
-			d1 := dY[(oc+1)*cols : (oc+2)*cols]
-			a00, a01, a10, a11 := w0[oc], w0[oc+1], w1[oc], w1[oc+1]
-			for lo := 0; lo < cols; lo += hw {
-				var s00, s01, s10, s11 float64
-				q1, e0, e1 := p1[lo:lo+hw], d0[lo:lo+hw], d1[lo:lo+hw]
-				for p, v0 := range p0[lo : lo+hw] {
-					v1 := q1[p]
-					s00 += v0 * e0[p]
-					s01 += v0 * e1[p]
-					s10 += v1 * e0[p]
-					s11 += v1 * e1[p]
-				}
-				a00 += s00
-				a01 += s01
-				a10 += s10
-				a11 += s11
-			}
-			w0[oc], w0[oc+1], w1[oc], w1[oc+1] = a00, a01, a10, a11
-		}
-		for ; oc < outC; oc++ {
-			w0[oc] = convDotImages(w0[oc], p0, dY[oc*cols:(oc+1)*cols], hw)
-			w1[oc] = convDotImages(w1[oc], p1, dY[oc*cols:(oc+1)*cols], hw)
-		}
-	}
-	for ; r < k; r++ {
-		prow := panel[r*cols : (r+1)*cols]
+	for i := 0; i < n; i++ {
 		for oc := 0; oc < outC; oc++ {
-			wGrad[r*outC+oc] = convDotImages(wGrad[r*outC+oc], prow, dY[oc*cols:(oc+1)*cols], hw)
+			for p, v := range dY[oc*cols+i*hw:][:hw] {
+				l.dYT[p*outC+oc] = v
+			}
+		}
+		clear(l.img)
+		mmKernel(l.img, outC, panel[i*hw:], cols, 1, l.dYT, outC, k, hw, outC)
+		for j, v := range l.img {
+			wGrad[j] += v
 		}
 	}
-}
-
-// convDotImages returns acc plus, image by image, the dot product of the
-// image's hw-long segments of a and b.
-func convDotImages(acc float64, a, b []float64, hw int) float64 {
-	for lo := 0; lo < len(a); lo += hw {
-		s := 0.0
-		bs := b[lo : lo+hw]
-		for p, v := range a[lo : lo+hw] {
-			s += v * bs[p]
-		}
-		acc += s
-	}
-	return acc
 }
 
 func convCheckLens(op string, panel, x []float64, n int, g ConvGeom) {

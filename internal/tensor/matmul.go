@@ -212,6 +212,21 @@ func matMulTransA(out, a, b *Tensor) {
 	}
 }
 
+// VecMatMulInto computes dst = x @ b for a row vector x [k] and a row-major
+// b [k, n] given flat: dst[j] = Σ_p x[p]·b[p*n+j], p ascending from +0 —
+// the one-row call of mmKernel, lanes over j. b is read in place whatever
+// its size: a mat-vec touches each b element once, so the panels MatMulInto
+// packs above mmDirectB would copy as much as the product reads (and come
+// from a pool that may allocate).
+func VecMatMulInto(dst, x, b []float64) {
+	n, k := len(dst), len(x)
+	if len(b) != k*n {
+		panic(fmt.Sprintf("tensor: VecMatMulInto lens dst %d x %d b %d", n, k, len(b)))
+	}
+	clear(dst)
+	mmKernel(dst, n, x, k, 1, b, n, 1, k, n)
+}
+
 // MatMulTransB returns a @ bᵀ without materializing the transpose of b.
 // a has shape [m, k] and b has shape [n, k].
 func MatMulTransB(a, b *Tensor) *Tensor {

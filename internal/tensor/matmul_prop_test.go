@@ -137,6 +137,33 @@ func TestMatMulPackedPanelBitExact(t *testing.T) {
 	}
 }
 
+// TestVecMatMulIntoBitExact checks the row-vector entry against the naive
+// chain bit for bit, below and above mmDirectB (it reads B in place at any
+// size), on a dirty destination, with exact zeros in x — and that it
+// neither allocates nor accepts mismatched lengths.
+func TestVecMatMulIntoBitExact(t *testing.T) {
+	g := rng.New(127)
+	for _, dims := range [][2]int{{1, 1}, {9, 32}, {16, 20}, {65, 256}, {128, 256}, {200, 131}} {
+		k, n := dims[0], dims[1]
+		x, b := randMat(g, 1, k), randMat(g, k, n)
+		sparsify(x, g)
+		dst := randMat(g, 1, n)
+		VecMatMulInto(dst.Data, x.Data, b.Data)
+		if d := maxDiff(dst, naiveMatMul(x, b)); d != 0 {
+			t.Fatalf("VecMatMulInto k=%d n=%d: diff %g", k, n, d)
+		}
+		if a := testing.AllocsPerRun(5, func() { VecMatMulInto(dst.Data, x.Data, b.Data) }); a != 0 {
+			t.Fatalf("VecMatMulInto k=%d n=%d allocates %v times", k, n, a)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a length mismatch")
+		}
+	}()
+	VecMatMulInto(make([]float64, 4), make([]float64, 3), make([]float64, 11))
+}
+
 // TestMatMulParallelPackedMatchesSequential covers the combination of the
 // goroutine row split and the packed-panel path.
 func TestMatMulParallelPackedMatchesSequential(t *testing.T) {

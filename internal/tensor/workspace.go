@@ -65,7 +65,8 @@ type shapePool struct {
 // cannot leave the next iteration aliased onto stale buffers (see
 // internal/ps replica.pull).
 type Workspace struct {
-	pools map[shapeKey]*shapePool
+	pools map[shapeKey]*shapePool // lookup by shape
+	order []*shapePool            // the same pools; Reset rewinds these without a map walk
 	gen   uint64
 	live  int // buffers handed out since the last Reset
 }
@@ -86,6 +87,7 @@ func (w *Workspace) Get(shape ...int) *Tensor {
 	if p == nil {
 		p = &shapePool{}
 		w.pools[k] = p
+		w.order = append(w.order, p)
 	}
 	if p.next < len(p.bufs) {
 		t := p.bufs[p.next]
@@ -104,7 +106,7 @@ func (w *Workspace) Get(shape ...int) *Tensor {
 // generation. It is O(number of distinct shapes), not O(bytes): no memory
 // is freed or zeroed, only the cursors rewind.
 func (w *Workspace) Reset() {
-	for _, p := range w.pools {
+	for _, p := range w.order {
 		p.next = 0
 	}
 	w.gen++
