@@ -1,9 +1,10 @@
 // heterogeneous_cluster demonstrates the volatile-delay scenario the
-// paper's introduction motivates, on the *real-concurrency* fabric: one
-// goroutine per worker hammering a shared parameter server (Hogwild-style),
-// with injected heterogeneity so staleness is genuinely nondeterministic.
-// The LC-ASGD step predictor trains online on the observed staleness stream
-// and its forecasts are compared against reality.
+// paper's introduction motivates: a fleet whose odd-ranked workers compute
+// four times slower than the even-ranked ones, with the slow half and the
+// fast half trading places every few hundred virtual milliseconds. It runs
+// LC-ASGD on the concurrent backend (one goroutine lane per worker) and
+// scores the step predictor's forecasts against the staleness each gradient
+// really met, beside the same run on a homogeneous fleet.
 //
 //	go run ./examples/heterogeneous_cluster
 package main
@@ -11,86 +12,70 @@ package main
 import (
 	"fmt"
 	"math"
-	"sync"
-	"time"
 
-	"lcasgd/internal/cluster"
 	"lcasgd/internal/core"
-	"lcasgd/internal/rng"
+	"lcasgd/internal/ps"
+	"lcasgd/internal/scenario"
+	"lcasgd/internal/trainer"
 )
 
+const (
+	workers = 8
+	slow    = 4.0   // computation-time multiplier of the slow half
+	swapMs  = 600.0 // virtual ms between role swaps
+)
+
+// fastSlow is the timeline: at t=0 the odd ranks turn slow; every swapMs the
+// halves trade places. Each worker gets a pair of periodic phase shifts, one
+// per role, offset by half the 2·swapMs cycle.
+func fastSlow() *scenario.Scenario {
+	s := &scenario.Scenario{Name: "fast-slow"}
+	for m := 0; m < workers; m++ {
+		slowAt, fastAt := 0.0, swapMs
+		if m%2 == 0 {
+			slowAt, fastAt = swapMs, 2*swapMs
+		}
+		s.Events = append(s.Events,
+			scenario.Event{At: slowAt, Period: 2 * swapMs, Kind: scenario.PhaseShift, Worker: m, CompScale: slow, CommScale: 1},
+			scenario.Event{At: fastAt, Period: 2 * swapMs, Kind: scenario.PhaseShift, Worker: m, CompScale: 1, CommScale: 1},
+		)
+	}
+	return s
+}
+
+// stepMAE is the step predictor's mean absolute error over the second half
+// of its trace, after the online LSTM has warmed up.
+func stepMAE(trace []core.TracePoint) (mae float64, n int) {
+	for _, tp := range trace[len(trace)/2:] {
+		mae += math.Abs(tp.Actual - tp.Predicted)
+		n++
+	}
+	return mae / float64(max(n, 1)), n
+}
+
 func main() {
-	const (
-		workers = 8
-		iters   = 60 // per worker
-	)
-	fmt.Printf("Real-concurrency parameter server: %d goroutine workers, %d iterations each\n\n", workers, iters)
+	profile := trainer.QuickCIFAR()
+	profile.Epochs = 8
+	profile.Backend = ps.BackendConcurrent
 
-	// A toy quadratic model: minimize ||w - target||² so the distributed
-	// machinery is exercised without a heavy network.
-	target := []float64{1, -2, 3, -4}
-	fabric := cluster.NewRealtime(workers, make([]float64, len(target)))
-
-	// The step predictor lives "on the server": protect it with a mutex as
-	// the paper's single-server design implies.
-	var mu sync.Mutex
-	pred := core.NewStepPredictorSized(workers, 16, rng.New(1))
-	iterLog := core.NewIterLog()
-	type obs struct{ actual, predicted float64 }
-	var observations []obs
-
-	// Heterogeneous compute: even-ranked workers are fast, odd are slow.
-	workTime := func(m int) time.Duration {
-		base := 200 * time.Microsecond
-		if m%2 == 1 {
-			base *= 4
+	fmt.Printf("LC-ASGD on %d concurrent worker lanes; the slow half computes %.0f× slower, roles swap every %.0f virtual ms\n\n",
+		workers, slow, swapMs)
+	fmt.Printf("%-14s %-12s %-15s %-14s %s\n", "fleet", "test err %", "mean staleness", "max staleness", "step-predictor MAE")
+	for _, scn := range []*scenario.Scenario{nil, fastSlow()} {
+		name := "homogeneous"
+		profile.Scenario = scn
+		if scn != nil {
+			name = scn.Name
 		}
-		return base
+		res := trainer.RunCell(profile, ps.LCASGD, workers, core.BNAsync, 1)
+		mae, n := stepMAE(res.StepTrace)
+		fmt.Printf("%-14s %-12.2f %-15.2f %-14d %.2f steps over %d forecasts\n",
+			name, res.FinalTestErr*100, res.MeanStaleness, res.MaxStaleness, mae, n)
 	}
-
-	cluster.RunWorkers(workers, func(m int) {
-		for i := 0; i < iters; i++ {
-			w := fabric.Pull(m)
-			time.Sleep(workTime(m)) // simulated local computation
-			grad := make([]float64, len(w))
-			for j := range w {
-				grad[j] = 2 * (w[j] - target[j])
-			}
-			staleness := fabric.Push(m, func(live []float64, s int) {
-				lr := 0.05 / (1 + 0.1*float64(s)) // damp stale updates
-				for j := range live {
-					live[j] -= lr * grad[j]
-				}
-			})
-			mu.Lock()
-			iterLog.Append(m)
-			k := pred.ObserveAndPredict(m, staleness, 1, float64(workTime(m).Microseconds()))
-			if i > iters/2 { // after warm-up, score the forecasts
-				observations = append(observations, obs{actual: float64(staleness), predicted: float64(k)})
-			}
-			mu.Unlock()
-		}
-	})
-
-	final := fabric.Snapshot()
-	dist := 0.0
-	for j := range final {
-		d := final[j] - target[j]
-		dist += d * d
-	}
-	pushes, meanStale := fabric.Stats()
-	fmt.Printf("converged distance to optimum: %.4f after %d pushes\n", math.Sqrt(dist), pushes)
-	fmt.Printf("mean observed staleness: %.2f (expected ≈ M-1 = %d under load)\n\n", meanStale, workers-1)
-
-	if len(observations) > 0 {
-		var mae float64
-		for _, o := range observations {
-			mae += math.Abs(o.actual - o.predicted)
-		}
-		mae /= float64(len(observations))
-		fmt.Printf("step predictor on the live staleness stream: MAE %.2f steps over %d post-warmup forecasts\n",
-			mae, len(observations))
-		fmt.Println("(fast/slow worker alternation makes staleness volatile — the multivariate")
-		fmt.Println("predictor uses each worker's compute cost to separate the two populations)")
-	}
+	fmt.Println()
+	fmt.Println("Both fleets average a staleness near M-1, but the fast/slow split spreads it:")
+	fmt.Println("a slow worker's gradient meets several times the updates a fast one's does,")
+	fmt.Println("and each swap moves every worker to the other population. That volatility is")
+	fmt.Println("what the step predictor's error measures: it forecasts from each worker's last")
+	fmt.Println("computation time, which a swap has just made wrong.")
 }

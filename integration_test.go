@@ -106,47 +106,6 @@ func TestHarnessDeterministicEndToEnd(t *testing.T) {
 	}
 }
 
-func TestLCASGDRealConcurrencyFabric(t *testing.T) {
-	// Run the LC-ASGD predictors against the real goroutine fabric (the
-	// heterogeneous_cluster example's setup, compressed): the system must
-	// survive true concurrency and the step predictor must see the
-	// staleness stream without data races (run with -race).
-	const workers = 4
-	fabric := cluster.NewRealtime(workers, make([]float64, 8))
-	pred := core.NewStepPredictorSized(workers, 8, rng.New(9))
-	iterLog := core.NewIterLog()
-	var observed int
-	done := make(chan struct{})
-	stalenessCh := make(chan [2]int, workers*30)
-	go func() {
-		defer close(done)
-		for s := range stalenessCh {
-			iterLog.Append(s[0])
-			pred.ObserveAndPredict(s[0], s[1], 1, 10)
-			observed++
-		}
-	}()
-	cluster.RunWorkers(workers, func(m int) {
-		for i := 0; i < 30; i++ {
-			_ = fabric.Pull(m)
-			st := fabric.Push(m, func(w []float64, s int) {
-				for j := range w {
-					w[j] += 0.001
-				}
-			})
-			stalenessCh <- [2]int{m, st}
-		}
-	})
-	close(stalenessCh)
-	<-done
-	if observed != workers*30 {
-		t.Fatalf("server observed %d events, want %d", observed, workers*30)
-	}
-	if iterLog.Len() != workers*30 {
-		t.Fatalf("iter log %d entries", iterLog.Len())
-	}
-}
-
 func TestVirtualSpeedupOrdering(t *testing.T) {
 	// Figures 4/6 shape: with the same sample budget, virtual duration
 	// must order SGD > SSGD > LC-ASGD > ASGD... LC is slower than ASGD but

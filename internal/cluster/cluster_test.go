@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
-
-	"bytes"
 
 	"lcasgd/internal/rng"
 	"lcasgd/internal/snapshot"
@@ -219,70 +216,6 @@ func TestSamplerPanicsOnBadInput(t *testing.T) {
 	CIFARCostModel().NewSampler(0, rng.New(1))
 }
 
-func TestRealtimePullPushStaleness(t *testing.T) {
-	r := NewRealtime(2, []float64{0})
-	r.Pull(0)
-	r.Pull(1)
-	// Worker 1 pushes first; worker 0's later push sees staleness 1.
-	r.Push(1, func(w []float64, s int) {
-		if s != 0 {
-			t.Fatalf("worker 1 staleness %d", s)
-		}
-		w[0] += 1
-	})
-	got := r.Push(0, func(w []float64, s int) { w[0] += 10 })
-	if got != 1 {
-		t.Fatalf("worker 0 staleness %d, want 1", got)
-	}
-	if w := r.Snapshot(); w[0] != 11 {
-		t.Fatalf("weights %v", w)
-	}
-}
-
-func TestRealtimeStats(t *testing.T) {
-	r := NewRealtime(1, []float64{0})
-	r.Pull(0)
-	r.Push(0, func(w []float64, s int) {})
-	pushes, mean := r.Stats()
-	if pushes != 1 || mean != 0 {
-		t.Fatalf("stats %d %v", pushes, mean)
-	}
-}
-
-func TestRealtimeConcurrentWorkersRace(t *testing.T) {
-	// Hammer the fabric from many goroutines; run with -race in CI. The
-	// final weight must equal the total number of increments (updates are
-	// serialized and none lost).
-	r := NewRealtime(8, []float64{0})
-	const perWorker = 200
-	RunWorkers(8, func(m int) {
-		for i := 0; i < perWorker; i++ {
-			_ = r.Pull(m)
-			r.Push(m, func(w []float64, s int) { w[0]++ })
-		}
-	})
-	if w := r.Snapshot(); w[0] != 8*perWorker {
-		t.Fatalf("lost updates: %v, want %d", w[0], 8*perWorker)
-	}
-	pushes, _ := r.Stats()
-	if pushes != 8*perWorker {
-		t.Fatalf("pushes %d", pushes)
-	}
-}
-
-func TestRunWorkersWaits(t *testing.T) {
-	var mu sync.Mutex
-	done := 0
-	RunWorkers(5, func(m int) {
-		mu.Lock()
-		done++
-		mu.Unlock()
-	})
-	if done != 5 {
-		t.Fatalf("RunWorkers returned before all workers finished: %d", done)
-	}
-}
-
 // TestSamplerSnapshotRoundTrip pins cost-stream resume: a restored sampler
 // draws the same future costs — including scenario phase multipliers — as
 // the one that wrote the snapshot.
@@ -296,14 +229,10 @@ func TestSamplerSnapshotRoundTrip(t *testing.T) {
 		a.Comm(i % 4)
 	}
 
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
+	w := snapshot.NewWriter()
 	a.SnapshotTo(w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
 	b := model.NewSampler(4, rng.New(3)) // same construction, stale position/phases
-	r, err := snapshot.NewReader(&buf)
+	r, err := snapshot.NewReader(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 // Package cluster models the distributed execution environment: per-worker
-// computation and communication cost distributions (the source of gradient
-// staleness), and a real-concurrency parameter-server fabric used by the
-// examples.
+// computation and communication cost distributions, the source of gradient
+// staleness.
 //
 // The paper's evaluation ran on a GPU cluster where each worker's delay is
 // "usually high and volatile"; here those delays are lognormal random
@@ -164,8 +163,7 @@ func (s *Sampler) Comm(m int) float64 {
 // from the cost model at construction and are not stored — a restored
 // sampler is always built from the identical configuration first.
 func (s *Sampler) SnapshotTo(w *snapshot.Writer) {
-	st := s.g.State()
-	w.U64s(st[:])
+	s.g.SnapshotTo(w)
 	w.F64(s.phaseComp)
 	w.F64(s.phaseComm)
 	w.F64s(s.wPhaseComp)
@@ -173,25 +171,26 @@ func (s *Sampler) SnapshotTo(w *snapshot.Writer) {
 }
 
 // RestoreFrom loads state written by SnapshotTo into a sampler constructed
-// for the same worker count.
+// for the same worker count. Phase multipliers scale delays, so like the
+// scenario events that install them they must be positive numbers.
 func (s *Sampler) RestoreFrom(r *snapshot.Reader) error {
-	st := r.U64s()
-	if r.Err() == nil && len(st) != 4 {
-		r.Fail(fmt.Errorf("cluster: sampler snapshot has %d rng words, want 4", len(st)))
+	if err := s.g.RestoreFrom(r); err != nil {
+		return err
 	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-	s.g.SetState([4]uint64{st[0], st[1], st[2], st[3]})
 	s.phaseComp = r.F64()
 	s.phaseComm = r.F64()
 	r.F64sInto(s.wPhaseComp)
 	r.F64sInto(s.wPhaseComm)
+	for m := range s.wPhaseComp {
+		if comp, comm := s.Phase(m); r.Err() == nil && !(comp > 0 && comm > 0) {
+			r.Fail(fmt.Errorf("cluster: sampler snapshot scales worker %d by %v/%v", m, comp, comm))
+		}
+	}
 	return r.Err()
 }
 
-// Multiplier exposes worker m's fixed speed multiplier (used by tests and
-// the heterogeneous-cluster example to report the injected skew).
+// Multiplier exposes worker m's fixed speed multiplier (tests read the
+// injected skew through it).
 func (s *Sampler) Multiplier(m int) float64 { return s.mult[m] }
 
 // Workers returns the configured worker count.

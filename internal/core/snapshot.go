@@ -46,13 +46,13 @@ func writeTrace(w *snapshot.Writer, tr []TracePoint) {
 }
 
 func readTrace(r *snapshot.Reader) []TracePoint {
-	n := r.Int()
-	if r.Err() != nil || n < 0 {
-		return nil
+	n := r.Count(3 * 8)
+	if n == 0 {
+		return nil // like a predictor that has not traced yet, not an empty slice
 	}
-	tr := make([]TracePoint, 0, n)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		tr = append(tr, TracePoint{Iteration: r.Int(), Actual: r.F64(), Predicted: r.F64()})
+	tr := make([]TracePoint, n)
+	for i := range tr {
+		tr[i] = TracePoint{Iteration: r.Int(), Actual: r.F64(), Predicted: r.F64()}
 	}
 	return tr
 }
@@ -116,10 +116,8 @@ func (p *StepPredictor) RestoreFrom(r *snapshot.Reader) error {
 		r.Fail(fmt.Errorf("core: step predictor snapshot for %d workers, have %d", workers, p.workers))
 		return r.Err()
 	}
-	n := r.Int()
-	if r.Err() != nil {
-		return r.Err()
-	}
+	// An entry is a rank and a length prefix at the least.
+	n := r.Count(2 * 8)
 	p.lastFeat = make(map[int][]float64, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		m := r.Int()

@@ -264,36 +264,44 @@ func (it *BatchIter) BatchesPerEpoch() int { return it.ds.Len() / it.size }
 // reshuffles — as the original, which is what position-exact resume of a
 // worker's private batch order requires.
 func (it *BatchIter) SnapshotTo(w *snapshot.Writer) {
-	st := it.g.State()
-	w.U64s(st[:])
+	it.g.SnapshotTo(w)
 	w.Ints(it.order)
 	w.Int(it.pos)
 	w.Int(it.Epoch)
 }
 
 // RestoreFrom loads a position written by SnapshotTo into an iterator built
-// over the same dataset and batch size.
+// over the same dataset and batch size. The stored order must be a
+// permutation of the dataset's indices: NextInto indexes samples with it.
 func (it *BatchIter) RestoreFrom(r *snapshot.Reader) error {
-	st := r.U64s()
+	if err := it.g.RestoreFrom(r); err != nil {
+		return err
+	}
 	order := r.Ints()
 	pos := r.Int()
 	epoch := r.Int()
+	if r.Err() == nil && (len(order) != len(it.order) || pos < 0 || pos > len(order) || !isPermutation(order)) {
+		r.Fail(fmt.Errorf("data: iterator snapshot (order of %d, pos %d) does not fit a dataset of %d", len(order), pos, len(it.order)))
+	}
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if len(st) != 4 {
-		r.Fail(fmt.Errorf("data: iterator snapshot has %d rng words, want 4", len(st)))
-		return r.Err()
-	}
-	if len(order) != len(it.order) || pos < 0 || pos > len(order) {
-		r.Fail(fmt.Errorf("data: iterator snapshot order %d/pos %d for dataset of %d", len(order), pos, len(it.order)))
-		return r.Err()
-	}
-	it.g.SetState([4]uint64{st[0], st[1], st[2], st[3]})
 	copy(it.order, order)
 	it.pos = pos
 	it.Epoch = epoch
 	return nil
+}
+
+// isPermutation reports whether p holds each of 0..len(p)-1 exactly once.
+func isPermutation(p []int) bool {
+	seen := make([]bool, len(p))
+	for _, i := range p {
+		if i < 0 || i >= len(p) || seen[i] {
+			return false
+		}
+		seen[i] = true
+	}
+	return true
 }
 
 // Partition splits a dataset into m disjoint contiguous shards. Because

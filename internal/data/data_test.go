@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"bytes"
-
 	"lcasgd/internal/rng"
 	"lcasgd/internal/snapshot"
 	"lcasgd/internal/tensor"
@@ -313,14 +311,10 @@ func TestBatchIterSnapshotRoundTrip(t *testing.T) {
 		a.NextInto(x, y)
 	}
 
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
+	w := snapshot.NewWriter()
 	a.SnapshotTo(w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
 	b := NewBatchIter(ds, 30, rng.New(99)) // different seed: all state restored
-	r, err := snapshot.NewReader(&buf)
+	r, err := snapshot.NewReader(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,16 +353,12 @@ func TestBatchIterRestoreRejectsMismatch(t *testing.T) {
 	cfg.Train, cfg.Test = 100, 20
 	ds, _ := Generate(cfg)
 	a := NewBatchIter(ds, 10, rng.New(1))
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
+	w := snapshot.NewWriter()
 	a.SnapshotTo(w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
 	cfg.Train = 60
 	ds2, _ := Generate(cfg)
 	b := NewBatchIter(ds2, 10, rng.New(1))
-	r, err := snapshot.NewReader(&buf)
+	r, err := snapshot.NewReader(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package lstm
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -389,14 +388,10 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 		a.TrainStep(in(i), float64(i%4)*0.25)
 	}
 
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
+	w := snapshot.NewWriter()
 	a.SnapshotTo(w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
 	b := build() // fresh weights, fresh window — all overwritten by restore
-	r, err := snapshot.NewReader(&buf)
+	r, err := snapshot.NewReader(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,14 +421,10 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 func TestNetworkRestoreRejectsShapeMismatch(t *testing.T) {
 	a := NewNetwork(2, []int{6, 6}, rng.New(42))
 	a.TrainStep([]float64{1, 2}, 0.5)
-	var buf bytes.Buffer
-	w := snapshot.NewWriter(&buf)
+	w := snapshot.NewWriter()
 	a.SnapshotTo(w)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
 	b := NewNetwork(2, []int{4, 4}, rng.New(42))
-	r, err := snapshot.NewReader(&buf)
+	r, err := snapshot.NewReader(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func TestCommitZeroAllocSteadyState(t *testing.T) {
 		env := tinyEnvSeeded(algo, workers, 2)
 		env.Cfg = env.Cfg.withDefaults()
 		e := newEngine(env, strategyFor(env.Cfg))
-		t.Cleanup(func() { e.backend.Close() })
+		t.Cleanup(e.close)
 		e.strategy.Setup(e)
 		e.srv.target = 0
 		return e

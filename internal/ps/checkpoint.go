@@ -1,19 +1,26 @@
 package ps
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"lcasgd/internal/scenario"
 	"lcasgd/internal/snapshot"
+	"lcasgd/internal/telemetry"
+	"lcasgd/internal/tensor"
 )
 
 // This file is the engine's run-persistence layer: freezing a live run at a
 // quiescent checkpoint barrier and restoring it to a state that replays the
-// remainder float-bit-identically.
+// remainder float-bit-identically. It owns the checkpoint format — the
+// sections table below is the one place that says what a checkpoint holds —
+// and both directions of it: emitCheckpoint and restore walk the same table.
 //
 // The barrier discipline is what makes that possible. Closures on the event
 // queue cannot be serialized, so the engine never tries: when the server
@@ -37,9 +44,8 @@ import (
 // barrier and consumed by Resume. Data is a snapshot.Container: every
 // CheckpointFullEvery-th checkpoint is self-contained (Full), the ones
 // between are deltas holding only the sections dirtied since the previous
-// checkpoint (see ckptfast.go). Resume takes a full container; a delta
-// chain is replayed into one with snapshot.Materialize, walking BaseEpoch
-// back to the nearest full.
+// checkpoint. Resume takes a full container; a delta chain is replayed into
+// one with snapshot.Materialize, walking BaseEpoch back to the nearest full.
 type Checkpoint struct {
 	Epoch     int     // completed global epochs at the barrier
 	Batches   int     // mini-batches consumed
@@ -93,7 +99,9 @@ type StrategySnapshotter interface {
 // what the uninterrupted run (same config, same checkpoint cadence) would
 // have returned — curve points and predictor traces include the restored
 // prefix. The checkpoint must have been taken under the same ConfigKey;
-// resuming across backends is allowed.
+// resuming across backends is allowed. The bytes are not trusted: anything
+// that is not a checkpoint of this configuration comes back as an error,
+// and callers fall back to an older checkpoint or a full rerun.
 func Resume(env Env, ckpt []byte) (Result, error) {
 	cfg := env.Cfg.withDefaults()
 	env.Cfg = cfg
@@ -104,7 +112,7 @@ func Resume(env Env, ckpt []byte) (Result, error) {
 		return Result{}, fmt.Errorf("ps: Resume requires Config.CheckpointEvery > 0")
 	}
 	e := newEngine(env, strategyFor(cfg))
-	defer e.backend.Close()
+	defer e.close()
 	e.strategy.Setup(e)
 	if err := e.restore(ckpt); err != nil {
 		// Release the recorder's run binding: callers retry a failed resume
@@ -130,7 +138,6 @@ func (e *Engine) takeCheckpoint() {
 	// snapshot's curve must end with the point of the boundary just crossed.
 	e.rec.drain()
 	e.quiescing = false
-	e.nextCkpt = (e.srv.epoch()/e.cfg.CheckpointEvery + 1) * e.cfg.CheckpointEvery
 	for m, w := range e.waits {
 		if w != nil {
 			w()
@@ -143,11 +150,7 @@ func (e *Engine) takeCheckpoint() {
 	// of this quiescent point, and the resumed run (which refolds on
 	// restore) continues from bit-identical state.
 	e.anchorConsensus()
-	if e.cfg.RecoverOpt {
-		e.ckptW = append(e.ckptW[:0], e.srv.w...)
-		e.ckptBN = e.srv.bnAcc.Clone()
-		e.ckptUpdates = e.srv.updates
-	}
+	e.atBarrier()
 	if e.tel != nil {
 		// Trace the barrier before serializing, so the drain span and the
 		// checkpoint instant are inside the snapshot — a resumed run replays
@@ -160,6 +163,19 @@ func (e *Engine) takeCheckpoint() {
 		e.emitCheckpoint()
 	}
 	e.relaunchDeferred()
+}
+
+// atBarrier sets what a barrier fixes on both of its sides — the side that
+// took the snapshot and the side that restored it: the next barrier epoch,
+// and the RecoverOpt copy of the server, which is by definition the state
+// of the last checkpoint.
+func (e *Engine) atBarrier() {
+	e.nextCkpt = (e.srv.epoch()/e.cfg.CheckpointEvery + 1) * e.cfg.CheckpointEvery
+	if e.cfg.RecoverOpt {
+		e.ckptW = append(e.ckptW[:0], e.srv.w...)
+		e.ckptBN = e.srv.bnAcc.Clone()
+		e.ckptUpdates = e.srv.updates
+	}
 }
 
 // relaunchDeferred re-arms the launches deferred during a barrier drain, in
@@ -177,31 +193,625 @@ func (e *Engine) relaunchDeferred() {
 	}
 }
 
-// restoreSection locates one required section of a full container and runs
-// its decoder against a bare reader over the payload.
-func restoreSection(c *snapshot.Container, id snapshot.SectionID, f func(r *snapshot.Reader) error) error {
-	s := c.Section(id)
-	if s == nil {
-		return fmt.Errorf("checkpoint is missing section (%d,%d)", id.Kind, id.Index)
-	}
-	r, err := snapshot.NewBareReader(bytes.NewReader(s.Payload))
-	if err != nil {
-		return err
-	}
-	if err := f(r); err != nil {
-		return err
-	}
-	return r.Close()
+// --- the checkpoint format ---
+//
+// The engine state is carved into independent sections (snapshot.Container),
+// each tagged with a dirty generation maintained at the engine's mutation
+// sites, so a barrier re-encodes only what changed since the previous
+// checkpoint. Sections appear in canonical ascending SectionID order and
+// each one's encoding depends only on the frozen engine state, so the
+// emitted bytes are identical whatever the encode pool size — a property
+// the tests pin by comparing pool-of-1 and pool-of-N encodes.
+
+// Section kinds. The numbers are on disk, and their order is the canonical
+// container order. Adding a kind is one const here and one entry in
+// sections.
+const (
+	secMeta       = 0 // scalars, RNG streams, armed timeline, deferred launches, shape of the rest
+	secServerW    = 1 // server weight vector
+	secBN         = 2 // global BN accumulator
+	secStrategy   = 3 // StrategySnapshotter payload (present iff implemented)
+	secRecChunk   = 4 // learning-curve points, chunked
+	secWorker     = 5 // per-worker state, indexed by rank
+	secTelMetrics = 6 // telemetry instrument registry (present iff a recorder is attached)
+	secTelTrace   = 7 // telemetry trace events, chunked
+)
+
+// Chunk sizes of the two append-only lists. A full chunk is frozen forever —
+// its generation, the number of items in it, stops moving — so only the
+// last, growing chunk re-encodes at each barrier of a long run. The trace's
+// is sized for its much higher event rate.
+const (
+	recChunkLen = 64
+	telChunkLen = 256
+)
+
+// chunks is how many size-item chunks a list of n items is cut into, and
+// chunkSpan the half-open item range of chunk i.
+func chunks(n, size int) int { return (n + size - 1) / size }
+
+func chunkSpan(n, size, i int) (lo, hi int) {
+	return i * size, min((i+1)*size, n)
 }
 
-// restore loads a full checkpoint container (see ckptfast.go for the
-// section layout) into a freshly built (and Setup) engine. On success the
-// engine is at the barrier's quiescent point: clock set, scenario events
-// re-armed, deferred launches recorded but not yet re-armed
-// (relaunchDeferred does that, mirroring the straight-through
-// takeCheckpoint), and the delta cache seeded so the next checkpoint — a
-// forced full, since this process never emitted the chain the store holds —
-// reuses the restored blobs for sections that stay clean.
+// section describes one kind of checkpoint section, both directions.
+type section struct {
+	kind uint32
+	// count is how many sections of the kind the engine's state has now.
+	// During restore the meta section has already sized what it depends on.
+	count func(e *Engine) int
+	// gen is section i's dirty generation: the cached encoding is reused
+	// while it stands still. nil marks a kind that moves at every barrier
+	// and is never cached.
+	gen func(e *Engine, i int) uint64
+	// encode writes section i. It only reads engine state — the engine is
+	// quiescent at a barrier — so any number may run concurrently.
+	encode func(e *Engine, w *snapshot.Writer, i int)
+	// restore loads section i into a freshly built and Setup engine. The
+	// bytes are untrusted: whatever would later index, size or schedule
+	// something is checked here.
+	restore func(e *Engine, r *snapshot.Reader, i int) error
+}
+
+// Counts of the kinds that are not lists: always one, or one iff present.
+func one(*Engine) int { return 1 }
+
+func oneIf(present bool) int {
+	if present {
+		return 1
+	}
+	return 0
+}
+
+// chunkGen is the generation of an append-only list's chunk: its item count.
+func chunkGen(n, size, i int) uint64 {
+	lo, hi := chunkSpan(n, size, i)
+	return uint64(hi - lo)
+}
+
+// sections is the checkpoint format: what a full container holds, in
+// container order.
+var sections = [...]section{
+	{kind: secMeta, count: one, encode: encodeMeta, restore: restoreMeta},
+	{
+		kind: secServerW, count: one,
+		gen:     func(e *Engine, _ int) uint64 { return e.srvWGen },
+		encode:  func(e *Engine, w *snapshot.Writer, _ int) { w.F64s(e.srv.w) },
+		restore: func(e *Engine, r *snapshot.Reader, _ int) error { r.F64sInto(e.srv.w); return r.Err() },
+	},
+	{
+		kind: secBN, count: one,
+		gen:     func(e *Engine, _ int) uint64 { return e.bnGen },
+		encode:  func(e *Engine, w *snapshot.Writer, _ int) { e.srv.bnAcc.SnapshotTo(w) },
+		restore: func(e *Engine, r *snapshot.Reader, _ int) error { return e.srv.bnAcc.RestoreFrom(r) },
+	},
+	{
+		kind: secStrategy,
+		count: func(e *Engine) int {
+			_, ok := e.strategy.(StrategySnapshotter)
+			return oneIf(ok)
+		},
+		encode: func(e *Engine, w *snapshot.Writer, _ int) { e.strategy.(StrategySnapshotter).SnapshotState(e, w) },
+		restore: func(e *Engine, r *snapshot.Reader, _ int) error {
+			return e.strategy.(StrategySnapshotter).RestoreState(e, r)
+		},
+	},
+	{
+		kind:    secRecChunk,
+		count:   func(e *Engine) int { return chunks(len(e.rec.points), recChunkLen) },
+		gen:     func(e *Engine, i int) uint64 { return chunkGen(len(e.rec.points), recChunkLen, i) },
+		encode:  encodePoints,
+		restore: restorePoints,
+	},
+	{
+		kind:    secWorker,
+		count:   func(e *Engine) int { return len(e.reps) },
+		gen:     func(e *Engine, m int) uint64 { return e.wgen[m] },
+		encode:  encodeWorker,
+		restore: restoreWorker,
+	},
+	{
+		kind:    secTelMetrics,
+		count:   func(e *Engine) int { return oneIf(e.tel != nil) },
+		encode:  func(e *Engine, w *snapshot.Writer, _ int) { e.encodeTelMetrics(w) },
+		restore: func(e *Engine, r *snapshot.Reader, _ int) error { return e.restoreTelMetrics(r) },
+	},
+	{
+		kind: secTelTrace,
+		count: func(e *Engine) int {
+			if e.tel == nil {
+				return 0
+			}
+			return chunks(len(e.tel.rec.Events), telChunkLen)
+		},
+		gen:     func(e *Engine, i int) uint64 { return chunkGen(len(e.tel.rec.Events), telChunkLen, i) },
+		encode:  encodeTrace,
+		restore: restoreTrace,
+	},
+}
+
+// encodeMeta holds everything small that moves every barrier: clock, server
+// scalars, RNG streams, run accounting, the armed scenario timeline, the
+// deferred launches, and the presence flags and list lengths restore sizes
+// the rest of the container with.
+func encodeMeta(e *Engine, w *snapshot.Writer, _ int) {
+	w.Int(len(e.reps))
+	w.F64(e.clock.Now())
+	w.F64(e.srv.lrScale)
+	w.Int(e.srv.batches)
+	w.Int(e.srv.updates)
+	e.seedRng.SnapshotTo(w)
+	e.sampler.SnapshotTo(w)
+	w.Int(e.stalenessSum)
+	w.Int(e.stalenessN)
+	w.Int(e.maxStale)
+	w.Int(e.scnApplied)
+	w.Int(e.rec.lastEpoch)
+	w.Int(len(e.rec.points))
+
+	// Armed scenario events, in arm order (ascending id), skipping fired
+	// tombstones. Re-arming them in this order on resume reproduces the
+	// clock's FIFO tie-breaking: at the barrier every armed event was
+	// scheduled before any deferred relaunch will be.
+	w.Int(len(e.armed) - e.armedDead)
+	for _, a := range e.armed {
+		if a.dead {
+			continue
+		}
+		w.F64(a.ev.At)
+		w.F64(a.ev.Period)
+		w.String(string(a.ev.Kind))
+		w.Int(a.ev.Worker)
+		w.F64(a.ev.CompScale)
+		w.F64(a.ev.CommScale)
+	}
+
+	// Launches deferred by the drain.
+	w.Ints(e.deferred)
+
+	w.Bool(e.dec != nil)
+	if e.dec != nil {
+		e.dec.sel.Stream().SnapshotTo(w)
+	}
+	_, hasStrategy := e.strategy.(StrategySnapshotter)
+	w.Bool(hasStrategy)
+	w.Bool(e.tel != nil)
+	if e.tel != nil {
+		w.Int(len(e.tel.rec.Events))
+	}
+}
+
+// restoreMeta mirrors encodeMeta. It acts as it reads: the clock is set
+// first, each armed event goes back on it the moment it has been validated —
+// so the clock sees them in recorded order, before any deferred relaunch —
+// and the curve and the trace are sized to the lengths the chunk sections
+// will fill. The stall-guard counters scheduleScenarioEvent moves along the
+// way are not meaningful until the worker flags are in;
+// rebuildFleetCounters recomputes them once the walk is done.
+func restoreMeta(e *Engine, r *snapshot.Reader, _ int) error {
+	workers, now := r.Int(), r.F64()
+	lrScale, batches, updates := r.F64(), r.Int(), r.Int()
+	switch {
+	case r.Err() != nil:
+		return r.Err()
+	case workers != len(e.reps):
+		return fmt.Errorf("checkpoint has %d workers, engine has %d", workers, len(e.reps))
+	case !(now >= 0): // NaN included
+		return fmt.Errorf("checkpoint barrier at virtual time %v", now)
+	case batches < 0 || updates < 0:
+		return fmt.Errorf("checkpoint counts %d batches, %d updates", batches, updates)
+	}
+	e.clock.RestoreNow(now)
+	e.srv.lrScale, e.srv.batches, e.srv.updates = lrScale, batches, updates
+	if err := e.seedRng.RestoreFrom(r); err != nil {
+		return err
+	}
+	if err := e.sampler.RestoreFrom(r); err != nil {
+		return err
+	}
+	e.stalenessSum = r.Int()
+	e.stalenessN = r.Int()
+	e.maxStale = r.Int()
+	e.scnApplied = r.Int()
+	e.rec.lastEpoch = r.Int()
+	// listLen reads the length of a list whose items take at least width
+	// bytes each in their chunk sections: the container cannot hold more of
+	// them than it has bytes for.
+	listLen := func(what string, width int) int {
+		n := r.Int()
+		if r.Err() == nil && (n < 0 || n > e.ck.restoring/width) {
+			r.Fail(fmt.Errorf("checkpoint of %d bytes promises %d %s", e.ck.restoring, n, what))
+		}
+		if r.Err() != nil {
+			return 0
+		}
+		return n
+	}
+	e.rec.points = make([]Point, listLen("curve points", 4*8))
+
+	for n := r.Count(6 * 8); n > 0 && r.Err() == nil; n-- {
+		ev := scenario.Event{
+			At:        r.F64(),
+			Period:    r.F64(),
+			Kind:      scenario.Kind(r.String()),
+			Worker:    r.Int(),
+			CompScale: r.F64(),
+			CommScale: r.F64(),
+		}
+		if r.Err() != nil {
+			break
+		}
+		if err := ev.Validate(); err != nil {
+			return fmt.Errorf("checkpoint armed event: %w", err)
+		}
+		if ev.Worker >= len(e.reps) || !(ev.At >= now) {
+			return fmt.Errorf("checkpoint armed event for worker %d of %d at t=%v, barrier at t=%v",
+				ev.Worker, len(e.reps), ev.At, now)
+		}
+		e.scheduleScenarioEvent(ev)
+	}
+
+	for _, m := range r.Ints() {
+		if m < 0 || m >= len(e.reps) || e.deferredSet[m] {
+			return fmt.Errorf("checkpoint defers launch of worker %d of %d (or defers it twice)", m, len(e.reps))
+		}
+		e.deferredSet[m] = true
+		e.deferred = append(e.deferred, m)
+	}
+
+	// present reads a presence flag and requires it to be what this engine
+	// was built with.
+	present := func(what string, want bool) bool {
+		got := r.Bool()
+		if r.Err() == nil && got != want {
+			r.Fail(fmt.Errorf("checkpoint %s presence %v, engine expects %v", what, got, want))
+		}
+		return got && r.Err() == nil
+	}
+	if present("decentralized-state", e.dec != nil) {
+		if err := e.dec.sel.Stream().RestoreFrom(r); err != nil {
+			return err
+		}
+	}
+	_, wantStrategy := e.strategy.(StrategySnapshotter)
+	present("strategy-state", wantStrategy)
+	// A telemetry mismatch is not restorable: with a recorder attached the
+	// resumed run's telemetry would be missing its prefix, silently breaking
+	// the byte-identity contract. Callers fall back to a full rerun (the
+	// trainer's resume path already does).
+	if present("telemetry", e.tel != nil) {
+		e.tel.rec.Events = make([]telemetry.Event, listLen("trace events", 6*8))
+	}
+	return r.Err()
+}
+
+// encodeWorker is worker m's section: batch iterator position, fleet
+// membership and connectivity flags, staleness snapshot, recover-opt flag,
+// and (decentralized runs) the worker's persistent model and commit
+// counter. Worker replicas are deliberately absent: every strategy's Launch
+// begins with Pull, which overwrites the replica's parameters, BN
+// statistics and workspace, so at a quiescent boundary the iterator
+// position is the only live replica state.
+func encodeWorker(e *Engine, w *snapshot.Writer, m int) {
+	e.reps[m].iter.SnapshotTo(w)
+	w.Bool(e.fleet.active[m])
+	w.U64(e.fleet.gen[m])
+	w.Bool(e.fleet.cut[m])
+	w.Bool(e.fleet.parked[m])
+	w.Int(e.snapUpdates[m])
+	w.Bool(e.recoverPend[m])
+	if e.dec != nil {
+		w.F64s(e.dec.w[m])
+		w.Int(e.dec.iter[m])
+	}
+}
+
+func restoreWorker(e *Engine, r *snapshot.Reader, m int) error {
+	if err := e.reps[m].iter.RestoreFrom(r); err != nil {
+		return err
+	}
+	e.fleet.active[m] = r.Bool()
+	e.fleet.gen[m] = r.U64()
+	e.fleet.cut[m] = r.Bool()
+	e.fleet.parked[m] = r.Bool()
+	e.snapUpdates[m] = r.Int()
+	e.recoverPend[m] = r.Bool()
+	if e.dec != nil {
+		r.F64sInto(e.dec.w[m])
+		e.dec.iter[m] = r.Int()
+	}
+	// A worker pulled at some update the server has already applied.
+	if s := e.snapUpdates[m]; r.Err() == nil && (s < 0 || s > e.srv.updates) {
+		return fmt.Errorf("checkpoint worker %d pulled at update %d of %d", m, s, e.srv.updates)
+	}
+	return r.Err()
+}
+
+// encodePoints / restorePoints are one chunk of the learning curve.
+// restoreMeta sized the curve, so a chunk fills its span in place.
+func encodePoints(e *Engine, w *snapshot.Writer, i int) {
+	lo, hi := chunkSpan(len(e.rec.points), recChunkLen, i)
+	w.Int(hi - lo)
+	for _, p := range e.rec.points[lo:hi] {
+		w.Int(p.Epoch)
+		w.F64(p.Time)
+		w.F64(p.TrainErr)
+		w.F64(p.TestErr)
+	}
+}
+
+func restorePoints(e *Engine, r *snapshot.Reader, i int) error {
+	lo, hi := chunkSpan(len(e.rec.points), recChunkLen, i)
+	if n := r.Int(); r.Err() == nil && n != hi-lo {
+		return fmt.Errorf("curve chunk %d has %d points, meta promises %d", i, n, hi-lo)
+	}
+	for j := lo; j < hi; j++ {
+		e.rec.points[j] = Point{Epoch: r.Int(), Time: r.F64(), TrainErr: r.F64(), TestErr: r.F64()}
+	}
+	return r.Err()
+}
+
+// encodeTrace / restoreTrace are one chunk of the telemetry trace, the same
+// way.
+func encodeTrace(e *Engine, w *snapshot.Writer, i int) {
+	evs := e.tel.rec.Events
+	lo, hi := chunkSpan(len(evs), telChunkLen, i)
+	w.Int(hi - lo)
+	for _, ev := range evs[lo:hi] {
+		w.U64(uint64(ev.Kind))
+		w.I64(int64(ev.Worker))
+		w.F64(ev.At)
+		w.F64(ev.Dur)
+		w.I64(ev.A)
+		w.I64(ev.B)
+	}
+}
+
+func restoreTrace(e *Engine, r *snapshot.Reader, i int) error {
+	evs := e.tel.rec.Events
+	lo, hi := chunkSpan(len(evs), telChunkLen, i)
+	if n := r.Int(); r.Err() == nil && n != hi-lo {
+		return fmt.Errorf("telemetry trace chunk %d has %d events, meta promises %d", i, n, hi-lo)
+	}
+	for j := lo; j < hi; j++ {
+		evs[j] = telemetry.Event{
+			Kind:   telemetry.Kind(r.U64()),
+			Worker: int32(r.I64()),
+			At:     r.F64(),
+			Dur:    r.F64(),
+			A:      r.I64(),
+			B:      r.I64(),
+		}
+	}
+	return r.Err()
+}
+
+// --- emit ---
+
+// Test hooks. ckptPoolSize forces the encode pool size (0 derives it from
+// the shared core budget); ckptAudit, when set, freshly re-encodes every
+// section the cache marked clean and hands the hook both byte slices — the
+// dirty-tracking completeness oracle: any mutation site missing a
+// generation bump shows up as cached≠fresh.
+var (
+	ckptPoolSize int
+	ckptAudit    func(id snapshot.SectionID, cached, fresh []byte)
+)
+
+// ckptBlob is one cached section encoding, valid while the section's dirty
+// generation stays at gen. Payloads are immutable once encoded: a dirty
+// section gets a fresh blob, never an in-place rewrite, so the writer
+// goroutine can read them without synchronization.
+type ckptBlob struct {
+	payload []byte
+	sum     uint32
+	gen     uint64
+}
+
+// ckptDone is the writer goroutine's report: the emitted container's
+// framing checksum (the next delta's BaseSum) or the sink error, plus the
+// measured emission stats telemetry folds in at join time (on the event
+// loop — the writer goroutine never touches the recorder).
+type ckptDone struct {
+	sum     uint32
+	err     error
+	full    bool
+	bytes   int
+	writeMs float64
+}
+
+// ckptEnc is the incremental checkpoint encoder: the clean-section cache,
+// the delta-chain cursor (epoch and framing checksum of the previous
+// emitted container), and the write in flight.
+type ckptEnc struct {
+	cache     map[snapshot.SectionID]ckptBlob
+	seq       int // checkpoint ordinal of the next emission
+	sinceFull int // deltas emitted since the last full
+	lastEpoch int // epoch of the previous emission; -1 forces the next to be full
+	lastSum   uint32
+	writer    offloop[ckptDone]
+	restoring int // restore only: size of the container, the bound on the list lengths it promises
+}
+
+func newCkptEnc() *ckptEnc {
+	return &ckptEnc{cache: map[snapshot.SectionID]ckptBlob{}, lastEpoch: -1}
+}
+
+// joinWriter blocks until the checkpoint write in flight (if any) has
+// committed, records its framing checksum as the next delta's base, and
+// folds its measured stats into the meters. A sink error aborts the run
+// here — the same contract a synchronous sink would have, just surfaced one
+// barrier later.
+func (e *Engine) joinWriter() {
+	d, ok := e.ck.writer.join()
+	if !ok {
+		return
+	}
+	if d.err != nil {
+		panic(fmt.Sprintf("ps: checkpoint sink: %v", d.err))
+	}
+	e.ck.lastSum = d.sum
+	if e.tel != nil {
+		e.tel.writeMs.Observe(d.writeMs)
+		if d.full {
+			e.tel.fullBytes.Observe(float64(d.bytes))
+		} else {
+			e.tel.delBytes.Observe(float64(d.bytes))
+		}
+	}
+}
+
+// encodeSection serializes section i of kind sec into a codec stream.
+func (e *Engine) encodeSection(sec *section, i int) []byte {
+	w := snapshot.NewWriter()
+	sec.encode(e, w, i)
+	return w.Bytes()
+}
+
+// encodePoolSize bounds the section-encode pool: the kernels' shared core
+// budget, capped by GOMAXPROCS and the number of dirty sections, with the
+// test override winning outright.
+func encodePoolSize(n int) int {
+	pool := min(tensor.MatmulParallelism(), runtime.GOMAXPROCS(0))
+	if ckptPoolSize > 0 {
+		pool = ckptPoolSize
+	}
+	return max(1, min(pool, n))
+}
+
+// emitCheckpoint runs at the quiescent point of a barrier (takeCheckpoint):
+// join the previous write, decide full vs delta, walk the sections table to
+// find what moved, re-encode that in parallel, and hand the assembled
+// container to a writer goroutine so the simulation resumes while the
+// checkpoint encodes its framing and commits to the sink.
+func (e *Engine) emitCheckpoint() {
+	ck := e.ck
+	e.joinWriter()
+	full := ck.lastEpoch < 0 || ck.sinceFull >= e.cfg.CheckpointFullEvery-1
+
+	var encStart time.Time
+	if e.tel != nil {
+		encStart = time.Now()
+	}
+	// all is the full section list in container order, clean sections
+	// already carrying their cached blob; dirty names the ones to encode.
+	type job struct {
+		sec *section
+		i   int // index within the kind
+		at  int // position in all
+		gen uint64
+	}
+	var all []snapshot.Section
+	var dirty []job
+	for si := range sections {
+		sec := &sections[si]
+		for i, n := 0, sec.count(e); i < n; i++ {
+			id := snapshot.SectionID{Kind: sec.kind, Index: uint32(i)}
+			j := job{sec: sec, i: i, at: len(all)}
+			if sec.gen != nil {
+				j.gen = sec.gen(e, i)
+				if b, ok := ck.cache[id]; ok && b.gen == j.gen {
+					if ckptAudit != nil {
+						ckptAudit(id, b.payload, e.encodeSection(sec, i))
+					}
+					all = append(all, snapshot.Section{ID: id, Payload: b.payload, Sum: b.sum})
+					continue
+				}
+			}
+			all = append(all, snapshot.Section{ID: id})
+			dirty = append(dirty, j)
+		}
+	}
+
+	encode := func(j job) {
+		s := &all[j.at]
+		s.Payload = e.encodeSection(j.sec, j.i)
+		s.Sum = snapshot.Checksum(s.Payload)
+	}
+	if pool := encodePoolSize(len(dirty)); pool <= 1 {
+		for _, j := range dirty {
+			encode(j)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for p := 0; p < pool; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(dirty) {
+						return
+					}
+					encode(dirty[i])
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	c := &snapshot.Container{Key: ConfigKey(e.cfg), Epoch: e.srv.epoch(), Seq: ck.seq, Sections: all}
+	if !full {
+		c.Kind = snapshot.KindDelta
+		c.BaseEpoch = ck.lastEpoch
+		c.BaseSum = ck.lastSum
+		c.Sections = make([]snapshot.Section, len(dirty))
+	}
+	for k, j := range dirty {
+		s := all[j.at]
+		if j.sec.gen != nil {
+			ck.cache[s.ID] = ckptBlob{payload: s.Payload, sum: s.Sum, gen: j.gen}
+		}
+		if !full {
+			c.Sections[k] = s
+		}
+	}
+	if e.tel != nil {
+		e.tel.encodeMs.Observe(float64(time.Since(encStart).Nanoseconds()) / 1e6)
+	}
+
+	hdr := Checkpoint{
+		Epoch:     e.srv.epoch(),
+		Batches:   e.srv.batches,
+		Updates:   e.srv.updates,
+		VirtualMs: e.clock.Now(),
+		Full:      full,
+		BaseEpoch: c.BaseEpoch,
+	}
+	sink := e.env.CheckpointSink
+	ck.writer.start(func() ckptDone {
+		start := time.Now()
+		data, err := snapshot.EncodeContainer(c)
+		if err == nil {
+			hdr.Data = data
+			err = sink(hdr)
+		}
+		return ckptDone{
+			sum: c.Sum, err: err, full: full, bytes: len(data),
+			writeMs: float64(time.Since(start).Nanoseconds()) / 1e6,
+		}
+	})
+
+	ck.seq++
+	ck.lastEpoch = hdr.Epoch
+	if full {
+		ck.sinceFull = 0
+	} else {
+		ck.sinceFull++
+	}
+}
+
+// --- restore ---
+
+// restore loads a full checkpoint container into a freshly built (and
+// Setup) engine by walking it beside the sections table: both are in
+// ascending SectionID order, so a missing, extra or misplaced section is the
+// first mismatch. On success the engine is at the barrier's quiescent
+// point: clock set, scenario events re-armed, deferred launches recorded
+// but not yet re-armed (relaunchDeferred does that, mirroring the
+// straight-through takeCheckpoint), and the delta cache seeded so the next
+// checkpoint reuses the restored blobs for sections that stay clean. On an
+// error the engine is half-restored and must be dropped.
 func (e *Engine) restore(data []byte) error {
 	c, err := snapshot.DecodeContainer(data)
 	if err != nil {
@@ -214,242 +824,45 @@ func (e *Engine) restore(data []byte) error {
 		return fmt.Errorf("checkpoint was taken under a different configuration (key %.16s…, want %.16s…)",
 			c.Key, ConfigKey(e.cfg))
 	}
-
-	// Meta first: it carries the clock, the scalar state, and the shape
-	// flags (worker count, point count, presence bits) the rest of the
-	// container is validated against.
-	var (
-		now        float64
-		nPoints    int
-		nTelEvents int
-		armed      []scenario.Event
-		deferred   []int
-	)
-	if err := restoreSection(c, snapshot.SectionID{Kind: secMeta}, func(r *snapshot.Reader) error {
-		if workers := r.Int(); r.Err() == nil && workers != len(e.reps) {
-			return fmt.Errorf("checkpoint has %d workers, engine has %d", workers, len(e.reps))
-		}
-		now = r.F64()
-		e.srv.lrScale = r.F64()
-		e.srv.batches = r.Int()
-		e.srv.updates = r.Int()
-		seedState := r.U64s()
-		if r.Err() == nil && len(seedState) != 4 {
-			return fmt.Errorf("seed stream snapshot has %d words", len(seedState))
-		}
-		if r.Err() == nil {
-			e.seedRng.SetState([4]uint64{seedState[0], seedState[1], seedState[2], seedState[3]})
-		}
-		if err := e.sampler.RestoreFrom(r); err != nil {
-			return err
-		}
-		e.stalenessSum = r.Int()
-		e.stalenessN = r.Int()
-		e.maxStale = r.Int()
-		e.scnApplied = r.Int()
-		e.rec.lastEpoch = r.Int()
-		nPoints = r.Int()
-		if r.Err() == nil && (nPoints < 0 || nPoints > e.srv.batches+1) {
-			return fmt.Errorf("checkpoint has implausible %d curve points", nPoints)
-		}
-		nArmed := r.Int()
-		if r.Err() == nil && (nArmed < 0 || nArmed > 1<<20) {
-			return fmt.Errorf("checkpoint has implausible %d armed events", nArmed)
-		}
-		armed = make([]scenario.Event, 0, nArmed)
-		for i := 0; i < nArmed && r.Err() == nil; i++ {
-			armed = append(armed, readScnEvent(r))
-		}
-		deferred = r.Ints()
-		for _, m := range deferred {
-			if m < 0 || m >= len(e.reps) {
-				return fmt.Errorf("checkpoint defers launch of worker %d of %d", m, len(e.reps))
+	e.ck.restoring = len(data)
+	rest := c.Sections
+	for si := range sections {
+		sec := &sections[si]
+		for i, n := 0, sec.count(e); i < n; i++ {
+			id := snapshot.SectionID{Kind: sec.kind, Index: uint32(i)}
+			if len(rest) == 0 || rest[0].ID != id {
+				return fmt.Errorf("checkpoint has no section (%d,%d) where one belongs", id.Kind, id.Index)
 			}
-		}
-		hasDec := r.Bool()
-		if r.Err() == nil && hasDec != (e.dec != nil) {
-			return fmt.Errorf("checkpoint decentralized-state presence %v, engine expects %v", hasDec, e.dec != nil)
-		}
-		if hasDec && r.Err() == nil {
-			selState := r.U64s()
-			if r.Err() == nil && len(selState) != 4 {
-				return fmt.Errorf("neighbor stream snapshot has %d words", len(selState))
-			}
-			if r.Err() == nil {
-				e.dec.sel.SetState([4]uint64{selState[0], selState[1], selState[2], selState[3]})
-			}
-		}
-		hasStrategy := r.Bool()
-		_, wantStrategy := e.strategy.(StrategySnapshotter)
-		if r.Err() == nil && hasStrategy != wantStrategy {
-			return fmt.Errorf("checkpoint strategy-state presence %v, strategy expects %v", hasStrategy, wantStrategy)
-		}
-		hasTel := r.Bool()
-		if r.Err() == nil && hasTel != (e.tel != nil) {
-			// A mismatch is not restorable: with a recorder attached the
-			// resumed run's telemetry would be missing its prefix, silently
-			// breaking the byte-identity contract. Callers fall back to a
-			// full rerun (the trainer's resume path already does).
-			return fmt.Errorf("checkpoint telemetry presence %v, engine expects %v", hasTel, e.tel != nil)
-		}
-		if hasTel {
-			nTelEvents = r.Int()
-			if r.Err() == nil && nTelEvents < 0 {
-				return fmt.Errorf("checkpoint has negative %d telemetry events", nTelEvents)
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	if err := restoreSection(c, snapshot.SectionID{Kind: secServerW}, func(r *snapshot.Reader) error {
-		r.F64sInto(e.srv.w)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := restoreSection(c, snapshot.SectionID{Kind: secBN}, func(r *snapshot.Reader) error {
-		return e.srv.bnAcc.RestoreFrom(r)
-	}); err != nil {
-		return err
-	}
-
-	nChunks := (nPoints + recChunkLen - 1) / recChunkLen
-	e.rec.points = e.rec.points[:0]
-	for i := 0; i < nChunks; i++ {
-		want := nPoints - i*recChunkLen
-		if want > recChunkLen {
-			want = recChunkLen
-		}
-		if err := restoreSection(c, snapshot.SectionID{Kind: secRecChunk, Index: uint32(i)}, func(r *snapshot.Reader) error {
-			if n := r.Int(); r.Err() == nil && n != want {
-				return fmt.Errorf("curve chunk %d has %d points, meta promises %d", i, n, want)
-			}
-			for j := 0; j < want && r.Err() == nil; j++ {
-				e.rec.points = append(e.rec.points, Point{
-					Epoch: r.Int(), Time: r.F64(), TrainErr: r.F64(), TestErr: r.F64(),
-				})
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-
-	for m := range e.reps {
-		m := m
-		if err := restoreSection(c, snapshot.SectionID{Kind: secWorker, Index: uint32(m)}, func(r *snapshot.Reader) error {
-			if err := e.reps[m].iter.RestoreFrom(r); err != nil {
+			s := rest[0]
+			rest = rest[1:]
+			r, err := snapshot.NewReader(s.Payload)
+			if err != nil {
 				return err
 			}
-			e.fleet.active[m] = r.Bool()
-			e.fleet.gen[m] = r.U64()
-			e.fleet.cut[m] = r.Bool()
-			e.fleet.parked[m] = r.Bool()
-			e.snapUpdates[m] = r.Int()
-			e.recoverPend[m] = r.Bool()
-			if e.dec != nil {
-				r.F64sInto(e.dec.w[m])
-				e.dec.iter[m] = r.Int()
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-
-	nExpected := 3 + nChunks + len(e.reps)
-	if ss, ok := e.strategy.(StrategySnapshotter); ok {
-		nExpected++
-		if err := restoreSection(c, snapshot.SectionID{Kind: secStrategy}, func(r *snapshot.Reader) error {
-			return ss.RestoreState(e, r)
-		}); err != nil {
-			return err
-		}
-	}
-	if e.tel != nil {
-		nTelChunks := telChunks(nTelEvents)
-		nExpected += 1 + nTelChunks
-		if err := restoreSection(c, snapshot.SectionID{Kind: secTelMetrics}, e.restoreTelMetrics); err != nil {
-			return err
-		}
-		e.tel.rec.Events = e.tel.rec.Events[:0]
-		for i := 0; i < nTelChunks; i++ {
-			want := nTelEvents - i*telChunkLen
-			if want > telChunkLen {
-				want = telChunkLen
-			}
-			if err := restoreSection(c, snapshot.SectionID{Kind: secTelTrace, Index: uint32(i)}, func(r *snapshot.Reader) error {
-				return e.restoreTelTrace(r, want)
-			}); err != nil {
+			if err := sec.restore(e, r, i); err != nil {
 				return err
 			}
+			if err := r.Close(); err != nil {
+				return fmt.Errorf("checkpoint section (%d,%d): %w", id.Kind, id.Index, err)
+			}
+			// Seed the delta cache: a section still clean at the next barrier
+			// reuses this blob verbatim.
+			if sec.gen != nil {
+				e.ck.cache[id] = ckptBlob{payload: s.Payload, sum: s.Sum, gen: sec.gen(e, i)}
+			}
 		}
 	}
-	if len(c.Sections) != nExpected {
-		return fmt.Errorf("checkpoint has %d sections, expected %d", len(c.Sections), nExpected)
+	if len(rest) > 0 {
+		return fmt.Errorf("checkpoint has a section (%d,%d) this engine's state has no place for", rest[0].ID.Kind, rest[0].ID.Index)
 	}
 
-	// Everything decoded and verified; now mutate the live engine pieces
-	// that need ordering: clock first, then the stall-guard counters from
-	// the restored flags, then re-arm the scenario timeline in recorded
-	// order (which adjusts those counters incrementally), then record the
-	// deferred launches for relaunchDeferred.
-	e.clock.RestoreNow(now)
 	e.rebuildFleetCounters()
 	e.refoldConsensusSum()
-	for _, ev := range armed {
-		if ev.At < now {
-			return fmt.Errorf("checkpoint armed event at t=%v before barrier t=%v", ev.At, now)
-		}
-		e.scheduleScenarioEvent(ev)
-	}
-	e.deferred = append(e.deferred[:0], deferred...)
-	for _, m := range e.deferred {
-		e.deferredSet[m] = true
-	}
-	e.nextCkpt = (e.srv.epoch()/e.cfg.CheckpointEvery + 1) * e.cfg.CheckpointEvery
-	if e.cfg.RecoverOpt {
-		// The barrier's snapshot is by definition the last checkpoint.
-		e.ckptW = append(e.ckptW[:0], e.srv.w...)
-		e.ckptBN = e.srv.bnAcc.Clone()
-		e.ckptUpdates = e.srv.updates
-	}
-
-	// Seed the delta cache from the restored container: sections still clean
-	// at the next barrier reuse these blobs verbatim. The chain cursor stays
-	// at -1 — the first post-resume checkpoint is forced full, because a
-	// delta would have to base on the materialized container, which the
-	// store never held (it holds the original full + deltas, whose framing
-	// checksums differ).
+	e.atBarrier()
+	// The chain cursor stays at -1 — the first post-resume checkpoint is
+	// forced full, because a delta would have to base on the materialized
+	// container, which the store never held (it holds the original full +
+	// deltas, whose framing checksums differ).
 	e.ck.seq = c.Seq + 1
-	for _, s := range c.Sections {
-		if s.ID.Kind == secMeta || s.ID.Kind == secStrategy || s.ID.Kind == secTelMetrics {
-			continue
-		}
-		e.ck.cache[s.ID] = ckptBlob{payload: s.Payload, sum: s.Sum, gen: e.sectionGen(s.ID)}
-	}
 	return nil
-}
-
-// writeScnEvent / readScnEvent serialize one scenario timeline event.
-func writeScnEvent(w *snapshot.Writer, ev scenario.Event) {
-	w.F64(ev.At)
-	w.F64(ev.Period)
-	w.String(string(ev.Kind))
-	w.Int(ev.Worker)
-	w.F64(ev.CompScale)
-	w.F64(ev.CommScale)
-}
-
-func readScnEvent(r *snapshot.Reader) scenario.Event {
-	return scenario.Event{
-		At:        r.F64(),
-		Period:    r.F64(),
-		Kind:      scenario.Kind(r.String()),
-		Worker:    r.Int(),
-		CompScale: r.F64(),
-		CommScale: r.F64(),
-	}
 }

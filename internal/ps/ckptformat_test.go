@@ -1,0 +1,458 @@
+package ps
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"runtime/metrics"
+	"testing"
+	"time"
+
+	"lcasgd/internal/scenario"
+	"lcasgd/internal/snapshot"
+	"lcasgd/internal/telemetry"
+)
+
+// runCapturingRaw executes env and collects the checkpoints exactly as
+// emitted — deltas stay deltas — for tests that compare container bytes.
+func runCapturingRaw(env Env) []Checkpoint {
+	var cks []Checkpoint
+	env.CheckpointSink = func(ck Checkpoint) error {
+		cks = append(cks, ck)
+		return nil
+	}
+	Run(env)
+	return cks
+}
+
+// TestDeltaEncodeMatchesFresh is the dirty-tracking completeness oracle:
+// for every algorithm and churning scenario, every section the cache marks
+// clean at a barrier is re-encoded from the live engine state and must be
+// byte-identical to the cached blob. A mutation site missing a
+// dirty-generation bump fails here — including after a resume, where the
+// cache is seeded from the restored container instead of a local encode.
+func TestDeltaEncodeMatchesFresh(t *testing.T) {
+	defer func() { ckptAudit = nil }()
+	audits := 0
+	scns := append([]*scenario.Scenario{nil}, equivalenceScenarios()...)
+	// The shared equivalence scenarios recover every worker between the tiny
+	// run's two barriers, leaving every section dirty; a worker that dies and
+	// stays dead is what makes its section go clean at the second barrier and
+	// the cache-hit path actually execute.
+	scns = append(scns, &scenario.Scenario{
+		Name:   "dead-worker",
+		Events: []scenario.Event{{At: 40, Kind: scenario.Crash, Worker: 3}},
+	})
+	for _, algo := range allAlgos {
+		for _, scn := range scns {
+			m := 4
+			if algo == SGD {
+				m = 1
+			}
+			name := "none"
+			if scn != nil {
+				name = scn.Name
+			}
+			label := string(algo) + "/" + name
+			ckptAudit = func(id snapshot.SectionID, cached, fresh []byte) {
+				audits++
+				if !bytes.Equal(cached, fresh) {
+					t.Errorf("%s: section (%d,%d) marked clean but its state moved: cached %d bytes, fresh %d",
+						label, id.Kind, id.Index, len(cached), len(fresh))
+				}
+			}
+			full, cks := runCapturing(ckptEnv(algo, m, 3, BackendSequential, scn))
+			if len(cks) == 0 {
+				t.Fatalf("%s: no checkpoints emitted", label)
+			}
+			res, err := Resume(ckptEnv(algo, m, 3, BackendSequential, scn), cks[0].Data)
+			if err != nil {
+				t.Fatalf("%s: resume under audit: %v", label, err)
+			}
+			assertResultsEqual(t, label+"/audited-resume", full, res)
+		}
+	}
+	if audits == 0 {
+		t.Fatal("audit hook never fired; no section was ever clean and the oracle is dead")
+	}
+}
+
+// TestParallelEncodeByteIdentity pins that the emitted container bytes are
+// independent of the encode pool size: each section's encoding reads only
+// frozen state, and the container orders sections canonically, so a
+// pool-of-8 encode must equal the single-threaded one bit for bit.
+func TestParallelEncodeByteIdentity(t *testing.T) {
+	defer func() { ckptPoolSize = 0 }()
+	for _, algo := range []Algo{LCASGD, ADPSGD} {
+		capture := func(pool int) []Checkpoint {
+			ckptPoolSize = pool
+			return runCapturingRaw(ckptEnv(algo, 4, 3, BackendSequential, nil))
+		}
+		one := capture(1)
+		many := capture(8)
+		if len(one) == 0 || len(one) != len(many) {
+			t.Fatalf("%s: %d vs %d checkpoints across pool sizes", algo, len(one), len(many))
+		}
+		for i := range one {
+			if !bytes.Equal(one[i].Data, many[i].Data) {
+				t.Fatalf("%s: checkpoint %d differs between pool 1 and pool 8", algo, i)
+			}
+		}
+	}
+}
+
+// TestDeltaChainMaterializesToFullRunBytes is the delta format's byte-level
+// contract: a run emitting deltas, materialized link by link, produces at
+// every barrier exactly the container a CheckpointFullEvery=1 run of the
+// same config emits. (The cadence is excluded from ConfigKey, so the two
+// runs share one trajectory.)
+func TestDeltaChainMaterializesToFullRunBytes(t *testing.T) {
+	for _, algo := range []Algo{LCASGD, ADPSGD} {
+		capture := func(fullEvery int) []Checkpoint {
+			env := ckptEnv(algo, 4, 4, BackendSequential, nil)
+			env.Cfg.CheckpointFullEvery = fullEvery
+			return runCapturingRaw(env)
+		}
+		fulls := capture(1)
+		chain := capture(8)
+		if len(fulls) != len(chain) || len(fulls) < 3 {
+			t.Fatalf("%s: %d vs %d checkpoints; need ≥3 to cover a multi-delta chain", algo, len(fulls), len(chain))
+		}
+		var links [][]byte
+		sawDelta := false
+		for i, ck := range chain {
+			if !fulls[i].Full {
+				t.Fatalf("%s: CheckpointFullEvery=1 emitted a delta at %d", algo, i)
+			}
+			if ck.Full {
+				links = links[:0]
+			} else {
+				sawDelta = true
+			}
+			links = append(links, ck.Data)
+			got := ck.Data
+			if !ck.Full {
+				var err error
+				got, err = snapshot.Materialize(links...)
+				if err != nil {
+					t.Fatalf("%s: materialize chain at %d: %v", algo, i, err)
+				}
+			}
+			if !bytes.Equal(got, fulls[i].Data) {
+				t.Fatalf("%s: checkpoint %d: materialized chain differs from the direct full encode", algo, i)
+			}
+		}
+		if !sawDelta {
+			t.Fatalf("%s: chain run emitted no deltas", algo)
+		}
+	}
+}
+
+// TestResumeRejectsBareDelta: a delta container is not restorable on its
+// own; Resume must refuse it with a chain error instead of restoring a
+// partial state.
+func TestResumeRejectsBareDelta(t *testing.T) {
+	cks := runCapturingRaw(ckptEnv(ASGD, 4, 3, BackendSequential, nil))
+	var delta *Checkpoint
+	for i := range cks {
+		if !cks[i].Full {
+			delta = &cks[i]
+			break
+		}
+	}
+	if delta == nil {
+		t.Fatal("run emitted no delta checkpoints")
+	}
+	if _, err := Resume(ckptEnv(ASGD, 4, 3, BackendSequential, nil), delta.Data); !errors.Is(err, snapshot.ErrNotFull) {
+		t.Fatalf("resuming a bare delta: %v", err)
+	}
+}
+
+// TestFullCadenceExcludedFromConfigKey: full-vs-delta cadence is encoding
+// policy, not trajectory — a run may checkpoint with one cadence and resume
+// with another, so it must not fork the run's identity.
+func TestFullCadenceExcludedFromConfigKey(t *testing.T) {
+	base := tinyEnvSeeded(ASGD, 4, 3).Cfg
+	c := base
+	c.CheckpointFullEvery = 3
+	if ConfigKey(c) != ConfigKey(base) {
+		t.Fatal("CheckpointFullEvery changed the config key; persistence policy must not fork runs")
+	}
+}
+
+// checkpointFormatGolden is the sha256 over every container the matrix below
+// emits. It is the on-disk compatibility contract: stores written by an
+// earlier build must still resume, so a refactor of the encoder leaves this
+// hash alone. A change that moves checkpoint bytes on purpose is a format
+// change — it bumps a version and updates the golden in the same commit.
+const checkpointFormatGolden = "2002b529ead1b764606a79dad137cdd20dccb9e9ed920f31d282f7e2582b4285"
+
+// TestCheckpointFormatGolden hashes the exact bytes of every full and delta
+// container emitted by all registered algorithms under no churn and the three
+// equivalence scenarios, with a telemetry recorder attached to every other
+// cell so all eight section kinds appear. The delta/parallel/resume suites
+// only compare a run with itself; this is the test that pins the bytes across
+// commits. Checked on amd64 only, like TestFingerprint: the payloads hold
+// float bits.
+func TestCheckpointFormatGolden(t *testing.T) {
+	h := sha256.New()
+	kinds := map[uint32]bool{}
+	fulls, deltas, total := 0, 0, 0
+	scns := append([]*scenario.Scenario{nil}, equivalenceScenarios()...)
+	cell := 0
+	for _, algo := range allAlgos {
+		for _, scn := range scns {
+			m := 4
+			if algo == SGD {
+				m = 1
+			}
+			name := "none"
+			if scn != nil {
+				name = scn.Name
+			}
+			env := ckptEnv(algo, m, 4, BackendSequential, scn)
+			env.Cfg.CheckpointFullEvery = 2
+			if cell%2 == 1 {
+				env.Telemetry = telemetry.NewRecorder()
+			}
+			cell++
+			for _, ck := range runCapturingRaw(env) {
+				fmt.Fprintf(h, "%s/%s epoch=%d full=%v bytes=%d\n", algo, name, ck.Epoch, ck.Full, len(ck.Data))
+				h.Write(ck.Data)
+				total += len(ck.Data)
+				if ck.Full {
+					fulls++
+				} else {
+					deltas++
+				}
+				c, err := snapshot.DecodeContainer(ck.Data)
+				if err != nil {
+					t.Fatalf("%s/%s epoch %d: %v", algo, name, ck.Epoch, err)
+				}
+				for _, s := range c.Sections {
+					kinds[s.ID.Kind] = true
+				}
+			}
+		}
+	}
+	if fulls == 0 || deltas == 0 {
+		t.Fatalf("matrix emitted %d fulls and %d deltas; both encodings must be covered", fulls, deltas)
+	}
+	for k := uint32(secMeta); k <= secTelTrace; k++ {
+		if !kinds[k] {
+			t.Fatalf("no container holds a section of kind %d", k)
+		}
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden is checked on amd64 only, this is %s", runtime.GOARCH)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != checkpointFormatGolden {
+		t.Fatalf("checkpoint bytes moved: sha256 %s over %d containers (%d bytes), golden %s",
+			got, fulls+deltas, total, checkpointFormatGolden)
+	}
+}
+
+// hostileWords are the eight-byte patterns TestResumeRejectsHostileBytes
+// writes over checkpoint payloads: the values that turn a count, a length
+// prefix, a worker rank, a time or an RNG word into trouble.
+var hostileWords = [...]uint64{
+	0, 1, 1 << 30, 1 << 33, 1 << 62, math.MaxUint64,
+	math.Float64bits(math.NaN()), math.Float64bits(-1),
+}
+
+// heapAllocated is the cumulative bytes the process has allocated (read
+// without stopping the world, unlike runtime.ReadMemStats).
+func heapAllocated() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestResumeRejectsHostileBytes is the other half of "fall back to the
+// next-older checkpoint on error": a container whose checksums pass but
+// whose contents lie must come back from restore as an error — or as a
+// restored engine, when the bytes happen to be a legal checkpoint of some
+// other run (a changed weight is) — and never as a panic, a stall or an
+// allocation sized by the lie.
+//
+// For a full container of LC-ASGD under churn with telemetry (all eight
+// section kinds, armed events, a strategy payload), of AD-PSGD (per-worker
+// models, the selector stream) and of SSGD, it overwrites eight bytes with
+// each hostile word at byte offsets spread over every section payload — all
+// of them on a small section, an odd stride on a large one (and on all of
+// them with -short), so fields that follow a variable-length string are hit
+// unaligned as well as aligned —
+// zeroes every RNG state, drops every section, cuts the container at every
+// section boundary, reseals with EncodeContainer so the CRCs pass, and runs
+// restore on a fresh engine. Every 24th case also goes through Resume end to
+// end: a rejected one must be rejected there too and leave the recorder
+// unbound, an accepted one must run to completion.
+func TestResumeRejectsHostileBytes(t *testing.T) {
+	// Offsets tried per section: all of them up to dense bytes (the sections
+	// with strings in them are that small), perSection of them beyond.
+	dense, perSection := 1024, 160
+	if testing.Short() {
+		dense, perSection = 0, 40
+	}
+	cells := []struct {
+		name string
+		env  Env
+		tel  bool
+	}{
+		{"LC-ASGD/telemetry/partition-heal", ckptEnv(LCASGD, 4, 3, BackendSequential, equivalenceScenarios()[2]), true},
+		{"AD-PSGD", ckptEnv(ADPSGD, 4, 3, BackendSequential, nil), false},
+		{"SSGD", ckptEnv(SSGD, 4, 3, BackendSequential, nil), false},
+	}
+	for _, cell := range cells {
+		fresh := func() Env {
+			env := cell.env
+			env.Cfg = env.Cfg.withDefaults()
+			if cell.tel {
+				env.Telemetry = telemetry.NewRecorder()
+			}
+			return env
+		}
+		_, cks := runCapturing(fresh())
+		if len(cks) == 0 {
+			t.Fatalf("%s: no checkpoints emitted", cell.name)
+		}
+		base, err := snapshot.DecodeContainer(cks[0].Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases, rejected, resumed := 0, 0, 0
+
+		// restore runs one case under the three limits and returns its verdict.
+		restore := func(what string, data []byte) error {
+			env := fresh()
+			e := newEngine(env, strategyFor(env.Cfg))
+			defer e.close()
+			e.strategy.Setup(e)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("%s: %s: restore panicked: %v", cell.name, what, p)
+				}
+			}()
+			before := heapAllocated()
+			start := time.Now()
+			err := e.restore(data)
+			took := time.Since(start)
+			if took > time.Second {
+				t.Fatalf("%s: %s: restore took %v", cell.name, what, took)
+			}
+			if grew := heapAllocated() - before; grew > uint64(4*len(data)+1<<20) {
+				t.Fatalf("%s: %s: restore of a %d-byte container allocated %d bytes", cell.name, what, len(data), grew)
+			}
+			cases++
+			if err != nil {
+				rejected++
+			}
+			return err
+		}
+		// resume sends the same bytes through the public entry point.
+		resume := func(what string, data []byte, wantErr bool) {
+			env := fresh()
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("%s: %s: Resume panicked: %v", cell.name, what, p)
+				}
+			}()
+			_, err := Resume(env, data)
+			if (err != nil) != wantErr {
+				t.Fatalf("%s: %s: restore said error=%v, Resume returned %v", cell.name, what, wantErr, err)
+			}
+			if err != nil && env.Telemetry != nil && env.Telemetry.Bound() {
+				t.Fatalf("%s: %s: failed Resume left the recorder bound", cell.name, what)
+			}
+			resumed++
+		}
+		// reseal re-encodes the container around edited sections.
+		reseal := func(secs []snapshot.Section) []byte {
+			c := *base
+			c.Sections = secs
+			data, err := snapshot.EncodeContainer(&c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		// with returns the section list with section si's payload replaced.
+		with := func(si int, payload []byte) []snapshot.Section {
+			secs := append([]snapshot.Section(nil), base.Sections...)
+			secs[si].Payload, secs[si].Sum = payload, 0
+			return secs
+		}
+
+		if err := restore("untouched", reseal(with(0, base.Sections[0].Payload))); err != nil {
+			t.Fatalf("%s: resealed but untouched container rejected: %v", cell.name, err)
+		}
+		for si, s := range base.Sections {
+			sec := fmt.Sprintf("section (%d,%d)", s.ID.Kind, s.ID.Index)
+			span := len(s.Payload) - 8
+			stride := 1
+			if span > dense && span > perSection {
+				stride = span/perSection | 1
+			}
+			for off := 0; off <= span; off += stride {
+				for _, word := range hostileWords {
+					p := append([]byte(nil), s.Payload...)
+					binary.LittleEndian.PutUint64(p[off:], word)
+					what := fmt.Sprintf("%s offset %d = %#x", sec, off, word)
+					data := reseal(with(si, p))
+					err := restore(what, data)
+					if cases%24 == 0 {
+						resume(what, data, err != nil)
+					}
+				}
+			}
+
+			// Every RNG state is a four-word slice; its words zeroed are the
+			// one state xoshiro cannot leave. The seed stream and the cost
+			// sampler's open the meta section after five scalars, a batch
+			// iterator's opens a worker section.
+			const header = len(snapshot.Magic) + 8
+			var states []int
+			switch s.ID.Kind {
+			case secMeta:
+				states = []int{header + 5*8, header + 5*8 + 5*8}
+			case secWorker:
+				states = []int{header}
+			}
+			for _, at := range states {
+				p := append([]byte(nil), s.Payload...)
+				if n := binary.LittleEndian.Uint64(p[at:]); n != 4 {
+					t.Fatalf("%s: %s offset %d holds %d, not an RNG state's length prefix", cell.name, sec, at, n)
+				}
+				clear(p[at+8 : at+8+4*8])
+				what := fmt.Sprintf("%s zero RNG state at %d", sec, at)
+				data := reseal(with(si, p))
+				if restore(what, data) == nil {
+					t.Fatalf("%s: %s: accepted", cell.name, what)
+				}
+				resume(what, data, true)
+			}
+
+			// A container without this section, and one cut where it ends.
+			dropped := append(append([]snapshot.Section(nil), base.Sections[:si]...), base.Sections[si+1:]...)
+			if restore(sec+" dropped", reseal(dropped)) == nil {
+				t.Fatalf("%s: container without %s accepted", cell.name, sec)
+			}
+			if restore(sec+" and the rest dropped", reseal(base.Sections[:si])) == nil {
+				t.Fatalf("%s: container cut before %s and resealed accepted", cell.name, sec)
+			}
+			end := bytes.Index(cks[0].Data, s.Payload) + len(s.Payload)
+			if restore("cut after "+sec, cks[0].Data[:end]) == nil {
+				t.Fatalf("%s: container cut after %s accepted", cell.name, sec)
+			}
+		}
+		if rejected == 0 || rejected == cases || resumed == 0 {
+			t.Fatalf("%s: %d cases, %d rejected, %d through Resume; the sweep is not exercising both verdicts", cell.name, cases, rejected, resumed)
+		}
+		t.Logf("%s: %d sections, %d bytes: %d cases, %d rejected, %d accepted, %d through Resume",
+			cell.name, len(base.Sections), len(cks[0].Data), cases, rejected, cases-rejected, resumed)
+	}
+}

@@ -72,7 +72,7 @@ type Engine struct {
 	deferred    []int
 	deferredSet []bool
 
-	// Dirty generations for incremental checkpoints (ckptfast.go): wgen[m]
+	// Dirty generations for incremental checkpoints (checkpoint.go): wgen[m]
 	// bumps whenever worker m's serialized section can change before the
 	// next barrier (Pull/PullLocal, gossip, fleet transitions), srvWGen on
 	// every server weight mutation, bnGen on every BN fold. The checkpoint
@@ -132,11 +132,11 @@ func newEngine(env Env, st Strategy) *Engine {
 	flatten(reps[0], w)
 	bpe := env.Train.Len() / cfg.BatchSize
 
-	backend := newBackend(cfg.Backend, M)
 	e := &Engine{
 		cfg:         cfg,
 		env:         env,
 		strategy:    st,
+		backend:     newBackend(cfg.Backend, M),
 		clock:       simclock.New(),
 		sampler:     cfg.Cost.NewSampler(M, costRng),
 		reps:        reps,
@@ -154,8 +154,7 @@ func newEngine(env Env, st Strategy) *Engine {
 		wgen:        make([]uint64, M),
 		ck:          newCkptEnc(),
 	}
-	e.rec = newRecorder(env, modelSeed, backend, e.srv)
-	e.backend = evalJoinBackend{backend, e.rec}
+	e.rec = newRecorder(env, modelSeed, e.backend, e.srv)
 	if env.Telemetry != nil {
 		e.tel = newTelState(env.Telemetry, M)
 		e.rec.wallMs = env.Telemetry.Meter("eval_wall_ms")
@@ -164,25 +163,53 @@ func newEngine(env Env, st Strategy) *Engine {
 	return e
 }
 
-// evalJoinBackend is the Backend an engine holds. Close first joins the
-// evaluation in flight (it runs on ParallelFor), so every path that closes
-// the backend — run, Resume, an engine a test builds and drops — leaves no
-// evaluator goroutine behind.
-type evalJoinBackend struct {
-	Backend
-	rec *recorder
+// offloop runs one job at a time on a goroutine beside the event loop — the
+// shape the curve evaluator and the checkpoint writer share: the loop
+// freezes what the job will read, starts it, carries on, and joins it at a
+// closed list of places (the table in DESIGN.md "Persistence & resume").
+// The zero value is idle; a job is one goroutine, so there is nothing to
+// close.
+type offloop[T any] struct {
+	done chan T
+	busy bool
 }
 
-func (b evalJoinBackend) Close() {
-	b.rec.drain()
-	b.Backend.Close()
+// start runs job off the loop. At most one is in flight: join comes first.
+func (o *offloop[T]) start(job func() T) {
+	if o.busy {
+		panic("ps: off-loop job started while one is in flight")
+	}
+	if o.done == nil {
+		o.done = make(chan T, 1)
+	}
+	o.busy = true
+	go func() { o.done <- job() }()
+}
+
+// join waits for the job in flight and returns its report; ok is false when
+// there is none.
+func (o *offloop[T]) join() (report T, ok bool) {
+	if !o.busy {
+		return report, false
+	}
+	o.busy = false
+	return <-o.done, true
+}
+
+// close joins the evaluation in flight (it runs on the backend's
+// ParallelFor) and closes the backend, so every way of dropping an engine —
+// run, Resume, a test that builds one and never runs it — leaves no
+// goroutine behind.
+func (e *Engine) close() {
+	e.rec.drain()
+	e.backend.Close()
 }
 
 // run executes the strategy to budget exhaustion and assembles the result.
 // A scenario that permanently empties the fleet truncates the run instead:
 // the clock drains and the result carries however far training got.
 func (e *Engine) run() Result {
-	defer e.backend.Close()
+	defer e.close()
 	e.strategy.Setup(e)
 	e.installScenario()
 	for m := range e.reps {
@@ -205,7 +232,7 @@ func (e *Engine) loop() Result {
 	// The run may still have a checkpoint write in flight (the writer
 	// goroutine overlaps the simulation); it must commit — or its error
 	// surface — before the run reports success.
-	e.drainCkpt()
+	e.joinWriter()
 	e.anchorConsensus()
 	points := e.rec.finish(e.srv, e.clock.Now())
 	if e.tel != nil {

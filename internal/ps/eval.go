@@ -142,8 +142,8 @@ func (n *evalNet) countCorrect(ds *data.Dataset, batchSize, start, stride int) i
 // while the loop goes on committing updates, and drain appends the point
 // once both errors have landed. At most one evaluation is in flight, and
 // points never holds an incomplete point — the checkpoint encoder caches
-// recorder chunks by point count (sectionGen), so a placeholder filled in
-// later would be served stale.
+// curve chunks by point count (the sections table), so a placeholder filled
+// in later would be served stale.
 //
 // errOn is a pure function of (w, BN, dataset) returning integer counts, so
 // where and when the goroutine runs cannot move a bit of the curve.
@@ -157,8 +157,7 @@ type recorder struct {
 	w       []float64           // frozen server weights of the point in flight
 	bn      *core.BNAccumulator // frozen BN statistics of the point in flight
 	pending Point               // its reserved (Epoch, Time)
-	busy    bool                // an evaluation is in flight; its report arrives on done
-	done    chan evalDone
+	job     offloop[evalDone]   // the evaluation in flight
 
 	// Measured meters (nil without telemetry), observed on the event loop
 	// at drain time: wall time inside the two passes, and wall time the
@@ -184,7 +183,6 @@ func newRecorder(env Env, modelSeed uint64, be Backend, srv *server) *recorder {
 		lastEpoch: -1,
 		w:         make([]float64, len(srv.w)),
 		bn:        srv.bnAcc.Clone(),
-		done:      make(chan evalDone, 1),
 	}
 }
 
@@ -209,8 +207,7 @@ func (r *recorder) maybeRecord(srv *server, now float64, force bool) bool {
 	r.bn.CopyFrom(srv.bnAcc)
 	r.lastEpoch = srv.epoch()
 	r.pending = Point{Epoch: r.lastEpoch, Time: now}
-	r.busy = true
-	go r.evaluate()
+	r.job.start(r.evaluate)
 	if evalHandoff != nil {
 		evalHandoff(r, srv)
 	}
@@ -218,29 +215,28 @@ func (r *recorder) maybeRecord(srv *server, now float64, force bool) bool {
 }
 
 // evaluate is the evaluator goroutine's body. It reads only the frozen copy
-// and the datasets and reports through the channel; everything else of the
-// recorder belongs to the event loop.
-func (r *recorder) evaluate() {
+// and the datasets; everything else of the recorder belongs to the event
+// loop.
+func (r *recorder) evaluate() evalDone {
 	start := time.Now()
 	d := evalDone{
 		trainErr: r.eval.errOn(r.env.Train, r.w, r.bn),
 		testErr:  r.eval.errOn(r.env.Test, r.w, r.bn),
 	}
 	d.wallMs = float64(time.Since(start).Nanoseconds()) / 1e6
-	r.done <- d
+	return d
 }
 
 // drain joins the evaluation in flight, if any, and appends its point. The
 // engine calls it wherever points must be complete: before the next point
 // starts (maybeRecord), at the top of a checkpoint barrier, in finish, and
-// before the backend closes.
+// in Engine.close.
 func (r *recorder) drain() {
-	if !r.busy {
+	if !r.job.busy {
 		return
 	}
 	start := time.Now()
-	d := <-r.done
-	r.busy = false
+	d, _ := r.job.join()
 	r.pending.TrainErr, r.pending.TestErr = d.trainErr, d.testErr
 	r.points = append(r.points, r.pending)
 	if r.wallMs != nil {

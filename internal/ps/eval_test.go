@@ -80,12 +80,11 @@ func decodePoints(t *testing.T, data []byte) []Point {
 		t.Fatal(err)
 	}
 	var pts []Point
-	for i := 0; ; i++ {
-		s := c.Section(snapshot.SectionID{Kind: secRecChunk, Index: uint32(i)})
-		if s == nil {
-			return pts
+	for _, s := range c.Sections {
+		if s.ID.Kind != secRecChunk {
+			continue
 		}
-		r, err := snapshot.NewBareReader(bytes.NewReader(s.Payload))
+		r, err := snapshot.NewReader(s.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +95,7 @@ func decodePoints(t *testing.T, data []byte) []Point {
 			t.Fatal(err)
 		}
 	}
+	return pts
 }
 
 // TestEvalCheckpointCadences crosses barrier and evaluation cadences so a
@@ -187,8 +187,8 @@ func TestEvalBackPressure(t *testing.T) {
 
 // TestEvalJoinedBeforeBackendClose builds an engine the way the commit
 // micro-tests do — never run, its first commit starts the epoch-0 point —
-// and closes only the backend. The evaluation must be joined there: its
-// point appended, no goroutine left.
+// and closes it. The evaluation must be joined there, before the backend it
+// runs on goes: its point appended, no goroutine left.
 func TestEvalJoinedBeforeBackendClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := slowEvalEnv(ASGD, 2, 2)
@@ -197,15 +197,15 @@ func TestEvalJoinedBeforeBackendClose(t *testing.T) {
 	e.strategy.Setup(e)
 	e.srv.target = 0
 	e.Commit(0, make([]float64, e.NParams()), 0)
-	if !e.rec.busy || len(e.rec.points) != 0 {
-		t.Fatalf("first commit: busy %v with %d points, want an evaluation in flight", e.rec.busy, len(e.rec.points))
+	if !e.rec.job.busy || len(e.rec.points) != 0 {
+		t.Fatalf("first commit: busy %v with %d points, want an evaluation in flight", e.rec.job.busy, len(e.rec.points))
 	}
-	e.backend.Close()
-	if e.rec.busy || len(e.rec.points) != 1 || e.rec.points[0].Epoch != 0 {
-		t.Fatalf("after Close: busy %v, points %+v", e.rec.busy, e.rec.points)
+	e.close()
+	if e.rec.job.busy || len(e.rec.points) != 1 || e.rec.points[0].Epoch != 0 {
+		t.Fatalf("after close: busy %v, points %+v", e.rec.job.busy, e.rec.points)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before the engine, %d after its backend closed", before, after)
+		t.Fatalf("%d goroutines before the engine, %d after it closed", before, after)
 	}
 }
 
@@ -217,7 +217,7 @@ func TestEvalHandoffReusesBuffers(t *testing.T) {
 	env := tinyEnvSeeded(ASGD, 2, 2)
 	env.Cfg = env.Cfg.withDefaults()
 	e := newEngine(env, strategyFor(env.Cfg))
-	defer e.backend.Close()
+	defer e.close()
 	r := e.rec
 	w0, bn0 := &r.w[0], r.bn
 	point := func() {

@@ -291,32 +291,39 @@ func (e *Engine) fleetStalled() bool {
 	return progressing == 0 && e.reviveArmedN == 0 && e.inflight == 0
 }
 
-// rebuildFleetCounters recomputes the stall-guard counters from the fleet
-// flags alone. It runs on the resume path, after the per-worker flags are
-// restored and before the timeline re-arms — the armed list is empty at
-// that point, so every healArmedN is zero and a cut active worker counts
-// as blocked; scheduleScenarioEvent then adjusts the counters event by
-// event exactly as the straight-through run did.
+// rebuildFleetCounters is the definition of the fleet's O(1) counters:
+// activeN, cutN, blockedN, healArmedN and reviveArmedN recomputed from the
+// per-worker flags and the armed list alone. The transitions in this file
+// keep the same values incrementally; restore, which loads armed events and
+// flags in container order rather than causal order, calls this once after
+// both are in.
 func (e *Engine) rebuildFleetCounters() {
-	for m := range e.healArmedN {
-		e.healArmedN[m] = 0
-	}
+	clear(e.healArmedN)
 	e.reviveArmedN = 0
-	activeN, blockedN, cutN := 0, 0, 0
-	for m, a := range e.fleet.active {
-		if e.fleet.cut[m] {
-			cutN++
+	for _, a := range e.armed {
+		if a.dead {
+			continue
 		}
-		if a {
-			activeN++
-			if e.fleet.cut[m] {
-				blockedN++
-			}
+		switch a.ev.Kind {
+		case scenario.Recover, scenario.Join:
+			e.reviveArmedN++
+		case scenario.Heal:
+			e.reviveArmedN++
+			e.healArmedN[a.ev.Worker]++
 		}
 	}
-	e.fleet.activeN = activeN
-	e.fleet.cutN = cutN
-	e.blockedN = blockedN
+	e.fleet.activeN, e.fleet.cutN, e.blockedN = 0, 0, 0
+	for m := range e.fleet.active {
+		if e.fleet.active[m] {
+			e.fleet.activeN++
+		}
+		if e.fleet.cut[m] {
+			e.fleet.cutN++
+		}
+		if e.psBlocked(m) {
+			e.blockedN++
+		}
+	}
 }
 
 // applyScenarioEvent executes one timeline event at its virtual time.

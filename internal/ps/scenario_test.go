@@ -252,7 +252,7 @@ func TestSSGDArrivedWorkerCrashRecoverWithinRound(t *testing.T) {
 	env.Cfg = env.Cfg.withDefaults()
 	st := strategyFor(env.Cfg).(*ssgdStrategy)
 	e := newEngine(env, st)
-	defer e.backend.Close()
+	defer e.close()
 	st.Setup(e)
 	for m := range e.reps {
 		e.launch(m)

@@ -19,8 +19,8 @@ import (
 //
 //   - Determinism. Every event and deterministic instrument derives from
 //     event-loop state and virtual time only, and the whole telemetry state
-//     (registry + trace) is serialized into checkpoints (sections
-//     secTelMetrics/secTelTrace), so a resumed run's final telemetry bytes
+//     (registry + trace) is serialized into checkpoints (the last two rows
+//     of the sections table), so a resumed run's final telemetry bytes
 //     equal the uninterrupted run's. Wall-clock checkpoint costs go to the
 //     recorder's measured meters, which are excluded from both the
 //     byte-identity contract and the checkpoint.
@@ -158,25 +158,10 @@ func (e *Engine) telBarrier() {
 	t.rec.Emit(telemetry.Event{Kind: telemetry.KCheckpoint, Worker: -1, At: now, A: int64(e.srv.epoch())})
 }
 
-// drainCkpt drains the in-flight checkpoint write and folds its measured
-// stats (container bytes, wall write time) into the meters — on the event
-// loop, so the off-loop writer goroutine never touches the recorder.
-func (e *Engine) drainCkpt() {
-	d, ok := e.ck.drain()
-	if ok && e.tel != nil {
-		e.tel.writeMs.Observe(d.writeMs)
-		if d.full {
-			e.tel.fullBytes.Observe(float64(d.bytes))
-		} else {
-			e.tel.delBytes.Observe(float64(d.bytes))
-		}
-	}
-}
-
-// --- checkpoint serialization of the telemetry state ---
-
-// telChunks returns the trace chunk count for n events.
-func telChunks(n int) int { return (n + telChunkLen - 1) / telChunkLen }
+// --- checkpoint serialization of the instrument registry ---
+//
+// (The trace rides the checkpoint in chunks; see the sections table in
+// checkpoint.go.)
 
 // encodeTelMetrics serializes the deterministic instrument registry.
 // Instrument names are included and validated on restore: a mismatch means
@@ -219,100 +204,49 @@ func (e *Engine) encodeTelMetrics(w *snapshot.Writer) {
 // instruments, by position, validating names and shapes.
 func (e *Engine) restoreTelMetrics(r *snapshot.Reader) error {
 	m := e.tel.rec.Metrics
-	if n := r.Int(); r.Err() == nil && n != len(m.Counters) {
-		return fmt.Errorf("telemetry snapshot has %d counters, engine registers %d", n, len(m.Counters))
-	}
-	for _, c := range m.Counters {
-		if name := r.String(); r.Err() == nil && name != c.Name {
-			return fmt.Errorf("telemetry counter %q, engine expects %q", name, c.Name)
+	group := func(what string, want int) {
+		if n := r.Int(); r.Err() == nil && n != want {
+			r.Fail(fmt.Errorf("telemetry snapshot has %d %s, engine registers %d", n, what, want))
 		}
+	}
+	name := func(want string) {
+		if got := r.String(); r.Err() == nil && got != want {
+			r.Fail(fmt.Errorf("telemetry instrument %q, engine expects %q", got, want))
+		}
+	}
+	u64sInto := func(dst []uint64, owner string) {
+		v := r.U64s()
+		if r.Err() == nil && len(v) != len(dst) {
+			r.Fail(fmt.Errorf("telemetry instrument %q has %d slots, engine expects %d", owner, len(v), len(dst)))
+		}
+		copy(dst, v)
+	}
+	group("counters", len(m.Counters))
+	for _, c := range m.Counters {
+		name(c.Name)
 		c.V = r.U64()
 	}
-	if n := r.Int(); r.Err() == nil && n != len(m.Gauges) {
-		return fmt.Errorf("telemetry snapshot has %d gauges, engine registers %d", n, len(m.Gauges))
-	}
+	group("gauges", len(m.Gauges))
 	for _, g := range m.Gauges {
-		if name := r.String(); r.Err() == nil && name != g.Name {
-			return fmt.Errorf("telemetry gauge %q, engine expects %q", name, g.Name)
-		}
+		name(g.Name)
 		g.V = r.F64()
 	}
-	if n := r.Int(); r.Err() == nil && n != len(m.Hists) {
-		return fmt.Errorf("telemetry snapshot has %d histograms, engine registers %d", n, len(m.Hists))
-	}
+	group("histograms", len(m.Hists))
 	for _, h := range m.Hists {
-		if name := r.String(); r.Err() == nil && name != h.Name {
-			return fmt.Errorf("telemetry histogram %q, engine expects %q", name, h.Name)
-		}
-		counts := r.U64s()
-		if r.Err() == nil && len(counts) != len(h.Counts) {
-			return fmt.Errorf("telemetry histogram %q has %d buckets, engine expects %d", h.Name, len(counts), len(h.Counts))
-		}
-		copy(h.Counts, counts)
+		name(h.Name)
+		u64sInto(h.Counts, h.Name)
 		h.Total = r.U64()
 		h.Sum = r.F64()
 	}
-	if n := r.Int(); r.Err() == nil && n != len(m.Vecs) {
-		return fmt.Errorf("telemetry snapshot has %d worker vectors, engine registers %d", n, len(m.Vecs))
-	}
+	group("worker vectors", len(m.Vecs))
 	for _, v := range m.Vecs {
-		if name := r.String(); r.Err() == nil && name != v.Name {
-			return fmt.Errorf("telemetry worker vector %q, engine expects %q", name, v.Name)
-		}
-		vals := r.U64s()
-		if r.Err() == nil && len(vals) != len(v.N) {
-			return fmt.Errorf("telemetry worker vector %q spans %d workers, engine has %d", v.Name, len(vals), len(v.N))
-		}
-		copy(v.N, vals)
-	}
-	nSeries := r.Int()
-	if r.Err() == nil && (nSeries < 0 || nSeries > e.srv.batches+1) {
-		return fmt.Errorf("telemetry snapshot has implausible %d series rows", nSeries)
+		name(v.Name)
+		u64sInto(v.N, v.Name)
 	}
 	m.Series = m.Series[:0]
-	for i := 0; i < nSeries && r.Err() == nil; i++ {
+	// A row is two words and a length prefix at the least.
+	for n := r.Count(3 * 8); n > 0 && r.Err() == nil; n-- {
 		m.Series = append(m.Series, telemetry.Sample{Epoch: r.Int(), AtMs: r.F64(), Values: r.F64s()})
 	}
-	return nil
-}
-
-// encodeTelTrace serializes one trace chunk. Chunks are frozen once full
-// (events are append-only), so a long run re-encodes only the last chunk at
-// each barrier — the recorder-chunk trick applied to the trace.
-func (e *Engine) encodeTelTrace(w *snapshot.Writer, idx int) {
-	evs := e.tel.rec.Events
-	lo := idx * telChunkLen
-	hi := lo + telChunkLen
-	if hi > len(evs) {
-		hi = len(evs)
-	}
-	chunk := evs[lo:hi]
-	w.Int(len(chunk))
-	for _, ev := range chunk {
-		w.U64(uint64(ev.Kind))
-		w.I64(int64(ev.Worker))
-		w.F64(ev.At)
-		w.F64(ev.Dur)
-		w.I64(ev.A)
-		w.I64(ev.B)
-	}
-}
-
-// restoreTelTrace loads one trace chunk, appending to the recorder.
-func (e *Engine) restoreTelTrace(r *snapshot.Reader, want int) error {
-	if n := r.Int(); r.Err() == nil && n != want {
-		return fmt.Errorf("telemetry trace chunk has %d events, meta promises %d", n, want)
-	}
-	rec := e.tel.rec
-	for j := 0; j < want && r.Err() == nil; j++ {
-		rec.Emit(telemetry.Event{
-			Kind:   telemetry.Kind(r.U64()),
-			Worker: int32(r.I64()),
-			At:     r.F64(),
-			Dur:    r.F64(),
-			A:      r.I64(),
-			B:      r.I64(),
-		})
-	}
-	return nil
+	return r.Err()
 }

@@ -279,7 +279,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				env.Telemetry = telemetry.NewRecorder()
 			}
 			e := newEngine(env, strategyFor(env.Cfg))
-			defer e.backend.Close()
+			defer e.close()
 			e.strategy.Setup(e)
 			e.srv.target = 0 // park relaunches so the commit path dominates
 			grad := make([]float64, e.NParams())

@@ -9,7 +9,12 @@
 // a Split operation that derives statistically independent child streams.
 package rng
 
-import "math"
+import (
+	"fmt"
+	"math"
+
+	"lcasgd/internal/snapshot"
+)
 
 // RNG is a xoshiro256** generator. The zero value is not valid; construct
 // with New or Split.
@@ -82,6 +87,28 @@ func (r *RNG) SetState(s [4]uint64) {
 		panic("rng: SetState with all-zero state")
 	}
 	r.s0, r.s1, r.s2, r.s3 = s[0], s[1], s[2], s[3]
+}
+
+// SnapshotTo writes the generator's State as one length-prefixed word slice.
+func (r *RNG) SnapshotTo(w *snapshot.Writer) {
+	st := r.State()
+	w.U64s(st[:])
+}
+
+// RestoreFrom loads a position written by SnapshotTo. Snapshot bytes are not
+// trusted: a wrong word count or the all-zero state SetState panics on is
+// reported as an error (through sr's sticky error as well), and the
+// generator is left where it was.
+func (r *RNG) RestoreFrom(sr *snapshot.Reader) error {
+	st := sr.U64s()
+	if sr.Err() == nil && (len(st) != 4 || st[0]|st[1]|st[2]|st[3] == 0) {
+		sr.Fail(fmt.Errorf("%w: rng state %x is not four words with a bit set", snapshot.ErrCorrupt, st))
+	}
+	if sr.Err() != nil {
+		return sr.Err()
+	}
+	r.SetState([4]uint64(st))
+	return nil
 }
 
 // SplitLabeled derives a child stream bound to a small integer label (for

@@ -90,29 +90,40 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario %q: negative InitialWorkers %d", s.Name, s.InitialWorkers)
 	}
 	for i, ev := range s.Events {
-		if ev.At < 0 {
-			return fmt.Errorf("scenario %q event %d: negative time %v", s.Name, i, ev.At)
+		if err := ev.Validate(); err != nil {
+			return fmt.Errorf("scenario %q event %d: %w", s.Name, i, err)
 		}
-		if ev.Period < 0 {
-			return fmt.Errorf("scenario %q event %d: negative period %v", s.Name, i, ev.Period)
+	}
+	return nil
+}
+
+// Validate checks one event: a known kind, a worker rank the kind accepts,
+// and times and scales that are numbers of the right sign (the conditions
+// are written so that NaN fails them).
+func (ev Event) Validate() error {
+	if !(ev.At >= 0) {
+		return fmt.Errorf("negative time %v", ev.At)
+	}
+	if !(ev.Period >= 0) {
+		return fmt.Errorf("negative period %v", ev.Period)
+	}
+	if ev.Period > 0 && ev.At+ev.Period == ev.At {
+		return fmt.Errorf("period %v does not move time %v: the event would repeat forever", ev.Period, ev.At)
+	}
+	switch ev.Kind {
+	case PhaseShift:
+		if ev.Worker < -1 {
+			return fmt.Errorf("bad worker %d", ev.Worker)
 		}
-		switch ev.Kind {
-		case PhaseShift:
-			if ev.Worker < -1 {
-				return fmt.Errorf("scenario %q event %d: bad worker %d", s.Name, i, ev.Worker)
-			}
-			if ev.CompScale <= 0 || ev.CommScale <= 0 {
-				return fmt.Errorf("scenario %q event %d: non-positive phase scales %v/%v",
-					s.Name, i, ev.CompScale, ev.CommScale)
-			}
-		case Crash, Recover, Join, Leave, Partition, Heal:
-			if ev.Worker < 0 {
-				return fmt.Errorf("scenario %q event %d: %s needs a worker rank, got %d",
-					s.Name, i, ev.Kind, ev.Worker)
-			}
-		default:
-			return fmt.Errorf("scenario %q event %d: unknown kind %q", s.Name, i, ev.Kind)
+		if !(ev.CompScale > 0 && ev.CommScale > 0) {
+			return fmt.Errorf("non-positive phase scales %v/%v", ev.CompScale, ev.CommScale)
 		}
+	case Crash, Recover, Join, Leave, Partition, Heal:
+		if ev.Worker < 0 {
+			return fmt.Errorf("%s needs a worker rank, got %d", ev.Kind, ev.Worker)
+		}
+	default:
+		return fmt.Errorf("unknown kind %q", ev.Kind)
 	}
 	return nil
 }

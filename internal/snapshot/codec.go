@@ -1,25 +1,26 @@
 // Package snapshot is the run-persistence layer of the reproduction: a
 // versioned, deterministic binary codec for freezing training state
 // (weights, RNG stream positions, predictor windows, clock time) with
-// float64 values written as exact IEEE-754 bits, plus an on-disk experiment
-// store (store.go) that keeps configs, checkpoints, learning curves and
+// float64 values written as exact IEEE-754 bits, the sectioned checkpoint
+// container built on it (container.go), and an on-disk experiment store
+// (store.go) that keeps configs, checkpoints, learning curves and
 // robustness tables in content-addressed run directories.
 //
 // The codec's contract is bit-exactness, not schema evolution: a snapshot
 // restored into the engine that wrote it replays the remaining run
-// float-bit-identically (see DESIGN.md "Persistence & resume"). The header
-// carries a magic string and a format version so foreign files, truncated
-// files and snapshots from a future format fail loudly instead of
-// corrupting a resume; a CRC-64 trailer catches bit rot in the payload.
+// float-bit-identically (see DESIGN.md "Persistence & resume"). A stream is
+// a byte slice in memory — the body of one container section — that opens
+// with a magic string and a format version, so foreign bytes and snapshots
+// from a future format fail loudly instead of corrupting a resume. Bit rot
+// is the container's business: it checksums every section body.
 package snapshot
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
-	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies a snapshot stream; Version is the current format.
@@ -28,82 +29,35 @@ const (
 	Version = 1
 )
 
-// maxLen caps length prefixes read from a stream: anything larger than this
-// is treated as corruption rather than attempted as an allocation.
-const maxLen = 1 << 31
-
 var (
 	// ErrBadMagic marks a stream that is not a snapshot at all.
 	ErrBadMagic = errors.New("snapshot: bad magic (not a snapshot file)")
 	// ErrFutureVersion marks a snapshot written by a newer format than this
 	// build understands.
 	ErrFutureVersion = errors.New("snapshot: snapshot from a future format version")
-	// ErrChecksum marks a payload whose CRC trailer does not match.
+	// ErrChecksum marks bytes whose checksum does not match.
 	ErrChecksum = errors.New("snapshot: checksum mismatch (corrupted snapshot)")
-	// ErrCorrupt marks a structurally implausible stream (oversized length
-	// prefix, impossible value).
+	// ErrCorrupt marks a structurally implausible stream (truncation, a
+	// length prefix larger than the stream, an impossible value).
 	ErrCorrupt = errors.New("snapshot: corrupted snapshot")
 )
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
+// Writer serializes values little-endian by appending to a byte slice, which
+// cannot fail: call sites stay linear and take Bytes at the end.
+type Writer struct{ b []byte }
 
-// Writer serializes values little-endian with a running CRC. Errors are
-// sticky: the first write failure is remembered and every later call is a
-// no-op, so call sites stay linear and check Close once.
-type Writer struct {
-	w       io.Writer
-	crc     uint64
-	err     error
-	bare    bool
-	scratch [8]byte
-	slab    []byte // reusable bulk-encode buffer (F64s/Ints/U64s)
+// NewWriter starts a snapshot stream with the header.
+func NewWriter() *Writer {
+	w := &Writer{b: append(make([]byte, 0, 64), Magic...)}
+	w.U64(Version)
+	return w
 }
 
-// NewWriter starts a snapshot stream on w by emitting the header.
-func NewWriter(w io.Writer) *Writer {
-	sw := &Writer{w: w}
-	sw.raw([]byte(Magic))
-	sw.U64(Version)
-	return sw
-}
-
-// NewBareWriter starts a bare snapshot stream: same header and value
-// encoding as NewWriter, but no CRC accumulation and no trailer at Close.
-// Bare streams are the section bodies of checkpoint containers
-// (container.go), whose integrity is covered by the container's own
-// per-section CRC-32C — skipping the software CRC-64 pass here is a large
-// part of the checkpoint fast path on big weight vectors.
-func NewBareWriter(w io.Writer) *Writer {
-	sw := &Writer{w: w, bare: true}
-	sw.raw([]byte(Magic))
-	sw.U64(Version)
-	return sw
-}
-
-// raw writes bytes, folding them into the CRC (unless bare).
-func (w *Writer) raw(b []byte) {
-	if w.err != nil {
-		return
-	}
-	if !w.bare {
-		w.crc = crc64.Update(w.crc, crcTable, b)
-	}
-	_, w.err = w.w.Write(b)
-}
-
-// grow returns a slab of exactly n bytes for bulk encoding.
-func (w *Writer) grow(n int) []byte {
-	if cap(w.slab) < n {
-		w.slab = make([]byte, n)
-	}
-	return w.slab[:n]
-}
+// Bytes returns the stream written so far.
+func (w *Writer) Bytes() []byte { return w.b }
 
 // U64 writes a fixed 8-byte little-endian unsigned integer.
-func (w *Writer) U64(v uint64) {
-	binary.LittleEndian.PutUint64(w.scratch[:], v)
-	w.raw(w.scratch[:])
-}
+func (w *Writer) U64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 
 // I64 writes a signed integer.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
@@ -127,153 +81,77 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 // String writes a length-prefixed UTF-8 string.
 func (w *Writer) String(s string) {
 	w.U64(uint64(len(s)))
-	w.raw([]byte(s))
+	w.b = append(w.b, s...)
 }
 
-// Bytes writes a length-prefixed byte slice.
-func (w *Writer) Bytes(b []byte) {
-	w.U64(uint64(len(b)))
-	w.raw(b)
+// prefix writes a slice's length prefix and makes room for its n words, so a
+// worker's whole weight vector costs one growth, not a doubling series.
+func (w *Writer) prefix(n int) {
+	w.b = slices.Grow(w.b, 8+8*n)
+	w.U64(uint64(n))
 }
 
-// F64s writes a length-prefixed float64 slice, each element bit-exact. The
-// elements are bulk-encoded into one buffer and written (and CRC'd) in a
-// single pass — byte-identical to the per-element path, but at memcpy-class
-// speed, which is what checkpointing M·P worker weights needs.
+// F64s writes a length-prefixed float64 slice, each element bit-exact.
 func (w *Writer) F64s(v []float64) {
-	w.U64(uint64(len(v)))
-	if len(v) == 0 {
-		return
-	}
-	b := w.grow(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	w.raw(b)
-}
-
-// Ints writes a length-prefixed []int (bulk-encoded like F64s).
-func (w *Writer) Ints(v []int) {
-	w.U64(uint64(len(v)))
-	if len(v) == 0 {
-		return
-	}
-	b := w.grow(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(x)))
-	}
-	w.raw(b)
-}
-
-// U64s writes a length-prefixed []uint64 (bulk-encoded like F64s).
-func (w *Writer) U64s(v []uint64) {
-	w.U64(uint64(len(v)))
-	if len(v) == 0 {
-		return
-	}
-	b := w.grow(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], x)
-	}
-	w.raw(b)
-}
-
-// Bools writes a length-prefixed []bool.
-func (w *Writer) Bools(v []bool) {
-	w.U64(uint64(len(v)))
+	w.prefix(len(v))
 	for _, x := range v {
-		w.Bool(x)
+		w.F64(x)
 	}
 }
 
-// Err returns the sticky error, if any.
-func (w *Writer) Err() error { return w.err }
-
-// Close appends the CRC-64 trailer and returns the sticky error. The
-// trailer itself is excluded from the CRC. On a bare writer there is no
-// trailer; Close just reports the sticky error.
-func (w *Writer) Close() error {
-	if w.err != nil || w.bare {
-		return w.err
+// Ints writes a length-prefixed []int.
+func (w *Writer) Ints(v []int) {
+	w.prefix(len(v))
+	for _, x := range v {
+		w.Int(x)
 	}
-	binary.LittleEndian.PutUint64(w.scratch[:], w.crc)
-	_, w.err = w.w.Write(w.scratch[:])
-	return w.err
 }
 
-// Reader deserializes a snapshot stream. Like Writer, errors are sticky;
-// zero values are returned after a failure, and Close verifies the CRC
-// trailer against everything read.
+// U64s writes a length-prefixed []uint64.
+func (w *Writer) U64s(v []uint64) {
+	w.prefix(len(v))
+	for _, x := range v {
+		w.U64(x)
+	}
+}
+
+// Reader deserializes a snapshot stream held in memory. Errors are sticky:
+// the first failure is remembered, every later read returns a zero value,
+// and Close reports it — so decoders stay linear too. The bytes are not
+// trusted: every count is checked against the bytes actually left before
+// anything is allocated from it, so a hostile length prefix costs an error,
+// never memory.
 type Reader struct {
-	r       io.Reader
-	crc     uint64
-	err     error
-	bare    bool
-	scratch [8]byte
+	b   []byte // the unread rest of the stream
+	err error
 }
 
-// NewReader validates the header on r and returns a reader positioned at
-// the first payload value. It returns ErrBadMagic for foreign streams and
+// NewReader validates the header of stream b and returns a reader positioned
+// at the first payload value. It returns ErrBadMagic for foreign streams and
 // ErrFutureVersion (wrapped with the found version) for newer formats.
-func NewReader(r io.Reader) (*Reader, error) {
-	sr := &Reader{r: r}
-	var magic [len(Magic)]byte
-	sr.raw(magic[:])
-	if sr.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMagic, sr.err)
-	}
-	if string(magic[:]) != Magic {
+func NewReader(b []byte) (*Reader, error) {
+	if len(b) < len(Magic)+8 || string(b[:len(Magic)]) != Magic {
 		return nil, ErrBadMagic
 	}
-	v := sr.U64()
-	if sr.err != nil {
-		return nil, sr.err
-	}
-	if v > Version {
+	r := &Reader{b: b[len(Magic):]}
+	if v := r.U64(); v > Version {
 		return nil, fmt.Errorf("%w: format %d, this build reads <= %d", ErrFutureVersion, v, Version)
 	}
-	return sr, nil
-}
-
-// NewBareReader reads a bare stream written by NewBareWriter: same header
-// validation, but no CRC accumulation and no trailer at Close. Callers are
-// expected to have verified the bytes externally (the checkpoint
-// container's per-section CRC-32C).
-func NewBareReader(r io.Reader) (*Reader, error) {
-	sr, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	sr.bare = true
-	return sr, nil
-}
-
-// raw fills b fully, folding it into the CRC (unless bare). Short reads
-// surface as ErrCorrupt-wrapped errors so truncated files are diagnosed as
-// such.
-func (r *Reader) raw(b []byte) {
-	if r.err != nil {
-		return
-	}
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("%w: truncated stream", ErrCorrupt)
-		}
-		r.err = err
-		return
-	}
-	if !r.bare {
-		r.crc = crc64.Update(r.crc, crcTable, b)
-	}
+	return r, nil
 }
 
 // U64 reads a fixed 8-byte little-endian unsigned integer.
 func (r *Reader) U64() uint64 {
-	r.raw(r.scratch[:])
 	if r.err != nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(r.scratch[:])
+	if len(r.b) < 8 {
+		r.err = fmt.Errorf("%w: truncated stream", ErrCorrupt)
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
 }
 
 // I64 reads a signed integer.
@@ -288,11 +166,15 @@ func (r *Reader) Bool() bool { return r.U64() != 0 }
 // F64 reads a float64 from its exact bit pattern.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// length reads and sanity-checks a length prefix.
-func (r *Reader) length() int {
+// Count reads the element count of a list whose elements take at least
+// width bytes each and checks that the rest of the stream can hold them; it
+// returns 0 (and fails the reader) when it cannot. The slice readers below
+// go through it, and so should a decoder that sizes anything from a count
+// it wrote with Int.
+func (r *Reader) Count(width int) int {
 	n := r.U64()
-	if r.err == nil && n > maxLen {
-		r.err = fmt.Errorf("%w: implausible length %d", ErrCorrupt, n)
+	if r.err == nil && n > uint64(len(r.b)/width) {
+		r.err = fmt.Errorf("%w: %d elements promised, %d bytes left", ErrCorrupt, n, len(r.b))
 	}
 	if r.err != nil {
 		return 0
@@ -302,92 +184,48 @@ func (r *Reader) length() int {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := r.length()
-	if n == 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	r.raw(b)
-	if r.err != nil {
-		return ""
-	}
-	return string(b)
+	n := r.Count(1)
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
 }
 
-// Bytes reads a length-prefixed byte slice.
-func (r *Reader) Bytes() []byte {
-	n := r.length()
-	b := make([]byte, n)
-	r.raw(b)
+// words reads a length-prefixed slice of 8-byte values.
+func words[T any](r *Reader, from func(uint64) T) []T {
+	n := r.Count(8)
 	if r.err != nil {
 		return nil
 	}
-	return b
-}
-
-// F64s reads a length-prefixed float64 slice.
-func (r *Reader) F64s() []float64 {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	v := make([]float64, n)
+	v := make([]T, n)
 	for i := range v {
-		v[i] = r.F64()
+		v[i] = from(r.U64())
 	}
 	return v
 }
+
+// F64s reads a length-prefixed float64 slice.
+func (r *Reader) F64s() []float64 { return words(r, math.Float64frombits) }
+
+// Ints reads a length-prefixed []int.
+func (r *Reader) Ints() []int { return words(r, func(v uint64) int { return int(int64(v)) }) }
+
+// U64s reads a length-prefixed []uint64.
+func (r *Reader) U64s() []uint64 { return words(r, func(v uint64) uint64 { return v }) }
 
 // F64sInto reads a length-prefixed float64 slice into dst, requiring the
 // stored length to match — the shape-validated restore path for buffers the
 // engine has already allocated.
 func (r *Reader) F64sInto(dst []float64) {
-	n := r.length()
+	n := r.Count(8)
 	if r.err == nil && n != len(dst) {
 		r.err = fmt.Errorf("%w: stored %d values, want %d", ErrCorrupt, n, len(dst))
 	}
-	for i := 0; i < n && r.err == nil; i++ {
+	if r.err != nil {
+		return
+	}
+	for i := range dst {
 		dst[i] = r.F64()
 	}
-}
-
-// Ints reads a length-prefixed []int.
-func (r *Reader) Ints() []int {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = r.Int()
-	}
-	return v
-}
-
-// U64s reads a length-prefixed []uint64.
-func (r *Reader) U64s() []uint64 {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = r.U64()
-	}
-	return v
-}
-
-// Bools reads a length-prefixed []bool.
-func (r *Reader) Bools() []bool {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	v := make([]bool, n)
-	for i := range v {
-		v[i] = r.Bool()
-	}
-	return v
 }
 
 // Err returns the sticky error, if any.
@@ -402,21 +240,11 @@ func (r *Reader) Fail(err error) {
 	}
 }
 
-// Close reads the CRC trailer and verifies it against everything consumed.
-// It must be called after the last payload value; a mismatch (or an earlier
-// sticky error) is returned. A bare reader has no trailer; Close just
-// reports the sticky error.
+// Close must be called after the last payload value. It returns the sticky
+// error, or ErrCorrupt when the stream holds bytes no decoder asked for.
 func (r *Reader) Close() error {
-	if r.err != nil || r.bare {
-		return r.err
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.b))
 	}
-	sum := r.crc // captured before the trailer read folds into it
-	var trailer [8]byte
-	if _, err := io.ReadFull(r.r, trailer[:]); err != nil {
-		return fmt.Errorf("%w: missing checksum trailer", ErrCorrupt)
-	}
-	if binary.LittleEndian.Uint64(trailer[:]) != sum {
-		return ErrChecksum
-	}
-	return nil
+	return r.err
 }

@@ -30,9 +30,8 @@ import (
 // its base container's trailer value, so a chain cannot silently skip or
 // reorder links even though validation never re-hashes the base payloads.
 //
-// Section payloads are bare codec streams (NewBareWriter): the value
-// codec's CRC-64 pass is skipped because the container already covers the
-// bytes. Sections appear in strictly ascending SectionID order, so the
+// Section payloads are codec streams (codec.go), which carry no checksum of
+// their own. Sections appear in strictly ascending SectionID order, so the
 // on-disk bytes are deterministic regardless of how many goroutines
 // encoded the payloads.
 
@@ -81,7 +80,7 @@ func (a SectionID) Less(b SectionID) bool {
 	return a.Index < b.Index
 }
 
-// Section is one encoded section: a bare codec stream plus its CRC-32C.
+// Section is one encoded section: a codec stream plus its CRC-32C.
 // Sum may be left zero when building a container; EncodeContainer computes
 // it then. Decoded sections always carry the verified sum, and their
 // Payload aliases the decoded buffer (zero-copy).
@@ -101,16 +100,6 @@ type Container struct {
 	BaseSum   uint32 // delta only: the base container's Sum
 	Sum       uint32 // framing CRC-32C; set by EncodeContainer/DecodeContainer
 	Sections  []Section
-}
-
-// Section returns the section with the given id, or nil.
-func (c *Container) Section(id SectionID) *Section {
-	for i := range c.Sections {
-		if c.Sections[i].ID == id {
-			return &c.Sections[i]
-		}
-	}
-	return nil
 }
 
 // EncodeContainer serializes c, returning the container bytes and the
@@ -208,7 +197,7 @@ func DecodeContainer(b []byte) (*Container, error) {
 		s.ID.Kind = u32()
 		s.ID.Index = u32()
 		n := u64()
-		if n > maxLen {
+		if n > uint64(len(b)) {
 			return fail("implausible section length")
 		}
 		lengths[i] = int(n)

@@ -6,16 +6,12 @@ import (
 	"testing"
 )
 
-// secStream encodes one bare section body holding the given floats.
+// secStream encodes one section body holding the given floats.
 func secStream(t *testing.T, v ...float64) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	w := NewBareWriter(&buf)
+	w := NewWriter()
 	w.F64s(v)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 func mustEncode(t *testing.T, c *Container) []byte {
@@ -51,7 +47,7 @@ func TestContainerRoundTrip(t *testing.T) {
 		if s.ID != c.Sections[i].ID || !bytes.Equal(s.Payload, c.Sections[i].Payload) {
 			t.Fatalf("section %d mismatch", i)
 		}
-		r, err := NewBareReader(bytes.NewReader(s.Payload))
+		r, err := NewReader(s.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,29 +177,5 @@ func TestMaterializeRejectsBrokenChains(t *testing.T) {
 	mut[len(mut)/2] ^= 0x01
 	if _, err := Materialize(fb, mut); err == nil {
 		t.Fatal("accepted corrupted delta link")
-	}
-}
-
-// TestBareStreamMatchesChecked pins that bare streams carry the exact same
-// value bytes as checked streams, minus the trailer — the property that
-// lets section bodies skip the CRC-64 pass without changing the format.
-func TestBareStreamMatchesChecked(t *testing.T) {
-	var checked, bare bytes.Buffer
-	wc, wb := NewWriter(&checked), NewBareWriter(&bare)
-	for _, w := range []*Writer{wc, wb} {
-		w.F64s([]float64{1.5, -2.25, 3})
-		w.Ints([]int{-7, 8})
-		w.U64s([]uint64{9, 10})
-		w.String("s")
-		w.Bool(true)
-	}
-	if err := wc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(checked.Bytes()[:checked.Len()-8], bare.Bytes()) {
-		t.Fatal("bare stream differs from checked stream body")
 	}
 }

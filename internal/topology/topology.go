@@ -379,8 +379,6 @@ func (s *Selector) PickUniform(m int) int {
 	return ns[int(draw%uint64(len(ns)))]
 }
 
-// State exposes the selector stream's position for checkpointing.
-func (s *Selector) State() [4]uint64 { return s.rng.State() }
-
-// SetState restores a position captured by State.
-func (s *Selector) SetState(st [4]uint64) { s.rng.SetState(st) }
+// Stream exposes the selector's draw stream, whose position is the
+// selector's only mutable state, for checkpointing.
+func (s *Selector) Stream() *rng.RNG { return s.rng }

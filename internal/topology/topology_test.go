@@ -149,7 +149,7 @@ func TestSelectorConsumesOneDrawPerPick(t *testing.T) {
 		t.Fatalf("blocked pick returned %d, want -1", p)
 	}
 	selB.Pick(0, func(int) bool { return true })
-	if selA.State() != selB.State() {
+	if selA.Stream().State() != selB.Stream().State() {
 		t.Fatalf("stream positions diverged after one pick each")
 	}
 }
@@ -163,12 +163,12 @@ func TestSelectorStateRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sel.Pick(i%5, all)
 	}
-	st := sel.State()
+	st := sel.Stream().State()
 	var want []int
 	for i := 0; i < 10; i++ {
 		want = append(want, sel.Pick(i%5, all))
 	}
-	sel.SetState(st)
+	sel.Stream().SetState(st)
 	for i := 0; i < 10; i++ {
 		if got := sel.Pick(i%5, all); got != want[i] {
 			t.Fatalf("replayed pick %d = %d, want %d", i, got, want[i])
