@@ -8,10 +8,10 @@ import (
 )
 
 // convTestNet builds a net covering the whole layer zoo: conv, BN (dense
-// and spatial), residual (identity and projection), max/avg pooling, ReLU,
+// and spatial), residual (identity and projection), average pooling, ReLU,
 // dense.
 func convTestNet(g *rng.RNG) *Sequential {
-	geom := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	geom := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}
 	conv := NewConv2D("c0", geom, 4, g)
 	path := NewSequential(
 		NewConv2D("r.c", tensor.ConvGeom{InC: 4, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 4, g),
@@ -20,9 +20,8 @@ func convTestNet(g *rng.RNG) *Sequential {
 	short := NewSequential(NewBatchNorm("r.s", 4, 16))
 	return NewSequential(
 		conv,
-		NewBatchNorm("bn0", 4, 64),
-		NewReLU(256),
-		NewMaxPool2D(4, 8, 8, 2),
+		NewBatchNorm("bn0", 4, 16),
+		NewReLU(64),
 		NewResidual(path, short),
 		NewGlobalAvgPool(4, 16),
 		NewDense("fc", 4, 3, g),

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"lcasgd/internal/tensor"
-)
+import "fmt"
 
 // GradCheck verifies analytic parameter gradients against central finite
 // differences. It runs forward+loss at θ±ε for every sampled coordinate and
@@ -76,20 +72,4 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// NumericInputGrad estimates dLoss/dInput by finite differences for layer
-// input-gradient tests.
-func NumericInputGrad(x *tensor.Tensor, loss func() float64, eps float64) *tensor.Tensor {
-	g := tensor.New(x.Shape...)
-	for i := range x.Data {
-		orig := x.Data[i]
-		x.Data[i] = orig + eps
-		lp := loss()
-		x.Data[i] = orig - eps
-		lm := loss()
-		x.Data[i] = orig
-		g.Data[i] = (lp - lm) / (2 * eps)
-	}
-	return g
 }

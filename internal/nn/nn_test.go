@@ -211,22 +211,6 @@ func TestBatchNormInferenceUsesRunning(t *testing.T) {
 	}
 }
 
-func TestMaxPoolForwardBackward(t *testing.T) {
-	p := NewMaxPool2D(1, 2, 2, 2)
-	x := tensor.FromSlice([]float64{1, 5, 3, 2}, 1, 4)
-	y := p.Forward(x, true)
-	if y.Len() != 1 || y.Data[0] != 5 {
-		t.Fatalf("maxpool forward: %v", y.Data)
-	}
-	dx := p.Backward(tensor.FromSlice([]float64{7}, 1, 1))
-	want := []float64{0, 7, 0, 0}
-	for i := range want {
-		if dx.Data[i] != want[i] {
-			t.Fatalf("maxpool backward: %v", dx.Data)
-		}
-	}
-}
-
 func TestGlobalAvgPoolForwardBackward(t *testing.T) {
 	p := NewGlobalAvgPool(2, 4)
 	x := tensor.FromSlice([]float64{1, 2, 3, 4, 10, 10, 10, 10}, 1, 8)

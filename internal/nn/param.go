@@ -35,11 +35,6 @@ func (p *Param) InitHe(g *rng.RNG, fanIn int) {
 	g.FillNormal(p.Value.Data, math.Sqrt(2/float64(fanIn)))
 }
 
-// InitXavier fills the parameter with Xavier/Glorot-normal initialization.
-func (p *Param) InitXavier(g *rng.RNG, fanIn, fanOut int) {
-	g.FillNormal(p.Value.Data, math.Sqrt(2/float64(fanIn+fanOut)))
-}
-
 // ParamCount sums element counts across a parameter list.
 func ParamCount(params []*Param) int {
 	n := 0

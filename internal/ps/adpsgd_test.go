@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -91,6 +92,47 @@ func TestADPSGDPartitionedWorkerKeepsTraining(t *testing.T) {
 	}
 	if res.ScenarioEvents != 1 {
 		t.Fatalf("scenario events %d, want 1", res.ScenarioEvents)
+	}
+}
+
+// TestConsensusIsExactFold pins what a consensus is: at every curve point —
+// under churn that retires, admits and cuts workers between points, and with
+// RecoverOpt rewriting recovered workers' models from the last checkpoint —
+// the weights frozen for evaluation are the active workers' models summed in
+// ascending rank order from zero, times 1/n, bit for bit.
+func TestConsensusIsExactFold(t *testing.T) {
+	for _, scn := range equivalenceScenarios() {
+		for _, recoverOpt := range []bool{false, true} {
+			env := ckptEnv(ADPSGD, 4, 3, BackendSequential, scn)
+			env.Cfg.RecoverOpt = recoverOpt
+			points := 0
+			runObserved(env, func(e *Engine, r *recorder) {
+				if r == nil || e.activeN == 0 {
+					return
+				}
+				points++
+				want := make([]float64, len(r.w))
+				n := 0
+				for m := range e.workers {
+					if w := &e.workers[m]; w.active {
+						n++
+						for i, v := range w.w {
+							want[i] += v
+						}
+					}
+				}
+				for i := range want {
+					want[i] *= 1 / float64(n)
+					if math.Float64bits(r.w[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s/recoverOpt=%v: point at epoch %d: consensus[%d] = %v, the fold of the %d active models gives %v",
+							scn.Name, recoverOpt, r.pending.Epoch, i, r.w[i], n, want[i])
+					}
+				}
+			})
+			if points < 4 {
+				t.Fatalf("%s/recoverOpt=%v: only %d points checked", scn.Name, recoverOpt, points)
+			}
+		}
 	}
 }
 

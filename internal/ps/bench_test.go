@@ -40,8 +40,7 @@ func benchEnv(algo Algo, workers int, kind BackendKind) Env {
 // BenchmarkSSGDRound compares the two execution backends on SSGD rounds: a
 // round's M gradient computations are independent, so the concurrent
 // backend overlaps them across cores while the barrier commit stays on the
-// event loop. Run with GOMAXPROCS ≥ 4 to see the speedup; record results in
-// BENCH_*.json so future PRs have a perf baseline.
+// event loop. Run with GOMAXPROCS ≥ 4 to see the speedup.
 func BenchmarkSSGDRound(b *testing.B) {
 	for _, kind := range []BackendKind{BackendSequential, BackendConcurrent} {
 		b.Run(string(kind), func(b *testing.B) {
@@ -136,6 +135,12 @@ func BenchmarkWorkerIteration(b *testing.B) {
 // cost model stretches virtual iterations to ~1s so the canned flaky
 // timeline (first crash at t=900ms, period 3s) genuinely churns the fleet
 // within the run's span instead of expiring after it.
+//
+// EvalEvery is the fleet size, as in bench/'s fleet_scale workload: an epoch
+// here is one batch, so the default would put a full evaluation — and for
+// AD-PSGD an O(M·nParams) consensus fold — behind every single commit, which
+// no profile, example or benchmark workload does; a curve point per fleet
+// round is the traffic they run.
 func fleetScaleEnv(algo Algo, workers int, scn *scenario.Scenario) Env {
 	d := data.Config{
 		Classes: 4, C: 1, H: 2, W: 2,
@@ -156,8 +161,9 @@ func fleetScaleEnv(algo Algo, workers int, scn *scenario.Scenario) Env {
 		Build: func(g *rng.RNG) *nn.Sequential { return model.MLP("fleet", 4, 16, 4, g) },
 		Cfg: Config{
 			Algo: algo, Workers: workers, BatchSize: 4, EvalBatch: 4,
-			Epochs: workers * itersPerWorker / batchesPerEpoch,
-			LR:     0.05, Lambda: 1, DCLambda: 0.3,
+			Epochs:    workers * itersPerWorker / batchesPerEpoch,
+			EvalEvery: workers,
+			LR:        0.05, Lambda: 1, DCLambda: 0.3,
 			BNMode: core.BNAsync, Seed: 7,
 			Cost: cluster.CostModel{
 				MeanComp: 900, MeanComm: 50, Sigma: 0.2,
@@ -179,9 +185,10 @@ func fleetScaleEnv(algo Algo, workers int, scn *scenario.Scenario) Env {
 // M, like fleetScaleEnv): a barrier's quiescent drain absorbs roughly one
 // full fleet round, so this yields a comparable ~7 barriers per run at
 // every M. The sparse cells park 7/8 of the fleet up front — dead workers'
-// sections stay clean, so deltas carry only the live eighth; that is the
+// sections stop moving, so deltas carry only the live eighth; that is the
 // regime (most of a big fleet idle or partitioned between barriers) where
-// delta encoding beats re-encoding the world. Reported metrics:
+// a delta is smallest, and where encoding every section to find that out
+// costs the most beside it. Reported metrics:
 // checkpoints per run, average container size, and the full-vs-delta
 // split (KB), the pair bench/'s ps.ckpt_full_kb/ps.ckpt_delta_kb read on
 // fleet_scale; finalErr doubles as a

@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -43,8 +44,8 @@ import (
 // Checkpoint is one frozen quiescent state, produced by the engine at each
 // barrier and consumed by Resume. Data is a snapshot.Container: every
 // CheckpointFullEvery-th checkpoint is self-contained (Full), the ones
-// between are deltas holding only the sections dirtied since the previous
-// checkpoint. Resume takes a full container; a delta chain is replayed into
+// between are deltas holding only the sections whose bytes moved since the
+// previous checkpoint. Resume takes a full container; a delta chain is replayed into
 // one with snapshot.Materialize, walking BaseEpoch back to the nearest full.
 type Checkpoint struct {
 	Epoch     int     // completed global epochs at the barrier
@@ -134,22 +135,20 @@ func Resume(env Env, ckpt []byte) (Result, error) {
 // sink, and re-arms the launches the drain deferred.
 func (e *Engine) takeCheckpoint() {
 	assertQuiescent(e, "checkpoint")
-	// Join the evaluation in flight before any section is planned: the
+	// Join the evaluation in flight before any section is encoded: the
 	// snapshot's curve must end with the point of the boundary just crossed.
 	e.rec.drain()
 	e.quiescing = false
-	for m, w := range e.waits {
-		if w != nil {
-			w()
-			e.waits[m] = nil
+	for m := range e.workers {
+		if w := &e.workers[m]; w.wait != nil {
+			w.wait()
+			w.wait = nil
 		}
 	}
-	// Decentralized runs re-anchor the consensus at the barrier — an exact
-	// refold, not the incremental sum — so the RecoverOpt snapshot and the
-	// serialized srv.w both hold the exact mean of the workers' models as
-	// of this quiescent point, and the resumed run (which refolds on
-	// restore) continues from bit-identical state.
-	e.anchorConsensus()
+	// Decentralized runs refresh the consensus at the barrier, so the
+	// RecoverOpt snapshot and the serialized srv.w both hold the mean of the
+	// workers' models as of this quiescent point.
+	e.refreshConsensus()
 	e.atBarrier()
 	if e.tel != nil {
 		// Trace the barrier before serializing, so the drain span and the
@@ -186,7 +185,7 @@ func (e *Engine) relaunchDeferred() {
 	ds := e.deferred
 	e.deferred = e.deferred[:0]
 	for _, m := range ds {
-		e.deferredSet[m] = false
+		e.workers[m].deferred = false
 	}
 	for _, m := range ds {
 		e.launch(m)
@@ -196,8 +195,7 @@ func (e *Engine) relaunchDeferred() {
 // --- the checkpoint format ---
 //
 // The engine state is carved into independent sections (snapshot.Container),
-// each tagged with a dirty generation maintained at the engine's mutation
-// sites, so a barrier re-encodes only what changed since the previous
+// so a delta carries only the ones whose encoding changed since the previous
 // checkpoint. Sections appear in canonical ascending SectionID order and
 // each one's encoding depends only on the frozen engine state, so the
 // emitted bytes are identical whatever the encode pool size — a property
@@ -217,10 +215,9 @@ const (
 	secTelTrace   = 7 // telemetry trace events, chunked
 )
 
-// Chunk sizes of the two append-only lists. A full chunk is frozen forever —
-// its generation, the number of items in it, stops moving — so only the
-// last, growing chunk re-encodes at each barrier of a long run. The trace's
-// is sized for its much higher event rate.
+// Chunk sizes of the two append-only lists. A full chunk is frozen forever,
+// so only the last, growing chunk enters the deltas of a long run. The
+// trace's is sized for its much higher event rate.
 const (
 	recChunkLen = 64
 	telChunkLen = 256
@@ -240,10 +237,11 @@ type section struct {
 	// count is how many sections of the kind the engine's state has now.
 	// During restore the meta section has already sized what it depends on.
 	count func(e *Engine) int
-	// gen is section i's dirty generation: the cached encoding is reused
-	// while it stands still. nil marks a kind that moves at every barrier
-	// and is never cached.
-	gen func(e *Engine, i int) uint64
+	// everyDelta marks a kind every delta holds without comparing: the small
+	// ones that move at practically every barrier. Practically is not always
+	// (SSGD's strategy state is empty at every barrier), and deltas on disk
+	// hold these sections regardless, so it is part of the format.
+	everyDelta bool
 	// encode writes section i. It only reads engine state — the engine is
 	// quiescent at a barrier — so any number may run concurrently.
 	encode func(e *Engine, w *snapshot.Writer, i int)
@@ -263,25 +261,17 @@ func oneIf(present bool) int {
 	return 0
 }
 
-// chunkGen is the generation of an append-only list's chunk: its item count.
-func chunkGen(n, size, i int) uint64 {
-	lo, hi := chunkSpan(n, size, i)
-	return uint64(hi - lo)
-}
-
 // sections is the checkpoint format: what a full container holds, in
 // container order.
 var sections = [...]section{
-	{kind: secMeta, count: one, encode: encodeMeta, restore: restoreMeta},
+	{kind: secMeta, count: one, everyDelta: true, encode: encodeMeta, restore: restoreMeta},
 	{
 		kind: secServerW, count: one,
-		gen:     func(e *Engine, _ int) uint64 { return e.srvWGen },
 		encode:  func(e *Engine, w *snapshot.Writer, _ int) { w.F64s(e.srv.w) },
 		restore: func(e *Engine, r *snapshot.Reader, _ int) error { r.F64sInto(e.srv.w); return r.Err() },
 	},
 	{
 		kind: secBN, count: one,
-		gen:     func(e *Engine, _ int) uint64 { return e.bnGen },
 		encode:  func(e *Engine, w *snapshot.Writer, _ int) { e.srv.bnAcc.SnapshotTo(w) },
 		restore: func(e *Engine, r *snapshot.Reader, _ int) error { return e.srv.bnAcc.RestoreFrom(r) },
 	},
@@ -291,7 +281,8 @@ var sections = [...]section{
 			_, ok := e.strategy.(StrategySnapshotter)
 			return oneIf(ok)
 		},
-		encode: func(e *Engine, w *snapshot.Writer, _ int) { e.strategy.(StrategySnapshotter).SnapshotState(e, w) },
+		everyDelta: true,
+		encode:     func(e *Engine, w *snapshot.Writer, _ int) { e.strategy.(StrategySnapshotter).SnapshotState(e, w) },
 		restore: func(e *Engine, r *snapshot.Reader, _ int) error {
 			return e.strategy.(StrategySnapshotter).RestoreState(e, r)
 		},
@@ -299,22 +290,21 @@ var sections = [...]section{
 	{
 		kind:    secRecChunk,
 		count:   func(e *Engine) int { return chunks(len(e.rec.points), recChunkLen) },
-		gen:     func(e *Engine, i int) uint64 { return chunkGen(len(e.rec.points), recChunkLen, i) },
 		encode:  encodePoints,
 		restore: restorePoints,
 	},
 	{
 		kind:    secWorker,
-		count:   func(e *Engine) int { return len(e.reps) },
-		gen:     func(e *Engine, m int) uint64 { return e.wgen[m] },
+		count:   func(e *Engine) int { return len(e.workers) },
 		encode:  encodeWorker,
 		restore: restoreWorker,
 	},
 	{
-		kind:    secTelMetrics,
-		count:   func(e *Engine) int { return oneIf(e.tel != nil) },
-		encode:  func(e *Engine, w *snapshot.Writer, _ int) { e.encodeTelMetrics(w) },
-		restore: func(e *Engine, r *snapshot.Reader, _ int) error { return e.restoreTelMetrics(r) },
+		kind:       secTelMetrics,
+		count:      func(e *Engine) int { return oneIf(e.tel != nil) },
+		everyDelta: true,
+		encode:     func(e *Engine, w *snapshot.Writer, _ int) { e.encodeTelMetrics(w) },
+		restore:    func(e *Engine, r *snapshot.Reader, _ int) error { return e.restoreTelMetrics(r) },
 	},
 	{
 		kind: secTelTrace,
@@ -324,7 +314,6 @@ var sections = [...]section{
 			}
 			return chunks(len(e.tel.rec.Events), telChunkLen)
 		},
-		gen:     func(e *Engine, i int) uint64 { return chunkGen(len(e.tel.rec.Events), telChunkLen, i) },
 		encode:  encodeTrace,
 		restore: restoreTrace,
 	},
@@ -335,7 +324,7 @@ var sections = [...]section{
 // deferred launches, and the presence flags and list lengths restore sizes
 // the rest of the container with.
 func encodeMeta(e *Engine, w *snapshot.Writer, _ int) {
-	w.Int(len(e.reps))
+	w.Int(len(e.workers))
 	w.F64(e.clock.Now())
 	w.F64(e.srv.lrScale)
 	w.Int(e.srv.batches)
@@ -394,8 +383,8 @@ func restoreMeta(e *Engine, r *snapshot.Reader, _ int) error {
 	switch {
 	case r.Err() != nil:
 		return r.Err()
-	case workers != len(e.reps):
-		return fmt.Errorf("checkpoint has %d workers, engine has %d", workers, len(e.reps))
+	case workers != len(e.workers):
+		return fmt.Errorf("checkpoint has %d workers, engine has %d", workers, len(e.workers))
 	case !(now >= 0): // NaN included
 		return fmt.Errorf("checkpoint barrier at virtual time %v", now)
 	case batches < 0 || updates < 0:
@@ -444,18 +433,18 @@ func restoreMeta(e *Engine, r *snapshot.Reader, _ int) error {
 		if err := ev.Validate(); err != nil {
 			return fmt.Errorf("checkpoint armed event: %w", err)
 		}
-		if ev.Worker >= len(e.reps) || !(ev.At >= now) {
+		if ev.Worker >= len(e.workers) || !(ev.At >= now) {
 			return fmt.Errorf("checkpoint armed event for worker %d of %d at t=%v, barrier at t=%v",
-				ev.Worker, len(e.reps), ev.At, now)
+				ev.Worker, len(e.workers), ev.At, now)
 		}
 		e.scheduleScenarioEvent(ev)
 	}
 
 	for _, m := range r.Ints() {
-		if m < 0 || m >= len(e.reps) || e.deferredSet[m] {
-			return fmt.Errorf("checkpoint defers launch of worker %d of %d (or defers it twice)", m, len(e.reps))
+		if m < 0 || m >= len(e.workers) || e.workers[m].deferred {
+			return fmt.Errorf("checkpoint defers launch of worker %d of %d (or defers it twice)", m, len(e.workers))
 		}
-		e.deferredSet[m] = true
+		e.workers[m].deferred = true
 		e.deferred = append(e.deferred, m)
 	}
 
@@ -493,35 +482,39 @@ func restoreMeta(e *Engine, r *snapshot.Reader, _ int) error {
 // statistics and workspace, so at a quiescent boundary the iterator
 // position is the only live replica state.
 func encodeWorker(e *Engine, w *snapshot.Writer, m int) {
-	e.reps[m].iter.SnapshotTo(w)
-	w.Bool(e.fleet.active[m])
-	w.U64(e.fleet.gen[m])
-	w.Bool(e.fleet.cut[m])
-	w.Bool(e.fleet.parked[m])
-	w.Int(e.snapUpdates[m])
-	w.Bool(e.recoverPend[m])
+	wk := &e.workers[m]
+	wk.rep.iter.SnapshotTo(w)
+	w.Bool(wk.active)
+	w.U64(wk.gen)
+	w.Bool(wk.cut)
+	w.Bool(wk.parked)
+	w.Int(wk.snapUpdates)
+	w.Bool(wk.recoverPend)
 	if e.dec != nil {
-		w.F64s(e.dec.w[m])
-		w.Int(e.dec.iter[m])
+		w.F64s(wk.w)
+		w.Int(wk.iter)
 	}
 }
 
+// restoreWorker loads the flags as they come; the counters over them are
+// rebuildFleetCounters' to derive once every worker is in.
 func restoreWorker(e *Engine, r *snapshot.Reader, m int) error {
-	if err := e.reps[m].iter.RestoreFrom(r); err != nil {
+	wk := &e.workers[m]
+	if err := wk.rep.iter.RestoreFrom(r); err != nil {
 		return err
 	}
-	e.fleet.active[m] = r.Bool()
-	e.fleet.gen[m] = r.U64()
-	e.fleet.cut[m] = r.Bool()
-	e.fleet.parked[m] = r.Bool()
-	e.snapUpdates[m] = r.Int()
-	e.recoverPend[m] = r.Bool()
+	wk.active = r.Bool()
+	wk.gen = r.U64()
+	wk.cut = r.Bool()
+	wk.parked = r.Bool()
+	wk.snapUpdates = r.Int()
+	wk.recoverPend = r.Bool()
 	if e.dec != nil {
-		r.F64sInto(e.dec.w[m])
-		e.dec.iter[m] = r.Int()
+		r.F64sInto(wk.w)
+		wk.iter = r.Int()
 	}
 	// A worker pulled at some update the server has already applied.
-	if s := e.snapUpdates[m]; r.Err() == nil && (s < 0 || s > e.srv.updates) {
+	if s := wk.snapUpdates; r.Err() == nil && (s < 0 || s > e.srv.updates) {
 		return fmt.Errorf("checkpoint worker %d pulled at update %d of %d", m, s, e.srv.updates)
 	}
 	return r.Err()
@@ -588,24 +581,17 @@ func restoreTrace(e *Engine, r *snapshot.Reader, i int) error {
 
 // --- emit ---
 
-// Test hooks. ckptPoolSize forces the encode pool size (0 derives it from
-// the shared core budget); ckptAudit, when set, freshly re-encodes every
-// section the cache marked clean and hands the hook both byte slices — the
-// dirty-tracking completeness oracle: any mutation site missing a
-// generation bump shows up as cached≠fresh.
-var (
-	ckptPoolSize int
-	ckptAudit    func(id snapshot.SectionID, cached, fresh []byte)
-)
+// ckptPoolSize is a test hook: it forces the encode pool size (0 derives it
+// from the shared core budget).
+var ckptPoolSize int
 
-// ckptBlob is one cached section encoding, valid while the section's dirty
-// generation stays at gen. Payloads are immutable once encoded: a dirty
-// section gets a fresh blob, never an in-place rewrite, so the writer
-// goroutine can read them without synchronization.
+// ckptBlob is one section as the previous checkpoint emitted it. Payloads are
+// immutable once stored: a section that moved gets a fresh blob, never an
+// in-place rewrite, so the writer goroutine can read them without
+// synchronization.
 type ckptBlob struct {
 	payload []byte
 	sum     uint32
-	gen     uint64
 }
 
 // ckptDone is the writer goroutine's report: the emitted container's
@@ -620,11 +606,14 @@ type ckptDone struct {
 	writeMs float64
 }
 
-// ckptEnc is the incremental checkpoint encoder: the clean-section cache,
-// the delta-chain cursor (epoch and framing checksum of the previous
-// emitted container), and the write in flight.
+// ckptEnc is the incremental checkpoint encoder: every section as last
+// emitted, the delta-chain cursor (epoch and framing checksum of the previous
+// emitted container), the write in flight, and one scratch writer per encode
+// pool goroutine, kept across barriers so encoding a section that turns out
+// not to have moved allocates nothing.
 type ckptEnc struct {
-	cache     map[snapshot.SectionID]ckptBlob
+	last      map[snapshot.SectionID]ckptBlob
+	scratch   []*snapshot.Writer
 	seq       int // checkpoint ordinal of the next emission
 	sinceFull int // deltas emitted since the last full
 	lastEpoch int // epoch of the previous emission; -1 forces the next to be full
@@ -634,7 +623,7 @@ type ckptEnc struct {
 }
 
 func newCkptEnc() *ckptEnc {
-	return &ckptEnc{cache: map[snapshot.SectionID]ckptBlob{}, lastEpoch: -1}
+	return &ckptEnc{last: map[snapshot.SectionID]ckptBlob{}, lastEpoch: -1}
 }
 
 // joinWriter blocks until the checkpoint write in flight (if any) has
@@ -661,16 +650,9 @@ func (e *Engine) joinWriter() {
 	}
 }
 
-// encodeSection serializes section i of kind sec into a codec stream.
-func (e *Engine) encodeSection(sec *section, i int) []byte {
-	w := snapshot.NewWriter()
-	sec.encode(e, w, i)
-	return w.Bytes()
-}
-
 // encodePoolSize bounds the section-encode pool: the kernels' shared core
-// budget, capped by GOMAXPROCS and the number of dirty sections, with the
-// test override winning outright.
+// budget, capped by GOMAXPROCS and the number of sections, with the test
+// override winning outright.
 func encodePoolSize(n int) int {
 	pool := min(tensor.MatmulParallelism(), runtime.GOMAXPROCS(0))
 	if ckptPoolSize > 0 {
@@ -680,10 +662,18 @@ func encodePoolSize(n int) int {
 }
 
 // emitCheckpoint runs at the quiescent point of a barrier (takeCheckpoint):
-// join the previous write, decide full vs delta, walk the sections table to
-// find what moved, re-encode that in parallel, and hand the assembled
-// container to a writer goroutine so the simulation resumes while the
-// checkpoint encodes its framing and commits to the sink.
+// join the previous write, decide full vs delta, encode every section in
+// parallel, and hand the assembled container to a writer goroutine so the
+// simulation resumes while the checkpoint encodes its framing and commits to
+// the sink.
+//
+// What a delta holds is decided by the bytes, not by the sites that mutate
+// state: a section is in it iff its encoding differs from the one the
+// previous checkpoint emitted (or its kind is in every delta). A section
+// whose state did not move encodes to the same bytes by construction —
+// encodings read nothing but the frozen engine state — so no mutation site
+// can leave a stale section behind, and the cost is one encode and compare
+// per section per barrier, into a reused buffer.
 func (e *Engine) emitCheckpoint() {
 	ck := e.ck
 	e.joinWriter()
@@ -693,58 +683,56 @@ func (e *Engine) emitCheckpoint() {
 	if e.tel != nil {
 		encStart = time.Now()
 	}
-	// all is the full section list in container order, clean sections
-	// already carrying their cached blob; dirty names the ones to encode.
+	// all is the full section list in container order, jobs beside it what
+	// encodes each entry; moved marks the ones whose bytes differ from the
+	// previous checkpoint's.
 	type job struct {
-		sec *section
-		i   int // index within the kind
-		at  int // position in all
-		gen uint64
+		sec   *section
+		i     int // index within the kind
+		moved bool
 	}
+	var jobs []job
 	var all []snapshot.Section
-	var dirty []job
 	for si := range sections {
 		sec := &sections[si]
 		for i, n := 0, sec.count(e); i < n; i++ {
-			id := snapshot.SectionID{Kind: sec.kind, Index: uint32(i)}
-			j := job{sec: sec, i: i, at: len(all)}
-			if sec.gen != nil {
-				j.gen = sec.gen(e, i)
-				if b, ok := ck.cache[id]; ok && b.gen == j.gen {
-					if ckptAudit != nil {
-						ckptAudit(id, b.payload, e.encodeSection(sec, i))
-					}
-					all = append(all, snapshot.Section{ID: id, Payload: b.payload, Sum: b.sum})
-					continue
-				}
-			}
-			all = append(all, snapshot.Section{ID: id})
-			dirty = append(dirty, j)
+			jobs = append(jobs, job{sec: sec, i: i})
+			all = append(all, snapshot.Section{ID: snapshot.SectionID{Kind: sec.kind, Index: uint32(i)}})
 		}
 	}
-
-	encode := func(j job) {
-		s := &all[j.at]
-		s.Payload = e.encodeSection(j.sec, j.i)
+	encode := func(w *snapshot.Writer, k int) {
+		j, s := &jobs[k], &all[k]
+		w.Reset()
+		j.sec.encode(e, w, j.i)
+		if b, ok := ck.last[s.ID]; ok && bytes.Equal(b.payload, w.Bytes()) {
+			s.Payload, s.Sum = b.payload, b.sum
+			return
+		}
+		s.Payload = bytes.Clone(w.Bytes())
 		s.Sum = snapshot.Checksum(s.Payload)
+		j.moved = true
 	}
-	if pool := encodePoolSize(len(dirty)); pool <= 1 {
-		for _, j := range dirty {
-			encode(j)
+	pool := encodePoolSize(len(all))
+	for len(ck.scratch) < pool {
+		ck.scratch = append(ck.scratch, snapshot.NewWriter())
+	}
+	if pool <= 1 {
+		for k := range all {
+			encode(ck.scratch[0], k)
 		}
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for p := 0; p < pool; p++ {
+		for _, w := range ck.scratch[:pool] {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(dirty) {
+					k := int(next.Add(1)) - 1
+					if k >= len(all) {
 						return
 					}
-					encode(dirty[i])
+					encode(w, k)
 				}
 			}()
 		}
@@ -755,15 +743,17 @@ func (e *Engine) emitCheckpoint() {
 		c.Kind = snapshot.KindDelta
 		c.BaseEpoch = ck.lastEpoch
 		c.BaseSum = ck.lastSum
-		c.Sections = make([]snapshot.Section, len(dirty))
+		c.Sections = nil
 	}
-	for k, j := range dirty {
-		s := all[j.at]
-		if j.sec.gen != nil {
-			ck.cache[s.ID] = ckptBlob{payload: s.Payload, sum: s.Sum, gen: j.gen}
+	for k, s := range all {
+		if !jobs[k].moved {
+			continue
+		}
+		if !jobs[k].sec.everyDelta { // never looked up, so never kept
+			ck.last[s.ID] = ckptBlob{payload: s.Payload, sum: s.Sum}
 		}
 		if !full {
-			c.Sections[k] = s
+			c.Sections = append(c.Sections, s)
 		}
 	}
 	if e.tel != nil {
@@ -809,9 +799,8 @@ func (e *Engine) emitCheckpoint() {
 // first mismatch. On success the engine is at the barrier's quiescent
 // point: clock set, scenario events re-armed, deferred launches recorded
 // but not yet re-armed (relaunchDeferred does that, mirroring the
-// straight-through takeCheckpoint), and the delta cache seeded so the next
-// checkpoint reuses the restored blobs for sections that stay clean. On an
-// error the engine is half-restored and must be dropped.
+// straight-through takeCheckpoint). On an error the engine is half-restored
+// and must be dropped.
 func (e *Engine) restore(data []byte) error {
 	c, err := snapshot.DecodeContainer(data)
 	if err != nil {
@@ -833,9 +822,8 @@ func (e *Engine) restore(data []byte) error {
 			if len(rest) == 0 || rest[0].ID != id {
 				return fmt.Errorf("checkpoint has no section (%d,%d) where one belongs", id.Kind, id.Index)
 			}
-			s := rest[0]
+			r, err := snapshot.NewReader(rest[0].Payload)
 			rest = rest[1:]
-			r, err := snapshot.NewReader(s.Payload)
 			if err != nil {
 				return err
 			}
@@ -845,11 +833,6 @@ func (e *Engine) restore(data []byte) error {
 			if err := r.Close(); err != nil {
 				return fmt.Errorf("checkpoint section (%d,%d): %w", id.Kind, id.Index, err)
 			}
-			// Seed the delta cache: a section still clean at the next barrier
-			// reuses this blob verbatim.
-			if sec.gen != nil {
-				e.ck.cache[id] = ckptBlob{payload: s.Payload, sum: s.Sum, gen: sec.gen(e, i)}
-			}
 		}
 	}
 	if len(rest) > 0 {
@@ -857,7 +840,6 @@ func (e *Engine) restore(data []byte) error {
 	}
 
 	e.rebuildFleetCounters()
-	e.refoldConsensusSum()
 	e.atBarrier()
 	// The chain cursor stays at -1 — the first post-resume checkpoint is
 	// forced full, because a delta would have to base on the materialized

@@ -29,24 +29,26 @@ func runCapturingRaw(env Env) []Checkpoint {
 	return cks
 }
 
-// TestDeltaEncodeMatchesFresh is the dirty-tracking completeness oracle:
-// for every algorithm and churning scenario, every section the cache marks
-// clean at a barrier is re-encoded from the live engine state and must be
-// byte-identical to the cached blob. A mutation site missing a
-// dirty-generation bump fails here — including after a resume, where the
-// cache is seeded from the restored container instead of a local encode.
-func TestDeltaEncodeMatchesFresh(t *testing.T) {
-	defer func() { ckptAudit = nil }()
-	audits := 0
-	scns := append([]*scenario.Scenario{nil}, equivalenceScenarios()...)
-	// The shared equivalence scenarios recover every worker between the tiny
-	// run's two barriers, leaving every section dirty; a worker that dies and
-	// stays dead is what makes its section go clean at the second barrier and
-	// the cache-hit path actually execute.
-	scns = append(scns, &scenario.Scenario{
+// TestDeltaOmitsOnlyWhatStoodStill is the delta encoder's completeness check.
+// Nothing declares a section dirty — a delta holds what encodes to different
+// bytes than last time — so the oracle is the bytes: for every algorithm and
+// churning scenario, each chain the run emits materializes to exactly the
+// container a CheckpointFullEvery=1 run of the same config emits at that
+// barrier, so no section that moved was left out; the same holds for the
+// chain a resumed run starts, whose encoder has no previous checkpoint to
+// compare with; and the resumed run finishes like the straight-through one.
+//
+// The shared equivalence scenarios recover every worker between barriers, so
+// every section moves; the dead-worker scenario is what makes one stand still.
+// Worker 3 dies before the first barrier and stays dead: every later delta
+// must hold each live worker's section and not worker 3's.
+func TestDeltaOmitsOnlyWhatStoodStill(t *testing.T) {
+	dead := &scenario.Scenario{
 		Name:   "dead-worker",
 		Events: []scenario.Event{{At: 40, Kind: scenario.Crash, Worker: 3}},
-	})
+	}
+	scns := append([]*scenario.Scenario{nil, dead}, equivalenceScenarios()...)
+	omitted := 0
 	for _, algo := range allAlgos {
 		for _, scn := range scns {
 			m := 4
@@ -58,26 +60,66 @@ func TestDeltaEncodeMatchesFresh(t *testing.T) {
 				name = scn.Name
 			}
 			label := string(algo) + "/" + name
-			ckptAudit = func(id snapshot.SectionID, cached, fresh []byte) {
-				audits++
-				if !bytes.Equal(cached, fresh) {
-					t.Errorf("%s: section (%d,%d) marked clean but its state moved: cached %d bytes, fresh %d",
-						label, id.Kind, id.Index, len(cached), len(fresh))
+			mk := func(fullEvery int) Env {
+				env := ckptEnv(algo, m, 4, BackendSequential, scn)
+				env.Cfg.CheckpointFullEvery = fullEvery
+				return env
+			}
+			fulls := runCapturingRaw(mk(1))
+			// checked is a sink that checks each link as it lands; the first
+			// one is barrier number next of the run.
+			checked := func(what string, next int) func(Checkpoint) error {
+				var links [][]byte
+				return func(ck Checkpoint) error {
+					if ck.Full {
+						links = links[:0]
+					}
+					links = append(links, ck.Data)
+					got, err := snapshot.Materialize(links...)
+					if err != nil {
+						t.Fatalf("%s: %s: materialize chain at epoch %d: %v", label, what, ck.Epoch, err)
+					}
+					if !bytes.Equal(got, fulls[next].Data) {
+						t.Fatalf("%s: %s: chain at epoch %d does not materialize to the direct full encode", label, what, ck.Epoch)
+					}
+					next++
+					if ck.Full || scn != dead || m == 1 {
+						return nil
+					}
+					c, err := snapshot.DecodeContainer(ck.Data)
+					if err != nil {
+						t.Fatal(err)
+					}
+					held := map[uint32]bool{}
+					for _, s := range c.Sections {
+						if s.ID.Kind == secWorker {
+							held[s.ID.Index] = true
+						}
+					}
+					if !held[0] || !held[1] || !held[2] || held[3] {
+						t.Fatalf("%s: %s: delta at epoch %d holds worker sections %v, want the three live workers and not the dead one",
+							label, what, ck.Epoch, held)
+					}
+					omitted++
+					return nil
 				}
 			}
-			full, cks := runCapturing(ckptEnv(algo, m, 3, BackendSequential, scn))
-			if len(cks) == 0 {
-				t.Fatalf("%s: no checkpoints emitted", label)
+			if len(fulls) < 3 {
+				t.Fatalf("%s: %d barriers; need 3 for a delta on both sides of a resume", label, len(fulls))
 			}
-			res, err := Resume(ckptEnv(algo, m, 3, BackendSequential, scn), cks[0].Data)
+			env := mk(0)
+			env.CheckpointSink = checked("straight", 0)
+			straight := Run(env)
+			env.CheckpointSink = checked("resumed", 1)
+			res, err := Resume(env, fulls[0].Data)
 			if err != nil {
-				t.Fatalf("%s: resume under audit: %v", label, err)
+				t.Fatalf("%s: resume: %v", label, err)
 			}
-			assertResultsEqual(t, label+"/audited-resume", full, res)
+			assertResultsEqual(t, label+"/resumed", straight, res)
 		}
 	}
-	if audits == 0 {
-		t.Fatal("audit hook never fired; no section was ever clean and the oracle is dead")
+	if omitted == 0 {
+		t.Fatal("no delta was ever checked for the dead worker; the omission path is not covered")
 	}
 }
 

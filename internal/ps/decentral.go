@@ -16,7 +16,7 @@ import (
 // and both backends stay bit-identical.
 //
 // State ownership changes from the PS algorithms: each worker owns a
-// persistent weight vector (decState.w[m]) that survives across its
+// persistent weight vector (worker.w) that survives across its
 // iterations — the replica is merely the compute view it is refreshed from
 // at each launch — while the server's weight vector srv.w is demoted to a
 // lazily refreshed consensus cache (the mean of the active workers' models)
@@ -49,30 +49,15 @@ const (
 // drawn whether or not the topology is random, so the seed stream's
 // position does not depend on the spec.
 func (e *Engine) topologyGraph() (*topology.Graph, error) {
-	return topology.Parse(e.cfg.Topology, len(e.reps), e.Rng(topoGraphLabel))
+	return topology.Parse(e.cfg.Topology, len(e.workers), e.Rng(topoGraphLabel))
 }
 
 // decState is the engine's decentralized-mode extension: the communication
-// graph, the partner-selection stream, and the per-worker model state.
+// graph and the partner-selection stream. The per-worker models and commit
+// counters live in the worker records.
 type decState struct {
 	graph *topology.Graph
 	sel   *topology.Selector
-	w     [][]float64 // per-worker persistent weights, indexed by rank
-	iter  []int       // per-worker commit counters (the decentralized clock)
-
-	// csum is the running sum of the active workers' local models,
-	// maintained incrementally: every mutation of an active worker's w —
-	// gossip average, local gradient step, RecoverOpt restore, retirement,
-	// re-admission — folds its exact stored-value delta into csum at the
-	// point of mutation, on the event loop, in virtual-clock order. That
-	// makes refreshConsensus O(nParams) instead of O(M·nParams) while
-	// staying deterministic (identical across backends and around a
-	// checkpoint/resume). At every quiescent anchor — enable, checkpoint
-	// barrier, restore, end of run — csum is refolded from scratch in
-	// ascending rank order (anchorConsensus), so accumulated deltas never
-	// drift across a barrier and the serialized consensus is the exact
-	// linear fold it always was.
-	csum []float64
 }
 
 // EnableDecentralized switches the engine into decentralized mode on the
@@ -83,24 +68,16 @@ type decState struct {
 // Every worker starts from the common model initialization, exactly like a
 // first Pull from a fresh server.
 func (e *Engine) EnableDecentralized(g *topology.Graph) {
-	if g.Workers() != len(e.reps) {
-		panic(fmt.Sprintf("ps: topology spans %d workers, fleet has %d", g.Workers(), len(e.reps)))
+	if g.Workers() != len(e.workers) {
+		panic(fmt.Sprintf("ps: topology spans %d workers, fleet has %d", g.Workers(), len(e.workers)))
 	}
 	if e.dec != nil {
 		panic("ps: EnableDecentralized called twice")
 	}
-	d := &decState{
-		graph: g,
-		sel:   topology.NewSelector(g, e.Rng(topoNeighborLabel)),
-		w:     make([][]float64, len(e.reps)),
-		iter:  make([]int, len(e.reps)),
-		csum:  make([]float64, len(e.srv.w)),
+	e.dec = &decState{graph: g, sel: topology.NewSelector(g, e.Rng(topoNeighborLabel))}
+	for m := range e.workers {
+		e.workers[m].w = append([]float64(nil), e.srv.w...)
 	}
-	for m := range d.w {
-		d.w[m] = append([]float64(nil), e.srv.w...)
-	}
-	e.dec = d
-	e.refoldConsensusSum()
 }
 
 // Topology returns the communication graph of a decentralized run, or nil
@@ -124,26 +101,13 @@ func (e *Engine) Topology() *topology.Graph {
 // they are exactly as stale as the crash left them, which the iteration-lag
 // staleness metric then shows.
 func (e *Engine) PullLocal(m int) {
-	if w := e.waits[m]; w != nil {
-		w()
+	w, fromCkpt := e.beginPull(m)
+	bn := e.srv.bnAcc
+	if fromCkpt {
+		copy(w.w, e.ckptW)
+		bn = e.ckptBN
 	}
-	e.wgen[m]++ // iterator advances before the next barrier; RecoverOpt may rewrite w[m]
-	d := e.dec
-	if e.recoverPend[m] {
-		e.recoverPend[m] = false
-		if e.ckptW != nil {
-			// The restore overwrites an active worker's model, so its
-			// exact delta folds into the running consensus sum.
-			wm, csum := d.w[m], d.csum
-			for i, v := range e.ckptW {
-				csum[i] += v - wm[i]
-				wm[i] = v
-			}
-			e.reps[m].pull(d.w[m], e.ckptBN)
-			return
-		}
-	}
-	e.reps[m].pull(d.w[m], e.srv.bnAcc)
+	w.rep.pull(w.w, bn)
 }
 
 // GossipCommit lands worker m's iteration at the current virtual time: one
@@ -155,9 +119,9 @@ func (e *Engine) PullLocal(m int) {
 // the stream position is a pure function of commit order.
 func (e *Engine) GossipCommit(m int, grad []float64, batches int) {
 	d := e.dec
-	e.wgen[m]++ // local model and commit counter mutate below
+	w := &e.workers[m]
 	var partner int
-	if e.fleet.activeN == len(e.reps) && e.fleet.cutN == 0 {
+	if e.activeN == len(e.workers) && e.cutN == 0 {
 		// No-churn fast path: with every worker active and uncut the
 		// reachability filter passes every neighbor, so the draw indexes
 		// the neighbor list directly — the same partner the filtered walk
@@ -166,138 +130,81 @@ func (e *Engine) GossipCommit(m int, grad []float64, batches int) {
 		partner = d.sel.PickUniform(m)
 	} else {
 		partner = d.sel.Pick(m, func(j int) bool {
-			return e.fleet.active[j] && !e.fleet.cut[j] && !e.fleet.cut[m]
+			p := &e.workers[j]
+			return p.active && !p.cut && !w.cut
 		})
 	}
 	lag := 0
 	if partner >= 0 {
-		e.wgen[partner]++ // the averaging rewrites the partner's model too
 		// Decentralized staleness: how many commits ahead the averaged
 		// neighbor is. No sample when the worker steps alone — there is no
 		// exchange to measure.
-		lag = d.iter[partner] - d.iter[m]
-		if lag < 0 {
-			lag = 0
-		}
-		e.stalenessSum += lag
-		if lag > e.maxStale {
-			e.maxStale = lag
-		}
-		e.stalenessN++
-		if e.tel != nil {
-			e.tel.staleness.Observe(float64(lag))
-		}
-		// Both models are active, so the averaging's exact stored-value
-		// deltas (zero in exact arithmetic, last-ulp in floats) fold into
-		// the running consensus sum alongside the overwrite.
-		wm, wp, csum := d.w[m], d.w[partner], d.csum
+		p := &e.workers[partner]
+		lag = max(0, p.iter-w.iter)
+		e.sampleStaleness(lag)
+		wm, wp := w.w, p.w
 		for i := range wm {
 			avg := 0.5 * (wm[i] + wp[i])
-			csum[i] += (avg - wm[i]) + (avg - wp[i])
 			wm[i], wp[i] = avg, avg
 		}
 	}
 	// Local step x_m ← x_m − γ·(g + wd·x_m), mirroring server.apply: the
 	// learning rate is read before the consumed batches advance the epoch.
-	// The new value is computed with the exact arithmetic the in-place
-	// update used, and its delta maintains csum.
 	lr := e.srv.lr()
-	wm, csum := d.w[m], d.csum
+	wm := w.w
 	if wd := e.srv.wd; wd != 0 {
 		for i, g := range grad {
-			nv := wm[i] - lr*(g+wd*wm[i])
-			csum[i] += nv - wm[i]
-			wm[i] = nv
+			wm[i] -= lr * (g + wd*wm[i])
 		}
 	} else {
 		for i, g := range grad {
-			nv := wm[i] - lr*g
-			csum[i] += nv - wm[i]
-			wm[i] = nv
+			wm[i] -= lr * g
 		}
 	}
-	d.iter[m]++
+	w.iter++
 	e.srv.updates++
 	e.srv.batches += batches
 	if e.tel != nil {
 		e.tel.gossips.Inc(m)
-		at := e.tel.launchAt[m]
 		e.tel.rec.Emit(telemetry.Event{
 			Kind: telemetry.KGossip, Worker: int32(m),
-			At: at, Dur: e.clock.Now() - at, A: int64(partner), B: int64(lag),
+			At: w.launchAt, Dur: e.clock.Now() - w.launchAt, A: int64(partner), B: int64(lag),
 		})
 	}
 	if e.rec.due(e.srv) {
 		e.refreshConsensus()
 	}
-	e.recordCurve()
-	if e.nextCkpt > 0 && e.srv.epoch() >= e.nextCkpt && !e.srv.done() {
-		e.armQuiesce()
-	}
+	e.afterUpdate()
 	e.launch(m)
 }
 
 // refreshConsensus refreshes the consensus cache srv.w as the mean of the
-// active workers' local models, dividing the incrementally maintained
-// running sum (decState.csum) by the active count — O(nParams), where the
-// from-scratch fold it replaced was O(M·nParams) per curve point, eval and
-// checkpoint. It runs lazily — before a curve point is recorded, at
-// checkpoint barriers, and once at the end of the run — never per commit.
-// With zero active workers (a scenario that empties the fleet) the
-// previous consensus is kept. No-op for parameter-server runs.
+// active workers' local models: their sum folded in ascending rank order from
+// zero, times 1/n. It runs lazily — before a curve point is recorded, at
+// checkpoint barriers, and once at the end of the run — never per commit, so
+// its O(M·nParams) is paid at the cadence EvalEvery and CheckpointEvery set,
+// beside an evaluation or an encode that costs as much. With zero active
+// workers (a scenario that empties the fleet) the previous consensus is kept.
+// No-op for parameter-server runs.
 //
-// Determinism: csum mutates only on the event loop in virtual-clock order,
-// so the refreshed value is identical across backends and around a
-// checkpoint/resume. At quiescent anchors csum is refolded exactly
-// (anchorConsensus), so serialized consensus snapshots and final results
-// are the same linear ascending-rank fold the from-scratch version
-// computed.
+// Determinism: the models mutate only on the event loop in virtual-clock
+// order and the fold order is fixed, so the value is identical across
+// backends, and on the straight-through and resumed sides of a barrier.
 func (e *Engine) refreshConsensus() {
-	if e.dec == nil {
+	if e.dec == nil || e.activeN == 0 {
 		return
 	}
-	n := e.fleet.activeN
-	if n == 0 {
-		return
-	}
-	e.srvWGen++
 	w := e.srv.w
-	inv := 1 / float64(n)
-	for i, s := range e.dec.csum {
-		w[i] = s * inv
-	}
-}
-
-// refoldConsensusSum recomputes csum from scratch: the active workers'
-// models folded in ascending rank order, the deterministic fold the lazy
-// consensus always used. O(M·nParams) — called only at quiescent anchors
-// (EnableDecentralized, checkpoint barriers, restore, end of run), never
-// on the per-event path, it discards any rounding drift the incremental
-// deltas accumulated since the last anchor.
-func (e *Engine) refoldConsensusSum() {
-	if e.dec == nil {
-		return
-	}
-	csum := e.dec.csum
-	for i := range csum {
-		csum[i] = 0
-	}
-	for m := range e.dec.w {
-		if !e.fleet.active[m] {
-			continue
-		}
-		for i, v := range e.dec.w[m] {
-			csum[i] += v
+	clear(w)
+	for m := range e.workers {
+		if wk := &e.workers[m]; wk.active {
+			for i, v := range wk.w {
+				w[i] += v
+			}
 		}
 	}
-}
-
-// anchorConsensus re-anchors the running sum with an exact refold and
-// refreshes the consensus cache from it. Checkpoint barriers and the end
-// of the run use it so the consensus they expose is the exact fold of the
-// workers' models — bit-identical on the straight-through and resumed
-// sides of a barrier, which both anchor at the same quiescent point.
-func (e *Engine) anchorConsensus() {
-	e.refoldConsensusSum()
-	e.refreshConsensus()
+	inv := 1 / float64(e.activeN)
+	for i := range w {
+		w[i] *= inv
+	}
 }

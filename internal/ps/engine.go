@@ -26,17 +26,13 @@ type Engine struct {
 
 	clock   *simclock.Clock
 	sampler *cluster.Sampler
-	reps    []*replica
+	workers []worker // the fleet, indexed by rank (fleet.go)
 	srv     *server
 	rec     *recorder
-	fleet   *fleet
 
 	seedRng   *rng.RNG
 	modelSeed uint64
 
-	loss         []float64 // last forward loss per worker, set by dispatched compute
-	waits        []func()  // wait for each worker's most recent dispatch (orphan drain, see Pull)
-	snapUpdates  []int     // server update counter at each worker's last Pull
 	stalenessSum int
 	stalenessN   int
 	maxStale     int
@@ -49,14 +45,15 @@ type Engine struct {
 	armedDead  int
 	scnApplied int
 
-	// Stall-guard counters (fleet.go), maintained at the O(1) arm/disarm
-	// and fleet transitions so fleetStalled and the launch park check never
-	// scan the fleet or the armed list: per-worker armed-Heal counts, the
-	// number of armed revive-capable events (Recover/Join/Heal), and the
-	// number of active workers blocked behind heal-less partitions.
-	healArmedN   []int
-	reviveArmedN int
+	// Stall-guard counters (fleet.go), so fleetStalled, the launch park check
+	// and the gossip fast path never scan the fleet or the armed list: the
+	// active workers, the cut ones, the active ones blocked behind heal-less
+	// partitions (all three kept by setLink), and the armed revive-capable
+	// events (Recover/Join/Heal, kept by countArmed).
+	activeN      int
+	cutN         int
 	blockedN     int
+	reviveArmedN int
 
 	// inflight counts scheduled-but-unfired worker events (After and
 	// AfterWorker). Zero means every worker pipeline has drained — the
@@ -67,34 +64,22 @@ type Engine struct {
 	// whether the engine is currently draining toward a barrier, and the
 	// launches deferred during the drain (re-armed right after the
 	// snapshot is taken — or, on resume, right after it is restored).
-	nextCkpt    int
-	quiescing   bool
-	deferred    []int
-	deferredSet []bool
+	nextCkpt  int
+	quiescing bool
+	deferred  []int
 
-	// Dirty generations for incremental checkpoints (checkpoint.go): wgen[m]
-	// bumps whenever worker m's serialized section can change before the
-	// next barrier (Pull/PullLocal, gossip, fleet transitions), srvWGen on
-	// every server weight mutation, bnGen on every BN fold. The checkpoint
-	// encoder re-encodes a section only when its generation moved since the
-	// cached blob; a missed bump is a correctness bug (stale checkpoint
-	// bytes), a spurious one merely re-encodes — so transition sites bump
-	// eagerly. ck is the delta/parallel/off-loop encoder state itself.
-	wgen    []uint64
-	srvWGen uint64
-	bnGen   uint64
-	ck      *ckptEnc
+	// ck is the delta/parallel/off-loop checkpoint encoder (checkpoint.go).
+	ck *ckptEnc
 
 	// Last-checkpoint server state for Config.RecoverOpt: a recovered
-	// worker flagged in recoverPend restarts from this snapshot instead of
+	// worker flagged recoverPend restarts from this snapshot instead of
 	// pulling the live server (see Pull).
 	ckptW       []float64
 	ckptBN      *core.BNAccumulator
 	ckptUpdates int
-	recoverPend []bool
 
-	// Decentralized-mode state (decentral.go): per-worker persistent
-	// models on a communication graph. Nil for parameter-server runs.
+	// Decentralized-mode state (decentral.go): the communication graph the
+	// workers' persistent models gossip on. Nil for parameter-server runs.
 	dec *decState
 
 	// Telemetry state (telemetry.go): nil unless Env.Telemetry attached a
@@ -119,40 +104,41 @@ func newEngine(env Env, st Strategy) *Engine {
 		M = fs.FleetSize(cfg.Workers)
 	}
 	shards := workerData(env, M)
-	reps := make([]*replica, M)
-	for m := 0; m < M; m++ {
-		reps[m] = newReplica(env.Build, modelSeed, shards[m], cfg.BatchSize, seedRng.SplitLabeled(uint64(300+m)))
+	workers := make([]worker, M)
+	for m := range workers {
+		workers[m].rep = newReplica(env.Build, modelSeed, shards[m], cfg.BatchSize, seedRng.SplitLabeled(uint64(300+m)))
 	}
+	rep0 := workers[0].rep
 	bnMode := cfg.BNMode
 	if bf, ok := st.(BNModeFixer); ok {
 		bnMode = bf.FixBNMode(bnMode)
 	}
-	bnAcc := core.NewBNAccumulator(bnMode, cfg.BNDecay, reps[0].bns)
-	w := make([]float64, reps[0].nParams)
-	flatten(reps[0], w)
+	bnAcc := core.NewBNAccumulator(bnMode, cfg.BNDecay, rep0.bns)
+	w := make([]float64, rep0.nParams)
+	flatten(rep0, w)
 	bpe := env.Train.Len() / cfg.BatchSize
 
 	e := &Engine{
-		cfg:         cfg,
-		env:         env,
-		strategy:    st,
-		backend:     newBackend(cfg.Backend, M),
-		clock:       simclock.New(),
-		sampler:     cfg.Cost.NewSampler(M, costRng),
-		reps:        reps,
-		srv:         newServer(w, bnAcc, cfg, bpe),
-		fleet:       newFleet(M, cfg.Scenario),
-		seedRng:     seedRng,
-		modelSeed:   modelSeed,
-		loss:        make([]float64, M),
-		waits:       make([]func(), M),
-		snapUpdates: make([]int, M),
-		healArmedN:  make([]int, M),
-		nextCkpt:    cfg.CheckpointEvery,
-		deferredSet: make([]bool, M),
-		recoverPend: make([]bool, M),
-		wgen:        make([]uint64, M),
-		ck:          newCkptEnc(),
+		cfg:       cfg,
+		env:       env,
+		strategy:  st,
+		backend:   newBackend(cfg.Backend, M),
+		clock:     simclock.New(),
+		sampler:   cfg.Cost.NewSampler(M, costRng),
+		workers:   workers,
+		srv:       newServer(w, bnAcc, cfg, bpe),
+		seedRng:   seedRng,
+		modelSeed: modelSeed,
+		nextCkpt:  cfg.CheckpointEvery,
+		ck:        newCkptEnc(),
+	}
+	// A scenario may start the run from a partial fleet; the rest Join later.
+	initial := M
+	if scn := cfg.Scenario; scn != nil && scn.InitialWorkers > 0 && scn.InitialWorkers < M {
+		initial = scn.InitialWorkers
+	}
+	for m := 0; m < initial; m++ {
+		e.setLink(m, link{active: true})
 	}
 	e.rec = newRecorder(env, modelSeed, e.backend, e.srv)
 	if env.Telemetry != nil {
@@ -212,7 +198,7 @@ func (e *Engine) run() Result {
 	defer e.close()
 	e.strategy.Setup(e)
 	e.installScenario()
-	for m := range e.reps {
+	for m := range e.workers {
 		e.launch(m)
 	}
 	return e.loop()
@@ -233,7 +219,7 @@ func (e *Engine) loop() Result {
 	// goroutine overlaps the simulation); it must commit — or its error
 	// surface — before the run reports success.
 	e.joinWriter()
-	e.anchorConsensus()
+	e.refreshConsensus()
 	points := e.rec.finish(e.srv, e.clock.Now())
 	if e.tel != nil {
 		// One final gauge row at the run's end state. Both the straight-
@@ -262,33 +248,27 @@ func (e *Engine) loop() Result {
 // (re-armed after the barrier); a partitioned worker with no heal in sight
 // parks instead of computing for a server it can never reach.
 func (e *Engine) launch(m int) {
-	if !e.fleet.active[m] || e.srv.done() {
+	w := &e.workers[m]
+	if !w.active || e.srv.done() {
 		return
 	}
 	if e.quiescing {
-		if !e.deferredSet[m] {
-			e.deferredSet[m] = true
+		if !w.deferred {
+			w.deferred = true
 			e.deferred = append(e.deferred, m)
 		}
 		return
 	}
-	if e.dec == nil && e.fleet.cut[m] && !e.healArmed(m) {
-		// A partitioned PS worker with no heal in sight computes for a
-		// server it can never reach, so it parks. A decentralized worker
-		// keeps training its own model regardless — its commits land
-		// locally — so it never parks.
-		if !e.fleet.parked[m] {
-			e.fleet.parked[m] = true
-			e.wgen[m]++
-		}
+	// A partitioned PS worker with no heal in sight computes for a server it
+	// can never reach — every commit it could ever produce would be dropped —
+	// so it parks. A decentralized worker keeps training its own model
+	// regardless — its commits land locally — so it never parks.
+	w.parked = e.dec == nil && w.blocked()
+	if w.parked {
 		return
 	}
-	if e.fleet.parked[m] {
-		e.fleet.parked[m] = false
-		e.wgen[m]++
-	}
 	if e.tel != nil {
-		e.tel.launchAt[m] = e.clock.Now()
+		w.launchAt = e.clock.Now()
 		e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KLaunch, Worker: int32(m), At: e.clock.Now()})
 	}
 	e.strategy.Launch(e, m)
@@ -303,10 +283,10 @@ func (e *Engine) launch(m int) {
 func (e *Engine) Config() Config { return e.cfg }
 
 // Workers is the size of the replica fleet.
-func (e *Engine) Workers() int { return len(e.reps) }
+func (e *Engine) Workers() int { return len(e.workers) }
 
 // NParams is the flat parameter count of the model.
-func (e *Engine) NParams() int { return e.reps[0].nParams }
+func (e *Engine) NParams() int { return e.workers[0].rep.nParams }
 
 // Done reports whether the sample budget is exhausted.
 func (e *Engine) Done() bool { return e.srv.done() }
@@ -352,36 +332,44 @@ func (e *Engine) After(delay float64, f func()) {
 	})
 }
 
+// beginPull is what Pull and PullLocal do first. It drains the worker's
+// most recent dispatch: a crash cancels the completion event that would have
+// waited on it, so a recovered worker may still have an orphaned task
+// touching the replica on its lane, and a pull must not overwrite replica
+// state under it. In crash-free operation the strategy has already waited, so
+// the drain returns immediately. Then it consumes the worker's recover-pending
+// flag and reports whether this pull restores the last checkpoint: under
+// Config.RecoverOpt, for a worker re-admitted by a Recover event, once a
+// barrier has been taken — before the first there is no snapshot and the pull
+// falls back to fresh state.
+func (e *Engine) beginPull(m int) (w *worker, fromCkpt bool) {
+	w = &e.workers[m]
+	if w.wait != nil {
+		w.wait()
+	}
+	fromCkpt = w.recoverPend && e.ckptW != nil
+	w.recoverPend = false
+	return w, fromCkpt
+}
+
 // Pull installs the server's current weights and global BN statistics into
 // worker m's replica (Algorithm 1 lines 1–2) and snapshots the update
-// counter for staleness accounting. It first drains the worker's most
-// recent dispatch: a crash cancels the completion event that would have
-// waited on it, so a recovered worker may still have an orphaned task
-// touching the replica on its lane — Pull must not overwrite replica state
-// under it. In crash-free operation the strategy has already waited, so the
-// drain returns immediately.
+// counter for staleness accounting.
 //
 // Under Config.RecoverOpt, a worker re-admitted by a Recover event restores
 // the last checkpoint's server snapshot instead (weights, BN statistics and
 // update counter as of the barrier), so the staleness its recovered
 // gradient commits with — and the error it induces — measures what losing
-// the worker's optimizer-side state actually costs. Before the first
-// barrier there is no snapshot and the pull falls back to fresh state.
+// the worker's optimizer-side state actually costs.
 func (e *Engine) Pull(m int) {
-	if w := e.waits[m]; w != nil {
-		w()
+	w, fromCkpt := e.beginPull(m)
+	if fromCkpt {
+		w.rep.pull(e.ckptW, e.ckptBN)
+		w.snapUpdates = e.ckptUpdates
+		return
 	}
-	e.wgen[m]++ // snapshot counter moves now; the iterator advances before the next barrier
-	if e.recoverPend[m] {
-		e.recoverPend[m] = false
-		if e.ckptW != nil {
-			e.reps[m].pull(e.ckptW, e.ckptBN)
-			e.snapUpdates[m] = e.ckptUpdates
-			return
-		}
-	}
-	e.reps[m].pull(e.srv.w, e.srv.bnAcc)
-	e.snapUpdates[m] = e.srv.updates
+	w.rep.pull(e.srv.w, e.srv.bnAcc)
+	w.snapUpdates = e.srv.updates
 }
 
 // CopyPulledWeights flattens the parameters worker m's replica currently
@@ -389,7 +377,7 @@ func (e *Engine) Pull(m int) {
 // worker's gradient will be computed at — which is what DC-ASGD's delay
 // compensation must back up, and which under RecoverOpt is not necessarily
 // the live server state Weights returns.
-func (e *Engine) CopyPulledWeights(m int, dst []float64) { flatten(e.reps[m], dst) }
+func (e *Engine) CopyPulledWeights(m int, dst []float64) { flatten(e.workers[m].rep, dst) }
 
 // DispatchGradient runs worker m's full local step (forward + backward, no
 // compensation) on the backend. After wait returns, Gradient(m) and Loss(m)
@@ -398,10 +386,9 @@ func (e *Engine) DispatchGradient(m int) (wait func()) {
 	if e.tel != nil {
 		e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KDispatch, Worker: int32(m), At: e.clock.Now(), A: 0})
 	}
-	rep := e.reps[m]
-	wait = e.backend.Dispatch(m, func() { e.loss[m], _ = rep.gradient() })
-	e.waits[m] = wait
-	return wait
+	w := &e.workers[m]
+	w.wait = e.backend.Dispatch(m, func() { w.loss, _ = w.rep.gradient() })
+	return w.wait
 }
 
 // DispatchForward runs worker m's forward pass on the backend. After wait
@@ -411,10 +398,9 @@ func (e *Engine) DispatchForward(m int) (wait func()) {
 	if e.tel != nil {
 		e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KDispatch, Worker: int32(m), At: e.clock.Now(), A: 1})
 	}
-	rep := e.reps[m]
-	wait = e.backend.Dispatch(m, func() { e.loss[m] = rep.forward() })
-	e.waits[m] = wait
-	return wait
+	w := &e.workers[m]
+	w.wait = e.backend.Dispatch(m, func() { w.loss = w.rep.forward() })
+	return w.wait
 }
 
 // DispatchBackward runs worker m's backward pass seeded with scale
@@ -424,20 +410,19 @@ func (e *Engine) DispatchBackward(m int, scale float64) (wait func()) {
 	if e.tel != nil {
 		e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KDispatch, Worker: int32(m), At: e.clock.Now(), A: 2})
 	}
-	rep := e.reps[m]
-	wait = e.backend.Dispatch(m, func() { rep.backward(scale) })
-	e.waits[m] = wait
-	return wait
+	w := &e.workers[m]
+	w.wait = e.backend.Dispatch(m, func() { w.rep.backward(scale) })
+	return w.wait
 }
 
 // Loss returns worker m's most recent forward loss. Valid only after the
 // corresponding dispatch's wait has returned.
-func (e *Engine) Loss(m int) float64 { return e.loss[m] }
+func (e *Engine) Loss(m int) float64 { return e.workers[m].loss }
 
 // Gradient returns worker m's flat gradient buffer. Valid only after the
 // corresponding dispatch's wait has returned; the buffer is reused by the
 // worker's next backward pass, which cannot start before the next Launch.
-func (e *Engine) Gradient(m int) []float64 { return e.reps[m].grad }
+func (e *Engine) Gradient(m int) []float64 { return e.workers[m].rep.grad }
 
 // FoldStats folds worker m's batch-normalization statistics into the global
 // accumulator per the configured BN mode (Formulas 6–7). A partitioned
@@ -445,11 +430,11 @@ func (e *Engine) Gradient(m int) []float64 { return e.reps[m].grad }
 // decentralized mode, where the commit itself lands locally: the batch
 // still shapes a model that will eventually re-mix, so its statistics fold.
 func (e *Engine) FoldStats(m int) {
-	if e.dec == nil && e.fleet.cut[m] {
+	w := &e.workers[m]
+	if e.dec == nil && w.cut {
 		return
 	}
-	e.bnGen++
-	e.srv.bnAcc.Update(e.reps[m].stats())
+	e.srv.bnAcc.Update(w.rep.stats())
 }
 
 // Commit lands grad on the server at the current virtual time: staleness
@@ -459,7 +444,8 @@ func (e *Engine) FoldStats(m int) {
 // no staleness sample, no budget consumed — and the worker simply iterates
 // again, exactly the wasted work a real partition causes.
 func (e *Engine) Commit(m int, grad []float64, batches int) {
-	if e.fleet.cut[m] {
+	w := &e.workers[m]
+	if w.cut {
 		if e.tel != nil {
 			e.tel.drops.Inc(m)
 			e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KDrop, Worker: int32(m), At: e.clock.Now()})
@@ -468,18 +454,12 @@ func (e *Engine) Commit(m int, grad []float64, batches int) {
 		return
 	}
 	st := e.Staleness(m)
-	e.stalenessSum += st
-	if st > e.maxStale {
-		e.maxStale = st
-	}
-	e.stalenessN++
+	e.sampleStaleness(st)
 	if e.tel != nil {
-		e.tel.staleness.Observe(float64(st))
 		e.tel.commits.Inc(m)
-		at := e.tel.launchAt[m]
 		e.tel.rec.Emit(telemetry.Event{
 			Kind: telemetry.KCommit, Worker: int32(m),
-			At: at, Dur: e.clock.Now() - at, A: int64(st),
+			At: w.launchAt, Dur: e.clock.Now() - w.launchAt, A: int64(st),
 		})
 	}
 	e.Apply(grad, batches)
@@ -491,11 +471,31 @@ func (e *Engine) Commit(m int, grad []float64, batches int) {
 // strategies use Commit instead. Crossing a checkpoint-barrier epoch here
 // arms the quiescent drain (see checkpoint.go).
 func (e *Engine) Apply(grad []float64, batches int) {
-	e.srvWGen++
 	e.srv.apply(grad, batches)
 	if e.tel != nil {
 		e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KUpdate, Worker: -1, At: e.clock.Now()})
 	}
+	e.afterUpdate()
+}
+
+// sampleStaleness folds one staleness sample — a commit's update lag, or a
+// gossip exchange's iteration lag — into the run's mean/max accounting and
+// the telemetry histogram.
+func (e *Engine) sampleStaleness(st int) {
+	e.stalenessSum += st
+	if st > e.maxStale {
+		e.maxStale = st
+	}
+	e.stalenessN++
+	if e.tel != nil {
+		e.tel.staleness.Observe(float64(st))
+	}
+}
+
+// afterUpdate is the tail of every update, server or gossip: record a curve
+// point if an epoch boundary was crossed, and arm the quiescent drain if it
+// was a checkpoint-barrier epoch (see checkpoint.go).
+func (e *Engine) afterUpdate() {
 	e.recordCurve()
 	if e.nextCkpt > 0 && e.srv.epoch() >= e.nextCkpt && !e.srv.done() {
 		e.armQuiesce()

@@ -64,6 +64,20 @@ func equivalenceScenarios() []*scenario.Scenario {
 	}
 }
 
+// runObserved runs env on an engine the test can look into: at is called on
+// the event loop right after every curve point's hand-off (the final one
+// included) with the recorder holding the point's frozen state, and once more
+// with a nil recorder when the run has ended.
+func runObserved(env Env, at func(e *Engine, r *recorder)) Result {
+	env.Cfg = env.Cfg.withDefaults()
+	e := newEngine(env, strategyFor(env.Cfg))
+	evalHandoff = func(r *recorder, _ *server) { at(e, r) }
+	defer func() { evalHandoff = nil }()
+	res := e.run()
+	at(e, nil)
+	return res
+}
+
 // assertBackendEquivalent runs env on both backends and requires the
 // Results to match bit for bit.
 func assertBackendEquivalent(t *testing.T, label string, mk func() Env) {

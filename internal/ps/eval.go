@@ -141,9 +141,8 @@ func (n *evalNet) countCorrect(ds *data.Dataset, batchSize, start, stride int) i
 // evaluator goroutine then runs the two errOn passes on the frozen copy
 // while the loop goes on committing updates, and drain appends the point
 // once both errors have landed. At most one evaluation is in flight, and
-// points never holds an incomplete point — the checkpoint encoder caches
-// curve chunks by point count (the sections table), so a placeholder filled
-// in later would be served stale.
+// points never holds an incomplete point, so whatever serializes the curve
+// (a checkpoint's chunk sections) never sees a placeholder.
 //
 // errOn is a pure function of (w, BN, dataset) returning integer counts, so
 // where and when the goroutine runs cannot move a bit of the curve.

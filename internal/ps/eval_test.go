@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -103,10 +102,9 @@ func decodePoints(t *testing.T, data []byte) []Point {
 // when the drain reaches quiescence), between boundaries, and on epochs
 // that record nothing. Every emitted container must carry exactly the
 // complete points of the boundaries crossed so far — the prefix of the
-// final curve, no placeholder — with the dirty-tracking audit silent, and
-// resume from every barrier must reproduce the straight-through run.
+// final curve, no placeholder — and resume from every barrier must reproduce
+// the straight-through run.
 func TestEvalCheckpointCadences(t *testing.T) {
-	defer func() { ckptAudit = nil }()
 	for _, kind := range []BackendKind{BackendSequential, BackendConcurrent} {
 		for _, ckEvery := range []int{1, 3} {
 			for _, evEvery := range []int{1, 2} {
@@ -117,11 +115,6 @@ func TestEvalCheckpointCadences(t *testing.T) {
 					env.Cfg.CheckpointEvery = ckEvery
 					env.Cfg.EvalEvery = evEvery
 					return env
-				}
-				ckptAudit = func(id snapshot.SectionID, cached, fresh []byte) {
-					if !bytes.Equal(cached, fresh) {
-						t.Errorf("%s: section (%d,%d) cached as clean but its state moved", label, id.Kind, id.Index)
-					}
 				}
 				full, cks := runCapturing(mk())
 				if len(cks) == 0 {

@@ -23,46 +23,68 @@ type FleetWatcher interface {
 	WorkerRetired(e *Engine, m int)
 }
 
-// fleet tracks per-worker membership and connectivity. gen counts a
-// worker's retirements: AfterWorker events capture the generation at
-// scheduling time and are dropped if it moved, which is what makes a crash
-// cancel the worker's in-flight pipeline without any backend coordination
-// (the dispatched compute still drains on its lane, touching only
-// worker-private state). cut marks workers computing behind a network
-// partition — their commits are dropped until a Heal event — and parked
-// marks cut workers idled because no Heal remains armed (computing forever
-// for a server that will never answer would hang the run).
-type fleet struct {
-	active []bool
-	gen    []uint64
-	cut    []bool
-	parked []bool
+// worker is everything the engine keeps per worker, indexed by rank: the
+// replica and the results of its last dispatch, its place in the fleet, and
+// the state a decentralized run or an attached recorder adds. encodeWorker
+// says which of it a checkpoint carries.
+type worker struct {
+	rep  *replica
+	loss float64 // last forward loss, set by dispatched compute
+	wait func()  // waits for the most recent dispatch (orphan drain, see Pull)
 
-	// activeN and cutN count the true entries of active and cut.
-	// Maintained at the O(1) membership/partition transitions
-	// (retire/admit/Partition/Heal/restore) so stall detection and the
-	// gossip fast path never scan the fleet — at M in the thousands an
-	// O(M) walk per event is what these counters exist to avoid.
-	activeN int
-	cutN    int
+	// link is the worker's membership, connectivity and armed-Heal count; it
+	// changes only through setLink.
+	link
+	// gen counts the worker's retirements: AfterWorker events capture the
+	// generation at scheduling time and are dropped if it moved, which is
+	// what makes a crash cancel the worker's in-flight pipeline without any
+	// backend coordination (the dispatched compute still drains on its lane,
+	// touching only worker-private state).
+	gen uint64
+	// parked marks a cut worker idled because no Heal remains armed
+	// (computing forever for a server that will never answer would hang the
+	// run).
+	parked      bool
+	deferred    bool // a launch is waiting in Engine.deferred for the barrier
+	recoverPend bool // Config.RecoverOpt: the next pull restores the last checkpoint
+	snapUpdates int  // server update counter at the last Pull
+
+	// Decentralized runs (decentral.go): the worker's persistent model and
+	// its commit counter, the decentralized clock.
+	w    []float64
+	iter int
+
+	// launchAt is the virtual time of the last launch — the start of the
+	// commit/gossip span telemetry emits when the iteration lands.
+	launchAt float64
 }
 
-func newFleet(workers int, scn *scenario.Scenario) *fleet {
-	f := &fleet{
-		active: make([]bool, workers),
-		gen:    make([]uint64, workers),
-		cut:    make([]bool, workers),
-		parked: make([]bool, workers),
-	}
-	initial := workers
-	if scn != nil && scn.InitialWorkers > 0 && scn.InitialWorkers < workers {
-		initial = scn.InitialWorkers
-	}
-	for m := 0; m < initial; m++ {
-		f.active[m] = true
-	}
-	f.activeN = initial
-	return f
+// link is what the stall guard reads of a worker: whether it is part of the
+// run, whether a network partition cuts it off from the server — its commits
+// are dropped until a Heal event — and how many Heal events for it are armed.
+type link struct {
+	active bool
+	cut    bool
+	heals  int
+}
+
+// blocked reports whether the worker counts toward blockedN: an active
+// worker computing behind a partition with no Heal armed cannot contribute
+// progress in parameter-server mode.
+func (l link) blocked() bool { return l.active && l.cut && l.heals == 0 }
+
+// setLink is the one transition of worker m's link, and with
+// rebuildFleetCounters the only place activeN, cutN and blockedN are written:
+// each moves by the difference of its predicate across the change, so stall
+// detection and the gossip fast path read counters instead of scanning the
+// fleet — at M in the thousands an O(M) walk per event is what they exist to
+// avoid — and no caller has to know which counters its change touches.
+func (e *Engine) setLink(m int, to link) {
+	l := &e.workers[m].link
+	e.activeN += oneIf(to.active) - oneIf(l.active)
+	e.cutN += oneIf(to.cut) - oneIf(l.cut)
+	e.blockedN += oneIf(to.blocked()) - oneIf(l.blocked())
+	*l = to
 }
 
 // AfterWorker schedules f on the virtual clock like After, bound to worker
@@ -74,11 +96,11 @@ func newFleet(workers int, scn *scenario.Scenario) *fleet {
 // drained (a generation-dropped event still occupies the clock until its
 // time, and still counts down when it fires).
 func (e *Engine) AfterWorker(m int, delay float64, f func()) {
-	gen := e.fleet.gen[m]
+	gen := e.workers[m].gen
 	e.inflight++
 	e.clock.ScheduleAfter(delay, func() {
 		e.inflight--
-		if e.fleet.gen[m] == gen {
+		if e.workers[m].gen == gen {
 			f()
 		}
 	})
@@ -86,44 +108,28 @@ func (e *Engine) AfterWorker(m int, delay float64, f func()) {
 
 // Staleness returns the number of server updates applied since worker m's
 // last Pull — the τ of staleness-aware update rules.
-func (e *Engine) Staleness(m int) int { return e.srv.updates - e.snapUpdates[m] }
+func (e *Engine) Staleness(m int) int { return e.srv.updates - e.workers[m].snapUpdates }
 
 // Partitioned reports whether worker m is currently computing behind a
 // network partition. The engine already drops such a worker's Commit and
 // FoldStats; strategies that fold gradients across workers outside Commit
 // (SSGD's barrier average) must consult it at fold time.
-func (e *Engine) Partitioned(m int) bool { return e.fleet.cut[m] }
-
-// psBlocked reports whether worker m counts toward blockedN: an active
-// worker computing behind a partition with no Heal armed cannot contribute
-// progress in parameter-server mode. The predicate is evaluated at each
-// flag transition to keep the counter exact.
-func (e *Engine) psBlocked(m int) bool {
-	return e.fleet.active[m] && e.fleet.cut[m] && e.healArmedN[m] == 0
-}
+func (e *Engine) Partitioned(m int) bool { return e.workers[m].cut }
 
 // retire removes worker m from the fleet: its generation advances (dropping
 // every pending AfterWorker event) and barrier-style strategies are told so
 // they stop waiting for it. A parked or recover-pending flag is cleared —
-// retirement supersedes both. Must only be called on an active worker.
+// retirement supersedes both — and in a decentralized run the worker's local
+// model freezes and leaves the consensus. Must only be called on an active
+// worker.
 func (e *Engine) retire(m int) {
-	if e.psBlocked(m) {
-		e.blockedN--
-	}
-	e.wgen[m]++
-	e.fleet.gen[m]++
-	e.fleet.active[m] = false
-	e.fleet.activeN--
-	e.fleet.parked[m] = false
-	e.recoverPend[m] = false
-	if e.dec != nil {
-		// The worker's local model freezes and leaves the consensus: its
-		// exact stored values come off the running sum (see decentral.go).
-		csum := e.dec.csum
-		for i, v := range e.dec.w[m] {
-			csum[i] -= v
-		}
-	}
+	w := &e.workers[m]
+	l := w.link
+	l.active = false
+	e.setLink(m, l)
+	w.gen++
+	w.parked = false
+	w.recoverPend = false
 	if fw, ok := e.strategy.(FleetWatcher); ok {
 		fw.WorkerRetired(e, m)
 	}
@@ -132,23 +138,14 @@ func (e *Engine) retire(m int) {
 // admit (re-)adds worker m to the fleet and starts its first iteration. The
 // worker's next Pull re-snapshots the server, so a recovered worker resumes
 // from current state, not from where it crashed (unless Config.RecoverOpt
-// marked it to restart from the last checkpoint instead — see Pull). Must
-// only be called on an inactive worker.
+// marked it to restart from the last checkpoint instead — see Pull); in a
+// decentralized run it re-enters the consensus with the local model it froze
+// at retirement (or its initial model, for a first Join). Must only be called
+// on an inactive worker.
 func (e *Engine) admit(m int) {
-	e.wgen[m]++ // covers recoverPend set just before a Recover-driven admit too
-	e.fleet.active[m] = true
-	e.fleet.activeN++
-	if e.psBlocked(m) {
-		e.blockedN++
-	}
-	if e.dec != nil {
-		// The worker re-enters the consensus with the local model it froze
-		// at retirement (or its initial model, for a first Join).
-		csum := e.dec.csum
-		for i, v := range e.dec.w[m] {
-			csum[i] += v
-		}
-	}
+	l := e.workers[m].link
+	l.active = true
+	e.setLink(m, l)
 	e.launch(m)
 }
 
@@ -163,8 +160,8 @@ func (e *Engine) admit(m int) {
 // strictly ascending in the slice, so disarm is a binary search plus a flag
 // write, with compaction amortized over the dead half — O(log n) amortized
 // instead of the O(n) splice a thousand-event timeline would otherwise pay
-// per firing. The stall guard itself never reads this slice: the counters
-// below (healArmedN, reviveArmedN, blockedN) are maintained at arm/disarm.
+// per firing. The stall guard itself never reads this slice: countArmed
+// keeps its counters at arm and disarm.
 type armedScn struct {
 	id   uint64
 	ev   scenario.Event
@@ -180,32 +177,38 @@ func (e *Engine) installScenario() {
 		return
 	}
 	for _, ev := range scn.Events {
-		if ev.Worker >= len(e.reps) {
+		if ev.Worker >= len(e.workers) {
 			continue
 		}
 		e.scheduleScenarioEvent(ev)
 	}
 }
 
+// countArmed adds d = ±1 armed occurrences of ev to the stall-guard counters:
+// reviveArmedN, the armed events that could restore progress to a fleet that
+// has none (a Recover or Join brings a worker back, a Heal reconnects a
+// parked one), and for a Heal its worker's own count — a Heal unblocks the
+// worker the moment it is armed, since the worker will iterate toward the
+// reconnection.
+func (e *Engine) countArmed(ev scenario.Event, d int) {
+	switch ev.Kind {
+	case scenario.Recover, scenario.Join:
+		e.reviveArmedN += d
+	case scenario.Heal:
+		e.reviveArmedN += d
+		l := e.workers[ev.Worker].link
+		l.heals += d
+		e.setLink(ev.Worker, l)
+	}
+}
+
 // scheduleScenarioEvent arms one occurrence of ev and, for periodic events,
-// re-arms the next occurrence after applying it. Arming maintains the
-// stall-guard counters: a Heal for worker m unblocks m the moment it is
-// armed (the worker will iterate toward the reconnection), so blockedN is
-// adjusted before healArmedN moves 0→1.
+// re-arms the next occurrence after applying it.
 func (e *Engine) scheduleScenarioEvent(ev scenario.Event) {
 	id := e.armSeq
 	e.armSeq++
 	e.armed = append(e.armed, armedScn{id: id, ev: ev})
-	switch ev.Kind {
-	case scenario.Recover, scenario.Join:
-		e.reviveArmedN++
-	case scenario.Heal:
-		e.reviveArmedN++
-		if e.psBlocked(ev.Worker) {
-			e.blockedN--
-		}
-		e.healArmedN[ev.Worker]++
-	}
+	e.countArmed(ev, +1)
 	e.clock.ScheduleAt(ev.At, func() {
 		e.disarm(id)
 		e.applyScenarioEvent(ev)
@@ -234,20 +237,9 @@ func (e *Engine) disarm(id uint64) {
 	if lo >= len(e.armed) || e.armed[lo].id != id || e.armed[lo].dead {
 		return
 	}
-	a := &e.armed[lo]
-	a.dead = true
+	e.armed[lo].dead = true
 	e.armedDead++
-	switch a.ev.Kind {
-	case scenario.Recover, scenario.Join:
-		e.reviveArmedN--
-	case scenario.Heal:
-		e.reviveArmedN--
-		w := a.ev.Worker
-		e.healArmedN[w]--
-		if e.psBlocked(w) {
-			e.blockedN++
-		}
-	}
+	e.countArmed(e.armed[lo].ev, -1)
 	if e.armedDead*2 > len(e.armed) {
 		live := e.armed[:0]
 		for _, s := range e.armed {
@@ -259,16 +251,6 @@ func (e *Engine) disarm(id uint64) {
 		e.armedDead = 0
 	}
 }
-
-// reviveArmed reports whether any armed event could restore progress to a
-// fleet that currently has none: a Recover or Join brings a worker back, a
-// Heal reconnects a parked one.
-func (e *Engine) reviveArmed() bool { return e.reviveArmedN > 0 }
-
-// healArmed reports whether a Heal for worker m is still armed. A
-// partitioned worker keeps iterating only while one is — otherwise it
-// parks, since every commit it could ever produce would be dropped.
-func (e *Engine) healArmed(m int) bool { return e.healArmedN[m] > 0 }
 
 // fleetStalled reports that no worker can make progress — every member is
 // retired or parked behind a heal-less partition — nothing but scenario
@@ -284,7 +266,7 @@ func (e *Engine) healArmed(m int) bool { return e.healArmedN[m] > 0 }
 // the O(M) fleet walk and O(armed) scans this predicate used to do made
 // every periodic scenario tick quadratic at large M.
 func (e *Engine) fleetStalled() bool {
-	progressing := e.fleet.activeN
+	progressing := e.activeN
 	if e.dec == nil {
 		progressing -= e.blockedN
 	}
@@ -292,37 +274,29 @@ func (e *Engine) fleetStalled() bool {
 }
 
 // rebuildFleetCounters is the definition of the fleet's O(1) counters:
-// activeN, cutN, blockedN, healArmedN and reviveArmedN recomputed from the
-// per-worker flags and the armed list alone. The transitions in this file
-// keep the same values incrementally; restore, which loads armed events and
-// flags in container order rather than causal order, calls this once after
-// both are in.
+// activeN, cutN, blockedN, reviveArmedN and every worker's armed-Heal count
+// recomputed from the per-worker flags and the armed list alone. setLink and
+// countArmed keep the same values incrementally; restore, which loads armed
+// events and flags in container order rather than causal order, calls this
+// once after both are in.
 func (e *Engine) rebuildFleetCounters() {
-	clear(e.healArmedN)
 	e.reviveArmedN = 0
+	for m := range e.workers {
+		e.workers[m].heals = 0
+	}
 	for _, a := range e.armed {
-		if a.dead {
-			continue
-		}
-		switch a.ev.Kind {
-		case scenario.Recover, scenario.Join:
-			e.reviveArmedN++
-		case scenario.Heal:
-			e.reviveArmedN++
-			e.healArmedN[a.ev.Worker]++
+		if !a.dead {
+			e.countArmed(a.ev, +1)
 		}
 	}
-	e.fleet.activeN, e.fleet.cutN, e.blockedN = 0, 0, 0
-	for m := range e.fleet.active {
-		if e.fleet.active[m] {
-			e.fleet.activeN++
-		}
-		if e.fleet.cut[m] {
-			e.fleet.cutN++
-		}
-		if e.psBlocked(m) {
-			e.blockedN++
-		}
+	// Whatever setLink made of the counters on the way, they are recounted
+	// from the flags and the Heal counts just derived.
+	e.activeN, e.cutN, e.blockedN = 0, 0, 0
+	for m := range e.workers {
+		l := e.workers[m].link
+		e.activeN += oneIf(l.active)
+		e.cutN += oneIf(l.cut)
+		e.blockedN += oneIf(l.blocked())
 	}
 }
 
@@ -340,12 +314,12 @@ func (e *Engine) applyScenarioEvent(ev scenario.Event) {
 			e.sampler.SetWorkerPhase(ev.Worker, ev.CompScale, ev.CommScale)
 		}
 	case scenario.Crash, scenario.Leave:
-		if !e.fleet.active[ev.Worker] {
+		if !e.workers[ev.Worker].active {
 			return
 		}
 		e.retire(ev.Worker)
 	case scenario.Recover, scenario.Join:
-		if e.fleet.active[ev.Worker] {
+		if e.workers[ev.Worker].active {
 			return
 		}
 		if ev.Kind == scenario.Recover && e.cfg.RecoverOpt {
@@ -353,31 +327,26 @@ func (e *Engine) applyScenarioEvent(ev scenario.Event) {
 			// server snapshot instead of pulling fresh state (consumed by
 			// the next Pull). Join admits a brand-new worker: it has no
 			// lost state to restore.
-			e.recoverPend[ev.Worker] = true
+			e.workers[ev.Worker].recoverPend = true
 		}
 		e.admit(ev.Worker)
 	case scenario.Partition:
-		if e.fleet.cut[ev.Worker] {
+		l := e.workers[ev.Worker].link
+		if l.cut {
 			return
 		}
-		e.wgen[ev.Worker]++
-		e.fleet.cut[ev.Worker] = true
-		e.fleet.cutN++
-		if e.psBlocked(ev.Worker) {
-			e.blockedN++
-		}
+		l.cut = true
+		e.setLink(ev.Worker, l)
 	case scenario.Heal:
-		if !e.fleet.cut[ev.Worker] {
+		w := &e.workers[ev.Worker]
+		l := w.link
+		if !l.cut {
 			return
 		}
-		e.wgen[ev.Worker]++
-		if e.psBlocked(ev.Worker) {
-			e.blockedN--
-		}
-		e.fleet.cut[ev.Worker] = false
-		e.fleet.cutN--
-		if e.fleet.parked[ev.Worker] {
-			e.fleet.parked[ev.Worker] = false
+		l.cut = false
+		e.setLink(ev.Worker, l)
+		if w.parked {
+			w.parked = false
 			e.launch(ev.Worker)
 		}
 	}

@@ -1,6 +1,8 @@
 package ps
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"lcasgd/internal/scenario"
@@ -254,7 +256,7 @@ func TestSSGDArrivedWorkerCrashRecoverWithinRound(t *testing.T) {
 	e := newEngine(env, st)
 	defer e.close()
 	st.Setup(e)
-	for m := range e.reps {
+	for m := range e.workers {
 		e.launch(m)
 	}
 	for len(st.arrived) == 0 {
@@ -388,5 +390,68 @@ func TestScenarioPartitionedSSGDRoundStillCloses(t *testing.T) {
 	last := res.Points[len(res.Points)-1]
 	if last.TrainErr >= res.Points[0].TrainErr {
 		t.Fatalf("SSGD under partition did not learn: %v -> %v", res.Points[0].TrainErr, last.TrainErr)
+	}
+}
+
+// fleetCounters is everything setLink and countArmed keep incrementally.
+type fleetCounters struct {
+	active, cut, blocked, reviveArmed int
+	heals                             []int
+}
+
+func readFleetCounters(e *Engine) fleetCounters {
+	c := fleetCounters{active: e.activeN, cut: e.cutN, blocked: e.blockedN, reviveArmed: e.reviveArmedN}
+	for m := range e.workers {
+		c.heals = append(c.heals, e.workers[m].heals)
+	}
+	return c
+}
+
+// TestFleetCountersMatchRebuild audits the stall guard's O(1) counters
+// against their definition: at every curve point and at the end of the run,
+// what the transitions kept incrementally equals what rebuildFleetCounters
+// derives from the per-worker flags and the armed list alone. It runs every
+// algorithm under the equivalence scenarios and one that blocks workers behind
+// heal-less partitions (the canned ones always have a Heal armed), then a
+// sweep of randomized timelines at M=64.
+func TestFleetCountersMatchRebuild(t *testing.T) {
+	audits := 0
+	audit := func(label string) func(*Engine, *recorder) {
+		return func(e *Engine, _ *recorder) {
+			audits++
+			got := readFleetCounters(e)
+			e.rebuildFleetCounters()
+			if want := readFleetCounters(e); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s at t=%v: incremental counters %+v, rebuilt from flags and armed list %+v", label, e.Now(), got, want)
+			}
+		}
+	}
+	scns := append(equivalenceScenarios(), &scenario.Scenario{
+		Name: "heal-less",
+		Events: []scenario.Event{
+			{At: 30, Kind: scenario.Partition, Worker: 1}, // never healed: blocked, parks
+			{At: 35, Kind: scenario.Partition, Worker: 2},
+			{At: 50, Kind: scenario.Crash, Worker: 1}, // a blocked worker retires
+			{At: 60, Kind: scenario.Crash, Worker: 2},
+			{At: 90, Kind: scenario.Recover, Worker: 1}, // and comes back still cut
+			{At: 100, Kind: scenario.Heal, Worker: 2},   // healed while down
+			{At: 120, Kind: scenario.Recover, Worker: 2},
+		},
+	})
+	for _, algo := range allAlgos {
+		for _, scn := range scns {
+			label := string(algo) + "/" + scn.Name
+			runObserved(withScenario(algo, 4, 3, scn), audit(label))
+		}
+	}
+	for _, algo := range []Algo{ASGD, SSGD, ADPSGD} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			env := randomizedEnv(algo, 64, 24, seed, 100, 32)
+			env.Cfg.EvalEvery = 2
+			runObserved(env, audit(fmt.Sprintf("%s/M64/seed%d", algo, seed)))
+		}
+	}
+	if audits < 200 {
+		t.Fatalf("only %d audits ran", audits)
 	}
 }

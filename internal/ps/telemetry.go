@@ -12,8 +12,7 @@ import (
 // engine. Two invariants govern every hook:
 //
 //   - Zero overhead when disabled. The engine holds one nullable pointer
-//     (Engine.tel); every emission site is an `if e.tel != nil` branch and
-//     the enabled-only buffers (launchAt) are not even allocated otherwise,
+//     (Engine.tel) and every emission site is an `if e.tel != nil` branch,
 //     so the commit/gossip hot paths stay at 0 allocs/op — pinned by
 //     TestCommitZeroAllocSteadyState and BenchmarkTelemetryOverhead.
 //
@@ -31,9 +30,6 @@ import (
 type telState struct {
 	rec *telemetry.Recorder
 
-	// launchAt[m] is the virtual time of worker m's last launch — the start
-	// of the commit/gossip span emitted when the iteration lands.
-	launchAt []float64
 	// drainStart is when the current barrier drain armed (quiescing 0→1).
 	drainStart float64
 
@@ -66,7 +62,6 @@ func newTelState(rec *telemetry.Recorder, workers int) *telState {
 	m := rec.Metrics
 	return &telState{
 		rec:       rec,
-		launchAt:  make([]float64, workers),
 		staleness: m.Histogram("staleness", []float64{0, 1, 2, 4, 8, 16, 32, 64, 128}),
 		drainMs:   m.Histogram("barrier_drain_ms", []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 1000}),
 		commits:   m.WorkerVec("commits_per_worker", workers),
@@ -100,8 +95,8 @@ func (e *Engine) recordCurve() {
 func (e *Engine) telSample() {
 	t := e.tel
 	t.inflightG.Set(float64(e.inflight))
-	t.activeG.Set(float64(e.fleet.activeN))
-	t.cutG.Set(float64(e.fleet.cutN))
+	t.activeG.Set(float64(e.activeN))
+	t.cutG.Set(float64(e.cutN))
 	t.pendingG.Set(float64(e.clock.Pending()))
 	t.rec.Metrics.Sample(e.srv.epoch(), e.clock.Now())
 }

@@ -196,11 +196,3 @@ func (r *RNG) FillNormal(dst []float64, stddev float64) {
 		dst[i] = r.Normal() * stddev
 	}
 }
-
-// FillUniform fills dst with uniform deviates in [lo, hi).
-func (r *RNG) FillUniform(dst []float64, lo, hi float64) {
-	span := hi - lo
-	for i := range dst {
-		dst[i] = lo + span*r.Float64()
-	}
-}

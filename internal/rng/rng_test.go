@@ -213,17 +213,6 @@ func TestFillNormalLength(t *testing.T) {
 	}
 }
 
-func TestFillUniformRange(t *testing.T) {
-	r := New(43)
-	buf := make([]float64, 1000)
-	r.FillUniform(buf, -3, 7)
-	for _, v := range buf {
-		if v < -3 || v >= 7 {
-			t.Fatalf("FillUniform out of range: %v", v)
-		}
-	}
-}
-
 func TestUint64PropertyNonSticky(t *testing.T) {
 	// Property: over any window of 64 outputs, the generator never repeats
 	// the same value 64 times (i.e. it is not stuck).

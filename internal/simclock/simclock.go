@@ -133,17 +133,6 @@ func (c *Clock) Step() bool {
 	return true
 }
 
-// RunUntil processes events until the queue empties or the next event lies
-// beyond t; the clock then advances to exactly t (if it got that far).
-func (c *Clock) RunUntil(t float64) {
-	for len(c.queue) > 0 && c.queue[0].At <= t {
-		c.Step()
-	}
-	if c.now < t {
-		c.now = t
-	}
-}
-
 // Run processes events until the queue is empty or stop returns true
 // (checked after each event).
 func (c *Clock) Run(stop func() bool) {

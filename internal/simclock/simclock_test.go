@@ -70,24 +70,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	New().ScheduleAfter(-1, func() {})
 }
 
-func TestRunUntilStopsAtBoundary(t *testing.T) {
-	c := New()
-	fired := 0
-	c.ScheduleAt(1, func() { fired++ })
-	c.ScheduleAt(2, func() { fired++ })
-	c.ScheduleAt(9, func() { fired++ })
-	c.RunUntil(5)
-	if fired != 2 {
-		t.Fatalf("fired %d events, want 2", fired)
-	}
-	if c.Now() != 5 {
-		t.Fatalf("clock %v, want 5", c.Now())
-	}
-	if c.Pending() != 1 {
-		t.Fatalf("pending %d", c.Pending())
-	}
-}
-
 func TestRunWithStopPredicate(t *testing.T) {
 	c := New()
 	count := 0

@@ -48,9 +48,17 @@ type Writer struct{ b []byte }
 
 // NewWriter starts a snapshot stream with the header.
 func NewWriter() *Writer {
-	w := &Writer{b: append(make([]byte, 0, 64), Magic...)}
-	w.U64(Version)
+	w := &Writer{b: make([]byte, 0, 64)}
+	w.Reset()
 	return w
+}
+
+// Reset starts the stream over, header and nothing else, in the buffer the
+// writer already has — so whatever Bytes returned before is overwritten by
+// what is written next, and a caller keeping it copies it out first.
+func (w *Writer) Reset() {
+	w.b = append(w.b[:0], Magic...)
+	w.U64(Version)
 }
 
 // Bytes returns the stream written so far.

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -10,6 +11,11 @@ import (
 func encodeSample(t *testing.T) []byte {
 	t.Helper()
 	w := NewWriter()
+	writeSample(w)
+	return w.Bytes()
+}
+
+func writeSample(w *Writer) {
 	w.U64(42)
 	w.I64(-7)
 	w.Int(123456)
@@ -21,7 +27,6 @@ func encodeSample(t *testing.T) []byte {
 	w.F64s([]float64{1.5, -2.25, 0, math.MaxFloat64})
 	w.Ints([]int{3, -1, 4})
 	w.U64s([]uint64{9, 0, math.MaxUint64})
-	return w.Bytes()
 }
 
 func TestCodecRoundTripBitExact(t *testing.T) {
@@ -67,6 +72,24 @@ func TestCodecRoundTripBitExact(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestWriterResetStartsTheSameStream: a writer that encoded something else
+// first and was Reset produces the bytes a fresh writer does, in the buffer it
+// already had.
+func TestWriterResetStartsTheSameStream(t *testing.T) {
+	want := encodeSample(t)
+	w := NewWriter()
+	w.F64s(make([]float64, 100))
+	before := &w.Bytes()[0]
+	w.Reset()
+	writeSample(w)
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatal("a Reset writer's stream differs from a fresh writer's")
+	}
+	if &w.Bytes()[0] != before {
+		t.Fatal("Reset dropped the writer's buffer")
 	}
 }
 

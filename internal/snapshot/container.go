@@ -45,7 +45,7 @@ const (
 // Container kinds.
 const (
 	KindFull  = 0 // self-contained snapshot: every section present
-	KindDelta = 1 // only sections dirty since the base checkpoint
+	KindDelta = 1 // only sections whose bytes changed since the base checkpoint
 )
 
 var (

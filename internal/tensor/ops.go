@@ -220,18 +220,6 @@ func ArgmaxRowsInto(dst []int, a *Tensor) {
 	}
 }
 
-// ClipInPlace clamps every element of t into [-limit, limit]. Gradient
-// clipping keeps the online LSTM predictors stable.
-func ClipInPlace(t *Tensor, limit float64) {
-	for i, v := range t.Data {
-		if v > limit {
-			t.Data[i] = limit
-		} else if v < -limit {
-			t.Data[i] = -limit
-		}
-	}
-}
-
 func checkSameLen(op string, ts ...*Tensor) {
 	n := len(ts[0].Data)
 	for _, t := range ts[1:] {

@@ -295,14 +295,6 @@ func TestArgmaxRows(t *testing.T) {
 	}
 }
 
-func TestClipInPlace(t *testing.T) {
-	a := FromSlice([]float64{-10, 0.5, 10}, 3)
-	ClipInPlace(a, 1)
-	if a.Data[0] != -1 || a.Data[1] != 0.5 || a.Data[2] != 1 {
-		t.Fatalf("Clip: %v", a.Data)
-	}
-}
-
 func TestSumMeanDotNorm(t *testing.T) {
 	a := FromSlice([]float64{3, 4}, 2)
 	if a.Sum() != 7 || a.Mean() != 3.5 {
