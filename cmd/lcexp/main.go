@@ -22,11 +22,11 @@
 // ones; -seeds averages headline tables (tab1 and robust) over several
 // seeds; -csv emits the series as CSV instead of charts; -jobs runs that
 // many experiment cells concurrently per sweep (default GOMAXPROCS;
-// byte-identical output at any value); -parallel instead fans worker
-// compute within each cell across goroutines (bit-identical results,
-// faster wall-clock on multi-core — it makes the -jobs default 1, and is
-// mutually exclusive with an explicit -jobs > 1, since both divide the same
-// cores); -scenario replays a canned cluster-event
+// byte-identical output at any value); -parallel fans worker compute
+// within each cell across goroutines (bit-identical results, faster
+// wall-clock on multi-core — it makes the -jobs default 1; an explicit
+// -jobs N beside it runs N such cells at once); -scenario replays a canned
+// cluster-event
 // timeline (congestion windows, crashes/recoveries, elastic resizes,
 // network partitions) under every experiment; -cpuprofile/-memprofile
 // write pprof profiles of the whole run so perf work can attach evidence
@@ -92,10 +92,7 @@ var allExperiments = []string{
 // resolveJobs turns the -jobs flag into the sweep pool size. 0 asks for
 // the default: every core — unless -parallel hands the cores to the workers
 // within each cell, which leaves one cell at a time. An explicit pool beside
-// -parallel is an error: both layers would claim the process-wide
-// matmul-parallelism cap (cells × matmul goroutines is the core budget), and
-// concurrent-backend runs serialize on a global lock, so combining them
-// would overlap nothing.
+// -parallel is cells × lanes.
 func resolveJobs(jobs int, parallel bool) (int, error) {
 	switch {
 	case jobs < 0:
@@ -104,9 +101,6 @@ func resolveJobs(jobs int, parallel bool) (int, error) {
 		return 1, nil
 	case jobs == 0:
 		return runtime.GOMAXPROCS(0), nil
-	case jobs > 1 && parallel:
-		return 0, errors.New("-jobs > 1 and -parallel are mutually exclusive: " +
-			"use -jobs to overlap whole cells, or -parallel to overlap workers within each cell")
 	}
 	return jobs, nil
 }

@@ -7,8 +7,8 @@ import (
 
 // TestResolveJobs pins the -jobs/-parallel rule: the default pool is every
 // core, -parallel alone must be usable on a multi-core box (it takes the
-// default down to one cell at a time), and only an explicit pool beside
-// -parallel is refused.
+// default down to one cell at a time), and an explicit pool beside
+// -parallel is taken as given.
 func TestResolveJobs(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
@@ -22,8 +22,8 @@ func TestResolveJobs(t *testing.T) {
 		{jobs: 1, parallel: true, want: 1},
 		{jobs: 1, parallel: false, want: 1},
 		{jobs: 4, parallel: false, want: 4},
-		{jobs: 2, parallel: true, wantErr: true},
-		{jobs: 4, parallel: true, wantErr: true},
+		{jobs: 2, parallel: true, want: 2},
+		{jobs: 4, parallel: true, want: 4},
 		{jobs: -1, parallel: false, wantErr: true},
 		{jobs: -1, parallel: true, wantErr: true},
 	} {

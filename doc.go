@@ -5,7 +5,8 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory); cmd/lcexp regenerates every figure and table of the paper's
-// evaluation, and bench_test.go provides one benchmark per artifact.
+// evaluation, and bench/ (its own module, declared by BENCHMARK.json) is
+// the benchmark.
 //
 // # Training engine
 //
@@ -17,10 +18,10 @@
 //     recorder, and the discrete-event clock.
 //   - Strategy is the algorithm: how worker iterations are scheduled on the
 //     virtual clock and how their gradients become server updates. The five
-//     paper algorithms (SGD, SSGD, ASGD, DC-ASGD, LC-ASGD) and the
-//     staleness-aware sixth (SA-ASGD, Zhang et al. 2016) are compact
-//     Strategy implementations; ps.RegisterStrategy installs new ones,
-//     which then run through ps.Run like the built-ins.
+//     paper algorithms (SGD, SSGD, ASGD, DC-ASGD, LC-ASGD), staleness-aware
+//     SA-ASGD (Zhang et al. 2016) and decentralized AD-PSGD (Lian et al.
+//     2018) are compact Strategy implementations; ps.RegisterStrategy
+//     installs new ones, which then run through ps.Run like the built-ins.
 //   - Backend executes worker-local compute. ps.BackendSequential runs it
 //     inline on the event loop — the deterministic simulator the paper
 //     harness requires. ps.BackendConcurrent fans forward/backward passes

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"lcasgd/internal/tensor"
 )
 
 // BackendKind selects how worker-local compute is executed.
@@ -96,27 +94,12 @@ func (seqBackend) Close() {}
 // replica are visible to its lane and the lane's results are visible back —
 // no locks needed on the hot path.
 type concBackend struct {
-	lanes  []chan func()
-	wg     sync.WaitGroup
-	prevMM int
+	lanes []chan func()
+	wg    sync.WaitGroup
 }
 
 func newConcBackend(workers int) *concBackend {
-	par := runtime.GOMAXPROCS(0)
-	if par < 1 {
-		par = 1
-	}
 	b := &concBackend{lanes: make([]chan func(), workers)}
-	// The tensor kernels fan large matmuls across GOMAXPROCS goroutines on
-	// their own. With worker lanes providing the parallelism, that nesting
-	// would oversubscribe the cores (up to workers × GOMAXPROCS runnable
-	// goroutines), so cap the per-matmul fan-out to the share of cores a
-	// lane can actually claim. Results are unaffected: the matmul row-block
-	// partitioning is bit-reproducible at any parallelism. The cap is a
-	// process-global, so concurrent-backend runs serialize on concRunMu for
-	// their whole lifetime — overlapping them would thrash the cores anyway.
-	concRunMu.Lock()
-	b.prevMM = tensor.SetMatmulParallelism(par / workers)
 	for i := range b.lanes {
 		ch := make(chan func(), 2)
 		b.lanes[i] = ch
@@ -160,26 +143,16 @@ func (b *concBackend) ParallelFor(n int, body func(int)) {
 	wg.Wait()
 }
 
-// Parallelism reports the lane count, not GOMAXPROCS: data-parallel work
-// sized by it then composes with the per-matmul fan-out cap set at
-// construction (lanes × cap ≤ cores) instead of multiplying past it.
-func (b *concBackend) Parallelism() int { return len(b.lanes) }
+// Parallelism is the lane count capped at the core count: its one caller
+// keeps a pooled net per evaluation shard (nParams of weights, refreshed
+// per evaluation), and shards beyond the cores add memory, not throughput.
+func (b *concBackend) Parallelism() int { return min(len(b.lanes), runtime.GOMAXPROCS(0)) }
 
 // Close drains the lanes: in-flight tasks finish (they only touch worker
 // state, so late completions are harmless) and the lane goroutines exit.
-// The tensor kernels' own parallelism is restored once the lanes are gone.
 func (b *concBackend) Close() {
 	for _, ch := range b.lanes {
 		close(ch)
 	}
 	b.wg.Wait()
-	tensor.SetMatmulParallelism(b.prevMM)
-	concRunMu.Unlock()
 }
-
-// concRunMu serializes concurrent-backend runs: each owns the process-wide
-// matmul-parallelism cap from construction to Close. A sequential-backend
-// run overlapping a concurrent one is memory-safe (the cap is atomic) but
-// computes under the concurrent run's reduced per-matmul fan-out; callers
-// wanting full kernel parallelism should not overlap the two.
-var concRunMu sync.Mutex

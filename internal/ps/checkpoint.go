@@ -14,7 +14,6 @@ import (
 	"lcasgd/internal/scenario"
 	"lcasgd/internal/snapshot"
 	"lcasgd/internal/telemetry"
-	"lcasgd/internal/tensor"
 )
 
 // This file is the engine's run-persistence layer: freezing a live run at a
@@ -650,11 +649,11 @@ func (e *Engine) joinWriter() {
 	}
 }
 
-// encodePoolSize bounds the section-encode pool: the kernels' shared core
-// budget, capped by GOMAXPROCS and the number of sections, with the test
-// override winning outright.
+// encodePoolSize bounds the section-encode pool by GOMAXPROCS and the
+// number of sections, with the test override winning outright. The bytes do
+// not depend on it.
 func encodePoolSize(n int) int {
-	pool := min(tensor.MatmulParallelism(), runtime.GOMAXPROCS(0))
+	pool := runtime.GOMAXPROCS(0)
 	if ckptPoolSize > 0 {
 		pool = ckptPoolSize
 	}

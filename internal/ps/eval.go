@@ -1,7 +1,6 @@
 package ps
 
 import (
-	"runtime"
 	"time"
 
 	"lcasgd/internal/core"
@@ -64,24 +63,9 @@ func (e *evaluator) pool(n int) []*evalNet {
 // errOn returns the classification error rate of (w, bn stats) on ds.
 func (e *evaluator) errOn(ds *data.Dataset, w []float64, bnAcc *core.BNAccumulator) float64 {
 	nBatches := (ds.Len() + e.batchSize - 1) / e.batchSize
-	shards := e.backend.Parallelism()
-	// The concurrent backend reports one lane per worker, but shards beyond
-	// the core count add no throughput while each one costs a pooled net
-	// (nParams of weights, built once) and an O(nParams) refresh per
-	// evaluation — at M in the thousands that made every curve point
-	// O(M·nParams). Capping at GOMAXPROCS bounds both. Shard counts are
-	// result-neutral: each shard contributes an integer correct-count and
-	// integer sums are order-independent, so both backends report
-	// bit-identical error rates at any cap.
-	if max := runtime.GOMAXPROCS(0); shards > max {
-		shards = max
-	}
-	if shards > nBatches {
-		shards = nBatches
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	// Shard counts are result-neutral: each shard contributes an integer
+	// correct-count and integer sums are order-independent.
+	shards := max(min(e.backend.Parallelism(), nBatches), 1)
 	nets := e.pool(shards)
 	counts := make([]int, shards)
 	// Each shard refreshes its own net inside the parallel body: the weight

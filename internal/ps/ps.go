@@ -134,8 +134,9 @@ type Config struct {
 
 	// CheckpointFullEvery makes every K-th checkpoint a self-contained full
 	// snapshot; the checkpoints between them are deltas holding only the
-	// sections dirtied since the previous checkpoint, chained onto it (see
-	// checkpoint.go). 1 makes every checkpoint full; 0 means the default (8).
+	// sections whose bytes differ from the previous checkpoint's, chained
+	// onto it (see checkpoint.go). 1 makes every checkpoint full; 0 means
+	// the default (8).
 	// Unlike CheckpointEvery this is pure persistence policy — the barrier
 	// timeline and every result bit are identical for any value — so it is
 	// excluded from ConfigKey, like Backend.

@@ -115,9 +115,6 @@ func (r *RunDir) SetKeep(k int) {
 // Dir returns the directory path.
 func (r *RunDir) Dir() string { return r.dir }
 
-// Key returns the full content key the directory was opened under.
-func (r *RunDir) Key() string { return r.key }
-
 // CkptMeta describes a stored checkpoint without decoding its payload.
 // Full/BaseEpoch mirror the container's chain fields (container.go): a
 // delta checkpoint is only restorable together with its base chain, which
@@ -319,28 +316,6 @@ func (r *RunDir) LoadChain(epoch int) ([]byte, CkptMeta, error) {
 	}
 	data, err := Materialize(links...)
 	return data, topMeta, err
-}
-
-// LoadCheckpoint returns the newest stored checkpoint whose payload is
-// readable, or ErrNoCheckpoint when the run has none. Key collisions are
-// surfaced as errors. Deeper validation (codec checksum, config key) is the
-// caller's job — ps.Resume rejects a corrupt payload, and resume logic is
-// expected to fall back to older epochs via Checkpoints/LoadCheckpointAt.
-func (r *RunDir) LoadCheckpoint() ([]byte, CkptMeta, error) {
-	metas, err := r.Checkpoints()
-	if err != nil {
-		return nil, CkptMeta{}, err
-	}
-	for _, m := range metas {
-		data, meta, err := r.LoadCheckpointAt(m.Epoch)
-		if err == nil {
-			return data, meta, nil
-		}
-		if !errors.Is(err, ErrNoCheckpoint) {
-			return nil, meta, err
-		}
-	}
-	return nil, CkptMeta{}, ErrNoCheckpoint
 }
 
 // SaveResult stores the final result document and marks the run complete.

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -20,7 +21,10 @@ func TestStoreRunLifecycle(t *testing.T) {
 	if rd.HasResult() {
 		t.Fatal("fresh run dir claims a result")
 	}
-	if _, _, err := rd.LoadCheckpoint(); !errors.Is(err, ErrNoCheckpoint) {
+	if metas, err := rd.Checkpoints(); err != nil || len(metas) != 0 {
+		t.Fatalf("fresh run dir lists checkpoints %+v (err %v)", metas, err)
+	}
+	if _, _, err := rd.LoadCheckpointAt(3); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("err %v, want ErrNoCheckpoint", err)
 	}
 
@@ -31,7 +35,11 @@ func TestStoreRunLifecycle(t *testing.T) {
 	if err := rd.SaveCheckpoint(ck, CkptMeta{Epoch: 3, Batches: 120, Updates: 118, VirtualMs: 4200.5}); err != nil {
 		t.Fatal(err)
 	}
-	data, meta, err := rd.LoadCheckpoint()
+	metas, err := rd.Checkpoints()
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("checkpoints %+v (err %v), want one", metas, err)
+	}
+	data, meta, err := rd.LoadCheckpointAt(metas[0].Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +108,7 @@ func TestStoreKeepDefaultRetainsOne(t *testing.T) {
 	}
 }
 
-// SetKeep(K) retains the newest K checkpoints, listed newest-first, and
-// LoadCheckpoint returns the newest.
+// SetKeep(K) retains the newest K checkpoints, listed newest-first.
 func TestStoreKeepKRetainsNewest(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -124,12 +131,12 @@ func TestStoreKeepKRetainsNewest(t *testing.T) {
 	if len(metas) != 2 || metas[0].Epoch != 4 || metas[1].Epoch != 3 {
 		t.Fatalf("retention kept %+v, want epochs [4 3]", metas)
 	}
-	data, meta, err := rd.LoadCheckpoint()
+	data, meta, err := rd.LoadCheckpointAt(metas[0].Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Epoch != 4 || data[0] != 4 {
-		t.Fatalf("LoadCheckpoint returned epoch %d payload %v, want newest", meta.Epoch, data)
+		t.Fatalf("newest listed checkpoint loads epoch %d payload %v, want 4", meta.Epoch, data)
 	}
 	if _, _, err := rd.LoadCheckpointAt(1); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("pruned epoch still loads: %v", err)
@@ -141,10 +148,9 @@ func TestStoreKeepKRetainsNewest(t *testing.T) {
 	}
 }
 
-// When the newest checkpoint's payload is lost or mangled on disk,
-// LoadCheckpoint falls back to the next-newest readable one instead of
-// failing the run. (Payloads that read fine but fail codec validation are
-// the resume loop's job — see trainer's resumeFromCheckpoint.)
+// When the newest checkpoint's payload is lost on disk, the resume walk
+// (trainer's resumeFromCheckpoint: Checkpoints newest first, LoadChain each)
+// is told so with ErrNoCheckpoint and lands on the next-newest one.
 func TestStoreFallsBackPastMissingNewestPayload(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -155,20 +161,32 @@ func TestStoreFallsBackPastMissingNewestPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd.SetKeep(3)
+	fulls := map[int][]byte{}
 	for ep := 1; ep <= 3; ep++ {
-		if err := rd.SaveCheckpoint([]byte{byte(ep)}, CkptMeta{Epoch: ep}); err != nil {
+		fulls[ep] = mustEncode(t, &Container{
+			Kind: KindFull, Key: "k", Epoch: ep, Seq: ep,
+			Sections: []Section{{ID: SectionID{0, 0}, Payload: secStream(t, float64(ep))}},
+		})
+		if err := rd.SaveCheckpoint(fulls[ep], CkptMeta{Epoch: ep, Full: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := os.Remove(filepath.Join(rd.Dir(), "ckpt-00000003.bin")); err != nil {
 		t.Fatal(err)
 	}
-	data, meta, err := rd.LoadCheckpoint()
+	metas, err := rd.Checkpoints()
+	if err != nil || len(metas) != 3 || metas[0].Epoch != 3 {
+		t.Fatalf("checkpoints %+v (err %v), want epochs [3 2 1]", metas, err)
+	}
+	if _, _, err := rd.LoadChain(metas[0].Epoch); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("newest without payload: err %v, want ErrNoCheckpoint", err)
+	}
+	data, meta, err := rd.LoadChain(metas[1].Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Epoch != 2 || data[0] != 2 {
-		t.Fatalf("fallback loaded epoch %d, want 2", meta.Epoch)
+	if meta.Epoch != 2 || !bytes.Equal(data, fulls[2]) {
+		t.Fatalf("fallback loaded epoch %d, want 2's bytes", meta.Epoch)
 	}
 }
 
@@ -192,8 +210,12 @@ func TestStoreDetectsKeyCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rb.LoadCheckpoint(); err == nil {
-		t.Fatal("collision not detected")
+	metas, err := rb.Checkpoints()
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("checkpoints %+v (err %v), want the colliding one", metas, err)
+	}
+	if _, _, err := rb.LoadCheckpointAt(metas[0].Epoch); err == nil || errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("collision not detected: err %v", err)
 	}
 }
 

@@ -65,6 +65,11 @@ func (g ConvGeom) Validate() error {
 // columns on — so the budget is set by memory per replica, not speed.
 const convPanelFloats = 8 * 1024
 
+// convOperandFloats bounds the [OutC, n*HW] operand of a group's two
+// products (Y forward, dY backward) at 128 KiB, so that it stays
+// L2-resident while the kernel streams it once per strip of four rows.
+const convOperandFloats = 16 * 1024
+
 // convTable holds the gather offsets of one geometry. idx is [KH*KW][HW]:
 // for tap (ky, kx) and output pixel p, the offset of the input pixel inside
 // a staged channel — the InH*InW plane followed by one zero slot, which is
@@ -113,9 +118,8 @@ func convTableFor(g ConvGeom) *convTable {
 }
 
 // ConvLowering is one convolution layer's handle on the lowering: the
-// shared table, the group size, a private staging buffer and the two view
-// headers InputGrad re-points. It is single-owner state like the layer that
-// holds it.
+// shared table, the group size, a private staging buffer and WeightGrad's
+// scratch. It is single-owner state like the layer that holds it.
 type ConvLowering struct {
 	g     ConvGeom
 	outC  int
@@ -124,26 +128,21 @@ type ConvLowering struct {
 	stage []float64 // one staged channel: plane + zero slot
 	dYT   []float64 // WeightGrad: one image's dY transposed, [HW, OutC] ...
 	img   []float64 // ... and its addend to the weight gradient, [ColCols, OutC]
-	wBlk  Tensor    // InputGrad: a row block of W ...
-	dBlk  Tensor    // ... and the same rows of dPanel
 }
 
 // NewConvLowering returns the lowering of geometry g for a layer with outC
 // output channels. g must be valid.
 func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
-	// The group is the largest image count whose panel fits the budget and
-	// whose [OutC, n*HW] operand stays within mmDirectB: over it, MatMulInto
-	// packs panels from a pool, which may allocate.
+	// The group is the largest image count whose panel and whose
+	// [OutC, n*HW] operand both fit their budgets.
 	k, hw := g.ColCols(), g.ColRows()
-	group := min(convPanelFloats/(k*hw), mmDirectB/(outC*hw))
+	group := min(convPanelFloats/(k*hw), convOperandFloats/(outC*hw))
 	return &ConvLowering{
 		g: g, outC: outC, group: max(group, 1),
 		tab:   convTableFor(g),
 		stage: make([]float64, g.InH*g.InW+1),
 		dYT:   make([]float64, hw*outC),
 		img:   make([]float64, k*outC),
-		wBlk:  Tensor{Shape: make([]int, 2)},
-		dBlk:  Tensor{Shape: make([]int, 2)},
 	}
 }
 
@@ -157,20 +156,9 @@ func (l *ConvLowering) Lower(panel, x []float64, n int) {
 }
 
 // InputGrad computes dPanel [ColCols, n*HW] = w [ColCols, OutC] @ dY
-// [OutC, n*HW], each element summing oc ascending from +0. It issues the
-// product in row blocks of w that each stay below parallelRowThreshold:
-// at or above it MatMulInto spawns goroutines, which allocates and would
-// spread a sequential run over the cores. Rows are independent, so the
-// blocking is invisible in the result.
+// [OutC, n*HW], each element summing oc ascending from +0.
 func (l *ConvLowering) InputGrad(dPanel, w, dY *Tensor) {
-	k, outC, cols := w.Shape[0], w.Shape[1], dY.Shape[1]
-	rows := max((parallelRowThreshold-1)/(outC*cols), 1)
-	for r0 := 0; r0 < k; r0 += rows {
-		r1 := min(r0+rows, k)
-		l.wBlk.Shape[0], l.wBlk.Shape[1], l.wBlk.Data = r1-r0, outC, w.Data[r0*outC:r1*outC]
-		l.dBlk.Shape[0], l.dBlk.Shape[1], l.dBlk.Data = r1-r0, cols, dPanel.Data[r0*cols:r1*cols]
-		MatMulInto(&l.dBlk, &l.wBlk, dY)
-	}
+	MatMulInto(dPanel, w, dY)
 }
 
 // Scatter accumulates dPanel [ColCols, n*HW] into dx, n image gradients

@@ -1,41 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// maxProcs caps the matmul worker count. It is a variable so tests can
-// exercise the sequential and parallel paths deterministically, and atomic
-// so runtime callers (the ps concurrent backend, the trainer sweep
-// scheduler) can retune it while other goroutines are inside MatMul without
-// a data race.
-var maxProcs atomic.Int64
-
-func init() { maxProcs.Store(int64(runtime.GOMAXPROCS(0))) }
-
-// SetMatmulParallelism overrides the number of goroutines used by MatMul.
-// n <= 1 forces the sequential path. It returns the previous value. The cap
-// does not change results: row-block partitioning keeps the accumulation
-// order identical at any parallelism.
-func SetMatmulParallelism(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return int(maxProcs.Swap(int64(n)))
-}
-
-// MatmulParallelism returns the current goroutine cap. Other bounded pools
-// that must share the machine with the kernels — the sweep scheduler sizes
-// this cap to GOMAXPROCS/jobs, and the checkpoint encoder sizes itself off
-// it — read their core budget here.
-func MatmulParallelism() int { return int(maxProcs.Load()) }
-
-// parallelRowThreshold is the minimum amount of scalar work before MatMul
-// spawns goroutines; below it the goroutine overhead dominates.
-const parallelRowThreshold = 64 * 64 * 64
+import "fmt"
 
 // Tiling geometry for the blocked kernels, in float64 elements. All
 // decisions below are functions of the operand shapes alone — never of the
@@ -44,10 +9,9 @@ const parallelRowThreshold = 64 * 64 * 64
 //
 // Every kernel accumulates each output element over k in ascending order,
 // exactly like the naive triple loop: tiles partition the i/j (output)
-// space, and k-panels are visited in ascending order with ascending
-// interior, so the per-element addition chain is byte-for-byte the naive
-// chain. That is the invariant behind the backend-equivalence and
-// resume-fingerprint suites; do not reorder k.
+// space and leave k whole, so the per-element addition chain is
+// byte-for-byte the naive chain. That is the invariant behind the
+// backend-equivalence and resume-fingerprint suites; do not reorder k.
 //
 // The pre-tiling kernels skipped zero a-elements; the tiled ones do not
 // (see the sparsity note on mmKernel). On finite data the two are
@@ -56,16 +20,6 @@ const parallelRowThreshold = 64 * 64 * 64
 // accumulator starts at +0. Inputs are finite throughout training, so the
 // change is invisible to the fingerprint.
 const (
-	// mmDirectB: when B has at most this many elements it is streamed
-	// directly (it fits comfortably in L2 and the panel copy would cost more
-	// than it saves). Every matmul in the paper's networks takes this path;
-	// the packed path below serves larger shapes (and keeps the kernel
-	// honest for them).
-	mmDirectB = 16 * 1024
-	// Packed-panel tile: a kc x nc sub-block of B copied into a contiguous
-	// panel (<=256 KiB, L2-resident) and reused across every row of A.
-	mmKC = 256
-	mmNC = 128
 	// matMulTransA column tile: a k x 64 slab of b is 512 B per k step.
 	taJB = 64
 	// matMulTransB keeps a j-tile of B rows (about 16 KiB) L1-resident
@@ -73,19 +27,12 @@ const (
 	tbTileFloats = 2048
 )
 
-// mmPanels recycles packed B panels. Only shapes with more than mmDirectB
-// elements of B reach it, so the zero-allocation training paths (which are
-// all below the threshold) never touch the pool.
-var mmPanels = sync.Pool{New: func() any { b := make([]float64, mmKC*mmNC); return &b }}
-
 // MatMul returns a @ b for 2-D tensors a [m,k] and b [k,n].
 //
-// Every product runs through mmKernel (four output rows against a shared B
-// row, accumulators in registers), over B in place when it fits mmDirectB
-// and over packed kc x nc panels of it otherwise. It is parallelized over
-// row blocks of A; row-block partitioning keeps the floating-point
-// accumulation order identical regardless of the number of goroutines, so
-// results are bit-reproducible across machines.
+// The product is one mmKernel call (four output rows against a shared B
+// row, accumulators in registers) over B in place, on the calling
+// goroutine: it never allocates, and results are bit-reproducible across
+// machines.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: MatMul needs rank-2 operands, got %v %v", a.Shape, b.Shape))
@@ -115,61 +62,7 @@ func MatMulInto(dst, a, b *Tensor) {
 func matMulInto(out, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
-	if m == 0 {
-		return
-	}
-	work := m * k * n
-	procs := int(maxProcs.Load())
-	if work < parallelRowThreshold || procs <= 1 || m == 1 {
-		matMulRows(out, a, b, 0, m)
-		return
-	}
-	if procs > m {
-		procs = m
-	}
-	var wg sync.WaitGroup
-	// Whole strips per goroutine: only the last chunk has remainder rows.
-	chunk := ((m+procs-1)/procs + 3) &^ 3
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			matMulRows(out, a, b, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// matMulRows computes rows [lo, hi) of out = a @ b. When B fits the direct
-// threshold it is used in place; otherwise ascending kc x nc panels of B
-// are packed contiguous and the same micro-kernel runs over each panel.
-// Either way every output element accumulates its k terms in ascending
-// order.
-func matMulRows(out, a, b *Tensor, lo, hi int) {
-	k := a.Shape[1]
-	n := b.Shape[1]
-	if k*n <= mmDirectB {
-		mmKernel(out.Data[lo*n:], n, a.Data[lo*k:], k, 1, b.Data, n, hi-lo, k, n)
-		return
-	}
-	panelPtr := mmPanels.Get().(*[]float64)
-	panel := *panelPtr
-	for p0 := 0; p0 < k; p0 += mmKC {
-		kw := min(mmKC, k-p0)
-		for j0 := 0; j0 < n; j0 += mmNC {
-			jw := min(mmNC, n-j0)
-			for pp := 0; pp < kw; pp++ {
-				src := (p0+pp)*n + j0
-				copy(panel[pp*jw:pp*jw+jw], b.Data[src:src+jw])
-			}
-			mmKernel(out.Data[lo*n+j0:], n, a.Data[lo*k+p0:], k, 1, panel, jw, hi-lo, kw, jw)
-		}
-	}
-	mmPanels.Put(panelPtr)
+	mmKernel(out.Data, n, a.Data, k, 1, b.Data, n, m, k, n)
 }
 
 // MatMulTransA returns aᵀ @ b without materializing the transpose of a.
@@ -214,10 +107,7 @@ func matMulTransA(out, a, b *Tensor) {
 
 // VecMatMulInto computes dst = x @ b for a row vector x [k] and a row-major
 // b [k, n] given flat: dst[j] = Σ_p x[p]·b[p*n+j], p ascending from +0 —
-// the one-row call of mmKernel, lanes over j. b is read in place whatever
-// its size: a mat-vec touches each b element once, so the panels MatMulInto
-// packs above mmDirectB would copy as much as the product reads (and come
-// from a pool that may allocate).
+// the one-row call of mmKernel, lanes over j.
 func VecMatMulInto(dst, x, b []float64) {
 	n, k := len(dst), len(x)
 	if len(b) != k*n {

@@ -40,7 +40,7 @@ var benchShapes = []mmShape{
 	{"grouped_dx_27x8x288", 27, 8, 288},   // imagenet-quick 12x12 stem, group of 2
 	{"grouped_dx_432x48x18", 432, 48, 18}, // imagenet-full stage-3 conv, group of 2 3x3 images
 	{"square_128", 128, 128, 128},         // generic mid-size
-	{"packed_64x300x130", 64, 300, 130},   // exercises the packed-panel path
+	{"large_b_64x300x130", 64, 300, 130},  // B of 39 000 elements, past any layer's
 }
 
 // transAShapes: the forward products of the same layers, Y [OutC, n*HW] =

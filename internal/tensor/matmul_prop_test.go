@@ -11,8 +11,8 @@ import (
 // accumulation chain intact, they must match a naive triple loop (which has
 // the same chain) bit for bit. These tests demand exact equality — maxDiff
 // == 0 — across a shape grid that covers degenerate dims, sub-tile sizes,
-// exact tile multiples, off-by-one-past-a-tile sizes, and the packed-panel
-// and parallel paths.
+// exact tile multiples, off-by-one-past-a-tile sizes, and operands larger
+// than any layer issues.
 
 // naiveMatMulTransA mirrors matMulTransA's per-element chain: ascending p.
 func naiveMatMulTransA(a, b *Tensor) *Tensor {
@@ -114,33 +114,49 @@ func TestMatMulTransBTiledBitExactGrid(t *testing.T) {
 	}
 }
 
-// TestMatMulPackedPanelBitExact forces the packed-panel path (k*n above
-// mmDirectB) with shapes that leave partial tiles on every axis, and checks
-// it against the naive chain bit for bit.
-func TestMatMulPackedPanelBitExact(t *testing.T) {
+// TestMatMulLargeBBitExact checks products whose B is larger than any conv
+// group's operand (more than 16 Ki elements) against the naive chain bit
+// for bit: the kernel reads B in place at any size.
+func TestMatMulLargeBBitExact(t *testing.T) {
 	g := rng.New(109)
 	for _, dims := range [][3]int{
-		{9, 300, 130},                  // partial kc and nc tails
-		{5, 256, 128},                  // exact kc x nc multiples
-		{6, 257, 129},                  // one past a tile boundary
-		{3, mmKC + mmKC/2, mmNC*2 + 1}, // mid-tile k tail, odd n tail
+		{9, 300, 130},
+		{5, 256, 128},
+		{6, 257, 129},
+		{3, 384, 257},
 	} {
 		m, k, n := dims[0], dims[1], dims[2]
-		if k*n <= mmDirectB {
-			t.Fatalf("shape %v does not reach the packed path", dims)
-		}
 		a := randMat(g, m, k)
 		b := randMat(g, k, n)
 		if d := maxDiff(MatMul(a, b), naiveMatMul(a, b)); d != 0 {
-			t.Fatalf("packed MatMul m=%d k=%d n=%d: diff %g", m, k, n, d)
+			t.Fatalf("MatMul m=%d k=%d n=%d: diff %g", m, k, n, d)
+		}
+	}
+}
+
+// TestMatMulIntoNeverAllocates pins that MatMulInto runs on the calling
+// goroutine out of its operands alone, whatever the shape: many rows, a B
+// past any cache budget, and the tall-thin product the benchmark probes.
+// Each is also checked against the naive chain bit for bit.
+func TestMatMulIntoNeverAllocates(t *testing.T) {
+	g := rng.New(113)
+	for _, dims := range [][3]int{{130, 90, 110}, {70, 200, 100}, {1280, 54, 6}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		a := randMat(g, m, k)
+		b := randMat(g, k, n)
+		dst := New(m, n)
+		if allocs := testing.AllocsPerRun(5, func() { MatMulInto(dst, a, b) }); allocs != 0 {
+			t.Fatalf("MatMulInto m=%d k=%d n=%d allocates %v times", m, k, n, allocs)
+		}
+		if d := maxDiff(dst, naiveMatMul(a, b)); d != 0 {
+			t.Fatalf("MatMulInto m=%d k=%d n=%d: diff %g", m, k, n, d)
 		}
 	}
 }
 
 // TestVecMatMulIntoBitExact checks the row-vector entry against the naive
-// chain bit for bit, below and above mmDirectB (it reads B in place at any
-// size), on a dirty destination, with exact zeros in x — and that it
-// neither allocates nor accepts mismatched lengths.
+// chain bit for bit on a dirty destination, with exact zeros in x — and
+// that it neither allocates nor accepts mismatched lengths.
 func TestVecMatMulIntoBitExact(t *testing.T) {
 	g := rng.New(127)
 	for _, dims := range [][2]int{{1, 1}, {9, 32}, {16, 20}, {65, 256}, {128, 256}, {200, 131}} {
@@ -162,28 +178,6 @@ func TestVecMatMulIntoBitExact(t *testing.T) {
 		}
 	}()
 	VecMatMulInto(make([]float64, 4), make([]float64, 3), make([]float64, 11))
-}
-
-// TestMatMulParallelPackedMatchesSequential covers the combination of the
-// goroutine row split and the packed-panel path.
-func TestMatMulParallelPackedMatchesSequential(t *testing.T) {
-	g := rng.New(113)
-	a := randMat(g, 70, 200)
-	b := randMat(g, 200, 100)
-	if 200*100 <= mmDirectB || 70*200*100 < parallelRowThreshold {
-		t.Fatal("shape does not reach both the packed and parallel paths")
-	}
-	old := SetMatmulParallelism(1)
-	seq := MatMul(a, b)
-	SetMatmulParallelism(8)
-	par := MatMul(a, b)
-	SetMatmulParallelism(old)
-	if maxDiff(seq, par) != 0 {
-		t.Fatal("parallel packed matmul is not bit-identical to sequential")
-	}
-	if d := maxDiff(seq, naiveMatMul(a, b)); d != 0 {
-		t.Fatalf("packed matmul vs naive: diff %g", d)
-	}
 }
 
 func TestConvSegmentsMatchReference(t *testing.T) {

@@ -12,7 +12,7 @@ import "fmt"
 // note in matmul.go). A is addressed by two strides so one contract serves
 // both layouts: a row-major A block is (aRow, aK) = (row stride, 1), the
 // transposed A of MatMulTransA is (1, row stride). ostride and bstride may
-// exceed jw (tiles of a wider matrix, packed panels).
+// exceed jw (tiles of a wider matrix).
 //
 // Rows go in strips of four sharing each loaded b element, then one at a
 // time. A strip has two implementations of this same contract, bit for bit

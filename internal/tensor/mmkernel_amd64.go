@@ -3,7 +3,7 @@
 package tensor
 
 // useAVX2 selects the assembly strips. It is a variable only so in-package
-// tests can compare the two implementations (the maxProcs precedent).
+// tests can compare the two implementations.
 var useAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool

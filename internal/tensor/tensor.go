@@ -1,11 +1,11 @@
 // Package tensor implements dense row-major float64 tensors and the
 // numerical kernels the neural-network substrate is built on: elementwise
-// arithmetic, reductions, blocked parallel matrix multiplication, and the
+// arithmetic, reductions, blocked matrix multiplication, and the
 // im2col/col2im transforms used by convolution layers.
 //
-// Everything is stdlib-only and deterministic: parallel kernels partition
-// work by row ranges so the floating-point summation order is independent of
-// goroutine scheduling.
+// Everything is stdlib-only, deterministic and single-goroutine: a kernel
+// runs on its caller's goroutine, and its floating-point summation order is
+// a function of the operand shapes alone.
 package tensor
 
 import (

@@ -43,7 +43,6 @@ func (cs *CurveSet) assemble(cells []curveCell) {
 // LC-ASGD.
 func Fig2(p Profile, seed uint64) CurveSet {
 	pool := newPool(p)
-	defer pool.close()
 	cs := CurveSet{Profile: p.Name, Workers: 0, Results: map[ps.Algo]ps.Result{}}
 	cells := []curveCell{{ps.SGD, pool.submit(cellKey(p, ps.SGD, 1, core.BNAsync, seed, nil), func() ps.Result {
 		return RunCell(p, ps.SGD, 1, core.BNAsync, seed)
@@ -63,7 +62,6 @@ func Fig2(p Profile, seed uint64) CurveSet {
 // worker count with Async-BN.
 func Fig3Panel(p Profile, workers int, seed uint64) CurveSet {
 	pool := newPool(p)
-	defer pool.close()
 	cs := CurveSet{Profile: p.Name, Workers: workers, Results: map[ps.Algo]ps.Result{}}
 	cells := []curveCell{{ps.SGD, pool.submit(cellKey(p, ps.SGD, 1, core.BNAsync, seed, nil), func() ps.Result {
 		return RunCell(p, ps.SGD, 1, core.BNAsync, seed)
@@ -82,7 +80,6 @@ func Fig3Panel(p Profile, workers int, seed uint64) CurveSet {
 // sequential SGD there because single-machine training is impractical).
 func Fig5Panel(p Profile, workers int, seed uint64) CurveSet {
 	pool := newPool(p)
-	defer pool.close()
 	cs := CurveSet{Profile: p.Name, Workers: workers, Results: map[ps.Algo]ps.Result{}}
 	var cells []curveCell
 	for _, a := range DistributedAlgos {
@@ -158,7 +155,6 @@ type Table1Row struct {
 // the paper's ImageNet baseline choice).
 func Table1(p Profile, includeSGD bool, seeds []uint64) (rows []Table1Row, baselineBN, baselineAsync float64) {
 	pool := newPool(p)
-	defer pool.close()
 	// Submit every (algo, workers, mode, seed) cell in the classic nested
 	// order; the mean is folded in wait order = submission order.
 	submitMean := func(algo ps.Algo, workers int, mode core.BNMode) []*cellFuture {

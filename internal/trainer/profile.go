@@ -58,10 +58,7 @@ type Profile struct {
 	// Table1/Robustness) runs concurrently; values <= 1 mean the classic
 	// sequential loops (cmd/lcexp -jobs). Results are assembled in
 	// submission order, so tables, curves and store artifacts are
-	// byte-identical at any Jobs value; the pool divides the machine with
-	// the matmul layer by capping tensor.SetMatmulParallelism at
-	// GOMAXPROCS/Jobs (see sched.go). Incompatible with the concurrent
-	// backend, which owns that cap itself.
+	// byte-identical at any Jobs value, on either backend (see sched.go).
 	Jobs int
 
 	// Progress, when non-nil, is called by sweep pools after every completed

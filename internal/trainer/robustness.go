@@ -102,7 +102,6 @@ func Robustness(p Profile, workers int, seed uint64, scns []scenario.Scenario, o
 	// cell pool in the classic nested order, then fold each row's seeds in
 	// that same order — rows are identical at any Profile.Jobs.
 	pool := newPool(p)
-	defer pool.close()
 	type gridCell struct {
 		row   RobustnessRow
 		seeds []*cellFuture

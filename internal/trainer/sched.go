@@ -2,12 +2,10 @@ package trainer
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"lcasgd/internal/ps"
-	"lcasgd/internal/tensor"
 )
 
 // The sweep scheduler: experiment sweeps (Fig2/Fig3Panel/Fig5Panel/Table1
@@ -26,23 +24,15 @@ import (
 //     scheduler degenerates to the old sequential loops, not to a
 //     one-worker pool, so a sequential sweep has no goroutine in the loop.
 //
-// The core budget is split with the matmul layer: cells * matmul goroutines
-// must not oversubscribe the machine, so the pool retunes
-// tensor.SetMatmulParallelism to GOMAXPROCS/jobs for its lifetime (the
-// "jobs × matmul-parallelism" rule in DESIGN.md). That cap is process-wide
-// state, which is why pools are serialized on sweepMu and why the
-// concurrent ps backend — which needs the cap for itself and serializes
-// runs on its own global lock — cannot be combined with Jobs > 1.
-
-// sweepMu serializes multi-job sweeps; the holder owns the process-wide
-// matmul parallelism cap.
-var sweepMu sync.Mutex
+// A pool owns nothing process-wide: pooled cells are goroutines, and so are
+// the concurrent backend's lanes inside each cell, so Jobs > 1 composes with
+// either backend and the Go scheduler multiplexes cells × lanes on
+// GOMAXPROCS.
 
 // cellPool runs sweep cells on at most jobs goroutines.
 type cellPool struct {
-	jobs   int
-	sem    chan struct{}
-	prevMM int
+	jobs int
+	sem  chan struct{}
 
 	// Progress accounting (Profile.Progress): completions are counted under
 	// progMu because pooled cells finish on worker goroutines; the callback
@@ -55,29 +45,10 @@ type cellPool struct {
 }
 
 // newPool sizes a pool from the profile. Jobs <= 1 yields the inline
-// (sequential) pool; Jobs > 1 acquires the sweep lock and the matmul cap.
+// (sequential) pool.
 func newPool(p Profile) *cellPool {
-	jobs := p.Jobs
-	if jobs <= 1 {
-		return &cellPool{jobs: 1, progress: p.Progress, started: time.Now()}
-	}
-	if p.Backend == ps.BackendConcurrent {
-		panic("trainer: Jobs > 1 cannot be combined with the concurrent backend: " +
-			"both own the process-wide matmul parallelism cap, and concurrent-backend " +
-			"runs serialize on a global lock so pooled cells would not overlap anyway")
-	}
-	sweepMu.Lock()
-	mm := runtime.GOMAXPROCS(0) / jobs
-	if mm < 1 {
-		mm = 1
-	}
-	return &cellPool{
-		jobs:     jobs,
-		sem:      make(chan struct{}, jobs),
-		prevMM:   tensor.SetMatmulParallelism(mm),
-		progress: p.Progress,
-		started:  time.Now(),
-	}
+	jobs := max(p.Jobs, 1)
+	return &cellPool{jobs: jobs, sem: make(chan struct{}, jobs), progress: p.Progress, started: time.Now()}
 }
 
 // cellDone counts a completed cell and emits a progress report naming it by
@@ -94,16 +65,6 @@ func (cp *cellPool) cellDone(key string) {
 	cp.completed++
 	cp.progress(cp.completed, cp.submitted, time.Since(cp.started), key)
 	cp.progMu.Unlock()
-}
-
-// close releases the matmul cap and the sweep lock. It must be called after
-// every future has been waited on.
-func (cp *cellPool) close() {
-	if cp.jobs <= 1 {
-		return
-	}
-	tensor.SetMatmulParallelism(cp.prevMM)
-	sweepMu.Unlock()
 }
 
 // cellFuture is the handle for one submitted cell.

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"lcasgd/internal/ps"
@@ -163,44 +162,30 @@ func TestSweepJobsStoreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPoolRejectsConcurrentBackend: the jobs × matmul budget rule — the
-// concurrent backend owns the process-wide matmul cap, so combining it with
-// a multi-job pool must fail loudly, not deadlock or oversubscribe.
-func TestPoolRejectsConcurrentBackend(t *testing.T) {
-	p := schedProfile(2)
-	p.Backend = ps.BackendConcurrent
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("newPool accepted Jobs > 1 with the concurrent backend")
-		}
-		if !strings.Contains(r.(string), "concurrent backend") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	newPool(p)
+// TestJobsWithConcurrentBackend: pooled cells each running worker lanes
+// (cells × lanes goroutines) produce the sequential sweep's rows.
+func TestJobsWithConcurrentBackend(t *testing.T) {
+	scns := schedScenarios()
+	opts := RobustnessOpts{Seeds: 2, RecoverOpt: true}
+	par := schedProfile(3)
+	par.Backend = ps.BackendConcurrent
+	seqRows := Robustness(schedProfile(1), 4, 1, scns, opts)
+	parRows := Robustness(par, 4, 1, scns, opts)
+	if !reflect.DeepEqual(seqRows, parRows) {
+		t.Fatalf("jobs=3 concurrent-backend rows differ from jobs=1 sequential:\nseq %+v\npar %+v", seqRows, parRows)
+	}
 }
 
 // TestPoolPanicPropagates: a failing cell (e.g. an experiment-store error)
-// aborts the sweep from wait, and the pool still releases the sweep lock so
-// later sweeps are not deadlocked.
+// aborts the sweep from wait.
 func TestPoolPanicPropagates(t *testing.T) {
-	p := schedProfile(2)
-	func() {
-		pool := newPool(p)
-		defer pool.close()
-		f := pool.submit("boom-cell", func() ps.Result { panic("boom") })
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("cell panic was swallowed")
-			}
-		}()
-		f.wait()
+	f := newPool(schedProfile(2)).submit("boom-cell", func() ps.Result { panic("boom") })
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("cell panic was swallowed")
+		}
 	}()
-	// The lock must be free: a second pool acquires it without blocking.
-	pool := newPool(p)
-	pool.submit("noop-cell", func() ps.Result { return ps.Result{} }).wait()
-	pool.close()
+	f.wait()
 }
 
 // BenchmarkRobustnessSweep measures sweep wall-clock at both pool shapes —
