@@ -1,14 +1,12 @@
 package lcasgd_test
 
-// One benchmark per table and figure of the paper's evaluation section
-// (DESIGN.md experiment index), plus ablation benches for the design
-// choices DESIGN.md calls out. Each benchmark regenerates its artifact on
-// the quick CPU-budget profile and prints the same rows/series the paper
-// reports; run cmd/lcexp -full for the paper-scale versions.
+// Ablation benches for the design choices DESIGN.md calls out, each on a
+// trimmed quick profile. (The paper's figures and tables are regenerated by
+// cmd/lcexp and timed by bench/.)
 //
-// The experiment runs take seconds each, so the testing framework settles
-// at b.N == 1; the printed artifact plus the reported metrics are the
-// output that matters.
+// The runs take seconds each, so the testing framework settles at
+// b.N == 1; the printed comparison plus the reported metrics are the output
+// that matters.
 
 import (
 	"fmt"
@@ -21,155 +19,13 @@ import (
 
 const benchSeed = 7
 
-// benchProfile trims the quick profile so the full bench suite stays
-// within a reasonable wall-clock budget.
+// benchProfile trims the quick profile so the suite stays within a
+// reasonable wall-clock budget.
 func benchProfile() trainer.Profile {
 	p := trainer.QuickCIFAR()
 	p.Epochs = 8
 	return p
 }
-
-func benchImageNet() trainer.Profile {
-	p := trainer.QuickImageNet()
-	p.Epochs = 6
-	return p
-}
-
-// BenchmarkFig2DCASGDDegradation regenerates Figure 2: DC-ASGD's test
-// error rises with the number of workers while SGD stays put.
-func BenchmarkFig2DCASGDDegradation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs := trainer.Fig2(benchProfile(), benchSeed)
-		fmt.Println(cs.ChartEpochs(72, 14))
-		sgd := cs.Results[ps.SGD].FinalTestErr
-		dc16 := cs.Results["DC-ASGD-16"].FinalTestErr
-		b.ReportMetric(sgd*100, "SGD-testerr%")
-		b.ReportMetric(dc16*100, "DC16-testerr%")
-	}
-}
-
-// BenchmarkFig3ErrorVsEpochCIFAR regenerates one Figure 3 panel: all five
-// algorithms vs epoch on the CIFAR-scale task (M=4 shown; cmd/lcexp
-// produces all panels).
-func BenchmarkFig3ErrorVsEpochCIFAR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs := trainer.Fig3Panel(benchProfile(), 4, benchSeed)
-		fmt.Println(cs.ChartEpochs(72, 14))
-		b.ReportMetric(cs.Results[ps.LCASGD].FinalTestErr*100, "LC-testerr%")
-		b.ReportMetric(cs.Results[ps.ASGD].FinalTestErr*100, "ASGD-testerr%")
-	}
-}
-
-// BenchmarkFig4ErrorVsTimeCIFAR regenerates one Figure 4 panel: the same
-// comparison against virtual wall-clock time (M=16, where the speed
-// separation is widest).
-func BenchmarkFig4ErrorVsTimeCIFAR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs := trainer.Fig3Panel(benchProfile(), 16, benchSeed)
-		fmt.Println(cs.ChartTime(72, 14))
-		ssgd := cs.Results[ps.SSGD].VirtualMs
-		asgd := cs.Results[ps.ASGD].VirtualMs
-		b.ReportMetric(ssgd/asgd, "SSGD/ASGD-time")
-		b.ReportMetric(cs.Results[ps.LCASGD].VirtualMs/asgd, "LC/ASGD-time")
-	}
-}
-
-// BenchmarkFig5ErrorVsEpochImageNet regenerates one Figure 5 panel on the
-// ImageNet-scale profile (no sequential SGD, as in the paper).
-func BenchmarkFig5ErrorVsEpochImageNet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs := trainer.Fig5Panel(benchImageNet(), 4, benchSeed)
-		fmt.Println(cs.ChartEpochs(72, 14))
-		b.ReportMetric(cs.Results[ps.LCASGD].FinalTestErr*100, "LC-testerr%")
-	}
-}
-
-// BenchmarkFig6ErrorVsTimeImageNet regenerates one Figure 6 panel.
-func BenchmarkFig6ErrorVsTimeImageNet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs := trainer.Fig5Panel(benchImageNet(), 16, benchSeed)
-		fmt.Println(cs.ChartTime(72, 14))
-		b.ReportMetric(cs.Results[ps.ASGD].VirtualMs/1000, "ASGD-vsec")
-		b.ReportMetric(cs.Results[ps.SSGD].VirtualMs/1000, "SSGD-vsec")
-	}
-}
-
-// BenchmarkFig7LossPredictorTrace regenerates Figure 7: predicted vs
-// actual loss during an M=16 LC-ASGD run.
-func BenchmarkFig7LossPredictorTrace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lossChart, _, res := trainer.PredictorTraces(benchProfile(), benchSeed)
-		fmt.Println(lossChart)
-		b.ReportMetric(trainer.TraceMAE(res.LossTrace), "loss-MAE")
-	}
-}
-
-// BenchmarkFig8StepPredictorTrace regenerates Figure 8: predicted vs
-// observed staleness during the same setting.
-func BenchmarkFig8StepPredictorTrace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, stepChart, res := trainer.PredictorTraces(benchProfile(), benchSeed)
-		fmt.Println(stepChart)
-		b.ReportMetric(trainer.TraceMAE(res.StepTrace), "step-MAE")
-		b.ReportMetric(res.MeanStaleness, "mean-staleness")
-	}
-}
-
-// BenchmarkTable1FinalErrorGrid regenerates Table 1 for the CIFAR-scale
-// profile: final test error for every (M, algorithm) under BN and
-// Async-BN. (The ImageNet half is in BenchmarkTable1ImageNetGrid; both are
-// single-seed here — use cmd/lcexp -seeds 3 for averaged numbers.)
-func BenchmarkTable1FinalErrorGrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := benchProfile()
-		rows, b1, b2 := trainer.Table1(p, true, []uint64{benchSeed})
-		fmt.Println(trainer.RenderTable1(p, rows, b1, b2))
-		// Headline: LC-ASGD's worst-case (M=16) Async-BN degradation.
-		for _, r := range rows {
-			if r.Workers == 16 && r.Algo == ps.LCASGD {
-				b.ReportMetric((r.AsyncErr-b2)/b2*100, "LC16-deg%")
-			}
-		}
-	}
-}
-
-// BenchmarkTable1ImageNetGrid is Table 1's ImageNet half (SSGD M=4 is the
-// baseline, as in the paper).
-func BenchmarkTable1ImageNetGrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := benchImageNet()
-		rows, b1, b2 := trainer.Table1(p, false, []uint64{benchSeed})
-		fmt.Println(trainer.RenderTable1(p, rows, b1, b2))
-		for _, r := range rows {
-			if r.Workers == 16 && r.Algo == ps.LCASGD {
-				b.ReportMetric((r.AsyncErr-b2)/b2*100, "LC16-deg%")
-			}
-		}
-	}
-}
-
-// BenchmarkTable2PredictorOverheadCIFAR regenerates Table 2: per-iteration
-// predictor cost (real measured LSTM times over the virtual iteration).
-func BenchmarkTable2PredictorOverheadCIFAR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := benchProfile()
-		rows := trainer.OverheadTable(p, benchSeed)
-		fmt.Println(trainer.RenderOverhead(p, rows))
-		b.ReportMetric(rows[len(rows)-1].OverheadPct, "overhead%@16")
-	}
-}
-
-// BenchmarkTable3PredictorOverheadImageNet regenerates Table 3.
-func BenchmarkTable3PredictorOverheadImageNet(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := benchImageNet()
-		rows := trainer.OverheadTable(p, benchSeed)
-		fmt.Println(trainer.RenderOverhead(p, rows))
-		b.ReportMetric(rows[len(rows)-1].OverheadPct, "overhead%@16")
-	}
-}
-
-// --- Ablation benches (design choices called out in DESIGN.md) ---
 
 // BenchmarkAblationLambda compares LC-ASGD with compensation on vs off at
 // M=16; λ=0 reduces LC-ASGD to ASGD-plus-Async-BN on the LC timeline.

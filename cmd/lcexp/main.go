@@ -73,6 +73,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -103,6 +104,66 @@ func resolveJobs(jobs int, parallel bool) (int, error) {
 		return runtime.GOMAXPROCS(0), nil
 	}
 	return jobs, nil
+}
+
+// flagValues is what checkFlags judges: the flags some rule constrains.
+type flagValues struct {
+	scenario, topology, traceOut, metricsOut, ckptDir string
+	workers, jobs, seeds                              int
+	ckptKeep, ckptEvery, ckptFullEvery                int
+	parallel, render, resume                          bool
+}
+
+// checkFlags returns the first rule the command line breaks, or nil. The
+// scenario and topology errors carry their valid vocabularies.
+func checkFlags(f flagValues) error {
+	_, scErr := scenario.Lookup(f.scenario)
+	// An explicit edge-list topology names concrete ranks, so every fleet it
+	// is applied to must span them: a smaller fleet would silently drop the
+	// out-of-range edges (and can leave decentralized cells gossiping on a
+	// disconnected remnant), surfacing only as a confusing mid-sweep result.
+	// Reject the pairing against every fleet size this invocation will run.
+	span, topoErr := topology.SpecMinWorkers(f.topology)
+	smallest := f.workers
+	if smallest == 0 {
+		smallest = slices.Min(trainer.WorkerCounts)
+	}
+	_, jobsErr := resolveJobs(f.jobs, f.parallel)
+	switch {
+	case scErr != nil:
+		return scErr
+	case topoErr != nil:
+		return topoErr
+	case f.workers < 0:
+		return errors.New("-workers must be non-negative (0 = the full 4,8,16 grid)")
+	case smallest < span:
+		return fmt.Errorf("-topology %q names ranks up to %d, but the sweep runs fleets of %d workers; pass -workers %d or larger",
+			f.topology, span-1, smallest, span)
+	case (f.traceOut != "" || f.metricsOut != "") && f.render:
+		// Render cells load persisted results without running the engine, so
+		// there is nothing to trace; failing beats writing an empty artifact.
+		return errors.New("-trace-out/-metrics-out cannot be combined with -render: rendered cells compute nothing, so there is no telemetry to record")
+	case jobsErr != nil && !f.render: // -render runs one sequential cell whatever -jobs says
+		return jobsErr
+	case f.resume && f.ckptDir == "":
+		return errors.New("-resume requires -ckpt-dir (nowhere to resume from)")
+	case f.render && f.ckptDir == "":
+		return errors.New("-render requires -ckpt-dir (nowhere to load results from)")
+	case f.ckptKeep < 1:
+		return errors.New("-ckpt-keep must be at least 1")
+	case f.ckptEvery < 0:
+		// Rejected even without -ckpt-dir: a negative cadence is never
+		// meaningful, and catching it here beats a ps panic mid-sweep.
+		return errors.New("-ckpt-every cannot be negative")
+	case f.ckptEvery == 0 && f.ckptDir != "":
+		return errors.New("-ckpt-every must be positive with -ckpt-dir")
+	case f.ckptFullEvery < 1:
+		return errors.New("-ckpt-full-every must be at least 1")
+	case f.seeds < 1:
+		// Zero seeds would run no cell and average nothing: a table of NaN.
+		return errors.New("-seeds must be at least 1")
+	}
+	return nil
 }
 
 func main() {
@@ -136,50 +197,18 @@ func main() {
 
 	ids := expandExperiments(*exp)
 
-	// Validated before the profiling defers are armed: os.Exit on a bad
-	// name must not leave a truncated, unreadable profile file behind.
-	sc, err := scenario.Lookup(*scn)
-	if err != nil {
+	// Checked before the profiling defers are armed: os.Exit on a bad value
+	// must not leave a truncated, unreadable profile file behind.
+	if err := checkFlags(flagValues{
+		scenario: *scn, topology: *topo, traceOut: *traceOut, metricsOut: *metricsOut, ckptDir: *ckptDir,
+		workers: *workers, jobs: *jobs, seeds: *seeds,
+		ckptKeep: *ckptKeep, ckptEvery: *ckptEvery, ckptFullEvery: *ckptFullEvery,
+		parallel: *parallel, render: *render, resume: *resume,
+	}); err != nil {
 		fmt.Fprintf(os.Stderr, "lcexp: %v\n", err)
 		os.Exit(2)
 	}
-	// Like scenario.Lookup, the topology errors carry the valid vocabulary.
-	if err := topology.ValidateSpec(*topo); err != nil {
-		fmt.Fprintf(os.Stderr, "lcexp: %v\n", err)
-		os.Exit(2)
-	}
-	if *workers < 0 {
-		fmt.Fprintln(os.Stderr, "lcexp: -workers must be non-negative (0 = the full 4,8,16 grid)")
-		os.Exit(2)
-	}
-	// An explicit edge-list topology names concrete ranks, so every fleet it
-	// is applied to must span them: a smaller fleet would silently drop the
-	// out-of-range edges (and can leave decentralized cells gossiping on a
-	// disconnected remnant), surfacing only as a confusing mid-sweep result.
-	// Reject the pairing here, against every fleet size this invocation will
-	// run, instead.
-	if span, _ := topology.SpecMinWorkers(*topo); span > 0 {
-		smallest := *workers
-		if smallest == 0 {
-			for _, m := range trainer.WorkerCounts {
-				if smallest == 0 || m < smallest {
-					smallest = m
-				}
-			}
-		}
-		if smallest < span {
-			fmt.Fprintf(os.Stderr,
-				"lcexp: -topology %q names ranks up to %d, but the sweep runs fleets of %d workers; pass -workers %d or larger\n",
-				*topo, span-1, smallest, span)
-			os.Exit(2)
-		}
-	}
-	if (*traceOut != "" || *metricsOut != "") && *render {
-		// Render cells load persisted results without running the engine, so
-		// there is nothing to trace; failing beats writing an empty artifact.
-		fmt.Fprintln(os.Stderr, "lcexp: -trace-out/-metrics-out cannot be combined with -render: rendered cells compute nothing, so there is no telemetry to record")
-		os.Exit(2)
-	}
+	sc, _ := scenario.Lookup(*scn) // checkFlags vetted the name
 	if *render {
 		// Render cells never compute, so cell-level parallelism buys nothing —
 		// and the sequential path is what propagates the typed
@@ -187,40 +216,11 @@ func main() {
 		*jobs = 1
 		*parallel = false
 	}
-	if *jobs, err = resolveJobs(*jobs, *parallel); err != nil {
-		fmt.Fprintf(os.Stderr, "lcexp: %v\n", err)
-		os.Exit(2)
-	}
-	if *resume && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "lcexp: -resume requires -ckpt-dir (nowhere to resume from)")
-		os.Exit(2)
-	}
-	if *render && *ckptDir == "" {
-		fmt.Fprintln(os.Stderr, "lcexp: -render requires -ckpt-dir (nowhere to load results from)")
-		os.Exit(2)
-	}
-	if *ckptKeep < 1 {
-		fmt.Fprintln(os.Stderr, "lcexp: -ckpt-keep must be at least 1")
-		os.Exit(2)
-	}
-	if *ckptEvery < 0 {
-		// Rejected even without -ckpt-dir: a negative cadence is never
-		// meaningful, and catching it here beats a ps panic mid-sweep.
-		fmt.Fprintln(os.Stderr, "lcexp: -ckpt-every cannot be negative")
-		os.Exit(2)
-	}
-	if *ckptEvery == 0 && *ckptDir != "" {
-		fmt.Fprintln(os.Stderr, "lcexp: -ckpt-every must be positive with -ckpt-dir")
-		os.Exit(2)
-	}
-	if *ckptFullEvery < 1 {
-		fmt.Fprintln(os.Stderr, "lcexp: -ckpt-full-every must be at least 1")
-		os.Exit(2)
-	}
+	*jobs, _ = resolveJobs(*jobs, *parallel) // and the count
 	var store *snapshot.Store
 	if *ckptDir != "" {
-		store, err = snapshot.OpenStore(*ckptDir)
-		if err != nil {
+		var err error
+		if store, err = snapshot.OpenStore(*ckptDir); err != nil {
 			fmt.Fprintf(os.Stderr, "lcexp: %v\n", err)
 			os.Exit(2)
 		}

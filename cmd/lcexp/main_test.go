@@ -2,6 +2,7 @@ package main
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -33,6 +34,65 @@ func TestResolveJobs(t *testing.T) {
 		}
 		if err == nil && got != tc.want {
 			t.Fatalf("resolveJobs(%d, %v) = %d, want %d", tc.jobs, tc.parallel, got, tc.want)
+		}
+	}
+}
+
+// TestCheckFlags pins every rejection: one row per rule, each breaking
+// exactly that rule from the flag defaults, in the order the rules are
+// tried. The messages are the command's interface (exit 2, "lcexp: " + the
+// message on stderr), so they are compared in full; the two that quote a
+// package's vocabulary are matched by prefix.
+func TestCheckFlags(t *testing.T) {
+	defaults := flagValues{scenario: "none", seeds: 1, ckptEvery: 1, ckptKeep: 1, ckptFullEvery: 8}
+	for _, tc := range []struct {
+		name string
+		set  func(f *flagValues)
+		want string // "" = accepted; a trailing "…" matches by prefix
+	}{
+		{"defaults", func(f *flagValues) {}, ""},
+		{"everything at once", func(f *flagValues) {
+			*f = flagValues{scenario: "mixed", topology: "edges:0-1,1-2,2-3", traceOut: "t.json", metricsOut: "m.csv",
+				ckptDir: "store", workers: 4, jobs: 3, seeds: 2, ckptKeep: 2, ckptEvery: 2, ckptFullEvery: 1,
+				parallel: true, resume: true}
+		}, ""},
+		{"-scenario bogus", func(f *flagValues) { f.scenario = "bogus" }, `scenario: unknown scenario "bogus" (valid: …`},
+		{"-topology bogus", func(f *flagValues) { f.topology = "bogus" }, `topology: unknown spec "bogus" (valid: …`},
+		{"-workers -1", func(f *flagValues) { f.workers = -1 }, "-workers must be non-negative (0 = the full 4,8,16 grid)"},
+		{"-topology edges:0-9 -workers 4", func(f *flagValues) { f.topology, f.workers = "edges:0-9", 4 },
+			`-topology "edges:0-9" names ranks up to 9, but the sweep runs fleets of 4 workers; pass -workers 10 or larger`},
+		{"-topology edges:0-9 on the default grid", func(f *flagValues) { f.topology = "edges:0-9" },
+			`-topology "edges:0-9" names ranks up to 9, but the sweep runs fleets of 4 workers; pass -workers 10 or larger`},
+		{"-topology edges:0-9 -workers 10", func(f *flagValues) { f.topology, f.workers = "edges:0-9", 10 }, ""},
+		{"-trace-out -render", func(f *flagValues) { f.traceOut, f.render, f.ckptDir = "t.json", true, "store" },
+			"-trace-out/-metrics-out cannot be combined with -render: rendered cells compute nothing, so there is no telemetry to record"},
+		{"-metrics-out -render", func(f *flagValues) { f.metricsOut, f.render, f.ckptDir = "m.json", true, "store" },
+			"-trace-out/-metrics-out cannot be combined with -render: rendered cells compute nothing, so there is no telemetry to record"},
+		{"-jobs -1", func(f *flagValues) { f.jobs = -1 }, "-jobs must be non-negative"},
+		{"-jobs -1 -render", func(f *flagValues) { f.jobs, f.render, f.ckptDir = -1, true, "store" }, ""},
+		{"-resume without -ckpt-dir", func(f *flagValues) { f.resume = true }, "-resume requires -ckpt-dir (nowhere to resume from)"},
+		{"-render without -ckpt-dir", func(f *flagValues) { f.render = true }, "-render requires -ckpt-dir (nowhere to load results from)"},
+		{"-ckpt-keep 0", func(f *flagValues) { f.ckptKeep = 0 }, "-ckpt-keep must be at least 1"},
+		{"-ckpt-every -1", func(f *flagValues) { f.ckptEvery = -1 }, "-ckpt-every cannot be negative"},
+		{"-ckpt-every 0 -ckpt-dir", func(f *flagValues) { f.ckptEvery, f.ckptDir = 0, "store" }, "-ckpt-every must be positive with -ckpt-dir"},
+		{"-ckpt-every 0", func(f *flagValues) { f.ckptEvery = 0 }, ""},
+		{"-ckpt-full-every 0", func(f *flagValues) { f.ckptFullEvery = 0 }, "-ckpt-full-every must be at least 1"},
+		{"-seeds 0", func(f *flagValues) { f.seeds = 0 }, "-seeds must be at least 1"},
+		{"-seeds -3", func(f *flagValues) { f.seeds = -3 }, "-seeds must be at least 1"},
+		{"first failure wins", func(f *flagValues) { f.workers, f.seeds = -1, 0 }, "-workers must be non-negative (0 = the full 4,8,16 grid)"},
+	} {
+		f := defaults
+		tc.set(&f)
+		got := ""
+		if err := checkFlags(f); err != nil {
+			got = err.Error()
+		}
+		if prefix, ok := strings.CutSuffix(tc.want, "…"); ok {
+			if !strings.HasPrefix(got, prefix) {
+				t.Errorf("%s: got %q, want prefix %q", tc.name, got, prefix)
+			}
+		} else if got != tc.want {
+			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

@@ -40,16 +40,10 @@ type LayerStats struct {
 	Mean, Var []float64
 }
 
-// CollectStats reads the most recent batch statistics from every BN layer
-// of a worker replica.
-func CollectStats(bns []*nn.BatchNorm) []LayerStats {
-	return CollectStatsInto(nil, bns)
-}
-
 // CollectStatsInto refreshes dst in place with the most recent batch
-// statistics, allocating the per-layer slices only when dst is nil or
-// mis-shaped — the allocation-free variant of CollectStats the worker
-// replicas call once per iteration.
+// statistics of every BN layer of a worker replica, allocating the
+// per-layer slices only when dst is nil or mis-shaped; the replicas call it
+// once per iteration.
 func CollectStatsInto(dst []LayerStats, bns []*nn.BatchNorm) []LayerStats {
 	if len(dst) != len(bns) {
 		dst = make([]LayerStats, len(bns))

@@ -28,22 +28,6 @@ func TestIterLogGaps(t *testing.T) {
 	}
 }
 
-func TestIterLogLastGap(t *testing.T) {
-	l := NewIterLog()
-	if l.LastGap(3) != -1 {
-		t.Fatal("unseen worker must report -1")
-	}
-	l.Append(3)
-	if l.LastGap(3) != -1 {
-		t.Fatal("single delivery must report -1")
-	}
-	l.Append(1)
-	l.Append(3)
-	if l.LastGap(3) != 1 {
-		t.Fatalf("LastGap %d, want 1", l.LastGap(3))
-	}
-}
-
 func TestIterLogSeqCopy(t *testing.T) {
 	l := NewIterLog()
 	l.Append(1)
@@ -319,35 +303,40 @@ func TestCompensationScalePropertyQuick(t *testing.T) {
 	}
 }
 
-func TestCollectStatsIntoMatchesCollectStats(t *testing.T) {
+// TestCollectStatsIntoRefreshesInPlace: the first call sizes the view from
+// the layers, every later one rewrites the same slices with the statistics
+// of the latest forward.
+func TestCollectStatsIntoRefreshesInPlace(t *testing.T) {
 	bn1 := nn.NewBatchNorm("a", 3, 1)
 	bn2 := nn.NewBatchNorm("b", 2, 1)
-	x1 := mkBatch(4, 3, 7)
-	x2 := mkBatch(4, 2, 8)
-	bn1.Forward(x1, true)
-	bn2.Forward(x2, true)
 	bns := []*nn.BatchNorm{bn1, bn2}
-	want := CollectStats(bns)
-	var dst []LayerStats
-	dst = CollectStatsInto(dst, bns)
-	for li := range want {
-		for c := range want[li].Mean {
-			if dst[li].Mean[c] != want[li].Mean[c] || dst[li].Var[c] != want[li].Var[c] {
-				t.Fatalf("layer %d channel %d stats differ", li, c)
+	check := func(dst []LayerStats) {
+		t.Helper()
+		for li, bn := range bns {
+			mean, vari := make([]float64, bn.C), make([]float64, bn.C)
+			bn.ReadBatchStats(mean, vari)
+			for c := range mean {
+				if dst[li].Mean[c] != mean[c] || dst[li].Var[c] != vari[c] {
+					t.Fatalf("layer %d channel %d stats differ", li, c)
+				}
 			}
 		}
 	}
-	// Refresh in place after another forward: no reallocation, new values.
+	bn1.Forward(mkBatch(4, 3, 7), true)
+	bn2.Forward(mkBatch(4, 2, 8), true)
+	dst := CollectStatsInto(nil, bns)
+	check(dst)
 	m0 := dst[0].Mean
+	old := m0[0]
 	bn1.Forward(mkBatch(4, 3, 9), true)
 	dst = CollectStatsInto(dst, bns)
 	if &dst[0].Mean[0] != &m0[0] {
 		t.Fatal("CollectStatsInto reallocated a matching destination")
 	}
-	fresh := CollectStats(bns)
-	if dst[0].Mean[0] != fresh[0].Mean[0] {
+	if dst[0].Mean[0] == old {
 		t.Fatal("CollectStatsInto did not refresh values")
 	}
+	check(dst)
 }
 
 func mkBatch(n, c int, seed uint64) *tensor.Tensor {

@@ -41,19 +41,3 @@ func (l *IterLog) Len() int { return len(l.seq) }
 // Seq returns a copy of the full delivery order (used by the Figure 8
 // harness to plot the finishing order).
 func (l *IterLog) Seq() []int { return append([]int(nil), l.seq...) }
-
-// LastGap returns the most recently observed staleness for worker m without
-// mutating the log, or -1 if m has fewer than two deliveries.
-func (l *IterLog) LastGap(m int) int {
-	idx, ok := l.lastSeen[m]
-	if !ok {
-		return -1
-	}
-	// Scan backwards for m's previous appearance before idx.
-	for i := idx - 1; i >= 0; i-- {
-		if l.seq[i] == m {
-			return idx - i - 1
-		}
-	}
-	return -1
-}

@@ -233,14 +233,6 @@ func NewBatchIter(ds *Dataset, size int, g *rng.RNG) *BatchIter {
 	return it
 }
 
-// Next returns the next mini-batch, reshuffling when the epoch wraps.
-func (it *BatchIter) Next() (*tensor.Tensor, []int) {
-	x := tensor.New(it.size, it.ds.Features())
-	y := make([]int, it.size)
-	it.NextInto(x, y)
-	return x, y
-}
-
 // NextInto fills the caller-provided buffers with the next mini-batch,
 // reshuffling when the epoch wraps. x must have shape [size, Features()]
 // and y length size; steady-state iteration allocates nothing.

@@ -191,9 +191,10 @@ func TestBatchIterCoversEpoch(t *testing.T) {
 	if it.BatchesPerEpoch() != 20 {
 		t.Fatalf("batches per epoch %d", it.BatchesPerEpoch())
 	}
+	x, y := tensor.New(100, tr.Features()), make([]int, 100)
 	seenLabels := 0
 	for i := 0; i < it.BatchesPerEpoch(); i++ {
-		_, y := it.Next()
+		it.NextInto(x, y)
 		seenLabels += len(y)
 	}
 	if seenLabels != 2000 {
@@ -202,7 +203,7 @@ func TestBatchIterCoversEpoch(t *testing.T) {
 	if it.Epoch != 0 {
 		t.Fatalf("epoch counter %d before wrap", it.Epoch)
 	}
-	it.Next()
+	it.NextInto(x, y)
 	if it.Epoch != 1 {
 		t.Fatalf("epoch counter %d after wrap", it.Epoch)
 	}
@@ -211,8 +212,10 @@ func TestBatchIterCoversEpoch(t *testing.T) {
 func TestBatchIterReshuffles(t *testing.T) {
 	tr, _ := Generate(CIFARConfig())
 	it := NewBatchIter(tr, tr.Len(), rng.New(2))
-	_, y1 := it.Next()
-	_, y2 := it.Next()
+	x := tensor.New(tr.Len(), tr.Features())
+	y1, y2 := make([]int, tr.Len()), make([]int, tr.Len())
+	it.NextInto(x, y1)
+	it.NextInto(x, y2)
 	diff := false
 	for i := range y1 {
 		if y1[i] != y2[i] {

@@ -237,8 +237,8 @@ func TestNetworkWindowBounded(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		n.Observe([]float64{float64(i)}, 0)
 	}
-	if n.WindowLen() != 5 {
-		t.Fatalf("window length %d, want 5", n.WindowLen())
+	if n.count != 5 {
+		t.Fatalf("window length %d, want 5", n.count)
 	}
 }
 

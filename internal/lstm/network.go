@@ -310,9 +310,6 @@ func (n *Network) PredictAhead(input []float64, k int, feedback func(out float64
 	return outs
 }
 
-// WindowLen returns the number of pairs currently in the training window.
-func (n *Network) WindowLen() int { return n.count }
-
 // SnapshotTo serializes everything that survives across online-training
 // calls: every cell's packed weights, the linear head, and the sliding
 // window (inputs, targets, fill count). Recurrent states and BPTT scratch

@@ -177,6 +177,47 @@ func TestBatchSizeChangeReusesCapacity(t *testing.T) {
 		}
 	}
 
+	// The layers whose buffers follow the input's shape rather than a
+	// configured width, forward and backward: a remainder batch and the
+	// full batch after it live in the buffers the first full batch left.
+	for _, tc := range []struct {
+		name string
+		l    Layer
+	}{
+		{"relu", NewReLU(3)},
+		{"residual", NewResidual(NewSequential(NewDense("p", 3, 3, g)), nil)},
+	} {
+		fullOut, fullDx := tc.l.Forward(x4, true), tc.l.Backward(x4)
+		wantOut, wantDx := fullOut.Clone(), fullDx.Clone()
+		smallOut := tc.l.Forward(x2, true)
+		if smallOut != fullOut || smallOut.Shape[0] != 2 || len(smallOut.Data) != 6 {
+			t.Fatalf("%s: remainder batch output reused %v, shape %v", tc.name, smallOut == fullOut, smallOut.Shape)
+		}
+		for i, v := range smallOut.Data {
+			if v != wantOut.Data[i] {
+				t.Fatalf("%s: remainder batch out[%d] = %v, want %v", tc.name, i, v, wantOut.Data[i])
+			}
+		}
+		cycle := func() {
+			tc.l.Forward(x2, true)
+			tc.l.Backward(x2)
+			tc.l.Forward(x4, true)
+			tc.l.Backward(x4)
+		}
+		if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+			t.Fatalf("%s: shrink/regrow allocates %v times per cycle, want 0", tc.name, allocs)
+		}
+		out, dx := tc.l.Forward(x4, true), tc.l.Backward(x4)
+		if out != fullOut || dx != fullDx {
+			t.Fatalf("%s: full batch after a remainder replaced a buffer", tc.name)
+		}
+		for i := range wantOut.Data {
+			if out.Data[i] != wantOut.Data[i] || dx.Data[i] != wantDx.Data[i] {
+				t.Fatalf("%s: full batch after a remainder: element %d moved", tc.name, i)
+			}
+		}
+	}
+
 	// The whole layer zoo, inference mode, sizes alternating.
 	net := convTestNet(g)
 	big, small := tensor.New(6, 64), tensor.New(2, 64)

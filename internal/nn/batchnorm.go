@@ -17,7 +17,7 @@ const BNEpsilon = 1e-5
 // The layer is the integration point for the paper's Async-BN (Section 4,
 // Formulas 6–7): the parameter server owns the global running mean/variance,
 // and the distributed strategies read the worker's freshly computed batch
-// statistics (BatchMean/BatchVar) and write back globally accumulated ones
+// statistics (ReadBatchStats) and write back globally accumulated ones
 // (SetRunning). Inference always normalizes with the running statistics, so
 // the quality of the server's accumulation policy is directly visible in the
 // measured test error — exactly the effect Table 1 reports.
@@ -35,7 +35,7 @@ type BatchNorm struct {
 	// Last batch statistics, exposed to the distributed strategies.
 	batchMean, batchVar []float64
 
-	// Backward caches. xhat is reused across iterations (reuseFor); out/dx
+	// Backward caches. xhat is reused across iterations (reuse2); out/dx
 	// are the layer's reused output and input-gradient buffers.
 	x       *tensor.Tensor
 	xhat    *tensor.Tensor
@@ -169,19 +169,9 @@ func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 // OutFeatures reports C*Spatial.
 func (bn *BatchNorm) OutFeatures() int { return bn.C * bn.Spatial }
 
-// BatchMean returns a copy of the most recent training-batch means.
-func (bn *BatchNorm) BatchMean() []float64 {
-	return append([]float64(nil), bn.batchMean...)
-}
-
-// BatchVar returns a copy of the most recent training-batch variances.
-func (bn *BatchNorm) BatchVar() []float64 {
-	return append([]float64(nil), bn.batchVar...)
-}
-
 // ReadBatchStats copies the most recent training-batch statistics into the
-// caller-provided slices (length C each) — the allocation-free variant of
-// BatchMean/BatchVar used by the per-iteration statistics push.
+// caller-provided slices (length C each), for the per-iteration statistics
+// push.
 func (bn *BatchNorm) ReadBatchStats(mean, variance []float64) {
 	if len(mean) != bn.C || len(variance) != bn.C {
 		panic(fmt.Sprintf("nn: ReadBatchStats expects %d channels, got %d/%d", bn.C, len(mean), len(variance)))

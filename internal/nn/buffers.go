@@ -2,9 +2,9 @@ package nn
 
 import "lcasgd/internal/tensor"
 
-// reuseFor returns the cached buffer *buf re-pointed at the wanted shape
-// when only the leading (batch) dimension differs and the buffer's backing
-// array is large enough, replacing it with a fresh tensor otherwise.
+// reuse2 returns the cached buffer *buf re-pointed at shape [r, c] when only
+// the leading (batch) dimension differs and the buffer's backing array is
+// large enough, replacing it with a fresh tensor otherwise.
 //
 // This is the memory model of the whole layer zoo (see DESIGN.md "Memory
 // model"): every layer keeps one output buffer and one input-gradient
@@ -16,41 +16,17 @@ import "lcasgd/internal/tensor"
 // layers. A smaller batch (an evaluation remainder batch) reslices the
 // buffer it already has and the next full batch reslices it back, so
 // alternating batch sizes allocate nothing once the largest has been seen;
-// only a larger batch or a different row shape reallocates. The header is
+// only a larger batch or a different row width reallocates. The header is
 // re-pointed in place: a tensor a layer returned describes that layer's
 // latest pass, never an earlier one.
 //
 // The returned tensor's contents are unspecified; callers either overwrite
 // every element or explicitly Zero() it first (the scatter-accumulate
 // kernels).
-func reuseFor(buf **tensor.Tensor, shape []int) *tensor.Tensor {
-	if b := *buf; b != nil {
-		if sameDims(b.Shape, shape) {
-			return b // steady state: nothing is written
-		}
-		if len(shape) > 0 && len(b.Shape) == len(shape) && sameDims(b.Shape[1:], shape[1:]) {
-			n := 1
-			for _, d := range shape {
-				n *= d
-			}
-			if n <= cap(b.Data) {
-				b.Shape[0] = shape[0]
-				b.Data = b.Data[:n]
-				return b
-			}
-		}
-	}
-	b := tensor.New(shape...)
-	*buf = b
-	return b
-}
-
-// reuse2 is reuseFor for the common [r, c] case without building a shape
-// slice at the call site.
 func reuse2(buf **tensor.Tensor, r, c int) *tensor.Tensor {
 	if b := *buf; b != nil && len(b.Shape) == 2 && b.Shape[1] == c {
 		if b.Shape[0] == r {
-			return b
+			return b // steady state: nothing is written
 		}
 		if r*c <= cap(b.Data) {
 			repoint2(b, r, c)
@@ -67,16 +43,4 @@ func reuse2(buf **tensor.Tensor, r, c int) *tensor.Tensor {
 func repoint2(t *tensor.Tensor, r, c int) {
 	t.Shape[0], t.Shape[1] = r, c
 	t.Data = t.Data[:r*c]
-}
-
-func sameDims(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -38,7 +38,7 @@ type Conv2D struct {
 	// gathered output gradient. Allocated at construction for a full group
 	// and re-pointed (repoint2) at the width of the group in hand, so a short
 	// last group gets a dense panel of its own width without a new header.
-	// out/dx are per-batch-shape (see reuseFor).
+	// out/dx are per-batch-shape (see reuse2).
 	panel, dPanel, y *tensor.Tensor
 	out, dx          *tensor.Tensor
 }

@@ -14,7 +14,7 @@ type Dense struct {
 	W, B    *Param
 	x       *tensor.Tensor // cached input for backward
 
-	// Reused buffers (see reuseFor): per-call outputs/gradients plus the
+	// Reused buffers (see reuse2): per-call outputs/gradients plus the
 	// batch-independent gradient scratch allocated at construction.
 	out, dx *tensor.Tensor
 	dW, db  *tensor.Tensor

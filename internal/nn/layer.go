@@ -149,14 +149,14 @@ func NewReLU(features int) *ReLULayer { return &ReLULayer{features: features} }
 // Forward computes max(x, 0).
 func (r *ReLULayer) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.x = x
-	out := reuseFor(&r.out, x.Shape)
+	out := reuse2(&r.out, x.Shape[0], x.Shape[1])
 	tensor.ReLU(out, x)
 	return out
 }
 
 // Backward masks the incoming gradient by the sign of the cached input.
 func (r *ReLULayer) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := reuseFor(&r.dx, grad.Shape)
+	dx := reuse2(&r.dx, grad.Shape[0], grad.Shape[1])
 	tensor.ReLUBackward(dx, grad, r.x)
 	return dx
 }

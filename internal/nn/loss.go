@@ -69,31 +69,3 @@ func Accuracy(logits *tensor.Tensor, labels []int) float64 {
 	}
 	return float64(correct) / float64(len(labels))
 }
-
-// MSELoss is the scalar-regression loss used to train the LSTM predictors
-// online (loss prediction and step prediction are both regressions).
-type MSELoss struct {
-	diff *tensor.Tensor
-	grad *tensor.Tensor // reused gradient buffer
-}
-
-// Forward returns mean squared error between pred and target.
-func (l *MSELoss) Forward(pred, target *tensor.Tensor) float64 {
-	if pred.Len() != target.Len() {
-		panic(fmt.Sprintf("nn: MSE length %d vs %d", pred.Len(), target.Len()))
-	}
-	l.diff = reuseFor(&l.diff, pred.Shape)
-	tensor.Sub(l.diff, pred, target)
-	s := 0.0
-	for _, d := range l.diff.Data {
-		s += d * d
-	}
-	return s / float64(pred.Len())
-}
-
-// Backward returns dLoss/dPred for the most recent Forward.
-func (l *MSELoss) Backward() *tensor.Tensor {
-	grad := reuseFor(&l.grad, l.diff.Shape)
-	tensor.Scale(grad, l.diff, 2/float64(l.diff.Len()))
-	return grad
-}

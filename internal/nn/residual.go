@@ -16,7 +16,7 @@ type Residual struct {
 
 	sum *tensor.Tensor // pre-activation cache for the final ReLU backward
 
-	// Reused buffers (see reuseFor).
+	// Reused buffers (see reuse2).
 	out, dSum, dx *tensor.Tensor
 }
 
@@ -40,9 +40,9 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !main.SameShape(skip) {
 		panic(fmt.Sprintf("nn: residual shape mismatch %v vs %v (missing projection shortcut?)", main.Shape, skip.Shape))
 	}
-	sum := reuseFor(&r.sum, main.Shape)
+	sum := reuse2(&r.sum, main.Shape[0], main.Shape[1])
 	tensor.Add(sum, main, skip)
-	out := reuseFor(&r.out, sum.Shape)
+	out := reuse2(&r.out, main.Shape[0], main.Shape[1])
 	tensor.ReLU(out, sum)
 	return out
 }
@@ -50,7 +50,7 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward propagates through the final ReLU, then through both branches,
 // summing their input gradients.
 func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dSum := reuseFor(&r.dSum, grad.Shape)
+	dSum := reuse2(&r.dSum, grad.Shape[0], grad.Shape[1])
 	tensor.ReLUBackward(dSum, grad, r.sum)
 	dxPath := r.Path.Backward(dSum)
 	var dxSkip *tensor.Tensor
@@ -59,7 +59,7 @@ func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	} else {
 		dxSkip = dSum
 	}
-	dx := reuseFor(&r.dx, dxPath.Shape)
+	dx := reuse2(&r.dx, dxPath.Shape[0], dxPath.Shape[1])
 	tensor.Add(dx, dxPath, dxSkip)
 	return dx
 }

@@ -3,13 +3,13 @@ package ps
 import (
 	"testing"
 
-	"lcasgd/internal/core"
 	"lcasgd/internal/rng"
+	"lcasgd/internal/tensor"
 )
 
 // TestWorkerIterationZeroAllocSteadyState pins the full worker-local
-// iteration — pull (weights + BN install + workspace reset), forward,
-// compensated backward, BN stats refresh and fold — to zero heap
+// iteration — pull (weights + BN install), forward, compensated
+// backward, BN stats refresh and fold — to zero heap
 // allocations once the buffers are warm, for both a dense MLP and the
 // full conv/BN/residual stack. This is the tentpole regression guard:
 // the previous implementation allocated fresh tensors in every layer of
@@ -41,57 +41,52 @@ func TestWorkerIterationZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestReplicaPullResetsWorkspace pins the reset-on-recovery rule: every
-// pull — including the re-pull a recovered worker performs after a crash
-// cancelled its iteration mid-flight — must rewind the replica's workspace
-// so the next iteration replays the same buffers instead of aliasing onto
-// stale ones.
-func TestReplicaPullResetsWorkspace(t *testing.T) {
+// TestReplicaRecoveryRepullZeroAlloc runs the sequence a crash-recovered
+// worker performs — pull, forward, then a re-pull without ever finishing the
+// cancelled iteration, then a full local step: the replica owns its one
+// input buffer, so the recovered iteration produces a real gradient and the
+// whole cycle allocates nothing.
+func TestReplicaRecoveryRepullZeroAlloc(t *testing.T) {
 	rep, w, bnAcc := benchReplica(tinyEnvSeeded(ASGD, 1, 2))
-	rep.pull(w, bnAcc)
-	gen := rep.ws.Generation()
-	rep.forward() // mid-iteration: one live batch buffer
-	if rep.ws.Live() != 1 {
-		t.Fatalf("live workspace buffers mid-iteration: %d, want 1", rep.ws.Live())
+	var loss float64
+	var grad []float64
+	cycle := func() {
+		rep.pull(w, bnAcc)
+		rep.forward()
+		rep.pull(w, bnAcc) // crash-recovery re-pull, iteration abandoned
+		loss, grad = rep.gradient()
 	}
-	rep.pull(w, bnAcc) // crash-recovery re-pull without finishing the iteration
-	if rep.ws.Generation() != gen+1 {
-		t.Fatalf("pull did not advance the workspace generation: %d -> %d", gen, rep.ws.Generation())
+	for i := 0; i < 12; i++ { // warm across an epoch wrap
+		cycle()
 	}
-	if rep.ws.Live() != 0 {
-		t.Fatalf("live workspace buffers after re-pull: %d, want 0", rep.ws.Live())
-	}
-	// The recovered iteration must replay cleanly and not grow the arena.
-	loss, grad := rep.gradient()
 	if loss <= 0 || len(grad) != rep.nParams {
 		t.Fatalf("recovered iteration produced loss %v, %d grads", loss, len(grad))
 	}
-	if rep.ws.Live() != 1 {
-		t.Fatalf("workspace grew after recovery: %d live buffers", rep.ws.Live())
+	if a := testing.AllocsPerRun(20, cycle); a != 0 {
+		t.Fatalf("pull/forward/re-pull/gradient cycle allocates %v times, want 0", a)
 	}
 }
 
 // TestEvalZeroAllocSteadyState pins a warmed evaluation pass (per-shard
-// workspace, label and prediction buffers) to zero allocations per batch
-// loop. The tiny env's sizes are deliberately awkward for EvalBatch=150:
+// input, label and prediction buffers) to zero allocations per batch loop.
+// The tiny env's sizes are deliberately awkward for EvalBatch=150:
 // Train=160 is a full batch plus a 10-sample remainder and Test=80 is a
 // lone partial batch, so alternating the two datasets through the same
 // shard nets runs batches of 150, 10 and 80 rows back to back — each at
 // its true size, each served from the capacity the full batch left in the
-// layers' reuse buffers (a reallocation per size change would show up as
-// the whole layer zoo, twice per pass).
+// shard's input buffer and the layers' reuse buffers (a reallocation per
+// size change would show up as the whole layer zoo, twice per pass).
 func TestEvalZeroAllocSteadyState(t *testing.T) {
 	env := tinyEnvSeeded(ASGD, 1, 2)
 	cfg := env.Cfg.withDefaults()
-	seedRng := rng.New(cfg.Seed)
-	modelSeed := seedRng.Uint64()
-	rep := newReplica(env.Build, modelSeed, env.Train, cfg.BatchSize, seedRng.SplitLabeled(300))
-	bnAcc := core.NewBNAccumulator(cfg.BNMode, 0.2, rep.bns)
-	w := make([]float64, rep.nParams)
-	flatten(rep, w)
-	ev := newEvaluator(env.Build, modelSeed, cfg.EvalBatch, seqBackend{})
+	_, w, bnAcc := benchReplica(env)
+	ev := newEvaluator(env.Build, rng.New(cfg.Seed).Uint64(), cfg.EvalBatch, seqBackend{})
 	ev.errOn(env.Train, w, bnAcc) // warm pool + buffers
 	ev.errOn(env.Test, w, bnAcc)
+	inputs := make([]*tensor.Tensor, len(ev.nets))
+	for i, n := range ev.nets {
+		inputs[i] = n.x
+	}
 	iter := func() {
 		ev.errOn(env.Train, w, bnAcc)
 		ev.errOn(env.Test, w, bnAcc)
@@ -102,6 +97,12 @@ func TestEvalZeroAllocSteadyState(t *testing.T) {
 		// which this bound catches: one extra alloc per batch would show up
 		// as dozens per iteration.
 		t.Fatalf("steady-state evaluation allocates %v times per train+test pass, want <= 4", a)
+	}
+	// One input buffer per shard net served all three batch sizes.
+	for i, n := range ev.nets {
+		if want := cfg.EvalBatch * env.Train.Features(); n.x != inputs[i] || cap(n.x.Data) != want {
+			t.Fatalf("shard %d: input buffer replaced or capacity %d, want the warm buffer at %d", i, cap(n.x.Data), want)
+		}
 	}
 }
 

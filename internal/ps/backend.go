@@ -40,8 +40,6 @@ const (
 //     goroutine, concurrently with Dispatch on the loop, so it must not
 //     depend on loop-owned backend state.
 type Backend interface {
-	// Kind names the backend.
-	Kind() BackendKind
 	// Dispatch schedules task on worker m's lane and returns a wait function
 	// that blocks until the task has completed.
 	Dispatch(m int, task func()) (wait func())
@@ -70,8 +68,6 @@ func newBackend(kind BackendKind, workers int) Backend {
 
 // seqBackend executes everything inline on the caller's goroutine.
 type seqBackend struct{}
-
-func (seqBackend) Kind() BackendKind { return BackendSequential }
 
 func (seqBackend) Dispatch(_ int, task func()) func() {
 	task()
@@ -113,8 +109,6 @@ func newConcBackend(workers int) *concBackend {
 	}
 	return b
 }
-
-func (b *concBackend) Kind() BackendKind { return BackendConcurrent }
 
 func (b *concBackend) Dispatch(m int, task func()) func() {
 	done := make(chan struct{})

@@ -94,14 +94,14 @@ func benchReplica(env Env) (*replica, []float64, *core.BNAccumulator) {
 	rep := newReplica(env.Build, modelSeed, env.Train, cfg.BatchSize, seedRng.SplitLabeled(300))
 	bnAcc := core.NewBNAccumulator(cfg.BNMode, 0.2, rep.bns)
 	w := make([]float64, rep.nParams)
-	flatten(rep, w)
+	nn.FlattenValues(w, rep.params)
 	return rep, w, bnAcc
 }
 
 // BenchmarkWorkerIteration measures one steady-state worker iteration —
 // pull, forward, backward, stats fold — the innermost unit every algorithm
 // repeats. allocs/op is the headline number: the zero-allocation hot path
-// pins it to 0 (it was several hundred before the workspace refactor).
+// pins it to 0 (it was several hundred before PR 4).
 func BenchmarkWorkerIteration(b *testing.B) {
 	benches := []struct {
 		name string
@@ -114,7 +114,7 @@ func BenchmarkWorkerIteration(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			rep, w, bnAcc := benchReplica(bc.env)
 			rep.pull(w, bnAcc)
-			rep.gradient() // warm the layer buffers and workspace
+			rep.gradient() // warm the layer buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

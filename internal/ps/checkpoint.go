@@ -477,9 +477,9 @@ func restoreMeta(e *Engine, r *snapshot.Reader, _ int) error {
 // membership and connectivity flags, staleness snapshot, recover-opt flag,
 // and (decentralized runs) the worker's persistent model and commit
 // counter. Worker replicas are deliberately absent: every strategy's Launch
-// begins with Pull, which overwrites the replica's parameters, BN
-// statistics and workspace, so at a quiescent boundary the iterator
-// position is the only live replica state.
+// begins with Pull, which overwrites the replica's parameters and BN
+// statistics, and the next forward refills its input batch, so at a
+// quiescent boundary the iterator position is the only live replica state.
 func encodeWorker(e *Engine, w *snapshot.Writer, m int) {
 	wk := &e.workers[m]
 	wk.rep.iter.SnapshotTo(w)

@@ -5,6 +5,7 @@ import (
 
 	"lcasgd/internal/cluster"
 	"lcasgd/internal/core"
+	"lcasgd/internal/nn"
 	"lcasgd/internal/rng"
 	"lcasgd/internal/simclock"
 	"lcasgd/internal/telemetry"
@@ -115,7 +116,7 @@ func newEngine(env Env, st Strategy) *Engine {
 	}
 	bnAcc := core.NewBNAccumulator(bnMode, cfg.BNDecay, rep0.bns)
 	w := make([]float64, rep0.nParams)
-	flatten(rep0, w)
+	nn.FlattenValues(w, rep0.params)
 	bpe := env.Train.Len() / cfg.BatchSize
 
 	e := &Engine{
@@ -377,7 +378,9 @@ func (e *Engine) Pull(m int) {
 // worker's gradient will be computed at — which is what DC-ASGD's delay
 // compensation must back up, and which under RecoverOpt is not necessarily
 // the live server state Weights returns.
-func (e *Engine) CopyPulledWeights(m int, dst []float64) { flatten(e.workers[m].rep, dst) }
+func (e *Engine) CopyPulledWeights(m int, dst []float64) {
+	nn.FlattenValues(dst, e.workers[m].rep.params)
+}
 
 // DispatchGradient runs worker m's full local step (forward + backward, no
 // compensation) on the backend. After wait returns, Gradient(m) and Loss(m)

@@ -19,9 +19,9 @@ import (
 // Evaluation batches are sharded across the execution backend's
 // ParallelFor; each shard counts correct predictions on its own net, and
 // the integer counts sum identically whatever the parallelism, so both
-// backends report bit-identical error rates. Each shard net carries its own
-// tensor.Workspace plus label/prediction buffers, so a steady-state
-// evaluation batch allocates nothing.
+// backends report bit-identical error rates. Each shard net owns its input
+// batch plus label/prediction buffers, so a steady-state evaluation batch
+// allocates nothing.
 type evaluator struct {
 	build     func(*rng.RNG) *nn.Sequential
 	modelSeed uint64
@@ -35,7 +35,7 @@ type evalNet struct {
 	net    *nn.Sequential
 	bns    []*nn.BatchNorm
 	params []*nn.Param
-	ws     *tensor.Workspace
+	x      *tensor.Tensor // input batch, capacity [batchSize, features]
 	idx    []int
 	y      []int
 	pred   []int
@@ -51,7 +51,6 @@ func (e *evaluator) pool(n int) []*evalNet {
 		net := e.build(rng.New(e.modelSeed))
 		e.nets = append(e.nets, &evalNet{
 			net: net, bns: net.BatchNorms(), params: net.Params(),
-			ws:   tensor.NewWorkspace(),
 			idx:  make([]int, e.batchSize),
 			y:    make([]int, e.batchSize),
 			pred: make([]int, e.batchSize),
@@ -88,13 +87,16 @@ func (e *evaluator) errOn(ds *data.Dataset, w []float64, bnAcc *core.BNAccumulat
 // returns the number of correctly classified samples.
 //
 // A remainder batch (ds.Len() not a multiple of batchSize) runs at its true
-// size: the layers' reuse buffers serve a smaller batch from the capacity
-// the full one left them (nn.reuseFor) and the workspace keeps one input
-// buffer per shape, so the tail allocates nothing once warm and infers no
-// padding rows.
+// size: the input buffer, like the layers' reuse buffers, is re-pointed at
+// the leading rows of its full-batch capacity, so the tail allocates nothing
+// and infers no padding rows.
 func (n *evalNet) countCorrect(ds *data.Dataset, batchSize, start, stride int) int {
 	nBatches := (ds.Len() + batchSize - 1) / batchSize
 	f := ds.Features()
+	if n.x == nil {
+		n.x = tensor.New(batchSize, f)
+	}
+	x := n.x
 	correct := 0
 	for b := start; b < nBatches; b += stride {
 		lo := b * batchSize
@@ -103,8 +105,7 @@ func (n *evalNet) countCorrect(ds *data.Dataset, batchSize, start, stride int) i
 		for j := range idx {
 			idx[j] = lo + j
 		}
-		n.ws.Reset()
-		x := n.ws.Get(size, f)
+		x.Shape[0], x.Data = size, x.Data[:size*f]
 		y := n.y[:size]
 		ds.BatchInto(x, y, idx)
 		out := n.net.Forward(x, false)

@@ -308,7 +308,7 @@ func TestEvaluatorMatchesAccuracy(t *testing.T) {
 	ev := newEvaluator(e.Build, 5, 32, seqBackend{})
 	rep := newReplica(e.Build, 5, e.Train, 20, rng.New(1))
 	w := make([]float64, rep.nParams)
-	flatten(rep, w)
+	nn.FlattenValues(w, rep.params)
 	bn := core.NewBNAccumulator(core.BNAsync, 0.2, rep.bns)
 	errRate := ev.errOn(e.Test, w, bn)
 	if errRate < 0 || errRate > 1 {

@@ -13,14 +13,10 @@ import (
 // algorithm starts from the identical random initialization, as the paper's
 // experimental protocol requires.
 //
-// Memory model (see DESIGN.md): the replica owns a tensor.Workspace for its
-// per-iteration batch buffers, the network's layers own their activation/
-// gradient buffers, and the label/stats/gradient slices below are reused —
-// so a steady-state iteration (pull + forward + backward + stats) performs
-// zero heap allocations. The workspace resets at every pull, which is also
-// the crash-recovery rule: a recovered worker's re-pull rewinds the arena,
-// so a scenario that cancelled an iteration mid-flight cannot leave the
-// next iteration aliased onto stale buffers.
+// Memory model (see DESIGN.md): the replica owns its input batch x, the
+// network's layers own their activation/gradient buffers, and the label/
+// stats/gradient slices below are reused — so a steady-state iteration
+// (pull + forward + backward + stats) performs zero heap allocations.
 type replica struct {
 	net     *nn.Sequential
 	bns     []*nn.BatchNorm
@@ -30,9 +26,7 @@ type replica struct {
 	ce      nn.SoftmaxCrossEntropy
 	grad    []float64 // reusable flat gradient buffer
 
-	ws       *tensor.Workspace
-	batch    int
-	features int
+	x        *tensor.Tensor    // input batch [batch, features], refilled every forward
 	y        []int             // reusable label buffer
 	statsBuf []core.LayerStats // reusable BN statistics view
 }
@@ -50,22 +44,15 @@ func newReplica(build func(*rng.RNG) *nn.Sequential, modelSeed uint64, ds *data.
 		nParams:  nn.ParamCount(params),
 		iter:     data.NewBatchIter(ds, batch, dataRng),
 		grad:     make([]float64, nn.ParamCount(params)),
-		ws:       tensor.NewWorkspace(),
-		batch:    batch,
-		features: ds.Features(),
+		x:        tensor.New(batch, ds.Features()),
 		y:        make([]int, batch),
 		statsBuf: core.CollectStatsInto(nil, bns),
 	}
 }
 
 // pull installs the server's weights and global BN statistics, the worker
-// side of Algorithm 1 lines 1–2. It also resets the replica's workspace:
-// every iteration starts from a rewound arena, so the same buffers replay
-// in the same order — and a crash-recovery re-pull (the engine drains the
-// orphaned lane task first) cannot alias the recovered iteration onto the
-// cancelled one's buffers.
+// side of Algorithm 1 lines 1–2.
 func (r *replica) pull(w []float64, bnAcc *core.BNAccumulator) {
-	r.ws.Reset()
 	nn.UnflattenValues(r.params, w)
 	bnAcc.Apply(r.bns)
 }
@@ -74,9 +61,8 @@ func (r *replica) pull(w []float64, bnAcc *core.BNAccumulator) {
 // mode, returning the batch loss (Algorithm 1 line 4). BN layers capture
 // their batch statistics as a side effect (lines 6–7).
 func (r *replica) forward() float64 {
-	x := r.ws.Get(r.batch, r.features)
-	r.iter.NextInto(x, r.y)
-	out := r.net.Forward(x, true)
+	r.iter.NextInto(r.x, r.y)
+	out := r.net.Forward(r.x, true)
 	return r.ce.Forward(out, r.y)
 }
 

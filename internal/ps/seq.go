@@ -38,14 +38,6 @@ func (sgdStrategy) Launch(e *Engine, m int) {
 
 func (sgdStrategy) Finish(*Engine, *Result) {}
 
-// flatten copies a replica's current parameter values into dst.
-func flatten(r *replica, dst []float64) {
-	off := 0
-	for _, p := range r.params {
-		off += copy(dst[off:], p.Value.Data)
-	}
-}
-
 // finalize fills the derived summary fields of a result. The headline
 // final errors average the last three curve points: with the reproduction's
 // small evaluation sets a single end-point is dominated by sampling noise,

@@ -124,6 +124,43 @@ func TestMatMulTransB(t *testing.T) {
 	}
 }
 
+// TestIntoVariantsMatchAllocating pins the transposed Into kernels to their
+// allocating entries bit for bit, from a poisoned destination.
+func TestIntoVariantsMatchAllocating(t *testing.T) {
+	a := New(3, 4)
+	b := New(3, 5)
+	d := New(6, 4)
+	for i := range a.Data {
+		a.Data[i] = float64(i%7) - 3
+	}
+	for i := range b.Data {
+		b.Data[i] = float64(i%5) - 2
+	}
+	for i := range d.Data {
+		d.Data[i] = float64(i%4) - 2
+	}
+
+	want := MatMulTransA(a, b) // [4,5]
+	got := New(4, 5)
+	got.Fill(9) // poison: Into must fully overwrite
+	MatMulTransAInto(got, a, b)
+	for i := range want.Data {
+		if want.Data[i] != got.Data[i] {
+			t.Fatalf("MatMulTransAInto[%d] %v != %v", i, got.Data[i], want.Data[i])
+		}
+	}
+
+	wantB := MatMulTransB(a, d) // [3,6]
+	gotB := New(3, 6)
+	gotB.Fill(9)
+	MatMulTransBInto(gotB, a, d)
+	for i := range wantB.Data {
+		if wantB.Data[i] != gotB.Data[i] {
+			t.Fatalf("MatMulTransBInto[%d] %v != %v", i, gotB.Data[i], wantB.Data[i])
+		}
+	}
+}
+
 func TestMatMulAssociativityQuick(t *testing.T) {
 	// (AB)C == A(BC) within float tolerance for modest sizes.
 	f := func(seed uint64) bool {

@@ -21,15 +21,6 @@ func Sub(dst, a, b *Tensor) {
 	}
 }
 
-// Mul computes dst = a ⊙ b (elementwise / Hadamard product), the operation
-// at the heart of DC-ASGD's Formula 3.
-func Mul(dst, a, b *Tensor) {
-	checkSameLen("Mul", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
-}
-
 // Scale computes dst = s * a.
 func Scale(dst, a *Tensor, s float64) {
 	checkSameLen("Scale", dst, a)
@@ -43,14 +34,6 @@ func AXPY(dst *Tensor, alpha float64, x *Tensor) {
 	checkSameLen("AXPY", dst, x)
 	for i := range dst.Data {
 		dst.Data[i] += alpha * x.Data[i]
-	}
-}
-
-// AddScalar computes dst = a + s.
-func AddScalar(dst, a *Tensor, s float64) {
-	checkSameLen("AddScalar", dst, a)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + s
 	}
 }
 
@@ -111,33 +94,19 @@ func Transpose(a *Tensor) *Tensor {
 	return out
 }
 
-// RowSum computes, for a 2-D tensor a of shape [r, c], the per-column sum
-// over rows, returning a tensor of shape [c]. Used for bias gradients.
-func RowSum(a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: RowSum needs rank 2, got shape %v", a.Shape))
-	}
-	out := New(a.Shape[1])
-	rowSum(out, a)
-	return out
-}
-
-// RowSumInto computes the per-column sum of the 2-D tensor a into the
-// preallocated dst of shape [c]. dst is zeroed first.
+// RowSumInto computes the per-column sum over rows of the 2-D tensor a
+// (shape [r, c]) into the preallocated dst of shape [c], zeroing dst first.
+// Used for bias gradients.
 func RowSumInto(dst, a *Tensor) {
 	if a.Rank() != 2 || dst.Len() != a.Shape[1] {
 		panic(fmt.Sprintf("tensor: RowSumInto shapes dst%v a%v", dst.Shape, a.Shape))
 	}
 	dst.Zero()
-	rowSum(dst, a)
-}
-
-func rowSum(out, a *Tensor) {
 	r, c := a.Shape[0], a.Shape[1]
 	for i := 0; i < r; i++ {
 		row := a.Data[i*c : (i+1)*c]
 		for j, v := range row {
-			out.Data[j] += v
+			dst.Data[j] += v
 		}
 	}
 }

@@ -15,8 +15,6 @@ import (
 )
 
 // Tensor is a dense row-major array of float64 with an explicit shape.
-// Data aliasing is part of the contract: views returned by Reshape share the
-// underlying slice.
 type Tensor struct {
 	Shape []int
 	Data  []float64
@@ -50,9 +48,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of axis i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Rank returns the number of axes.
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
@@ -82,18 +77,6 @@ func (t *Tensor) CopyFrom(u *Tensor) {
 		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.Data), len(u.Data)))
 	}
 	copy(t.Data, u.Data)
-}
-
-// Reshape returns a view with a new shape sharing the same data.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v", t.Shape, len(t.Data), shape))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // At returns the element at the given multi-index (2-D fast path).
@@ -169,23 +152,6 @@ func (t *Tensor) Mean() float64 {
 		return 0
 	}
 	return t.Sum() / float64(len(t.Data))
-}
-
-// Dot returns the inner product of t and u viewed as flat vectors.
-func (t *Tensor) Dot(u *Tensor) float64 {
-	if len(t.Data) != len(u.Data) {
-		panic("tensor: Dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range t.Data {
-		s += v * u.Data[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) Norm2() float64 {
-	return math.Sqrt(t.Dot(t))
 }
 
 // HasNaN reports whether any element is NaN or Inf, used by training-loop

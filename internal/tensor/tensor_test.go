@@ -12,7 +12,7 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestNewShapeAndLen(t *testing.T) {
 	x := New(3, 4, 5)
-	if x.Len() != 60 || x.Rank() != 3 || x.Dim(1) != 4 {
+	if x.Len() != 60 || x.Rank() != 3 || x.Shape[1] != 4 {
 		t.Fatalf("bad tensor: %v", x.Shape)
 	}
 	for _, v := range x.Data {
@@ -61,21 +61,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	x := New(2, 3)
-	y := x.Reshape(3, 2)
-	y.Data[0] = 7
-	if x.Data[0] != 7 {
-		t.Fatal("Reshape must share data")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad reshape")
-		}
-	}()
-	x.Reshape(4, 2)
-}
-
 func TestAddSubMulScale(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3}, 3)
 	b := FromSlice([]float64{4, 5, 6}, 3)
@@ -87,10 +72,6 @@ func TestAddSubMulScale(t *testing.T) {
 	Sub(dst, b, a)
 	if dst.Data[0] != 3 {
 		t.Fatalf("Sub: %v", dst.Data)
-	}
-	Mul(dst, a, b)
-	if dst.Data[1] != 10 {
-		t.Fatalf("Mul: %v", dst.Data)
 	}
 	Scale(dst, a, -2)
 	if dst.Data[2] != -6 {
@@ -108,10 +89,6 @@ func TestApplyAndAddScalar(t *testing.T) {
 	Apply(dst, a, math.Sqrt)
 	if dst.Data[2] != 3 {
 		t.Fatalf("Apply: %v", dst.Data)
-	}
-	AddScalar(dst, a, 1)
-	if dst.Data[0] != 2 {
-		t.Fatalf("AddScalar: %v", dst.Data)
 	}
 }
 
@@ -232,11 +209,13 @@ func TestTransposeInvolutionQuick(t *testing.T) {
 
 func TestRowSum(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	s := RowSum(a)
+	s := New(3)
+	s.Fill(9) // poison: Into must fully overwrite
+	RowSumInto(s, a)
 	want := []float64{5, 7, 9}
 	for i, v := range want {
 		if s.Data[i] != v {
-			t.Fatalf("RowSum: %v", s.Data)
+			t.Fatalf("RowSumInto: %v", s.Data)
 		}
 	}
 }
@@ -293,15 +272,17 @@ func TestArgmaxRows(t *testing.T) {
 	if got[0] != 1 || got[1] != 0 {
 		t.Fatalf("ArgmaxRows: %v", got)
 	}
+	into := []int{9, 9}
+	ArgmaxRowsInto(into, a)
+	if into[0] != 1 || into[1] != 0 {
+		t.Fatalf("ArgmaxRowsInto: %v", into)
+	}
 }
 
 func TestSumMeanDotNorm(t *testing.T) {
 	a := FromSlice([]float64{3, 4}, 2)
 	if a.Sum() != 7 || a.Mean() != 3.5 {
 		t.Fatal("Sum/Mean broken")
-	}
-	if a.Dot(a) != 25 || a.Norm2() != 5 {
-		t.Fatal("Dot/Norm2 broken")
 	}
 	if a.MaxAbs() != 4 {
 		t.Fatal("MaxAbs broken")

@@ -155,8 +155,9 @@ func Parse(spec string, n int, g *rng.RNG) (*Graph, error) {
 	return nil, fmt.Errorf("topology: unknown spec %q (valid: %s)", spec, strings.Join(Names(), ", "))
 }
 
-// ValidateSpec checks a spec string without building a graph — the upfront
-// flag validation cmd/lcexp does before any dataset work.
+// ValidateSpec checks a spec string without building a graph — what
+// cmd/lcexp's upfront flag validation reaches through SpecMinWorkers before
+// any dataset work.
 func ValidateSpec(spec string) error {
 	switch spec {
 	case "", "ring", "complete", "star", "gossip":
