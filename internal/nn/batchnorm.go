@@ -21,6 +21,12 @@ const BNEpsilon = 1e-5
 // (SetRunning). Inference always normalizes with the running statistics, so
 // the quality of the server's accumulation policy is directly visible in the
 // measured test error — exactly the effect Table 1 reports.
+//
+// Float bits: a channel's four reductions (Σx, Σ(x−μ)², Σdy, Σdy·x̂) each
+// run over the images in batch order and an image's positions ascending,
+// from +0. That order is the contract; channels never meet, so the order
+// across channels is not, and the training step runs four channels' chains
+// side by side (chanSums and its siblings below).
 type BatchNorm struct {
 	C       int // channels
 	Spatial int // H*W (1 for dense layers)
@@ -41,6 +47,8 @@ type BatchNorm struct {
 	xhat    *tensor.Tensor
 	invStd  []float64
 	out, dx *tensor.Tensor
+
+	sumDy, sumDyXhat []float64 // Backward's per-channel reductions
 }
 
 // NewBatchNorm builds a BN layer for c channels with the given spatial size
@@ -57,6 +65,8 @@ func NewBatchNorm(name string, c, spatial int) *BatchNorm {
 		batchMean:   make([]float64, c),
 		batchVar:    make([]float64, c),
 		invStd:      make([]float64, c),
+		sumDy:       make([]float64, c),
+		sumDyXhat:   make([]float64, c),
 	}
 	bn.Gamma.Value.Fill(1)
 	for i := range bn.RunningVar {
@@ -79,37 +89,36 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bn.x = x
 		bn.xhat = reuse2(&bn.xhat, n, feat)
 		m := float64(n * bn.Spatial)
+		mean, variance := bn.batchMean, bn.batchVar
+		chanSums(mean, x.Data, n, bn.C, bn.Spatial)
+		for c := range mean {
+			mean[c] /= m
+		}
+		chanSqDevs(variance, x.Data, mean, n, bn.C, bn.Spatial)
+		for c := range variance {
+			variance[c] /= m
+			bn.RunningMean[c] = (1-bn.Momentum)*bn.RunningMean[c] + bn.Momentum*mean[c]
+			bn.RunningVar[c] = (1-bn.Momentum)*bn.RunningVar[c] + bn.Momentum*variance[c]
+			bn.invStd[c] = 1 / math.Sqrt(variance[c]+BNEpsilon)
+		}
 		for c := 0; c < bn.C; c++ {
-			sum := 0.0
-			for i := 0; i < n; i++ {
-				base := i*feat + c*bn.Spatial
-				for s := 0; s < bn.Spatial; s++ {
-					sum += x.Data[base+s]
-				}
-			}
-			mean := sum / m
-			vsum := 0.0
-			for i := 0; i < n; i++ {
-				base := i*feat + c*bn.Spatial
-				for s := 0; s < bn.Spatial; s++ {
-					d := x.Data[base+s] - mean
-					vsum += d * d
-				}
-			}
-			variance := vsum / m
-			bn.batchMean[c] = mean
-			bn.batchVar[c] = variance
-			bn.RunningMean[c] = (1-bn.Momentum)*bn.RunningMean[c] + bn.Momentum*mean
-			bn.RunningVar[c] = (1-bn.Momentum)*bn.RunningVar[c] + bn.Momentum*variance
-			inv := 1 / math.Sqrt(variance+BNEpsilon)
-			bn.invStd[c] = inv
+			mu, inv := mean[c], bn.invStd[c]
 			g, b := bn.Gamma.Value.Data[c], bn.Beta.Value.Data[c]
+			if bn.Spatial == 1 { // a channel is a column: no rows to slice
+				for j := c; j < len(out.Data); j += feat {
+					xh := (x.Data[j] - mu) * inv
+					bn.xhat.Data[j] = xh
+					out.Data[j] = g*xh + b
+				}
+				continue
+			}
 			for i := 0; i < n; i++ {
 				base := i*feat + c*bn.Spatial
-				for s := 0; s < bn.Spatial; s++ {
-					xh := (x.Data[base+s] - mean) * inv
-					bn.xhat.Data[base+s] = xh
-					out.Data[base+s] = g*xh + b
+				xhat, o := bn.xhat.Data[base:][:bn.Spatial], out.Data[base:][:bn.Spatial]
+				for s, v := range x.Data[base:][:bn.Spatial] {
+					xh := (v - mu) * inv
+					xhat[s] = xh
+					o[s] = g*xh + b
 				}
 			}
 		}
@@ -119,10 +128,17 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		inv := 1 / math.Sqrt(bn.RunningVar[c]+BNEpsilon)
 		g, b := bn.Gamma.Value.Data[c], bn.Beta.Value.Data[c]
 		mean := bn.RunningMean[c]
+		if bn.Spatial == 1 {
+			for j := c; j < len(out.Data); j += feat {
+				out.Data[j] = g*(x.Data[j]-mean)*inv + b
+			}
+			continue
+		}
 		for i := 0; i < n; i++ {
 			base := i*feat + c*bn.Spatial
-			for s := 0; s < bn.Spatial; s++ {
-				out.Data[base+s] = g*(x.Data[base+s]-mean)*inv + b
+			o := out.Data[base:][:bn.Spatial]
+			for s, v := range x.Data[base:][:bn.Spatial] {
+				o[s] = g*(v-mean)*inv + b
 			}
 		}
 	}
@@ -135,28 +151,24 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	feat := bn.C * bn.Spatial
 	dx := reuse2(&bn.dx, n, feat) // every element is assigned below
 	m := float64(n * bn.Spatial)
+	chanGradSums(bn.sumDy, bn.sumDyXhat, grad.Data, bn.xhat.Data, n, bn.C, bn.Spatial)
 	for c := 0; c < bn.C; c++ {
-		g := bn.Gamma.Value.Data[c]
-		inv := bn.invStd[c]
-		var sumDy, sumDyXhat float64
-		for i := 0; i < n; i++ {
-			base := i*feat + c*bn.Spatial
-			for s := 0; s < bn.Spatial; s++ {
-				dy := grad.Data[base+s]
-				sumDy += dy
-				sumDyXhat += dy * bn.xhat.Data[base+s]
-			}
-		}
+		sumDy, sumDyXhat := bn.sumDy[c], bn.sumDyXhat[c]
 		bn.Beta.Grad.Data[c] += sumDy
 		bn.Gamma.Grad.Data[c] += sumDyXhat
 		// dx = (γ·inv/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
-		k := g * inv / m
+		k := bn.Gamma.Value.Data[c] * bn.invStd[c] / m
+		if bn.Spatial == 1 {
+			for j := c; j < len(dx.Data); j += feat {
+				dx.Data[j] = k * (m*grad.Data[j] - sumDy - bn.xhat.Data[j]*sumDyXhat)
+			}
+			continue
+		}
 		for i := 0; i < n; i++ {
 			base := i*feat + c*bn.Spatial
-			for s := 0; s < bn.Spatial; s++ {
-				dy := grad.Data[base+s]
-				xh := bn.xhat.Data[base+s]
-				dx.Data[base+s] = k * (m*dy - sumDy - xh*sumDyXhat)
+			xhat, d := bn.xhat.Data[base:][:bn.Spatial], dx.Data[base:][:bn.Spatial]
+			for s, dy := range grad.Data[base:][:bn.Spatial] {
+				d[s] = k * (m*dy - sumDy - xhat[s]*sumDyXhat)
 			}
 		}
 	}
@@ -194,4 +206,111 @@ func (bn *BatchNorm) SetRunning(mean, variance []float64) {
 // Running returns copies of the current running statistics.
 func (bn *BatchNorm) Running() (mean, variance []float64) {
 	return append([]float64(nil), bn.RunningMean...), append([]float64(nil), bn.RunningVar...)
+}
+
+// chanSums, chanSqDevs and chanGradSums are the training step's
+// reductions. Each fills dst[c] with channel c's sum over x [n, C*S] (here
+// Σx), images in batch order, positions ascending, from +0 —
+// the chain of one addition per element that the float bits are pinned to,
+// and that costs a floating-point add latency per element when it runs
+// alone. So four channels' chains run side by side over their rows of an
+// image: four independent accumulators in registers, one pass, no index
+// arithmetic in the loop. The last group of a channel count that is not a
+// multiple of four repeats channel C−1 in its spare lanes, which computes
+// and stores the same sum again. At S == 1 a row is one element and there
+// is nothing to walk: the chains interleave the other way, every channel's
+// accumulator advancing once per image.
+func chanSums(dst, x []float64, n, C, S int) {
+	feat := C * S
+	if S == 1 {
+		clear(dst)
+		for i := 0; i < n; i++ {
+			for c, v := range x[i*feat:][:feat] {
+				dst[c] += v
+			}
+		}
+		return
+	}
+	for c0 := 0; c0 < C; c0 += 4 {
+		c1, c2, c3 := min(c0+1, C-1), min(c0+2, C-1), min(c0+3, C-1)
+		var a0, a1, a2, a3 float64
+		for i := 0; i < n; i++ {
+			xi := x[i*feat:][:feat]
+			r0, r1, r2, r3 := xi[c0*S:][:S], xi[c1*S:][:S], xi[c2*S:][:S], xi[c3*S:][:S]
+			for s, v := range r0 {
+				a0 += v
+				a1 += r1[s]
+				a2 += r2[s]
+				a3 += r3[s]
+			}
+		}
+		dst[c0], dst[c1], dst[c2], dst[c3] = a0, a1, a2, a3
+	}
+}
+
+// chanSqDevs: dst[c] = Σ (x − mean[c])².
+func chanSqDevs(dst, x, mean []float64, n, C, S int) {
+	feat := C * S
+	if S == 1 {
+		clear(dst)
+		for i := 0; i < n; i++ {
+			for c, v := range x[i*feat:][:feat] {
+				d := v - mean[c]
+				dst[c] += d * d
+			}
+		}
+		return
+	}
+	for c0 := 0; c0 < C; c0 += 4 {
+		c1, c2, c3 := min(c0+1, C-1), min(c0+2, C-1), min(c0+3, C-1)
+		m0, m1, m2, m3 := mean[c0], mean[c1], mean[c2], mean[c3]
+		var a0, a1, a2, a3 float64
+		for i := 0; i < n; i++ {
+			xi := x[i*feat:][:feat]
+			r0, r1, r2, r3 := xi[c0*S:][:S], xi[c1*S:][:S], xi[c2*S:][:S], xi[c3*S:][:S]
+			for s, v := range r0 {
+				d0, d1, d2, d3 := v-m0, r1[s]-m1, r2[s]-m2, r3[s]-m3
+				a0 += d0 * d0
+				a1 += d1 * d1
+				a2 += d2 * d2
+				a3 += d3 * d3
+			}
+		}
+		dst[c0], dst[c1], dst[c2], dst[c3] = a0, a1, a2, a3
+	}
+}
+
+// chanGradSums: sumDy[c] = Σ dy, sumDyXhat[c] = Σ dy·x̂ — two chains a
+// channel, so two channels a pass fill the same four lanes.
+func chanGradSums(sumDy, sumDyXhat, dy, xhat []float64, n, C, S int) {
+	feat := C * S
+	if S == 1 {
+		clear(sumDy)
+		clear(sumDyXhat)
+		for i := 0; i < n; i++ {
+			xh := xhat[i*feat:][:feat]
+			for c, v := range dy[i*feat:][:feat] {
+				sumDy[c] += v
+				sumDyXhat[c] += v * xh[c]
+			}
+		}
+		return
+	}
+	for c0 := 0; c0 < C; c0 += 2 {
+		c1 := min(c0+1, C-1)
+		var a0, a1, b0, b1 float64
+		for i := 0; i < n; i++ {
+			g0, g1 := dy[i*feat+c0*S:][:S], dy[i*feat+c1*S:][:S]
+			h0, h1 := xhat[i*feat+c0*S:][:S], xhat[i*feat+c1*S:][:S]
+			for s, v := range g0 {
+				w := g1[s]
+				a0 += v
+				b0 += v * h0[s]
+				a1 += w
+				b1 += w * h1[s]
+			}
+		}
+		sumDy[c0], sumDy[c1] = a0, a1
+		sumDyXhat[c0], sumDyXhat[c1] = b0, b1
+	}
 }

@@ -2,13 +2,15 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
 // ConvGeom describes the geometry of a 2-D convolution: input channels and
 // spatial size, kernel size, stride, and zero padding. Output spatial size is
-// derived. Square kernels and inputs are assumed (all the paper's networks
-// use square 3×3/1×1 kernels on square feature maps).
+// derived. Kernels and inputs may be rectangular (the paper's networks use
+// square 3×3/1×1 kernels on square feature maps; FuzzConvLowering covers
+// the rest).
 type ConvGeom struct {
 	InC, InH, InW int
 	KH, KW        int
@@ -70,14 +72,40 @@ const convPanelFloats = 8 * 1024
 // L2-resident while the kernel streams it once per strip of four rows.
 const convOperandFloats = 16 * 1024
 
-// convTable holds the gather offsets of one geometry. idx is [KH*KW][HW]:
-// for tap (ky, kx) and output pixel p, the offset of the input pixel inside
-// a staged channel — the InH*InW plane followed by one zero slot, which is
-// where every padding entry points, so lowering needs no bounds test.
+// convTable is what Lower and Scatter derive from a geometry, built once
+// and shared. A panel row is one tap (c, ky, kx) over the group's output
+// pixels; both directions fill or drain it with one long loop that knows
+// nothing of padding, and treat the tap's padding entries separately:
+//
+//   - a same-size geometry (Stride 1, output plane = input plane: every 3×3
+//     pad-1 conv) has shift != nil: output pixel p of tap (ky, kx) reads
+//     input pixel p + shift[tap], shift = (ky−Pad)·InW + (kx−Pad), so an
+//     image's stretch of the row is its channel plane shifted, and the
+//     whole row the group's planes of that channel, side by side, shifted
+//     — one copy of the positions that stay inside (shiftRange);
+//   - any other geometry has idx != nil, [KH*KW][width*HW]: the offset of
+//     the pixel column (i, p) reads, relative to channel c of the group's
+//     first image, for a whole group row at once. A padding entry holds the
+//     offset of its image's plane, so it is always in bounds.
+//
+// pad[tap] lists the tap's padding columns for width images, image by
+// image (npad[tap] per image), so a narrower group uses a prefix. Lower
+// stores +0 there after the fill — every element the clamped copy skips or
+// takes from a wrapped neighbour (the next row of the plane, or the next
+// image), and every in-bounds dummy the gather read, is one of them —
+// which makes the panel bytes those of the definition whichever loop
+// filled them.
 type convTable struct {
-	idx   []int32
-	stage sync.Pool // *[]float64 staged channels for the single-image entries
+	width int     // images idx and pad cover: the panel budget's group
+	shift []int   // per tap, same-size geometries only
+	idx   []int32 // group-wide gather offsets, every other geometry
+	pad   [][]int32
+	npad  []int
 }
+
+// shiftRange returns the positions [lo, hi) of a block of n elements that
+// stay inside it when shifted by d, |d| < n.
+func shiftRange(d, n int) (lo, hi int) { return max(0, -d), min(n, n-d) }
 
 // Tables depend on the geometry alone, so replicas and eval nets of one
 // model share them the way data.GenerateCached shares datasets.
@@ -93,24 +121,47 @@ func convTableFor(g ConvGeom) *convTable {
 		return t
 	}
 	outH, outW := g.OutH(), g.OutW()
-	hw, plane := outH*outW, g.InH*g.InW
-	t := &convTable{idx: make([]int32, g.KH*g.KW*hw)}
-	t.stage.New = func() any { s := make([]float64, plane+1); return &s }
-	k := 0
+	hw, kk, plane := outH*outW, g.KH*g.KW, g.InH*g.InW
+	t := &convTable{
+		width: max(convPanelFloats/(g.ColCols()*hw), 1),
+		pad:   make([][]int32, kk),
+		npad:  make([]int, kk),
+	}
+	if g.Stride == 1 && outH == g.InH && outW == g.InW {
+		t.shift = make([]int, kk)
+	} else {
+		t.idx = make([]int32, kk*t.width*hw)
+	}
 	for ky := 0; ky < g.KH; ky++ {
 		for kx := 0; kx < g.KW; kx++ {
-			for oy := 0; oy < outH; oy++ {
-				iy := oy*g.Stride - g.Pad + ky
-				for ox := 0; ox < outW; ox++ {
-					ix := ox*g.Stride - g.Pad + kx
-					if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
-						t.idx[k] = int32(plane)
-					} else {
-						t.idx[k] = int32(iy*g.InW + ix)
-					}
-					k++
+			tap := ky*g.KW + kx
+			if t.shift != nil {
+				// A shift of a plane or more (a kernel wider than the
+				// image) meets no pixel; the row is all padding, so any
+				// in-bounds shift does and 0 stays.
+				if d := (ky-g.Pad)*g.InW + kx - g.Pad; -hw < d && d < hw {
+					t.shift[tap] = d
 				}
 			}
+			for i := 0; i < t.width; i++ {
+				for oy := 0; oy < outH; oy++ {
+					iy := oy*g.Stride - g.Pad + ky
+					for ox := 0; ox < outW; ox++ {
+						ix := ox*g.Stride - g.Pad + kx
+						q := i*hw + oy*outW + ox
+						off := i * g.InC * plane
+						if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
+							t.pad[tap] = append(t.pad[tap], int32(q))
+						} else {
+							off += iy*g.InW + ix
+						}
+						if t.idx != nil {
+							t.idx[tap*t.width*hw+q] = int32(off)
+						}
+					}
+				}
+			}
+			t.npad[tap] = len(t.pad[tap]) / t.width
 		}
 	}
 	convTables[g] = t
@@ -118,14 +169,14 @@ func convTableFor(g ConvGeom) *convTable {
 }
 
 // ConvLowering is one convolution layer's handle on the lowering: the
-// shared table, the group size, a private staging buffer and WeightGrad's
+// shared table, the group size, Lower's staging block and WeightGrad's
 // scratch. It is single-owner state like the layer that holds it.
 type ConvLowering struct {
 	g     ConvGeom
 	outC  int
 	group int
 	tab   *convTable
-	stage []float64 // one staged channel: plane + zero slot
+	stage []float64 // Lower: one channel of a group's planes side by side (shifted path)
 	dYT   []float64 // WeightGrad: one image's dY transposed, [HW, OutC] ...
 	img   []float64 // ... and its addend to the weight gradient, [ColCols, OutC]
 }
@@ -137,13 +188,16 @@ func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
 	// [OutC, n*HW] operand both fit their budgets.
 	k, hw := g.ColCols(), g.ColRows()
 	group := min(convPanelFloats/(k*hw), convOperandFloats/(outC*hw))
-	return &ConvLowering{
+	l := &ConvLowering{
 		g: g, outC: outC, group: max(group, 1),
-		tab:   convTableFor(g),
-		stage: make([]float64, g.InH*g.InW+1),
-		dYT:   make([]float64, hw*outC),
-		img:   make([]float64, k*outC),
+		tab: convTableFor(g),
+		dYT: make([]float64, hw*outC),
+		img: make([]float64, k*outC),
 	}
+	if l.tab.shift != nil {
+		l.stage = make([]float64, l.tab.width*g.InH*g.InW)
+	}
+	return l
 }
 
 // Group returns the number of images lowered into one panel. It is a
@@ -152,7 +206,7 @@ func (l *ConvLowering) Group() int { return l.group }
 
 // Lower fills panel [ColCols, n*HW] from x, n images of [InC, InH, InW].
 func (l *ConvLowering) Lower(panel, x []float64, n int) {
-	convLower(panel, x, n, l.g, l.tab.idx, l.stage)
+	l.tab.lower(panel, x, l.stage, n, l.g)
 }
 
 // InputGrad computes dPanel [ColCols, n*HW] = w [ColCols, OutC] @ dY
@@ -162,9 +216,12 @@ func (l *ConvLowering) InputGrad(dPanel, w, dY *Tensor) {
 }
 
 // Scatter accumulates dPanel [ColCols, n*HW] into dx, n image gradients
-// [InC, InH, InW] — the adjoint of Lower. dx is accumulated into.
+// [InC, InH, InW] — the adjoint of Lower. dx is accumulated into and may
+// hold anything (Conv2D passes a zeroed one). dPanel's padding entries
+// contribute nothing whatever they hold, and hold −0 afterwards (see
+// convTable.scatter); its other entries are only read.
 func (l *ConvLowering) Scatter(dx, dPanel []float64, n int) {
-	convScatter(dx, dPanel, n, l.g, l.tab.idx)
+	l.tab.scatter(dx, dPanel, n, l.g)
 }
 
 // WeightGrad accumulates the weight gradient of a group into wGrad
@@ -207,49 +264,87 @@ func convCheckLens(op string, panel, x []float64, n int, g ConvGeom) {
 	}
 }
 
-// convLower is the gather: a channel is staged in front of its zero slot,
-// then each of its taps is one branch-free table-driven row segment.
-func convLower(panel, x []float64, n int, g ConvGeom, idx []int32, stage []float64) {
+// lower fills the panel tap row by tap row, a table width of images at a
+// time (callers that respect Group() never exceed one), then zeroes the
+// row's padding entries. On the shifted path the channel's planes are first
+// laid side by side (into stage; one image, or one channel, lies so
+// already), which makes a tap's whole group row that block shifted — one
+// copy, and what it carries across an image boundary lands on padding
+// entries. stage holds width planes; a single image needs none.
+func (t *convTable) lower(panel, x, stage []float64, n int, g ConvGeom) {
 	convCheckLens("Lower", panel, x, n, g)
 	hw, kk, plane := g.ColRows(), g.KH*g.KW, g.InH*g.InW
-	cols := n * hw
-	stage = stage[:plane+1]
-	for i := 0; i < n; i++ {
+	cols, img := n*hw, g.InC*plane
+	for i0 := 0; i0 < n; i0 += t.width {
+		m := min(t.width, n-i0)
 		for c := 0; c < g.InC; c++ {
-			copy(stage, x[(i*g.InC+c)*plane:(i*g.InC+c+1)*plane])
+			// Channel c of the m images, img apart.
+			xc := x[i0*img+c*plane : (i0+m-1)*img+(c+1)*plane]
+			if t.shift != nil && len(xc) > m*plane {
+				for i := 0; i < m; i++ {
+					copy(stage[i*plane:][:plane], xc[i*img:])
+				}
+				xc = stage[:m*plane]
+			}
 			for tap := 0; tap < kk; tap++ {
-				row := panel[(c*kk+tap)*cols+i*hw:][:hw]
-				for p, j := range idx[tap*hw:][:hw] {
-					row[p] = stage[j]
+				row := panel[(c*kk+tap)*cols+i0*hw:][:m*hw]
+				if t.shift != nil {
+					d := t.shift[tap]
+					lo, hi := shiftRange(d, len(row))
+					copy(row[lo:hi], xc[lo+d:])
+				} else {
+					for q, j := range t.idx[tap*t.width*hw:][:m*hw] {
+						row[q] = xc[j]
+					}
+				}
+				for _, q := range t.pad[tap][:m*t.npad[tap]] {
+					row[q] = 0
 				}
 			}
 		}
 	}
 }
 
-// convScatter is the adjoint gather. Accumulation order (part of the
-// float-bits contract): every input-gradient pixel receives its patch
-// contributions in ascending (oy, ox). A pixel meets tap (ky, kx) at
-// oy = (iy+Pad-ky)/Stride, ox = (ix+Pad-kx)/Stride — at most one output
-// pixel per tap, and a larger tap means a smaller (oy, ox) — so walking the
-// panel rows of a channel with (ky, kx) descending, and each row left to
-// right, is that order.
-func convScatter(dx, dPanel []float64, n int, g ConvGeom, idx []int32) {
+// scatter is the adjoint. Accumulation order (part of the float-bits
+// contract): every input-gradient pixel receives its patch contributions in
+// ascending (oy, ox). A pixel meets tap (ky, kx) at oy = (iy+Pad-ky)/Stride,
+// ox = (ix+Pad-kx)/Stride — at most one output pixel per tap, and a larger
+// tap means a smaller (oy, ox) — so walking the panel rows of a channel with
+// (ky, kx) descending, and each row left to right, is that order.
+//
+// The row loops are lower's run backwards, dst[p+shift] += row[p] or
+// dst[idx[q]] += row[q], and know as little of padding: the row's padding
+// entries are first overwritten with −0, the one addend that leaves every
+// float as it is (x + −0 has the bits of x for every x, −0 and +0
+// included; +0 would turn a −0 in dx into +0). So whichever pixel a
+// wrapped or dummy offset lands on is not moved, and dx need not have
+// been built up from +0.
+func (t *convTable) scatter(dx, dPanel []float64, n int, g ConvGeom) {
 	convCheckLens("Scatter", dPanel, dx, n, g)
 	hw, kk, plane := g.ColRows(), g.KH*g.KW, g.InH*g.InW
-	cols := n * hw
-	for i := 0; i < n; i++ {
+	cols, img := n*hw, g.InC*plane
+	negZero := math.Copysign(0, -1)
+	for i0 := 0; i0 < n; i0 += t.width {
+		m := min(t.width, n-i0)
 		for c := 0; c < g.InC; c++ {
-			dst := dx[(i*g.InC+c)*plane:][:plane]
+			dxc := dx[i0*img+c*plane : (i0+m-1)*img+(c+1)*plane]
 			for tap := kk - 1; tap >= 0; tap-- {
-				row := dPanel[(c*kk+tap)*cols+i*hw:][:hw]
-				for p, j := range idx[tap*hw:][:hw] {
-					// Padding entries (j == plane) have no pixel. The
-					// pattern repeats every row, so the branch predicts; a
-					// trash slot measured no faster and costs a staging
-					// pass each way.
-					if uint(j) < uint(len(dst)) {
-						dst[j] += row[p]
+				row := dPanel[(c*kk+tap)*cols+i0*hw:][:m*hw]
+				for _, q := range t.pad[tap][:m*t.npad[tap]] {
+					row[q] = negZero
+				}
+				if t.shift != nil {
+					d := t.shift[tap]
+					lo, hi := shiftRange(d, hw)
+					for i := 0; i < m; i++ {
+						dst := dxc[i*img+lo+d:][:hi-lo]
+						for p, v := range row[i*hw+lo:][:hi-lo] {
+							dst[p] += v
+						}
+					}
+				} else {
+					for q, j := range t.idx[tap*t.width*hw:][:m*hw] {
+						dxc[j] += row[q]
 					}
 				}
 			}
@@ -263,15 +358,14 @@ func convScatter(dx, dPanel []float64, n int, g ConvGeom, idx []int32) {
 // the single-image entry to the code Conv2D runs on groups of images. dst
 // must have ColRows()*ColCols() elements.
 func Im2Col(dst []float64, img []float64, g ConvGeom) {
-	t := convTableFor(g)
-	stage := t.stage.Get().(*[]float64)
-	convLower(dst, img, 1, g, t.idx, *stage)
-	t.stage.Put(stage)
+	convTableFor(g).lower(dst, img, nil, 1, g)
 }
 
 // Col2Im scatters a panel's gradient back into image layout, accumulating
 // overlapping patches — the adjoint of Im2Col. dst (the image gradient,
-// [InC, InH, InW] flattened) is accumulated into, not zeroed.
+// [InC, InH, InW] flattened) is accumulated into, not zeroed, and may hold
+// anything; col's padding entries contribute nothing and hold −0
+// afterwards, its other entries are only read.
 func Col2Im(dst []float64, col []float64, g ConvGeom) {
-	convScatter(dst, col, 1, g, convTableFor(g).idx)
+	convTableFor(g).scatter(dst, col, 1, g)
 }

@@ -1,0 +1,185 @@
+package tensor
+
+import (
+	"math"
+	"testing"
+
+	"lcasgd/internal/rng"
+)
+
+// tapPixel is the definition Lower and Scatter are held to, with no table:
+// the offset inside a channel plane of the pixel tap (ky, kx) reads at
+// output pixel (oy, ox), or false in the padding.
+func tapPixel(g ConvGeom, ky, kx, oy, ox int) (int, bool) {
+	iy, ix := oy*g.Stride-g.Pad+ky, ox*g.Stride-g.Pad+kx
+	if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
+		return 0, false
+	}
+	return iy*g.InW + ix, true
+}
+
+// guarded carves n floats out of a larger backing slice whose margins hold
+// a recognisable NaN; check reports a store outside the window.
+type guarded struct {
+	all []float64
+	win []float64
+}
+
+const (
+	guardBand   = 67
+	guardPoison = 0x7ff8_0bad_0bad_0bad
+)
+
+func newGuarded(n int) guarded {
+	all := make([]float64, n+2*guardBand)
+	for i := range all {
+		all[i] = math.Float64frombits(guardPoison)
+	}
+	return guarded{all: all, win: all[guardBand : guardBand+n : guardBand+n]}
+}
+
+func (b guarded) check(t *testing.T, what string) {
+	t.Helper()
+	for _, band := range [][]float64{b.all[:guardBand], b.all[guardBand+len(b.win):]} {
+		for _, v := range band {
+			if math.Float64bits(v) != guardPoison {
+				t.Fatalf("%s: store outside its window", what)
+			}
+		}
+	}
+}
+
+func wantBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// FuzzConvLowering holds Lower and Scatter, group by group as Conv2D calls
+// them (a batch of n images ends in a short group), to the scalar
+// definition bit for bit: every panel entry is the pixel tapPixel names or
+// +0; every dx pixel receives its contributions taps descending, columns
+// ascending (order 4), on a zeroed dx and on one already holding values,
+// −0 among them; dPanel's padding entries, poisoned, reach no pixel and
+// come back as −0, its other entries survive; and nothing is stored outside
+// panel and dx.
+func FuzzConvLowering(f *testing.F) {
+	// Every convolution of the four profiles' networks (trainer.QuickCIFAR,
+	// trainer.QuickImageNet, model.ResNetLite18, model.ResNetLite50), so
+	// plain go test runs the shifted and the table path.
+	for _, p := range []struct {
+		in, stem int
+		reps     []int
+	}{{8, 6, []int{1, 1, 1}}, {12, 8, []int{1, 1, 1}}, {8, 8, []int{2, 2, 2}}, {12, 12, []int{3, 4, 3}}} {
+		geoms, outCs := resnetConvs(p.in, p.stem, p.reps)
+		for i, g := range geoms {
+			f.Add(g.InC, g.InH, g.InW, g.KH, g.KW, g.Stride, g.Pad, outCs[i], 5+i, uint64(i))
+		}
+	}
+	// Rectangles, kernels wider than the image, a group wider than a table.
+	f.Add(2, 5, 7, 3, 5, 1, 2, 3, 4, uint64(1))
+	f.Add(1, 2, 2, 5, 5, 1, 2, 2, 3, uint64(2))
+	f.Add(3, 7, 4, 2, 3, 3, 1, 40, 9, uint64(3))
+	f.Add(64, 12, 12, 3, 3, 1, 1, 4, 3, uint64(4))
+	f.Fuzz(func(t *testing.T, inC, inH, inW, kh, kw, stride, pad, outC, n int, seed uint64) {
+		g := ConvGeom{InC: inC, InH: inH, InW: inW, KH: kh, KW: kw, Stride: stride, Pad: pad}
+		if g.Validate() != nil || outC < 1 || outC > 64 || n < 1 || n > 32 ||
+			inC > 64 || inH > 16 || inW > 16 || kh > 5 || kw > 5 || stride > 3 || pad > 2 {
+			t.Skip()
+		}
+		low := NewConvLowering(g, outC)
+		k, hw, kk, plane := g.ColCols(), g.ColRows(), kh*kw, inH*inW
+		inFeat := inC * plane
+		r := rng.New(seed)
+		x := make([]float64, n*inFeat)
+		r.FillNormal(x, 1)
+		for i := range x { // bits are copied, whatever they are
+			switch r.Intn(16) {
+			case 0:
+				x[i] = math.Copysign(0, -1)
+			case 1:
+				x[i] = math.NaN()
+			case 2:
+				x[i] = math.Inf(-1)
+			}
+		}
+		// The width Conv2D uses, then one past two table widths, which
+		// makes every call but the short last one a chunked one.
+		for _, group := range []int{low.Group(), 2*low.tab.width + 1} {
+			zeroed, dirty := newGuarded(n*inFeat), newGuarded(n*inFeat)
+			clear(zeroed.win)
+			r.FillNormal(dirty.win, 1)
+			for i := range dirty.win {
+				if r.Intn(4) == 0 {
+					dirty.win[i] = math.Copysign(0, -1)
+				}
+			}
+			wantZeroed := append([]float64(nil), zeroed.win...)
+			wantDirty := append([]float64(nil), dirty.win...)
+			for i0 := 0; i0 < n; i0 += group {
+				m := min(group, n-i0)
+				cols := m * hw
+				xs := x[i0*inFeat : (i0+m)*inFeat]
+
+				panel := newGuarded(k * cols)
+				low.Lower(panel.win, xs, m)
+				panel.check(t, "Lower")
+				want := make([]float64, k*cols)
+				for c := 0; c < inC; c++ {
+					for tap := 0; tap < kk; tap++ {
+						row := want[(c*kk+tap)*cols:][:cols]
+						for q := range row {
+							p := q % hw
+							if pix, ok := tapPixel(g, tap/kw, tap%kw, p/g.OutW(), p%g.OutW()); ok {
+								row[q] = xs[(q/hw*inC+c)*plane+pix]
+							}
+						}
+					}
+				}
+				wantBits(t, "panel", panel.win, want)
+
+				dPanel := newGuarded(k * cols)
+				r.FillNormal(dPanel.win, 1)
+				for _, dx := range []struct{ got, want []float64 }{
+					{zeroed.win[i0*inFeat:], wantZeroed[i0*inFeat:]},
+					{dirty.win[i0*inFeat:], wantDirty[i0*inFeat:]},
+				} {
+					// The reference accumulates in order 4 and poisons the
+					// padding entries it skips.
+					for c := 0; c < inC; c++ {
+						for tap := kk - 1; tap >= 0; tap-- {
+							row := dPanel.win[(c*kk+tap)*cols:][:cols]
+							for q := range row {
+								p := q % hw
+								if pix, ok := tapPixel(g, tap/kw, tap%kw, p/g.OutW(), p%g.OutW()); ok {
+									dx.want[(q/hw*inC+c)*plane+pix] += row[q]
+								} else {
+									row[q] = math.NaN()
+								}
+							}
+						}
+					}
+					kept := append([]float64(nil), dPanel.win...)
+					low.Scatter(dx.got[:m*inFeat], dPanel.win, m)
+					dPanel.check(t, "Scatter (dPanel)")
+					for j, v := range kept {
+						if math.IsNaN(v) {
+							v = math.Copysign(0, -1)
+						}
+						if math.Float64bits(dPanel.win[j]) != math.Float64bits(v) {
+							t.Fatalf("dPanel[%d] = %v after Scatter, want %v", j, dPanel.win[j], v)
+						}
+					}
+				}
+			}
+			zeroed.check(t, "Scatter (zeroed dx)")
+			dirty.check(t, "Scatter (dirty dx)")
+			wantBits(t, "dx from zero", zeroed.win, wantZeroed)
+			wantBits(t, "dx accumulated", dirty.win, wantDirty)
+		}
+	})
+}
