@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"lcasgd/internal/nn"
 	"lcasgd/internal/rng"
@@ -118,6 +119,24 @@ func TestLossPredictorOverheadAccounting(t *testing.T) {
 	}
 	if p.AvgTrainMs() < 0 {
 		t.Fatal("negative average train time")
+	}
+}
+
+// TestPredictorAvgMsIsTrainPlusPredictPerCall pins what Tables 2–3 read:
+// the loss predictor's mean covers Observe and the k-step roll-out, the
+// step predictor's the whole ObserveAndPredict call (its predict is inside
+// TrainTime), and neither is cut to whole microseconds first.
+func TestPredictorAvgMsIsTrainPlusPredictPerCall(t *testing.T) {
+	lp := &LossPredictor{TrainTime: 1500 * time.Nanosecond, PredictTime: 2*time.Millisecond + 900*time.Nanosecond, Calls: 4}
+	if got, want := lp.AvgTrainMs(), 2.0024/4; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("loss predictor AvgTrainMs = %v, want %v", got, want)
+	}
+	sp := &StepPredictor{TrainTime: 3*time.Millisecond + 300*time.Nanosecond, PredictTime: time.Millisecond, Calls: 2}
+	if got, want := sp.AvgTrainMs(), 3.0003/2; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("step predictor AvgTrainMs = %v, want %v", got, want)
+	}
+	if (&LossPredictor{}).AvgTrainMs() != 0 || (&StepPredictor{}).AvgTrainMs() != 0 {
+		t.Fatal("no calls must average to 0")
 	}
 }
 

@@ -36,7 +36,8 @@ type LossPredictor struct {
 	iteration int
 
 	// Overhead accounting (Tables 2–3): cumulative wall time spent in
-	// online training and prediction, and the number of invocations.
+	// online training (Observe) and in the k-step roll-out (PredictDelay),
+	// and the number of Observe calls — one of each per update.
 	TrainTime   time.Duration
 	PredictTime time.Duration
 	Calls       int
@@ -114,11 +115,11 @@ func (p *LossPredictor) Trace() []TracePoint {
 	return append([]TracePoint(nil), p.trace...)
 }
 
-// AvgTrainMs returns the mean per-call online-training time in
-// milliseconds, the quantity Tables 2–3 report.
+// AvgTrainMs returns the mean per-call time of training plus the roll-out
+// in milliseconds, the quantity Tables 2–3 report.
 func (p *LossPredictor) AvgTrainMs() float64 {
 	if p.Calls == 0 {
 		return 0
 	}
-	return float64(p.TrainTime.Microseconds()) / float64(p.Calls) / 1000
+	return float64(p.TrainTime+p.PredictTime) / float64(time.Millisecond) / float64(p.Calls)
 }

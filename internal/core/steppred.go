@@ -31,6 +31,9 @@ type StepPredictor struct {
 	trace []TracePoint
 	calls int
 
+	// Overhead accounting (Tables 2–3): TrainTime is the whole of every
+	// ObserveAndPredict call, its prediction included; PredictTime is that
+	// prediction alone.
 	TrainTime   time.Duration
 	PredictTime time.Duration
 	Calls       int
@@ -125,10 +128,11 @@ func (p *StepPredictor) Trace() []TracePoint {
 	return append([]TracePoint(nil), p.trace...)
 }
 
-// AvgTrainMs returns the mean per-call time in milliseconds (Tables 2–3).
+// AvgTrainMs returns the mean per-call time, training and prediction, in
+// milliseconds (Tables 2–3).
 func (p *StepPredictor) AvgTrainMs() float64 {
 	if p.Calls == 0 {
 		return 0
 	}
-	return float64(p.TrainTime.Microseconds()) / float64(p.Calls) / 1000
+	return float64(p.TrainTime) / float64(time.Millisecond) / float64(p.Calls)
 }

@@ -43,6 +43,7 @@ type Cell struct {
 
 	xh   []float64 // [X+H] the step's input row [x; h], reused every Step/Backward
 	pre  []float64 // [4H] pre-activation scratch, reused every Step
+	act  []float64 // [4H] gate values [i; f; g; o], reused every Step
 	dAct []float64 // [4H] gate-gradient scratch, reused every Backward
 }
 
@@ -57,6 +58,7 @@ func NewCell(x, h int, g *rng.RNG) *Cell {
 		dB:   make([]float64, numGates*h),
 		xh:   make([]float64, x+h),
 		pre:  make([]float64, numGates*h),
+		act:  make([]float64, numGates*h),
 		dAct: make([]float64, numGates*h),
 	}
 	// The draw order is the serialized one (input weights, then hidden).
@@ -124,8 +126,6 @@ func newStepCache(x, h int) *stepCache {
 	}
 }
 
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
-
 // Step advances the cell one timestep, updating s in place. When cache is
 // non-nil it records everything Backward needs (including copies of the
 // input and incoming state, so in-place state reuse is safe). Passing a nil
@@ -135,33 +135,37 @@ func (c *Cell) Step(x []float64, s State, cache *stepCache) {
 		panic(fmt.Sprintf("lstm: input size %d, want %d", len(x), c.X))
 	}
 	h := c.H
-	xh, pre := c.xh, c.pre
+	xh, pre, act := c.xh, c.pre, c.act
 	copy(xh, x)
 	copy(xh[c.X:], s.H)
 	// Each gate's chain runs over [x; h] ascending from +0, and the bias
 	// joins once, after the sum.
-	tensor.VecMatMulInto(pre, xh, c.W)
-	for r, b := range c.B {
-		pre[r] += b
-	}
+	copy(pre, c.B)
+	tensor.VecMatMulAdd(pre, xh, c.W)
 	if cache != nil {
 		copy(cache.x, x)
 		copy(cache.hPrev, s.H)
 		copy(cache.cPrev, s.C)
 	}
-	for j := 0; j < h; j++ {
-		iv := sigmoid(pre[gateI*h+j])
-		fv := sigmoid(pre[gateF*h+j])
-		gv := math.Tanh(pre[gateG*h+j])
-		ov := sigmoid(pre[gateO*h+j])
-		cv := fv*s.C[j] + iv*gv
-		tc := math.Tanh(cv)
-		if cache != nil {
-			cache.i[j], cache.f[j], cache.g[j], cache.o[j] = iv, fv, gv, ov
-			cache.c[j], cache.tanhC[j] = cv, tc
-		}
-		s.C[j] = cv
-		s.H[j] = ov * tc
+	gateInto(opSigmoid, act[:gateG*h], pre[:gateG*h]) // i and f
+	gateInto(opTanh, act[gateG*h:gateO*h], pre[gateG*h:gateO*h])
+	gateInto(opSigmoid, act[gateO*h:], pre[gateO*h:])
+	i, f, g, o := act[:h], act[gateF*h:gateG*h], act[gateG*h:gateO*h], act[gateO*h:]
+	for j, cv := range s.C {
+		s.C[j] = f[j]*cv + i[j]*g[j]
+	}
+	// s.H holds tanh(c) until the last loop turns it into o ⊙ tanh(c).
+	gateInto(opTanh, s.H, s.C)
+	if cache != nil {
+		copy(cache.i, i)
+		copy(cache.f, f)
+		copy(cache.g, g)
+		copy(cache.o, o)
+		copy(cache.c, s.C)
+		copy(cache.tanhC, s.H)
+	}
+	for j, ov := range o {
+		s.H[j] = ov * s.H[j]
 	}
 }
 

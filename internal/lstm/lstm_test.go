@@ -1,6 +1,7 @@
 package lstm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -167,6 +168,75 @@ func TestCellStepBitsMatchRowLoops(t *testing.T) {
 		for r := range want {
 			if math.Float64bits(c.pre[r]) != math.Float64bits(want[r]) {
 				t.Fatalf("X=%d H=%d: pre[%d] = %x, row loop gives %x", x, h, r, c.pre[r], want[r])
+			}
+		}
+	}
+}
+
+// TestCellStepBitsMatchScalarGates runs Step against the per-unit scalar
+// definition of the cell — every gate through math, c = f·C + i·g, h =
+// o·tanh(c) — and compares the new state and every cache field bitwise,
+// over several steps and at widths that give the gates full groups, scalar
+// tails and both. A few biases are pushed out of the vector fast domain so
+// whole groups fall back to math inside Step.
+func TestCellStepBitsMatchScalarGates(t *testing.T) {
+	g := rng.New(17)
+	sig := func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+	for _, h := range []int{1, 3, 4, 5, 8, 24, 64} {
+		for _, x := range []int{1, 3} {
+			c := NewCell(x, h, g)
+			g.FillNormal(c.B, 2)
+			c.B[gateI*h] = -800    // sigmoid: exp(800) is outside the fast domain
+			c.B[gateO*h+h-1] = 750 // sigmoid: exp(-750) too
+			c.B[gateG*h+h/2] = 50  // tanh past MAXLOG/2
+			c.B[gateF*h+h-1] = math.Nextafter(0.625, 0)
+			s, ref := NewState(h), NewState(h)
+			g.FillNormal(s.C, 1)
+			copy(ref.C, s.C)
+			in := make([]float64, x)
+			cache, nilState := newStepCache(x, h), NewState(h)
+			for step := 0; step < 4; step++ {
+				g.FillNormal(in, 1.5)
+				copy(nilState.H, s.H)
+				copy(nilState.C, s.C)
+				wx, wh := c.serialWeights()
+				pre := make([]float64, numGates*h)
+				for r := range pre {
+					sum := 0.0
+					for j, xv := range in {
+						sum += wx[r*x+j] * xv
+					}
+					for j, hv := range ref.H {
+						sum += wh[r*h+j] * hv
+					}
+					pre[r] = c.B[r] + sum
+				}
+				want := newStepCache(x, h)
+				copy(want.x, in)
+				copy(want.hPrev, ref.H)
+				copy(want.cPrev, ref.C)
+				for j := 0; j < h; j++ {
+					iv, fv := sig(pre[gateI*h+j]), sig(pre[gateF*h+j])
+					gv, ov := math.Tanh(pre[gateG*h+j]), sig(pre[gateO*h+j])
+					cv := fv*ref.C[j] + iv*gv
+					tc := math.Tanh(cv)
+					want.i[j], want.f[j], want.g[j], want.o[j], want.c[j], want.tanhC[j] = iv, fv, gv, ov, cv, tc
+					ref.C[j], ref.H[j] = cv, ov*tc
+				}
+				c.Step(in, s, cache)
+				c.Step(in, nilState, nil)
+				for name, pair := range map[string][2][]float64{
+					"H": {s.H, ref.H}, "C": {s.C, ref.C}, "nil-cache H": {nilState.H, ref.H}, "nil-cache C": {nilState.C, ref.C},
+					"x": {cache.x, want.x}, "hPrev": {cache.hPrev, want.hPrev}, "cPrev": {cache.cPrev, want.cPrev},
+					"i": {cache.i, want.i}, "f": {cache.f, want.f}, "g": {cache.g, want.g}, "o": {cache.o, want.o},
+					"c": {cache.c, want.c}, "tanhC": {cache.tanhC, want.tanhC},
+				} {
+					for j := range pair[1] {
+						if math.Float64bits(pair[0][j]) != math.Float64bits(pair[1][j]) {
+							t.Fatalf("X=%d H=%d step %d: %s[%d] = %x, scalar gives %x", x, h, step, name, j, pair[0][j], pair[1][j])
+						}
+					}
+				}
 			}
 		}
 	}
@@ -361,14 +431,42 @@ func BenchmarkTrainStepH64(b *testing.B) {
 	}
 }
 
-func BenchmarkPredictAhead8(b *testing.B) {
-	n := NewNetwork(1, []int{64, 64}, rng.New(1))
-	for i := 0; i < 16; i++ {
-		n.Observe([]float64{0.5}, 0.4)
+// BenchmarkPredictAhead rolls a full-window two-layer loss-predictor
+// network out k steps at the shapes the workloads run: H = 8 at k = 1023
+// (fleet_scale, M = 1024), H = 24 at k = 3 (the quick profiles' M = 4) and
+// the paper's H = 64 at k = 8.
+func BenchmarkPredictAhead(b *testing.B) {
+	for _, sz := range []struct{ h, k int }{{8, 1023}, {24, 3}, {64, 8}} {
+		b.Run(fmt.Sprintf("H%d_k%d", sz.h, sz.k), func(b *testing.B) {
+			n := NewNetwork(1, []int{sz.h, sz.h}, rng.New(1))
+			for i := 0; i < n.Window; i++ {
+				n.Observe([]float64{0.5}, 0.4)
+			}
+			in, fb := []float64{0.5}, []float64{0}
+			feedback := func(o float64) []float64 { fb[0] = o; return fb }
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.PredictAhead(in, sz.k, feedback)
+			}
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.PredictAhead([]float64{0.5}, 8, func(o float64) []float64 { return []float64{o} })
+}
+
+// BenchmarkCellStep is one prediction-path Step of a hidden-to-hidden cell,
+// the roll-out's unit of work.
+func BenchmarkCellStep(b *testing.B) {
+	for _, h := range []int{8, 24} {
+		b.Run(fmt.Sprintf("H%d", h), func(b *testing.B) {
+			g := rng.New(1)
+			c := NewCell(h, h, g)
+			s := NewState(h)
+			in := make([]float64, h)
+			g.FillNormal(in, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Step(in, s, nil)
+			}
+		})
 	}
 }
 

@@ -177,8 +177,7 @@ type ConvLowering struct {
 	group int
 	tab   *convTable
 	stage []float64 // Lower: one channel of a group's planes side by side (shifted path)
-	dYT   []float64 // WeightGrad: one image's dY transposed, [HW, OutC] ...
-	img   []float64 // ... and its addend to the weight gradient, [ColCols, OutC]
+	dYT   []float64 // WeightGrad: one image's dY transposed, [HW, OutC]
 }
 
 // NewConvLowering returns the lowering of geometry g for a layer with outC
@@ -192,7 +191,6 @@ func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
 		g: g, outC: outC, group: max(group, 1),
 		tab: convTableFor(g),
 		dYT: make([]float64, hw*outC),
-		img: make([]float64, k*outC),
 	}
 	if l.tab.shift != nil {
 		l.stage = make([]float64, l.tab.width*g.InH*g.InW)
@@ -230,9 +228,9 @@ func (l *ConvLowering) Scatter(dx, dPanel []float64, n int) {
 // Accumulation order (part of the float-bits contract): wGrad[r, oc]
 // receives one addend per image, in batch order, and each addend is that
 // image's sum over p ascending formed from +0. Per image that addend matrix
-// is panel_i [ColCols, HW] @ dY_iᵀ [HW, OutC] from a zeroed scratch: the
-// micro-kernel's lanes are output elements (oc), never p, so each element's
-// chain is the scalar one.
+// is panel_i [ColCols, HW] @ dY_iᵀ [HW, OutC], which mmKernel adds straight
+// into wGrad: its lanes are output elements (oc), never p, and each
+// element's chain starts from +0 and joins wGrad once.
 func (l *ConvLowering) WeightGrad(wGrad, panel, dY []float64, n int) {
 	k, hw := l.g.ColCols(), l.g.ColRows()
 	cols := n * hw
@@ -247,11 +245,7 @@ func (l *ConvLowering) WeightGrad(wGrad, panel, dY []float64, n int) {
 				l.dYT[p*outC+oc] = v
 			}
 		}
-		clear(l.img)
-		mmKernel(l.img, outC, panel[i*hw:], cols, 1, l.dYT, outC, k, hw, outC)
-		for j, v := range l.img {
-			wGrad[j] += v
-		}
+		mmKernel(wGrad, outC, panel[i*hw:], cols, 1, l.dYT, outC, k, hw, outC)
 	}
 }
 

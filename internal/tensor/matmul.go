@@ -105,15 +105,15 @@ func matMulTransA(out, a, b *Tensor) {
 	}
 }
 
-// VecMatMulInto computes dst = x @ b for a row vector x [k] and a row-major
-// b [k, n] given flat: dst[j] = Σ_p x[p]·b[p*n+j], p ascending from +0 —
-// the one-row call of mmKernel, lanes over j.
-func VecMatMulInto(dst, x, b []float64) {
+// VecMatMulAdd computes dst += x @ b for a row vector x [k] and a row-major
+// b [k, n] given flat: dst[j] += Σ_p x[p]·b[p*n+j], the sum one chain with
+// p ascending from +0 that joins dst once — the one-row call of mmKernel,
+// lanes over j.
+func VecMatMulAdd(dst, x, b []float64) {
 	n, k := len(dst), len(x)
 	if len(b) != k*n {
-		panic(fmt.Sprintf("tensor: VecMatMulInto lens dst %d x %d b %d", n, k, len(b)))
+		panic(fmt.Sprintf("tensor: VecMatMulAdd lens dst %d x %d b %d", n, k, len(b)))
 	}
-	clear(dst)
 	mmKernel(dst, n, x, k, 1, b, n, 1, k, n)
 }
 

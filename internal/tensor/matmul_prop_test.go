@@ -154,22 +154,26 @@ func TestMatMulIntoNeverAllocates(t *testing.T) {
 	}
 }
 
-// TestVecMatMulIntoBitExact checks the row-vector entry against the naive
-// chain bit for bit on a dirty destination, with exact zeros in x — and
-// that it neither allocates nor accepts mismatched lengths.
-func TestVecMatMulIntoBitExact(t *testing.T) {
+// TestVecMatMulAddBitExact checks the row-vector entry bit for bit against
+// a dirty destination plus the naive chain from +0, with exact zeros in x —
+// and that it neither allocates nor accepts mismatched lengths.
+func TestVecMatMulAddBitExact(t *testing.T) {
 	g := rng.New(127)
 	for _, dims := range [][2]int{{1, 1}, {9, 32}, {16, 20}, {65, 256}, {128, 256}, {200, 131}} {
 		k, n := dims[0], dims[1]
 		x, b := randMat(g, 1, k), randMat(g, k, n)
 		sparsify(x, g)
 		dst := randMat(g, 1, n)
-		VecMatMulInto(dst.Data, x.Data, b.Data)
-		if d := maxDiff(dst, naiveMatMul(x, b)); d != 0 {
-			t.Fatalf("VecMatMulInto k=%d n=%d: diff %g", k, n, d)
+		want := naiveMatMul(x, b)
+		for j, v := range dst.Data {
+			want.Data[j] = v + want.Data[j]
 		}
-		if a := testing.AllocsPerRun(5, func() { VecMatMulInto(dst.Data, x.Data, b.Data) }); a != 0 {
-			t.Fatalf("VecMatMulInto k=%d n=%d allocates %v times", k, n, a)
+		VecMatMulAdd(dst.Data, x.Data, b.Data)
+		if i := bitsEqual(dst.Data, want.Data); i >= 0 {
+			t.Fatalf("VecMatMulAdd k=%d n=%d: dst[%d] = %x, want %x", k, n, i, dst.Data[i], want.Data[i])
+		}
+		if a := testing.AllocsPerRun(5, func() { VecMatMulAdd(dst.Data, x.Data, b.Data) }); a != 0 {
+			t.Fatalf("VecMatMulAdd k=%d n=%d allocates %v times", k, n, a)
 		}
 	}
 	defer func() {
@@ -177,7 +181,7 @@ func TestVecMatMulIntoBitExact(t *testing.T) {
 			t.Fatal("expected panic on a length mismatch")
 		}
 	}()
-	VecMatMulInto(make([]float64, 4), make([]float64, 3), make([]float64, 11))
+	VecMatMulAdd(make([]float64, 4), make([]float64, 3), make([]float64, 11))
 }
 
 func TestConvSegmentsMatchReference(t *testing.T) {

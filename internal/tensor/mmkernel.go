@@ -2,17 +2,22 @@ package tensor
 
 import "fmt"
 
-// mmKernel is the one GEMM micro-kernel under MatMulInto and
-// MatMulTransAInto. It accumulates
+// mmKernel is the one GEMM micro-kernel under MatMulInto, MatMulTransAInto,
+// VecMatMulAdd and ConvLowering.WeightGrad. It accumulates
 //
 //	out[r*ostride+j] += Σ_p a[r*aRow+p*aK] * b[p*bstride+j]    r < rows, j < jw
 //
-// with p running 0..kw-1 in ascending order for every element, each product
-// rounded before it is added — the naive triple loop's chain (see the tiling
-// note in matmul.go). A is addressed by two strides so one contract serves
-// both layouts: a row-major A block is (aRow, aK) = (row stride, 1), the
-// transposed A of MatMulTransA is (1, row stride). ostride and bstride may
-// exceed jw (tiles of a wider matrix).
+// Float bits: each element's sum is one chain that starts from +0, runs p
+// 0..kw-1 ascending and rounds every product before adding it — the naive
+// triple loop's chain (see the tiling note in matmul.go) — and is added to
+// out once, after the chain. Over a zeroed out that is the chain itself: a
+// chain begun at +0 is never −0, so +0 + S has the bits of S. Over a
+// non-zero out it is one addend, which is what WeightGrad's per-image
+// order and the LSTM cell's bias-after-the-sum rule ask for. A is
+// addressed by two strides so one contract serves both layouts: a
+// row-major A block is (aRow, aK) = (row stride, 1), the transposed A of
+// MatMulTransA is (1, row stride). ostride and bstride may exceed jw (tiles
+// of a wider matrix).
 //
 // Rows go in strips of four sharing each loaded b element, then one at a
 // time. A strip has two implementations of this same contract, bit for bit
@@ -60,29 +65,28 @@ func mmKernel(out []float64, ostride int, a []float64, aRow, aK int, b []float64
 }
 
 func mmStrip4Go(out []float64, ostride int, a []float64, aRow, aK int, b []float64, bstride, kw, jw int) {
-	o0 := out[:jw]
-	o1 := out[ostride : ostride+jw]
-	o2 := out[2*ostride : 2*ostride+jw]
-	o3 := out[3*ostride : 3*ostride+jw]
-	for p := 0; p < kw; p++ {
-		av0, av1, av2, av3 := a[p*aK], a[aRow+p*aK], a[2*aRow+p*aK], a[3*aRow+p*aK]
-		brow := b[p*bstride : p*bstride+jw]
-		for j, bv := range brow {
-			o0[j] += av0 * bv
-			o1[j] += av1 * bv
-			o2[j] += av2 * bv
-			o3[j] += av3 * bv
+	for j := 0; j < jw; j++ {
+		var s0, s1, s2, s3 float64
+		for p := 0; p < kw; p++ {
+			bv := b[p*bstride+j]
+			s0 += a[p*aK] * bv
+			s1 += a[aRow+p*aK] * bv
+			s2 += a[2*aRow+p*aK] * bv
+			s3 += a[3*aRow+p*aK] * bv
 		}
+		out[j] += s0
+		out[ostride+j] += s1
+		out[2*ostride+j] += s2
+		out[3*ostride+j] += s3
 	}
 }
 
 func mmStrip1Go(out, a []float64, aK int, b []float64, bstride, kw, jw int) {
-	orow := out[:jw]
-	for p := 0; p < kw; p++ {
-		av := a[p*aK]
-		brow := b[p*bstride : p*bstride+jw]
-		for j, bv := range brow {
-			orow[j] += av * bv
+	for j := 0; j < jw; j++ {
+		s := 0.0
+		for p := 0; p < kw; p++ {
+			s += a[p*aK] * b[p*bstride+j]
 		}
+		out[j] += s
 	}
 }

@@ -8,20 +8,21 @@
 //
 // for a strip of four rows (mmStrip4AVX2) or one row (mmStrip1AVX2).
 //
-// Float-bits rule. Each output element's chain is
+// Float-bits rule. Each output element gets
 //
-//	((out + a_0*b_0) + a_1*b_1) + ... + a_{kw-1}*b_{kw-1}
+//	out + (((+0 + a_0*b_0) + a_1*b_1) + ... + a_{kw-1}*b_{kw-1})
 //
 // with p ascending, every product rounded (VMULPD) before it is added
-// (VADDPD) — exactly the scalar Go loop `o[j] += av * bv`. A vector lane is
-// one output element: lanes never meet, so a lane performs the same IEEE
-// operations on the same operands in the same order as the scalar loop and
-// ends on the same bits. Two things would break that and are therefore
-// absent from this file: fused multiply-add (VFMADD* rounds a*b+c once, the
-// Go loop twice) and any horizontal or k-direction reduction (splitting one
-// element's chain over lanes re-associates its sum). The accumulators live
-// in registers for the whole p loop; loading out once and storing it once
-// is the same value sequence as the Go loop's read-modify-write per p.
+// (VADDPD), and out added once after the chain — exactly the Go strips'
+// `s += av * bv` from s = 0, then `o[j] += s`. A vector lane is one output
+// element: lanes never meet, so a lane performs the same IEEE operations on
+// the same operands in the same order as the scalar loop and ends on the
+// same bits. Two things would break that and are therefore absent from this
+// file: fused multiply-add (VFMADD* rounds a*b+c once, the Go loop twice)
+// and any horizontal or k-direction reduction (splitting one element's chain
+// over lanes re-associates its sum). The accumulators start zeroed in
+// registers and stay there for the whole p loop; out is read and written
+// once per block.
 //
 // Column tails narrower than four are run as a four-wide block under a
 // VMASKMOVPD lane mask: masked-out lanes load as zero, compute a dead
@@ -77,14 +78,14 @@ TEXT ·mmStrip4AVX2(SB), NOSPLIT, $0-72
 	JLT  narrow4
 
 wide4:
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD (DI)(R8*1), Y2
-	VMOVUPD 32(DI)(R8*1), Y3
-	VMOVUPD (DI)(R8*2), Y4
-	VMOVUPD 32(DI)(R8*2), Y5
-	VMOVUPD (DI)(R13*1), Y6
-	VMOVUPD 32(DI)(R13*1), Y7
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
 	MOVQ    SI, AX
 	MOVQ    DX, BX
 	MOVQ    R12, R15
@@ -117,6 +118,14 @@ wide4p:
 	DECQ         R15
 	JNZ          wide4p
 
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  (DI)(R8*1), Y2, Y2
+	VADDPD  32(DI)(R8*1), Y3, Y3
+	VADDPD  (DI)(R8*2), Y4, Y4
+	VADDPD  32(DI)(R8*2), Y5, Y5
+	VADDPD  (DI)(R13*1), Y6, Y6
+	VADDPD  32(DI)(R13*1), Y7, Y7
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, (DI)(R8*1)
@@ -135,10 +144,10 @@ narrow4:
 	TESTQ CX, CX
 	JLE   done4
 	NARROW_MASK
-	VMASKMOVPD (DI), Y13, Y0
-	VMASKMOVPD (DI)(R8*1), Y13, Y2
-	VMASKMOVPD (DI)(R8*2), Y13, Y4
-	VMASKMOVPD (DI)(R13*1), Y13, Y6
+	VXORPD     Y0, Y0, Y0
+	VXORPD     Y2, Y2, Y2
+	VXORPD     Y4, Y4, Y4
+	VXORPD     Y6, Y6, Y6
 	MOVQ       SI, AX
 	MOVQ       DX, BX
 	MOVQ       R12, R15
@@ -162,6 +171,14 @@ narrow4p:
 	DECQ         R15
 	JNZ          narrow4p
 
+	VMASKMOVPD (DI), Y13, Y8
+	VMASKMOVPD (DI)(R8*1), Y13, Y9
+	VMASKMOVPD (DI)(R8*2), Y13, Y10
+	VMASKMOVPD (DI)(R13*1), Y13, Y11
+	VADDPD     Y8, Y0, Y0
+	VADDPD     Y9, Y2, Y2
+	VADDPD     Y10, Y4, Y4
+	VADDPD     Y11, Y6, Y6
 	VMASKMOVPD Y0, Y13, (DI)
 	VMASKMOVPD Y2, Y13, (DI)(R8*1)
 	VMASKMOVPD Y4, Y13, (DI)(R8*2)
@@ -195,10 +212,10 @@ TEXT ·mmStrip1AVX2(SB), NOSPLIT, $0-56
 	JLT  narrow1
 
 wide1:
-	VMOVUPD (DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
 	MOVQ    SI, AX
 	MOVQ    DX, BX
 	MOVQ    R12, R15
@@ -218,6 +235,10 @@ wide1p:
 	DECQ         R15
 	JNZ          wide1p
 
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -232,7 +253,7 @@ narrow1:
 	TESTQ CX, CX
 	JLE   done1
 	NARROW_MASK
-	VMASKMOVPD (DI), Y13, Y0
+	VXORPD     Y0, Y0, Y0
 	MOVQ       SI, AX
 	MOVQ       DX, BX
 	MOVQ       R12, R15
@@ -247,6 +268,8 @@ narrow1p:
 	DECQ         R15
 	JNZ          narrow1p
 
+	VMASKMOVPD (DI), Y13, Y12
+	VADDPD     Y12, Y0, Y0
 	VMASKMOVPD Y0, Y13, (DI)
 	ADDQ       $32, DI
 	ADDQ       $32, DX
