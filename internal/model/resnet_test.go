@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 
 	"lcasgd/internal/nn"
@@ -70,6 +71,60 @@ func TestResNetBackwardRuns(t *testing.T) {
 	}
 	if !nonzero {
 		t.Fatal("backward produced all-zero gradients")
+	}
+}
+
+// TestBackwardParamsMatchesBackward: the parameter-gradient-only backward
+// pass the workers run accumulates every W.Grad and B.Grad to the bits
+// Backward does, from non-zero starting gradients, on the quick profiles'
+// nets (trainer.QuickCIFAR and trainer.QuickImageNet, whose first layer is a
+// conv) and the MLP (whose first layer is a Dense).
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(*rng.RNG) *nn.Sequential
+		in    int
+	}{
+		{"cifar-quick", Config{Name: "cifarq", InC: 3, InH: 8, InW: 8, Stem: 6, StageReps: []int{1, 1, 1}, NumClasses: 10}.Build, 3 * 8 * 8},
+		{"imagenet-quick", Config{Name: "imagenetq", InC: 3, InH: 12, InW: 12, Stem: 8, StageReps: []int{1, 1, 1}, NumClasses: 27}.Build, 3 * 12 * 12},
+		{"mlp", func(g *rng.RNG) *nn.Sequential { return MLP("m", 36, 16, 4, g) }, 36},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const batch = 7
+			x := tensor.New(batch, tc.in)
+			rng.New(31).FillNormal(x.Data, 1)
+			labels := make([]int, batch)
+			for i := range labels {
+				labels[i] = i % 4
+			}
+			grads := func(params bool) [][]float64 {
+				net := tc.build(rng.New(30))
+				g := rng.New(32)
+				for _, p := range net.Params() {
+					g.FillNormal(p.Grad.Data, 0.3)
+				}
+				var ce nn.SoftmaxCrossEntropy
+				ce.Forward(net.Forward(x, true), labels)
+				if params {
+					net.BackwardParams(ce.Backward(1))
+				} else {
+					net.Backward(ce.Backward(1))
+				}
+				var out [][]float64
+				for _, p := range net.Params() {
+					out = append(out, p.Grad.Data)
+				}
+				return out
+			}
+			want, got := grads(false), grads(true)
+			for i := range want {
+				for j := range want[i] {
+					if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("param %d grad[%d] = %v, Backward's %v", i, j, got[i][j], want[i][j])
+					}
+				}
+			}
+		})
 	}
 }
 

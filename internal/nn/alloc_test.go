@@ -51,6 +51,39 @@ func TestForwardBackwardZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestBackwardParamsSkipsFirstInputGrad: the workers' backward pass
+// (BackwardParams) never gives a first Conv2D or Dense an input-gradient
+// buffer, and runs at zero allocations like Backward.
+func TestBackwardParamsSkipsFirstInputGrad(t *testing.T) {
+	g := rng.New(26)
+	mlp := NewSequential(NewDense("fc1", 64, 8, g), NewReLU(8), NewDense("fc2", 8, 3, g))
+	for _, net := range []*Sequential{convTestNet(g), mlp} {
+		x := tensor.New(6, 64)
+		g.FillNormal(x.Data, 1)
+		labels := []int{0, 1, 2, 0, 1, 2}
+		var ce SoftmaxCrossEntropy
+		iter := func() {
+			net.ZeroGrad()
+			ce.Forward(net.Forward(x, true), labels)
+			net.BackwardParams(ce.Backward(1))
+		}
+		iter()
+		if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
+			t.Fatalf("steady-state BackwardParams allocates %v times per iteration, want 0", allocs)
+		}
+		switch l := net.Layers[0].(type) {
+		case *Conv2D:
+			if l.dx != nil {
+				t.Fatal("BackwardParams allocated the first Conv2D's input gradient")
+			}
+		case *Dense:
+			if l.dx != nil {
+				t.Fatal("BackwardParams allocated the first Dense's input gradient")
+			}
+		}
+	}
+}
+
 // TestInferenceZeroAllocSteadyState pins the evaluation-mode forward pass
 // (the eval-shard hot loop) to zero allocations.
 func TestInferenceZeroAllocSteadyState(t *testing.T) {

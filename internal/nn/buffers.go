@@ -20,9 +20,8 @@ import "lcasgd/internal/tensor"
 // re-pointed in place: a tensor a layer returned describes that layer's
 // latest pass, never an earlier one.
 //
-// The returned tensor's contents are unspecified; callers either overwrite
-// every element or explicitly Zero() it first (the scatter-accumulate
-// kernels).
+// The returned tensor's contents are unspecified; every caller overwrites
+// every element.
 func reuse2(buf **tensor.Tensor, r, c int) *tensor.Tensor {
 	if b := *buf; b != nil && len(b.Shape) == 2 && b.Shape[1] == c {
 		if b.Shape[0] == r {

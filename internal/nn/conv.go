@@ -23,7 +23,8 @@ import (
 //  3. B.Grad[oc] likewise: one per-image sum over p ascending, in batch
 //     order;
 //  4. an input-gradient pixel accumulates its patch contributions in
-//     ascending (oy, ox) from a zeroed image.
+//     ascending (oy, ox) from +0, each contribution a sum over output
+//     channels ascending from +0.
 type Conv2D struct {
 	Geom tensor.ConvGeom
 	OutC int
@@ -33,14 +34,14 @@ type Conv2D struct {
 	x   *tensor.Tensor // cached input
 	low *tensor.ConvLowering
 
-	// Group scratch: the lowered input, its gradient, and the [OutC, cols]
-	// product of the forward pass, which the backward pass reuses for the
-	// gathered output gradient. Allocated at construction for a full group
-	// and re-pointed (repoint2) at the width of the group in hand, so a short
-	// last group gets a dense panel of its own width without a new header.
-	// out/dx are per-batch-shape (see reuse2).
-	panel, dPanel, y *tensor.Tensor
-	out, dx          *tensor.Tensor
+	// Group scratch: the lowered input and the [OutC, cols] product of the
+	// forward pass, which the backward pass reuses for the gathered output
+	// gradient. Allocated at construction for a full group and re-pointed
+	// (repoint2) at the width of the group in hand, so a short last group
+	// gets a dense panel of its own width without a new header. out/dx are
+	// per-batch-shape (see reuse2).
+	panel, y *tensor.Tensor
+	out, dx  *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution layer with He initialization. It
@@ -60,7 +61,6 @@ func NewConv2D(name string, g tensor.ConvGeom, outC int, r *rng.RNG) *Conv2D {
 	c.W.InitHe(r, g.ColCols())
 	cols := c.low.Group() * g.ColRows()
 	c.panel = tensor.New(g.ColCols(), cols)
-	c.dPanel = tensor.New(g.ColCols(), cols)
 	c.y = tensor.New(outC, cols)
 	return c
 }
@@ -101,18 +101,27 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates weight/bias gradients and returns the input gradient.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	dx := reuse2(&c.dx, c.x.Shape[0], c.Geom.InC*c.Geom.InH*c.Geom.InW)
+	c.backward(grad, dx)
+	return dx
+}
+
+// backwardParams is Backward without the input gradient (see
+// Sequential.BackwardParams).
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) { c.backward(grad, nil) }
+
+// backward accumulates the weight/bias gradients and, if dx is not nil,
+// writes the input gradient into it.
+func (c *Conv2D) backward(grad, dx *tensor.Tensor) {
 	n := c.x.Shape[0]
 	inFeat := c.Geom.InC * c.Geom.InH * c.Geom.InW
 	k, hw := c.Geom.ColCols(), c.Geom.ColRows()
 	outFeat := c.OutC * hw
-	dx := reuse2(&c.dx, n, inFeat)
-	dx.Zero() // order 4 starts from a zeroed image; Scatter accumulates
 	dY, bGrad := c.y, c.B.Grad.Data
 	for i0 := 0; i0 < n; i0 += c.low.Group() {
 		g := min(c.low.Group(), n-i0)
 		cols := g * hw
 		repoint2(c.panel, k, cols)
-		repoint2(c.dPanel, k, cols)
 		repoint2(dY, c.OutC, cols)
 		// One pass per image gathers its [OutC, HW] gradient into the
 		// group's [OutC, cols] and — order 3 — sums each channel over p
@@ -131,12 +140,10 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		c.low.Lower(c.panel.Data, c.x.Data[i0*inFeat:(i0+g)*inFeat], g)
 		c.low.WeightGrad(c.W.Grad.Data, c.panel.Data, dY.Data, g) // order 2
-		// Input gradient: W @ dY sums oc ascending from the zeroed dPanel,
-		// then the scatter applies order 4.
-		c.low.InputGrad(c.dPanel, c.W.Value, dY) // [ColCols, cols]
-		c.low.Scatter(dx.Data[i0*inFeat:(i0+g)*inFeat], c.dPanel.Data, g)
+		if dx != nil {
+			c.low.InputGrad(dx.Data[i0*inFeat:(i0+g)*inFeat], c.W.Value.Data, dY.Data, g) // order 4
+		}
 	}
-	return dx
 }
 
 // Params returns the filter weights and bias.

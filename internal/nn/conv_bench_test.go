@@ -9,8 +9,9 @@ import (
 )
 
 // Layer-level conv benchmarks: the full lower -> matmul -> copy-out path
-// (forward) and the gather -> lower -> weight-grad -> matmul -> scatter path
-// (backward) at the paper networks' layer shapes, with post-ReLU-like
+// (forward) and the gather -> lower -> weight-grad -> input-grad path
+// (backward; these same-size shapes add W·dY per tap into dx, no panel)
+// at the paper networks' layer shapes, with post-ReLU-like
 // activations so the numbers reflect what the training loop actually feeds
 // these layers. The 4x4, 3x3 and 2x2 stages are the ones a channel-major
 // lowering loses on without grouping (rows only HW long), so they stay in

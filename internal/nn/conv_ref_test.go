@@ -141,7 +141,8 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // direct-convolution reference bit for bit, over the kernel/stride/pad
 // combinations the lowering has cases for, the quick profiles' stage shapes,
 // batch sizes on every side of the group size, post-ReLU-like inputs, and
-// gradients accumulated over two backward calls into non-zero Grad.
+// gradients accumulated over two backward calls into non-zero Grad (the
+// second writing dx over the first's).
 func TestConv2DBitIdenticalToDirectConvolution(t *testing.T) {
 	sq := func(inC, hw, k, stride, pad int) tensor.ConvGeom {
 		return tensor.ConvGeom{InC: inC, InH: hw, InW: hw, KH: k, KW: k, Stride: stride, Pad: pad}
@@ -170,6 +171,11 @@ func TestConv2DBitIdenticalToDirectConvolution(t *testing.T) {
 		{"imagenetq_s1_down", sq(8, 12, 3, 2, 1), 16},
 		{"imagenetq_s2_down", sq(16, 6, 3, 2, 1), 32},
 		{"imagenetq_s2", sq(32, 3, 3, 1, 1), 32},
+		{"imagenetq_s0", sq(8, 12, 3, 1, 1), 8},
+		{"imagenetq_s1", sq(16, 6, 3, 1, 1), 16},
+		// Same-size kernels wider than the image: taps that reach no pixel.
+		{"1x1_in_3x3_p1", sq(3, 1, 3, 1, 1), 4},
+		{"2x2_in_5x5_p2", sq(2, 2, 5, 1, 2), 3},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -50,13 +50,19 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward accumulates dW = xᵀ @ dY, db = Σ_rows dY and returns
 // dX = dY @ Wᵀ.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(grad)
+	dx := reuse2(&d.dx, grad.Shape[0], d.In)
+	tensor.MatMulTransBInto(dx, grad, d.W.Value)
+	return dx
+}
+
+// backwardParams is Backward without the input gradient (see
+// Sequential.BackwardParams).
+func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	tensor.MatMulTransAInto(d.dW, d.x, grad)
 	tensor.AXPY(d.W.Grad, 1, d.dW)
 	tensor.RowSumInto(d.db, grad)
 	tensor.AXPY(d.B.Grad, 1, d.db)
-	dx := reuse2(&d.dx, grad.Shape[0], d.In)
-	tensor.MatMulTransBInto(dx, grad, d.W.Value)
-	return dx
 }
 
 // Params returns the weight and bias.

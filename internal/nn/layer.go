@@ -72,6 +72,24 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// BackwardParams is Backward for a caller that discards the input gradient:
+// every parameter gradient accumulates exactly as under Backward, but a
+// first layer that can skip its input gradient (Conv2D, Dense) does, and
+// allocates no buffer for it.
+func (s *Sequential) BackwardParams(grad *tensor.Tensor) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i > 0; i-- {
+		grad = s.Layers[i].Backward(grad)
+	}
+	if l, ok := s.Layers[0].(interface{ backwardParams(*tensor.Tensor) }); ok {
+		l.backwardParams(grad)
+	} else {
+		s.Layers[0].Backward(grad)
+	}
+}
+
 // Params returns all parameters in layer order. The walk is computed once
 // and cached (Add invalidates); callers must treat the returned slice as
 // read-only.

@@ -71,7 +71,7 @@ func (r *replica) forward() float64 {
 // flattened gradient. The returned slice is reused across calls.
 func (r *replica) backward(scale float64) []float64 {
 	r.net.ZeroGrad()
-	r.net.Backward(r.ce.Backward(scale))
+	r.net.BackwardParams(r.ce.Backward(scale))
 	nn.FlattenGrads(r.grad, r.params)
 	return r.grad
 }

@@ -55,16 +55,17 @@ func (g ConvGeom) Validate() error {
 // the padding). With W [ColCols, OutC]:
 //
 //	forward          Y  [OutC, n*HW]    = Wᵀ @ panel    (MatMulTransAInto)
-//	input gradient   dP [ColCols, n*HW] = W @ dY        (InputGrad: MatMulInto), then Scatter
+//	input gradient   dx                 ← W @ dY        (InputGrad: per tap into dx, or a panel then scatter)
 //	weight gradient  W.Grad[r, oc]     += panel[r]·dY[oc], image by image (WeightGrad)
 //
 // Rows of Y are already the layer's channel-major output, and every inner
-// loop of the two products runs along a row n*HW long.
+// loop of the products runs along a row n*HW long.
 
-// convPanelFloats bounds one panel of a group (64 KiB; a layer holds two,
-// the lowered input and its gradient). Budgets of 4-16 Ki measured alike
-// end to end on both quick profiles — rows are long enough from about 64
-// columns on — so the budget is set by memory per replica, not speed.
+// convPanelFloats bounds the panel of a group (64 KiB; a layer holds the
+// lowered input, and a gather-path lowering the input gradient's panel
+// too). Budgets of 4-16 Ki measured alike end to end on both quick
+// profiles — rows are long enough from about 64 columns on — so the budget
+// is set by memory per replica, not speed.
 const convPanelFloats = 8 * 1024
 
 // convOperandFloats bounds the [OutC, n*HW] operand of a group's two
@@ -72,10 +73,11 @@ const convPanelFloats = 8 * 1024
 // L2-resident while the kernel streams it once per strip of four rows.
 const convOperandFloats = 16 * 1024
 
-// convTable is what Lower and Scatter derive from a geometry, built once
-// and shared. A panel row is one tap (c, ky, kx) over the group's output
-// pixels; both directions fill or drain it with one long loop that knows
-// nothing of padding, and treat the tap's padding entries separately:
+// convTable is what Lower, InputGrad and the scatter derive from a
+// geometry, built once and shared. A panel row is one tap (c, ky, kx) over
+// the group's output pixels; both directions fill or drain it with one long
+// loop that knows nothing of padding, and treat the tap's padding entries
+// separately:
 //
 //   - a same-size geometry (Stride 1, output plane = input plane: every 3×3
 //     pad-1 conv) has shift != nil: output pixel p of tap (ky, kx) reads
@@ -95,12 +97,18 @@ const convOperandFloats = 16 * 1024
 // image), and every in-bounds dummy the gather read, is one of them —
 // which makes the panel bytes those of the definition whichever loop
 // filled them.
+//
+// InputGrad's masked dY (shifted path) moves, taps descending, from the
+// padding columns of one tap that reaches a pixel to the next one's:
+// maskOn[tap] lists the columns to zero and maskOff[tap] those to restore,
+// for one image (every image has the same).
 type convTable struct {
-	width int     // images idx and pad cover: the panel budget's group
-	shift []int   // per tap, same-size geometries only
-	idx   []int32 // group-wide gather offsets, every other geometry
-	pad   [][]int32
-	npad  []int
+	width           int     // images idx and pad cover: the panel budget's group
+	shift           []int   // per tap, same-size geometries only
+	idx             []int32 // group-wide gather offsets, every other geometry
+	pad             [][]int32
+	npad            []int
+	maskOn, maskOff [][]int32 // same-size geometries only
 }
 
 // shiftRange returns the positions [lo, hi) of a block of n elements that
@@ -164,20 +172,45 @@ func convTableFor(g ConvGeom) *convTable {
 			t.npad[tap] = len(t.pad[tap]) / t.width
 		}
 	}
+	if t.shift != nil {
+		t.maskOn, t.maskOff = make([][]int32, kk), make([][]int32, kk)
+		was := make([]bool, hw)
+		for tap := kk - 1; tap >= 0; tap-- {
+			if t.npad[tap] == hw {
+				continue // reaches no pixel: InputGrad skips it
+			}
+			is := make([]bool, hw)
+			for _, q := range t.pad[tap][:t.npad[tap]] {
+				is[q] = true
+			}
+			for p := range is {
+				if is[p] && !was[p] {
+					t.maskOn[tap] = append(t.maskOn[tap], int32(p))
+				} else if was[p] && !is[p] {
+					t.maskOff[tap] = append(t.maskOff[tap], int32(p))
+				}
+			}
+			was = is
+		}
+	}
 	convTables[g] = t
 	return t
 }
 
 // ConvLowering is one convolution layer's handle on the lowering: the
-// shared table, the group size, Lower's staging block and WeightGrad's
-// scratch. It is single-owner state like the layer that holds it.
+// shared table, the group size and the scratch its calls work in. It is
+// single-owner state like the layer that holds it.
 type ConvLowering struct {
 	g     ConvGeom
 	outC  int
 	group int
 	tab   *convTable
-	stage []float64 // Lower: one channel of a group's planes side by side (shifted path)
-	dYT   []float64 // WeightGrad: one image's dY transposed, [HW, OutC]
+	// Shifted path: stage lays a group's planes of a channel side by side —
+	// one channel of x for Lower, every channel of dx for InputGrad — and
+	// dYm is InputGrad's masked copy of dY, [OutC, group*HW].
+	stage, dYm []float64
+	dPanel     []float64 // gather path: InputGrad's W @ dY, [ColCols, group*HW]
+	dYT        []float64 // WeightGrad: one image's dY transposed, [HW, OutC]
 }
 
 // NewConvLowering returns the lowering of geometry g for a layer with outC
@@ -186,14 +219,18 @@ func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
 	// The group is the largest image count whose panel and whose
 	// [OutC, n*HW] operand both fit their budgets.
 	k, hw := g.ColCols(), g.ColRows()
-	group := min(convPanelFloats/(k*hw), convOperandFloats/(outC*hw))
+	group := max(min(convPanelFloats/(k*hw), convOperandFloats/(outC*hw)), 1)
 	l := &ConvLowering{
-		g: g, outC: outC, group: max(group, 1),
+		g: g, outC: outC, group: group,
 		tab: convTableFor(g),
 		dYT: make([]float64, hw*outC),
 	}
 	if l.tab.shift != nil {
-		l.stage = make([]float64, l.tab.width*g.InH*g.InW)
+		// hw is the plane. Lower stages up to a table width of planes.
+		l.stage = make([]float64, max(l.tab.width, g.InC*group)*hw)
+		l.dYm = make([]float64, outC*group*hw)
+	} else {
+		l.dPanel = make([]float64, k*group*hw)
 	}
 	return l
 }
@@ -207,19 +244,73 @@ func (l *ConvLowering) Lower(panel, x []float64, n int) {
 	l.tab.lower(panel, x, l.stage, n, l.g)
 }
 
-// InputGrad computes dPanel [ColCols, n*HW] = w [ColCols, OutC] @ dY
-// [OutC, n*HW], each element summing oc ascending from +0.
-func (l *ConvLowering) InputGrad(dPanel, w, dY *Tensor) {
-	MatMulInto(dPanel, w, dY)
-}
-
-// Scatter accumulates dPanel [ColCols, n*HW] into dx, n image gradients
-// [InC, InH, InW] — the adjoint of Lower. dx is accumulated into and may
-// hold anything (Conv2D passes a zeroed one). dPanel's padding entries
-// contribute nothing whatever they hold, and hold −0 afterwards (see
-// convTable.scatter); its other entries are only read.
-func (l *ConvLowering) Scatter(dx, dPanel []float64, n int) {
-	l.tab.scatter(dx, dPanel, n, l.g)
+// InputGrad writes dx, the gradients [InC, InH, InW] of n ≤ Group() images,
+// from w [ColCols, OutC] and their output gradient dY [OutC, n*HW]; w must
+// be finite. Whatever dx held, each pixel ends as order 4 of nn.Conv2D:
+// starting from +0 it adds its patch contributions in ascending (oy, ox),
+// each contribution Σ_oc w[(c, tap), oc]·dY[oc, q] summed oc ascending from
+// +0 (mmKernel's chain). dY is only read.
+//
+// A gather-path geometry forms every contribution in the panel W @ dY and
+// scatters it into a cleared dx. A same-size geometry needs no panel: for
+// each tap, descending, one mmKernel call (rows = input channels, lanes =
+// the group row) adds the contributions straight into the group's input
+// gradient, held channel-major with the images side by side as Lower
+// stages x, at the tap's shift. A lane on a padding column must add
+// nothing, so the call reads dY with the tap's padding columns zeroed: that
+// chain is +0, and x + (+0) has the bits of x for every pixel here, since a
+// pixel built from +0 by adding chains that also began at +0 is never −0.
+// What a shifted lane carries across an image boundary is always such a
+// column. A tap that reaches no pixel is skipped.
+func (l *ConvLowering) InputGrad(dx, w, dY []float64, n int) {
+	k, hw, kk := l.g.ColCols(), l.g.ColRows(), l.g.KH*l.g.KW
+	inC, outC, cols := l.g.InC, l.outC, n*hw
+	if n < 1 || n > l.group || len(dx) != n*inC*l.g.InH*l.g.InW || len(w) != k*outC || len(dY) != outC*cols {
+		panic(fmt.Sprintf("tensor: InputGrad lens dx %d w %d dY %d for n %d (group %d) k %d outC %d",
+			len(dx), len(w), len(dY), n, l.group, k, outC))
+	}
+	if l.tab.shift == nil {
+		p := l.dPanel[:k*cols]
+		clear(p)
+		mmKernel(p, cols, w, outC, 1, dY, cols, k, outC, cols)
+		clear(dx)
+		l.tab.scatter(dx, p, n, l.g)
+		return
+	}
+	st := l.stage[:inC*cols]
+	if n == 1 || inC == 1 {
+		st = dx // the channel planes lie side by side already
+	}
+	clear(st)
+	m := l.dYm[:outC*cols]
+	copy(m, dY)
+	for tap := kk - 1; tap >= 0; tap-- {
+		if l.tab.npad[tap] == hw {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			for _, p := range l.tab.maskOff[tap] {
+				for j := i*hw + int(p); j < len(m); j += cols {
+					m[j] = dY[j]
+				}
+			}
+			for _, p := range l.tab.maskOn[tap] {
+				for j := i*hw + int(p); j < len(m); j += cols {
+					m[j] = 0
+				}
+			}
+		}
+		d := l.tab.shift[tap]
+		lo, hi := shiftRange(d, cols)
+		mmKernel(st[lo+d:], cols, w[tap*outC:], kk*outC, 1, m[lo:], cols, inC, outC, hi-lo)
+	}
+	if &st[0] != &dx[0] {
+		for i := 0; i < n; i++ {
+			for c := 0; c < inC; c++ {
+				copy(dx[(i*inC+c)*hw:][:hw], st[c*cols+i*hw:])
+			}
+		}
+	}
 }
 
 // WeightGrad accumulates the weight gradient of a group into wGrad
@@ -299,12 +390,15 @@ func (t *convTable) lower(panel, x, stage []float64, n int, g ConvGeom) {
 	}
 }
 
-// scatter is the adjoint. Accumulation order (part of the float-bits
-// contract): every input-gradient pixel receives its patch contributions in
-// ascending (oy, ox). A pixel meets tap (ky, kx) at oy = (iy+Pad-ky)/Stride,
-// ox = (ix+Pad-kx)/Stride — at most one output pixel per tap, and a larger
-// tap means a smaller (oy, ox) — so walking the panel rows of a channel with
-// (ky, kx) descending, and each row left to right, is that order.
+// scatter is the adjoint of lower: it accumulates dPanel [ColCols, n*HW]
+// into dx, n image gradients that may hold anything. Accumulation order
+// (part of the float-bits contract): every input-gradient pixel receives its
+// patch contributions in ascending (oy, ox). A pixel meets tap (ky, kx) at
+// oy = (iy+Pad-ky)/Stride, ox = (ix+Pad-kx)/Stride — at most one output
+// pixel per tap, and a larger tap means a smaller (oy, ox) — so walking the
+// panel rows of a channel with (ky, kx) descending, and each row left to
+// right, is that order. InputGrad takes the gather branch; the shifted one
+// is reached only through Col2Im (bench/'s tensor.col2im_us probe and tests).
 //
 // The row loops are lower's run backwards, dst[p+shift] += row[p] or
 // dst[idx[q]] += row[q], and know as little of padding: the row's padding
@@ -314,7 +408,7 @@ func (t *convTable) lower(panel, x, stage []float64, n int, g ConvGeom) {
 // wrapped or dummy offset lands on is not moved, and dx need not have
 // been built up from +0.
 func (t *convTable) scatter(dx, dPanel []float64, n int, g ConvGeom) {
-	convCheckLens("Scatter", dPanel, dx, n, g)
+	convCheckLens("scatter", dPanel, dx, n, g)
 	hw, kk, plane := g.ColRows(), g.KH*g.KW, g.InH*g.InW
 	cols, img := n*hw, g.InC*plane
 	negZero := math.Copysign(0, -1)

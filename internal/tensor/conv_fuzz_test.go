@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -59,14 +60,16 @@ func wantBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// FuzzConvLowering holds Lower and Scatter, group by group as Conv2D calls
-// them (a batch of n images ends in a short group), to the scalar
-// definition bit for bit: every panel entry is the pixel tapPixel names or
-// +0; every dx pixel receives its contributions taps descending, columns
-// ascending (order 4), on a zeroed dx and on one already holding values,
-// −0 among them; dPanel's padding entries, poisoned, reach no pixel and
-// come back as −0, its other entries survive; and nothing is stored outside
-// panel and dx.
+// FuzzConvLowering holds Lower, the scatter and InputGrad, group by group
+// as Conv2D calls them (a batch of n images ends in a short group), to the
+// scalar definition bit for bit: every panel entry is the pixel tapPixel
+// names or +0; the scatter adds every dx pixel's contributions taps
+// descending, columns ascending (order 4), on a zeroed dx and on one
+// already holding values, −0 among them; dPanel's padding entries,
+// poisoned, reach no pixel and come back as −0, its other entries survive;
+// InputGrad, one image at a time and a group at a time, writes over a dirty
+// dx what order 4 builds from +0 out of each contribution's oc chain, and
+// leaves dY as it was; and nothing is stored outside panel and dx.
 func FuzzConvLowering(f *testing.F) {
 	// Every convolution of the four profiles' networks (trainer.QuickCIFAR,
 	// trainer.QuickImageNet, model.ResNetLite18, model.ResNetLite50), so
@@ -164,7 +167,7 @@ func FuzzConvLowering(f *testing.F) {
 						}
 					}
 					kept := append([]float64(nil), dPanel.win...)
-					low.Scatter(dx.got[:m*inFeat], dPanel.win, m)
+					low.tab.scatter(dx.got[:m*inFeat], dPanel.win, m, g)
 					dPanel.check(t, "Scatter (dPanel)")
 					for j, v := range kept {
 						if math.IsNaN(v) {
@@ -180,6 +183,63 @@ func FuzzConvLowering(f *testing.F) {
 			dirty.check(t, "Scatter (dirty dx)")
 			wantBits(t, "dx from zero", zeroed.win, wantZeroed)
 			wantBits(t, "dx accumulated", dirty.win, wantDirty)
+		}
+
+		// InputGrad from w and the per-image output gradient gy [n, OutC,
+		// HW], both salted with zeros of either sign.
+		w, gy := make([]float64, k*outC), make([]float64, n*outC*hw)
+		for _, s := range [][]float64{w, gy} {
+			r.FillNormal(s, 1)
+			for i := range s {
+				switch r.Intn(8) {
+				case 0:
+					s[i] = 0
+				case 1:
+					s[i] = math.Copysign(0, -1)
+				}
+			}
+		}
+		want := make([]float64, n*inFeat)
+		for i := 0; i < n; i++ {
+			for c := 0; c < inC; c++ {
+				for tap := kk - 1; tap >= 0; tap-- {
+					for p := 0; p < hw; p++ {
+						pix, ok := tapPixel(g, tap/kw, tap%kw, p/g.OutW(), p%g.OutW())
+						if !ok {
+							continue
+						}
+						s := 0.0
+						for oc := 0; oc < outC; oc++ {
+							s += w[(c*kk+tap)*outC+oc] * gy[(i*outC+oc)*hw+p]
+						}
+						want[(i*inC+c)*plane+pix] += s
+					}
+				}
+			}
+		}
+		for _, group := range []int{1, low.Group()} {
+			for i0 := 0; i0 < n; i0 += group {
+				m := min(group, n-i0)
+				cols := m * hw
+				dY := make([]float64, outC*cols)
+				for i := 0; i < m; i++ {
+					for oc := 0; oc < outC; oc++ {
+						copy(dY[oc*cols+i*hw:][:hw], gy[((i0+i)*outC+oc)*hw:])
+					}
+				}
+				kept := append([]float64(nil), dY...)
+				dx := newGuarded(m * inFeat)
+				r.FillNormal(dx.win, 1)
+				for i := range dx.win {
+					if r.Intn(4) == 0 {
+						dx.win[i] = math.Copysign(0, -1)
+					}
+				}
+				low.InputGrad(dx.win, w, dY, m)
+				dx.check(t, "InputGrad")
+				wantBits(t, fmt.Sprintf("InputGrad dx (group %d, images %d..)", group, i0), dx.win, want[i0*inFeat:(i0+m)*inFeat])
+				wantBits(t, "InputGrad dY", dY, kept)
+			}
 		}
 	})
 }

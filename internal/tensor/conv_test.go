@@ -173,8 +173,8 @@ func TestCol2ImAccumulates(t *testing.T) {
 
 // TestConvLoweringGroupLayout pins the group panel's layout against the
 // single-image entries: column block i of the [ColCols, n*HW] panel is image
-// i's own panel, Scatter is Col2Im image by image, and WeightGrad adds each
-// image's panel·dYᵀ in batch order.
+// i's own panel, the group scatter is Col2Im image by image, and WeightGrad
+// adds each image's panel·dYᵀ in batch order.
 func TestConvLoweringGroupLayout(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 5, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	const n, outC = 3, 4
@@ -202,7 +202,7 @@ func TestConvLoweringGroupLayout(t *testing.T) {
 	dPanel := make([]float64, k*cols)
 	r.FillNormal(dPanel, 1)
 	dx := make([]float64, n*inFeat)
-	low.Scatter(dx, dPanel, n)
+	low.tab.scatter(dx, dPanel, n, g)
 	want := make([]float64, inFeat)
 	for i := 0; i < n; i++ {
 		for row := 0; row < k; row++ {

@@ -169,23 +169,29 @@ func BenchmarkCol2Im(b *testing.B) {
 // benchModelGroups times op over every convolution of the quick-CIFAR net
 // at batch 20, group by group as Conv2D calls it (short last group
 // included): one iteration is the lowering work of one training step's
-// forward (or backward) pass.
-func benchModelGroups(b *testing.B, op func(low *ConvLowering, panel, x []float64, n int)) {
+// forward pass (Lower) or its input gradient (InputGrad). op gets the
+// group's panel, its slice of the batch x [n, InC*InH*InW], the weights
+// and the group's output gradient dY [OutC, n*HW].
+func benchModelGroups(b *testing.B, op func(low *ConvLowering, panel, x, w, dY []float64, n int)) {
 	const batch = 20
 	type layer struct {
-		low      *ConvLowering
-		panel, x []float64
-		inFeat   int
+		low             *ConvLowering
+		panel, x, w, dY []float64
+		inFeat          int
 	}
 	r := rng.New(7)
 	geoms, outCs := resnetConvs(8, 6, []int{1, 1, 1})
 	var layers []layer
 	for i, g := range geoms {
 		l := layer{low: NewConvLowering(g, outCs[i]), inFeat: g.InC * g.InH * g.InW}
-		l.panel = make([]float64, g.ColCols()*l.low.Group()*g.ColRows())
+		cols := l.low.Group() * g.ColRows()
+		l.panel = make([]float64, g.ColCols()*cols)
 		l.x = make([]float64, batch*l.inFeat)
-		r.FillNormal(l.panel, 1)
-		r.FillNormal(l.x, 1)
+		l.w = make([]float64, g.ColCols()*outCs[i])
+		l.dY = make([]float64, outCs[i]*cols)
+		for _, s := range [][]float64{l.panel, l.x, l.w, l.dY} {
+			r.FillNormal(s, 1)
+		}
 		layers = append(layers, l)
 	}
 	b.ResetTimer()
@@ -193,16 +199,17 @@ func benchModelGroups(b *testing.B, op func(low *ConvLowering, panel, x []float6
 		for _, l := range layers {
 			for i0 := 0; i0 < batch; i0 += l.low.Group() {
 				n := min(l.low.Group(), batch-i0)
-				op(l.low, l.panel[:n*len(l.panel)/l.low.Group()], l.x[i0*l.inFeat:(i0+n)*l.inFeat], n)
+				op(l.low, l.panel[:n*len(l.panel)/l.low.Group()], l.x[i0*l.inFeat:(i0+n)*l.inFeat],
+					l.w, l.dY[:n*len(l.dY)/l.low.Group()], n)
 			}
 		}
 	}
 }
 
 func BenchmarkConvLowerModel(b *testing.B) {
-	benchModelGroups(b, func(low *ConvLowering, panel, x []float64, n int) { low.Lower(panel, x, n) })
+	benchModelGroups(b, func(low *ConvLowering, panel, x, _, _ []float64, n int) { low.Lower(panel, x, n) })
 }
 
-func BenchmarkConvScatterModel(b *testing.B) {
-	benchModelGroups(b, func(low *ConvLowering, dPanel, dx []float64, n int) { low.Scatter(dx, dPanel, n) })
+func BenchmarkConvInputGradModel(b *testing.B) {
+	benchModelGroups(b, func(low *ConvLowering, _, dx, w, dY []float64, n int) { low.InputGrad(dx, w, dY, n) })
 }

@@ -3,7 +3,7 @@ package tensor
 import "fmt"
 
 // mmKernel is the one GEMM micro-kernel under MatMulInto, MatMulTransAInto,
-// VecMatMulAdd and ConvLowering.WeightGrad. It accumulates
+// VecMatMulAdd and ConvLowering's WeightGrad and InputGrad. It accumulates
 //
 //	out[r*ostride+j] += Σ_p a[r*aRow+p*aK] * b[p*bstride+j]    r < rows, j < jw
 //
@@ -13,7 +13,8 @@ import "fmt"
 // out once, after the chain. Over a zeroed out that is the chain itself: a
 // chain begun at +0 is never −0, so +0 + S has the bits of S. Over a
 // non-zero out it is one addend, which is what WeightGrad's per-image
-// order and the LSTM cell's bias-after-the-sum rule ask for. A is
+// order, InputGrad's per-tap order and the LSTM cell's bias-after-the-sum
+// rule ask for. A is
 // addressed by two strides so one contract serves both layouts: a
 // row-major A block is (aRow, aK) = (row stride, 1), the transposed A of
 // MatMulTransA is (1, row stride). ostride and bstride may exceed jw (tiles

@@ -196,9 +196,10 @@ func resnetConvs(in, stem int, reps []int) (geoms []ConvGeom, outCs []int) {
 
 // TestMMKernelProfileShapes drives every GEMM the four experiment profiles
 // emit — per conv layer the forward Y [OutC, G*HW] = Wᵀ @ panel and the
-// input-gradient row blocks dPanel = W_blk @ dY, at the full group and at
-// the batch's short last group, plus the dense head's forward product and
-// weight gradient — through the exported entry points on both kernels.
+// input gradient (W @ dY, or one W_tap @ dY per tap on a same-size layer),
+// at the full group and at the batch's short last group, plus the dense
+// head's forward product and weight gradient — through the exported entry
+// points on both kernels.
 func TestMMKernelProfileShapes(t *testing.T) {
 	needAsm(t)
 	g := rng.New(223)
@@ -240,9 +241,9 @@ func TestMMKernelProfileShapes(t *testing.T) {
 				cols := n * hw
 				what := fmt.Sprintf("%s conv %d (%+v outC %d) n=%d", p.name, li, geom, outC, n)
 				panel, dY := mat(k, cols), mat(outC, cols)
-				y, dPanel := New(outC, cols), New(k, cols)
+				y, dx := New(outC, cols), New(n, geom.InC*geom.InH*geom.InW)
 				both(what+" forward", y, func() { MatMulTransAInto(y, w, panel) })
-				both(what+" input grad", dPanel, func() { low.InputGrad(dPanel, w, dY) })
+				both(what+" input grad", dx, func() { low.InputGrad(dx.Data, w.Data, dY.Data, n) })
 			}
 		}
 		x, w, dY := mat(p.batch, p.hid), mat(p.hid, p.class), mat(p.batch, p.class)
