@@ -26,7 +26,9 @@ const BNEpsilon = 1e-5
 // run over the images in batch order and an image's positions ascending,
 // from +0. That order is the contract; channels never meet, so the order
 // across channels is not, and the training step runs four channels' chains
-// side by side (chanSums and its siblings below).
+// side by side (chanSums and its siblings below). The element-wise passes
+// of a conv-shaped layer (Spatial > 1) are tensor's epilogue lanes, one
+// call a pass; a dense layer's walk a channel's column here.
 type BatchNorm struct {
 	C       int // channels
 	Spatial int // H*W (1 for dense layers)
@@ -49,6 +51,9 @@ type BatchNorm struct {
 	out, dx *tensor.Tensor
 
 	sumDy, sumDyXhat []float64 // Backward's per-channel reductions
+	// scale is a per-channel factor of the pass in hand: the inference
+	// 1/σ, or Backward's γ·inv/m.
+	scale []float64
 }
 
 // NewBatchNorm builds a BN layer for c channels with the given spatial size
@@ -67,6 +72,7 @@ func NewBatchNorm(name string, c, spatial int) *BatchNorm {
 		invStd:      make([]float64, c),
 		sumDy:       make([]float64, c),
 		sumDyXhat:   make([]float64, c),
+		scale:       make([]float64, c),
 	}
 	bn.Gamma.Value.Fill(1)
 	for i := range bn.RunningVar {
@@ -101,45 +107,36 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			bn.RunningVar[c] = (1-bn.Momentum)*bn.RunningVar[c] + bn.Momentum*variance[c]
 			bn.invStd[c] = 1 / math.Sqrt(variance[c]+BNEpsilon)
 		}
-		for c := 0; c < bn.C; c++ {
+		if bn.Spatial > 1 {
+			tensor.BatchNormTrain(bn.xhat.Data, out.Data, x.Data, bn.C, bn.Spatial,
+				mean, bn.invStd, bn.Gamma.Value.Data, bn.Beta.Value.Data)
+			return out
+		}
+		for c := 0; c < bn.C; c++ { // a channel is a column: no rows to walk
 			mu, inv := mean[c], bn.invStd[c]
 			g, b := bn.Gamma.Value.Data[c], bn.Beta.Value.Data[c]
-			if bn.Spatial == 1 { // a channel is a column: no rows to slice
-				for j := c; j < len(out.Data); j += feat {
-					xh := (x.Data[j] - mu) * inv
-					bn.xhat.Data[j] = xh
-					out.Data[j] = g*xh + b
-				}
-				continue
-			}
-			for i := 0; i < n; i++ {
-				base := i*feat + c*bn.Spatial
-				xhat, o := bn.xhat.Data[base:][:bn.Spatial], out.Data[base:][:bn.Spatial]
-				for s, v := range x.Data[base:][:bn.Spatial] {
-					xh := (v - mu) * inv
-					xhat[s] = xh
-					o[s] = g*xh + b
-				}
+			for j := c; j < len(out.Data); j += feat {
+				xh := (x.Data[j] - mu) * inv
+				bn.xhat.Data[j] = xh
+				out.Data[j] = g*xh + b
 			}
 		}
 		return out
 	}
+	for c, v := range bn.RunningVar {
+		bn.scale[c] = 1 / math.Sqrt(v+BNEpsilon)
+	}
+	if bn.Spatial > 1 {
+		tensor.BatchNormInfer(out.Data, x.Data, bn.C, bn.Spatial,
+			bn.Gamma.Value.Data, bn.RunningMean, bn.scale, bn.Beta.Value.Data)
+		return out
+	}
 	for c := 0; c < bn.C; c++ {
-		inv := 1 / math.Sqrt(bn.RunningVar[c]+BNEpsilon)
+		inv := bn.scale[c]
 		g, b := bn.Gamma.Value.Data[c], bn.Beta.Value.Data[c]
 		mean := bn.RunningMean[c]
-		if bn.Spatial == 1 {
-			for j := c; j < len(out.Data); j += feat {
-				out.Data[j] = g*(x.Data[j]-mean)*inv + b
-			}
-			continue
-		}
-		for i := 0; i < n; i++ {
-			base := i*feat + c*bn.Spatial
-			o := out.Data[base:][:bn.Spatial]
-			for s, v := range x.Data[base:][:bn.Spatial] {
-				o[s] = g*(v-mean)*inv + b
-			}
+		for j := c; j < len(out.Data); j += feat {
+			out.Data[j] = g*(x.Data[j]-mean)*inv + b
 		}
 	}
 	return out
@@ -153,23 +150,19 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	m := float64(n * bn.Spatial)
 	chanGradSums(bn.sumDy, bn.sumDyXhat, grad.Data, bn.xhat.Data, n, bn.C, bn.Spatial)
 	for c := 0; c < bn.C; c++ {
-		sumDy, sumDyXhat := bn.sumDy[c], bn.sumDyXhat[c]
-		bn.Beta.Grad.Data[c] += sumDy
-		bn.Gamma.Grad.Data[c] += sumDyXhat
+		bn.Beta.Grad.Data[c] += bn.sumDy[c]
+		bn.Gamma.Grad.Data[c] += bn.sumDyXhat[c]
 		// dx = (γ·inv/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
-		k := bn.Gamma.Value.Data[c] * bn.invStd[c] / m
-		if bn.Spatial == 1 {
-			for j := c; j < len(dx.Data); j += feat {
-				dx.Data[j] = k * (m*grad.Data[j] - sumDy - bn.xhat.Data[j]*sumDyXhat)
-			}
-			continue
-		}
-		for i := 0; i < n; i++ {
-			base := i*feat + c*bn.Spatial
-			xhat, d := bn.xhat.Data[base:][:bn.Spatial], dx.Data[base:][:bn.Spatial]
-			for s, dy := range grad.Data[base:][:bn.Spatial] {
-				d[s] = k * (m*dy - sumDy - xhat[s]*sumDyXhat)
-			}
+		bn.scale[c] = bn.Gamma.Value.Data[c] * bn.invStd[c] / m
+	}
+	if bn.Spatial > 1 {
+		tensor.BatchNormInputGrad(dx.Data, grad.Data, bn.xhat.Data, bn.C, bn.Spatial, m, bn.scale, bn.sumDy, bn.sumDyXhat)
+		return dx
+	}
+	for c := 0; c < bn.C; c++ {
+		k, sumDy, sumDyXhat := bn.scale[c], bn.sumDy[c], bn.sumDyXhat[c]
+		for j := c; j < len(dx.Data); j += feat {
+			dx.Data[j] = k * (m*grad.Data[j] - sumDy - bn.xhat.Data[j]*sumDyXhat)
 		}
 	}
 	return dx

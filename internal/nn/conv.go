@@ -8,16 +8,19 @@ import (
 )
 
 // Conv2D is a 2-D convolution lowered to matrix products over a
-// channel-major panel of a group of images (see tensor.ConvLowering). Input
-// rows are channel-major (C, H, W) flattened images; output rows are
-// (OutC, OutH, OutW) flattened.
+// channel-major panel of a group of images (see tensor.ConvLowering); a
+// same-size layer's forward product reads the panel's rows straight from
+// its staged input. Input rows are channel-major (C, H, W) flattened
+// images; output rows are (OutC, OutH, OutW) flattened.
 //
 // The float bits of every result are a contract (backend equivalence,
 // resume equivalence, the committed fingerprint). Four accumulation orders
 // carry it, each kept by the code that notes it below:
 //
-//  1. an output element sums its taps (c, ky, kx) ascending from +0, and
-//     the bias is added once, after the sum;
+//  1. an output element sums its taps (c, ky, kx) ascending from +0 — a
+//     tap in the padding contributes W·(+0), whether a panel entry or a
+//     masked lane holds the +0 — and the bias is added once, after the
+//     sum;
 //  2. W.Grad[r, oc] receives, image by image in batch order, that image's
 //     sum over output pixels p ascending, formed from +0;
 //  3. B.Grad[oc] likewise: one per-image sum over p ascending, in batch
@@ -34,7 +37,8 @@ type Conv2D struct {
 	x   *tensor.Tensor // cached input
 	low *tensor.ConvLowering
 
-	// Group scratch: the lowered input and the [OutC, cols] product of the
+	// Group scratch: the lowered input (the backward pass's, and a
+	// gather-geometry forward's) and the [OutC, cols] product of the
 	// forward pass, which the backward pass reuses for the gathered output
 	// gradient. Allocated at construction for a full group and re-pointed
 	// (repoint2) at the width of the group in hand, so a short last group
@@ -80,21 +84,20 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for i0 := 0; i0 < n; i0 += c.low.Group() {
 		g := min(c.low.Group(), n-i0)
 		cols := g * hw
-		repoint2(c.panel, k, cols)
+		xg := x.Data[i0*inFeat : (i0+g)*inFeat]
 		repoint2(c.y, c.OutC, cols)
-		c.low.Lower(c.panel.Data, x.Data[i0*inFeat:(i0+g)*inFeat], g)
 		// Order 1: the product sums each element's taps r ascending from
-		// the zeroed y; the bias joins in the copy-out below.
-		tensor.MatMulTransAInto(c.y, c.W.Value, c.panel) // [OutC, cols]
-		for i := 0; i < g; i++ {
-			dst := out.Data[(i0+i)*outFeat : (i0+i+1)*outFeat]
-			for oc, b := range bias {
-				row := dst[oc*hw : (oc+1)*hw]
-				for p, v := range c.y.Data[oc*cols+i*hw:][:hw] {
-					row[p] = v + b
-				}
-			}
+		// +0 into y [OutC, cols]; the bias joins in the copy-out below. A
+		// same-size layer reads x in place of the panel's rows (padding
+		// lanes masked to the panel's +0); any other lowers it.
+		if c.low.SameSize() {
+			c.low.Forward(c.y.Data, c.W.Value.Data, xg, g)
+		} else {
+			repoint2(c.panel, k, cols)
+			c.low.Lower(c.panel.Data, xg, g)
+			tensor.MatMulTransAInto(c.y, c.W.Value, c.panel)
 		}
+		tensor.AddChannelBias(out.Data[i0*outFeat:(i0+g)*outFeat], c.y.Data, g, c.OutC, hw, cols, bias)
 	}
 	return out
 }

@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"lcasgd/internal/data"
+	"lcasgd/internal/nn"
+	"lcasgd/internal/rng"
 	"lcasgd/internal/snapshot"
 	"lcasgd/internal/telemetry"
+	"lcasgd/internal/tensor"
 )
 
 // slowEvalEnv is tinyEnvSeeded with a two-batch epoch and a test set a
@@ -229,5 +232,52 @@ func TestEvalHandoffReusesBuffers(t *testing.T) {
 	point()
 	if r.w[0] != 42 {
 		t.Fatal("hand-off did not refresh the frozen weights")
+	}
+}
+
+// TestEvalChunksMatchWholeBatch: an evaluation batch run through the net
+// evalChunk rows at a time predicts every row as one whole-batch Forward
+// does, so the counts are identical — at batch sizes that are a multiple
+// of the chunk, that end in a short chunk, that are a chunk or less, and
+// with remainder batches.
+func TestEvalChunksMatchWholeBatch(t *testing.T) {
+	env := convEnvSeeded(ASGD, 1, 2)
+	_, w, bnAcc := benchReplica(env)
+	modelSeed := rng.New(env.Cfg.withDefaults().Seed).Uint64()
+	ref := env.Build(rng.New(modelSeed))
+	nn.UnflattenValues(ref.Params(), w)
+	bnAcc.Apply(ref.BatchNorms())
+	for _, ds := range []*data.Dataset{env.Train, env.Test} {
+		for _, batch := range []int{ds.Len(), 2 * evalChunk, 2*evalChunk + 5, evalChunk, 7} {
+			net := newEvaluator(env.Build, modelSeed, batch, seqBackend{}).pool(1)[0]
+			nn.UnflattenValues(net.params, w)
+			bnAcc.Apply(net.bns)
+			got := net.countCorrect(ds, batch, 0, 1)
+			want := 0
+			var last []int
+			for lo := 0; lo < ds.Len(); lo += batch {
+				size := min(batch, ds.Len()-lo)
+				idx, y := make([]int, size), make([]int, size)
+				for j := range idx {
+					idx[j] = lo + j
+				}
+				x := tensor.New(size, ds.Features())
+				ds.BatchInto(x, y, idx)
+				last = tensor.ArgmaxRows(ref.Forward(x, false))
+				for i, p := range last {
+					if p == y[i] {
+						want++
+					}
+				}
+			}
+			if got != want {
+				t.Fatalf("%d samples, batch %d: chunked evaluation counts %d correct, whole batches %d", ds.Len(), batch, got, want)
+			}
+			for i, p := range last {
+				if net.pred[i] != p {
+					t.Fatalf("%d samples, batch %d: last batch row %d predicted %d chunked, %d whole", ds.Len(), batch, i, net.pred[i], p)
+				}
+			}
+		}
 	}
 }

@@ -54,12 +54,14 @@ func (g ConvGeom) Validate() error {
 // the entry is the input pixel that tap reads there (0 where it falls in
 // the padding). With W [ColCols, OutC]:
 //
-//	forward          Y  [OutC, n*HW]    = Wᵀ @ panel    (MatMulTransAInto)
+//	forward          Y  [OutC, n*HW]    = Wᵀ @ panel    (Forward: masked rows of the staged x; or Lower, then MatMulTransAInto)
 //	input gradient   dx                 ← W @ dY        (InputGrad: per tap into dx, or a panel then scatter)
-//	weight gradient  W.Grad[r, oc]     += panel[r]·dY[oc], image by image (WeightGrad)
+//	weight gradient  W.Grad[r, oc]     += panel[r]·dY[oc], image by image (Lower, then WeightGrad)
 //
 // Rows of Y are already the layer's channel-major output, and every inner
-// loop of the products runs along a row n*HW long.
+// loop of the products runs along a row n*HW long. A same-size geometry
+// never writes a panel forward: panel row (c, tap) is channel c's staged
+// row read at the tap's shift with the tap's padding lanes masked to +0.
 
 // convPanelFloats bounds the panel of a group (64 KiB; a layer holds the
 // lowered input, and a gather-path lowering the input gradient's panel
@@ -102,6 +104,13 @@ const convOperandFloats = 16 * 1024
 // padding columns of one tap that reaches a pixel to the next one's:
 // maskOn[tap] lists the columns to zero and maskOff[tap] those to restore,
 // for one image (every image has the same).
+//
+// Forward (shifted path) stages x channel-major, channel c's group row at
+// c*rowStride+guard with guard floats before and after it, where guard =
+// Pad*InW+Pad bounds every |shift|; fwdTab holds mmKernelShift's row pairs
+// for p = (c, tap) ascending — the staged row at the tap's shift and the
+// tap's row of lanes, width*HW lane masks that are all ones but +0 on
+// pad[tap].
 type convTable struct {
 	width           int     // images idx and pad cover: the panel budget's group
 	shift           []int   // per tap, same-size geometries only
@@ -109,6 +118,10 @@ type convTable struct {
 	pad             [][]int32
 	npad            []int
 	maskOn, maskOff [][]int32 // same-size geometries only
+
+	guard, rowStride int // same-size geometries only, as the rest below
+	lanes            []uint64
+	fwdTab           []int
 }
 
 // shiftRange returns the positions [lo, hi) of a block of n elements that
@@ -192,6 +205,25 @@ func convTableFor(g ConvGeom) *convTable {
 			}
 			was = is
 		}
+		lw := t.width * hw
+		t.guard = g.Pad*g.InW + g.Pad
+		t.rowStride = lw + t.guard
+		t.lanes = make([]uint64, kk*lw)
+		for tap := range kk {
+			lanes := t.lanes[tap*lw:][:lw]
+			for q := range lanes {
+				lanes[q] = ^uint64(0)
+			}
+			for _, q := range t.pad[tap] {
+				lanes[q] = 0
+			}
+		}
+		t.fwdTab = make([]int, 0, 2*g.ColCols())
+		for c := 0; c < g.InC; c++ {
+			for tap := range kk {
+				t.fwdTab = append(t.fwdTab, c*t.rowStride+t.guard+t.shift[tap], tap*lw)
+			}
+		}
 	}
 	convTables[g] = t
 	return t
@@ -206,8 +238,9 @@ type ConvLowering struct {
 	group int
 	tab   *convTable
 	// Shifted path: stage lays a group's planes of a channel side by side —
-	// one channel of x for Lower, every channel of dx for InputGrad — and
-	// dYm is InputGrad's masked copy of dY, [OutC, group*HW].
+	// one channel of x for Lower, every channel of dx for InputGrad, every
+	// channel of x between guards for Forward — and dYm is InputGrad's
+	// masked copy of dY, [OutC, group*HW].
 	stage, dYm []float64
 	dPanel     []float64 // gather path: InputGrad's W @ dY, [ColCols, group*HW]
 	dYT        []float64 // WeightGrad: one image's dY transposed, [HW, OutC]
@@ -225,9 +258,10 @@ func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
 		tab: convTableFor(g),
 		dYT: make([]float64, hw*outC),
 	}
-	if l.tab.shift != nil {
-		// hw is the plane. Lower stages up to a table width of planes.
-		l.stage = make([]float64, max(l.tab.width, g.InC*group)*hw)
+	if t := l.tab; t.shift != nil {
+		// hw is the plane. Forward's guarded rows span a table width of
+		// planes each, which holds Lower's and InputGrad's stages too.
+		l.stage = make([]float64, g.InC*t.rowStride+t.guard)
 		l.dYm = make([]float64, outC*group*hw)
 	} else {
 		l.dPanel = make([]float64, k*group*hw)
@@ -238,6 +272,39 @@ func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
 // Group returns the number of images lowered into one panel. It is a
 // function of the geometry and outC alone.
 func (l *ConvLowering) Group() int { return l.group }
+
+// SameSize reports whether the geometry is same-size (Stride 1, output
+// plane = input plane), the geometries Forward serves.
+func (l *ConvLowering) SameSize() bool { return l.tab.shift != nil }
+
+// Forward writes y [OutC, n*HW] = Wᵀ @ panel for n ≤ Group() images x of a
+// same-size geometry, from w [ColCols, OutC], without forming the panel:
+// it stages x once, channel-major with the images side by side between
+// guards, and makes one mmKernelShift call whose row p = (c, tap) is
+// channel c's staged row at the tap's shift, masked by the tap's lanes.
+// Each element is order 1 of nn.Conv2D — the taps (c, ky, kx) ascending
+// from +0, every product rounded before it is added — and a masked lane
+// multiplies W by the +0 Lower stores on a padding entry, so y has the
+// bits of MatMulTransAInto(y, w, Lower(x)). The AND clears whatever a
+// guard, a wrapped row or the next image held there, NaN included; x may
+// hold anything.
+func (l *ConvLowering) Forward(y, w, x []float64, n int) {
+	t := l.tab
+	k, hw, inC := l.g.ColCols(), l.g.ColRows(), l.g.InC
+	cols := n * hw
+	if t.shift == nil || n < 1 || n > l.group || len(y) != l.outC*cols || len(w) != k*l.outC || len(x) != n*inC*hw {
+		panic(fmt.Sprintf("tensor: Forward lens y %d w %d x %d for n %d (group %d) k %d outC %d, same-size %v",
+			len(y), len(w), len(x), n, l.group, k, l.outC, t.shift != nil))
+	}
+	for c := 0; c < inC; c++ {
+		row := l.stage[c*t.rowStride+t.guard:][:cols]
+		for i := 0; i < n; i++ {
+			copy(row[i*hw:][:hw], x[(i*inC+c)*hw:])
+		}
+	}
+	clear(y)
+	mmKernelShift(y, cols, w, 1, l.outC, l.stage, t.lanes, t.fwdTab, l.outC, k, cols)
+}
 
 // Lower fills panel [ColCols, n*HW] from x, n images of [InC, InH, InW].
 func (l *ConvLowering) Lower(panel, x []float64, n int) {

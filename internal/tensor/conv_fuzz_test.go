@@ -60,7 +60,7 @@ func wantBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// FuzzConvLowering holds Lower, the scatter and InputGrad, group by group
+// FuzzConvLowering holds Lower, the scatter, InputGrad and Forward, group by group
 // as Conv2D calls them (a batch of n images ends in a short group), to the
 // scalar definition bit for bit: every panel entry is the pixel tapPixel
 // names or +0; the scatter adds every dx pixel's contributions taps
@@ -69,7 +69,10 @@ func wantBits(t *testing.T, what string, got, want []float64) {
 // poisoned, reach no pixel and come back as −0, its other entries survive;
 // InputGrad, one image at a time and a group at a time, writes over a dirty
 // dx what order 4 builds from +0 out of each contribution's oc chain, and
-// leaves dY as it was; and nothing is stored outside panel and dx.
+// leaves dY as it was; Forward (same-size geometries), one image at a time
+// and a group at a time, writes over a poisoned y what order 1 builds from
+// +0 with the panel's +0 on every padding tap; and nothing is stored
+// outside panel, dx and y.
 func FuzzConvLowering(f *testing.F) {
 	// Every convolution of the four profiles' networks (trainer.QuickCIFAR,
 	// trainer.QuickImageNet, model.ResNetLite18, model.ResNetLite50), so
@@ -186,7 +189,7 @@ func FuzzConvLowering(f *testing.F) {
 		}
 
 		// InputGrad from w and the per-image output gradient gy [n, OutC,
-		// HW], both salted with zeros of either sign.
+		// HW], both salted with zeros of either sign; Forward from w and x.
 		w, gy := make([]float64, k*outC), make([]float64, n*outC*hw)
 		for _, s := range [][]float64{w, gy} {
 			r.FillNormal(s, 1)
@@ -213,6 +216,59 @@ func FuzzConvLowering(f *testing.F) {
 							s += w[(c*kk+tap)*outC+oc] * gy[(i*outC+oc)*hw+p]
 						}
 						want[(i*inC+c)*plane+pix] += s
+					}
+				}
+			}
+		}
+		if low.SameSize() {
+			// Order 1 from +0, the panel's +0 multiplied in on every
+			// padding tap; image i's columns of y are [i*HW, (i+1)*HW).
+			// x's NaNs become +Inf here: a chain's NaN is then the one
+			// 0·Inf and Inf−Inf make, whose bits do not depend on which
+			// operand of an addition the compiler keeps. NaN still reaches
+			// every lane Forward must mask: the stage is poisoned with it.
+			x := append([]float64(nil), x...)
+			for i, v := range x {
+				if math.IsNaN(v) {
+					x[i] = math.Inf(1)
+				}
+			}
+			wantY := make([]float64, n*outC*hw)
+			for i := 0; i < n; i++ {
+				for oc := 0; oc < outC; oc++ {
+					for p := 0; p < hw; p++ {
+						s := 0.0
+						for c := 0; c < inC; c++ {
+							for tap := 0; tap < kk; tap++ {
+								v := 0.0
+								if pix, ok := tapPixel(g, tap/kw, tap%kw, p/g.OutW(), p%g.OutW()); ok {
+									v = x[(i*inC+c)*plane+pix]
+								}
+								s += w[(c*kk+tap)*outC+oc] * v
+							}
+						}
+						wantY[(i*outC+oc)*hw+p] = s
+					}
+				}
+			}
+			for _, group := range []int{1, low.Group()} {
+				for i0 := 0; i0 < n; i0 += group {
+					m := min(group, n-i0)
+					cols := m * hw
+					y := newGuarded(outC * cols)
+					for j := range y.win {
+						y.win[j] = math.Float64frombits(guardPoison)
+					}
+					for j := range low.stage {
+						low.stage[j] = math.NaN()
+					}
+					low.Forward(y.win, w, x[i0*inFeat:(i0+m)*inFeat], m)
+					y.check(t, "Forward")
+					for i := 0; i < m; i++ {
+						for oc := 0; oc < outC; oc++ {
+							wantBits(t, fmt.Sprintf("Forward y (group %d, image %d, channel %d)", group, i0+i, oc),
+								y.win[oc*cols+i*hw:][:hw], wantY[((i0+i)*outC+oc)*hw:][:hw])
+						}
 					}
 				}
 			}

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // mmKernel is the one GEMM micro-kernel under MatMulInto, MatMulTransAInto,
 // VecMatMulAdd and ConvLowering's WeightGrad and InputGrad. It accumulates
@@ -87,6 +90,82 @@ func mmStrip1Go(out, a []float64, aK int, b []float64, bstride, kw, jw int) {
 		s := 0.0
 		for p := 0; p < kw; p++ {
 			s += a[p*aK] * b[p*bstride+j]
+		}
+		out[j] += s
+	}
+}
+
+// mmKernelShift is the contract of mmKernel with b read through a table of
+// row offsets and every b lane ANDed with a lane mask:
+//
+//	out[r*ostride+j] += Σ_p a[r*aRow+p*aK] * (b[tab[2p]+j] AND mask[tab[2p+1]+j])
+//
+// with the same chains, strips and implementations. Row p of b is any
+// jw-long window of b, so rows may overlap — ConvLowering.Forward reads a
+// staged channel row at each tap's shift — and a mask of all ones passes b
+// through while a mask of zero turns its lane, whatever it held (NaN
+// included), into +0 before the product. Every offset is checked against
+// its slice here, before any pointer reaches assembly.
+func mmKernelShift(out []float64, ostride int, a []float64, aRow, aK int, b []float64, mask []uint64, tab []int, rows, kw, jw int) {
+	if rows <= 0 || kw <= 0 || jw <= 0 {
+		return
+	}
+	if ostride < 0 || aRow < 0 || aK < 0 {
+		panic(fmt.Sprintf("tensor: mmKernelShift negative stride: out %d a %d,%d", ostride, aRow, aK))
+	}
+	_ = out[(rows-1)*ostride+jw-1]
+	_ = a[(rows-1)*aRow+(kw-1)*aK]
+	_ = tab[2*kw-1]
+	for p := 0; p < kw; p++ {
+		if o, m := tab[2*p], tab[2*p+1]; o < 0 || m < 0 || o > len(b)-jw || m > len(mask)-jw {
+			panic(fmt.Sprintf("tensor: mmKernelShift row %d at b %d mask %d, %d lanes past b %d mask %d", p, o, m, jw, len(b), len(mask)))
+		}
+	}
+	r := 0
+	if useAVX2 {
+		for ; r+4 <= rows; r += 4 {
+			mmShiftStrip4AVX2(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], &mask[0], &tab[0], kw, jw)
+		}
+		for ; r < rows; r++ {
+			mmShiftStrip1AVX2(&out[r*ostride], &a[r*aRow], aK, &b[0], &mask[0], &tab[0], kw, jw)
+		}
+		return
+	}
+	for ; r+4 <= rows; r += 4 {
+		mmShiftStrip4Go(out[r*ostride:], ostride, a[r*aRow:], aRow, aK, b, mask, tab, kw, jw)
+	}
+	for ; r < rows; r++ {
+		mmShiftStrip1Go(out[r*ostride:], a[r*aRow:], aK, b, mask, tab, kw, jw)
+	}
+}
+
+// maskedLane is b AND m, the operand a masked strip multiplies.
+func maskedLane(b float64, m uint64) float64 {
+	return math.Float64frombits(math.Float64bits(b) & m)
+}
+
+func mmShiftStrip4Go(out []float64, ostride int, a []float64, aRow, aK int, b []float64, mask []uint64, tab []int, kw, jw int) {
+	for j := 0; j < jw; j++ {
+		var s0, s1, s2, s3 float64
+		for p := 0; p < kw; p++ {
+			bv := maskedLane(b[tab[2*p]+j], mask[tab[2*p+1]+j])
+			s0 += a[p*aK] * bv
+			s1 += a[aRow+p*aK] * bv
+			s2 += a[2*aRow+p*aK] * bv
+			s3 += a[3*aRow+p*aK] * bv
+		}
+		out[j] += s0
+		out[ostride+j] += s1
+		out[2*ostride+j] += s2
+		out[3*ostride+j] += s3
+	}
+}
+
+func mmShiftStrip1Go(out, a []float64, aK int, b []float64, mask []uint64, tab []int, kw, jw int) {
+	for j := 0; j < jw; j++ {
+		s := 0.0
+		for p := 0; p < kw; p++ {
+			s += a[p*aK] * maskedLane(b[tab[2*p]+j], mask[tab[2*p+1]+j])
 		}
 		out[j] += s
 	}

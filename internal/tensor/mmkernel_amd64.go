@@ -13,3 +13,9 @@ func mmStrip4AVX2(out *float64, ostride int, a *float64, aRow, aK int, b *float6
 
 //go:noescape
 func mmStrip1AVX2(out *float64, a *float64, aK int, b *float64, bstride, kw, jw int)
+
+//go:noescape
+func mmShiftStrip4AVX2(out *float64, ostride int, a *float64, aRow, aK int, b *float64, mask *uint64, tab *int, kw, jw int)
+
+//go:noescape
+func mmShiftStrip1AVX2(out *float64, a *float64, aK int, b *float64, mask *uint64, tab *int, kw, jw int)

@@ -6,7 +6,10 @@
 //
 //	out[r*ostride+j] += Σ_p a[r*aRow+p*aK] * b[p*bstride+j]    j < jw, p = 0..kw-1
 //
-// for a strip of four rows (mmStrip4AVX2) or one row (mmStrip1AVX2).
+// for a strip of four rows (mmStrip4AVX2) or one row (mmStrip1AVX2), and
+// of its masked-row variant mmKernelShift (mmShiftStrip4AVX2,
+// mmShiftStrip1AVX2), whose b operand is ANDed with a lane mask before the
+// same chain.
 //
 // Float-bits rule. Each output element gets
 //
@@ -277,6 +280,261 @@ narrow1p:
 	JMP        narrow1
 
 done1:
+	VZEROUPPER
+	RET
+
+// func mmShiftStrip4AVX2(out *float64, ostride int, a *float64, aRow, aK int, b *float64, mask *uint64, tab *int, kw, jw int)
+//
+// mmKernelShift's four-row strip: mmStrip4AVX2 with row p of b loaded at
+// tab[2p] and ANDed (VANDPD) with the mask row at tab[2p+1]. The AND is
+// bitwise, so a lane is b's bits or +0, and the chain after it is the
+// plain strip's. Tails load both rows under the VMASKMOVPD lane mask.
+// DI out column cursor, R8 ostride, SI a, R9 aRow, R14 3*aRow, R10 aK
+// (bytes from here on); DX b and R11 mask column cursors, R12 tab;
+// CX columns left; AX a cursor, BX tab cursor, R15 p countdown, R13 the
+// row offset just read (3*ostride after the p loop).
+TEXT ·mmShiftStrip4AVX2(SB), NOSPLIT, $0-80
+	MOVQ out+0(FP), DI
+	MOVQ ostride+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ aRow+24(FP), R9
+	MOVQ aK+32(FP), R10
+	MOVQ b+40(FP), DX
+	MOVQ mask+48(FP), R11
+	MOVQ tab+56(FP), R12
+	MOVQ jw+72(FP), CX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	LEAQ (R9)(R9*2), R14
+	CMPQ CX, $8
+	JLT  narrow4s
+
+wide4s:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   SI, AX
+	MOVQ   R12, BX
+	MOVQ   kw+64(FP), R15
+
+wide4sp:
+	MOVQ         (BX), R13
+	VMOVUPD      (DX)(R13*8), Y12
+	VMOVUPD      32(DX)(R13*8), Y13
+	MOVQ         8(BX), R13
+	VANDPD       (R11)(R13*8), Y12, Y12
+	VANDPD       32(R11)(R13*8), Y13, Y13
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD (AX)(R9*1), Y9
+	VBROADCASTSD (AX)(R9*2), Y10
+	VBROADCASTSD (AX)(R14*1), Y11
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y0, Y0
+	VADDPD       Y15, Y1, Y1
+	VMULPD       Y12, Y9, Y14
+	VMULPD       Y13, Y9, Y15
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	VMULPD       Y12, Y10, Y14
+	VMULPD       Y13, Y10, Y15
+	VADDPD       Y14, Y4, Y4
+	VADDPD       Y15, Y5, Y5
+	VMULPD       Y12, Y11, Y14
+	VMULPD       Y13, Y11, Y15
+	VADDPD       Y14, Y6, Y6
+	VADDPD       Y15, Y7, Y7
+	ADDQ         R10, AX
+	ADDQ         $16, BX
+	DECQ         R15
+	JNZ          wide4sp
+
+	LEAQ    (R8)(R8*2), R13
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  (DI)(R8*1), Y2, Y2
+	VADDPD  32(DI)(R8*1), Y3, Y3
+	VADDPD  (DI)(R8*2), Y4, Y4
+	VADDPD  32(DI)(R8*2), Y5, Y5
+	VADDPD  (DI)(R13*1), Y6, Y6
+	VADDPD  32(DI)(R13*1), Y7, Y7
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (DI)(R8*2)
+	VMOVUPD Y5, 32(DI)(R8*2)
+	VMOVUPD Y6, (DI)(R13*1)
+	VMOVUPD Y7, 32(DI)(R13*1)
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	ADDQ    $64, R11
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     wide4s
+
+narrow4s:
+	TESTQ CX, CX
+	JLE   done4s
+	NARROW_MASK
+	VXORPD Y0, Y0, Y0
+	VXORPD Y2, Y2, Y2
+	VXORPD Y4, Y4, Y4
+	VXORPD Y6, Y6, Y6
+	MOVQ   SI, AX
+	MOVQ   R12, BX
+	MOVQ   kw+64(FP), R15
+
+narrow4sp:
+	MOVQ         (BX), R13
+	VMASKMOVPD   (DX)(R13*8), Y13, Y12
+	MOVQ         8(BX), R13
+	VMASKMOVPD   (R11)(R13*8), Y13, Y14
+	VANDPD       Y14, Y12, Y12
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD (AX)(R9*1), Y9
+	VBROADCASTSD (AX)(R9*2), Y10
+	VBROADCASTSD (AX)(R14*1), Y11
+	VMULPD       Y12, Y8, Y8
+	VMULPD       Y12, Y9, Y9
+	VMULPD       Y12, Y10, Y10
+	VMULPD       Y12, Y11, Y11
+	VADDPD       Y8, Y0, Y0
+	VADDPD       Y9, Y2, Y2
+	VADDPD       Y10, Y4, Y4
+	VADDPD       Y11, Y6, Y6
+	ADDQ         R10, AX
+	ADDQ         $16, BX
+	DECQ         R15
+	JNZ          narrow4sp
+
+	LEAQ       (R8)(R8*2), R13
+	VMASKMOVPD (DI), Y13, Y8
+	VMASKMOVPD (DI)(R8*1), Y13, Y9
+	VMASKMOVPD (DI)(R8*2), Y13, Y10
+	VMASKMOVPD (DI)(R13*1), Y13, Y11
+	VADDPD     Y8, Y0, Y0
+	VADDPD     Y9, Y2, Y2
+	VADDPD     Y10, Y4, Y4
+	VADDPD     Y11, Y6, Y6
+	VMASKMOVPD Y0, Y13, (DI)
+	VMASKMOVPD Y2, Y13, (DI)(R8*1)
+	VMASKMOVPD Y4, Y13, (DI)(R8*2)
+	VMASKMOVPD Y6, Y13, (DI)(R13*1)
+	ADDQ       $32, DI
+	ADDQ       $32, DX
+	ADDQ       $32, R11
+	SUBQ       $4, CX
+	JMP        narrow4s
+
+done4s:
+	VZEROUPPER
+	RET
+
+// func mmShiftStrip1AVX2(out *float64, a *float64, aK int, b *float64, mask *uint64, tab *int, kw, jw int)
+//
+// The one-row remainder of mmKernelShift, sixteen columns wide as
+// mmStrip1AVX2. Registers as in mmShiftStrip4AVX2.
+TEXT ·mmShiftStrip1AVX2(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ aK+16(FP), R10
+	MOVQ b+24(FP), DX
+	MOVQ mask+32(FP), R11
+	MOVQ tab+40(FP), R12
+	MOVQ jw+56(FP), CX
+	SHLQ $3, R10
+	CMPQ CX, $16
+	JLT  narrow1s
+
+wide1s:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, AX
+	MOVQ   R12, BX
+	MOVQ   kw+48(FP), R15
+
+wide1sp:
+	MOVQ         (BX), R13
+	VMOVUPD      (DX)(R13*8), Y4
+	VMOVUPD      32(DX)(R13*8), Y5
+	VMOVUPD      64(DX)(R13*8), Y6
+	VMOVUPD      96(DX)(R13*8), Y7
+	MOVQ         8(BX), R13
+	VANDPD       (R11)(R13*8), Y4, Y4
+	VANDPD       32(R11)(R13*8), Y5, Y5
+	VANDPD       64(R11)(R13*8), Y6, Y6
+	VANDPD       96(R11)(R13*8), Y7, Y7
+	VBROADCASTSD (AX), Y8
+	VMULPD       Y4, Y8, Y12
+	VMULPD       Y5, Y8, Y13
+	VMULPD       Y6, Y8, Y14
+	VMULPD       Y7, Y8, Y15
+	VADDPD       Y12, Y0, Y0
+	VADDPD       Y13, Y1, Y1
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	ADDQ         R10, AX
+	ADDQ         $16, BX
+	DECQ         R15
+	JNZ          wide1sp
+
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	ADDQ    $128, R11
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JGE     wide1s
+
+narrow1s:
+	TESTQ CX, CX
+	JLE   done1s
+	NARROW_MASK
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, AX
+	MOVQ   R12, BX
+	MOVQ   kw+48(FP), R15
+
+narrow1sp:
+	MOVQ         (BX), R13
+	VMASKMOVPD   (DX)(R13*8), Y13, Y12
+	MOVQ         8(BX), R13
+	VMASKMOVPD   (R11)(R13*8), Y13, Y14
+	VANDPD       Y14, Y12, Y12
+	VBROADCASTSD (AX), Y8
+	VMULPD       Y12, Y8, Y8
+	VADDPD       Y8, Y0, Y0
+	ADDQ         R10, AX
+	ADDQ         $16, BX
+	DECQ         R15
+	JNZ          narrow1sp
+
+	VMASKMOVPD (DI), Y13, Y12
+	VADDPD     Y12, Y0, Y0
+	VMASKMOVPD Y0, Y13, (DI)
+	ADDQ       $32, DI
+	ADDQ       $32, DX
+	ADDQ       $32, R11
+	SUBQ       $4, CX
+	JMP        narrow1s
+
+done1s:
 	VZEROUPPER
 	RET
 

@@ -105,6 +105,81 @@ func TestMMKernelAsmMatchesGoGrid(t *testing.T) {
 	}
 }
 
+// TestMMKernelShiftAsmMatchesGo compares mmKernelShift's two strips bit
+// for bit over a rows × kw × jw grid on a dirty out. Each b row sits at a
+// random offset in its own stretch of the pool and each mask row is one of
+// three shared lane masks at a random offset; every b lane its mask clears
+// holds NaN, ±Inf or −0, which must reach the chain as +0.
+func TestMMKernelShiftAsmMatchesGo(t *testing.T) {
+	needAsm(t)
+	kws := []int{27, 54, 108, 216}
+	jws := []int{63, 64, 65, 128, 300}
+	for i := 1; i <= 20; i++ {
+		kws = append(kws, i)
+		jws = append(jws, i)
+	}
+	const maxRows, maxK, maxW, slack = 9, 216, 300, 5
+	g := rng.New(229)
+	aPool := make([]float64, maxRows*maxK)
+	oPool := make([]float64, maxRows*(maxW+slack))
+	hostile(g, aPool)
+	hostile(g, oPool)
+	b := make([]float64, maxK*(maxW+slack))
+	mask := make([]uint64, 3*(maxW+slack))
+	for i := range mask {
+		if g.Intn(3) > 0 {
+			mask[i] = ^uint64(0)
+		}
+	}
+	poison := []float64{math.NaN(), math.Float64frombits(0xfff4_0000_0bad_0001), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	tab := make([]int, 2*maxK)
+	outAsm := make([]float64, len(oPool))
+	outGo := make([]float64, len(oPool))
+	for _, kw := range kws {
+		for _, jw := range jws {
+			hostile(g, b[:kw*(jw+slack)])
+			for p := 0; p < kw; p++ {
+				o, m := p*(jw+slack)+g.Intn(slack+1), g.Intn(3)*(jw+slack)+g.Intn(slack+1)
+				tab[2*p], tab[2*p+1] = o, m
+				for j := 0; j < jw; j++ {
+					if mask[m+j] == 0 {
+						b[o+j] = poison[g.Intn(len(poison))]
+					}
+				}
+			}
+			ostride := jw + slack
+			for rows := 1; rows <= maxRows; rows++ {
+				for _, transA := range []bool{false, true} {
+					aRow, aK := kw, 1
+					if transA {
+						aRow, aK = 1, rows
+					}
+					a := aPool[:rows*kw]
+					oa, og := outAsm[:rows*ostride], outGo[:rows*ostride]
+					copy(oa, oPool)
+					copy(og, oPool)
+					mmKernelShift(oa, ostride, a, aRow, aK, b, mask, tab, rows, kw, jw)
+					withGoKernel(func() { mmKernelShift(og, ostride, a, aRow, aK, b, mask, tab, rows, kw, jw) })
+					if i := bitsEqual(oa, og); i >= 0 {
+						t.Fatalf("rows=%d kw=%d jw=%d transA=%v: out[%d] asm %x go %x",
+							rows, kw, jw, transA, i, math.Float64bits(oa[i]), math.Float64bits(og[i]))
+					}
+					for i, v := range og {
+						if math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("rows=%d kw=%d jw=%d: out[%d] = %v, a masked lane reached the chain", rows, kw, jw, i, v)
+						}
+					}
+					for r := 0; r < rows; r++ {
+						if i := bitsEqual(oa[r*ostride+jw:(r+1)*ostride], oPool[r*ostride+jw:(r+1)*ostride]); i >= 0 {
+							t.Fatalf("rows=%d kw=%d jw=%d: wrote past jw in row %d", rows, kw, jw, r)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMMKernelEmptyExtents: the assembly loops are do-while, so the wrapper
 // must return before them when there is nothing to do.
 func TestMMKernelEmptyExtents(t *testing.T) {
@@ -165,6 +240,64 @@ func TestMMKernelBoundsPanics(t *testing.T) {
 			}
 		}
 	}
+	// mmKernelShift: every row's b and mask offsets are checked, so a table
+	// entry past its slice panics instead of loading.
+	okShift := func() (out, a, b []float64, mask []uint64, tab []int) {
+		tab = make([]int, 2*k)
+		for p := 0; p < k; p++ {
+			tab[2*p], tab[2*p+1] = p*jw, jw
+		}
+		return make([]float64, rows*jw), make([]float64, rows*k), make([]float64, k*jw), make([]uint64, 2*jw), tab
+	}
+	for name, call := range map[string]func(out, a, b []float64, mask []uint64, tab []int){
+		"shift out short": func(out, a, b []float64, mask []uint64, tab []int) {
+			mmKernelShift(out[:len(out)-1], jw, a, k, 1, b, mask, tab, rows, k, jw)
+		},
+		"shift a short": func(out, a, b []float64, mask []uint64, tab []int) {
+			mmKernelShift(out, jw, a[:len(a)-1], k, 1, b, mask, tab, rows, k, jw)
+		},
+		"shift tab short": func(out, a, b []float64, mask []uint64, tab []int) {
+			mmKernelShift(out, jw, a, k, 1, b, mask, tab[:2*k-1], rows, k, jw)
+		},
+		"shift b offset past b": func(out, a, b []float64, mask []uint64, tab []int) {
+			tab[2*(k-1)]++
+			mmKernelShift(out, jw, a, k, 1, b, mask, tab, rows, k, jw)
+		},
+		"shift b offset negative": func(out, a, b []float64, mask []uint64, tab []int) {
+			tab[0] = -1
+			mmKernelShift(out, jw, a, k, 1, b, mask, tab, rows, k, jw)
+		},
+		"shift b offset huge": func(out, a, b []float64, mask []uint64, tab []int) {
+			tab[2] = math.MaxInt - 2
+			mmKernelShift(out, jw, a, k, 1, b, mask, tab, rows, k, jw)
+		},
+		"shift mask offset past mask": func(out, a, b []float64, mask []uint64, tab []int) {
+			tab[3] = jw + 1
+			mmKernelShift(out, jw, a, k, 1, b, mask, tab, rows, k, jw)
+		},
+		"shift mask offset negative": func(out, a, b []float64, mask []uint64, tab []int) {
+			tab[1] = -1
+			mmKernelShift(out, jw, a, k, 1, b, mask, tab, rows, k, jw)
+		},
+		"shift negative stride": func(out, a, b []float64, mask []uint64, tab []int) {
+			mmKernelShift(out, -jw, a, k, 1, b, mask, tab, rows, k, jw)
+		},
+	} {
+		out, a, b, mask, tab := okShift()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			call(out, a, b, mask, tab)
+		}()
+		for i, v := range out {
+			if v != 0 {
+				t.Fatalf("%s: out[%d] written before the panic", name, i)
+			}
+		}
+	}
 }
 
 // resnetConvs lists the (geometry, OutC) of every convolution of a
@@ -195,8 +328,9 @@ func resnetConvs(in, stem int, reps []int) (geoms []ConvGeom, outCs []int) {
 }
 
 // TestMMKernelProfileShapes drives every GEMM the four experiment profiles
-// emit — per conv layer the forward Y [OutC, G*HW] = Wᵀ @ panel and the
-// input gradient (W @ dY, or one W_tap @ dY per tap on a same-size layer),
+// emit — per conv layer the forward Y [OutC, G*HW] = Wᵀ @ panel (and its
+// masked-row form on a same-size layer) and the input gradient (W @ dY, or
+// one W_tap @ dY per tap on a same-size layer),
 // at the full group and at the batch's short last group, plus the dense
 // head's forward product and weight gradient — through the exported entry
 // points on both kernels.
@@ -243,6 +377,10 @@ func TestMMKernelProfileShapes(t *testing.T) {
 				panel, dY := mat(k, cols), mat(outC, cols)
 				y, dx := New(outC, cols), New(n, geom.InC*geom.InH*geom.InW)
 				both(what+" forward", y, func() { MatMulTransAInto(y, w, panel) })
+				if low.SameSize() {
+					x := mat(n, geom.InC*geom.InH*geom.InW)
+					both(what+" forward without a panel", y, func() { low.Forward(y.Data, w.Data, x.Data, n) })
+				}
 				both(what+" input grad", dx, func() { low.InputGrad(dx.Data, w.Data, dY.Data, n) })
 			}
 		}

@@ -5,14 +5,6 @@ import (
 	"math"
 )
 
-// Add computes dst = a + b elementwise. dst may alias a or b.
-func Add(dst, a, b *Tensor) {
-	checkSameLen("Add", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-}
-
 // Sub computes dst = a - b elementwise.
 func Sub(dst, a, b *Tensor) {
 	checkSameLen("Sub", dst, a, b)
@@ -42,32 +34,6 @@ func Apply(dst, a *Tensor, f func(float64) float64) {
 	checkSameLen("Apply", dst, a)
 	for i := range dst.Data {
 		dst.Data[i] = f(a.Data[i])
-	}
-}
-
-// ReLU computes dst = max(a, 0). The builtin max compiles branch-free —
-// pre-activations are sign-random, so an `if v > 0` mispredicts half the
-// time — and agrees with the branch bit for bit on every non-NaN input
-// (-0 and negatives give +0); a NaN propagates instead of becoming 0.
-func ReLU(dst, a *Tensor) {
-	checkSameLen("ReLU", dst, a)
-	d := dst.Data[:len(a.Data)]
-	for i, v := range a.Data {
-		d[i] = max(v, 0)
-	}
-}
-
-// ReLUBackward computes dst = grad where x > 0, else +0, as a bit mask so
-// the sign-random x costs no branch: x > 0 exactly when its bit pattern b,
-// read as an int64, is positive — ^b & -b has the sign bit set only then
-// (-0 is MinInt64, whose negation keeps the sign). A NaN x with a clear
-// sign bit passes grad through where the branch gave 0; inputs are finite.
-func ReLUBackward(dst, grad, x *Tensor) {
-	checkSameLen("ReLUBackward", dst, grad, x)
-	d, g := dst.Data[:len(x.Data)], grad.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		b := int64(math.Float64bits(v))
-		d[i] = math.Float64frombits(math.Float64bits(g[i]) & uint64((^b&-b)>>63))
 	}
 }
 
