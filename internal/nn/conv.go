@@ -10,7 +10,9 @@ import (
 // Conv2D is a 2-D convolution lowered to matrix products over a
 // channel-major panel of a group of images (see tensor.ConvLowering); a
 // same-size layer's forward product reads the panel's rows straight from
-// its staged input. Input rows are channel-major (C, H, W) flattened
+// its staged input, and every layer's weight gradient reads them from a
+// zero-bordered copy of each image, so only a gather-geometry forward
+// writes a panel. Input rows are channel-major (C, H, W) flattened
 // images; output rows are (OutC, OutH, OutW) flattened.
 //
 // The float bits of every result are a contract (backend equivalence,
@@ -22,7 +24,8 @@ import (
 //     masked lane holds the +0 — and the bias is added once, after the
 //     sum;
 //  2. W.Grad[r, oc] receives, image by image in batch order, that image's
-//     sum over output pixels p ascending, formed from +0;
+//     sum over output pixels p ascending, formed from +0 — a tap in the
+//     padding contributes (+0)·dY, the +0 read from a staged border;
 //  3. B.Grad[oc] likewise: one per-image sum over p ascending, in batch
 //     order;
 //  4. an input-gradient pixel accumulates its patch contributions in
@@ -37,14 +40,18 @@ type Conv2D struct {
 	x   *tensor.Tensor // cached input
 	low *tensor.ConvLowering
 
-	// Group scratch: the lowered input (the backward pass's, and a
-	// gather-geometry forward's) and the [OutC, cols] product of the
-	// forward pass, which the backward pass reuses for the gathered output
-	// gradient. Allocated at construction for a full group and re-pointed
-	// (repoint2) at the width of the group in hand, so a short last group
-	// gets a dense panel of its own width without a new header. out/dx are
-	// per-batch-shape (see reuse2).
+	// Group scratch: the [OutC, cols] product of the forward pass, which
+	// the backward pass reuses for the gathered output gradient dY; dYT,
+	// that gradient transposed to [cols, OutC] for WeightGrad; and, on a
+	// gather geometry only, the forward's lowered input, whose header
+	// points into dYT's backing array (the panel is dead once the forward
+	// product is formed, dYT is written after). Allocated at construction
+	// for a full group; panel and y are re-pointed (repoint2) at the width
+	// of the group in hand, so a short last group gets a dense panel of its
+	// own width without a new header. out/dx are per-batch-shape (see
+	// reuse2).
 	panel, y *tensor.Tensor
+	dYT      []float64
 	out, dx  *tensor.Tensor
 }
 
@@ -64,8 +71,13 @@ func NewConv2D(name string, g tensor.ConvGeom, outC int, r *rng.RNG) *Conv2D {
 	}
 	c.W.InitHe(r, g.ColCols())
 	cols := c.low.Group() * g.ColRows()
-	c.panel = tensor.New(g.ColCols(), cols)
 	c.y = tensor.New(outC, cols)
+	if c.low.SameSize() {
+		c.dYT = make([]float64, outC*cols)
+	} else {
+		c.dYT = make([]float64, max(outC, g.ColCols())*cols)
+		c.panel = tensor.FromSlice(c.dYT[:g.ColCols()*cols], g.ColCols(), cols)
+	}
 	return c
 }
 
@@ -118,31 +130,32 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) { c.backward(grad, nil) }
 func (c *Conv2D) backward(grad, dx *tensor.Tensor) {
 	n := c.x.Shape[0]
 	inFeat := c.Geom.InC * c.Geom.InH * c.Geom.InW
-	k, hw := c.Geom.ColCols(), c.Geom.ColRows()
-	outFeat := c.OutC * hw
+	hw, outC := c.Geom.ColRows(), c.OutC
+	outFeat := outC * hw
 	dY, bGrad := c.y, c.B.Grad.Data
 	for i0 := 0; i0 < n; i0 += c.low.Group() {
 		g := min(c.low.Group(), n-i0)
 		cols := g * hw
-		repoint2(c.panel, k, cols)
-		repoint2(dY, c.OutC, cols)
+		repoint2(dY, outC, cols)
+		dYT := c.dYT[:cols*outC]
 		// One pass per image gathers its [OutC, HW] gradient into the
-		// group's [OutC, cols] and — order 3 — sums each channel over p
-		// ascending from +0 into one addend for B.Grad.
+		// group's dY [OutC, cols] and dYT [cols, OutC] and — order 3 — sums
+		// each channel over p ascending from +0 into one addend for B.Grad.
 		for i := 0; i < g; i++ {
 			src := grad.Data[(i0+i)*outFeat : (i0+i+1)*outFeat]
+			t := dYT[i*hw*outC:][:hw*outC]
 			for oc := range bGrad {
 				row := dY.Data[oc*cols+i*hw:][:hw]
 				s := 0.0
 				for p, v := range src[oc*hw : (oc+1)*hw] {
 					row[p] = v
+					t[p*outC+oc] = v
 					s += v
 				}
 				bGrad[oc] += s
 			}
 		}
-		c.low.Lower(c.panel.Data, c.x.Data[i0*inFeat:(i0+g)*inFeat], g)
-		c.low.WeightGrad(c.W.Grad.Data, c.panel.Data, dY.Data, g) // order 2
+		c.low.WeightGrad(c.W.Grad.Data, c.x.Data[i0*inFeat:(i0+g)*inFeat], dYT, g) // order 2
 		if dx != nil {
 			c.low.InputGrad(dx.Data[i0*inFeat:(i0+g)*inFeat], c.W.Value.Data, dY.Data, g) // order 4
 		}

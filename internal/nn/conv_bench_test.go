@@ -8,9 +8,11 @@ import (
 	"lcasgd/internal/tensor"
 )
 
-// Layer-level conv benchmarks: the full lower -> matmul -> copy-out path
-// (forward) and the gather -> lower -> weight-grad -> input-grad path
-// (backward; these same-size shapes add W·dY per tap into dx, no panel)
+// Layer-level conv benchmarks: the forward product and copy-out (these
+// same-size shapes read the staged input, no panel) and the gather ->
+// weight-grad -> input-grad path (backward: the weight gradient reads a
+// zero-bordered stage of each image, the input gradient adds W·dY per tap
+// into dx; no panel either)
 // at the paper networks' layer shapes, with post-ReLU-like
 // activations so the numbers reflect what the training loop actually feeds
 // these layers. The 4x4, 3x3 and 2x2 stages are the ones a channel-major

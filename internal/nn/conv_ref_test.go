@@ -217,6 +217,57 @@ func TestConv2DBitIdenticalToDirectConvolution(t *testing.T) {
 	}
 }
 
+// TestConv2DBackwardNeverLowers: no backward pass lowers its input. A
+// same-size Conv2D holds no panel at all, and a gather-geometry one's is
+// taken away after its forward pass, which leaves Lower no buffer of its
+// [ColCols, cols] size but dYT's, which the backward pass needs for the
+// gradient; both backward passes (Backward and the parameter-only one) must
+// still match the direct convolution bit for bit, without allocating.
+func TestConv2DBackwardNeverLowers(t *testing.T) {
+	sq := func(inC, hw, k, stride, pad int) tensor.ConvGeom {
+		return tensor.ConvGeom{InC: inC, InH: hw, InW: hw, KH: k, KW: k, Stride: stride, Pad: pad}
+	}
+	for ci, tc := range []struct {
+		g    tensor.ConvGeom
+		outC int
+	}{
+		{sq(6, 8, 3, 1, 1), 6},  // same-size
+		{sq(6, 8, 3, 2, 1), 12}, // gather, ColCols > OutC
+		{sq(6, 8, 1, 2, 0), 12}, // gather, ColCols < OutC
+	} {
+		r := rng.New(uint64(ci) + 950)
+		layer := NewConv2D("c", tc.g, tc.outC, r)
+		if layer.low.SameSize() != (layer.panel == nil) {
+			t.Fatalf("%+v: same-size %v but panel %v", tc.g, layer.low.SameSize(), layer.panel != nil)
+		}
+		const n = 13
+		x := tensor.New(n, tc.g.InC*tc.g.InH*tc.g.InW)
+		r.FillNormal(x.Data, 1)
+		grad := tensor.New(n, layer.OutFeatures())
+		r.FillNormal(grad.Data, 0.2)
+		ref := refConv{g: tc.g, outC: tc.outC, w: layer.W.Value.Data, b: layer.B.Value.Data}
+		for _, params := range []bool{false, true} {
+			layer.Forward(x, true)
+			panel := layer.panel
+			layer.panel = nil
+			wantW := append([]float64(nil), layer.W.Grad.Data...)
+			wantB := append([]float64(nil), layer.B.Grad.Data...)
+			wantDx := ref.backward(x.Data, grad.Data, n, wantW, wantB)
+			if params {
+				layer.backwardParams(grad)
+			} else {
+				bitsEqual(t, fmt.Sprintf("%+v dx", tc.g), layer.Backward(grad).Data, wantDx)
+			}
+			bitsEqual(t, fmt.Sprintf("%+v params %v W.Grad", tc.g, params), layer.W.Grad.Data, wantW)
+			bitsEqual(t, fmt.Sprintf("%+v params %v B.Grad", tc.g, params), layer.B.Grad.Data, wantB)
+			if a := testing.AllocsPerRun(5, func() { layer.backwardParams(grad) }); a != 0 {
+				t.Fatalf("%+v: backward pass allocates %v times, want 0", tc.g, a)
+			}
+			layer.panel = panel
+		}
+	}
+}
+
 // TestConv2DDeepStageGroupedZeroAlloc pins the group-size rule on the
 // shape that stresses it: a full-profile deep stage (many channels, tiny
 // planes) still gets a real group, trains without allocating, and matches

@@ -56,12 +56,15 @@ func (g ConvGeom) Validate() error {
 //
 //	forward          Y  [OutC, n*HW]    = Wᵀ @ panel    (Forward: masked rows of the staged x; or Lower, then MatMulTransAInto)
 //	input gradient   dx                 ← W @ dY        (InputGrad: per tap into dx, or a panel then scatter)
-//	weight gradient  W.Grad[r, oc]     += panel[r]·dY[oc], image by image (Lower, then WeightGrad)
+//	weight gradient  W.Grad[r, oc]     += panel[r]·dY[oc], image by image (WeightGrad: table rows of a zero-bordered stage of x)
 //
 // Rows of Y are already the layer's channel-major output, and every inner
 // loop of the products runs along a row n*HW long. A same-size geometry
 // never writes a panel forward: panel row (c, tap) is channel c's staged
 // row read at the tap's shift with the tap's padding lanes masked to +0.
+// No geometry writes one backward: the weight gradient reads panel entry
+// (r, p) of image i at rowOff[r]+pOff[p] in image i's channels copied
+// into planes with a +0 border Pad wide.
 
 // convPanelFloats bounds the panel of a group (64 KiB; a layer holds the
 // lowered input, and a gather-path lowering the input gradient's panel
@@ -111,6 +114,13 @@ const convOperandFloats = 16 * 1024
 // for p = (c, tap) ascending — the staged row at the tap's shift and the
 // tap's row of lanes, width*HW lane masks that are all ones but +0 on
 // pad[tap].
+//
+// WeightGrad (every geometry) reads one image at a time from planes of
+// (InH+2Pad)×(InW+2Pad), pp floats each, whose border holds +0: wRows's
+// row r = (c, ky, kx) starts at c*pp + ky*pw + kx and output pixel
+// p = (oy, ox) adds oy*Stride*pw + ox*Stride, pw = InW+2Pad, which lands
+// on input pixel (oy*Stride−Pad+ky, ox*Stride−Pad+kx) or on the border
+// exactly where that pixel is padding.
 type convTable struct {
 	width           int     // images idx and pad cover: the panel budget's group
 	shift           []int   // per tap, same-size geometries only
@@ -122,6 +132,8 @@ type convTable struct {
 	guard, rowStride int // same-size geometries only, as the rest below
 	lanes            []uint64
 	fwdTab           []int
+
+	wRows *rowTable // every geometry
 }
 
 // shiftRange returns the positions [lo, hi) of a block of n elements that
@@ -225,6 +237,22 @@ func convTableFor(g ConvGeom) *convTable {
 			}
 		}
 	}
+	pw := g.InW + 2*g.Pad
+	pp := (g.InH + 2*g.Pad) * pw
+	rowOff, pOff := make([]int, 0, g.ColCols()), make([]int, 0, hw)
+	for c := 0; c < g.InC; c++ {
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx++ {
+				rowOff = append(rowOff, c*pp+ky*pw+kx)
+			}
+		}
+	}
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			pOff = append(pOff, oy*g.Stride*pw+ox*g.Stride)
+		}
+	}
+	t.wRows = newRowTable(rowOff, pOff)
 	convTables[g] = t
 	return t
 }
@@ -243,7 +271,10 @@ type ConvLowering struct {
 	// masked copy of dY, [OutC, group*HW].
 	stage, dYm []float64
 	dPanel     []float64 // gather path: InputGrad's W @ dY, [ColCols, group*HW]
-	dYT        []float64 // WeightGrad: one image's dY transposed, [HW, OutC]
+	// wStage is WeightGrad's, one image's channels in zero-bordered planes
+	// (nil at Pad 0, where x is read in place). Nothing else writes it, and
+	// WeightGrad writes only inside the border, so the border stays +0.
+	wStage []float64
 }
 
 // NewConvLowering returns the lowering of geometry g for a layer with outC
@@ -256,7 +287,9 @@ func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
 	l := &ConvLowering{
 		g: g, outC: outC, group: group,
 		tab: convTableFor(g),
-		dYT: make([]float64, hw*outC),
+	}
+	if g.Pad > 0 {
+		l.wStage = make([]float64, g.InC*(g.InH+2*g.Pad)*(g.InW+2*g.Pad))
 	}
 	if t := l.tab; t.shift != nil {
 		// hw is the plane. Forward's guarded rows span a table width of
@@ -380,30 +413,45 @@ func (l *ConvLowering) InputGrad(dx, w, dY []float64, n int) {
 	}
 }
 
-// WeightGrad accumulates the weight gradient of a group into wGrad
-// [ColCols, OutC] from panel [ColCols, n*HW] and dY [OutC, n*HW].
+// WeightGrad accumulates the weight gradient of n images x [n, InC, InH,
+// InW] into wGrad [ColCols, OutC], from dYT [n*HW, OutC], their output
+// gradients transposed (row i*HW+p is pixel p of image i, one float per
+// output channel). x and dYT are only read.
 //
 // Accumulation order (part of the float-bits contract): wGrad[r, oc]
 // receives one addend per image, in batch order, and each addend is that
-// image's sum over p ascending formed from +0. Per image that addend matrix
-// is panel_i [ColCols, HW] @ dY_iᵀ [HW, OutC], which mmKernel adds straight
-// into wGrad: its lanes are output elements (oc), never p, and each
-// element's chain starts from +0 and joins wGrad once.
-func (l *ConvLowering) WeightGrad(wGrad, panel, dY []float64, n int) {
-	k, hw := l.g.ColCols(), l.g.ColRows()
-	cols := n * hw
-	outC := l.outC
-	if len(wGrad) != k*outC || len(panel) != k*cols || len(dY) != outC*cols {
-		panic(fmt.Sprintf("tensor: WeightGrad lens wGrad %d panel %d dY %d for k %d outC %d cols %d",
-			len(wGrad), len(panel), len(dY), k, outC, cols))
+// image's sum over p ascending formed from +0 — order 2 of nn.Conv2D. Per
+// image that addend matrix is panel_i [ColCols, HW] @ dY_iᵀ [HW, OutC],
+// which one mmKernelRows call adds straight into wGrad: its lanes are
+// output elements (oc), never p, and each element's chain starts from +0
+// and joins wGrad once. The call reads panel_i[r, p] at
+// wRows.rowOff[r]+wRows.pOff[p] in the image's channels staged in
+// zero-bordered planes, which is x's bits where Lower would copy a pixel
+// and the +0 it stores on a padding entry — so every product has the
+// panel GEMM's operands, whatever x and dYT hold. At Pad 0 there is no
+// border and the image itself is read.
+func (l *ConvLowering) WeightGrad(wGrad, x, dYT []float64, n int) {
+	g, outC := l.g, l.outC
+	k, hw, plane := g.ColCols(), g.ColRows(), g.InH*g.InW
+	inFeat := g.InC * plane
+	if n < 1 || len(wGrad) != k*outC || len(x) != n*inFeat || len(dYT) != n*hw*outC {
+		panic(fmt.Sprintf("tensor: WeightGrad lens wGrad %d x %d dYT %d for n %d k %d outC %d",
+			len(wGrad), len(x), len(dYT), n, k, outC))
 	}
+	pw := g.InW + 2*g.Pad
+	pp := (g.InH + 2*g.Pad) * pw
 	for i := 0; i < n; i++ {
-		for oc := 0; oc < outC; oc++ {
-			for p, v := range dY[oc*cols+i*hw:][:hw] {
-				l.dYT[p*outC+oc] = v
+		a := x[i*inFeat:][:inFeat]
+		if l.wStage != nil {
+			for c := 0; c < g.InC; c++ {
+				dst := l.wStage[c*pp+g.Pad*pw+g.Pad:]
+				for y, src := 0, a[c*plane:]; y < g.InH; y++ {
+					copy(dst[y*pw:][:g.InW], src[y*g.InW:])
+				}
 			}
+			a = l.wStage
 		}
-		mmKernel(wGrad, outC, panel[i*hw:], cols, 1, l.dYT, outC, k, hw, outC)
+		mmKernelRows(wGrad, outC, a, l.tab.wRows, dYT[i*hw*outC:], outC, k, hw, outC)
 	}
 }
 
@@ -422,7 +470,10 @@ func convCheckLens(op string, panel, x []float64, n int, g ConvGeom) {
 // laid side by side (into stage; one image, or one channel, lies so
 // already), which makes a tap's whole group row that block shifted — one
 // copy, and what it carries across an image boundary lands on padding
-// entries. stage holds width planes; a single image needs none.
+// entries. stage holds width planes; a single image needs none. Conv2D
+// lowers only gather geometries (a same-size forward runs Forward, and no
+// backward pass lowers), so the shifted branch is reached only through
+// Im2Col and ConvLowering.Lower (bench/'s tensor.im2col_us probe and tests).
 func (t *convTable) lower(panel, x, stage []float64, n int, g ConvGeom) {
 	convCheckLens("Lower", panel, x, n, g)
 	hw, kk, plane := g.ColRows(), g.KH*g.KW, g.InH*g.InW

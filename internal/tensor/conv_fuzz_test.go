@@ -24,6 +24,7 @@ func tapPixel(g ConvGeom, ky, kx, oy, ox int) (int, bool) {
 type guarded struct {
 	all []float64
 	win []float64
+	lo  int // where win starts in all
 }
 
 const (
@@ -31,17 +32,22 @@ const (
 	guardPoison = 0x7ff8_0bad_0bad_0bad
 )
 
-func newGuarded(n int) guarded {
-	all := make([]float64, n+2*guardBand)
+func newGuarded(n int) guarded { return newGuardedAt(n, 0) }
+
+// newGuardedAt is newGuarded with off more floats of margin before the
+// window, which moves the window's alignment.
+func newGuardedAt(n, off int) guarded {
+	lo := guardBand + off
+	all := make([]float64, lo+n+guardBand)
 	for i := range all {
 		all[i] = math.Float64frombits(guardPoison)
 	}
-	return guarded{all: all, win: all[guardBand : guardBand+n : guardBand+n]}
+	return guarded{all: all, win: all[lo : lo+n : lo+n], lo: lo}
 }
 
 func (b guarded) check(t *testing.T, what string) {
 	t.Helper()
-	for _, band := range [][]float64{b.all[:guardBand], b.all[guardBand+len(b.win):]} {
+	for _, band := range [][]float64{b.all[:b.lo], b.all[b.lo+len(b.win):]} {
 		for _, v := range band {
 			if math.Float64bits(v) != guardPoison {
 				t.Fatalf("%s: store outside its window", what)
@@ -49,6 +55,13 @@ func (b guarded) check(t *testing.T, what string) {
 		}
 	}
 }
+
+// defaultNaN is the NaN the hardware makes for Inf−Inf (and 0·Inf), formed
+// at run time so that its bits are the machine's, not the compiler's.
+var defaultNaN = sub(math.Inf(1), math.Inf(1))
+
+//go:noinline
+func sub(a, b float64) float64 { return a - b }
 
 func wantBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()
@@ -60,8 +73,9 @@ func wantBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// FuzzConvLowering holds Lower, the scatter, InputGrad and Forward, group by group
-// as Conv2D calls them (a batch of n images ends in a short group), to the
+// FuzzConvLowering holds Lower, the scatter, InputGrad, Forward and
+// WeightGrad, group by group as Conv2D calls them (a batch of n images ends
+// in a short group), to the
 // scalar definition bit for bit: every panel entry is the pixel tapPixel
 // names or +0; the scatter adds every dx pixel's contributions taps
 // descending, columns ascending (order 4), on a zeroed dx and on one
@@ -71,8 +85,12 @@ func wantBits(t *testing.T, what string, got, want []float64) {
 // dx what order 4 builds from +0 out of each contribution's oc chain, and
 // leaves dY as it was; Forward (same-size geometries), one image at a time
 // and a group at a time, writes over a poisoned y what order 1 builds from
-// +0 with the panel's +0 on every padding tap; and nothing is stored
-// outside panel, dx and y.
+// +0 with the panel's +0 on every padding tap; WeightGrad, one image at a
+// time and a group at a time with Forward and InputGrad run on the same
+// lowering in between, adds onto a dirty wGrad what order 2 builds — per
+// image in batch order, Σ_p from +0 over the panel's operands — with NaN,
+// ±Inf and −0 in x, and leaves x and dYT as they were; and nothing is
+// stored outside panel, dx, y and wGrad.
 func FuzzConvLowering(f *testing.F) {
 	// Every convolution of the four profiles' networks (trainer.QuickCIFAR,
 	// trainer.QuickImageNet, model.ResNetLite18, model.ResNetLite50), so
@@ -273,16 +291,70 @@ func FuzzConvLowering(f *testing.F) {
 				}
 			}
 		}
+		// Order 2 from the panel's operands: one addend per image in batch
+		// order onto a dirty wGrad, each Σ_p from +0. x's NaNs are the
+		// default NaN here, the one 0·Inf and Inf−Inf make, so every NaN a
+		// chain can meet has the same bits, whichever operand of an
+		// addition the compiler keeps; +Inf joins x's −Inf.
+		xw := append([]float64(nil), x...)
+		for i, v := range xw {
+			if math.IsNaN(v) {
+				xw[i] = defaultNaN
+			} else if r.Intn(16) == 0 {
+				xw[i] = math.Inf(1)
+			}
+		}
+		w0 := make([]float64, k*outC)
+		r.FillNormal(w0, 1)
+		for i := range w0 {
+			if r.Intn(4) == 0 {
+				w0[i] = math.Copysign(0, -1)
+			}
+		}
+		wantW := append([]float64(nil), w0...)
+		for i := 0; i < n; i++ {
+			for c := 0; c < inC; c++ {
+				for tap := 0; tap < kk; tap++ {
+					for oc := 0; oc < outC; oc++ {
+						s := 0.0
+						for p := 0; p < hw; p++ {
+							v := 0.0
+							if pix, ok := tapPixel(g, tap/kw, tap%kw, p/g.OutW(), p%g.OutW()); ok {
+								v = xw[(i*inC+c)*plane+pix]
+							}
+							s += v * gy[(i*outC+oc)*hw+p]
+						}
+						wantW[(c*kk+tap)*outC+oc] += s
+					}
+				}
+			}
+		}
 		for _, group := range []int{1, low.Group()} {
+			wGrad := newGuarded(k * outC)
+			copy(wGrad.win, w0)
 			for i0 := 0; i0 < n; i0 += group {
 				m := min(group, n-i0)
 				cols := m * hw
 				dY := make([]float64, outC*cols)
+				dYT := make([]float64, cols*outC)
 				for i := 0; i < m; i++ {
 					for oc := 0; oc < outC; oc++ {
 						copy(dY[oc*cols+i*hw:][:hw], gy[((i0+i)*outC+oc)*hw:])
+						for p := 0; p < hw; p++ {
+							dYT[(i*hw+p)*outC+oc] = gy[((i0+i)*outC+oc)*hw+p]
+						}
 					}
 				}
+				if low.SameSize() {
+					// Forward stages x in the lowering too; WeightGrad's
+					// stage must not depend on what it leaves.
+					low.Forward(make([]float64, outC*cols), w, x[i0*inFeat:(i0+m)*inFeat], m)
+				}
+				xs := xw[i0*inFeat : (i0+m)*inFeat]
+				keptX, keptT := append([]float64(nil), xs...), append([]float64(nil), dYT...)
+				low.WeightGrad(wGrad.win, xs, dYT, m)
+				wantBits(t, "WeightGrad x", xs, keptX)
+				wantBits(t, "WeightGrad dYT", dYT, keptT)
 				kept := append([]float64(nil), dY...)
 				dx := newGuarded(m * inFeat)
 				r.FillNormal(dx.win, 1)
@@ -296,6 +368,8 @@ func FuzzConvLowering(f *testing.F) {
 				wantBits(t, fmt.Sprintf("InputGrad dx (group %d, images %d..)", group, i0), dx.win, want[i0*inFeat:(i0+m)*inFeat])
 				wantBits(t, "InputGrad dY", dY, kept)
 			}
+			wGrad.check(t, "WeightGrad")
+			wantBits(t, fmt.Sprintf("WeightGrad (group %d)", group), wGrad.win, wantW)
 		}
 	})
 }

@@ -174,7 +174,8 @@ func TestCol2ImAccumulates(t *testing.T) {
 // TestConvLoweringGroupLayout pins the group panel's layout against the
 // single-image entries: column block i of the [ColCols, n*HW] panel is image
 // i's own panel, the group scatter is Col2Im image by image, and WeightGrad
-// adds each image's panel·dYᵀ in batch order.
+// adds each image's panel·dYᵀ in batch order (reading x, with dY given
+// transposed).
 func TestConvLoweringGroupLayout(t *testing.T) {
 	g := ConvGeom{InC: 2, InH: 5, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	const n, outC = 3, 4
@@ -235,7 +236,13 @@ func TestConvLoweringGroupLayout(t *testing.T) {
 			}
 		}
 	}
-	low.WeightGrad(wGrad, panel, dY, n)
+	dYT := make([]float64, cols*outC)
+	for oc := 0; oc < outC; oc++ {
+		for q := 0; q < cols; q++ {
+			dYT[q*outC+oc] = dY[oc*cols+q]
+		}
+	}
+	low.WeightGrad(wGrad, x, dYT, n)
 	for j, w := range wantW {
 		if wGrad[j] != w {
 			t.Fatalf("WeightGrad[%d] = %v, want %v", j, wGrad[j], w)

@@ -3,10 +3,12 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // mmKernel is the one GEMM micro-kernel under MatMulInto, MatMulTransAInto,
-// VecMatMulAdd and ConvLowering's WeightGrad and InputGrad. It accumulates
+// VecMatMulAdd and ConvLowering's InputGrad (WeightGrad and Forward run
+// its two table-addressed variants below). It accumulates
 //
 //	out[r*ostride+j] += Σ_p a[r*aRow+p*aK] * b[p*bstride+j]    r < rows, j < jw
 //
@@ -166,6 +168,106 @@ func mmShiftStrip1Go(out, a []float64, aK int, b []float64, mask []uint64, tab [
 		s := 0.0
 		for p := 0; p < kw; p++ {
 			s += a[p*aK] * maskedLane(b[tab[2*p]+j], mask[tab[2*p+1]+j])
+		}
+		out[j] += s
+	}
+}
+
+// rowTable is how mmKernelRows addresses a: row r of the strip starts at
+// rowOff[r] and step p adds pOff[p]. Only newRowTable builds one, so every
+// offset is non-negative and span bounds every index the two tables can
+// name; the kernel then checks one number against len(a) per call instead
+// of scanning the tables.
+type rowTable struct {
+	rowOff, pOff []int
+	span         int // 1 + max(rowOff) + max(pOff)
+}
+
+// newRowTable copies the two offset tables into a rowTable. It panics on a
+// negative offset or a span past math.MaxInt.
+func newRowTable(rowOff, pOff []int) *rowTable {
+	t := &rowTable{rowOff: slices.Clone(rowOff), pOff: slices.Clone(pOff)}
+	hi := [2]int{}
+	for i, tab := range [2][]int{t.rowOff, t.pOff} {
+		for j, o := range tab {
+			if o < 0 {
+				panic(fmt.Sprintf("tensor: newRowTable offset %d of table %d is %d", j, i, o))
+			}
+			hi[i] = max(hi[i], o)
+		}
+	}
+	if hi[0] >= math.MaxInt-hi[1] {
+		panic(fmt.Sprintf("tensor: newRowTable span past MaxInt: %d + %d", hi[0], hi[1]))
+	}
+	t.span = 1 + hi[0] + hi[1]
+	return t
+}
+
+// mmKernelRows is the contract of mmKernel with a read through a rowTable:
+//
+//	out[r*ostride+j] += Σ_p a[rowOff[r]+pOff[p]] * b[p*bstride+j]
+//
+// with the same chains, strips and implementations; a strip of four rows
+// loads pOff[p] once for all four. ConvLowering.WeightGrad reads a
+// zero-bordered stage of an image through it, row r = (c, ky, kx) a tap
+// and p = (oy, ox) an output pixel, so that a[rowOff[r]+pOff[p]] is the
+// panel entry Lower would write there. The wrapper checks the far corners
+// of out and b, that both tables are long enough and that the table's span
+// fits in a, before any pointer reaches assembly.
+func mmKernelRows(out []float64, ostride int, a []float64, t *rowTable, b []float64, bstride, rows, kw, jw int) {
+	if rows <= 0 || kw <= 0 || jw <= 0 {
+		return
+	}
+	if ostride < 0 || bstride < 0 {
+		panic(fmt.Sprintf("tensor: mmKernelRows negative stride: out %d b %d", ostride, bstride))
+	}
+	if rows > len(t.rowOff) || kw > len(t.pOff) || t.span > len(a) {
+		panic(fmt.Sprintf("tensor: mmKernelRows %d rows, %d steps over tables of %d, %d spanning %d of a %d",
+			rows, kw, len(t.rowOff), len(t.pOff), t.span, len(a)))
+	}
+	_ = out[(rows-1)*ostride+jw-1]
+	_ = b[(kw-1)*bstride+jw-1]
+	r := 0
+	if useAVX2 {
+		for ; r+4 <= rows; r += 4 {
+			mmRowsStrip4AVX2(&out[r*ostride], ostride, &a[0], &t.rowOff[r], &t.pOff[0], &b[0], bstride, kw, jw)
+		}
+		for ; r < rows; r++ {
+			mmRowsStrip1AVX2(&out[r*ostride], &a[t.rowOff[r]], &t.pOff[0], &b[0], bstride, kw, jw)
+		}
+		return
+	}
+	for ; r+4 <= rows; r += 4 {
+		mmRowsStrip4Go(out[r*ostride:], ostride, a, t.rowOff[r:r+4], t.pOff[:kw], b, bstride, jw)
+	}
+	for ; r < rows; r++ {
+		mmRowsStrip1Go(out[r*ostride:], a[t.rowOff[r]:], t.pOff[:kw], b, bstride, jw)
+	}
+}
+
+func mmRowsStrip4Go(out []float64, ostride int, a []float64, rowOff, pOff []int, b []float64, bstride, jw int) {
+	a0, a1, a2, a3 := a[rowOff[0]:], a[rowOff[1]:], a[rowOff[2]:], a[rowOff[3]:]
+	for j := 0; j < jw; j++ {
+		var s0, s1, s2, s3 float64
+		for p, o := range pOff {
+			bv := b[p*bstride+j]
+			s0 += a0[o] * bv
+			s1 += a1[o] * bv
+			s2 += a2[o] * bv
+			s3 += a3[o] * bv
+		}
+		out[j] += s0
+		out[ostride+j] += s1
+		out[2*ostride+j] += s2
+		out[3*ostride+j] += s3
+	}
+}
+
+func mmRowsStrip1Go(out, a []float64, pOff []int, b []float64, bstride, jw int) {
+	for j := 0; j < jw; j++ {
+		s := 0.0
+		for p, o := range pOff {
+			s += a[o] * b[p*bstride+j]
 		}
 		out[j] += s
 	}

@@ -19,3 +19,9 @@ func mmShiftStrip4AVX2(out *float64, ostride int, a *float64, aRow, aK int, b *f
 
 //go:noescape
 func mmShiftStrip1AVX2(out *float64, a *float64, aK int, b *float64, mask *uint64, tab *int, kw, jw int)
+
+//go:noescape
+func mmRowsStrip4AVX2(out *float64, ostride int, a *float64, rowOff, pOff *int, b *float64, bstride, kw, jw int)
+
+//go:noescape
+func mmRowsStrip1AVX2(out *float64, a *float64, pOff *int, b *float64, bstride, kw, jw int)

@@ -6,10 +6,11 @@
 //
 //	out[r*ostride+j] += Σ_p a[r*aRow+p*aK] * b[p*bstride+j]    j < jw, p = 0..kw-1
 //
-// for a strip of four rows (mmStrip4AVX2) or one row (mmStrip1AVX2), and
-// of its masked-row variant mmKernelShift (mmShiftStrip4AVX2,
+// for a strip of four rows (mmStrip4AVX2) or one row (mmStrip1AVX2), of
+// its masked-row variant mmKernelShift (mmShiftStrip4AVX2,
 // mmShiftStrip1AVX2), whose b operand is ANDed with a lane mask before the
-// same chain.
+// same chain, and of its row-table variant mmKernelRows (mmRowsStrip4AVX2,
+// mmRowsStrip1AVX2), whose a operand is read at rowOff[r]+pOff[p].
 //
 // Float-bits rule. Each output element gets
 //
@@ -30,8 +31,10 @@
 // Column tails narrower than four are run as a four-wide block under a
 // VMASKMOVPD lane mask: masked-out lanes load as zero, compute a dead
 // 0*a+0 and are never stored, and the architecture guarantees no access
-// (hence no fault) at a masked-out address. The p loops are do-while; the
-// Go wrapper never calls with kw == 0 or jw == 0.
+// (hence no fault) at a masked-out address. The four-row strips of
+// mmKernel and mmKernelRows run a tail of five to seven columns the same
+// way in one eight-wide pass, its upper four lanes under the mask. The p
+// loops are do-while; the Go wrapper never calls with kw == 0 or jw == 0.
 
 // Lane masks: 32 bytes read at offset 8*(4-n) have the first n lanes set.
 DATA mmLaneMask<>+0(SB)/8, $-1
@@ -52,6 +55,14 @@ GLOBL mmLaneMask<>(SB), RODATA|NOPTR, $64
 	NEGQ    AX;                      \
 	LEAQ    mmLaneMask<>+32(SB), BX; \
 	VMOVDQU (BX)(AX*8), Y13
+
+// MID_MASK sets Y9 to the lane mask of CX-4 columns, 5 <= CX <= 7: the
+// upper half of a five- to seven-column block. Clobbers AX, BX.
+#define MID_MASK \
+	MOVQ    $4, AX;                  \
+	SUBQ    CX, AX;                  \
+	LEAQ    mmLaneMask<>+32(SB), BX; \
+	VMOVDQU (BX)(AX*8), Y9
 
 // func mmStrip4AVX2(out *float64, ostride int, a *float64, aRow, aK int, b *float64, bstride, kw, jw int)
 //
@@ -78,7 +89,7 @@ TEXT ·mmStrip4AVX2(SB), NOSPLIT, $0-72
 	LEAQ (R8)(R8*2), R13
 	LEAQ (R9)(R9*2), R14
 	CMPQ CX, $8
-	JLT  narrow4
+	JLT  tail4
 
 wide4:
 	VXORPD Y0, Y0, Y0
@@ -142,6 +153,75 @@ wide4p:
 	SUBQ    $8, CX
 	CMPQ    CX, $8
 	JGE     wide4
+
+tail4:
+	CMPQ CX, $5
+	JLT  narrow4
+
+	// Five to seven columns: one eight-wide block, the upper four lanes
+	// under Y9's mask. Y8 takes the four rows' broadcasts in turn.
+	MID_MASK
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	MOVQ   R12, R15
+
+mid4p:
+	VMOVUPD      (BX), Y12
+	VMASKMOVPD   32(BX), Y9, Y13
+	VBROADCASTSD (AX), Y8
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y0, Y0
+	VADDPD       Y15, Y1, Y1
+	VBROADCASTSD (AX)(R9*1), Y8
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	VBROADCASTSD (AX)(R9*2), Y8
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y4, Y4
+	VADDPD       Y15, Y5, Y5
+	VBROADCASTSD (AX)(R14*1), Y8
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y6, Y6
+	VADDPD       Y15, Y7, Y7
+	ADDQ         R10, AX
+	ADDQ         R11, BX
+	DECQ         R15
+	JNZ          mid4p
+
+	VADDPD     (DI), Y0, Y0
+	VMASKMOVPD 32(DI), Y9, Y14
+	VADDPD     Y14, Y1, Y1
+	VADDPD     (DI)(R8*1), Y2, Y2
+	VMASKMOVPD 32(DI)(R8*1), Y9, Y15
+	VADDPD     Y15, Y3, Y3
+	VADDPD     (DI)(R8*2), Y4, Y4
+	VMASKMOVPD 32(DI)(R8*2), Y9, Y14
+	VADDPD     Y14, Y5, Y5
+	VADDPD     (DI)(R13*1), Y6, Y6
+	VMASKMOVPD 32(DI)(R13*1), Y9, Y15
+	VADDPD     Y15, Y7, Y7
+	VMOVUPD    Y0, (DI)
+	VMASKMOVPD Y1, Y9, 32(DI)
+	VMOVUPD    Y2, (DI)(R8*1)
+	VMASKMOVPD Y3, Y9, 32(DI)(R8*1)
+	VMOVUPD    Y4, (DI)(R8*2)
+	VMASKMOVPD Y5, Y9, 32(DI)(R8*2)
+	VMOVUPD    Y6, (DI)(R13*1)
+	VMASKMOVPD Y7, Y9, 32(DI)(R13*1)
+	JMP        done4
 
 narrow4:
 	TESTQ CX, CX
@@ -535,6 +615,312 @@ narrow1sp:
 	JMP        narrow1s
 
 done1s:
+	VZEROUPPER
+	RET
+
+// func mmRowsStrip4AVX2(out *float64, ostride int, a *float64, rowOff, pOff *int, b *float64, bstride, kw, jw int)
+//
+// mmKernelRows' four-row strip: mmStrip4AVX2 with row r of a based at
+// a+rowOff[r] and step p at pOff[p] from each base; pOff[p] is loaded
+// once per p for all four rows. Tails as in mmStrip4AVX2.
+// DI out column cursor, R8 ostride (bytes), SI/R9/R10/R14 the four row
+// bases, R13 pOff, DX b column cursor, R11 bstride (bytes), CX columns
+// left; AX pOff cursor, BX b cursor, R15 p countdown, R12 the offset just
+// read (3*ostride after the p loop).
+TEXT ·mmRowsStrip4AVX2(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ ostride+8(FP), R8
+	MOVQ a+16(FP), AX
+	MOVQ rowOff+24(FP), BX
+	MOVQ pOff+32(FP), R13
+	MOVQ b+40(FP), DX
+	MOVQ bstride+48(FP), R11
+	MOVQ jw+64(FP), CX
+	MOVQ (BX), SI
+	MOVQ 8(BX), R9
+	MOVQ 16(BX), R10
+	MOVQ 24(BX), R14
+	LEAQ (AX)(SI*8), SI
+	LEAQ (AX)(R9*8), R9
+	LEAQ (AX)(R10*8), R10
+	LEAQ (AX)(R14*8), R14
+	SHLQ $3, R8
+	SHLQ $3, R11
+	CMPQ CX, $8
+	JLT  tail4r
+
+wide4r:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   R13, AX
+	MOVQ   DX, BX
+	MOVQ   kw+56(FP), R15
+
+wide4rp:
+	MOVQ         (AX), R12
+	VMOVUPD      (BX), Y12
+	VMOVUPD      32(BX), Y13
+	VBROADCASTSD (SI)(R12*8), Y8
+	VBROADCASTSD (R9)(R12*8), Y9
+	VBROADCASTSD (R10)(R12*8), Y10
+	VBROADCASTSD (R14)(R12*8), Y11
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y0, Y0
+	VADDPD       Y15, Y1, Y1
+	VMULPD       Y12, Y9, Y14
+	VMULPD       Y13, Y9, Y15
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	VMULPD       Y12, Y10, Y14
+	VMULPD       Y13, Y10, Y15
+	VADDPD       Y14, Y4, Y4
+	VADDPD       Y15, Y5, Y5
+	VMULPD       Y12, Y11, Y14
+	VMULPD       Y13, Y11, Y15
+	VADDPD       Y14, Y6, Y6
+	VADDPD       Y15, Y7, Y7
+	ADDQ         $8, AX
+	ADDQ         R11, BX
+	DECQ         R15
+	JNZ          wide4rp
+
+	LEAQ    (R8)(R8*2), R12
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  (DI)(R8*1), Y2, Y2
+	VADDPD  32(DI)(R8*1), Y3, Y3
+	VADDPD  (DI)(R8*2), Y4, Y4
+	VADDPD  32(DI)(R8*2), Y5, Y5
+	VADDPD  (DI)(R12*1), Y6, Y6
+	VADDPD  32(DI)(R12*1), Y7, Y7
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (DI)(R8*2)
+	VMOVUPD Y5, 32(DI)(R8*2)
+	VMOVUPD Y6, (DI)(R12*1)
+	VMOVUPD Y7, 32(DI)(R12*1)
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     wide4r
+
+tail4r:
+	CMPQ CX, $5
+	JLT  narrow4r
+	MID_MASK
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   R13, AX
+	MOVQ   DX, BX
+	MOVQ   kw+56(FP), R15
+
+mid4rp:
+	MOVQ         (AX), R12
+	VMOVUPD      (BX), Y12
+	VMASKMOVPD   32(BX), Y9, Y13
+	VBROADCASTSD (SI)(R12*8), Y8
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y0, Y0
+	VADDPD       Y15, Y1, Y1
+	VBROADCASTSD (R9)(R12*8), Y8
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	VBROADCASTSD (R10)(R12*8), Y8
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y4, Y4
+	VADDPD       Y15, Y5, Y5
+	VBROADCASTSD (R14)(R12*8), Y8
+	VMULPD       Y12, Y8, Y14
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y14, Y6, Y6
+	VADDPD       Y15, Y7, Y7
+	ADDQ         $8, AX
+	ADDQ         R11, BX
+	DECQ         R15
+	JNZ          mid4rp
+
+	LEAQ       (R8)(R8*2), R12
+	VADDPD     (DI), Y0, Y0
+	VMASKMOVPD 32(DI), Y9, Y14
+	VADDPD     Y14, Y1, Y1
+	VADDPD     (DI)(R8*1), Y2, Y2
+	VMASKMOVPD 32(DI)(R8*1), Y9, Y15
+	VADDPD     Y15, Y3, Y3
+	VADDPD     (DI)(R8*2), Y4, Y4
+	VMASKMOVPD 32(DI)(R8*2), Y9, Y14
+	VADDPD     Y14, Y5, Y5
+	VADDPD     (DI)(R12*1), Y6, Y6
+	VMASKMOVPD 32(DI)(R12*1), Y9, Y15
+	VADDPD     Y15, Y7, Y7
+	VMOVUPD    Y0, (DI)
+	VMASKMOVPD Y1, Y9, 32(DI)
+	VMOVUPD    Y2, (DI)(R8*1)
+	VMASKMOVPD Y3, Y9, 32(DI)(R8*1)
+	VMOVUPD    Y4, (DI)(R8*2)
+	VMASKMOVPD Y5, Y9, 32(DI)(R8*2)
+	VMOVUPD    Y6, (DI)(R12*1)
+	VMASKMOVPD Y7, Y9, 32(DI)(R12*1)
+	JMP        done4r
+
+narrow4r:
+	TESTQ CX, CX
+	JLE   done4r
+	NARROW_MASK
+	VXORPD Y0, Y0, Y0
+	VXORPD Y2, Y2, Y2
+	VXORPD Y4, Y4, Y4
+	VXORPD Y6, Y6, Y6
+	MOVQ   R13, AX
+	MOVQ   DX, BX
+	MOVQ   kw+56(FP), R15
+
+narrow4rp:
+	MOVQ         (AX), R12
+	VMASKMOVPD   (BX), Y13, Y12
+	VBROADCASTSD (SI)(R12*8), Y8
+	VBROADCASTSD (R9)(R12*8), Y9
+	VBROADCASTSD (R10)(R12*8), Y10
+	VBROADCASTSD (R14)(R12*8), Y11
+	VMULPD       Y12, Y8, Y8
+	VMULPD       Y12, Y9, Y9
+	VMULPD       Y12, Y10, Y10
+	VMULPD       Y12, Y11, Y11
+	VADDPD       Y8, Y0, Y0
+	VADDPD       Y9, Y2, Y2
+	VADDPD       Y10, Y4, Y4
+	VADDPD       Y11, Y6, Y6
+	ADDQ         $8, AX
+	ADDQ         R11, BX
+	DECQ         R15
+	JNZ          narrow4rp
+
+	LEAQ       (R8)(R8*2), R12
+	VMASKMOVPD (DI), Y13, Y8
+	VMASKMOVPD (DI)(R8*1), Y13, Y9
+	VMASKMOVPD (DI)(R8*2), Y13, Y10
+	VMASKMOVPD (DI)(R12*1), Y13, Y11
+	VADDPD     Y8, Y0, Y0
+	VADDPD     Y9, Y2, Y2
+	VADDPD     Y10, Y4, Y4
+	VADDPD     Y11, Y6, Y6
+	VMASKMOVPD Y0, Y13, (DI)
+	VMASKMOVPD Y2, Y13, (DI)(R8*1)
+	VMASKMOVPD Y4, Y13, (DI)(R8*2)
+	VMASKMOVPD Y6, Y13, (DI)(R12*1)
+	ADDQ       $32, DI
+	ADDQ       $32, DX
+	SUBQ       $4, CX
+	JMP        narrow4r
+
+done4r:
+	VZEROUPPER
+	RET
+
+// func mmRowsStrip1AVX2(out *float64, a *float64, pOff *int, b *float64, bstride, kw, jw int)
+//
+// The one-row remainder of mmKernelRows, sixteen columns wide as
+// mmStrip1AVX2; a is the row's base, a+rowOff[r]. DI out cursor, SI a,
+// R13 pOff, DX b cursor, R11 bstride (bytes), CX columns left; AX pOff
+// cursor, BX b cursor, R15 p countdown, R12 the offset just read.
+TEXT ·mmRowsStrip1AVX2(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ pOff+16(FP), R13
+	MOVQ b+24(FP), DX
+	MOVQ bstride+32(FP), R11
+	MOVQ jw+48(FP), CX
+	SHLQ $3, R11
+	CMPQ CX, $16
+	JLT  narrow1r
+
+wide1r:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   R13, AX
+	MOVQ   DX, BX
+	MOVQ   kw+40(FP), R15
+
+wide1rp:
+	MOVQ         (AX), R12
+	VBROADCASTSD (SI)(R12*8), Y8
+	VMULPD       (BX), Y8, Y12
+	VMULPD       32(BX), Y8, Y13
+	VMULPD       64(BX), Y8, Y14
+	VMULPD       96(BX), Y8, Y15
+	VADDPD       Y12, Y0, Y0
+	VADDPD       Y13, Y1, Y1
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	ADDQ         $8, AX
+	ADDQ         R11, BX
+	DECQ         R15
+	JNZ          wide1rp
+
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JGE     wide1r
+
+narrow1r:
+	TESTQ CX, CX
+	JLE   done1r
+	NARROW_MASK
+	VXORPD Y0, Y0, Y0
+	MOVQ   R13, AX
+	MOVQ   DX, BX
+	MOVQ   kw+40(FP), R15
+
+narrow1rp:
+	MOVQ         (AX), R12
+	VMASKMOVPD   (BX), Y13, Y12
+	VBROADCASTSD (SI)(R12*8), Y8
+	VMULPD       Y12, Y8, Y8
+	VADDPD       Y8, Y0, Y0
+	ADDQ         $8, AX
+	ADDQ         R11, BX
+	DECQ         R15
+	JNZ          narrow1rp
+
+	VMASKMOVPD (DI), Y13, Y12
+	VADDPD     Y12, Y0, Y0
+	VMASKMOVPD Y0, Y13, (DI)
+	ADDQ       $32, DI
+	ADDQ       $32, DX
+	SUBQ       $4, CX
+	JMP        narrow1r
+
+done1r:
 	VZEROUPPER
 	RET
 

@@ -180,6 +180,98 @@ func TestMMKernelShiftAsmMatchesGo(t *testing.T) {
 	}
 }
 
+// nanFamilies are the operands besides finite normals that a rows-kernel
+// test salts a with, one family per case: quiet NaN, signalling NaN, and
+// ±Inf (whose products with zero and sums of opposite signs make the
+// default NaN). IEEE 754 leaves open which payload an operation returns
+// when both operands are NaN, and the Go compiler may swap the operands of
+// a commutative add, so a chain that meets two different payloads has no
+// defined bits; within one family every NaN a chain can meet has the same
+// payload. −0 and subnormals join every family.
+var nanFamilies = [][]float64{
+	{math.NaN()},
+	{math.Float64frombits(0xfff4_0000_0bad_0001)},
+	{math.Inf(1), math.Inf(-1)},
+}
+
+// salt fills s with hostile normals and about one in eight entries from
+// family, −0 or a subnormal.
+func salt(g *rng.RNG, s, family []float64) {
+	hostile(g, s)
+	extra := append([]float64{math.Copysign(0, -1), math.SmallestNonzeroFloat64, -3 * math.SmallestNonzeroFloat64}, family...)
+	for i := range s {
+		if g.Intn(8) == 0 {
+			s[i] = extra[g.Intn(len(extra))]
+		}
+	}
+}
+
+// TestMMKernelRowsAsmMatchesGo compares mmKernelRows' two strips bit for
+// bit over rows 1-9 × kw × jw 1-40 (and wider) on a dirty out whose rows
+// have guard gaps between them, and the Go strips with the contract's
+// scalar loop. Row and step offsets are random, so rows and steps overlap
+// the way a convolution's taps do; a holds each NaN family in turn, and
+// nothing outside out's window may be written.
+func TestMMKernelRowsAsmMatchesGo(t *testing.T) {
+	needAsm(t)
+	kws := []int{1, 2, 3, 4, 7, 16, 36, 64, 144}
+	jws := []int{63, 64, 65, 128}
+	for i := 1; i <= 40; i++ {
+		jws = append(jws, i)
+	}
+	const maxRows, maxK, maxW, gap, aLen = 9, 144, 128, 3, 700
+	g := rng.New(233)
+	a := make([]float64, aLen)
+	bPool := make([]float64, maxK*maxW)
+	hostile(g, bPool)
+	oPool := make([]float64, maxRows*(maxW+gap))
+	hostile(g, oPool)
+	rowOff, pOff := make([]int, maxRows), make([]int, maxK)
+	for ci, kw := range kws {
+		salt(g, a, nanFamilies[ci%len(nanFamilies)])
+		for i := range rowOff {
+			rowOff[i] = g.Intn(aLen / 2)
+		}
+		for i := range pOff {
+			pOff[i] = g.Intn(aLen / 2)
+		}
+		tab := newRowTable(rowOff, pOff[:kw])
+		for _, jw := range jws {
+			ostride, bstride := jw+gap, jw
+			b := bPool[:kw*bstride]
+			for rows := 1; rows <= maxRows; rows++ {
+				oa, og := newGuarded(rows*ostride), newGuarded(rows*ostride)
+				copy(oa.win, oPool)
+				copy(og.win, oPool)
+				mmKernelRows(oa.win, ostride, a, tab, b, bstride, rows, kw, jw)
+				withGoKernel(func() { mmKernelRows(og.win, ostride, a, tab, b, bstride, rows, kw, jw) })
+				oa.check(t, "mmRowsStrip*AVX2")
+				og.check(t, "mmRowsStrip*Go")
+				if i := bitsEqual(oa.win, og.win); i >= 0 {
+					t.Fatalf("rows=%d kw=%d jw=%d: out[%d] asm %x go %x",
+						rows, kw, jw, i, math.Float64bits(oa.win[i]), math.Float64bits(og.win[i]))
+				}
+				for r := 0; r < rows; r++ {
+					for j := 0; j < ostride; j++ {
+						want := oPool[r*ostride+j]
+						if j < jw {
+							s := 0.0
+							for p := 0; p < kw; p++ {
+								s += a[rowOff[r]+pOff[p]] * b[p*bstride+j]
+							}
+							want += s
+						}
+						if got := og.win[r*ostride+j]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("rows=%d kw=%d jw=%d: out[%d][%d] = %x, want %x", rows, kw, jw, r, j,
+								math.Float64bits(got), math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMMKernelEmptyExtents: the assembly loops are do-while, so the wrapper
 // must return before them when there is nothing to do.
 func TestMMKernelEmptyExtents(t *testing.T) {
@@ -298,6 +390,81 @@ func TestMMKernelBoundsPanics(t *testing.T) {
 			}
 		}
 	}
+
+	// mmKernelRows: the tables' lengths and span are checked against the
+	// call, so a short table or an a shorter than the span panics instead
+	// of loading.
+	okRows := func() (out, a, b []float64, tab *rowTable) {
+		rowOff, pOff := make([]int, rows), make([]int, k)
+		for r := range rowOff {
+			rowOff[r] = 2 * r
+		}
+		for p := range pOff {
+			pOff[p] = p
+		}
+		tab = newRowTable(rowOff, pOff)
+		return make([]float64, rows*jw), make([]float64, tab.span), make([]float64, k*jw), tab
+	}
+	for name, call := range map[string]func(out, a, b []float64, tab *rowTable){
+		"rows span past a": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out, jw, a[:tab.span-1], tab, b, jw, rows, k, jw)
+		},
+		"rows rowOff short": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out, jw, a, tab, b, jw, rows+1, k, jw)
+		},
+		"rows pOff short": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out, jw, a, tab, make([]float64, (k+1)*jw), jw, rows, k+1, jw)
+		},
+		"rows out short": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out[:len(out)-1], jw, a, tab, b, jw, rows, k, jw)
+		},
+		"rows out stride": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out, jw+1, a, tab, b, jw, rows, k, jw)
+		},
+		"rows b short": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out, jw, a, tab, b[:len(b)-1], jw, rows, k, jw)
+		},
+		"rows b stride": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out, jw, a, tab, b, jw+1, rows, k, jw)
+		},
+		"rows negative out stride": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out, -jw, a, tab, b, jw, rows, k, jw)
+		},
+		"rows negative b stride": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out, jw, a, tab, b, -jw, rows, k, jw)
+		},
+	} {
+		out, a, b, tab := okRows()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			call(out, a, b, tab)
+		}()
+		for i, v := range out {
+			if v != 0 {
+				t.Fatalf("%s: out[%d] written before the panic", name, i)
+			}
+		}
+	}
+	// The table's constructor refuses what would let span understate an
+	// index: a negative offset, or a span past MaxInt.
+	for name, tabs := range map[string][2][]int{
+		"negative row offset":  {{0, -1}, {0}},
+		"negative step offset": {{0}, {3, -2}},
+		"span past MaxInt":     {{math.MaxInt / 2}, {math.MaxInt/2 + 1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("newRowTable %s: expected panic", name)
+				}
+			}()
+			newRowTable(tabs[0], tabs[1])
+		}()
+	}
 }
 
 // resnetConvs lists the (geometry, OutC) of every convolution of a
@@ -329,8 +496,9 @@ func resnetConvs(in, stem int, reps []int) (geoms []ConvGeom, outCs []int) {
 
 // TestMMKernelProfileShapes drives every GEMM the four experiment profiles
 // emit — per conv layer the forward Y [OutC, G*HW] = Wᵀ @ panel (and its
-// masked-row form on a same-size layer) and the input gradient (W @ dY, or
-// one W_tap @ dY per tap on a same-size layer),
+// masked-row form on a same-size layer), the input gradient (W @ dY, or
+// one W_tap @ dY per tap on a same-size layer) and the weight gradient (one
+// row-table call per image),
 // at the full group and at the batch's short last group, plus the dense
 // head's forward product and weight gradient — through the exported entry
 // points on both kernels.
@@ -382,6 +550,8 @@ func TestMMKernelProfileShapes(t *testing.T) {
 					both(what+" forward without a panel", y, func() { low.Forward(y.Data, w.Data, x.Data, n) })
 				}
 				both(what+" input grad", dx, func() { low.InputGrad(dx.Data, w.Data, dY.Data, n) })
+				x, dYT, wGrad := mat(n, geom.InC*geom.InH*geom.InW), mat(cols, outC), New(k, outC)
+				both(what+" weight grad", wGrad, func() { low.WeightGrad(wGrad.Data, x.Data, dYT.Data, n) })
 			}
 		}
 		x, w, dY := mat(p.batch, p.hid), mat(p.hid, p.class), mat(p.batch, p.class)
