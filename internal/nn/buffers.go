@@ -28,18 +28,12 @@ func reuse2(buf **tensor.Tensor, r, c int) *tensor.Tensor {
 			return b // steady state: nothing is written
 		}
 		if r*c <= cap(b.Data) {
-			repoint2(b, r, c)
+			b.Shape[0] = r
+			b.Data = b.Data[:r*c]
 			return b
 		}
 	}
 	b := tensor.New(r, c)
 	*buf = b
 	return b
-}
-
-// repoint2 re-points the header of a rank-2 tensor at the leading [r, c] of
-// its backing array, which must hold that many elements.
-func repoint2(t *tensor.Tensor, r, c int) {
-	t.Shape[0], t.Shape[1] = r, c
-	t.Data = t.Data[:r*c]
 }

@@ -8,12 +8,10 @@ import (
 )
 
 // Conv2D is a 2-D convolution lowered to matrix products over a
-// channel-major panel of a group of images (see tensor.ConvLowering); a
-// same-size layer's forward product reads the panel's rows straight from
-// its staged input, and every layer's weight gradient reads them from a
-// zero-bordered copy of each image, so only a gather-geometry forward
-// writes a panel. Input rows are channel-major (C, H, W) flattened
-// images; output rows are (OutC, OutH, OutW) flattened.
+// channel-major panel of a group of images; tensor.ConvLowering decides,
+// from the geometry, how each product reads the panel. Input rows are
+// channel-major (C, H, W) flattened images; output rows are (OutC, OutH,
+// OutW) flattened.
 //
 // The float bits of every result are a contract (backend equivalence,
 // resume equivalence, the committed fingerprint). Four accumulation orders
@@ -40,19 +38,13 @@ type Conv2D struct {
 	x   *tensor.Tensor // cached input
 	low *tensor.ConvLowering
 
-	// Group scratch: the [OutC, cols] product of the forward pass, which
-	// the backward pass reuses for the gathered output gradient dY; dYT,
-	// that gradient transposed to [cols, OutC] for WeightGrad; and, on a
-	// gather geometry only, the forward's lowered input, whose header
-	// points into dYT's backing array (the panel is dead once the forward
-	// product is formed, dYT is written after). Allocated at construction
-	// for a full group; panel and y are re-pointed (repoint2) at the width
-	// of the group in hand, so a short last group gets a dense panel of its
-	// own width without a new header. out/dx are per-batch-shape (see
-	// reuse2).
-	panel, y *tensor.Tensor
-	dYT      []float64
-	out, dx  *tensor.Tensor
+	// Group scratch, allocated at construction for a full group and sliced
+	// to the group in hand: y, the [OutC, cols] product of the forward
+	// pass, which the backward pass reuses for the gathered output
+	// gradient dY; dYT, that gradient transposed to [cols, OutC] for
+	// WeightGrad. out/dx are per-batch-shape (see reuse2).
+	y, dYT  []float64
+	out, dx *tensor.Tensor
 }
 
 // NewConv2D constructs a convolution layer with He initialization. It
@@ -71,13 +63,8 @@ func NewConv2D(name string, g tensor.ConvGeom, outC int, r *rng.RNG) *Conv2D {
 	}
 	c.W.InitHe(r, g.ColCols())
 	cols := c.low.Group() * g.ColRows()
-	c.y = tensor.New(outC, cols)
-	if c.low.SameSize() {
-		c.dYT = make([]float64, outC*cols)
-	} else {
-		c.dYT = make([]float64, max(outC, g.ColCols())*cols)
-		c.panel = tensor.FromSlice(c.dYT[:g.ColCols()*cols], g.ColCols(), cols)
-	}
+	c.y = make([]float64, outC*cols)
+	c.dYT = make([]float64, outC*cols)
 	return c
 }
 
@@ -89,27 +76,18 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	c.x = x
 	n := x.Shape[0]
-	k, hw := c.Geom.ColCols(), c.Geom.ColRows()
+	hw := c.Geom.ColRows()
 	outFeat := c.OutC * hw
 	out := reuse2(&c.out, n, outFeat)
 	bias := c.B.Value.Data
 	for i0 := 0; i0 < n; i0 += c.low.Group() {
 		g := min(c.low.Group(), n-i0)
 		cols := g * hw
-		xg := x.Data[i0*inFeat : (i0+g)*inFeat]
-		repoint2(c.y, c.OutC, cols)
+		y := c.y[:c.OutC*cols]
 		// Order 1: the product sums each element's taps r ascending from
-		// +0 into y [OutC, cols]; the bias joins in the copy-out below. A
-		// same-size layer reads x in place of the panel's rows (padding
-		// lanes masked to the panel's +0); any other lowers it.
-		if c.low.SameSize() {
-			c.low.Forward(c.y.Data, c.W.Value.Data, xg, g)
-		} else {
-			repoint2(c.panel, k, cols)
-			c.low.Lower(c.panel.Data, xg, g)
-			tensor.MatMulTransAInto(c.y, c.W.Value, c.panel)
-		}
-		tensor.AddChannelBias(out.Data[i0*outFeat:(i0+g)*outFeat], c.y.Data, g, c.OutC, hw, cols, bias)
+		// +0 into y [OutC, cols]; the bias joins in the copy-out below.
+		c.low.Forward(y, c.W.Value.Data, x.Data[i0*inFeat:(i0+g)*inFeat], g)
+		tensor.AddChannelBias(out.Data[i0*outFeat:(i0+g)*outFeat], y, g, c.OutC, hw, cols, bias)
 	}
 	return out
 }
@@ -132,12 +110,11 @@ func (c *Conv2D) backward(grad, dx *tensor.Tensor) {
 	inFeat := c.Geom.InC * c.Geom.InH * c.Geom.InW
 	hw, outC := c.Geom.ColRows(), c.OutC
 	outFeat := outC * hw
-	dY, bGrad := c.y, c.B.Grad.Data
+	bGrad := c.B.Grad.Data
 	for i0 := 0; i0 < n; i0 += c.low.Group() {
 		g := min(c.low.Group(), n-i0)
 		cols := g * hw
-		repoint2(dY, outC, cols)
-		dYT := c.dYT[:cols*outC]
+		dY, dYT := c.y[:outC*cols], c.dYT[:cols*outC]
 		// One pass per image gathers its [OutC, HW] gradient into the
 		// group's dY [OutC, cols] and dYT [cols, OutC] and — order 3 — sums
 		// each channel over p ascending from +0 into one addend for B.Grad.
@@ -145,7 +122,7 @@ func (c *Conv2D) backward(grad, dx *tensor.Tensor) {
 			src := grad.Data[(i0+i)*outFeat : (i0+i+1)*outFeat]
 			t := dYT[i*hw*outC:][:hw*outC]
 			for oc := range bGrad {
-				row := dY.Data[oc*cols+i*hw:][:hw]
+				row := dY[oc*cols+i*hw:][:hw]
 				s := 0.0
 				for p, v := range src[oc*hw : (oc+1)*hw] {
 					row[p] = v
@@ -157,7 +134,7 @@ func (c *Conv2D) backward(grad, dx *tensor.Tensor) {
 		}
 		c.low.WeightGrad(c.W.Grad.Data, c.x.Data[i0*inFeat:(i0+g)*inFeat], dYT, g) // order 2
 		if dx != nil {
-			c.low.InputGrad(dx.Data[i0*inFeat:(i0+g)*inFeat], c.W.Value.Data, dY.Data, g) // order 4
+			c.low.InputGrad(dx.Data[i0*inFeat:(i0+g)*inFeat], c.W.Value.Data, dY, g) // order 4
 		}
 	}
 }

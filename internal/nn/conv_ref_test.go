@@ -217,12 +217,13 @@ func TestConv2DBitIdenticalToDirectConvolution(t *testing.T) {
 	}
 }
 
-// TestConv2DBackwardNeverLowers: no backward pass lowers its input. A
-// same-size Conv2D holds no panel at all, and a gather-geometry one's is
-// taken away after its forward pass, which leaves Lower no buffer of its
-// [ColCols, cols] size but dYT's, which the backward pass needs for the
-// gradient; both backward passes (Backward and the parameter-only one) must
-// still match the direct convolution bit for bit, without allocating.
+// TestConv2DBackwardNeverLowers: no backward pass reads what the forward
+// pass left in the layer's lowering. Forward runs on a batch of NaN, which
+// fills a gather layer's panel and a same-size layer's stage with NaN, and
+// the layer's cached input is then pointed at the real batch: both
+// backward passes (Backward and the parameter-only one) must still match
+// the direct convolution of the real batch bit for bit, without
+// allocating.
 func TestConv2DBackwardNeverLowers(t *testing.T) {
 	sq := func(inC, hw, k, stride, pad int) tensor.ConvGeom {
 		return tensor.ConvGeom{InC: inC, InH: hw, InW: hw, KH: k, KW: k, Stride: stride, Pad: pad}
@@ -237,19 +238,16 @@ func TestConv2DBackwardNeverLowers(t *testing.T) {
 	} {
 		r := rng.New(uint64(ci) + 950)
 		layer := NewConv2D("c", tc.g, tc.outC, r)
-		if layer.low.SameSize() != (layer.panel == nil) {
-			t.Fatalf("%+v: same-size %v but panel %v", tc.g, layer.low.SameSize(), layer.panel != nil)
-		}
 		const n = 13
-		x := tensor.New(n, tc.g.InC*tc.g.InH*tc.g.InW)
+		x, nan := tensor.New(n, tc.g.InC*tc.g.InH*tc.g.InW), tensor.New(n, tc.g.InC*tc.g.InH*tc.g.InW)
 		r.FillNormal(x.Data, 1)
+		nan.Fill(math.NaN())
 		grad := tensor.New(n, layer.OutFeatures())
 		r.FillNormal(grad.Data, 0.2)
 		ref := refConv{g: tc.g, outC: tc.outC, w: layer.W.Value.Data, b: layer.B.Value.Data}
 		for _, params := range []bool{false, true} {
-			layer.Forward(x, true)
-			panel := layer.panel
-			layer.panel = nil
+			layer.Forward(nan, true)
+			layer.x = x
 			wantW := append([]float64(nil), layer.W.Grad.Data...)
 			wantB := append([]float64(nil), layer.B.Grad.Data...)
 			wantDx := ref.backward(x.Data, grad.Data, n, wantW, wantB)
@@ -263,7 +261,6 @@ func TestConv2DBackwardNeverLowers(t *testing.T) {
 			if a := testing.AllocsPerRun(5, func() { layer.backwardParams(grad) }); a != 0 {
 				t.Fatalf("%+v: backward pass allocates %v times, want 0", tc.g, a)
 			}
-			layer.panel = panel
 		}
 	}
 }

@@ -54,23 +54,26 @@ func (g ConvGeom) Validate() error {
 // the entry is the input pixel that tap reads there (0 where it falls in
 // the padding). With W [ColCols, OutC]:
 //
-//	forward          Y  [OutC, n*HW]    = Wᵀ @ panel    (Forward: masked rows of the staged x; or Lower, then MatMulTransAInto)
-//	input gradient   dx                 ← W @ dY        (InputGrad: per tap into dx, or a panel then scatter)
-//	weight gradient  W.Grad[r, oc]     += panel[r]·dY[oc], image by image (WeightGrad: table rows of a zero-bordered stage of x)
+//	forward          Y  [OutC, n*HW]    = Wᵀ @ panel    (Forward)
+//	input gradient   dx                 ← W @ dY        (InputGrad)
+//	weight gradient  W.Grad[r, oc]     += panel[r]·dY[oc], image by image (WeightGrad)
 //
 // Rows of Y are already the layer's channel-major output, and every inner
-// loop of the products runs along a row n*HW long. A same-size geometry
-// never writes a panel forward: panel row (c, tap) is channel c's staged
-// row read at the tap's shift with the tap's padding lanes masked to +0.
-// No geometry writes one backward: the weight gradient reads panel entry
-// (r, p) of image i at rowOff[r]+pOff[p] in image i's channels copied
-// into planes with a +0 border Pad wide.
+// loop of the products runs along a row n*HW long. Which loops form the
+// panel's operands is the lowering's decision, made from the geometry
+// alone; its callers pass the same arguments for every geometry. Only a
+// gather geometry's Forward and InputGrad write a panel. A same-size
+// geometry reads panel row (c, tap) as channel c's staged row at the tap's
+// shift, its padding lanes masked to +0, and adds each tap's W·dY straight
+// into the staged input gradient. WeightGrad reads panel entry (r, p) of
+// image i at rowOff[r]+pOff[p] in image i's channels copied into planes
+// with a +0 border Pad wide.
 
-// convPanelFloats bounds the panel of a group (64 KiB; a layer holds the
-// lowered input, and a gather-path lowering the input gradient's panel
-// too). Budgets of 4-16 Ki measured alike end to end on both quick
-// profiles — rows are long enough from about 64 columns on — so the budget
-// is set by memory per replica, not speed.
+// convPanelFloats bounds the panel of a group (64 KiB; a gather-geometry
+// lowering holds one, for the forward's lowered input and then the input
+// gradient's W @ dY). Budgets of 4-16 Ki measured alike end to end on both
+// quick profiles — rows are long enough from about 64 columns on — so the
+// budget is set by memory per replica, not speed.
 const convPanelFloats = 8 * 1024
 
 // convOperandFloats bounds the [OutC, n*HW] operand of a group's two
@@ -78,42 +81,36 @@ const convPanelFloats = 8 * 1024
 // L2-resident while the kernel streams it once per strip of four rows.
 const convOperandFloats = 16 * 1024
 
-// convTable is what Lower, InputGrad and the scatter derive from a
-// geometry, built once and shared. A panel row is one tap (c, ky, kx) over
-// the group's output pixels; both directions fill or drain it with one long
-// loop that knows nothing of padding, and treat the tap's padding entries
-// separately:
+// convTable is what a geometry's lowering derives from it, built once and
+// shared.
 //
-//   - a same-size geometry (Stride 1, output plane = input plane: every 3×3
-//     pad-1 conv) has shift != nil: output pixel p of tap (ky, kx) reads
-//     input pixel p + shift[tap], shift = (ky−Pad)·InW + (kx−Pad), so an
-//     image's stretch of the row is its channel plane shifted, and the
-//     whole row the group's planes of that channel, side by side, shifted
-//     — one copy of the positions that stay inside (shiftRange);
-//   - any other geometry has idx != nil, [KH*KW][width*HW]: the offset of
-//     the pixel column (i, p) reads, relative to channel c of the group's
-//     first image, for a whole group row at once. A padding entry holds the
-//     offset of its image's plane, so it is always in bounds.
+// lower and scatter move a panel row — one tap (c, ky, kx) over a group's
+// output pixels — with one loop that knows nothing of padding, through
+// idx, [KH*KW][width*HW]: the offset the pixel column (i, p) reads,
+// relative to channel c of the group's first image. A padding entry holds
+// the offset of its image's plane, so it is always in bounds. pad[tap]
+// lists the tap's padding columns for width images, image by image
+// (npad[tap] per image), so a narrower group uses a prefix: lower stores +0
+// there after the fill, which makes the panel bytes those of the
+// definition.
 //
-// pad[tap] lists the tap's padding columns for width images, image by
-// image (npad[tap] per image), so a narrower group uses a prefix. Lower
-// stores +0 there after the fill — every element the clamped copy skips or
-// takes from a wrapped neighbour (the next row of the plane, or the next
-// image), and every in-bounds dummy the gather read, is one of them —
-// which makes the panel bytes those of the definition whichever loop
-// filled them.
+// A same-size geometry (Stride 1, output plane = input plane: every 3×3
+// pad-1 conv) has shift != nil: output pixel p of tap (ky, kx) reads input
+// pixel p + shift[tap], shift = (ky−Pad)·InW + (kx−Pad), so an image's
+// stretch of a panel row is its channel plane shifted, and the whole row
+// the group's planes of that channel, side by side, shifted. Forward and
+// InputGrad work on that layout and write no panel:
 //
-// InputGrad's masked dY (shifted path) moves, taps descending, from the
-// padding columns of one tap that reaches a pixel to the next one's:
-// maskOn[tap] lists the columns to zero and maskOff[tap] those to restore,
-// for one image (every image has the same).
-//
-// Forward (shifted path) stages x channel-major, channel c's group row at
-// c*rowStride+guard with guard floats before and after it, where guard =
-// Pad*InW+Pad bounds every |shift|; fwdTab holds mmKernelShift's row pairs
-// for p = (c, tap) ascending — the staged row at the tap's shift and the
-// tap's row of lanes, width*HW lane masks that are all ones but +0 on
-// pad[tap].
+//   - InputGrad's masked dY moves, taps descending, from the padding
+//     columns of one tap that reaches a pixel to the next one's: maskOn[tap]
+//     lists the columns to zero and maskOff[tap] those to restore, for one
+//     image (every image has the same).
+//   - Forward stages x channel-major, channel c's group row at
+//     c*rowStride+guard with guard floats before and after it, where guard
+//     = Pad*InW+Pad bounds every |shift|; fwdTab holds mmKernelShift's row
+//     pairs for p = (c, tap) ascending — the staged row at the tap's shift
+//     and the tap's row of lanes, width*HW lane masks that are all ones but
+//     +0 on pad[tap].
 //
 // WeightGrad (every geometry) reads one image at a time from planes of
 // (InH+2Pad)×(InW+2Pad), pp floats each, whose border holds +0: wRows's
@@ -122,14 +119,14 @@ const convOperandFloats = 16 * 1024
 // on input pixel (oy*Stride−Pad+ky, ox*Stride−Pad+kx) or on the border
 // exactly where that pixel is padding.
 type convTable struct {
-	width           int     // images idx and pad cover: the panel budget's group
-	shift           []int   // per tap, same-size geometries only
-	idx             []int32 // group-wide gather offsets, every other geometry
-	pad             [][]int32
-	npad            []int
-	maskOn, maskOff [][]int32 // same-size geometries only
+	width int     // images idx and pad cover: the panel budget's group
+	idx   []int32 // every geometry
+	pad   [][]int32
+	npad  []int
 
-	guard, rowStride int // same-size geometries only, as the rest below
+	shift            []int // same-size geometries only, as the rest below
+	maskOn, maskOff  [][]int32
+	guard, rowStride int
 	lanes            []uint64
 	fwdTab           []int
 
@@ -160,10 +157,9 @@ func convTableFor(g ConvGeom) *convTable {
 		pad:   make([][]int32, kk),
 		npad:  make([]int, kk),
 	}
+	t.idx = make([]int32, kk*t.width*hw)
 	if g.Stride == 1 && outH == g.InH && outW == g.InW {
 		t.shift = make([]int, kk)
-	} else {
-		t.idx = make([]int32, kk*t.width*hw)
 	}
 	for ky := 0; ky < g.KH; ky++ {
 		for kx := 0; kx < g.KW; kx++ {
@@ -188,9 +184,7 @@ func convTableFor(g ConvGeom) *convTable {
 						} else {
 							off += iy*g.InW + ix
 						}
-						if t.idx != nil {
-							t.idx[tap*t.width*hw+q] = int32(off)
-						}
+						t.idx[tap*t.width*hw+q] = int32(off)
 					}
 				}
 			}
@@ -265,12 +259,13 @@ type ConvLowering struct {
 	outC  int
 	group int
 	tab   *convTable
-	// Shifted path: stage lays a group's planes of a channel side by side —
-	// one channel of x for Lower, every channel of dx for InputGrad, every
-	// channel of x between guards for Forward — and dYm is InputGrad's
-	// masked copy of dY, [OutC, group*HW].
+	// Same-size geometry: stage lays a group's planes side by side, every
+	// channel of dx for InputGrad and every channel of x between guards for
+	// Forward, and dYm is InputGrad's masked copy of dY, [OutC, group*HW].
 	stage, dYm []float64
-	dPanel     []float64 // gather path: InputGrad's W @ dY, [ColCols, group*HW]
+	// Gather geometry: the panel [ColCols, group*HW], Forward's lowered x
+	// and then InputGrad's W @ dY. No call reads what an earlier one left.
+	dPanel []float64
 	// wStage is WeightGrad's, one image's channels in zero-bordered planes
 	// (nil at Pad 0, where x is read in place). Nothing else writes it, and
 	// WeightGrad writes only inside the border, so the border stays +0.
@@ -293,7 +288,7 @@ func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
 	}
 	if t := l.tab; t.shift != nil {
 		// hw is the plane. Forward's guarded rows span a table width of
-		// planes each, which holds Lower's and InputGrad's stages too.
+		// planes each, which holds InputGrad's stage too.
 		l.stage = make([]float64, g.InC*t.rowStride+t.guard)
 		l.dYm = make([]float64, outC*group*hw)
 	} else {
@@ -306,28 +301,34 @@ func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
 // function of the geometry and outC alone.
 func (l *ConvLowering) Group() int { return l.group }
 
-// SameSize reports whether the geometry is same-size (Stride 1, output
-// plane = input plane), the geometries Forward serves.
-func (l *ConvLowering) SameSize() bool { return l.tab.shift != nil }
-
-// Forward writes y [OutC, n*HW] = Wᵀ @ panel for n ≤ Group() images x of a
-// same-size geometry, from w [ColCols, OutC], without forming the panel:
-// it stages x once, channel-major with the images side by side between
-// guards, and makes one mmKernelShift call whose row p = (c, tap) is
-// channel c's staged row at the tap's shift, masked by the tap's lanes.
-// Each element is order 1 of nn.Conv2D — the taps (c, ky, kx) ascending
-// from +0, every product rounded before it is added — and a masked lane
-// multiplies W by the +0 Lower stores on a padding entry, so y has the
-// bits of MatMulTransAInto(y, w, Lower(x)). The AND clears whatever a
-// guard, a wrapped row or the next image held there, NaN included; x may
-// hold anything.
+// Forward writes y [OutC, n*HW] = Wᵀ @ panel for n ≤ Group() images x
+// [n, InC, InH, InW], from w [ColCols, OutC]; y may hold anything. Each
+// element is order 1 of nn.Conv2D: the taps (c, ky, kx) ascending from +0,
+// every product rounded before it is added, a padding tap multiplying W by
+// +0. x may hold anything.
+//
+// A gather geometry lowers x into the lowering's panel and runs the
+// transposed-A product over a cleared y. A same-size geometry forms no
+// panel: it stages x once, channel-major with the images side by side
+// between guards, and makes one mmKernelShift call whose row p = (c, tap)
+// is channel c's staged row at the tap's shift, masked by the tap's lanes.
+// A masked lane multiplies W by the +0 the panel holds on a padding entry,
+// whatever a guard, a wrapped row or the next image held there, NaN
+// included, so both paths have the panel product's bits.
 func (l *ConvLowering) Forward(y, w, x []float64, n int) {
 	t := l.tab
 	k, hw, inC := l.g.ColCols(), l.g.ColRows(), l.g.InC
-	cols := n * hw
-	if t.shift == nil || n < 1 || n > l.group || len(y) != l.outC*cols || len(w) != k*l.outC || len(x) != n*inC*hw {
-		panic(fmt.Sprintf("tensor: Forward lens y %d w %d x %d for n %d (group %d) k %d outC %d, same-size %v",
-			len(y), len(w), len(x), n, l.group, k, l.outC, t.shift != nil))
+	cols, plane := n*hw, l.g.InH*l.g.InW
+	if n < 1 || n > l.group || len(y) != l.outC*cols || len(w) != k*l.outC || len(x) != n*inC*plane {
+		panic(fmt.Sprintf("tensor: Forward lens y %d w %d x %d for n %d (group %d) k %d outC %d",
+			len(y), len(w), len(x), n, l.group, k, l.outC))
+	}
+	clear(y)
+	if t.shift == nil {
+		p := l.dPanel[:k*cols]
+		t.lower(p, x, n, l.g)
+		matMulTransA(y, w, p, k, l.outC, cols)
+		return
 	}
 	for c := 0; c < inC; c++ {
 		row := l.stage[c*t.rowStride+t.guard:][:cols]
@@ -335,13 +336,7 @@ func (l *ConvLowering) Forward(y, w, x []float64, n int) {
 			copy(row[i*hw:][:hw], x[(i*inC+c)*hw:])
 		}
 	}
-	clear(y)
 	mmKernelShift(y, cols, w, 1, l.outC, l.stage, t.lanes, t.fwdTab, l.outC, k, cols)
-}
-
-// Lower fills panel [ColCols, n*HW] from x, n images of [InC, InH, InW].
-func (l *ConvLowering) Lower(panel, x []float64, n int) {
-	l.tab.lower(panel, x, l.stage, n, l.g)
 }
 
 // InputGrad writes dx, the gradients [InC, InH, InW] of n ≤ Group() images,
@@ -351,11 +346,11 @@ func (l *ConvLowering) Lower(panel, x []float64, n int) {
 // each contribution Σ_oc w[(c, tap), oc]·dY[oc, q] summed oc ascending from
 // +0 (mmKernel's chain). dY is only read.
 //
-// A gather-path geometry forms every contribution in the panel W @ dY and
+// A gather geometry forms every contribution in the panel W @ dY and
 // scatters it into a cleared dx. A same-size geometry needs no panel: for
 // each tap, descending, one mmKernel call (rows = input channels, lanes =
 // the group row) adds the contributions straight into the group's input
-// gradient, held channel-major with the images side by side as Lower
+// gradient, held channel-major with the images side by side as Forward
 // stages x, at the tap's shift. A lane on a padding column must add
 // nothing, so the call reads dY with the tap's padding columns zeroed: that
 // chain is +0, and x + (+0) has the bits of x for every pixel here, since a
@@ -426,7 +421,7 @@ func (l *ConvLowering) InputGrad(dx, w, dY []float64, n int) {
 // output elements (oc), never p, and each element's chain starts from +0
 // and joins wGrad once. The call reads panel_i[r, p] at
 // wRows.rowOff[r]+wRows.pOff[p] in the image's channels staged in
-// zero-bordered planes, which is x's bits where Lower would copy a pixel
+// zero-bordered planes, which is x's bits where lower would copy a pixel
 // and the +0 it stores on a padding entry — so every product has the
 // panel GEMM's operands, whatever x and dYT hold. At Pad 0 there is no
 // border and the image itself is read.
@@ -455,7 +450,12 @@ func (l *ConvLowering) WeightGrad(wGrad, x, dYT []float64, n int) {
 	}
 }
 
-func convCheckLens(op string, panel, x []float64, n int, g ConvGeom) {
+// checkLens panics unless panel and x hold n ≤ width images of g: a
+// longer group would read the next tap's idx.
+func (t *convTable) checkLens(op string, panel, x []float64, n int, g ConvGeom) {
+	if n > t.width {
+		panic(fmt.Sprintf("tensor: %s of %d images, table width %d", op, n, t.width))
+	}
 	if want := n * g.ColRows() * g.ColCols(); len(panel) != want {
 		panic(fmt.Sprintf("tensor: %s panel len %d, want %d", op, len(panel), want))
 	}
@@ -464,95 +464,55 @@ func convCheckLens(op string, panel, x []float64, n int, g ConvGeom) {
 	}
 }
 
-// lower fills the panel tap row by tap row, a table width of images at a
-// time (callers that respect Group() never exceed one), then zeroes the
-// row's padding entries. On the shifted path the channel's planes are first
-// laid side by side (into stage; one image, or one channel, lies so
-// already), which makes a tap's whole group row that block shifted — one
-// copy, and what it carries across an image boundary lands on padding
-// entries. stage holds width planes; a single image needs none. Conv2D
-// lowers only gather geometries (a same-size forward runs Forward, and no
-// backward pass lowers), so the shifted branch is reached only through
-// Im2Col and ConvLowering.Lower (bench/'s tensor.im2col_us probe and tests).
-func (t *convTable) lower(panel, x, stage []float64, n int, g ConvGeom) {
-	convCheckLens("Lower", panel, x, n, g)
+// lower fills panel [ColCols, n*HW] from x, n ≤ width images of [InC, InH,
+// InW], tap row by tap row, then zeroes each row's padding entries.
+func (t *convTable) lower(panel, x []float64, n int, g ConvGeom) {
+	t.checkLens("lower", panel, x, n, g)
 	hw, kk, plane := g.ColRows(), g.KH*g.KW, g.InH*g.InW
-	cols, img := n*hw, g.InC*plane
-	for i0 := 0; i0 < n; i0 += t.width {
-		m := min(t.width, n-i0)
-		for c := 0; c < g.InC; c++ {
-			// Channel c of the m images, img apart.
-			xc := x[i0*img+c*plane : (i0+m-1)*img+(c+1)*plane]
-			if t.shift != nil && len(xc) > m*plane {
-				for i := 0; i < m; i++ {
-					copy(stage[i*plane:][:plane], xc[i*img:])
-				}
-				xc = stage[:m*plane]
+	cols := n * hw
+	for c := 0; c < g.InC; c++ {
+		xc := x[c*plane:]
+		for tap := 0; tap < kk; tap++ {
+			row := panel[(c*kk+tap)*cols:][:cols]
+			for q, j := range t.idx[tap*t.width*hw:][:cols] {
+				row[q] = xc[j]
 			}
-			for tap := 0; tap < kk; tap++ {
-				row := panel[(c*kk+tap)*cols+i0*hw:][:m*hw]
-				if t.shift != nil {
-					d := t.shift[tap]
-					lo, hi := shiftRange(d, len(row))
-					copy(row[lo:hi], xc[lo+d:])
-				} else {
-					for q, j := range t.idx[tap*t.width*hw:][:m*hw] {
-						row[q] = xc[j]
-					}
-				}
-				for _, q := range t.pad[tap][:m*t.npad[tap]] {
-					row[q] = 0
-				}
+			for _, q := range t.pad[tap][:n*t.npad[tap]] {
+				row[q] = 0
 			}
 		}
 	}
 }
 
 // scatter is the adjoint of lower: it accumulates dPanel [ColCols, n*HW]
-// into dx, n image gradients that may hold anything. Accumulation order
-// (part of the float-bits contract): every input-gradient pixel receives its
-// patch contributions in ascending (oy, ox). A pixel meets tap (ky, kx) at
-// oy = (iy+Pad-ky)/Stride, ox = (ix+Pad-kx)/Stride — at most one output
-// pixel per tap, and a larger tap means a smaller (oy, ox) — so walking the
-// panel rows of a channel with (ky, kx) descending, and each row left to
-// right, is that order. InputGrad takes the gather branch; the shifted one
-// is reached only through Col2Im (bench/'s tensor.col2im_us probe and tests).
+// into dx, n ≤ width image gradients that may hold anything. Accumulation
+// order (part of the float-bits contract): every input-gradient pixel
+// receives its patch contributions in ascending (oy, ox). A pixel meets tap
+// (ky, kx) at oy = (iy+Pad-ky)/Stride, ox = (ix+Pad-kx)/Stride — at most
+// one output pixel per tap, and a larger tap means a smaller (oy, ox) — so
+// walking the panel rows of a channel with (ky, kx) descending, and each
+// row left to right, is that order.
 //
-// The row loops are lower's run backwards, dst[p+shift] += row[p] or
-// dst[idx[q]] += row[q], and know as little of padding: the row's padding
-// entries are first overwritten with −0, the one addend that leaves every
-// float as it is (x + −0 has the bits of x for every x, −0 and +0
-// included; +0 would turn a −0 in dx into +0). So whichever pixel a
-// wrapped or dummy offset lands on is not moved, and dx need not have
-// been built up from +0.
+// The row loop is lower's run backwards, dx[idx[q]] += row[q], and knows as
+// little of padding: the row's padding entries are first overwritten with
+// −0, the one addend that leaves every float as it is (x + −0 has the bits
+// of x for every x, −0 and +0 included; +0 would turn a −0 in dx into +0).
+// So the pixel a padding entry's dummy offset lands on is not moved, and dx
+// need not have been built up from +0.
 func (t *convTable) scatter(dx, dPanel []float64, n int, g ConvGeom) {
-	convCheckLens("scatter", dPanel, dx, n, g)
+	t.checkLens("scatter", dPanel, dx, n, g)
 	hw, kk, plane := g.ColRows(), g.KH*g.KW, g.InH*g.InW
-	cols, img := n*hw, g.InC*plane
+	cols := n * hw
 	negZero := math.Copysign(0, -1)
-	for i0 := 0; i0 < n; i0 += t.width {
-		m := min(t.width, n-i0)
-		for c := 0; c < g.InC; c++ {
-			dxc := dx[i0*img+c*plane : (i0+m-1)*img+(c+1)*plane]
-			for tap := kk - 1; tap >= 0; tap-- {
-				row := dPanel[(c*kk+tap)*cols+i0*hw:][:m*hw]
-				for _, q := range t.pad[tap][:m*t.npad[tap]] {
-					row[q] = negZero
-				}
-				if t.shift != nil {
-					d := t.shift[tap]
-					lo, hi := shiftRange(d, hw)
-					for i := 0; i < m; i++ {
-						dst := dxc[i*img+lo+d:][:hi-lo]
-						for p, v := range row[i*hw+lo:][:hi-lo] {
-							dst[p] += v
-						}
-					}
-				} else {
-					for q, j := range t.idx[tap*t.width*hw:][:m*hw] {
-						dxc[j] += row[q]
-					}
-				}
+	for c := 0; c < g.InC; c++ {
+		dxc := dx[c*plane:]
+		for tap := kk - 1; tap >= 0; tap-- {
+			row := dPanel[(c*kk+tap)*cols:][:cols]
+			for _, q := range t.pad[tap][:n*t.npad[tap]] {
+				row[q] = negZero
+			}
+			for q, j := range t.idx[tap*t.width*hw:][:cols] {
+				dxc[j] += row[q]
 			}
 		}
 	}
@@ -564,7 +524,7 @@ func (t *convTable) scatter(dx, dPanel []float64, n int, g ConvGeom) {
 // the single-image entry to the code Conv2D runs on groups of images. dst
 // must have ColRows()*ColCols() elements.
 func Im2Col(dst []float64, img []float64, g ConvGeom) {
-	convTableFor(g).lower(dst, img, nil, 1, g)
+	convTableFor(g).lower(dst, img, 1, g)
 }
 
 // Col2Im scatters a panel's gradient back into image layout, accumulating

@@ -8,7 +8,7 @@ import (
 	"lcasgd/internal/rng"
 )
 
-// tapPixel is the definition Lower and Scatter are held to, with no table:
+// tapPixel is the definition lower and scatter are held to, with no table:
 // the offset inside a channel plane of the pixel tap (ky, kx) reads at
 // output pixel (oy, ox), or false in the padding.
 func tapPixel(g ConvGeom, ky, kx, oy, ox int) (int, bool) {
@@ -56,6 +56,15 @@ func (b guarded) check(t *testing.T, what string) {
 	}
 }
 
+// poison fills every slice with NaN.
+func poison(ss ...[]float64) {
+	for _, s := range ss {
+		for i := range s {
+			s[i] = math.NaN()
+		}
+	}
+}
+
 // defaultNaN is the NaN the hardware makes for Inf−Inf (and 0·Inf), formed
 // at run time so that its bits are the machine's, not the compiler's.
 var defaultNaN = sub(math.Inf(1), math.Inf(1))
@@ -73,28 +82,27 @@ func wantBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// FuzzConvLowering holds Lower, the scatter, InputGrad, Forward and
-// WeightGrad, group by group as Conv2D calls them (a batch of n images ends
-// in a short group), to the
-// scalar definition bit for bit: every panel entry is the pixel tapPixel
-// names or +0; the scatter adds every dx pixel's contributions taps
-// descending, columns ascending (order 4), on a zeroed dx and on one
-// already holding values, −0 among them; dPanel's padding entries,
-// poisoned, reach no pixel and come back as −0, its other entries survive;
-// InputGrad, one image at a time and a group at a time, writes over a dirty
-// dx what order 4 builds from +0 out of each contribution's oc chain, and
-// leaves dY as it was; Forward (same-size geometries), one image at a time
-// and a group at a time, writes over a poisoned y what order 1 builds from
-// +0 with the panel's +0 on every padding tap; WeightGrad, one image at a
-// time and a group at a time with Forward and InputGrad run on the same
-// lowering in between, adds onto a dirty wGrad what order 2 builds — per
-// image in batch order, Σ_p from +0 over the panel's operands — with NaN,
-// ±Inf and −0 in x, and leaves x and dYT as they were; and nothing is
-// stored outside panel, dx, y and wGrad.
+// FuzzConvLowering holds lower, the scatter, InputGrad, Forward and
+// WeightGrad, one image at a time and a group at a time as Conv2D calls
+// them (a batch of n images ends in a short group), to the scalar
+// definition bit for bit, on every geometry: every panel entry is the
+// pixel tapPixel names or +0; the scatter adds every dx pixel's
+// contributions taps descending, columns ascending (order 4), on a zeroed
+// dx and on one already holding values, −0 among them; dPanel's padding
+// entries, poisoned, reach no pixel and come back as −0, its other entries
+// survive; InputGrad writes over a dirty dx what order 4 builds from +0 out
+// of each contribution's oc chain, and leaves dY as it was; Forward writes
+// over a poisoned y, from a lowering whose scratch holds NaN, what order 1
+// builds from +0 with the panel's +0 on every padding tap; WeightGrad, with
+// Forward and InputGrad run on the same lowering in between and its panel
+// and stage poisoned with NaN after Forward, adds onto a dirty wGrad what
+// order 2 builds — per image in batch order, Σ_p from +0 over the panel's
+// operands — with NaN, ±Inf and −0 in x, and leaves x and dYT as they
+// were; and nothing is stored outside panel, dx, y and wGrad.
 func FuzzConvLowering(f *testing.F) {
 	// Every convolution of the four profiles' networks (trainer.QuickCIFAR,
 	// trainer.QuickImageNet, model.ResNetLite18, model.ResNetLite50), so
-	// plain go test runs the shifted and the table path.
+	// plain go test runs the same-size and the gather geometries.
 	for _, p := range []struct {
 		in, stem int
 		reps     []int
@@ -104,7 +112,7 @@ func FuzzConvLowering(f *testing.F) {
 			f.Add(g.InC, g.InH, g.InW, g.KH, g.KW, g.Stride, g.Pad, outCs[i], 5+i, uint64(i))
 		}
 	}
-	// Rectangles, kernels wider than the image, a group wider than a table.
+	// Rectangles, kernels wider than the image, a group of one image.
 	f.Add(2, 5, 7, 3, 5, 1, 2, 3, 4, uint64(1))
 	f.Add(1, 2, 2, 5, 5, 1, 2, 2, 3, uint64(2))
 	f.Add(3, 7, 4, 2, 3, 3, 1, 40, 9, uint64(3))
@@ -131,9 +139,7 @@ func FuzzConvLowering(f *testing.F) {
 				x[i] = math.Inf(-1)
 			}
 		}
-		// The width Conv2D uses, then one past two table widths, which
-		// makes every call but the short last one a chunked one.
-		for _, group := range []int{low.Group(), 2*low.tab.width + 1} {
+		for _, group := range []int{1, low.Group()} {
 			zeroed, dirty := newGuarded(n*inFeat), newGuarded(n*inFeat)
 			clear(zeroed.win)
 			r.FillNormal(dirty.win, 1)
@@ -150,8 +156,8 @@ func FuzzConvLowering(f *testing.F) {
 				xs := x[i0*inFeat : (i0+m)*inFeat]
 
 				panel := newGuarded(k * cols)
-				low.Lower(panel.win, xs, m)
-				panel.check(t, "Lower")
+				low.tab.lower(panel.win, xs, m, g)
+				panel.check(t, "lower")
 				want := make([]float64, k*cols)
 				for c := 0; c < inC; c++ {
 					for tap := 0; tap < kk; tap++ {
@@ -238,55 +244,51 @@ func FuzzConvLowering(f *testing.F) {
 				}
 			}
 		}
-		if low.SameSize() {
-			// Order 1 from +0, the panel's +0 multiplied in on every
-			// padding tap; image i's columns of y are [i*HW, (i+1)*HW).
-			// x's NaNs become +Inf here: a chain's NaN is then the one
-			// 0·Inf and Inf−Inf make, whose bits do not depend on which
-			// operand of an addition the compiler keeps. NaN still reaches
-			// every lane Forward must mask: the stage is poisoned with it.
-			x := append([]float64(nil), x...)
-			for i, v := range x {
-				if math.IsNaN(v) {
-					x[i] = math.Inf(1)
-				}
+		// Order 1 from +0, the panel's +0 multiplied in on every padding
+		// tap; image i's columns of y are [i*HW, (i+1)*HW). x's NaNs become
+		// +Inf here: a chain's NaN is then the one 0·Inf and Inf−Inf make,
+		// whose bits do not depend on which operand of an addition the
+		// compiler keeps. NaN still reaches every lane a same-size Forward
+		// must mask: the stage is poisoned with it.
+		xf := append([]float64(nil), x...)
+		for i, v := range xf {
+			if math.IsNaN(v) {
+				xf[i] = math.Inf(1)
 			}
-			wantY := make([]float64, n*outC*hw)
-			for i := 0; i < n; i++ {
-				for oc := 0; oc < outC; oc++ {
-					for p := 0; p < hw; p++ {
-						s := 0.0
-						for c := 0; c < inC; c++ {
-							for tap := 0; tap < kk; tap++ {
-								v := 0.0
-								if pix, ok := tapPixel(g, tap/kw, tap%kw, p/g.OutW(), p%g.OutW()); ok {
-									v = x[(i*inC+c)*plane+pix]
-								}
-								s += w[(c*kk+tap)*outC+oc] * v
+		}
+		wantY := make([]float64, n*outC*hw)
+		for i := 0; i < n; i++ {
+			for oc := 0; oc < outC; oc++ {
+				for p := 0; p < hw; p++ {
+					s := 0.0
+					for c := 0; c < inC; c++ {
+						for tap := 0; tap < kk; tap++ {
+							v := 0.0
+							if pix, ok := tapPixel(g, tap/kw, tap%kw, p/g.OutW(), p%g.OutW()); ok {
+								v = xf[(i*inC+c)*plane+pix]
 							}
+							s += w[(c*kk+tap)*outC+oc] * v
 						}
-						wantY[(i*outC+oc)*hw+p] = s
 					}
+					wantY[(i*outC+oc)*hw+p] = s
 				}
 			}
-			for _, group := range []int{1, low.Group()} {
-				for i0 := 0; i0 < n; i0 += group {
-					m := min(group, n-i0)
-					cols := m * hw
-					y := newGuarded(outC * cols)
-					for j := range y.win {
-						y.win[j] = math.Float64frombits(guardPoison)
-					}
-					for j := range low.stage {
-						low.stage[j] = math.NaN()
-					}
-					low.Forward(y.win, w, x[i0*inFeat:(i0+m)*inFeat], m)
-					y.check(t, "Forward")
-					for i := 0; i < m; i++ {
-						for oc := 0; oc < outC; oc++ {
-							wantBits(t, fmt.Sprintf("Forward y (group %d, image %d, channel %d)", group, i0+i, oc),
-								y.win[oc*cols+i*hw:][:hw], wantY[((i0+i)*outC+oc)*hw:][:hw])
-						}
+		}
+		for _, group := range []int{1, low.Group()} {
+			for i0 := 0; i0 < n; i0 += group {
+				m := min(group, n-i0)
+				cols := m * hw
+				y := newGuarded(outC * cols)
+				for j := range y.win {
+					y.win[j] = math.Float64frombits(guardPoison)
+				}
+				poison(low.stage, low.dPanel)
+				low.Forward(y.win, w, xf[i0*inFeat:(i0+m)*inFeat], m)
+				y.check(t, "Forward")
+				for i := 0; i < m; i++ {
+					for oc := 0; oc < outC; oc++ {
+						wantBits(t, fmt.Sprintf("Forward y (group %d, image %d, channel %d)", group, i0+i, oc),
+							y.win[oc*cols+i*hw:][:hw], wantY[((i0+i)*outC+oc)*hw:][:hw])
 					}
 				}
 			}
@@ -345,11 +347,10 @@ func FuzzConvLowering(f *testing.F) {
 						}
 					}
 				}
-				if low.SameSize() {
-					// Forward stages x in the lowering too; WeightGrad's
-					// stage must not depend on what it leaves.
-					low.Forward(make([]float64, outC*cols), w, x[i0*inFeat:(i0+m)*inFeat], m)
-				}
+				// Forward stages or lowers x in the lowering too; neither
+				// backward call may read what it leaves.
+				low.Forward(make([]float64, outC*cols), w, x[i0*inFeat:(i0+m)*inFeat], m)
+				poison(low.stage, low.dPanel)
 				xs := xw[i0*inFeat : (i0+m)*inFeat]
 				keptX, keptT := append([]float64(nil), xs...), append([]float64(nil), dYT...)
 				low.WeightGrad(wGrad.win, xs, dYT, m)

@@ -85,7 +85,7 @@ func TestIm2ColMatchesNaiveConv(t *testing.T) {
 		// is channel-major [ColCols, ColRows].
 		panel := FromSlice(col, g.ColCols(), g.ColRows())
 		wT := FromSlice(w, g.ColCols(), 1)
-		got := MatMulTransA(wT, panel)
+		got := mulTA(wT, panel)
 		want := naiveConv(img, w, g)
 		for i := range want {
 			if math.Abs(got.Data[i]-want[i]) > 1e-10 {
@@ -187,7 +187,7 @@ func TestConvLoweringGroupLayout(t *testing.T) {
 	low := NewConvLowering(g, outC)
 
 	panel := make([]float64, k*cols)
-	low.Lower(panel, x, n)
+	low.tab.lower(panel, x, n, g)
 	single := make([]float64, k*hw)
 	for i := 0; i < n; i++ {
 		Im2Col(single, x[i*inFeat:(i+1)*inFeat], g)
@@ -264,12 +264,38 @@ func TestConvTableSharedPerGeometry(t *testing.T) {
 	}
 }
 
+// TestIm2ColPanicsOnBadSizes: a panel or image of the wrong length, and a
+// group wider than the table (which would read the next tap's offsets),
+// panic before anything is written.
 func TestIm2ColPanicsOnBadSizes(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	tab := convTableFor(g)
+	n := tab.width + 1
+	// dst starts at zero and src at one, so any store shows.
+	for name, c := range map[string]struct {
+		call     func(dst, src []float64)
+		dst, src int
+	}{
+		"short panel":            {func(dst, src []float64) { Im2Col(dst, src, g) }, 3, 16},
+		"lower past the table":   {func(dst, src []float64) { tab.lower(dst, src, n, g) }, n * g.ColRows() * g.ColCols(), n * 16},
+		"scatter past the table": {func(dst, src []float64) { tab.scatter(dst, src, n, g) }, n * 16, n * g.ColRows() * g.ColCols()},
+	} {
+		dst, src := make([]float64, c.dst), make([]float64, c.src)
+		for i := range src {
+			src[i] = 1
 		}
-	}()
-	Im2Col(make([]float64, 3), make([]float64, 16), g)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic", name)
+				}
+			}()
+			c.call(dst, src)
+		}()
+		for i, v := range dst {
+			if v != 0 {
+				t.Fatalf("%s: dst[%d] written before the panic", name, i)
+			}
+		}
+	}
 }

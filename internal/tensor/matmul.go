@@ -27,28 +27,13 @@ const (
 	tbTileFloats = 2048
 )
 
-// MatMul returns a @ b for 2-D tensors a [m,k] and b [k,n].
+// MatMulInto computes dst = a @ b for 2-D tensors a [m,k] and b [k,n] into
+// a preallocated dst. dst must not alias a or b.
 //
 // The product is one mmKernel call (four output rows against a shared B
 // row, accumulators in registers) over B in place, on the calling
 // goroutine: it never allocates, and results are bit-reproducible across
 // machines.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs rank-2 operands, got %v %v", a.Shape, b.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
-	}
-	out := New(m, n)
-	matMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes dst = a @ b into a preallocated dst, avoiding the
-// allocation in hot training loops. dst must not alias a or b.
 func MatMulInto(dst, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
@@ -56,52 +41,33 @@ func MatMulInto(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMulInto shapes dst%v a%v b%v", dst.Shape, a.Shape, b.Shape))
 	}
 	dst.Zero()
-	matMulInto(dst, a, b)
+	mmKernel(dst.Data, n, a.Data, k, 1, b.Data, n, m, k, n)
 }
 
-func matMulInto(out, a, b *Tensor) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	mmKernel(out.Data, n, a.Data, k, 1, b.Data, n, m, k, n)
-}
-
-// MatMulTransA returns aᵀ @ b without materializing the transpose of a.
-// a has shape [k, m] (so aᵀ is [m, k]) and b has shape [k, n].
-func MatMulTransA(a, b *Tensor) *Tensor {
-	k, m := a.Shape[0], a.Shape[1]
-	if b.Shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatMulTransA inner dims %d vs %d", k, b.Shape[0]))
-	}
-	out := New(m, b.Shape[1])
-	matMulTransA(out, a, b)
-	return out
-}
-
-// MatMulTransAInto computes dst = aᵀ @ b into a preallocated dst, the
-// weight-gradient kernel of the zero-allocation backward pass. dst must not
-// alias a or b.
+// MatMulTransAInto computes dst = aᵀ @ b into a preallocated dst without
+// materializing the transpose of a, which has shape [k, m] (so aᵀ is
+// [m, k]); b has shape [k, n]. It is the dense layer's weight gradient.
+// dst must not alias a or b.
 func MatMulTransAInto(dst, a, b *Tensor) {
 	k, m := a.Shape[0], a.Shape[1]
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto shapes dst%v a%v b%v", dst.Shape, a.Shape, b.Shape))
 	}
 	dst.Zero()
-	matMulTransA(dst, a, b)
+	matMulTransA(dst.Data, a.Data, b.Data, k, m, b.Shape[1])
 }
 
-// matMulTransA accumulates out[i][j] += Σ_p a[p][i]·b[p][j]: mmKernel with
-// A's strides swapped, so the transpose is never materialized. The output
-// is cut into column tiles so the k x taJB slab of b every row strip streams
-// stays cache-resident across the strips. Tiles partition j only, so each
-// out element's k chain is untouched.
-func matMulTransA(out, a, b *Tensor) {
-	k, m := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
+// matMulTransA accumulates out [m, n] += aᵀ @ b for a [k, m] and b [k, n]:
+// mmKernel with A's strides swapped, so the transpose is never
+// materialized. The output is cut into column tiles so the k x taJB slab of
+// b every row strip streams stays cache-resident across the strips. Tiles
+// partition j only, so each out element's k chain is untouched.
+func matMulTransA(out, a, b []float64, k, m, n int) {
 	if m == 0 || k == 0 {
 		return // empty operands cannot be tile-sliced
 	}
 	for j0 := 0; j0 < n; j0 += taJB {
-		mmKernel(out.Data[j0:], n, a.Data, 1, m, b.Data[j0:], n, m, k, min(taJB, n-j0))
+		mmKernel(out[j0:], n, a, 1, m, b[j0:], n, m, k, min(taJB, n-j0))
 	}
 }
 
@@ -117,21 +83,10 @@ func VecMatMulAdd(dst, x, b []float64) {
 	mmKernel(dst, n, x, k, 1, b, n, 1, k, n)
 }
 
-// MatMulTransB returns a @ bᵀ without materializing the transpose of b.
-// a has shape [m, k] and b has shape [n, k].
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, k := a.Shape[0], a.Shape[1]
-	if b.Shape[1] != k {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d vs %d", k, b.Shape[1]))
-	}
-	out := New(m, b.Shape[0])
-	matMulTransB(out, a, b)
-	return out
-}
-
-// MatMulTransBInto computes dst = a @ bᵀ into a preallocated dst — the
-// input-gradient kernel. dst must not alias a or b. Every element of dst is
-// assigned, so no zeroing is needed.
+// MatMulTransBInto computes dst = a @ bᵀ into a preallocated dst without
+// materializing the transpose of b; a has shape [m, k] and b [n, k]. It is
+// the dense layer's input gradient. dst must not alias a or b. Every
+// element of dst is assigned, so no zeroing is needed.
 func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	if b.Shape[1] != k || dst.Shape[0] != m || dst.Shape[1] != b.Shape[0] {

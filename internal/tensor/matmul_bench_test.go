@@ -168,8 +168,9 @@ func BenchmarkCol2Im(b *testing.B) {
 
 // benchModelGroups times op over every convolution of the quick-CIFAR net
 // at batch 20, group by group as Conv2D calls it (short last group
-// included): one iteration is the lowering work of one training step's
-// forward pass (Lower) or its input gradient (InputGrad). op gets the
+// included): one iteration is the gather loop lower over every layer (a
+// training step's Forward runs it on the gather layers only) or the input
+// gradients of one training step (InputGrad). op gets the
 // group's panel, its slice of the batch x [n, InC*InH*InW], the weights
 // and the group's output gradient dY [OutC, n*HW].
 func benchModelGroups(b *testing.B, op func(low *ConvLowering, panel, x, w, dY []float64, n int)) {
@@ -207,7 +208,7 @@ func benchModelGroups(b *testing.B, op func(low *ConvLowering, panel, x, w, dY [
 }
 
 func BenchmarkConvLowerModel(b *testing.B) {
-	benchModelGroups(b, func(low *ConvLowering, panel, x, _, _ []float64, n int) { low.Lower(panel, x, n) })
+	benchModelGroups(b, func(low *ConvLowering, panel, x, _, _ []float64, n int) { low.tab.lower(panel, x, n, low.g) })
 }
 
 func BenchmarkConvInputGradModel(b *testing.B) {

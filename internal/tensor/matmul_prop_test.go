@@ -70,8 +70,8 @@ func TestMatMulTiledBitExactGrid(t *testing.T) {
 						sparsify(a, g)
 						sparsify(b, g)
 					}
-					if d := maxDiff(MatMul(a, b), naiveMatMul(a, b)); d != 0 {
-						t.Fatalf("MatMul m=%d k=%d n=%d sparse=%v: diff %g", m, k, n, sparse, d)
+					if d := maxDiff(mul(a, b), naiveMatMul(a, b)); d != 0 {
+						t.Fatalf("MatMulInto m=%d k=%d n=%d sparse=%v: diff %g", m, k, n, sparse, d)
 					}
 				}
 			}
@@ -90,8 +90,8 @@ func TestMatMulTransATiledBitExactGrid(t *testing.T) {
 					if sparse {
 						sparsify(a, g)
 					}
-					if d := maxDiff(MatMulTransA(a, b), naiveMatMulTransA(a, b)); d != 0 {
-						t.Fatalf("MatMulTransA m=%d k=%d n=%d sparse=%v: diff %g", m, k, n, sparse, d)
+					if d := maxDiff(mulTA(a, b), naiveMatMulTransA(a, b)); d != 0 {
+						t.Fatalf("MatMulTransAInto m=%d k=%d n=%d sparse=%v: diff %g", m, k, n, sparse, d)
 					}
 				}
 			}
@@ -106,8 +106,8 @@ func TestMatMulTransBTiledBitExactGrid(t *testing.T) {
 			for _, n := range propDims {
 				a := randMat(g, m, k)
 				b := randMat(g, n, k) // bᵀ is k x n
-				if d := maxDiff(MatMulTransB(a, b), naiveMatMulTransB(a, b)); d != 0 {
-					t.Fatalf("MatMulTransB m=%d k=%d n=%d: diff %g", m, k, n, d)
+				if d := maxDiff(mulTB(a, b), naiveMatMulTransB(a, b)); d != 0 {
+					t.Fatalf("MatMulTransBInto m=%d k=%d n=%d: diff %g", m, k, n, d)
 				}
 			}
 		}
@@ -128,8 +128,8 @@ func TestMatMulLargeBBitExact(t *testing.T) {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := randMat(g, m, k)
 		b := randMat(g, k, n)
-		if d := maxDiff(MatMul(a, b), naiveMatMul(a, b)); d != 0 {
-			t.Fatalf("MatMul m=%d k=%d n=%d: diff %g", m, k, n, d)
+		if d := maxDiff(mul(a, b), naiveMatMul(a, b)); d != 0 {
+			t.Fatalf("MatMulInto m=%d k=%d n=%d: diff %g", m, k, n, d)
 		}
 	}
 }

@@ -31,6 +31,26 @@ func randMat(g *rng.RNG, r, c int) *Tensor {
 	return t
 }
 
+// mul, mulTA and mulTB return a @ b, aᵀ @ b and a @ bᵀ in a fresh tensor
+// through the Into kernels.
+func mul(a, b *Tensor) *Tensor {
+	out := New(a.Shape[0], b.Shape[1])
+	MatMulInto(out, a, b)
+	return out
+}
+
+func mulTA(a, b *Tensor) *Tensor {
+	out := New(a.Shape[1], b.Shape[1])
+	MatMulTransAInto(out, a, b)
+	return out
+}
+
+func mulTB(a, b *Tensor) *Tensor {
+	out := New(a.Shape[0], b.Shape[0])
+	MatMulTransBInto(out, a, b)
+	return out
+}
+
 func maxDiff(a, b *Tensor) float64 {
 	m := 0.0
 	for i := range a.Data {
@@ -44,11 +64,11 @@ func maxDiff(a, b *Tensor) float64 {
 func TestMatMulKnown(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
-	c := MatMul(a, b)
+	c := mul(a, b)
 	want := []float64{19, 22, 43, 50}
 	for i, v := range want {
 		if c.Data[i] != v {
-			t.Fatalf("MatMul: got %v want %v", c.Data, want)
+			t.Fatalf("MatMulInto: got %v want %v", c.Data, want)
 		}
 	}
 }
@@ -60,10 +80,10 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		eye.Set(i, i, 1)
 	}
-	if maxDiff(MatMul(a, eye), a) != 0 {
+	if maxDiff(mul(a, eye), a) != 0 {
 		t.Fatal("A @ I != A")
 	}
-	if maxDiff(MatMul(eye, a), a) != 0 {
+	if maxDiff(mul(eye, a), a) != 0 {
 		t.Fatal("I @ A != A")
 	}
 }
@@ -74,7 +94,7 @@ func TestMatMulAgainstNaiveQuick(t *testing.T) {
 		g := rng.New(seed)
 		a := randMat(g, m, k)
 		b := randMat(g, k, n)
-		return maxDiff(MatMul(a, b), naiveMatMul(a, b)) < 1e-10
+		return maxDiff(mul(a, b), naiveMatMul(a, b)) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -87,7 +107,7 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic on inner-dim mismatch")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulInto(New(2, 2), New(2, 3), New(4, 2))
 }
 
 func TestMatMulInto(t *testing.T) {
@@ -106,8 +126,8 @@ func TestMatMulTransA(t *testing.T) {
 	g := rng.New(33)
 	a := randMat(g, 8, 5) // aᵀ is 5x8
 	b := randMat(g, 8, 6)
-	got := MatMulTransA(a, b)
-	want := MatMul(Transpose(a), b)
+	got := mulTA(a, b)
+	want := mul(Transpose(a), b)
 	if maxDiff(got, want) > 1e-10 {
 		t.Fatal("MatMulTransA mismatch")
 	}
@@ -117,15 +137,16 @@ func TestMatMulTransB(t *testing.T) {
 	g := rng.New(35)
 	a := randMat(g, 4, 7)
 	b := randMat(g, 9, 7) // bᵀ is 7x9
-	got := MatMulTransB(a, b)
-	want := MatMul(a, Transpose(b))
+	got := mulTB(a, b)
+	want := mul(a, Transpose(b))
 	if maxDiff(got, want) > 1e-10 {
 		t.Fatal("MatMulTransB mismatch")
 	}
 }
 
-// TestIntoVariantsMatchAllocating pins the transposed Into kernels to their
-// allocating entries bit for bit, from a poisoned destination.
+// TestIntoVariantsMatchAllocating pins the transposed Into kernels to the
+// naive chains bit for bit from a poisoned destination: they overwrite dst,
+// never accumulate into it.
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	a := New(3, 4)
 	b := New(3, 5)
@@ -140,7 +161,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		d.Data[i] = float64(i%4) - 2
 	}
 
-	want := MatMulTransA(a, b) // [4,5]
+	want := naiveMatMulTransA(a, b) // [4,5]
 	got := New(4, 5)
 	got.Fill(9) // poison: Into must fully overwrite
 	MatMulTransAInto(got, a, b)
@@ -150,7 +171,7 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		}
 	}
 
-	wantB := MatMulTransB(a, d) // [3,6]
+	wantB := naiveMatMulTransB(a, d) // [3,6]
 	gotB := New(3, 6)
 	gotB.Fill(9)
 	MatMulTransBInto(gotB, a, d)
@@ -168,8 +189,8 @@ func TestMatMulAssociativityQuick(t *testing.T) {
 		a := randMat(g, 6, 5)
 		b := randMat(g, 5, 7)
 		c := randMat(g, 7, 4)
-		left := MatMul(MatMul(a, b), c)
-		right := MatMul(a, MatMul(b, c))
+		left := mul(mul(a, b), c)
+		right := mul(a, mul(b, c))
 		return maxDiff(left, right) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

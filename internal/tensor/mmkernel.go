@@ -3,12 +3,14 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
 // mmKernel is the one GEMM micro-kernel under MatMulInto, MatMulTransAInto,
-// VecMatMulAdd and ConvLowering's InputGrad (WeightGrad and Forward run
-// its two table-addressed variants below). It accumulates
+// VecMatMulAdd, ConvLowering's InputGrad and a gather geometry's Forward
+// (WeightGrad and a same-size Forward run its two table-addressed variants
+// below). It accumulates
 //
 //	out[r*ostride+j] += Σ_p a[r*aRow+p*aK] * b[p*bstride+j]    r < rows, j < jw
 //
@@ -22,7 +24,7 @@ import (
 // rule ask for. A is
 // addressed by two strides so one contract serves both layouts: a
 // row-major A block is (aRow, aK) = (row stride, 1), the transposed A of
-// MatMulTransA is (1, row stride). ostride and bstride may exceed jw (tiles
+// matMulTransA is (1, row stride). ostride and bstride may exceed jw (tiles
 // of a wider matrix).
 //
 // Rows go in strips of four sharing each loaded b element, then one at a
@@ -40,8 +42,8 @@ import (
 // the property). Adding the av == ±0 terms is bit-neutral on finite data —
 // see the finiteness note on the tiling constants.
 //
-// The far corner of each operand is bounds-checked here, before any pointer
-// reaches assembly; empty extents leave out untouched.
+// The far corner of each operand is bounds-checked here (reaches), before
+// any pointer reaches assembly; empty extents leave out untouched.
 func mmKernel(out []float64, ostride int, a []float64, aRow, aK int, b []float64, bstride, rows, kw, jw int) {
 	if rows <= 0 || kw <= 0 || jw <= 0 {
 		return
@@ -49,9 +51,10 @@ func mmKernel(out []float64, ostride int, a []float64, aRow, aK int, b []float64
 	if ostride < 0 || aRow < 0 || aK < 0 || bstride < 0 {
 		panic(fmt.Sprintf("tensor: mmKernel negative stride: out %d a %d,%d b %d", ostride, aRow, aK, bstride))
 	}
-	_ = out[(rows-1)*ostride+jw-1]
-	_ = a[(rows-1)*aRow+(kw-1)*aK]
-	_ = b[(kw-1)*bstride+jw-1]
+	if !reaches(len(out), rows, ostride, jw) || !reachesA(len(a), rows, aRow, kw, aK) || !reaches(len(b), kw, bstride, jw) {
+		panic(fmt.Sprintf("tensor: mmKernel %d×%d×%d past its operands: out %d stride %d, a %d strides %d,%d, b %d stride %d",
+			rows, kw, jw, len(out), ostride, len(a), aRow, aK, len(b), bstride))
+	}
 	r := 0
 	if useAVX2 {
 		for ; r+4 <= rows; r += 4 {
@@ -68,6 +71,20 @@ func mmKernel(out []float64, ostride int, a []float64, aRow, aK int, b []float64
 	for ; r < rows; r++ {
 		mmStrip1Go(out[r*ostride:], a[r*aRow:], aK, b, bstride, kw, jw)
 	}
+}
+
+// reaches reports whether n floats hold m ≥ 1 rows of w ≥ 1 floats, stride
+// ≥ 0 apart: (m−1)·stride + w ≤ n. The product is taken double-width, so a
+// stride that would wrap it past MaxInt to a small index is refused.
+func reaches(n, m, stride, w int) bool {
+	hi, lo := bits.Mul(uint(m-1), uint(stride))
+	return hi == 0 && w <= n && lo <= uint(n-w)
+}
+
+// reachesA is reaches for an A operand of rows × kw at strides aRow, aK:
+// (rows−1)·aRow + (kw−1)·aK < n.
+func reachesA(n, rows, aRow, kw, aK int) bool {
+	return reaches(n, kw, aK, 1) && reaches(n, rows, aRow, (kw-1)*aK+1)
 }
 
 func mmStrip4Go(out []float64, ostride int, a []float64, aRow, aK int, b []float64, bstride, kw, jw int) {
@@ -115,9 +132,10 @@ func mmKernelShift(out []float64, ostride int, a []float64, aRow, aK int, b []fl
 	if ostride < 0 || aRow < 0 || aK < 0 {
 		panic(fmt.Sprintf("tensor: mmKernelShift negative stride: out %d a %d,%d", ostride, aRow, aK))
 	}
-	_ = out[(rows-1)*ostride+jw-1]
-	_ = a[(rows-1)*aRow+(kw-1)*aK]
-	_ = tab[2*kw-1]
+	if !reaches(len(out), rows, ostride, jw) || !reachesA(len(a), rows, aRow, kw, aK) || kw > len(tab)/2 {
+		panic(fmt.Sprintf("tensor: mmKernelShift %d×%d×%d past its operands: out %d stride %d, a %d strides %d,%d, tab %d",
+			rows, kw, jw, len(out), ostride, len(a), aRow, aK, len(tab)))
+	}
 	for p := 0; p < kw; p++ {
 		if o, m := tab[2*p], tab[2*p+1]; o < 0 || m < 0 || o > len(b)-jw || m > len(mask)-jw {
 			panic(fmt.Sprintf("tensor: mmKernelShift row %d at b %d mask %d, %d lanes past b %d mask %d", p, o, m, jw, len(b), len(mask)))
@@ -211,7 +229,7 @@ func newRowTable(rowOff, pOff []int) *rowTable {
 // loads pOff[p] once for all four. ConvLowering.WeightGrad reads a
 // zero-bordered stage of an image through it, row r = (c, ky, kx) a tap
 // and p = (oy, ox) an output pixel, so that a[rowOff[r]+pOff[p]] is the
-// panel entry Lower would write there. The wrapper checks the far corners
+// panel entry lower would write there. The wrapper checks the far corners
 // of out and b, that both tables are long enough and that the table's span
 // fits in a, before any pointer reaches assembly.
 func mmKernelRows(out []float64, ostride int, a []float64, t *rowTable, b []float64, bstride, rows, kw, jw int) {
@@ -225,8 +243,10 @@ func mmKernelRows(out []float64, ostride int, a []float64, t *rowTable, b []floa
 		panic(fmt.Sprintf("tensor: mmKernelRows %d rows, %d steps over tables of %d, %d spanning %d of a %d",
 			rows, kw, len(t.rowOff), len(t.pOff), t.span, len(a)))
 	}
-	_ = out[(rows-1)*ostride+jw-1]
-	_ = b[(kw-1)*bstride+jw-1]
+	if !reaches(len(out), rows, ostride, jw) || !reaches(len(b), kw, bstride, jw) {
+		panic(fmt.Sprintf("tensor: mmKernelRows %d×%d×%d past its operands: out %d stride %d, b %d stride %d",
+			rows, kw, jw, len(out), ostride, len(b), bstride))
+	}
 	r := 0
 	if useAVX2 {
 		for ; r+4 <= rows; r += 4 {

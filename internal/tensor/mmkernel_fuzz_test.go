@@ -18,24 +18,29 @@ import (
 // rows' first jw lanes, and store nothing outside out's window. bad != 0
 // turns the call into one malformation the wrapper is meant to reject — a
 // short operand or table, an offset past its slice, a negative stride or
-// table offset — which must panic on both kernels before out is touched.
+// table offset, or (bad 9) one of the form's strides, drawn, at which the
+// far corner wraps past MaxInt to a small offset — which must panic on both
+// kernels before out is touched.
 func FuzzMMKernel(f *testing.F) {
 	for form := uint8(0); form < 3; form++ {
 		f.Add(form, uint8(5), uint8(7), uint8(6), uint8(3), uint8(0), uint64(form))
 		f.Add(form, uint8(9), uint8(33), uint8(71), uint8(0x25), uint8(0), uint64(10+form))
 		f.Add(form, uint8(4), uint8(1), uint8(13), uint8(0x81), uint8(0), uint64(20+form))
-		for bad := uint8(1); bad <= 8; bad++ {
+		for bad := uint8(1); bad <= 9; bad++ {
 			f.Add(form, uint8(6), uint8(5), uint8(9), uint8(0x12), bad, uint64(30+form))
+		}
+		for which := uint64(1); which < 4; which++ { // the other strides bad 9 can wrap
+			f.Add(form, uint8(6), uint8(5), uint8(9), uint8(0x12), uint8(9), which<<32|uint64(30+form))
 		}
 	}
 	f.Fuzz(func(t *testing.T, form, rows8, kw8, jw8, shape, bad uint8, seed uint64) {
 		form %= 3
 		rows, kw, jw := int(rows8)%12, int(kw8)%48, int(jw8)%80
 		slack, transA, off := int(shape)&7, shape&8 != 0, int(shape>>4)&3
-		if bad%9 != 0 && (rows == 0 || kw == 0 || jw == 0) {
+		if bad%10 != 0 && (rows == 0 || kw == 0 || jw == 0) {
 			t.Skip() // an empty extent returns before any check
 		}
-		bad %= 9
+		bad %= 10
 		r := rng.New(seed)
 		family := nanFamilies[int(seed%uint64(len(nanFamilies)))]
 		ostride, bstride := jw+slack, jw+(slack+1)%4
@@ -81,12 +86,38 @@ func FuzzMMKernel(f *testing.F) {
 			}
 		}
 
+		// bad 9 wraps one stride: out's or a's row stride over rows, a's k
+		// stride or b's over kw, among those the form has and whose extent
+		// is at least 2.
+		wrap := -1
+		if bad == 9 {
+			var can []int
+			for i, ok := range []bool{rows >= 2, rows >= 2 && form != 2, kw >= 2 && form != 2, kw >= 2 && form != 1} {
+				if ok {
+					can = append(can, i)
+				}
+			}
+			if len(can) == 0 {
+				t.Skip()
+			}
+			wrap = can[int(seed>>32%uint64(len(can)))]
+		}
+
 		// call runs the form on out with the (possibly malformed) operands.
 		call := func(out []float64) {
-			aw, bw, ost, bst := a.win, b.win, ostride, bstride
+			aw, bw, ost, bst, ar, ak := a.win, b.win, ostride, bstride, aRow, aK
+			switch wrap {
+			case 0:
+				ost = wrapStride(rows - 1)
+			case 1:
+				ar = wrapStride(rows - 1)
+			case 2:
+				ak = wrapStride(kw - 1)
+			case 3:
+				bst = wrapStride(kw - 1)
+			}
 			switch form {
 			case 0:
-				ar, ak := aRow, aK
 				switch bad {
 				case 1:
 					out = out[:len(out)-1]
@@ -128,7 +159,7 @@ func FuzzMMKernel(f *testing.F) {
 				case 8:
 					ost = -ost
 				}
-				mmKernelShift(out, ost, aw, aRow, aK, bw, mask, tb, rows, kw, jw)
+				mmKernelShift(out, ost, aw, ar, ak, bw, mask, tb, rows, kw, jw)
 			case 2:
 				rtab := rt
 				switch bad {

@@ -301,10 +301,23 @@ func TestMMKernelEmptyExtents(t *testing.T) {
 	}
 }
 
+// wrapStride returns a stride s ≥ 0 at which m·s, m ≥ 1, or m·s plus a
+// few floats overflows int, so that a far-corner check that multiplies
+// first sees a small index: m·s wraps to [0, m) for m ≥ 3 and to −2 at
+// m = 2, and m·s + 1 to MinInt at m = 1.
+func wrapStride(m int) int {
+	if m < 3 {
+		return math.MaxInt
+	}
+	return int(uint(math.MaxUint)/uint(m) + 1)
+}
+
 // TestMMKernelBoundsPanics: a far corner past any operand must panic in the
-// Go wrapper — before a pointer reaches assembly — and leave out untouched.
+// Go wrapper — before a pointer reaches assembly — and leave out untouched,
+// also where the corner's offset wraps past MaxInt to a small index.
 func TestMMKernelBoundsPanics(t *testing.T) {
 	const rows, k, jw = 5, 3, 9
+	wrapR, wrapK := wrapStride(rows-1), wrapStride(k-1)
 	ok := func() (out, a, b []float64) {
 		return make([]float64, rows*jw), make([]float64, rows*k), make([]float64, k*jw)
 	}
@@ -316,6 +329,13 @@ func TestMMKernelBoundsPanics(t *testing.T) {
 		"out stride":     func(out, a, b []float64) { mmKernel(out, jw+1, a, k, 1, b, jw, rows, k, jw) },
 		"b stride":       func(out, a, b []float64) { mmKernel(out, jw, a, k, 1, b, jw+1, rows, k, jw) },
 		"negative":       func(out, a, b []float64) { mmKernel(out, -jw, a, k, 1, b, jw, rows, k, jw) },
+		"out stride wraps": func(out, a, b []float64) {
+			mmKernel(out, wrapStride(3), a, k, 1, b, jw, 4, k, 1) // 3·stride ≡ 2: out[2] is in bounds
+		},
+		"out stride wraps, 5 rows": func(out, a, b []float64) { mmKernel(out, wrapR, a, k, 1, b, jw, rows, k, jw) },
+		"a row stride wraps":       func(out, a, b []float64) { mmKernel(out, jw, a, wrapR, 1, b, jw, rows, k, jw) },
+		"a k stride wraps":         func(out, a, b []float64) { mmKernel(out, jw, a, 1, wrapK, b, jw, rows, k, jw) },
+		"b stride wraps":           func(out, a, b []float64) { mmKernel(out, jw, a, k, 1, b, wrapK, rows, k, jw) },
 	} {
 		out, a, b := ok()
 		func() {
@@ -373,6 +393,15 @@ func TestMMKernelBoundsPanics(t *testing.T) {
 		},
 		"shift negative stride": func(out, a, b []float64, mask []uint64, tab []int) {
 			mmKernelShift(out, -jw, a, k, 1, b, mask, tab, rows, k, jw)
+		},
+		"shift out stride wraps": func(out, a, b []float64, mask []uint64, tab []int) {
+			mmKernelShift(out, wrapR, a, k, 1, b, mask, tab, rows, k, jw)
+		},
+		"shift a row stride wraps": func(out, a, b []float64, mask []uint64, tab []int) {
+			mmKernelShift(out, jw, a, wrapR, 1, b, mask, tab, rows, k, jw)
+		},
+		"shift a k stride wraps": func(out, a, b []float64, mask []uint64, tab []int) {
+			mmKernelShift(out, jw, a, 1, wrapK, b, mask, tab, rows, k, jw)
 		},
 	} {
 		out, a, b, mask, tab := okShift()
@@ -432,6 +461,12 @@ func TestMMKernelBoundsPanics(t *testing.T) {
 		},
 		"rows negative b stride": func(out, a, b []float64, tab *rowTable) {
 			mmKernelRows(out, jw, a, tab, b, -jw, rows, k, jw)
+		},
+		"rows out stride wraps": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out, wrapR, a, tab, b, jw, rows, k, jw)
+		},
+		"rows b stride wraps": func(out, a, b []float64, tab *rowTable) {
+			mmKernelRows(out, jw, a, tab, b, wrapK, rows, k, jw)
 		},
 	} {
 		out, a, b, tab := okRows()
@@ -495,13 +530,13 @@ func resnetConvs(in, stem int, reps []int) (geoms []ConvGeom, outCs []int) {
 }
 
 // TestMMKernelProfileShapes drives every GEMM the four experiment profiles
-// emit — per conv layer the forward Y [OutC, G*HW] = Wᵀ @ panel (and its
-// masked-row form on a same-size layer), the input gradient (W @ dY, or
-// one W_tap @ dY per tap on a same-size layer) and the weight gradient (one
-// row-table call per image),
-// at the full group and at the batch's short last group, plus the dense
-// head's forward product and weight gradient — through the exported entry
-// points on both kernels.
+// emit — per conv layer the forward Y [OutC, G*HW] = Wᵀ @ panel (the
+// transposed-A product, or its masked-row form on a same-size layer), the
+// input gradient (W @ dY, or one W_tap @ dY per tap on a same-size layer)
+// and the weight gradient (one row-table call per image), at the full group
+// and at the batch's short last group, plus the dense head's forward
+// product and weight gradient — through the exported entry points on both
+// kernels.
 func TestMMKernelProfileShapes(t *testing.T) {
 	needAsm(t)
 	g := rng.New(223)
@@ -542,15 +577,11 @@ func TestMMKernelProfileShapes(t *testing.T) {
 				}
 				cols := n * hw
 				what := fmt.Sprintf("%s conv %d (%+v outC %d) n=%d", p.name, li, geom, outC, n)
-				panel, dY := mat(k, cols), mat(outC, cols)
+				x, dY := mat(n, geom.InC*geom.InH*geom.InW), mat(outC, cols)
 				y, dx := New(outC, cols), New(n, geom.InC*geom.InH*geom.InW)
-				both(what+" forward", y, func() { MatMulTransAInto(y, w, panel) })
-				if low.SameSize() {
-					x := mat(n, geom.InC*geom.InH*geom.InW)
-					both(what+" forward without a panel", y, func() { low.Forward(y.Data, w.Data, x.Data, n) })
-				}
+				both(what+" forward", y, func() { low.Forward(y.Data, w.Data, x.Data, n) })
 				both(what+" input grad", dx, func() { low.InputGrad(dx.Data, w.Data, dY.Data, n) })
-				x, dYT, wGrad := mat(n, geom.InC*geom.InH*geom.InW), mat(cols, outC), New(k, outC)
+				dYT, wGrad := mat(cols, outC), New(k, outC)
 				both(what+" weight grad", wGrad, func() { low.WeightGrad(wGrad.Data, x.Data, dYT.Data, n) })
 			}
 		}
