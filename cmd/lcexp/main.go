@@ -106,7 +106,8 @@ func resolveJobs(jobs int, parallel bool) (int, error) {
 	return jobs, nil
 }
 
-// flagValues is what checkFlags judges: the flags some rule constrains.
+// flagValues is what checkFlags judges and apply wires into the profiles:
+// the flags some rule constrains.
 type flagValues struct {
 	scenario, topology, traceOut, metricsOut, ckptDir string
 	workers, jobs, seeds                              int
@@ -143,7 +144,7 @@ func checkFlags(f flagValues) error {
 		// Render cells load persisted results without running the engine, so
 		// there is nothing to trace; failing beats writing an empty artifact.
 		return errors.New("-trace-out/-metrics-out cannot be combined with -render: rendered cells compute nothing, so there is no telemetry to record")
-	case jobsErr != nil && !f.render: // -render runs one sequential cell whatever -jobs says
+	case jobsErr != nil:
 		return jobsErr
 	case f.resume && f.ckptDir == "":
 		return errors.New("-resume requires -ckpt-dir (nowhere to resume from)")
@@ -164,6 +165,23 @@ func checkFlags(f flagValues) error {
 		return errors.New("-seeds must be at least 1")
 	}
 	return nil
+}
+
+// apply wires the command line into a profile; every profile gets the same
+// wiring. f must have passed checkFlags.
+func (f flagValues) apply(p *trainer.Profile, store *snapshot.Store) {
+	if f.parallel {
+		p.Backend = ps.BackendConcurrent
+	}
+	p.Jobs, _ = resolveJobs(f.jobs, f.parallel)
+	if sc, _ := scenario.Lookup(f.scenario); sc.Name != "none" {
+		p.Scenario = &sc
+	}
+	p.Topology = f.topology
+	if store != nil {
+		p.Store, p.CkptEvery, p.CkptKeep, p.CkptFullEvery = store, f.ckptEvery, f.ckptKeep, f.ckptFullEvery
+		p.Resume, p.Render = f.resume, f.render
+	}
 }
 
 func main() {
@@ -199,24 +217,16 @@ func main() {
 
 	// Checked before the profiling defers are armed: os.Exit on a bad value
 	// must not leave a truncated, unreadable profile file behind.
-	if err := checkFlags(flagValues{
+	flags := flagValues{
 		scenario: *scn, topology: *topo, traceOut: *traceOut, metricsOut: *metricsOut, ckptDir: *ckptDir,
 		workers: *workers, jobs: *jobs, seeds: *seeds,
 		ckptKeep: *ckptKeep, ckptEvery: *ckptEvery, ckptFullEvery: *ckptFullEvery,
 		parallel: *parallel, render: *render, resume: *resume,
-	}); err != nil {
+	}
+	if err := checkFlags(flags); err != nil {
 		fmt.Fprintf(os.Stderr, "lcexp: %v\n", err)
 		os.Exit(2)
 	}
-	sc, _ := scenario.Lookup(*scn) // checkFlags vetted the name
-	if *render {
-		// Render cells never compute, so cell-level parallelism buys nothing —
-		// and the sequential path is what propagates the typed
-		// *trainer.RenderMissingError panic to the handler below intact.
-		*jobs = 1
-		*parallel = false
-	}
-	*jobs, _ = resolveJobs(*jobs, *parallel) // and the count
 	var store *snapshot.Store
 	if *ckptDir != "" {
 		var err error
@@ -259,25 +269,13 @@ func main() {
 	if *full {
 		cifar, imagenet = trainer.FullCIFAR(), trainer.FullImageNet()
 	}
-	if *parallel {
-		cifar.Backend = ps.BackendConcurrent
-		imagenet.Backend = ps.BackendConcurrent
-	} else {
-		cifar.Jobs = *jobs
-		imagenet.Jobs = *jobs
-	}
-	if sc.Name != "none" {
-		cifar.Scenario = &sc
-		imagenet.Scenario = &sc
-	}
-	cifar.Topology = *topo
-	imagenet.Topology = *topo
+	var progress func(done, total int, elapsed time.Duration, key string)
 	if *verbose {
 		// Progress goes to stderr so stdout artifacts (tables, charts, CSV)
 		// stay byte-identical with and without -v. The ETA is the naive
 		// linear projection elapsed/done × remaining — cells vary in cost, so
 		// it converges as the sweep progresses rather than starting accurate.
-		progress := func(done, total int, elapsed time.Duration, key string) {
+		progress = func(done, total int, elapsed time.Duration, key string) {
 			line := fmt.Sprintf("lcexp: cells %d/%d, elapsed %s",
 				done, total, elapsed.Round(100*time.Millisecond))
 			if done > 0 && done < total {
@@ -289,24 +287,14 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}
-		cifar.Progress = progress
-		imagenet.Progress = progress
 	}
 	var tel *trainer.Telemetry
 	if *traceOut != "" || *metricsOut != "" {
 		tel = trainer.NewTelemetry()
-		cifar.Telemetry = tel
-		imagenet.Telemetry = tel
 	}
-	if store != nil {
-		for _, p := range []*trainer.Profile{&cifar, &imagenet} {
-			p.Store = store
-			p.CkptEvery = *ckptEvery
-			p.CkptKeep = *ckptKeep
-			p.CkptFullEvery = *ckptFullEvery
-			p.Resume = *resume
-			p.Render = *render
-		}
+	for _, p := range []*trainer.Profile{&cifar, &imagenet} {
+		flags.apply(p, store)
+		p.Progress, p.Telemetry = progress, tel
 	}
 	ms := trainer.WorkerCounts
 	if *workers != 0 {

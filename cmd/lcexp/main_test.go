@@ -4,6 +4,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"lcasgd/internal/ps"
+	"lcasgd/internal/snapshot"
+	"lcasgd/internal/trainer"
 )
 
 // TestResolveJobs pins the -jobs/-parallel rule: the default pool is every
@@ -69,7 +73,7 @@ func TestCheckFlags(t *testing.T) {
 		{"-metrics-out -render", func(f *flagValues) { f.metricsOut, f.render, f.ckptDir = "m.json", true, "store" },
 			"-trace-out/-metrics-out cannot be combined with -render: rendered cells compute nothing, so there is no telemetry to record"},
 		{"-jobs -1", func(f *flagValues) { f.jobs = -1 }, "-jobs must be non-negative"},
-		{"-jobs -1 -render", func(f *flagValues) { f.jobs, f.render, f.ckptDir = -1, true, "store" }, ""},
+		{"-jobs -1 -render", func(f *flagValues) { f.jobs, f.render, f.ckptDir = -1, true, "store" }, "-jobs must be non-negative"},
 		{"-resume without -ckpt-dir", func(f *flagValues) { f.resume = true }, "-resume requires -ckpt-dir (nowhere to resume from)"},
 		{"-render without -ckpt-dir", func(f *flagValues) { f.render = true }, "-render requires -ckpt-dir (nowhere to load results from)"},
 		{"-ckpt-keep 0", func(f *flagValues) { f.ckptKeep = 0 }, "-ckpt-keep must be at least 1"},
@@ -94,5 +98,48 @@ func TestCheckFlags(t *testing.T) {
 		} else if got != tc.want {
 			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestApply: the sweep pool size reaches every profile whatever the
+// backend — `-jobs 2 -parallel` runs two cells at once, each on the
+// concurrent backend — and the store flags arrive only with a store.
+func TestApply(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		jobs        int
+		parallel    bool
+		wantJobs    int
+		wantBackend ps.BackendKind
+	}{
+		{jobs: 2, parallel: true, wantJobs: 2, wantBackend: ps.BackendConcurrent},
+		{jobs: 0, parallel: true, wantJobs: 1, wantBackend: ps.BackendConcurrent},
+		{jobs: 3, parallel: false, wantJobs: 3},
+		{jobs: 0, parallel: false, wantJobs: procs},
+	} {
+		f := flagValues{scenario: "flaky", topology: "complete", jobs: tc.jobs, parallel: tc.parallel,
+			ckptEvery: 2, ckptKeep: 3, ckptFullEvery: 4, render: true}
+		for _, p := range []trainer.Profile{trainer.QuickCIFAR(), trainer.QuickImageNet()} {
+			f.apply(&p, nil)
+			if p.Jobs != tc.wantJobs || p.Backend != tc.wantBackend {
+				t.Fatalf("-jobs %d -parallel=%v: %s got Jobs %d backend %q, want %d %q",
+					tc.jobs, tc.parallel, p.Name, p.Jobs, p.Backend, tc.wantJobs, tc.wantBackend)
+			}
+			if p.Scenario == nil || p.Scenario.Name != "flaky" || p.Topology != "complete" {
+				t.Fatalf("%s: scenario %v topology %q", p.Name, p.Scenario, p.Topology)
+			}
+			if p.Store != nil || p.CkptEvery != 0 || p.Render {
+				t.Fatalf("%s: store flags applied without a store", p.Name)
+			}
+		}
+	}
+	st, err := snapshot.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p trainer.Profile
+	flagValues{scenario: "none", ckptEvery: 2, ckptKeep: 3, ckptFullEvery: 4, resume: true}.apply(&p, st)
+	if p.Store != st || p.CkptEvery != 2 || p.CkptKeep != 3 || p.CkptFullEvery != 4 || !p.Resume || p.Render || p.Scenario != nil {
+		t.Fatalf("store wiring: %+v", p)
 	}
 }

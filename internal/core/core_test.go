@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 
 	"lcasgd/internal/nn"
 	"lcasgd/internal/rng"
+	"lcasgd/internal/snapshot"
 	"lcasgd/internal/tensor"
 )
 
@@ -165,6 +167,86 @@ func TestStepPredictorClamps(t *testing.T) {
 		k := p.ObserveAndPredict(1, 3, 1, 10)
 		if k < 0 || k > 12 {
 			t.Fatalf("prediction %d outside [0, 3M]", k)
+		}
+	}
+}
+
+// TestStepPredictorRestoreRejectsHostileRows: a snapshot's per-worker
+// feature rows must name fleet workers in ascending order and have the
+// network's input width — a width-1 row or a worker past the fleet used to
+// restore cleanly and panic at the next ObserveAndPredict. A real snapshot
+// restores and re-emits its exact bytes.
+func TestStepPredictorRestoreRejectsHostileRows(t *testing.T) {
+	src := NewStepPredictorSized(4, 8, rng.New(7))
+	for i := 0; i < 16; i++ {
+		src.ObserveAndPredict(i%4, i/4-1, 1, 10)
+	}
+	restore := func(b []byte) (*StepPredictor, error) {
+		dst := NewStepPredictorSized(4, 8, rng.New(8))
+		r, err := snapshot.NewReader(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.RestoreFrom(r); err != nil {
+			return nil, err
+		}
+		return dst, r.Close()
+	}
+
+	w := snapshot.NewWriter()
+	src.SnapshotTo(w)
+	valid := bytes.Clone(w.Bytes())
+	dst, err := restore(valid)
+	if err != nil {
+		t.Fatalf("real snapshot: %v", err)
+	}
+	w.Reset()
+	dst.SnapshotTo(w)
+	if !bytes.Equal(w.Bytes(), valid) {
+		t.Fatal("restored predictor re-emits different bytes")
+	}
+	dst.ObserveAndPredict(2, 1, 1, 10)
+
+	type row struct {
+		m    int
+		feat []float64
+	}
+	feat := []float64{0.1, 0.2, 0.3}
+	for _, tc := range []struct {
+		name string
+		rows []row
+		ok   bool
+	}{
+		{"fleet rows", []row{{0, feat}, {3, feat}}, true},
+		{"width-1 row", []row{{0, feat}, {2, feat[:1]}}, false},
+		{"width-4 row", []row{{1, append(feat, 0.4)}}, false},
+		{"worker past the fleet", []row{{0, feat}, {99, feat}}, false},
+		{"worker at the fleet size", []row{{4, feat}}, false},
+		{"negative worker", []row{{-1, feat}}, false},
+		{"repeated worker", []row{{1, feat}, {1, feat}}, false},
+		{"descending workers", []row{{2, feat}, {1, feat}}, false},
+	} {
+		// SnapshotTo's layout with the feature rows replaced.
+		w := snapshot.NewWriter()
+		src.net.SnapshotTo(w)
+		w.Int(src.workers)
+		w.Int(len(tc.rows))
+		for _, r := range tc.rows {
+			w.Int(r.m)
+			w.F64s(r.feat)
+		}
+		w.F64(src.commScale)
+		w.F64(src.compScale)
+		w.Int(src.calls)
+		writeTrace(w, src.trace)
+		p, err := restore(w.Bytes())
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: restore error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if tc.ok {
+			for _, r := range tc.rows {
+				p.ObserveAndPredict(r.m, 1, 1, 10)
+			}
 		}
 	}
 }

@@ -116,14 +116,25 @@ func (p *StepPredictor) RestoreFrom(r *snapshot.Reader) error {
 		r.Fail(fmt.Errorf("core: step predictor snapshot for %d workers, have %d", workers, p.workers))
 		return r.Err()
 	}
-	// An entry is a rank and a length prefix at the least.
+	// An entry is a rank and a length prefix at the least. SnapshotTo writes
+	// ranks ascending, each a worker of the fleet, with a feature row of the
+	// network's input width; anything else would make the next
+	// ObserveAndPredict panic.
 	n := r.Count(2 * 8)
 	p.lastFeat = make(map[int][]float64, n)
+	prev := -1
 	for i := 0; i < n && r.Err() == nil; i++ {
 		m := r.Int()
 		feat := r.F64s()
-		if r.Err() == nil {
+		switch {
+		case r.Err() != nil:
+		case m <= prev || m >= p.workers:
+			r.Fail(fmt.Errorf("core: step predictor feature row for worker %d after %d, fleet of %d", m, prev, p.workers))
+		case len(feat) != len(p.feat):
+			r.Fail(fmt.Errorf("core: step predictor feature row of width %d, want %d", len(feat), len(p.feat)))
+		default:
 			p.lastFeat[m] = feat
+			prev = m
 		}
 	}
 	p.commScale = r.F64()

@@ -30,7 +30,7 @@ func naiveMatMulTransA(a, b *Tensor) *Tensor {
 	return out
 }
 
-// naiveMatMulTransB mirrors matMulTransB's per-element chain: ascending p.
+// naiveMatMulTransB mirrors MatMulTransBInto's per-element chain: ascending p.
 func naiveMatMulTransB(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
 	out := New(m, n)

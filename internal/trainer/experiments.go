@@ -23,72 +23,56 @@ type CurveSet struct {
 	Order   []ps.Algo // rendering order
 }
 
-// curveCell pairs a rendering key with its scheduled cell.
-type curveCell struct {
-	key ps.Algo
-	fut *cellFuture
-}
-
-// assemble waits for the cells in submission order and fills the curve set,
-// so the result is identical at any Profile.Jobs.
-func (cs *CurveSet) assemble(cells []curveCell) {
-	for _, c := range cells {
-		cs.Results[c.key] = c.fut.wait()
-		cs.Order = append(cs.Order, c.key)
+// curves runs a figure's cells and files each result under its name,
+// in list order.
+func curves(p Profile, workers int, names []ps.Algo, cfgs []ps.Config) CurveSet {
+	cs := CurveSet{Profile: p.Name, Workers: workers, Results: map[ps.Algo]ps.Result{}}
+	for i, r := range runCells(p, cfgs) {
+		cs.Results[names[i]] = r
+		cs.Order = append(cs.Order, names[i])
 	}
+	return cs
 }
 
 // Fig2 reproduces Figure 2: DC-ASGD's test error across M ∈ {4,8,16} with
 // sequential SGD as reference, showing the degradation that motivates
 // LC-ASGD.
 func Fig2(p Profile, seed uint64) CurveSet {
-	pool := newPool(p)
-	cs := CurveSet{Profile: p.Name, Workers: 0, Results: map[ps.Algo]ps.Result{}}
-	cells := []curveCell{{ps.SGD, pool.submit(cellKey(p, ps.SGD, 1, core.BNAsync, seed, nil), func() ps.Result {
-		return RunCell(p, ps.SGD, 1, core.BNAsync, seed)
-	})}}
+	names := []ps.Algo{ps.SGD}
+	cfgs := []ps.Config{cellConfig(p, ps.SGD, 1, core.BNAsync, seed)}
 	for _, m := range WorkerCounts {
-		key := ps.Algo(fmt.Sprintf("DC-ASGD-%d", m))
-		cells = append(cells, curveCell{key, pool.submit(cellKey(p, ps.DCASGD, m, core.BNAsync, seed, nil), func() ps.Result {
-			return RunCell(p, ps.DCASGD, m, core.BNAsync, seed)
-		})})
+		names = append(names, ps.Algo(fmt.Sprintf("DC-ASGD-%d", m)))
+		cfgs = append(cfgs, cellConfig(p, ps.DCASGD, m, core.BNAsync, seed))
 	}
-	cs.assemble(cells)
-	return cs
+	return curves(p, 0, names, cfgs)
+}
+
+// panel runs algos at the given worker count with Async-BN; sequential SGD
+// always runs on one worker.
+func panel(p Profile, workers int, seed uint64, algos []ps.Algo) CurveSet {
+	cfgs := make([]ps.Config, len(algos))
+	for i, a := range algos {
+		m := workers
+		if a == ps.SGD {
+			m = 1
+		}
+		cfgs[i] = cellConfig(p, a, m, core.BNAsync, seed)
+	}
+	return curves(p, workers, algos, cfgs)
 }
 
 // Fig3Panel reproduces one panel of Figure 3 (and Figure 4, which is the
 // same data plotted against virtual time): all five algorithms at the given
 // worker count with Async-BN.
 func Fig3Panel(p Profile, workers int, seed uint64) CurveSet {
-	pool := newPool(p)
-	cs := CurveSet{Profile: p.Name, Workers: workers, Results: map[ps.Algo]ps.Result{}}
-	cells := []curveCell{{ps.SGD, pool.submit(cellKey(p, ps.SGD, 1, core.BNAsync, seed, nil), func() ps.Result {
-		return RunCell(p, ps.SGD, 1, core.BNAsync, seed)
-	})}}
-	for _, a := range DistributedAlgos {
-		cells = append(cells, curveCell{a, pool.submit(cellKey(p, a, workers, core.BNAsync, seed, nil), func() ps.Result {
-			return RunCell(p, a, workers, core.BNAsync, seed)
-		})})
-	}
-	cs.assemble(cells)
-	return cs
+	return panel(p, workers, seed, append([]ps.Algo{ps.SGD}, DistributedAlgos...))
 }
 
 // Fig5Panel reproduces one panel of Figure 5 (and Figure 6): the four
 // distributed algorithms on the ImageNet-scale profile (the paper omits
 // sequential SGD there because single-machine training is impractical).
 func Fig5Panel(p Profile, workers int, seed uint64) CurveSet {
-	pool := newPool(p)
-	cs := CurveSet{Profile: p.Name, Workers: workers, Results: map[ps.Algo]ps.Result{}}
-	var cells []curveCell
-	for _, a := range DistributedAlgos {
-		cells = append(cells, curveCell{a, pool.submit(cellKey(p, a, workers, core.BNAsync, seed, nil), func() ps.Result {
-			return RunCell(p, a, workers, core.BNAsync, seed)
-		})})
-	}
-	cs.assemble(cells)
-	return cs
+	return panel(p, workers, seed, DistributedAlgos)
 }
 
 // ChartEpochs renders a curve set as error-vs-epoch ASCII charts (test
@@ -154,55 +138,42 @@ type Table1Row struct {
 // (sequential SGD when includeSGD, else SSGD at the smallest M, mirroring
 // the paper's ImageNet baseline choice).
 func Table1(p Profile, includeSGD bool, seeds []uint64) (rows []Table1Row, baselineBN, baselineAsync float64) {
-	pool := newPool(p)
-	// Submit every (algo, workers, mode, seed) cell in the classic nested
-	// order; the mean is folded in wait order = submission order.
-	submitMean := func(algo ps.Algo, workers int, mode core.BNMode) []*cellFuture {
-		futs := make([]*cellFuture, len(seeds))
-		for i, s := range seeds {
-			futs[i] = pool.submit(cellKey(p, algo, workers, mode, s, nil), func() ps.Result {
-				return RunCell(p, algo, workers, mode, s)
-			})
+	// The grid in the classic nested order: every row's seeds under BN, then
+	// under Async-BN; sequential SGD has only the latter.
+	var cfgs []ps.Config
+	addSeeds := func(algo ps.Algo, workers int, mode core.BNMode) {
+		for _, s := range seeds {
+			cfgs = append(cfgs, cellConfig(p, algo, workers, mode, s))
 		}
-		return futs
 	}
-	mean := func(futs []*cellFuture) float64 {
-		sum := 0.0
-		for _, f := range futs {
-			sum += f.wait().FinalTestErr
-		}
-		return sum / float64(len(seeds))
-	}
-	var sgdFuts []*cellFuture
 	if includeSGD {
-		sgdFuts = submitMean(ps.SGD, 1, core.BNAsync)
+		rows = append(rows, Table1Row{Workers: 1, Algo: ps.SGD})
+		addSeeds(ps.SGD, 1, core.BNAsync)
 	}
-	type table1Cell struct {
-		workers   int
-		algo      ps.Algo
-		bn, async []*cellFuture
-	}
-	var cells []table1Cell
 	for _, m := range WorkerCounts {
 		for _, a := range DistributedAlgos {
-			cells = append(cells, table1Cell{
-				workers: m, algo: a,
-				bn:    submitMean(a, m, core.BNReplace),
-				async: submitMean(a, m, core.BNAsync),
-			})
+			rows = append(rows, Table1Row{Workers: m, Algo: a})
+			addSeeds(a, m, core.BNReplace)
+			addSeeds(a, m, core.BNAsync)
 		}
 	}
-	if includeSGD {
-		sgdErr := mean(sgdFuts)
-		rows = append(rows, Table1Row{Workers: 1, Algo: ps.SGD, BNErr: sgdErr, AsyncErr: sgdErr})
+	res := runCells(p, cfgs)
+	// mean folds the next len(seeds) results in list order.
+	mean := func() float64 {
+		sum := 0.0
+		for _, r := range res[:len(seeds)] {
+			sum += r.FinalTestErr
+		}
+		res = res[len(seeds):]
+		return sum / float64(len(seeds))
 	}
-	for _, c := range cells {
-		rows = append(rows, Table1Row{
-			Workers:  c.workers,
-			Algo:     c.algo,
-			BNErr:    mean(c.bn),
-			AsyncErr: mean(c.async),
-		})
+	for i := range rows {
+		r := &rows[i]
+		r.BNErr = mean()
+		r.AsyncErr = r.BNErr
+		if r.Algo != ps.SGD {
+			r.AsyncErr = mean()
+		}
 	}
 	baselineBN, baselineAsync = rows[0].BNErr, rows[0].AsyncErr
 	return rows, baselineBN, baselineAsync

@@ -36,8 +36,8 @@ type storedConfig struct {
 
 // RenderMissingError is the panic value of a render-mode cell whose
 // persisted result is absent: the sweep being re-rendered never completed
-// this cell. cmd/lcexp catches it to print a clear message instead of a
-// stack trace.
+// this cell. A sweep re-raises it as itself at any Profile.Jobs, and
+// cmd/lcexp catches it to print a clear message instead of a stack trace.
 type RenderMissingError struct {
 	Profile string
 	Key     string
@@ -49,10 +49,10 @@ func (e *RenderMissingError) Error() string {
 		e.Profile, e.Cfg.Algo, e.Cfg.Workers, e.Cfg.Seed, e.Key)
 }
 
-// runCellPersisted executes env through the profile's experiment store.
-func runCellPersisted(p Profile, env ps.Env) ps.Result {
+// runCellPersisted executes env through the profile's experiment store, in
+// the run directory of key, env.Cfg's ps.ConfigKey.
+func runCellPersisted(p Profile, env ps.Env, key string) ps.Result {
 	cfg := env.Cfg
-	key := ps.ConfigKey(cfg)
 	rd, err := p.Store.Run(key)
 	if err != nil {
 		panic(fmt.Sprintf("trainer: experiment store: %v", err))

@@ -55,21 +55,21 @@ type Profile struct {
 	Topology string
 
 	// Jobs is how many experiment cells a sweep (Fig2/Fig3Panel/Fig5Panel/
-	// Table1/Robustness) runs concurrently; values <= 1 mean the classic
-	// sequential loops (cmd/lcexp -jobs). Results are assembled in
-	// submission order, so tables, curves and store artifacts are
-	// byte-identical at any Jobs value, on either backend (see sched.go).
+	// Table1/Robustness) runs concurrently; values <= 1 run them inline, one
+	// after another (cmd/lcexp -jobs). Results are folded in list order, so
+	// tables, curves and store artifacts are byte-identical at any Jobs
+	// value, on either backend (see sched.go).
 	Jobs int
 
-	// Progress, when non-nil, is called by sweep pools after every completed
-	// cell with the number of cells finished so far, the number submitted so
-	// far, the wall time since the sweep's pool was created, and the
-	// completed cell's ps.ConfigKey (cmd/lcexp -v uses the key prefix to
-	// name the cell and derives an ETA from done/total/elapsed). Pooled
-	// sweeps invoke it from worker goroutines under the pool's lock, so
-	// implementations need no synchronization of their own; they must not
-	// block and should write to stderr, keeping stdout (tables, charts, CSV)
-	// byte-identical with and without progress reporting.
+	// Progress, when non-nil, is called by a sweep after every completed
+	// cell with the number of cells finished so far, the sweep's cell count,
+	// the wall time since the sweep started, and the completed cell's
+	// ps.ConfigKey (cmd/lcexp -v uses the key prefix to name the cell and
+	// derives an ETA from done/total/elapsed). With Jobs > 1 it is invoked
+	// from the sweep's goroutines, one call at a time, so implementations
+	// need no synchronization of their own; they must not block and should
+	// write to stderr, keeping stdout (tables, charts, CSV) byte-identical
+	// with and without progress reporting.
 	Progress func(done, total int, elapsed time.Duration, key string)
 
 	// Telemetry, when non-nil, attaches a fresh telemetry.Recorder to every
@@ -196,17 +196,6 @@ func cellConfig(p Profile, algo ps.Algo, workers int, bnMode core.BNMode, seed u
 	}
 }
 
-// cellKey is the ps.ConfigKey the cell submitted with these arguments will
-// run under, mutations applied — computed at submission time so progress
-// reporting and telemetry can name the cell without waiting for it.
-func cellKey(p Profile, algo ps.Algo, workers int, bnMode core.BNMode, seed uint64, mutate func(*ps.Config)) string {
-	cfg := cellConfig(p, algo, workers, bnMode, seed)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return ps.ConfigKey(cfg)
-}
-
 // RunCell executes one experiment cell under the profile. Dataset
 // generation is deterministic, so repeated cells see identical data.
 func RunCell(p Profile, algo ps.Algo, workers int, bnMode core.BNMode, seed uint64) ps.Result {
@@ -216,23 +205,29 @@ func RunCell(p Profile, algo ps.Algo, workers int, bnMode core.BNMode, seed uint
 // RunCellCfg is RunCell with full control of the ps.Config for ablations:
 // mutate receives the assembled config before the run.
 func RunCellCfg(p Profile, algo ps.Algo, workers int, bnMode core.BNMode, seed uint64, mutate func(*ps.Config)) ps.Result {
-	// Cached: sweeps run many cells against the same config, and concurrent
-	// cells (Profile.Jobs) share one immutable dataset instead of each
-	// regenerating it.
-	train, test := data.GenerateCached(p.Data)
 	cfg := cellConfig(p, algo, workers, bnMode, seed)
 	if mutate != nil {
 		mutate(&cfg)
 	}
+	return runConfig(p, cfg, ps.ConfigKey(cfg))
+}
+
+// runConfig runs one cell under the profile; key is ps.ConfigKey(cfg), which
+// names the cell to telemetry and to the store.
+func runConfig(p Profile, cfg ps.Config, key string) ps.Result {
+	// Cached: sweeps run many cells against the same config, and concurrent
+	// cells (Profile.Jobs) share one immutable dataset instead of each
+	// regenerating it.
+	train, test := data.GenerateCached(p.Data)
 	env := ps.Env{Train: train, Test: test, Build: p.Model.Build, Cfg: cfg}
 	if p.Telemetry != nil && !p.Render {
 		// attach returns nil for a duplicate cell (same ConfigKey already
 		// recording elsewhere in the invocation) — the run then simply
 		// carries no recorder, which is indistinguishable by results.
-		env.Telemetry = p.Telemetry.attach(cfg, ps.ConfigKey(cfg))
+		env.Telemetry = p.Telemetry.attach(cfg, key)
 	}
 	if p.Store != nil {
-		return runCellPersisted(p, env)
+		return runCellPersisted(p, env, key)
 	}
 	if p.Render {
 		panic("trainer: Render mode requires a Store (-render needs -ckpt-dir)")

@@ -79,89 +79,56 @@ func Robustness(p Profile, workers int, seed uint64, scns []scenario.Scenario, o
 	if opts.Seeds < 1 {
 		opts.Seeds = 1
 	}
-	type variant struct {
-		name string
-		mut  func(*ps.Config)
-	}
-	// With RecoverOpt requested, every cell — base rows included — runs on
-	// the same checkpoint-barrier timeline, so a variant row differs from
-	// its base row only in what recovered workers pull.
-	base := variant{mut: func(c *ps.Config) {
-		if opts.RecoverOpt && c.CheckpointEvery == 0 {
-			c.CheckpointEvery = 1
-		}
-	}}
-	recOpt := variant{name: "recover-opt", mut: func(c *ps.Config) {
-		c.RecoverOpt = true
-		if c.CheckpointEvery == 0 {
-			c.CheckpointEvery = 1
-		}
-	}}
 
-	// Submit the whole scenario × algorithm × variant × seed grid to the
-	// cell pool in the classic nested order, then fold each row's seeds in
-	// that same order — rows are identical at any Profile.Jobs.
-	pool := newPool(p)
-	type gridCell struct {
-		row   RobustnessRow
-		seeds []*cellFuture
-	}
-	var cells []gridCell
+	// The scenario × algorithm × variant × seed grid in the classic nested
+	// order; each row folds its seeds' results in that same order, so rows
+	// are identical at any Profile.Jobs.
+	var rows []RobustnessRow
+	var cfgs []ps.Config
 	for i := range scns {
 		scn := &scns[i]
-		variants := []variant{base}
+		variants := []string{""}
 		if opts.RecoverOpt && hasRecovery(scn) {
-			variants = append(variants, recOpt)
+			variants = append(variants, "recover-opt")
 		}
 		for _, entry := range RobustnessEntries {
 			for _, v := range variants {
-				cell := gridCell{
-					row: RobustnessRow{Scenario: scn.Name, Algo: entry.Algo,
-						Topology: entry.Topology, Variant: v.name, Seeds: opts.Seeds},
-					seeds: make([]*cellFuture, opts.Seeds),
-				}
-				for s := 0; s < opts.Seeds; s++ {
-					mut := v.mut
-					topo := entry.Topology
-					cellSeed := seed + uint64(s)
-					mutate := func(c *ps.Config) {
-						c.Scenario = scn
-						c.Topology = topo
-						if mut != nil {
-							mut(c)
-						}
+				rows = append(rows, RobustnessRow{Scenario: scn.Name, Algo: entry.Algo,
+					Topology: entry.Topology, Variant: v, Seeds: opts.Seeds})
+				for s := range opts.Seeds {
+					cfg := cellConfig(p, entry.Algo, workers, core.BNAsync, seed+uint64(s))
+					cfg.Scenario, cfg.Topology = scn, entry.Topology
+					cfg.RecoverOpt = v != ""
+					// With RecoverOpt requested, every cell — base rows
+					// included — runs on the same checkpoint-barrier timeline,
+					// so a variant row differs from its base row only in what
+					// recovered workers pull.
+					if opts.RecoverOpt && cfg.CheckpointEvery == 0 {
+						cfg.CheckpointEvery = 1
 					}
-					cell.seeds[s] = pool.submit(cellKey(p, entry.Algo, workers, core.BNAsync, cellSeed, mutate), func() ps.Result {
-						return RunCellCfg(p, entry.Algo, workers, core.BNAsync, cellSeed, mutate)
-					})
+					cfgs = append(cfgs, cfg)
 				}
-				cells = append(cells, cell)
 			}
 		}
 	}
 
-	var rows []RobustnessRow
-	for _, cell := range cells {
-		row := cell.row
+	res := runCells(p, cfgs)
+	for i := range rows {
+		row := &rows[i]
 		loErr, hiErr := 0.0, 0.0
-		for s, fut := range cell.seeds {
-			res := fut.wait()
-			if s == 0 || res.FinalTestErr < loErr {
-				loErr = res.FinalTestErr
+		for s, r := range res[i*opts.Seeds : (i+1)*opts.Seeds] {
+			if s == 0 || r.FinalTestErr < loErr {
+				loErr = r.FinalTestErr
 			}
-			if s == 0 || res.FinalTestErr > hiErr {
-				hiErr = res.FinalTestErr
+			if s == 0 || r.FinalTestErr > hiErr {
+				hiErr = r.FinalTestErr
 			}
-			row.FinalTestErr += res.FinalTestErr
-			row.MeanStaleness += res.MeanStaleness
-			row.Updates += res.Updates
-			row.VirtualMs += res.VirtualMs
-			if res.MaxStaleness > row.MaxStaleness {
-				row.MaxStaleness = res.MaxStaleness
-			}
-			if res.ScenarioEvents > row.Events {
-				row.Events = res.ScenarioEvents
-			}
+			row.FinalTestErr += r.FinalTestErr
+			row.MeanStaleness += r.MeanStaleness
+			row.Updates += r.Updates
+			row.VirtualMs += r.VirtualMs
+			row.MaxStaleness = max(row.MaxStaleness, r.MaxStaleness)
+			row.Events = max(row.Events, r.ScenarioEvents)
 		}
 		n := float64(opts.Seeds)
 		row.FinalTestErr /= n
@@ -169,7 +136,6 @@ func Robustness(p Profile, workers int, seed uint64, scns []scenario.Scenario, o
 		row.VirtualMs /= n
 		row.Updates /= opts.Seeds
 		row.ErrSpread = hiErr - loErr
-		rows = append(rows, row)
 	}
 	return rows
 }

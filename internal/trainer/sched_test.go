@@ -176,16 +176,40 @@ func TestJobsWithConcurrentBackend(t *testing.T) {
 	}
 }
 
-// TestPoolPanicPropagates: a failing cell (e.g. an experiment-store error)
-// aborts the sweep from wait.
-func TestPoolPanicPropagates(t *testing.T) {
-	f := newPool(schedProfile(2)).submit("boom-cell", func() ps.Result { panic("boom") })
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("cell panic was swallowed")
+// TestSweepFailureSurfacesItself: a failing cell's panic value leaves the
+// sweep as itself at any Jobs — a render over an empty store surfaces
+// *RenderMissingError for the sweep's first cell — and cells that had not
+// started when it failed are skipped: at most Jobs of the panel's five
+// cells open a run directory.
+func TestSweepFailureSurfacesItself(t *testing.T) {
+	for _, jobs := range []int{1, 2} {
+		st, err := snapshot.OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	f.wait()
+		p := schedProfile(jobs)
+		p.Store, p.Render = st, true
+		func() {
+			defer func() {
+				rec := recover()
+				miss, ok := rec.(*RenderMissingError)
+				if !ok {
+					t.Fatalf("jobs=%d: recovered %v (%T), want *RenderMissingError", jobs, rec, rec)
+				}
+				if miss.Cfg.Algo != ps.SGD {
+					t.Fatalf("jobs=%d: render error names %s, want the first cell (SGD)", jobs, miss.Cfg.Algo)
+				}
+			}()
+			Fig3Panel(p, 4, 1)
+		}()
+		runs, err := st.Runs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) < 1 || len(runs) > jobs {
+			t.Fatalf("jobs=%d: %d cells started after the first failure could stop them, want 1..%d", jobs, len(runs), jobs)
+		}
+	}
 }
 
 // BenchmarkRobustnessSweep measures sweep wall-clock at both pool shapes —

@@ -19,9 +19,9 @@ import (
 // them into one Chrome trace file (one process lane-group per cell) and one
 // metrics document.
 //
-// Determinism across schedulers: pooled sweeps (-jobs) complete cells in
-// nondeterministic order, so the collector keys cells by ps.ConfigKey —
-// duplicate submissions of the same cell (e.g. the shared SGD baseline of
+// Determinism across schedulers: concurrent sweeps (-jobs) complete cells
+// in nondeterministic order, so the collector keys cells by ps.ConfigKey —
+// repeated runs of the same cell (e.g. the shared SGD baseline of
 // several figure panels) keep whichever attached first, which is safe
 // because a cell's telemetry is a pure function of its config — and sorts
 // cells by label at render time. Output bytes are therefore identical at

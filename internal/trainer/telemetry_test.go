@@ -56,20 +56,24 @@ func TestTelemetryJobsByteIdentity(t *testing.T) {
 }
 
 // TestProgressReportsCellKeys: every progress report carries the completed
-// cell's full config key, and the final report's done equals the total.
+// cell's full config key and the sweep's full cell count, even inline, and
+// the final report's done equals the total.
 func TestProgressReportsCellKeys(t *testing.T) {
 	p := schedProfile(1)
 	var keys []string
-	var lastDone, lastTotal int
+	var lastDone int
 	p.Progress = func(done, total int, elapsed time.Duration, key string) {
+		if total != 5 {
+			t.Fatalf("report %d/%d: total is not the panel's 5 cells", done, total)
+		}
 		keys = append(keys, key)
-		lastDone, lastTotal = done, total
+		lastDone = done
 	}
 	Fig3Panel(p, 4, 1)
-	if len(keys) != 5 || lastDone != 5 || lastTotal != 5 {
-		t.Fatalf("progress reported %d cells, last %d/%d, want 5, 5/5", len(keys), lastDone, lastTotal)
+	if len(keys) != 5 || lastDone != 5 {
+		t.Fatalf("progress reported %d cells, last done %d, want 5, 5", len(keys), lastDone)
 	}
-	want := cellKey(p, ps.SGD, 1, core.BNAsync, 1, nil)
+	want := ps.ConfigKey(cellConfig(p, ps.SGD, 1, core.BNAsync, 1))
 	if keys[0] != want {
 		t.Fatalf("first progress key %q, want the SGD baseline's %q", keys[0], want)
 	}
