@@ -75,6 +75,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"lcasgd/internal/ps"
@@ -305,6 +306,27 @@ func main() {
 		seedList = append(seedList, *seed+uint64(i))
 	}
 
+	// Figures 3/4 and 5/6 plot the same panels against epochs and against
+	// virtual time, and Figures 7/8 two traces of one run: each is computed
+	// once per invocation, whichever figure asks first.
+	panels := map[string]trainer.CurveSet{}
+	panel := func(fig func(trainer.Profile, int, uint64) trainer.CurveSet, p trainer.Profile, m int) trainer.CurveSet {
+		key := fmt.Sprintf("%s M=%d", p.Name, m)
+		cs, ok := panels[key]
+		if !ok {
+			cs = fig(p, m, *seed)
+			panels[key] = cs
+		}
+		return cs
+	}
+	var traced struct {
+		lossChart, stepChart string
+		res                  ps.Result
+	}
+	trace := sync.OnceFunc(func() {
+		traced.lossChart, traced.stepChart, traced.res = trainer.PredictorTraces(imagenet, *seed)
+	})
+
 	run := func(id string) {
 		switch id {
 		case "fig2":
@@ -315,20 +337,19 @@ func main() {
 			byTime := id == "fig4"
 			fmt.Printf("== Figure %s: all algorithms on %s, Async-BN ==\n", id[3:], cifar.Name)
 			for _, m := range ms {
-				cs := trainer.Fig3Panel(cifar, m, *seed)
-				emitCurves(cs, *csv, !byTime)
+				emitCurves(panel(trainer.Fig3Panel, cifar, m), *csv, !byTime)
 			}
 		case "fig5", "fig6":
 			byTime := id == "fig6"
 			fmt.Printf("== Figure %s: distributed algorithms on %s, Async-BN ==\n", id[3:], imagenet.Name)
 			for _, m := range ms {
-				cs := trainer.Fig5Panel(imagenet, m, *seed)
-				emitCurves(cs, *csv, !byTime)
+				emitCurves(panel(trainer.Fig5Panel, imagenet, m), *csv, !byTime)
 			}
 		case "fig7", "fig8":
-			lossChart, stepChart, res := trainer.PredictorTraces(imagenet, *seed)
+			trace()
+			res := traced.res
 			if id == "fig7" {
-				fmt.Println(lossChart)
+				fmt.Println(traced.lossChart)
 				var actuals []float64
 				for _, tp := range res.LossTrace {
 					actuals = append(actuals, tp.Actual)
@@ -336,7 +357,7 @@ func main() {
 				fmt.Printf("loss-predictor tail MAE: %.4f (mean loss level %.3f)\n",
 					trainer.TraceMAE(res.LossTrace), meanActual(actuals))
 			} else {
-				fmt.Println(stepChart)
+				fmt.Println(traced.stepChart)
 				fmt.Printf("step-predictor tail MAE: %.2f steps (M=16)\n", trainer.TraceMAE(res.StepTrace))
 			}
 		case "tab1":

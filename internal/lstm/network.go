@@ -108,29 +108,17 @@ func (n *Network) outsFor(T int) []float64 {
 	return n.outs
 }
 
-// forwardWindow runs the stack from zero state over the window rows plus an
-// optional extra final input, writing per-step head outputs into the reused
-// outs buffer. withCache records the step caches BPTT needs.
-func (n *Network) forwardWindow(extra []float64, withCache bool) []float64 {
-	T := n.count
-	if extra != nil {
-		T++
-	}
+// forwardWindow runs the stack from zero state over the window rows,
+// recording the step caches BPTT needs and writing per-step head outputs
+// into the reused outs buffer.
+func (n *Network) forwardWindow() []float64 {
 	for li := range n.states {
 		n.states[li].Zero()
 	}
-	outs := n.outsFor(T)
-	for t := 0; t < T; t++ {
-		cur := extra
-		if t < n.count {
-			cur = n.rows[t]
-		}
+	outs := n.outsFor(n.count)
+	for t, cur := range n.rows[:n.count] {
 		for li, cell := range n.Cells {
-			var cache *stepCache
-			if withCache {
-				cache = n.cacheFor(li, t)
-			}
-			cell.Step(cur, n.states[li], cache)
+			cell.Step(cur, n.states[li], n.cacheFor(li, t))
 			cur = n.states[li].H
 		}
 		outs[t] = n.head(cur)
@@ -190,7 +178,7 @@ func (n *Network) fitWindow() float64 {
 	if T == 0 {
 		return 0
 	}
-	outs := n.forwardWindow(nil, true)
+	outs := n.forwardWindow()
 	loss := 0.0
 	if cap(n.dOuts) < T {
 		n.dOuts = make([]float64, T)
@@ -269,8 +257,7 @@ func (n *Network) fitWindow() float64 {
 // Predict returns the one-step-ahead output after replaying the window and
 // feeding the given input.
 func (n *Network) Predict(input []float64) float64 {
-	outs := n.forwardWindow(input, false)
-	return outs[len(outs)-1]
+	return n.PredictAhead(input, 1, nil)[0]
 }
 
 // PredictAhead forecasts future values: it replays the window, feeds input,

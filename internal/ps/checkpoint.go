@@ -6,7 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,14 +48,11 @@ import (
 // between are deltas holding only the sections whose bytes moved since the
 // previous checkpoint. Resume takes a full container; a delta chain is replayed into
 // one with snapshot.Materialize, walking BaseEpoch back to the nearest full.
+// The header is the store's own (the engine leaves Key empty;
+// snapshot.RunDir.SaveCheckpoint stamps it).
 type Checkpoint struct {
-	Epoch     int     // completed global epochs at the barrier
-	Batches   int     // mini-batches consumed
-	Updates   int     // server updates applied
-	VirtualMs float64 // virtual time of the barrier
-	Full      bool    // self-contained snapshot vs delta
-	BaseEpoch int     // delta only: epoch of the checkpoint it chains onto
-	Data      []byte  // snapshot.Container bytes; opaque outside this package
+	snapshot.CkptMeta
+	Data []byte // snapshot.Container bytes; opaque outside this package
 }
 
 // ConfigKey returns the content key identifying a run: the hex SHA-256 of
@@ -337,21 +336,19 @@ func encodeMeta(e *Engine, w *snapshot.Writer, _ int) {
 	w.Int(e.rec.lastEpoch)
 	w.Int(len(e.rec.points))
 
-	// Armed scenario events, in arm order (ascending id), skipping fired
-	// tombstones. Re-arming them in this order on resume reproduces the
-	// clock's FIFO tie-breaking: at the barrier every armed event was
-	// scheduled before any deferred relaunch will be.
-	w.Int(len(e.armed) - e.armedDead)
-	for _, a := range e.armed {
-		if a.dead {
-			continue
-		}
-		w.F64(a.ev.At)
-		w.F64(a.ev.Period)
-		w.String(string(a.ev.Kind))
-		w.Int(a.ev.Worker)
-		w.F64(a.ev.CompScale)
-		w.F64(a.ev.CommScale)
+	// Armed scenario events, in arm order (ascending key). Re-arming them in
+	// this order on resume reproduces the clock's FIFO tie-breaking: at the
+	// barrier every armed event was scheduled before any deferred relaunch
+	// will be.
+	w.Int(len(e.armed))
+	for _, id := range slices.Sorted(maps.Keys(e.armed)) {
+		ev := e.armed[id]
+		w.F64(ev.At)
+		w.F64(ev.Period)
+		w.String(string(ev.Kind))
+		w.Int(ev.Worker)
+		w.F64(ev.CompScale)
+		w.F64(ev.CommScale)
 	}
 
 	// Launches deferred by the drain.
@@ -759,14 +756,14 @@ func (e *Engine) emitCheckpoint() {
 		e.tel.encodeMs.Observe(float64(time.Since(encStart).Nanoseconds()) / 1e6)
 	}
 
-	hdr := Checkpoint{
+	hdr := Checkpoint{CkptMeta: snapshot.CkptMeta{
 		Epoch:     e.srv.epoch(),
 		Batches:   e.srv.batches,
 		Updates:   e.srv.updates,
 		VirtualMs: e.clock.Now(),
 		Full:      full,
 		BaseEpoch: c.BaseEpoch,
-	}
+	}}
 	sink := e.env.CheckpointSink
 	ck.writer.start(func() ckptDone {
 		start := time.Now()

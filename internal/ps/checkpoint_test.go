@@ -1,6 +1,10 @@
 package ps
 
 import (
+	"bytes"
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 
 	"lcasgd/internal/scenario"
@@ -322,4 +326,72 @@ func TestSnapshotStateRoundTripViaStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResultsEqual(t, "store-loop", full, res)
+}
+
+// TestArmedEventsEncodeInArmOrder: the armed scenario set is a map, yet the
+// meta section writes its events in arm order, so encoding it is a function
+// of the engine state alone — not of map iteration — and a restore re-arms
+// the events in the order they were first armed. The timeline has events
+// that share a virtual time, and a periodic event fires and re-arms before
+// the encode, so arm order is neither time order nor the timeline's order.
+func TestArmedEventsEncodeInArmOrder(t *testing.T) {
+	env := tinyEnvSeeded(ASGD, 4, 3)
+	env.Cfg = env.Cfg.withDefaults()
+	engine := func() *Engine {
+		e := newEngine(env, strategyFor(env.Cfg))
+		e.strategy.Setup(e)
+		return e
+	}
+	e := engine()
+	defer e.close()
+	e.scheduleScenarioEvent(scenario.Event{At: 10, Period: 10, Kind: scenario.PhaseShift, Worker: -1, CompScale: 2, CommScale: 1})
+	for m := 0; m < 4; m++ {
+		e.scheduleScenarioEvent(scenario.Event{At: 50, Kind: scenario.Partition, Worker: m})
+		e.scheduleScenarioEvent(scenario.Event{At: 40 - float64(m), Kind: scenario.Heal, Worker: m})
+	}
+	e.scheduleScenarioEvent(scenario.Event{At: 50, Kind: scenario.Crash, Worker: 3})
+	// Fire the periodic event: its next occurrence (t=20) is armed last.
+	if !e.clock.Step() || e.Now() != 10 {
+		t.Fatalf("first step ended at t=%v", e.Now())
+	}
+	armOrder := func(e *Engine) []scenario.Event {
+		var evs []scenario.Event
+		for _, id := range slices.Sorted(maps.Keys(e.armed)) {
+			evs = append(evs, e.armed[id])
+		}
+		return evs
+	}
+	want := armOrder(e)
+	if len(want) != 10 || want[9].At != 20 {
+		t.Fatalf("armed after the periodic re-arm: %+v", want)
+	}
+
+	encode := func(e *Engine) []byte {
+		w := snapshot.NewWriter()
+		encodeMeta(e, w, 0)
+		return w.Bytes()
+	}
+	meta := encode(e)
+	for i := 0; i < 50; i++ {
+		if b := encode(e); !bytes.Equal(b, meta) {
+			t.Fatalf("encode %d of the same state differs from the first", i+1)
+		}
+	}
+
+	r := engine()
+	defer r.close()
+	r.ck.restoring = len(meta)
+	rd, err := snapshot.NewReader(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restoreMeta(r, rd, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := armOrder(r); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restore re-armed\n%+v\nwant arm order\n%+v", got, want)
+	}
+	if b := encode(r); !bytes.Equal(b, meta) {
+		t.Fatal("restored engine encodes a different meta section")
+	}
 }

@@ -148,19 +148,9 @@ func (e *Engine) GossipCommit(m int, grad []float64, batches int) {
 			wm[i], wp[i] = avg, avg
 		}
 	}
-	// Local step x_m ← x_m − γ·(g + wd·x_m), mirroring server.apply: the
-	// learning rate is read before the consumed batches advance the epoch.
-	lr := e.srv.lr()
-	wm := w.w
-	if wd := e.srv.wd; wd != 0 {
-		for i, g := range grad {
-			wm[i] -= lr * (g + wd*wm[i])
-		}
-	} else {
-		for i, g := range grad {
-			wm[i] -= lr * g
-		}
-	}
+	// The local step reads the learning rate before the consumed batches
+	// advance the epoch, as server.apply does.
+	sgdStep(w.w, grad, e.srv.lr(), e.srv.wd)
 	w.iter++
 	e.srv.updates++
 	e.srv.batches += batches

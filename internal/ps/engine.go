@@ -7,6 +7,7 @@ import (
 	"lcasgd/internal/core"
 	"lcasgd/internal/nn"
 	"lcasgd/internal/rng"
+	"lcasgd/internal/scenario"
 	"lcasgd/internal/simclock"
 	"lcasgd/internal/telemetry"
 )
@@ -39,15 +40,14 @@ type Engine struct {
 	maxStale     int
 
 	// Scenario bookkeeping (fleet.go): the armed (scheduled, unfired)
-	// timeline events as data, the arm-order counter, the tombstone count
-	// pending compaction, and how many events have been applied.
-	armed      []armedScn
+	// timeline events as data, keyed by arm order, the arm-order counter,
+	// and how many events have been applied.
+	armed      map[uint64]scenario.Event
 	armSeq     uint64
-	armedDead  int
 	scnApplied int
 
 	// Stall-guard counters (fleet.go), so fleetStalled, the launch park check
-	// and the gossip fast path never scan the fleet or the armed list: the
+	// and the gossip fast path never scan the fleet or the armed set: the
 	// active workers, the cut ones, the active ones blocked behind heal-less
 	// partitions (all three kept by setLink), and the armed revive-capable
 	// events (Recover/Join/Heal, kept by countArmed).
@@ -130,6 +130,7 @@ func newEngine(env Env, st Strategy) *Engine {
 		srv:       newServer(w, bnAcc, cfg, bpe),
 		seedRng:   seedRng,
 		modelSeed: modelSeed,
+		armed:     map[uint64]scenario.Event{},
 		nextCkpt:  cfg.CheckpointEvery,
 		ck:        newCkptEnc(),
 	}

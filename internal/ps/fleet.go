@@ -149,25 +149,6 @@ func (e *Engine) admit(m int) {
 	e.launch(m)
 }
 
-// armedScn is one scheduled-but-unfired scenario event. The engine keeps
-// the armed set as data (not just closures on the clock) for two reasons:
-// the stall guard needs to know whether anything can still revive or heal
-// the fleet, and a checkpoint must serialize exactly the pending timeline —
-// closures cannot cross a process boundary, but (event, arm-order) pairs
-// can, and re-arming them in order reproduces the clock's tie-breaking.
-//
-// A fired event is tombstoned (dead=true) rather than spliced out: ids are
-// strictly ascending in the slice, so disarm is a binary search plus a flag
-// write, with compaction amortized over the dead half — O(log n) amortized
-// instead of the O(n) splice a thousand-event timeline would otherwise pay
-// per firing. The stall guard itself never reads this slice: countArmed
-// keeps its counters at arm and disarm.
-type armedScn struct {
-	id   uint64
-	ev   scenario.Event
-	dead bool
-}
-
 // installScenario compiles the configured scenario onto the clock. Events
 // targeting ranks beyond the actual fleet are skipped, so one scenario
 // serves any worker count (sequential SGD's one-replica fleet included).
@@ -204,13 +185,22 @@ func (e *Engine) countArmed(ev scenario.Event, d int) {
 
 // scheduleScenarioEvent arms one occurrence of ev and, for periodic events,
 // re-arms the next occurrence after applying it.
+//
+// The engine keeps the armed set as data (not just closures on the clock),
+// keyed by arm order, for two reasons: the stall guard needs to know whether
+// anything can still revive or heal the fleet, and a checkpoint must
+// serialize exactly the pending timeline — closures cannot cross a process
+// boundary, but events in arm order can, and re-arming them in that order
+// reproduces the clock's tie-breaking. The stall guard itself never reads
+// the set: countArmed keeps its counters at arm and at firing.
 func (e *Engine) scheduleScenarioEvent(ev scenario.Event) {
 	id := e.armSeq
 	e.armSeq++
-	e.armed = append(e.armed, armedScn{id: id, ev: ev})
+	e.armed[id] = ev
 	e.countArmed(ev, +1)
 	e.clock.ScheduleAt(ev.At, func() {
-		e.disarm(id)
+		delete(e.armed, id)
+		e.countArmed(ev, -1)
 		e.applyScenarioEvent(ev)
 		if ev.Period > 0 && !e.srv.done() && !e.fleetStalled() {
 			next := ev
@@ -218,38 +208,6 @@ func (e *Engine) scheduleScenarioEvent(ev scenario.Event) {
 			e.scheduleScenarioEvent(next)
 		}
 	})
-}
-
-// disarm tombstones a fired event in the armed set and reverses its
-// contribution to the stall-guard counters. Ids are strictly ascending in
-// e.armed (tombstones included), so the event is found by binary search;
-// the slice compacts once more than half of it is dead.
-func (e *Engine) disarm(id uint64) {
-	lo, hi := 0, len(e.armed)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if e.armed[mid].id < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo >= len(e.armed) || e.armed[lo].id != id || e.armed[lo].dead {
-		return
-	}
-	e.armed[lo].dead = true
-	e.armedDead++
-	e.countArmed(e.armed[lo].ev, -1)
-	if e.armedDead*2 > len(e.armed) {
-		live := e.armed[:0]
-		for _, s := range e.armed {
-			if !s.dead {
-				live = append(live, s)
-			}
-		}
-		e.armed = live
-		e.armedDead = 0
-	}
 }
 
 // fleetStalled reports that no worker can make progress — every member is
@@ -275,7 +233,7 @@ func (e *Engine) fleetStalled() bool {
 
 // rebuildFleetCounters is the definition of the fleet's O(1) counters:
 // activeN, cutN, blockedN, reviveArmedN and every worker's armed-Heal count
-// recomputed from the per-worker flags and the armed list alone. setLink and
+// recomputed from the per-worker flags and the armed set alone. setLink and
 // countArmed keep the same values incrementally; restore, which loads armed
 // events and flags in container order rather than causal order, calls this
 // once after both are in.
@@ -284,10 +242,8 @@ func (e *Engine) rebuildFleetCounters() {
 	for m := range e.workers {
 		e.workers[m].heals = 0
 	}
-	for _, a := range e.armed {
-		if !a.dead {
-			e.countArmed(a.ev, +1)
-		}
+	for _, ev := range e.armed {
+		e.countArmed(ev, +1)
 	}
 	// Whatever setLink made of the counters on the way, they are recounted
 	// from the flags and the Heal counts just derived.

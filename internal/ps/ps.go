@@ -324,19 +324,24 @@ func (s *server) done() bool { return s.batches >= s.target }
 // lr returns the learning rate in effect now.
 func (s *server) lr() float64 { return s.lrScale * s.sched.At(s.epoch()) }
 
-// apply performs w ← w − γ·(g + wd·w) and accounts for the consumed
-// batches.
+// apply performs one SGD step on the server weights and accounts for the
+// consumed batches.
 func (s *server) apply(grad []float64, batchesConsumed int) {
-	lr := s.lr()
-	if s.wd != 0 {
+	sgdStep(s.w, grad, s.lr(), s.wd)
+	s.updates++
+	s.batches += batchesConsumed
+}
+
+// sgdStep performs w ← w − lr·(g + wd·w), the update every algorithm lands:
+// on the server's weights, or on a worker's own model in a decentralized run.
+func sgdStep(w, grad []float64, lr, wd float64) {
+	if wd != 0 {
 		for i, g := range grad {
-			s.w[i] -= lr * (g + s.wd*s.w[i])
+			w[i] -= lr * (g + wd*w[i])
 		}
 	} else {
 		for i, g := range grad {
-			s.w[i] -= lr * g
+			w[i] -= lr * g
 		}
 	}
-	s.updates++
-	s.batches += batchesConsumed
 }

@@ -120,11 +120,11 @@ func (r *RunDir) Dir() string { return r.dir }
 // delta checkpoint is only restorable together with its base chain, which
 // resume logic walks via BaseEpoch and prune refuses to break.
 type CkptMeta struct {
-	Key       string  `json:"key"` // full config hash, for collision detection
-	Epoch     int     `json:"epoch"`
-	Batches   int     `json:"batches"`
-	Updates   int     `json:"updates"`
-	VirtualMs float64 `json:"virtual_ms"`
+	Key       string  `json:"key"`        // full config hash, for collision detection
+	Epoch     int     `json:"epoch"`      // completed global epochs at the barrier
+	Batches   int     `json:"batches"`    // mini-batches consumed
+	Updates   int     `json:"updates"`    // server updates applied
+	VirtualMs float64 `json:"virtual_ms"` // virtual time of the barrier
 	Full      bool    `json:"full"`       // self-contained snapshot vs delta
 	BaseEpoch int     `json:"base_epoch"` // delta only: epoch of the previous link
 }

@@ -18,12 +18,16 @@ import (
 // Instruments are registered once, by the engine, in a fixed order; the
 // registration order is the serialization order, so the checkpoint codec
 // can restore by position and validate by name.
+//
+// The struct tags are the JSON dump's layout (MarshalJSON): encoding/json
+// emits struct fields in declaration order, which is what makes the dump
+// byte-stable.
 type Metrics struct {
-	Counters []*Counter
-	Gauges   []*Gauge
-	Hists    []*Histogram
-	Vecs     []*WorkerVec
-	Series   []Sample
+	Counters []*Counter   `json:"counters"`
+	Gauges   []*Gauge     `json:"gauges"`
+	Hists    []*Histogram `json:"histograms"`
+	Vecs     []*WorkerVec `json:"workers"`
+	Series   []Sample     `json:"-"` // dumped as columns and rows, see MarshalJSON
 }
 
 // NewMetrics returns an empty registry.
@@ -73,8 +77,8 @@ func (m *Metrics) Sample(epoch int, atMs float64) {
 
 // Counter is a monotonically increasing count.
 type Counter struct {
-	Name string
-	V    uint64
+	Name string `json:"name"`
+	V    uint64 `json:"value"`
 }
 
 // Inc adds one.
@@ -85,8 +89,8 @@ func (c *Counter) Add(d uint64) { c.V += d }
 
 // Gauge is a point-in-time value; Sample snapshots all gauges at once.
 type Gauge struct {
-	Name string
-	V    float64
+	Name string  `json:"name"`
+	V    float64 `json:"value"`
 }
 
 // Set replaces the gauge's value.
@@ -94,11 +98,11 @@ func (g *Gauge) Set(v float64) { g.V = v }
 
 // Histogram is a fixed-bucket distribution with total count and sum.
 type Histogram struct {
-	Name   string
-	Bounds []float64 // upper bounds; Counts has one extra +Inf bucket
-	Counts []uint64
-	Total  uint64
-	Sum    float64
+	Name   string    `json:"name"`
+	Bounds []float64 `json:"le"` // upper bounds; Counts has one extra +Inf bucket
+	Counts []uint64  `json:"counts"`
+	Total  uint64    `json:"count"`
+	Sum    float64   `json:"sum"`
 }
 
 // Observe folds one observation into its bucket.
@@ -114,8 +118,8 @@ func (h *Histogram) Observe(v float64) {
 
 // WorkerVec is a per-worker counter vector.
 type WorkerVec struct {
-	Name string
-	N    []uint64
+	Name string   `json:"name"`
+	N    []uint64 `json:"per_worker"`
 }
 
 // Inc adds one to worker m's slot.
@@ -130,82 +134,27 @@ type Sample struct {
 
 // --- dumps ---
 
-// jsonMetrics mirrors Metrics with ordered, stable JSON field names. Only
-// struct (not map) composition below: encoding/json emits struct fields in
-// declaration order, which is what makes the dump byte-stable.
-type jsonMetrics struct {
-	Counters []jsonCounter `json:"counters"`
-	Gauges   []jsonGauge   `json:"gauges"`
-	Hists    []jsonHist    `json:"histograms"`
-	Vecs     []jsonVec     `json:"workers"`
-	Series   jsonSeries    `json:"series"`
+// MarshalJSON renders the registry as its dump document: the instruments
+// under their struct tags, then the gauge series as a table.
+func (m *Metrics) MarshalJSON() ([]byte, error) {
+	type instruments Metrics // the tagged fields without this method
+	tab := seriesTable{
+		Columns: append([]string{"epoch", "at_ms"}, gaugeNames(m)...),
+		Rows:    make([][]float64, len(m.Series)),
+	}
+	for i, s := range m.Series {
+		tab.Rows[i] = append([]float64{float64(s.Epoch), s.AtMs}, s.Values...)
+	}
+	return json.Marshal(struct {
+		*instruments
+		Series seriesTable `json:"series"`
+	}{(*instruments)(m), tab})
 }
 
-type jsonCounter struct {
-	Name string `json:"name"`
-	V    uint64 `json:"value"`
-}
-
-type jsonGauge struct {
-	Name string  `json:"name"`
-	V    float64 `json:"value"`
-}
-
-type jsonHist struct {
-	Name   string    `json:"name"`
-	Bounds []float64 `json:"le"`
-	Counts []uint64  `json:"counts"`
-	Total  uint64    `json:"count"`
-	Sum    float64   `json:"sum"`
-}
-
-type jsonVec struct {
-	Name string   `json:"name"`
-	N    []uint64 `json:"per_worker"`
-}
-
-type jsonSeries struct {
+// seriesTable is the gauge series' dump shape: one row per Sample.
+type seriesTable struct {
 	Columns []string    `json:"columns"` // epoch, at_ms, then gauge names
 	Rows    [][]float64 `json:"rows"`
-}
-
-// JSONMeter is the measured-group dump row (exported for the trainer's
-// aggregate dump).
-type JSONMeter struct {
-	Name string  `json:"name"`
-	N    uint64  `json:"n"`
-	Sum  float64 `json:"sum"`
-	Max  float64 `json:"max"`
-}
-
-func (m *Metrics) jsonDoc() jsonMetrics {
-	doc := jsonMetrics{
-		Counters: make([]jsonCounter, len(m.Counters)),
-		Gauges:   make([]jsonGauge, len(m.Gauges)),
-		Hists:    make([]jsonHist, len(m.Hists)),
-		Vecs:     make([]jsonVec, len(m.Vecs)),
-	}
-	for i, c := range m.Counters {
-		doc.Counters[i] = jsonCounter{Name: c.Name, V: c.V}
-	}
-	for i, g := range m.Gauges {
-		doc.Gauges[i] = jsonGauge{Name: g.Name, V: g.V}
-	}
-	for i, h := range m.Hists {
-		doc.Hists[i] = jsonHist{Name: h.Name, Bounds: h.Bounds, Counts: h.Counts, Total: h.Total, Sum: h.Sum}
-	}
-	for i, v := range m.Vecs {
-		doc.Vecs[i] = jsonVec{Name: v.Name, N: v.N}
-	}
-	doc.Series.Columns = append([]string{"epoch", "at_ms"}, gaugeNames(m)...)
-	doc.Series.Rows = make([][]float64, len(m.Series))
-	for i, s := range m.Series {
-		row := make([]float64, 0, 2+len(s.Values))
-		row = append(row, float64(s.Epoch), s.AtMs)
-		row = append(row, s.Values...)
-		doc.Series.Rows[i] = row
-	}
-	return doc
 }
 
 func gaugeNames(m *Metrics) []string {
@@ -216,29 +165,16 @@ func gaugeNames(m *Metrics) []string {
 	return names
 }
 
-// MetersJSON converts measured-group accumulators to their dump rows.
-func MetersJSON(meters []*Meter) []JSONMeter {
-	out := make([]JSONMeter, len(meters))
-	for i, mt := range meters {
-		out[i] = JSONMeter{Name: mt.Name, N: mt.N, Sum: mt.Sum, Max: mt.Max}
-	}
-	return out
-}
-
 // DeterministicJSON renders the registry's deterministic instruments as
 // stable JSON — the byte stream the equivalence and resume telemetry tests
 // compare. Measured meters are deliberately absent.
 func (m *Metrics) DeterministicJSON() []byte {
-	b, err := json.Marshal(m.jsonDoc())
+	b, err := json.Marshal(m)
 	if err != nil {
 		panic(fmt.Sprintf("telemetry: marshal metrics: %v", err)) // plain structs; cannot fail
 	}
 	return b
 }
-
-// MarshalJSONDoc returns the ordered JSON document value for embedding in a
-// larger dump (the trainer's per-cell metrics file).
-func (m *Metrics) MarshalJSONDoc() any { return m.jsonDoc() }
 
 // AppendCSV appends the registry as flat CSV rows — section,name,key,value —
 // prefixed with the given cell label column. Deterministic: fixed section

@@ -163,10 +163,10 @@ func (r *Recorder) Meters() []*Meter { return r.meters }
 // Meter accumulates one non-deterministic measurement series: count, sum
 // and max. Units are the meter's own (milliseconds, bytes, …).
 type Meter struct {
-	Name string
-	N    uint64
-	Sum  float64
-	Max  float64
+	Name string  `json:"name"`
+	N    uint64  `json:"n"`
+	Sum  float64 `json:"sum"`
+	Max  float64 `json:"max"`
 }
 
 // Observe folds one measurement into the meter.

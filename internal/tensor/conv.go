@@ -76,11 +76,6 @@ func (g ConvGeom) Validate() error {
 // budget is set by memory per replica, not speed.
 const convPanelFloats = 8 * 1024
 
-// convOperandFloats bounds the [OutC, n*HW] operand of a group's two
-// products (Y forward, dY backward) at 128 KiB, so that it stays
-// L2-resident while the kernel streams it once per strip of four rows.
-const convOperandFloats = 16 * 1024
-
 // convTable is what a geometry's lowering derives from it, built once and
 // shared.
 //
@@ -255,10 +250,9 @@ func convTableFor(g ConvGeom) *convTable {
 // shared table, the group size and the scratch its calls work in. It is
 // single-owner state like the layer that holds it.
 type ConvLowering struct {
-	g     ConvGeom
-	outC  int
-	group int
-	tab   *convTable
+	g    ConvGeom
+	outC int
+	tab  *convTable
 	// Same-size geometry: stage lays a group's planes side by side, every
 	// channel of dx for InputGrad and every channel of x between guards for
 	// Forward, and dYm is InputGrad's masked copy of dY, [OutC, group*HW].
@@ -275,31 +269,25 @@ type ConvLowering struct {
 // NewConvLowering returns the lowering of geometry g for a layer with outC
 // output channels. g must be valid.
 func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
-	// The group is the largest image count whose panel and whose
-	// [OutC, n*HW] operand both fit their budgets.
-	k, hw := g.ColCols(), g.ColRows()
-	group := max(min(convPanelFloats/(k*hw), convOperandFloats/(outC*hw)), 1)
-	l := &ConvLowering{
-		g: g, outC: outC, group: group,
-		tab: convTableFor(g),
-	}
+	l := &ConvLowering{g: g, outC: outC, tab: convTableFor(g)}
 	if g.Pad > 0 {
 		l.wStage = make([]float64, g.InC*(g.InH+2*g.Pad)*(g.InW+2*g.Pad))
 	}
+	cols := l.tab.width * g.ColRows()
 	if t := l.tab; t.shift != nil {
-		// hw is the plane. Forward's guarded rows span a table width of
-		// planes each, which holds InputGrad's stage too.
+		// Forward's guarded rows span a table width of planes each, which
+		// holds InputGrad's stage too.
 		l.stage = make([]float64, g.InC*t.rowStride+t.guard)
-		l.dYm = make([]float64, outC*group*hw)
+		l.dYm = make([]float64, outC*cols)
 	} else {
-		l.dPanel = make([]float64, k*group*hw)
+		l.dPanel = make([]float64, g.ColCols()*cols)
 	}
 	return l
 }
 
-// Group returns the number of images lowered into one panel. It is a
-// function of the geometry and outC alone.
-func (l *ConvLowering) Group() int { return l.group }
+// Group returns the number of images lowered into one panel, the table's
+// width: a function of the geometry alone.
+func (l *ConvLowering) Group() int { return l.tab.width }
 
 // Forward writes y [OutC, n*HW] = Wᵀ @ panel for n ≤ Group() images x
 // [n, InC, InH, InW], from w [ColCols, OutC]; y may hold anything. Each
@@ -319,9 +307,9 @@ func (l *ConvLowering) Forward(y, w, x []float64, n int) {
 	t := l.tab
 	k, hw, inC := l.g.ColCols(), l.g.ColRows(), l.g.InC
 	cols, plane := n*hw, l.g.InH*l.g.InW
-	if n < 1 || n > l.group || len(y) != l.outC*cols || len(w) != k*l.outC || len(x) != n*inC*plane {
+	if n < 1 || n > l.tab.width || len(y) != l.outC*cols || len(w) != k*l.outC || len(x) != n*inC*plane {
 		panic(fmt.Sprintf("tensor: Forward lens y %d w %d x %d for n %d (group %d) k %d outC %d",
-			len(y), len(w), len(x), n, l.group, k, l.outC))
+			len(y), len(w), len(x), n, l.tab.width, k, l.outC))
 	}
 	clear(y)
 	if t.shift == nil {
@@ -360,9 +348,9 @@ func (l *ConvLowering) Forward(y, w, x []float64, n int) {
 func (l *ConvLowering) InputGrad(dx, w, dY []float64, n int) {
 	k, hw, kk := l.g.ColCols(), l.g.ColRows(), l.g.KH*l.g.KW
 	inC, outC, cols := l.g.InC, l.outC, n*hw
-	if n < 1 || n > l.group || len(dx) != n*inC*l.g.InH*l.g.InW || len(w) != k*outC || len(dY) != outC*cols {
+	if n < 1 || n > l.tab.width || len(dx) != n*inC*l.g.InH*l.g.InW || len(w) != k*outC || len(dY) != outC*cols {
 		panic(fmt.Sprintf("tensor: InputGrad lens dx %d w %d dY %d for n %d (group %d) k %d outC %d",
-			len(dx), len(w), len(dY), n, l.group, k, outC))
+			len(dx), len(w), len(dY), n, l.tab.width, k, outC))
 	}
 	if l.tab.shift == nil {
 		p := l.dPanel[:k*cols]

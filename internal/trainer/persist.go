@@ -84,10 +84,7 @@ func runCellPersisted(p Profile, env ps.Env, key string) ps.Result {
 		panic(fmt.Sprintf("trainer: experiment store: %v", err))
 	}
 	env.CheckpointSink = func(ck ps.Checkpoint) error {
-		return rd.SaveCheckpoint(ck.Data, snapshot.CkptMeta{
-			Epoch: ck.Epoch, Batches: ck.Batches, Updates: ck.Updates, VirtualMs: ck.VirtualMs,
-			Full: ck.Full, BaseEpoch: ck.BaseEpoch,
-		})
+		return rd.SaveCheckpoint(ck.Data, ck.CkptMeta)
 	}
 
 	res, ran := resumeFromCheckpoint(p, env, rd)

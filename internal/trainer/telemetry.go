@@ -116,11 +116,11 @@ func (t *Telemetry) WriteTrace(path string) error {
 // metricsCell is the per-cell entry of the metrics JSON document. Field
 // order is the document's key order.
 type metricsCell struct {
-	Label    string                `json:"label"`
-	Key      string                `json:"key"`
-	Workers  int                   `json:"workers"`
-	Metrics  any                   `json:"metrics"`
-	Measured []telemetry.JSONMeter `json:"measured,omitempty"`
+	Label    string             `json:"label"`
+	Key      string             `json:"key"`
+	Workers  int                `json:"workers"`
+	Metrics  *telemetry.Metrics `json:"metrics"`
+	Measured []*telemetry.Meter `json:"measured,omitempty"`
 }
 
 // MetricsJSON renders every recorded cell's metrics registry as one JSON
@@ -134,10 +134,10 @@ func (t *Telemetry) MetricsJSON(includeMeasured bool) ([]byte, error) {
 	for _, c := range t.rendered() {
 		mc := metricsCell{
 			Label: c.label, Key: c.key, Workers: c.workers,
-			Metrics: c.rec.Metrics.MarshalJSONDoc(),
+			Metrics: c.rec.Metrics,
 		}
 		if includeMeasured {
-			mc.Measured = telemetry.MetersJSON(c.rec.Meters())
+			mc.Measured = c.rec.Meters()
 		}
 		doc.Cells = append(doc.Cells, mc)
 	}

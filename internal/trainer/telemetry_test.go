@@ -155,3 +155,144 @@ func TestTelemetryResumeFallback(t *testing.T) {
 		t.Fatal("fallback trace is missing launch/barrier events")
 	}
 }
+
+// TestMetricsDumpLayout pins the -metrics-out layouts as bytes: a
+// hand-built registry with one instrument of each kind, two series rows and
+// two meters renders to these literal JSON and CSV documents. The
+// instruments' struct tags are the JSON layout, so a renamed tag fails here
+// even though two runs of the renamed code would agree with each other.
+func TestMetricsDumpLayout(t *testing.T) {
+	tel := NewTelemetry()
+	rec := tel.attach(ps.Config{Algo: ps.ASGD, Workers: 2, Seed: 7}, "0123456789abcdef")
+	rec.Bind()
+	m := rec.Metrics
+	m.Counter("commits").Add(3)
+	g := m.Gauge("inflight")
+	h := m.Histogram("staleness", []float64{0, 2})
+	v := m.WorkerVec("drops", 2)
+	g.Set(1.5)
+	h.Observe(1)
+	m.Sample(1, 250)
+	g.Set(2.5)
+	h.Observe(5)
+	v.Inc(1)
+	m.Sample(2, 500)
+	rec.Meter("encode_ms").Observe(2.5)
+	wr := rec.Meter("write_ms")
+	wr.Observe(1)
+	wr.Observe(4)
+
+	const wantJSON = `{
+  "cells": [
+    {
+      "label": "ASGD M=2 seed=7 0123456789ab",
+      "key": "0123456789abcdef",
+      "workers": 2,
+      "metrics": {
+        "counters": [
+          {
+            "name": "commits",
+            "value": 3
+          }
+        ],
+        "gauges": [
+          {
+            "name": "inflight",
+            "value": 2.5
+          }
+        ],
+        "histograms": [
+          {
+            "name": "staleness",
+            "le": [
+              0,
+              2
+            ],
+            "counts": [
+              0,
+              1,
+              1
+            ],
+            "count": 2,
+            "sum": 6
+          }
+        ],
+        "workers": [
+          {
+            "name": "drops",
+            "per_worker": [
+              0,
+              1
+            ]
+          }
+        ],
+        "series": {
+          "columns": [
+            "epoch",
+            "at_ms",
+            "inflight"
+          ],
+          "rows": [
+            [
+              1,
+              250,
+              1.5
+            ],
+            [
+              2,
+              500,
+              2.5
+            ]
+          ]
+        }
+      },
+      "measured": [
+        {
+          "name": "encode_ms",
+          "n": 1,
+          "sum": 2.5,
+          "max": 2.5
+        },
+        {
+          "name": "write_ms",
+          "n": 2,
+          "sum": 5,
+          "max": 4
+        }
+      ]
+    }
+  ]
+}
+`
+	const wantCSV = `cell,section,name,key,value
+ASGD M=2 seed=7 0123456789ab,counter,commits,,3
+ASGD M=2 seed=7 0123456789ab,gauge,inflight,,2.5
+ASGD M=2 seed=7 0123456789ab,hist,staleness,le_0,0
+ASGD M=2 seed=7 0123456789ab,hist,staleness,le_2,1
+ASGD M=2 seed=7 0123456789ab,hist,staleness,le_inf,1
+ASGD M=2 seed=7 0123456789ab,hist,staleness,count,2
+ASGD M=2 seed=7 0123456789ab,hist,staleness,sum,6
+ASGD M=2 seed=7 0123456789ab,worker,drops,w0,0
+ASGD M=2 seed=7 0123456789ab,worker,drops,w1,1
+ASGD M=2 seed=7 0123456789ab,series,epoch_1,at_ms,250
+ASGD M=2 seed=7 0123456789ab,series,epoch_1,inflight,1.5
+ASGD M=2 seed=7 0123456789ab,series,epoch_2,at_ms,500
+ASGD M=2 seed=7 0123456789ab,series,epoch_2,inflight,2.5
+ASGD M=2 seed=7 0123456789ab,measured,encode_ms,n,1
+ASGD M=2 seed=7 0123456789ab,measured,encode_ms,sum,2.5
+ASGD M=2 seed=7 0123456789ab,measured,encode_ms,max,2.5
+ASGD M=2 seed=7 0123456789ab,measured,write_ms,n,2
+ASGD M=2 seed=7 0123456789ab,measured,write_ms,sum,5
+ASGD M=2 seed=7 0123456789ab,measured,write_ms,max,4
+`
+	got, err := tel.MetricsJSON(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != wantJSON {
+		t.Fatalf("metrics JSON:\n%s\nwant:\n%s", got, wantJSON)
+	}
+	if got := string(tel.metricsCSV()); got != wantCSV {
+		t.Fatalf("metrics CSV:\n%s\nwant:\n%s", got, wantCSV)
+	}
+}
