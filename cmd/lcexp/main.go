@@ -185,39 +185,45 @@ func (f flagValues) apply(p *trainer.Profile, store *snapshot.Store) {
 	}
 }
 
-func main() {
+func main() { os.Exit(lcexp(os.Args[1:])) }
+
+// lcexp runs the command line args and returns the exit status. It owns the
+// profilers' deferred stops, so every exit after they start — a failure
+// included — leaves complete profiles behind.
+func lcexp(args []string) int {
+	fs := flag.NewFlagSet("lcexp", flag.ExitOnError)
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiment ids: fig2..fig8, tab1..tab3, robust, all")
-		workers  = flag.Int("workers", 0, "restrict figure panels to one worker count (0 = all of 4,8,16)")
-		full     = flag.Bool("full", false, "use the paper-scale profiles (slow) instead of quick ones")
-		seeds    = flag.Int("seeds", 1, "number of seeds to average in tab1 and robust (mean ± spread rows)")
-		seed     = flag.Uint64("seed", 7, "base random seed")
-		csv      = flag.Bool("csv", false, "emit figure series as CSV tables instead of ASCII charts")
-		parallel = flag.Bool("parallel", false, "run worker compute on the concurrent backend (bit-identical, multi-core)")
-		jobs     = flag.Int("jobs", 0, "experiment cells to run concurrently in sweeps (0 = GOMAXPROCS, or 1 with -parallel; 1 = sequential; byte-identical output at any value)")
-		scn      = flag.String("scenario", "none",
+		exp      = fs.String("exp", "all", "comma-separated experiment ids: fig2..fig8, tab1..tab3, robust, all")
+		workers  = fs.Int("workers", 0, "restrict figure panels to one worker count (0 = all of 4,8,16)")
+		full     = fs.Bool("full", false, "use the paper-scale profiles (slow) instead of quick ones")
+		seeds    = fs.Int("seeds", 1, "number of seeds to average in tab1 and robust (mean ± spread rows)")
+		seed     = fs.Uint64("seed", 7, "base random seed")
+		csv      = fs.Bool("csv", false, "emit figure series as CSV tables instead of ASCII charts")
+		parallel = fs.Bool("parallel", false, "run worker compute on the concurrent backend (bit-identical, multi-core)")
+		jobs     = fs.Int("jobs", 0, "experiment cells to run concurrently in sweeps (0 = GOMAXPROCS, or 1 with -parallel; 1 = sequential; byte-identical output at any value)")
+		scn      = fs.String("scenario", "none",
 			fmt.Sprintf("cluster-event timeline for every run: %s", strings.Join(scenario.Names(), ", ")))
-		topo = flag.String("topology", "",
+		topo = fs.String("topology", "",
 			fmt.Sprintf("gossip graph for decentralized (AD-PSGD) cells: %s (empty = ring)", strings.Join(topology.Names(), ", ")))
-		verbose       = flag.Bool("v", false, "report sweep progress to stderr (cells done/total, elapsed)")
-		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memprofile    = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		ckptDir       = flag.String("ckpt-dir", "", "experiment store directory: every run persists its config, checkpoints and result there")
-		ckptEvery     = flag.Int("ckpt-every", 1, "checkpoint barrier cadence in epochs for persisted runs (with -ckpt-dir)")
-		ckptKeep      = flag.Int("ckpt-keep", 1, "checkpoints to retain per persisted run; keeping more lets -resume fall back past a corrupted latest one")
-		ckptFullEvery = flag.Int("ckpt-full-every", 8, "every K-th persisted checkpoint is a self-contained full snapshot; the ones between are deltas chained onto it (1 = every checkpoint full)")
-		traceOut      = flag.String("trace-out", "", "write a Chrome trace-event timeline (Perfetto-loadable) of every computed cell to this file")
-		metricsOut    = flag.String("metrics-out", "", "write every computed cell's metrics registry to this file (.csv for CSV, JSON otherwise)")
-		resume        = flag.Bool("resume", false, "with -ckpt-dir: skip completed runs, resume interrupted ones from their last checkpoint")
-		render        = flag.Bool("render", false, "with -ckpt-dir: re-render figures and tables from persisted results without recomputing")
-		recoverOpt    = flag.Bool("recover-opt", false, "robust: add variant rows where recovered workers restore the last checkpoint instead of pulling fresh state")
+		verbose       = fs.Bool("v", false, "report sweep progress to stderr (cells done/total, elapsed)")
+		cpuprofile    = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memprofile    = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		ckptDir       = fs.String("ckpt-dir", "", "experiment store directory: every run persists its config, checkpoints and result there")
+		ckptEvery     = fs.Int("ckpt-every", 1, "checkpoint barrier cadence in epochs for persisted runs (with -ckpt-dir)")
+		ckptKeep      = fs.Int("ckpt-keep", 1, "checkpoints to retain per persisted run; keeping more lets -resume fall back past a corrupted latest one")
+		ckptFullEvery = fs.Int("ckpt-full-every", 8, "every K-th persisted checkpoint is a self-contained full snapshot; the ones between are deltas chained onto it (1 = every checkpoint full)")
+		traceOut      = fs.String("trace-out", "", "write a Chrome trace-event timeline (Perfetto-loadable) of every computed cell to this file")
+		metricsOut    = fs.String("metrics-out", "", "write every computed cell's metrics registry to this file (.csv for CSV, JSON otherwise)")
+		resume        = fs.Bool("resume", false, "with -ckpt-dir: skip completed runs, resume interrupted ones from their last checkpoint")
+		render        = fs.Bool("render", false, "with -ckpt-dir: re-render figures and tables from persisted results without recomputing")
+		recoverOpt    = fs.Bool("recover-opt", false, "robust: add variant rows where recovered workers restore the last checkpoint instead of pulling fresh state")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	ids := expandExperiments(*exp)
 
-	// Checked before the profiling defers are armed: os.Exit on a bad value
-	// must not leave a truncated, unreadable profile file behind.
+	// Checked before the profilers start: a bad value leaves no profile file
+	// behind at all.
 	flags := flagValues{
 		scenario: *scn, topology: *topo, traceOut: *traceOut, metricsOut: *metricsOut, ckptDir: *ckptDir,
 		workers: *workers, jobs: *jobs, seeds: *seeds,
@@ -226,14 +232,14 @@ func main() {
 	}
 	if err := checkFlags(flags); err != nil {
 		fmt.Fprintf(os.Stderr, "lcexp: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	var store *snapshot.Store
 	if *ckptDir != "" {
 		var err error
 		if store, err = snapshot.OpenStore(*ckptDir); err != nil {
 			fmt.Fprintf(os.Stderr, "lcexp: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -241,12 +247,12 @@ func main() {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lcexp: -cpuprofile: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "lcexp: -cpuprofile: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -327,7 +333,7 @@ func main() {
 		traced.lossChart, traced.stepChart, traced.res = trainer.PredictorTraces(imagenet, *seed)
 	})
 
-	run := func(id string) {
+	run := func(id string) error {
 		switch id {
 		case "fig2":
 			fmt.Println("== Figure 2: DC-ASGD test error vs epoch, ResNet-18-scale / CIFAR-10-scale ==")
@@ -383,8 +389,7 @@ func main() {
 			tb := trainer.RenderRobustness(cifar, m, rows)
 			if store != nil {
 				if err := store.SaveTable("robustness", rows, tb.String()); err != nil {
-					fmt.Fprintf(os.Stderr, "lcexp: %v\n", err)
-					os.Exit(1)
+					return err
 				}
 			}
 			if *csv {
@@ -393,10 +398,14 @@ func main() {
 				fmt.Println(tb)
 			}
 		}
+		return nil
 	}
 
 	for _, id := range ids {
-		runExperiment(run, id)
+		if err := runExperiment(run, id); err != nil {
+			fmt.Fprintf(os.Stderr, "lcexp: %v\n", err)
+			return 1
+		}
 	}
 
 	if tel != nil {
@@ -406,33 +415,34 @@ func main() {
 		if *traceOut != "" {
 			if err := tel.WriteTrace(*traceOut); err != nil {
 				fmt.Fprintf(os.Stderr, "lcexp: -trace-out: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		if *metricsOut != "" {
 			if err := tel.WriteMetrics(*metricsOut); err != nil {
 				fmt.Fprintf(os.Stderr, "lcexp: -metrics-out: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 		fmt.Fprintf(os.Stderr, "lcexp: telemetry recorded for %d cells\n", tel.Cells())
 	}
+	return 0
 }
 
 // runExperiment runs one experiment id, turning a render-mode miss into a
 // clean diagnostic instead of a stack trace: the error names exactly which
 // cell the store lacks. Other panics propagate unchanged.
-func runExperiment(run func(string), id string) {
+func runExperiment(run func(string) error, id string) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if miss, ok := rec.(*trainer.RenderMissingError); ok {
-				fmt.Fprintf(os.Stderr, "lcexp: %v\n", miss)
-				os.Exit(1)
+			miss, ok := rec.(*trainer.RenderMissingError)
+			if !ok {
+				panic(rec)
 			}
-			panic(rec)
+			err = miss
 		}
 	}()
-	run(id)
+	return run(id)
 }
 
 // expandExperiments parses and validates the -exp list before anything

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"compress/gzip"
+	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -141,5 +145,37 @@ func TestApply(t *testing.T) {
 	flagValues{scenario: "none", ckptEvery: 2, ckptKeep: 3, ckptFullEvery: 4, resume: true}.apply(&p, st)
 	if p.Store != st || p.CkptEvery != 2 || p.CkptKeep != 3 || p.CkptFullEvery != 4 || !p.Resume || p.Render || p.Scenario != nil {
 		t.Fatalf("store wiring: %+v", p)
+	}
+}
+
+// TestFailedRunLeavesCompleteProfiles: a run that exits 1 after the
+// profilers started — here -render finding an empty store — still stops
+// them, so both profiles are complete pprof files (gzip streams with a
+// profile inside), not the empty file an os.Exit past the deferred stops
+// leaves behind.
+func TestFailedRunLeavesCompleteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
+	if err := os.Mkdir(store, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	args := []string{"-cpuprofile", cpu, "-memprofile", mem, "-exp", "fig3", "-workers", "4", "-render", "-ckpt-dir", store}
+	if code := lcexp(args); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	for _, path := range []string{cpu, mem} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		z, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: %v", filepath.Base(path), err)
+		}
+		if b, err := io.ReadAll(z); err != nil || len(b) == 0 {
+			t.Fatalf("%s: %d profile bytes, err %v", filepath.Base(path), len(b), err)
+		}
 	}
 }

@@ -230,13 +230,13 @@ func TestSamplerSnapshotRoundTrip(t *testing.T) {
 	}
 
 	w := snapshot.NewWriter()
-	a.SnapshotTo(w)
+	a.Walk(w.Codec())
 	b := model.NewSampler(4, rng.New(3)) // same construction, stale position/phases
 	r, err := snapshot.NewReader(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreFrom(r); err != nil {
+	if b.Walk(r.Codec()); r.Err() != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {

@@ -157,36 +157,24 @@ func (s *Sampler) Comm(m int) float64 {
 	return s.phaseComm * s.wPhaseComm[m] * s.mult[m] * s.g.LogNormal(s.muComm, s.model.Sigma)
 }
 
-// SnapshotTo serializes the sampler's mutable state: the draw stream's
-// position and the phase multipliers a scenario has installed. The fixed
-// per-worker speed multipliers and the lognormal parameters are derived
-// from the cost model at construction and are not stored — a restored
-// sampler is always built from the identical configuration first.
-func (s *Sampler) SnapshotTo(w *snapshot.Writer) {
-	s.g.SnapshotTo(w)
-	w.F64(s.phaseComp)
-	w.F64(s.phaseComm)
-	w.F64s(s.wPhaseComp)
-	w.F64s(s.wPhaseComm)
-}
-
-// RestoreFrom loads state written by SnapshotTo into a sampler constructed
-// for the same worker count. Phase multipliers scale delays, so like the
-// scenario events that install them they must be positive numbers.
-func (s *Sampler) RestoreFrom(r *snapshot.Reader) error {
-	if err := s.g.RestoreFrom(r); err != nil {
-		return err
-	}
-	s.phaseComp = r.F64()
-	s.phaseComm = r.F64()
-	r.F64sInto(s.wPhaseComp)
-	r.F64sInto(s.wPhaseComm)
+// Walk walks the sampler's mutable state: the draw stream's position and
+// the phase multipliers a scenario has installed. The fixed per-worker speed
+// multipliers and the lognormal parameters are derived from the cost model
+// at construction and are not stored — a restored sampler is always built
+// from the identical configuration, for the same worker count, first. Phase
+// multipliers scale delays, so like the scenario events that install them
+// they must be positive numbers.
+func (s *Sampler) Walk(c snapshot.Codec) {
+	s.g.Walk(c)
+	c.F64(&s.phaseComp)
+	c.F64(&s.phaseComm)
+	c.F64sInto(s.wPhaseComp)
+	c.F64sInto(s.wPhaseComm)
 	for m := range s.wPhaseComp {
-		if comp, comm := s.Phase(m); r.Err() == nil && !(comp > 0 && comm > 0) {
-			r.Fail(fmt.Errorf("cluster: sampler snapshot scales worker %d by %v/%v", m, comp, comm))
+		if comp, comm := s.Phase(m); c.Reading() && c.Err() == nil && !(comp > 0 && comm > 0) {
+			c.Fail(fmt.Errorf("cluster: sampler snapshot scales worker %d by %v/%v", m, comp, comm))
 		}
 	}
-	return r.Err()
 }
 
 // Multiplier exposes worker m's fixed speed multiplier (tests read the

@@ -187,21 +187,21 @@ func TestStepPredictorRestoreRejectsHostileRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dst.RestoreFrom(r); err != nil {
-			return nil, err
+		if dst.Walk(r.Codec()); r.Err() != nil {
+			return nil, r.Err()
 		}
 		return dst, r.Close()
 	}
 
 	w := snapshot.NewWriter()
-	src.SnapshotTo(w)
+	src.Walk(w.Codec())
 	valid := bytes.Clone(w.Bytes())
 	dst, err := restore(valid)
 	if err != nil {
 		t.Fatalf("real snapshot: %v", err)
 	}
 	w.Reset()
-	dst.SnapshotTo(w)
+	dst.Walk(w.Codec())
 	if !bytes.Equal(w.Bytes(), valid) {
 		t.Fatal("restored predictor re-emits different bytes")
 	}
@@ -226,9 +226,9 @@ func TestStepPredictorRestoreRejectsHostileRows(t *testing.T) {
 		{"repeated worker", []row{{1, feat}, {1, feat}}, false},
 		{"descending workers", []row{{2, feat}, {1, feat}}, false},
 	} {
-		// SnapshotTo's layout with the feature rows replaced.
+		// Walk's layout with the feature rows replaced.
 		w := snapshot.NewWriter()
-		src.net.SnapshotTo(w)
+		src.net.Walk(w.Codec())
 		w.Int(src.workers)
 		w.Int(len(tc.rows))
 		for _, r := range tc.rows {
@@ -238,7 +238,7 @@ func TestStepPredictorRestoreRejectsHostileRows(t *testing.T) {
 		w.F64(src.commScale)
 		w.F64(src.compScale)
 		w.Int(src.calls)
-		writeTrace(w, src.trace)
+		walkTrace(w.Codec(), &src.trace)
 		p, err := restore(w.Bytes())
 		if (err == nil) != tc.ok {
 			t.Fatalf("%s: restore error %v, want ok=%v", tc.name, err, tc.ok)

@@ -250,38 +250,28 @@ func (it *BatchIter) NextInto(x *tensor.Tensor, y []int) {
 // BatchesPerEpoch returns how many batches one pass over the data yields.
 func (it *BatchIter) BatchesPerEpoch() int { return it.ds.Len() / it.size }
 
-// SnapshotTo serializes the iterator's exact position: the shuffle RNG
-// state, the current permutation, the cursor, and the epoch counter. A
-// restored iterator yields the same remaining batches — and the same future
+// Walk walks the iterator's exact position: the shuffle RNG state, the
+// current permutation, the cursor, and the epoch counter. A restored
+// iterator yields the same remaining batches — and the same future
 // reshuffles — as the original, which is what position-exact resume of a
-// worker's private batch order requires.
-func (it *BatchIter) SnapshotTo(w *snapshot.Writer) {
-	it.g.SnapshotTo(w)
-	w.Ints(it.order)
-	w.Int(it.pos)
-	w.Int(it.Epoch)
-}
-
-// RestoreFrom loads a position written by SnapshotTo into an iterator built
-// over the same dataset and batch size. The stored order must be a
+// worker's private batch order requires. It restores into an iterator built
+// over the same dataset and batch size, and the stored order must be a
 // permutation of the dataset's indices: NextInto indexes samples with it.
-func (it *BatchIter) RestoreFrom(r *snapshot.Reader) error {
-	if err := it.g.RestoreFrom(r); err != nil {
-		return err
+func (it *BatchIter) Walk(c snapshot.Codec) {
+	it.g.Walk(c)
+	order, pos, epoch := it.order, it.pos, it.Epoch
+	c.Ints(&order)
+	c.Int(&pos)
+	c.Int(&epoch)
+	if !c.Reading() || c.Err() != nil {
+		return
 	}
-	order := r.Ints()
-	pos := r.Int()
-	epoch := r.Int()
-	if r.Err() == nil && (len(order) != len(it.order) || pos < 0 || pos > len(order) || !isPermutation(order)) {
-		r.Fail(fmt.Errorf("data: iterator snapshot (order of %d, pos %d) does not fit a dataset of %d", len(order), pos, len(it.order)))
-	}
-	if r.Err() != nil {
-		return r.Err()
+	if len(order) != len(it.order) || pos < 0 || pos > len(order) || !isPermutation(order) {
+		c.Fail(fmt.Errorf("data: iterator snapshot (order of %d, pos %d) does not fit a dataset of %d", len(order), pos, len(it.order)))
+		return
 	}
 	copy(it.order, order)
-	it.pos = pos
-	it.Epoch = epoch
-	return nil
+	it.pos, it.Epoch = pos, epoch
 }
 
 // isPermutation reports whether p holds each of 0..len(p)-1 exactly once.

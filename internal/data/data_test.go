@@ -315,13 +315,13 @@ func TestBatchIterSnapshotRoundTrip(t *testing.T) {
 	}
 
 	w := snapshot.NewWriter()
-	a.SnapshotTo(w)
+	a.Walk(w.Codec())
 	b := NewBatchIter(ds, 30, rng.New(99)) // different seed: all state restored
 	r, err := snapshot.NewReader(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreFrom(r); err != nil {
+	if b.Walk(r.Codec()); r.Err() != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -357,7 +357,7 @@ func TestBatchIterRestoreRejectsMismatch(t *testing.T) {
 	ds, _ := Generate(cfg)
 	a := NewBatchIter(ds, 10, rng.New(1))
 	w := snapshot.NewWriter()
-	a.SnapshotTo(w)
+	a.Walk(w.Codec())
 	cfg.Train = 60
 	ds2, _ := Generate(cfg)
 	b := NewBatchIter(ds2, 10, rng.New(1))
@@ -365,7 +365,7 @@ func TestBatchIterRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreFrom(r); err == nil {
+	if b.Walk(r.Codec()); r.Err() == nil {
 		t.Fatal("mismatched dataset size accepted")
 	}
 }

@@ -487,13 +487,13 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 	}
 
 	w := snapshot.NewWriter()
-	a.SnapshotTo(w)
+	a.Walk(w.Codec())
 	b := build() // fresh weights, fresh window — all overwritten by restore
 	r, err := snapshot.NewReader(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreFrom(r); err != nil {
+	if b.Walk(r.Codec()); r.Err() != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -520,13 +520,13 @@ func TestNetworkRestoreRejectsShapeMismatch(t *testing.T) {
 	a := NewNetwork(2, []int{6, 6}, rng.New(42))
 	a.TrainStep([]float64{1, 2}, 0.5)
 	w := snapshot.NewWriter()
-	a.SnapshotTo(w)
+	a.Walk(w.Codec())
 	b := NewNetwork(2, []int{4, 4}, rng.New(42))
 	r, err := snapshot.NewReader(w.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RestoreFrom(r); err == nil {
+	if b.Walk(r.Codec()); r.Err() == nil {
 		t.Fatal("shape mismatch accepted")
 	}
 }

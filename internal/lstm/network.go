@@ -297,69 +297,63 @@ func (n *Network) PredictAhead(input []float64, k int, feedback func(out float64
 	return outs
 }
 
-// SnapshotTo serializes everything that survives across online-training
-// calls: every cell's packed weights, the linear head, and the sliding
-// window (inputs, targets, fill count). Recurrent states and BPTT scratch
-// are deliberately excluded — forwardWindow re-derives them from zero state
-// on every call, so they carry no information between calls.
-func (n *Network) SnapshotTo(w *snapshot.Writer) {
-	w.Int(len(n.Cells))
-	for _, c := range n.Cells {
-		w.Int(c.X)
-		w.Int(c.H)
-		wx, wh := c.serialWeights()
-		w.F64s(wx)
-		w.F64s(wh)
-		w.F64s(c.B)
+// Walk walks everything that survives across online-training calls: every
+// cell's packed weights, the linear head, and the sliding window (inputs,
+// targets, fill count). Recurrent states and BPTT scratch are deliberately
+// excluded — forwardWindow re-derives them from zero state on every call, so
+// they carry no information between calls. It restores into a network of
+// the identical architecture (same layer stack and sizes — the restore
+// target is always freshly built from the run configuration); a shape
+// mismatch fails the walk.
+func (n *Network) Walk(c snapshot.Codec) {
+	reading := c.Reading()
+	cells := len(n.Cells)
+	c.Int(&cells)
+	if reading && c.Err() == nil && cells != len(n.Cells) {
+		c.Fail(fmt.Errorf("lstm: snapshot has %d cells, network has %d", cells, len(n.Cells)))
+		return
 	}
-	w.F64s(n.HeadW)
-	w.F64(n.HeadB)
-	w.Int(n.count)
-	for t := 0; t < n.count; t++ {
-		w.F64s(n.rows[t])
-		w.F64(n.targets[t])
-	}
-}
-
-// RestoreFrom loads a snapshot written by SnapshotTo into a network of the
-// identical architecture (same layer stack and sizes — the restore target
-// is always freshly built from the run configuration). A shape mismatch is
-// reported through the reader's sticky error.
-func (n *Network) RestoreFrom(r *snapshot.Reader) error {
-	if cells := r.Int(); cells != len(n.Cells) {
-		r.Fail(fmt.Errorf("lstm: snapshot has %d cells, network has %d", cells, len(n.Cells)))
-		return r.Err()
-	}
-	for _, c := range n.Cells {
-		x, h := r.Int(), r.Int()
-		if r.Err() == nil && (x != c.X || h != c.H) {
-			r.Fail(fmt.Errorf("lstm: snapshot cell %dx%d, network cell %dx%d", x, h, c.X, c.H))
-			return r.Err()
+	for _, cell := range n.Cells {
+		x, h := cell.X, cell.H
+		c.Int(&x)
+		c.Int(&h)
+		if reading && c.Err() == nil && (x != cell.X || h != cell.H) {
+			c.Fail(fmt.Errorf("lstm: snapshot cell %dx%d, network cell %dx%d", x, h, cell.X, cell.H))
+			return
 		}
-		wx, wh := make([]float64, numGates*c.H*c.X), make([]float64, numGates*c.H*c.H)
-		r.F64sInto(wx)
-		r.F64sInto(wh)
-		c.setSerialWeights(wx, wh)
-		r.F64sInto(c.B)
-	}
-	r.F64sInto(n.HeadW)
-	n.HeadB = r.F64()
-	count := r.Int()
-	if r.Err() == nil && (count < 0 || count > n.Window) {
-		r.Fail(fmt.Errorf("lstm: snapshot window fill %d exceeds window %d", count, n.Window))
-		return r.Err()
-	}
-	n.count = 0
-	for t := 0; t < count && r.Err() == nil; t++ {
-		row := r.F64s()
-		target := r.F64()
-		if r.Err() == nil && len(row) != n.InputSize() {
-			r.Fail(fmt.Errorf("lstm: snapshot row width %d, want %d", len(row), n.InputSize()))
-			return r.Err()
+		wx, wh := cell.serialWeights()
+		c.F64sInto(wx)
+		c.F64sInto(wh)
+		if reading && c.Err() == nil {
+			cell.setSerialWeights(wx, wh)
 		}
-		if r.Err() == nil {
+		c.F64sInto(cell.B)
+	}
+	c.F64sInto(n.HeadW)
+	c.F64(&n.HeadB)
+	count := n.count
+	c.Int(&count)
+	if reading && c.Err() == nil {
+		if count < 0 || count > n.Window {
+			c.Fail(fmt.Errorf("lstm: snapshot window fill %d exceeds window %d", count, n.Window))
+			return
+		}
+		n.count = 0
+	}
+	for t := 0; t < count && c.Err() == nil; t++ {
+		var row []float64
+		var target float64
+		if !reading {
+			row, target = n.rows[t], n.targets[t]
+		}
+		c.F64s(&row)
+		c.F64(&target)
+		if reading && c.Err() == nil {
+			if len(row) != n.InputSize() {
+				c.Fail(fmt.Errorf("lstm: snapshot row width %d, want %d", len(row), n.InputSize()))
+				return
+			}
 			n.Observe(row, target)
 		}
 	}
-	return r.Err()
 }

@@ -82,15 +82,14 @@ func ConfigKey(cfg Config) string {
 
 // StrategySnapshotter is an optional Strategy refinement for algorithms
 // that carry server-side state across iterations (LC-ASGD's predictors and
-// iter log). SnapshotState is called at a quiescent barrier, after Setup
-// has built the strategy's structures; RestoreState is called on a freshly
-// Setup strategy and must leave it exactly as the snapshotting one was.
+// iter log). WalkState writes that state at a quiescent barrier, after Setup
+// has built the strategy's structures, and reads it back into a freshly
+// Setup strategy, which it must leave exactly as the writing one was.
 // Strategies whose cross-iteration state is provably empty at quiescence
 // (SSGD's barrier bookkeeping) need not implement it — or may implement it
 // as an emptiness assertion.
 type StrategySnapshotter interface {
-	SnapshotState(e *Engine, w *snapshot.Writer)
-	RestoreState(e *Engine, r *snapshot.Reader) error
+	WalkState(e *Engine, c snapshot.Codec)
 }
 
 // Resume rebuilds the engine for env, restores the checkpoint payload, and
@@ -240,13 +239,12 @@ type section struct {
 	// (SSGD's strategy state is empty at every barrier), and deltas on disk
 	// hold these sections regardless, so it is part of the format.
 	everyDelta bool
-	// encode writes section i. It only reads engine state — the engine is
-	// quiescent at a barrier — so any number may run concurrently.
-	encode func(e *Engine, w *snapshot.Writer, i int)
-	// restore loads section i into a freshly built and Setup engine. The
-	// bytes are untrusted: whatever would later index, size or schedule
-	// something is checked here.
-	restore func(e *Engine, r *snapshot.Reader, i int) error
+	// walk writes section i, or reads it into a freshly built and Setup
+	// engine. Writing only reads engine state — the engine is quiescent at a
+	// barrier — so any number may run concurrently. Read bytes are
+	// untrusted: whatever would later index, size or schedule something is
+	// checked as it is read.
+	walk func(e *Engine, c snapshot.Codec, i int)
 }
 
 // Counts of the kinds that are not lists: always one, or one iff present.
@@ -262,17 +260,9 @@ func oneIf(present bool) int {
 // sections is the checkpoint format: what a full container holds, in
 // container order.
 var sections = [...]section{
-	{kind: secMeta, count: one, everyDelta: true, encode: encodeMeta, restore: restoreMeta},
-	{
-		kind: secServerW, count: one,
-		encode:  func(e *Engine, w *snapshot.Writer, _ int) { w.F64s(e.srv.w) },
-		restore: func(e *Engine, r *snapshot.Reader, _ int) error { r.F64sInto(e.srv.w); return r.Err() },
-	},
-	{
-		kind: secBN, count: one,
-		encode:  func(e *Engine, w *snapshot.Writer, _ int) { e.srv.bnAcc.SnapshotTo(w) },
-		restore: func(e *Engine, r *snapshot.Reader, _ int) error { return e.srv.bnAcc.RestoreFrom(r) },
-	},
+	{kind: secMeta, count: one, everyDelta: true, walk: walkMeta},
+	{kind: secServerW, count: one, walk: func(e *Engine, c snapshot.Codec, _ int) { c.F64sInto(e.srv.w) }},
+	{kind: secBN, count: one, walk: func(e *Engine, c snapshot.Codec, _ int) { e.srv.bnAcc.Walk(c) }},
 	{
 		kind: secStrategy,
 		count: func(e *Engine) int {
@@ -280,29 +270,19 @@ var sections = [...]section{
 			return oneIf(ok)
 		},
 		everyDelta: true,
-		encode:     func(e *Engine, w *snapshot.Writer, _ int) { e.strategy.(StrategySnapshotter).SnapshotState(e, w) },
-		restore: func(e *Engine, r *snapshot.Reader, _ int) error {
-			return e.strategy.(StrategySnapshotter).RestoreState(e, r)
-		},
+		walk:       func(e *Engine, c snapshot.Codec, _ int) { e.strategy.(StrategySnapshotter).WalkState(e, c) },
 	},
 	{
-		kind:    secRecChunk,
-		count:   func(e *Engine) int { return chunks(len(e.rec.points), recChunkLen) },
-		encode:  encodePoints,
-		restore: restorePoints,
+		kind:  secRecChunk,
+		count: func(e *Engine) int { return chunks(len(e.rec.points), recChunkLen) },
+		walk:  walkPoints,
 	},
-	{
-		kind:    secWorker,
-		count:   func(e *Engine) int { return len(e.workers) },
-		encode:  encodeWorker,
-		restore: restoreWorker,
-	},
+	{kind: secWorker, count: func(e *Engine) int { return len(e.workers) }, walk: walkWorker},
 	{
 		kind:       secTelMetrics,
 		count:      func(e *Engine) int { return oneIf(e.tel != nil) },
 		everyDelta: true,
-		encode:     func(e *Engine, w *snapshot.Writer, _ int) { e.encodeTelMetrics(w) },
-		restore:    func(e *Engine, r *snapshot.Reader, _ int) error { return e.restoreTelMetrics(r) },
+		walk:       func(e *Engine, c snapshot.Codec, _ int) { e.walkTelMetrics(c) },
 	},
 	{
 		kind: secTelTrace,
@@ -312,267 +292,211 @@ var sections = [...]section{
 			}
 			return chunks(len(e.tel.rec.Events), telChunkLen)
 		},
-		encode:  encodeTrace,
-		restore: restoreTrace,
+		walk: walkTrace,
 	},
 }
 
-// encodeMeta holds everything small that moves every barrier: clock, server
+// walkMeta holds everything small that moves every barrier: clock, server
 // scalars, RNG streams, run accounting, the armed scenario timeline, the
 // deferred launches, and the presence flags and list lengths restore sizes
 // the rest of the container with.
-func encodeMeta(e *Engine, w *snapshot.Writer, _ int) {
-	w.Int(len(e.workers))
-	w.F64(e.clock.Now())
-	w.F64(e.srv.lrScale)
-	w.Int(e.srv.batches)
-	w.Int(e.srv.updates)
-	e.seedRng.SnapshotTo(w)
-	e.sampler.SnapshotTo(w)
-	w.Int(e.stalenessSum)
-	w.Int(e.stalenessN)
-	w.Int(e.maxStale)
-	w.Int(e.scnApplied)
-	w.Int(e.rec.lastEpoch)
-	w.Int(len(e.rec.points))
+//
+// A restore acts as it reads: the clock is set first, each armed event goes
+// back on it the moment it has been validated — so the clock sees them in
+// recorded order, before any deferred relaunch — and the curve and the trace
+// are sized to the lengths the chunk sections will fill. The stall-guard
+// counters scheduleScenarioEvent moves along the way are not meaningful
+// until the worker flags are in; rebuildFleetCounters recomputes them once
+// the walk is done.
+func walkMeta(e *Engine, c snapshot.Codec, _ int) {
+	reading := c.Reading()
+	// ok is whether a restore may act on what it has read so far.
+	ok := func() bool { return reading && c.Err() == nil }
+	workers, now := len(e.workers), e.clock.Now()
+	c.Int(&workers)
+	c.F64(&now)
+	c.F64(&e.srv.lrScale)
+	c.Int(&e.srv.batches)
+	c.Int(&e.srv.updates)
+	if ok() {
+		switch {
+		case workers != len(e.workers):
+			c.Fail(fmt.Errorf("checkpoint has %d workers, engine has %d", workers, len(e.workers)))
+		case !(now >= 0): // NaN included
+			c.Fail(fmt.Errorf("checkpoint barrier at virtual time %v", now))
+		case e.srv.batches < 0 || e.srv.updates < 0:
+			c.Fail(fmt.Errorf("checkpoint counts %d batches, %d updates", e.srv.batches, e.srv.updates))
+		default:
+			e.clock.RestoreNow(now)
+		}
+	}
+	e.seedRng.Walk(c)
+	e.sampler.Walk(c)
+	c.Int(&e.stalenessSum)
+	c.Int(&e.stalenessN)
+	c.Int(&e.maxStale)
+	c.Int(&e.scnApplied)
+	c.Int(&e.rec.lastEpoch)
+	// listLen walks the length of a list whose items take at least width
+	// bytes each in their chunk sections: the container cannot hold more of
+	// them than it has bytes for.
+	listLen := func(n *int, what string, width int) {
+		c.Int(n)
+		if ok() && (*n < 0 || *n > e.ck.restoring/width) {
+			c.Fail(fmt.Errorf("checkpoint of %d bytes promises %d %s", e.ck.restoring, *n, what))
+		}
+	}
+	points := len(e.rec.points)
+	listLen(&points, "curve points", 4*8)
+	if ok() {
+		e.rec.points = make([]Point, points)
+	}
 
 	// Armed scenario events, in arm order (ascending key). Re-arming them in
 	// this order on resume reproduces the clock's FIFO tie-breaking: at the
 	// barrier every armed event was scheduled before any deferred relaunch
 	// will be.
-	w.Int(len(e.armed))
-	for _, id := range slices.Sorted(maps.Keys(e.armed)) {
-		ev := e.armed[id]
-		w.F64(ev.At)
-		w.F64(ev.Period)
-		w.String(string(ev.Kind))
-		w.Int(ev.Worker)
-		w.F64(ev.CompScale)
-		w.F64(ev.CommScale)
+	var ids []uint64
+	if !reading {
+		ids = slices.Sorted(maps.Keys(e.armed))
+	}
+	armed := len(ids)
+	c.Len(&armed, 6*8)
+	for k := 0; k < armed && c.Err() == nil; k++ {
+		var ev scenario.Event
+		if !reading {
+			ev = e.armed[ids[k]]
+		}
+		c.F64(&ev.At)
+		c.F64(&ev.Period)
+		c.String((*string)(&ev.Kind))
+		c.Int(&ev.Worker)
+		c.F64(&ev.CompScale)
+		c.F64(&ev.CommScale)
+		if !ok() {
+			continue
+		}
+		if err := ev.Validate(); err != nil {
+			c.Fail(fmt.Errorf("checkpoint armed event: %w", err))
+		} else if ev.Worker >= len(e.workers) || !(ev.At >= now) {
+			c.Fail(fmt.Errorf("checkpoint armed event for worker %d of %d at t=%v, barrier at t=%v",
+				ev.Worker, len(e.workers), ev.At, now))
+		} else {
+			e.scheduleScenarioEvent(ev)
+		}
 	}
 
 	// Launches deferred by the drain.
-	w.Ints(e.deferred)
-
-	w.Bool(e.dec != nil)
-	if e.dec != nil {
-		e.dec.sel.Stream().SnapshotTo(w)
-	}
-	_, hasStrategy := e.strategy.(StrategySnapshotter)
-	w.Bool(hasStrategy)
-	w.Bool(e.tel != nil)
-	if e.tel != nil {
-		w.Int(len(e.tel.rec.Events))
-	}
-}
-
-// restoreMeta mirrors encodeMeta. It acts as it reads: the clock is set
-// first, each armed event goes back on it the moment it has been validated —
-// so the clock sees them in recorded order, before any deferred relaunch —
-// and the curve and the trace are sized to the lengths the chunk sections
-// will fill. The stall-guard counters scheduleScenarioEvent moves along the
-// way are not meaningful until the worker flags are in;
-// rebuildFleetCounters recomputes them once the walk is done.
-func restoreMeta(e *Engine, r *snapshot.Reader, _ int) error {
-	workers, now := r.Int(), r.F64()
-	lrScale, batches, updates := r.F64(), r.Int(), r.Int()
-	switch {
-	case r.Err() != nil:
-		return r.Err()
-	case workers != len(e.workers):
-		return fmt.Errorf("checkpoint has %d workers, engine has %d", workers, len(e.workers))
-	case !(now >= 0): // NaN included
-		return fmt.Errorf("checkpoint barrier at virtual time %v", now)
-	case batches < 0 || updates < 0:
-		return fmt.Errorf("checkpoint counts %d batches, %d updates", batches, updates)
-	}
-	e.clock.RestoreNow(now)
-	e.srv.lrScale, e.srv.batches, e.srv.updates = lrScale, batches, updates
-	if err := e.seedRng.RestoreFrom(r); err != nil {
-		return err
-	}
-	if err := e.sampler.RestoreFrom(r); err != nil {
-		return err
-	}
-	e.stalenessSum = r.Int()
-	e.stalenessN = r.Int()
-	e.maxStale = r.Int()
-	e.scnApplied = r.Int()
-	e.rec.lastEpoch = r.Int()
-	// listLen reads the length of a list whose items take at least width
-	// bytes each in their chunk sections: the container cannot hold more of
-	// them than it has bytes for.
-	listLen := func(what string, width int) int {
-		n := r.Int()
-		if r.Err() == nil && (n < 0 || n > e.ck.restoring/width) {
-			r.Fail(fmt.Errorf("checkpoint of %d bytes promises %d %s", e.ck.restoring, n, what))
+	deferred := e.deferred
+	c.Ints(&deferred)
+	for i := 0; ok() && i < len(deferred); i++ {
+		if m := deferred[i]; m < 0 || m >= len(e.workers) || e.workers[m].deferred {
+			c.Fail(fmt.Errorf("checkpoint defers launch of worker %d of %d (or defers it twice)", m, len(e.workers)))
+		} else {
+			e.workers[m].deferred = true
+			e.deferred = append(e.deferred, m)
 		}
-		if r.Err() != nil {
-			return 0
-		}
-		return n
-	}
-	e.rec.points = make([]Point, listLen("curve points", 4*8))
-
-	for n := r.Count(6 * 8); n > 0 && r.Err() == nil; n-- {
-		ev := scenario.Event{
-			At:        r.F64(),
-			Period:    r.F64(),
-			Kind:      scenario.Kind(r.String()),
-			Worker:    r.Int(),
-			CompScale: r.F64(),
-			CommScale: r.F64(),
-		}
-		if r.Err() != nil {
-			break
-		}
-		if err := ev.Validate(); err != nil {
-			return fmt.Errorf("checkpoint armed event: %w", err)
-		}
-		if ev.Worker >= len(e.workers) || !(ev.At >= now) {
-			return fmt.Errorf("checkpoint armed event for worker %d of %d at t=%v, barrier at t=%v",
-				ev.Worker, len(e.workers), ev.At, now)
-		}
-		e.scheduleScenarioEvent(ev)
 	}
 
-	for _, m := range r.Ints() {
-		if m < 0 || m >= len(e.workers) || e.workers[m].deferred {
-			return fmt.Errorf("checkpoint defers launch of worker %d of %d (or defers it twice)", m, len(e.workers))
+	// present walks a presence flag, which a restore requires to be what
+	// this engine was built with.
+	present := func(what string, have bool) bool {
+		got := have
+		c.Bool(&got)
+		if ok() && got != have {
+			c.Fail(fmt.Errorf("checkpoint %s presence %v, engine expects %v", what, got, have))
 		}
-		e.workers[m].deferred = true
-		e.deferred = append(e.deferred, m)
-	}
-
-	// present reads a presence flag and requires it to be what this engine
-	// was built with.
-	present := func(what string, want bool) bool {
-		got := r.Bool()
-		if r.Err() == nil && got != want {
-			r.Fail(fmt.Errorf("checkpoint %s presence %v, engine expects %v", what, got, want))
-		}
-		return got && r.Err() == nil
+		return have && c.Err() == nil
 	}
 	if present("decentralized-state", e.dec != nil) {
-		if err := e.dec.sel.Stream().RestoreFrom(r); err != nil {
-			return err
-		}
+		e.dec.sel.Stream().Walk(c)
 	}
-	_, wantStrategy := e.strategy.(StrategySnapshotter)
-	present("strategy-state", wantStrategy)
+	_, hasStrategy := e.strategy.(StrategySnapshotter)
+	present("strategy-state", hasStrategy)
 	// A telemetry mismatch is not restorable: with a recorder attached the
 	// resumed run's telemetry would be missing its prefix, silently breaking
 	// the byte-identity contract. Callers fall back to a full rerun (the
 	// trainer's resume path already does).
 	if present("telemetry", e.tel != nil) {
-		e.tel.rec.Events = make([]telemetry.Event, listLen("trace events", 6*8))
+		events := len(e.tel.rec.Events)
+		listLen(&events, "trace events", 6*8)
+		if ok() {
+			e.tel.rec.Events = make([]telemetry.Event, events)
+		}
 	}
-	return r.Err()
 }
 
-// encodeWorker is worker m's section: batch iterator position, fleet
+// walkWorker is worker m's section: batch iterator position, fleet
 // membership and connectivity flags, staleness snapshot, recover-opt flag,
 // and (decentralized runs) the worker's persistent model and commit
 // counter. Worker replicas are deliberately absent: every strategy's Launch
 // begins with Pull, which overwrites the replica's parameters and BN
 // statistics, and the next forward refills its input batch, so at a
 // quiescent boundary the iterator position is the only live replica state.
-func encodeWorker(e *Engine, w *snapshot.Writer, m int) {
-	wk := &e.workers[m]
-	wk.rep.iter.SnapshotTo(w)
-	w.Bool(wk.active)
-	w.U64(wk.gen)
-	w.Bool(wk.cut)
-	w.Bool(wk.parked)
-	w.Int(wk.snapUpdates)
-	w.Bool(wk.recoverPend)
-	if e.dec != nil {
-		w.F64s(wk.w)
-		w.Int(wk.iter)
-	}
-}
-
-// restoreWorker loads the flags as they come; the counters over them are
+// A restore loads the flags as they come; the counters over them are
 // rebuildFleetCounters' to derive once every worker is in.
-func restoreWorker(e *Engine, r *snapshot.Reader, m int) error {
+func walkWorker(e *Engine, c snapshot.Codec, m int) {
 	wk := &e.workers[m]
-	if err := wk.rep.iter.RestoreFrom(r); err != nil {
-		return err
-	}
-	wk.active = r.Bool()
-	wk.gen = r.U64()
-	wk.cut = r.Bool()
-	wk.parked = r.Bool()
-	wk.snapUpdates = r.Int()
-	wk.recoverPend = r.Bool()
+	wk.rep.iter.Walk(c)
+	c.Bool(&wk.active)
+	c.U64(&wk.gen)
+	c.Bool(&wk.cut)
+	c.Bool(&wk.parked)
+	c.Int(&wk.snapUpdates)
+	c.Bool(&wk.recoverPend)
 	if e.dec != nil {
-		r.F64sInto(wk.w)
-		wk.iter = r.Int()
+		c.F64sInto(wk.w)
+		c.Int(&wk.iter)
 	}
 	// A worker pulled at some update the server has already applied.
-	if s := wk.snapUpdates; r.Err() == nil && (s < 0 || s > e.srv.updates) {
-		return fmt.Errorf("checkpoint worker %d pulled at update %d of %d", m, s, e.srv.updates)
-	}
-	return r.Err()
-}
-
-// encodePoints / restorePoints are one chunk of the learning curve.
-// restoreMeta sized the curve, so a chunk fills its span in place.
-func encodePoints(e *Engine, w *snapshot.Writer, i int) {
-	lo, hi := chunkSpan(len(e.rec.points), recChunkLen, i)
-	w.Int(hi - lo)
-	for _, p := range e.rec.points[lo:hi] {
-		w.Int(p.Epoch)
-		w.F64(p.Time)
-		w.F64(p.TrainErr)
-		w.F64(p.TestErr)
+	if s := wk.snapUpdates; c.Reading() && c.Err() == nil && (s < 0 || s > e.srv.updates) {
+		c.Fail(fmt.Errorf("checkpoint worker %d pulled at update %d of %d", m, s, e.srv.updates))
 	}
 }
 
-func restorePoints(e *Engine, r *snapshot.Reader, i int) error {
-	lo, hi := chunkSpan(len(e.rec.points), recChunkLen, i)
-	if n := r.Int(); r.Err() == nil && n != hi-lo {
-		return fmt.Errorf("curve chunk %d has %d points, meta promises %d", i, n, hi-lo)
+// chunkLen walks the item count of chunk i of a list of n items cut into
+// size-item chunks; a restore requires the count walkMeta promised.
+func chunkLen(c snapshot.Codec, what string, n, size, i int) (lo, hi int) {
+	lo, hi = chunkSpan(n, size, i)
+	got := hi - lo
+	c.Int(&got)
+	if c.Reading() && c.Err() == nil && got != hi-lo {
+		c.Fail(fmt.Errorf("%s chunk %d has %d items, meta promises %d", what, i, got, hi-lo))
+		return lo, lo
 	}
+	return lo, hi
+}
+
+// walkPoints is one chunk of the learning curve. walkMeta sized the curve,
+// so a restored chunk fills its span in place.
+func walkPoints(e *Engine, c snapshot.Codec, i int) {
+	lo, hi := chunkLen(c, "curve", len(e.rec.points), recChunkLen, i)
 	for j := lo; j < hi; j++ {
-		e.rec.points[j] = Point{Epoch: r.Int(), Time: r.F64(), TrainErr: r.F64(), TestErr: r.F64()}
-	}
-	return r.Err()
-}
-
-// encodeTrace / restoreTrace are one chunk of the telemetry trace, the same
-// way.
-func encodeTrace(e *Engine, w *snapshot.Writer, i int) {
-	evs := e.tel.rec.Events
-	lo, hi := chunkSpan(len(evs), telChunkLen, i)
-	w.Int(hi - lo)
-	for _, ev := range evs[lo:hi] {
-		w.U64(uint64(ev.Kind))
-		w.I64(int64(ev.Worker))
-		w.F64(ev.At)
-		w.F64(ev.Dur)
-		w.I64(ev.A)
-		w.I64(ev.B)
+		p := &e.rec.points[j]
+		c.Int(&p.Epoch)
+		c.F64(&p.Time)
+		c.F64(&p.TrainErr)
+		c.F64(&p.TestErr)
 	}
 }
 
-func restoreTrace(e *Engine, r *snapshot.Reader, i int) error {
+// walkTrace is one chunk of the telemetry trace, the same way.
+func walkTrace(e *Engine, c snapshot.Codec, i int) {
 	evs := e.tel.rec.Events
-	lo, hi := chunkSpan(len(evs), telChunkLen, i)
-	if n := r.Int(); r.Err() == nil && n != hi-lo {
-		return fmt.Errorf("telemetry trace chunk %d has %d events, meta promises %d", i, n, hi-lo)
-	}
+	lo, hi := chunkLen(c, "telemetry trace", len(evs), telChunkLen, i)
 	for j := lo; j < hi; j++ {
-		evs[j] = telemetry.Event{
-			Kind:   telemetry.Kind(r.U64()),
-			Worker: int32(r.I64()),
-			At:     r.F64(),
-			Dur:    r.F64(),
-			A:      r.I64(),
-			B:      r.I64(),
+		ev := &evs[j]
+		kind, worker := uint64(ev.Kind), int64(ev.Worker)
+		c.U64(&kind)
+		c.I64(&worker)
+		c.F64(&ev.At)
+		c.F64(&ev.Dur)
+		c.I64(&ev.A)
+		c.I64(&ev.B)
+		if c.Reading() {
+			ev.Kind, ev.Worker = telemetry.Kind(kind), int32(worker)
 		}
 	}
-	return r.Err()
 }
 
 // --- emit ---
@@ -699,7 +623,7 @@ func (e *Engine) emitCheckpoint() {
 	encode := func(w *snapshot.Writer, k int) {
 		j, s := &jobs[k], &all[k]
 		w.Reset()
-		j.sec.encode(e, w, j.i)
+		j.sec.walk(e, w.Codec(), j.i)
 		if b, ok := ck.last[s.ID]; ok && bytes.Equal(b.payload, w.Bytes()) {
 			s.Payload, s.Sum = b.payload, b.sum
 			return
@@ -823,9 +747,7 @@ func (e *Engine) restore(data []byte) error {
 			if err != nil {
 				return err
 			}
-			if err := sec.restore(e, r, i); err != nil {
-				return err
-			}
+			sec.walk(e, r.Codec(), i)
 			if err := r.Close(); err != nil {
 				return fmt.Errorf("checkpoint section (%d,%d): %w", id.Kind, id.Index, err)
 			}

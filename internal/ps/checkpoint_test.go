@@ -5,6 +5,7 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"lcasgd/internal/scenario"
@@ -368,7 +369,7 @@ func TestArmedEventsEncodeInArmOrder(t *testing.T) {
 
 	encode := func(e *Engine) []byte {
 		w := snapshot.NewWriter()
-		encodeMeta(e, w, 0)
+		walkMeta(e, w.Codec(), 0)
 		return w.Bytes()
 	}
 	meta := encode(e)
@@ -385,13 +386,47 @@ func TestArmedEventsEncodeInArmOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restoreMeta(r, rd, 0); err != nil {
-		t.Fatal(err)
+	if walkMeta(r, rd.Codec(), 0); rd.Err() != nil {
+		t.Fatal(rd.Err())
 	}
 	if got := armOrder(r); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restore re-armed\n%+v\nwant arm order\n%+v", got, want)
 	}
 	if b := encode(r); !bytes.Equal(b, meta) {
 		t.Fatal("restored engine encodes a different meta section")
+	}
+}
+
+// TestRestoreRejectsSubMillisecondPeriod: an armed event repeating every
+// 1e-9 ms moves the clock by almost nothing per firing, so a run re-arming it
+// never ends. Event.Validate refuses it, and the meta section's restore, which
+// validates each event it re-arms, refuses a checkpoint holding one.
+func TestRestoreRejectsSubMillisecondPeriod(t *testing.T) {
+	env := tinyEnvSeeded(ASGD, 2, 2)
+	env.Cfg = env.Cfg.withDefaults()
+	engine := func() *Engine {
+		e := newEngine(env, strategyFor(env.Cfg))
+		e.strategy.Setup(e)
+		return e
+	}
+	e := engine()
+	defer e.close()
+	e.scheduleScenarioEvent(scenario.Event{At: 10, Period: 1e-9, Kind: scenario.PhaseShift, Worker: -1, CompScale: 1, CommScale: 1})
+	w := snapshot.NewWriter()
+	walkMeta(e, w.Codec(), 0)
+
+	r := engine()
+	defer r.close()
+	r.ck.restoring = len(w.Bytes())
+	rd, err := snapshot.NewReader(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	walkMeta(r, rd.Codec(), 0)
+	if err := rd.Err(); err == nil || !strings.Contains(err.Error(), "under 1 ms") {
+		t.Fatalf("restore of a 1e-9 ms period: err %v, want the period floor", err)
+	}
+	if len(r.armed) != 0 {
+		t.Fatalf("the rejected event was re-armed: %v", r.armed)
 	}
 }

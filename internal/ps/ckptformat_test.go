@@ -498,3 +498,81 @@ func TestResumeRejectsHostileBytes(t *testing.T) {
 			cell.name, len(base.Sections), len(cks[0].Data), cases, rejected, cases-rejected, resumed)
 	}
 }
+
+// FuzzRestoreSection drives the restore walk with arbitrary section bytes.
+// cell picks one of three real full containers — LC-ASGD with telemetry
+// under partition-heal, AD-PSGD under crash-recovery, SSGD under elastic —
+// section one of its sections, and payload replaces that section's bytes;
+// the seed corpus is every section as the run wrote it. The container is
+// resealed so its checksums pass and restored into a fresh engine. A
+// rejection is fine and a panic is not; an accepted checkpoint must also run
+// to the end within a 3 s watchdog, which is what catches a restored
+// timeline that never lets the run finish (an event repeating too fast for
+// the clock to get anywhere).
+func FuzzRestoreSection(f *testing.F) {
+	scns := equivalenceScenarios()
+	cells := []struct {
+		env Env
+		tel bool
+	}{
+		{ckptEnv(LCASGD, 4, 3, BackendSequential, scns[2]), true},
+		{ckptEnv(ADPSGD, 4, 3, BackendSequential, scns[0]), false},
+		{ckptEnv(SSGD, 4, 3, BackendSequential, scns[1]), false},
+	}
+	fresh := func(ci int) Env {
+		env := cells[ci].env
+		env.Cfg = env.Cfg.withDefaults()
+		if cells[ci].tel {
+			env.Telemetry = telemetry.NewRecorder()
+		}
+		return env
+	}
+	bases := make([]*snapshot.Container, len(cells))
+	for ci := range cells {
+		_, cks := runCapturing(fresh(ci))
+		if len(cks) == 0 {
+			f.Fatalf("cell %d: no checkpoints emitted", ci)
+		}
+		c, err := snapshot.DecodeContainer(cks[0].Data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bases[ci] = c
+		for si, s := range c.Sections {
+			f.Add(uint8(ci), uint16(si), s.Payload)
+		}
+	}
+	f.Fuzz(func(t *testing.T, cell uint8, section uint16, payload []byte) {
+		ci := int(cell) % len(cells)
+		c := *bases[ci]
+		c.Sections = append([]snapshot.Section(nil), c.Sections...)
+		si := int(section) % len(c.Sections)
+		c.Sections[si].Payload, c.Sections[si].Sum = payload, 0
+		data, err := snapshot.EncodeContainer(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := fresh(ci)
+		e := newEngine(env, strategyFor(env.Cfg))
+		e.strategy.Setup(e)
+		if err := e.restore(data); err != nil {
+			e.close()
+			return
+		}
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			e.relaunchDeferred()
+			e.loop()
+		}()
+		select {
+		case p := <-done:
+			e.close()
+			if p != nil {
+				t.Fatalf("cell %d section %d: the restored run panicked: %v", ci, si, p)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("cell %d section %d: the restored run is still going after 3 s", ci, si)
+		}
+	})
+}

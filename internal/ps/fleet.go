@@ -25,7 +25,7 @@ type FleetWatcher interface {
 
 // worker is everything the engine keeps per worker, indexed by rank: the
 // replica and the results of its last dispatch, its place in the fleet, and
-// the state a decentralized run or an attached recorder adds. encodeWorker
+// the state a decentralized run or an attached recorder adds. walkWorker
 // says which of it a checkpoint carries.
 type worker struct {
 	rep  *replica

@@ -117,50 +117,28 @@ func (s *lcStrategy) Launch(e *Engine, m int) {
 	})
 }
 
-// SnapshotState freezes everything LC-ASGD accumulates on the server
-// across iterations: the iter delivery log, both online LSTM predictors
-// (weights, windows, traces), the EMA ablation predictor when configured,
-// and the per-worker previous-computation-time memory. At a quiescent
-// barrier no worker is mid-pipeline, so this is the algorithm's entire
-// live state.
-func (s *lcStrategy) SnapshotState(_ *Engine, w *snapshot.Writer) {
-	s.iterLog.SnapshotTo(w)
-	s.lossPred.SnapshotTo(w)
-	s.stepPred.SnapshotTo(w)
-	w.Bool(s.emaLoss != nil)
-	if s.emaLoss != nil {
-		w.F64(s.emaLoss.level)
-		w.F64(s.emaLoss.trend)
-		w.Bool(s.emaLoss.seen)
-		w.F64(s.emaLoss.last)
+// WalkState walks everything LC-ASGD accumulates on the server across
+// iterations: the iter delivery log, both online LSTM predictors (weights,
+// windows, traces), the EMA ablation predictor when configured, and the
+// per-worker previous-computation-time memory. At a quiescent barrier no
+// worker is mid-pipeline, so this is the algorithm's entire live state.
+func (s *lcStrategy) WalkState(_ *Engine, c snapshot.Codec) {
+	s.iterLog.Walk(c)
+	s.lossPred.Walk(c)
+	s.stepPred.Walk(c)
+	hasEMA := s.emaLoss != nil
+	c.Bool(&hasEMA)
+	if c.Reading() && c.Err() == nil && hasEMA != (s.emaLoss != nil) {
+		c.Fail(fmt.Errorf("ps: checkpoint EMA-predictor presence %v, config expects %v", hasEMA, s.emaLoss != nil))
+		return
 	}
-	w.F64s(s.lastComp)
-}
-
-// RestoreState loads SnapshotState's payload into a freshly Setup strategy.
-func (s *lcStrategy) RestoreState(_ *Engine, r *snapshot.Reader) error {
-	if err := s.iterLog.RestoreFrom(r); err != nil {
-		return err
+	if hasEMA {
+		c.F64(&s.emaLoss.level)
+		c.F64(&s.emaLoss.trend)
+		c.Bool(&s.emaLoss.seen)
+		c.F64(&s.emaLoss.last)
 	}
-	if err := s.lossPred.RestoreFrom(r); err != nil {
-		return err
-	}
-	if err := s.stepPred.RestoreFrom(r); err != nil {
-		return err
-	}
-	hasEMA := r.Bool()
-	if r.Err() == nil && hasEMA != (s.emaLoss != nil) {
-		r.Fail(fmt.Errorf("ps: checkpoint EMA-predictor presence %v, config expects %v", hasEMA, s.emaLoss != nil))
-		return r.Err()
-	}
-	if hasEMA && r.Err() == nil {
-		s.emaLoss.level = r.F64()
-		s.emaLoss.trend = r.F64()
-		s.emaLoss.seen = r.Bool()
-		s.emaLoss.last = r.F64()
-	}
-	r.F64sInto(s.lastComp)
-	return r.Err()
+	c.F64sInto(s.lastComp)
 }
 
 func (s *lcStrategy) Finish(e *Engine, res *Result) {

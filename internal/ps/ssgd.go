@@ -174,17 +174,14 @@ func (s *ssgdStrategy) WorkerRetired(e *Engine, m int) {
 
 func (*ssgdStrategy) Finish(*Engine, *Result) {}
 
-// SnapshotState writes nothing: every piece of the barrier bookkeeping is
+// WalkState walks nothing: every piece of the barrier bookkeeping is
 // provably empty at a quiescent checkpoint boundary — the round in progress
 // when the barrier epoch was crossed is the round whose Apply armed the
 // drain, and closeRound cleared members/arrived/pending before the drain
 // could complete. The assertion turns a violated invariant into a loud
 // failure instead of a silently truncated round.
-func (s *ssgdStrategy) SnapshotState(*Engine, *snapshot.Writer) {
+func (s *ssgdStrategy) WalkState(*Engine, snapshot.Codec) {
 	if s.inRound || len(s.members) != 0 || len(s.arrived) != 0 || len(s.pending) != 0 {
 		panic("ps: SSGD checkpoint outside a quiescent round boundary")
 	}
 }
-
-// RestoreState restores the matching nothing.
-func (*ssgdStrategy) RestoreState(*Engine, *snapshot.Reader) error { return nil }

@@ -158,90 +158,68 @@ func (e *Engine) telBarrier() {
 // (The trace rides the checkpoint in chunks; see the sections table in
 // checkpoint.go.)
 
-// encodeTelMetrics serializes the deterministic instrument registry.
-// Instrument names are included and validated on restore: a mismatch means
-// the checkpoint was written by an engine with a different registration
-// order, which must fail loudly rather than restore values into the wrong
-// instruments.
-func (e *Engine) encodeTelMetrics(w *snapshot.Writer) {
+// walkTelMetrics walks the deterministic instrument registry. Instrument
+// names are included and a restore checks them, and the shapes, by
+// position: a mismatch means the checkpoint was written by an engine with a
+// different registration order, which must fail loudly rather than restore
+// values into the wrong instruments.
+func (e *Engine) walkTelMetrics(c snapshot.Codec) {
 	m := e.tel.rec.Metrics
-	w.Int(len(m.Counters))
-	for _, c := range m.Counters {
-		w.String(c.Name)
-		w.U64(c.V)
-	}
-	w.Int(len(m.Gauges))
-	for _, g := range m.Gauges {
-		w.String(g.Name)
-		w.F64(g.V)
-	}
-	w.Int(len(m.Hists))
-	for _, h := range m.Hists {
-		w.String(h.Name)
-		w.U64s(h.Counts)
-		w.U64(h.Total)
-		w.F64(h.Sum)
-	}
-	w.Int(len(m.Vecs))
-	for _, v := range m.Vecs {
-		w.String(v.Name)
-		w.U64s(v.N)
-	}
-	w.Int(len(m.Series))
-	for _, s := range m.Series {
-		w.Int(s.Epoch)
-		w.F64(s.AtMs)
-		w.F64s(s.Values)
-	}
-}
-
-// restoreTelMetrics loads the registry back into the engine-registered
-// instruments, by position, validating names and shapes.
-func (e *Engine) restoreTelMetrics(r *snapshot.Reader) error {
-	m := e.tel.rec.Metrics
-	group := func(what string, want int) {
-		if n := r.Int(); r.Err() == nil && n != want {
-			r.Fail(fmt.Errorf("telemetry snapshot has %d %s, engine registers %d", n, what, want))
+	group := func(what string, have int) {
+		n := have
+		c.Int(&n)
+		if c.Reading() && c.Err() == nil && n != have {
+			c.Fail(fmt.Errorf("telemetry snapshot has %d %s, engine registers %d", n, what, have))
 		}
 	}
-	name := func(want string) {
-		if got := r.String(); r.Err() == nil && got != want {
-			r.Fail(fmt.Errorf("telemetry instrument %q, engine expects %q", got, want))
+	name := func(have string) {
+		got := have
+		c.String(&got)
+		if c.Reading() && c.Err() == nil && got != have {
+			c.Fail(fmt.Errorf("telemetry instrument %q, engine expects %q", got, have))
 		}
 	}
-	u64sInto := func(dst []uint64, owner string) {
-		v := r.U64s()
-		if r.Err() == nil && len(v) != len(dst) {
-			r.Fail(fmt.Errorf("telemetry instrument %q has %d slots, engine expects %d", owner, len(v), len(dst)))
+	slots := func(dst []uint64, owner string) {
+		v := dst
+		c.U64s(&v)
+		if c.Reading() && c.Err() == nil {
+			if len(v) != len(dst) {
+				c.Fail(fmt.Errorf("telemetry instrument %q has %d slots, engine expects %d", owner, len(v), len(dst)))
+			}
+			copy(dst, v)
 		}
-		copy(dst, v)
 	}
 	group("counters", len(m.Counters))
-	for _, c := range m.Counters {
-		name(c.Name)
-		c.V = r.U64()
+	for _, ct := range m.Counters {
+		name(ct.Name)
+		c.U64(&ct.V)
 	}
 	group("gauges", len(m.Gauges))
 	for _, g := range m.Gauges {
 		name(g.Name)
-		g.V = r.F64()
+		c.F64(&g.V)
 	}
 	group("histograms", len(m.Hists))
 	for _, h := range m.Hists {
 		name(h.Name)
-		u64sInto(h.Counts, h.Name)
-		h.Total = r.U64()
-		h.Sum = r.F64()
+		slots(h.Counts, h.Name)
+		c.U64(&h.Total)
+		c.F64(&h.Sum)
 	}
 	group("worker vectors", len(m.Vecs))
 	for _, v := range m.Vecs {
 		name(v.Name)
-		u64sInto(v.N, v.Name)
+		slots(v.N, v.Name)
 	}
-	m.Series = m.Series[:0]
-	// A row is two words and a length prefix at the least.
-	for n := r.Count(3 * 8); n > 0 && r.Err() == nil; n-- {
-		m.Series = append(m.Series, telemetry.Sample{Epoch: r.Int(), AtMs: r.F64(), Values: r.F64s()})
+	n := len(m.Series)
+	c.Len(&n, 3*8) // a row is two words and a length prefix at the least
+	if c.Reading() && c.Err() == nil {
+		m.Series = append(m.Series[:0], make([]telemetry.Sample, n)...)
 	}
-	return r.Err()
+	for i := range m.Series {
+		s := &m.Series[i]
+		c.Int(&s.Epoch)
+		c.F64(&s.AtMs)
+		c.F64s(&s.Values)
+	}
 }

@@ -89,26 +89,23 @@ func (r *RNG) SetState(s [4]uint64) {
 	r.s0, r.s1, r.s2, r.s3 = s[0], s[1], s[2], s[3]
 }
 
-// SnapshotTo writes the generator's State as one length-prefixed word slice.
-func (r *RNG) SnapshotTo(w *snapshot.Writer) {
+// Walk walks the generator's State as one length-prefixed word slice.
+// Snapshot bytes are not trusted: a wrong word count or the all-zero state
+// SetState panics on fails the walk, and the generator is left where it was.
+// The error names only the length: handing the words to fmt would move the
+// state array of every writing walk to the heap.
+func (r *RNG) Walk(c snapshot.Codec) {
 	st := r.State()
-	w.U64s(st[:])
-}
-
-// RestoreFrom loads a position written by SnapshotTo. Snapshot bytes are not
-// trusted: a wrong word count or the all-zero state SetState panics on is
-// reported as an error (through sr's sticky error as well), and the
-// generator is left where it was.
-func (r *RNG) RestoreFrom(sr *snapshot.Reader) error {
-	st := sr.U64s()
-	if sr.Err() == nil && (len(st) != 4 || st[0]|st[1]|st[2]|st[3] == 0) {
-		sr.Fail(fmt.Errorf("%w: rng state %x is not four words with a bit set", snapshot.ErrCorrupt, st))
+	s := st[:]
+	c.U64s(&s)
+	if !c.Reading() || c.Err() != nil {
+		return
 	}
-	if sr.Err() != nil {
-		return sr.Err()
+	if len(s) != 4 || s[0]|s[1]|s[2]|s[3] == 0 {
+		c.Fail(fmt.Errorf("%w: rng state of %d words is not four words with a bit set", snapshot.ErrCorrupt, len(s)))
+		return
 	}
-	r.SetState([4]uint64(st))
-	return nil
+	r.SetState([4]uint64(s))
 }
 
 // SplitLabeled derives a child stream bound to a small integer label (for

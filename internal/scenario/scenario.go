@@ -58,7 +58,7 @@ type Event struct {
 	// At is the virtual time of the first occurrence.
 	At float64
 	// Period, when positive, repeats the event every Period milliseconds
-	// after At; zero means one-shot. Periodic pairs of PhaseShift events
+	// after At, and must be at least 1; zero means one-shot. Periodic pairs of PhaseShift events
 	// model recurring congestion windows, periodic Crash/Recover pairs a
 	// chronically flaky worker.
 	Period float64
@@ -106,6 +106,9 @@ func (ev Event) Validate() error {
 	}
 	if !(ev.Period >= 0) {
 		return fmt.Errorf("negative period %v", ev.Period)
+	}
+	if ev.Period > 0 && ev.Period < 1 {
+		return fmt.Errorf("period %v is under 1 ms: the event would fire so often the run never ends", ev.Period)
 	}
 	if ev.Period > 0 && ev.At+ev.Period == ev.At {
 		return fmt.Errorf("period %v does not move time %v: the event would repeat forever", ev.Period, ev.At)

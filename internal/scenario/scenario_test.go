@@ -22,6 +22,8 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 	}{
 		{"negative time", Scenario{Events: []Event{{At: -1, Kind: Crash, Worker: 0}}}, "negative time"},
 		{"negative period", Scenario{Events: []Event{{Period: -2, Kind: Crash, Worker: 0}}}, "negative period"},
+		{"sub-millisecond period", Scenario{Events: []Event{{At: 10, Period: 1e-9, Kind: PhaseShift, Worker: -1, CompScale: 1, CommScale: 1}}}, "under 1 ms"},
+		{"period that does not move time", Scenario{Events: []Event{{At: 1e20, Period: 1, Kind: Crash, Worker: 0}}}, "does not move time"},
 		{"unknown kind", Scenario{Events: []Event{{Kind: "explode", Worker: 0}}}, "unknown kind"},
 		{"crash without worker", Scenario{Events: []Event{{Kind: Crash, Worker: -1}}}, "needs a worker"},
 		{"partition without worker", Scenario{Events: []Event{{Kind: Partition, Worker: -1}}}, "needs a worker"},

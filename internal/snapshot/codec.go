@@ -256,3 +256,80 @@ func (r *Reader) Close() error {
 	}
 	return r.err
 }
+
+// Codec is one pass over a value's fields that writes them when built on a
+// Writer and reads them back when built on a Reader, so a type states its
+// format once, in a single walk, instead of in an encoder and a restorer
+// kept in step by hand. Each walker takes a pointer: writing reads through
+// it, reading stores through it — unless the read fails, which leaves the
+// pointee unchanged. Whatever only a restore does (checking the bytes,
+// rebuilding derived state) sits under Reading; a writing walk assigns
+// nothing, so walks of one frozen state may run concurrently.
+//
+// Codec is a value of two pointers, one of them nil: passing it allocates
+// nothing.
+type Codec struct {
+	w *Writer
+	r *Reader
+}
+
+// Codec returns the writing side of a walk over w.
+func (w *Writer) Codec() Codec { return Codec{w: w} }
+
+// Codec returns the reading side of a walk over r.
+func (r *Reader) Codec() Codec { return Codec{r: r} }
+
+// walk is every scalar and slice walker: put *p, or get it back.
+func walk[T any](c Codec, p *T, put func(*Writer, T), get func(*Reader) T) {
+	if c.w != nil {
+		put(c.w, *p)
+		return
+	}
+	if v := get(c.r); c.r.err == nil {
+		*p = v
+	}
+}
+
+// The walkers below each walk one value the way the Writer and Reader
+// methods of the same name encode it.
+
+func (c Codec) U64(p *uint64)     { walk(c, p, (*Writer).U64, (*Reader).U64) }
+func (c Codec) I64(p *int64)      { walk(c, p, (*Writer).I64, (*Reader).I64) }
+func (c Codec) Int(p *int)        { walk(c, p, (*Writer).Int, (*Reader).Int) }
+func (c Codec) Bool(p *bool)      { walk(c, p, (*Writer).Bool, (*Reader).Bool) }
+func (c Codec) F64(p *float64)    { walk(c, p, (*Writer).F64, (*Reader).F64) }
+func (c Codec) String(p *string)  { walk(c, p, (*Writer).String, (*Reader).String) }
+func (c Codec) F64s(p *[]float64) { walk(c, p, (*Writer).F64s, (*Reader).F64s) }
+func (c Codec) Ints(p *[]int)     { walk(c, p, (*Writer).Ints, (*Reader).Ints) }
+func (c Codec) U64s(p *[]uint64)  { walk(c, p, (*Writer).U64s, (*Reader).U64s) }
+
+// Len walks the length of a list whose elements take at least width bytes
+// each; reading checks it against the bytes left, as Reader.Count does.
+func (c Codec) Len(p *int, width int) {
+	walk(c, p, (*Writer).Int, func(r *Reader) int { return r.Count(width) })
+}
+
+// F64sInto walks a float64 slice of a length both sides know: reading fills
+// dst in place and fails on a stored length that differs.
+func (c Codec) F64sInto(dst []float64) {
+	if c.w != nil {
+		c.w.F64s(dst)
+	} else {
+		c.r.F64sInto(dst)
+	}
+}
+
+// Reading reports whether the walk restores, and so checks what it reads.
+func (c Codec) Reading() bool { return c.r != nil }
+
+// Err is the reading side's sticky error; a writing walk cannot fail.
+func (c Codec) Err() error {
+	if c.r == nil {
+		return nil
+	}
+	return c.r.err
+}
+
+// Fail makes err the reading side's sticky error (see Reader.Fail). Only a
+// reading walk checks anything, so only it may fail.
+func (c Codec) Fail(err error) { c.r.Fail(err) }

@@ -211,3 +211,126 @@ func drainSample(r *Reader) error {
 	r.U64s()
 	return r.Close()
 }
+
+// codecCase is one walker under the Codec contract (see walkerCase).
+type codecCase struct {
+	name string
+	run  func(t *testing.T)
+}
+
+// walkerCase checks one walker against the Writer method put that encodes
+// its values: a writing walk of v emits exactly put's bytes and assigns
+// nothing; a reading walk, into a value that starts as old, brings back v
+// bit for bit (compared by re-encoding, so −0 and NaN payloads count) and
+// stops where put's bytes end; and a read cut anywhere inside those bytes
+// fails with ErrCorrupt and leaves the value as old. Each stream carries a
+// two-word tail after the value, so a walker that checks a length against
+// the bytes left sees some.
+func walkerCase[T any](name string, v, old func() T, walk func(Codec, *T), put func(*Writer, T)) codecCase {
+	encode := func(x T) []byte {
+		w := NewWriter()
+		put(w, x)
+		return bytes.Clone(w.Bytes())
+	}
+	return codecCase{name, func(t *testing.T) {
+		want := encode(v())
+		w := NewWriter()
+		x := v()
+		walk(w.Codec(), &x)
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("%s: writing walk emits %x, the Writer %x", name, w.Bytes(), want)
+		}
+		if !bytes.Equal(encode(x), want) || w.Codec().Reading() || w.Codec().Err() != nil {
+			t.Fatalf("%s: writing walk changed its value, reads or failed", name)
+		}
+
+		tail := NewWriter()
+		tail.U64(0xfeed)
+		tail.U64(0xbeef)
+		r, err := NewReader(append(bytes.Clone(want), tail.Bytes()[len(Magic)+8:]...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := old()
+		walk(r.Codec(), &got)
+		if a, b := r.U64(), r.U64(); a != 0xfeed || b != 0xbeef || r.Close() != nil || !r.Codec().Reading() {
+			t.Fatalf("%s: reading walk ended off the value's bytes: tail %#x %#x, %v", name, a, b, r.Err())
+		}
+		if !bytes.Equal(encode(got), want) {
+			t.Fatalf("%s: round trip re-encodes to %x, want %x", name, encode(got), want)
+		}
+
+		unchanged := encode(old())
+		for cut := len(Magic) + 8; cut < len(want); cut++ {
+			r, err := NewReader(want[:cut])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := old()
+			walk(r.Codec(), &got)
+			if err := r.Codec().Err(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s cut at byte %d: err %v, want ErrCorrupt", name, cut, err)
+			}
+			if !bytes.Equal(encode(got), unchanged) {
+				t.Fatalf("%s cut at byte %d: the failed read changed its value", name, cut)
+			}
+		}
+	}}
+}
+
+// val returns a constructor of fresh copies of v.
+func val[T any](v T) func() T { return func() T { return v } }
+
+// TestCodecContract runs every walker through walkerCase, at the values a
+// bit-exact codec is most likely to lose: −0, a NaN with a payload, both
+// infinities, the extremes of each integer type.
+func TestCodecContract(t *testing.T) {
+	negZero, nan := math.Copysign(0, -1), math.Float64frombits(0x7ff80000deadbeef)
+	floats := func() []float64 { return []float64{negZero, nan, math.Inf(1), math.Inf(-1), math.MaxFloat64} }
+	cases := []codecCase{
+		walkerCase("U64", val(uint64(math.MaxUint64)), val(uint64(1)), Codec.U64, (*Writer).U64),
+		walkerCase("I64", val(int64(math.MinInt64)), val(int64(1)), Codec.I64, (*Writer).I64),
+		walkerCase("Int", val(-123456), val(1), Codec.Int, (*Writer).Int),
+		walkerCase("Bool", val(true), val(false), Codec.Bool, (*Writer).Bool),
+		walkerCase("F64 -0", val(negZero), val(1.5), Codec.F64, (*Writer).F64),
+		walkerCase("F64 NaN payload", val(nan), val(1.5), Codec.F64, (*Writer).F64),
+		walkerCase("F64 +Inf", val(math.Inf(1)), val(1.5), Codec.F64, (*Writer).F64),
+		walkerCase("F64 -Inf", val(math.Inf(-1)), val(1.5), Codec.F64, (*Writer).F64),
+		walkerCase("String", val("lc-asgd ✓"), val("old"), Codec.String, (*Writer).String),
+		walkerCase("F64s", floats, val([]float64{9}), Codec.F64s, (*Writer).F64s),
+		walkerCase("Ints", val([]int{3, -1, math.MaxInt}), val([]int{}), Codec.Ints, (*Writer).Ints),
+		walkerCase("U64s", val([]uint64{0, math.MaxUint64}), val([]uint64{7, 7}), Codec.U64s, (*Writer).U64s),
+		walkerCase("F64sInto", floats, func() []float64 { return []float64{1, 2, 3, 4, 5} },
+			func(c Codec, p *[]float64) { c.F64sInto(*p) }, (*Writer).F64s),
+		walkerCase("Len", val(2), val(0), func(c Codec, p *int) { c.Len(p, 8) }, (*Writer).Int),
+	}
+	for _, tc := range cases {
+		tc.run(t)
+	}
+
+	// The two checks of a length: F64sInto's against the slice it fills, Len's
+	// against the bytes left.
+	w := NewWriter()
+	w.F64s([]float64{1, 2, 3})
+	r, err := NewReader(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := []float64{7, 7}
+	r.Codec().F64sInto(dst)
+	if !errors.Is(r.Err(), ErrCorrupt) || dst[0] != 7 || dst[1] != 7 {
+		t.Fatalf("F64sInto of 3 values into 2: err %v, dst %v", r.Err(), dst)
+	}
+	w.Reset()
+	w.Int(3)
+	w.U64(1)
+	w.U64(2)
+	if r, err = NewReader(w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	n := -1
+	r.Codec().Len(&n, 8)
+	if !errors.Is(r.Err(), ErrCorrupt) || n != -1 {
+		t.Fatalf("Len of 3 words with 2 left: err %v, n %d", r.Err(), n)
+	}
+}
