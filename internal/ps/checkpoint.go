@@ -7,10 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"lcasgd/internal/scenario"
@@ -147,14 +144,12 @@ func (e *Engine) takeCheckpoint() {
 	// workers' models as of this quiescent point.
 	e.refreshConsensus()
 	e.atBarrier()
-	if e.tel != nil {
-		// Trace the barrier before serializing, so the drain span and the
-		// checkpoint instant are inside the snapshot — a resumed run replays
-		// them instead of re-observing them. Emitted whether or not a sink
-		// listens: like the barrier itself, telemetry must not depend on
-		// whether anyone records the bytes.
-		e.telBarrier()
-	}
+	// Trace the barrier before serializing, so the drain span and the
+	// checkpoint instant are inside the snapshot — a resumed run replays
+	// them instead of re-observing them. Emitted whether or not a sink
+	// listens: like the barrier itself, telemetry must not depend on
+	// whether anyone records the bytes.
+	e.telBarrier()
 	if e.env.CheckpointSink != nil {
 		e.emitCheckpoint()
 	}
@@ -193,10 +188,7 @@ func (e *Engine) relaunchDeferred() {
 //
 // The engine state is carved into independent sections (snapshot.Container),
 // so a delta carries only the ones whose encoding changed since the previous
-// checkpoint. Sections appear in canonical ascending SectionID order and
-// each one's encoding depends only on the frozen engine state, so the
-// emitted bytes are identical whatever the encode pool size — a property
-// the tests pin by comparing pool-of-1 and pool-of-N encodes.
+// checkpoint. Sections appear in canonical ascending SectionID order.
 
 // Section kinds. The numbers are on disk, and their order is the canonical
 // container order. Adding a kind is one const here and one entry in
@@ -240,10 +232,10 @@ type section struct {
 	// hold these sections regardless, so it is part of the format.
 	everyDelta bool
 	// walk writes section i, or reads it into a freshly built and Setup
-	// engine. Writing only reads engine state — the engine is quiescent at a
-	// barrier — so any number may run concurrently. Read bytes are
-	// untrusted: whatever would later index, size or schedule something is
-	// checked as it is read.
+	// engine. Writing assigns nothing: a run with a sink must be
+	// bit-identical to the same run without one. Read bytes are untrusted:
+	// whatever would later index, size or schedule something is checked as
+	// it is read.
 	walk func(e *Engine, c snapshot.Codec, i int)
 }
 
@@ -501,10 +493,6 @@ func walkTrace(e *Engine, c snapshot.Codec, i int) {
 
 // --- emit ---
 
-// ckptPoolSize is a test hook: it forces the encode pool size (0 derives it
-// from the shared core budget).
-var ckptPoolSize int
-
 // ckptBlob is one section as the previous checkpoint emitted it. Payloads are
 // immutable once stored: a section that moved gets a fresh blob, never an
 // in-place rewrite, so the writer goroutine can read them without
@@ -516,7 +504,7 @@ type ckptBlob struct {
 
 // ckptDone is the writer goroutine's report: the emitted container's
 // framing checksum (the next delta's BaseSum) or the sink error, plus the
-// measured emission stats telemetry folds in at join time (on the event
+// measured emission stats the meters fold in at join time (on the event
 // loop — the writer goroutine never touches the recorder).
 type ckptDone struct {
 	sum     uint32
@@ -528,22 +516,34 @@ type ckptDone struct {
 
 // ckptEnc is the incremental checkpoint encoder: every section as last
 // emitted, the delta-chain cursor (epoch and framing checksum of the previous
-// emitted container), the write in flight, and one scratch writer per encode
-// pool goroutine, kept across barriers so encoding a section that turns out
-// not to have moved allocates nothing.
+// emitted container), the write in flight, and one scratch writer kept
+// across barriers, so encoding a section that turns out not to have moved
+// allocates nothing.
 type ckptEnc struct {
 	last      map[snapshot.SectionID]ckptBlob
-	scratch   []*snapshot.Writer
+	scratch   *snapshot.Writer
 	seq       int // checkpoint ordinal of the next emission
 	sinceFull int // deltas emitted since the last full
 	lastEpoch int // epoch of the previous emission; -1 forces the next to be full
 	lastSum   uint32
 	writer    offloop[ckptDone]
 	restoring int // restore only: size of the container, the bound on the list lengths it promises
+
+	// Measured meters (nil without telemetry): wall time encoding the
+	// sections and writing the container, and the container's bytes.
+	encodeMs, writeMs, fullBytes, delBytes *telemetry.Meter
 }
 
-func newCkptEnc() *ckptEnc {
-	return &ckptEnc{last: map[snapshot.SectionID]ckptBlob{}, lastEpoch: -1}
+func newCkptEnc(rec *telemetry.Recorder) *ckptEnc {
+	return &ckptEnc{
+		last:      map[snapshot.SectionID]ckptBlob{},
+		scratch:   snapshot.NewWriter(),
+		lastEpoch: -1,
+		encodeMs:  rec.Meter("ckpt_section_encode_wall_ms"),
+		writeMs:   rec.Meter("ckpt_container_write_wall_ms"),
+		fullBytes: rec.Meter("ckpt_full_bytes"),
+		delBytes:  rec.Meter("ckpt_delta_bytes"),
+	}
 }
 
 // joinWriter blocks until the checkpoint write in flight (if any) has
@@ -552,38 +552,26 @@ func newCkptEnc() *ckptEnc {
 // here — the same contract a synchronous sink would have, just surfaced one
 // barrier later.
 func (e *Engine) joinWriter() {
-	d, ok := e.ck.writer.join()
+	ck := e.ck
+	d, ok := ck.writer.join()
 	if !ok {
 		return
 	}
 	if d.err != nil {
 		panic(fmt.Sprintf("ps: checkpoint sink: %v", d.err))
 	}
-	e.ck.lastSum = d.sum
-	if e.tel != nil {
-		e.tel.writeMs.Observe(d.writeMs)
-		if d.full {
-			e.tel.fullBytes.Observe(float64(d.bytes))
-		} else {
-			e.tel.delBytes.Observe(float64(d.bytes))
-		}
+	ck.lastSum = d.sum
+	ck.writeMs.Observe(d.writeMs)
+	if d.full {
+		ck.fullBytes.Observe(float64(d.bytes))
+	} else {
+		ck.delBytes.Observe(float64(d.bytes))
 	}
-}
-
-// encodePoolSize bounds the section-encode pool by GOMAXPROCS and the
-// number of sections, with the test override winning outright. The bytes do
-// not depend on it.
-func encodePoolSize(n int) int {
-	pool := runtime.GOMAXPROCS(0)
-	if ckptPoolSize > 0 {
-		pool = ckptPoolSize
-	}
-	return max(1, min(pool, n))
 }
 
 // emitCheckpoint runs at the quiescent point of a barrier (takeCheckpoint):
-// join the previous write, decide full vs delta, encode every section in
-// parallel, and hand the assembled container to a writer goroutine so the
+// join the previous write, decide full vs delta, encode the sections in one
+// pass, and hand the assembled container to a writer goroutine so the
 // simulation resumes while the checkpoint encodes its framing and commits to
 // the sink.
 //
@@ -593,92 +581,41 @@ func encodePoolSize(n int) int {
 // whose state did not move encodes to the same bytes by construction —
 // encodings read nothing but the frozen engine state — so no mutation site
 // can leave a stale section behind, and the cost is one encode and compare
-// per section per barrier, into a reused buffer.
+// per section per barrier, into the reused scratch writer.
 func (e *Engine) emitCheckpoint() {
 	ck := e.ck
 	e.joinWriter()
 	full := ck.lastEpoch < 0 || ck.sinceFull >= e.cfg.CheckpointFullEvery-1
 
-	var encStart time.Time
-	if e.tel != nil {
-		encStart = time.Now()
-	}
-	// all is the full section list in container order, jobs beside it what
-	// encodes each entry; moved marks the ones whose bytes differ from the
-	// previous checkpoint's.
-	type job struct {
-		sec   *section
-		i     int // index within the kind
-		moved bool
-	}
-	var jobs []job
-	var all []snapshot.Section
-	for si := range sections {
-		sec := &sections[si]
-		for i, n := 0, sec.count(e); i < n; i++ {
-			jobs = append(jobs, job{sec: sec, i: i})
-			all = append(all, snapshot.Section{ID: snapshot.SectionID{Kind: sec.kind, Index: uint32(i)}})
-		}
-	}
-	encode := func(w *snapshot.Writer, k int) {
-		j, s := &jobs[k], &all[k]
-		w.Reset()
-		j.sec.walk(e, w.Codec(), j.i)
-		if b, ok := ck.last[s.ID]; ok && bytes.Equal(b.payload, w.Bytes()) {
-			s.Payload, s.Sum = b.payload, b.sum
-			return
-		}
-		s.Payload = bytes.Clone(w.Bytes())
-		s.Sum = snapshot.Checksum(s.Payload)
-		j.moved = true
-	}
-	pool := encodePoolSize(len(all))
-	for len(ck.scratch) < pool {
-		ck.scratch = append(ck.scratch, snapshot.NewWriter())
-	}
-	if pool <= 1 {
-		for k := range all {
-			encode(ck.scratch[0], k)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for _, w := range ck.scratch[:pool] {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(all) {
-						return
-					}
-					encode(w, k)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	c := &snapshot.Container{Key: ConfigKey(e.cfg), Epoch: e.srv.epoch(), Seq: ck.seq, Sections: all}
+	encStart := time.Now()
+	c := &snapshot.Container{Key: ConfigKey(e.cfg), Epoch: e.srv.epoch(), Seq: ck.seq}
 	if !full {
 		c.Kind = snapshot.KindDelta
 		c.BaseEpoch = ck.lastEpoch
 		c.BaseSum = ck.lastSum
-		c.Sections = nil
 	}
-	for k, s := range all {
-		if !jobs[k].moved {
-			continue
-		}
-		if !jobs[k].sec.everyDelta { // never looked up, so never kept
-			ck.last[s.ID] = ckptBlob{payload: s.Payload, sum: s.Sum}
-		}
-		if !full {
-			c.Sections = append(c.Sections, s)
+	w := ck.scratch
+	for si := range sections {
+		sec := &sections[si]
+		for i, n := 0, sec.count(e); i < n; i++ {
+			id := snapshot.SectionID{Kind: sec.kind, Index: uint32(i)}
+			w.Reset()
+			sec.walk(e, w.Codec(), i)
+			b, ok := ck.last[id]
+			moved := !ok || !bytes.Equal(b.payload, w.Bytes())
+			if moved {
+				b.payload = bytes.Clone(w.Bytes())
+				b.sum = snapshot.Checksum(b.payload)
+				if !sec.everyDelta { // never looked up, so never kept
+					ck.last[id] = b
+				}
+			}
+			if full || moved {
+				c.Sections = append(c.Sections, snapshot.Section{ID: id, Payload: b.payload, Sum: b.sum})
+			}
 		}
 	}
-	if e.tel != nil {
-		e.tel.encodeMs.Observe(float64(time.Since(encStart).Nanoseconds()) / 1e6)
-	}
+	ck.encodeMs.Observe(float64(time.Since(encStart).Nanoseconds()) / 1e6)
 
 	hdr := Checkpoint{CkptMeta: snapshot.CkptMeta{
 		Epoch:     e.srv.epoch(),

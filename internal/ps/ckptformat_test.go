@@ -123,30 +123,6 @@ func TestDeltaOmitsOnlyWhatStoodStill(t *testing.T) {
 	}
 }
 
-// TestParallelEncodeByteIdentity pins that the emitted container bytes are
-// independent of the encode pool size: each section's encoding reads only
-// frozen state, and the container orders sections canonically, so a
-// pool-of-8 encode must equal the single-threaded one bit for bit.
-func TestParallelEncodeByteIdentity(t *testing.T) {
-	defer func() { ckptPoolSize = 0 }()
-	for _, algo := range []Algo{LCASGD, ADPSGD} {
-		capture := func(pool int) []Checkpoint {
-			ckptPoolSize = pool
-			return runCapturingRaw(ckptEnv(algo, 4, 3, BackendSequential, nil))
-		}
-		one := capture(1)
-		many := capture(8)
-		if len(one) == 0 || len(one) != len(many) {
-			t.Fatalf("%s: %d vs %d checkpoints across pool sizes", algo, len(one), len(many))
-		}
-		for i := range one {
-			if !bytes.Equal(one[i].Data, many[i].Data) {
-				t.Fatalf("%s: checkpoint %d differs between pool 1 and pool 8", algo, i)
-			}
-		}
-	}
-}
-
 // TestDeltaChainMaterializesToFullRunBytes is the delta format's byte-level
 // contract: a run emitting deltas, materialized link by link, produces at
 // every barrier exactly the container a CheckpointFullEvery=1 run of the

@@ -52,12 +52,11 @@ func (e *Engine) topologyGraph() (*topology.Graph, error) {
 	return topology.Parse(e.cfg.Topology, len(e.workers), e.Rng(topoGraphLabel))
 }
 
-// decState is the engine's decentralized-mode extension: the communication
-// graph and the partner-selection stream. The per-worker models and commit
+// decState is the engine's decentralized-mode extension: the partner
+// selector over the communication graph. The per-worker models and commit
 // counters live in the worker records.
 type decState struct {
-	graph *topology.Graph
-	sel   *topology.Selector
+	sel *topology.Selector
 }
 
 // EnableDecentralized switches the engine into decentralized mode on the
@@ -74,19 +73,10 @@ func (e *Engine) EnableDecentralized(g *topology.Graph) {
 	if e.dec != nil {
 		panic("ps: EnableDecentralized called twice")
 	}
-	e.dec = &decState{graph: g, sel: topology.NewSelector(g, e.Rng(topoNeighborLabel))}
+	e.dec = &decState{sel: topology.NewSelector(g, e.Rng(topoNeighborLabel))}
 	for m := range e.workers {
 		e.workers[m].w = append([]float64(nil), e.srv.w...)
 	}
-}
-
-// Topology returns the communication graph of a decentralized run, or nil
-// for a parameter-server run.
-func (e *Engine) Topology() *topology.Graph {
-	if e.dec == nil {
-		return nil
-	}
-	return e.dec.graph
 }
 
 // PullLocal installs worker m's own persistent weights — not the server's —
@@ -154,13 +144,10 @@ func (e *Engine) GossipCommit(m int, grad []float64, batches int) {
 	w.iter++
 	e.srv.updates++
 	e.srv.batches += batches
-	if e.tel != nil {
-		e.tel.gossips.Inc(m)
-		e.tel.rec.Emit(telemetry.Event{
-			Kind: telemetry.KGossip, Worker: int32(m),
-			At: w.launchAt, Dur: e.clock.Now() - w.launchAt, A: int64(partner), B: int64(lag),
-		})
-	}
+	e.tel.emit(telemetry.Event{
+		Kind: telemetry.KGossip, Worker: int32(m),
+		At: w.launchAt, Dur: e.clock.Now() - w.launchAt, A: int64(partner), B: int64(lag),
+	})
 	if e.rec.due(e.srv) {
 		e.refreshConsensus()
 	}

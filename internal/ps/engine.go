@@ -62,14 +62,16 @@ type Engine struct {
 	inflight int
 
 	// Checkpoint-barrier state (checkpoint.go): the next barrier epoch,
-	// whether the engine is currently draining toward a barrier, and the
-	// launches deferred during the drain (re-armed right after the
-	// snapshot is taken — or, on resume, right after it is restored).
-	nextCkpt  int
-	quiescing bool
-	deferred  []int
+	// whether the engine is currently draining toward a barrier and since
+	// when (virtual ms), and the launches deferred during the drain
+	// (re-armed right after the snapshot is taken — or, on resume, right
+	// after it is restored).
+	nextCkpt   int
+	quiescing  bool
+	drainStart float64
+	deferred   []int
 
-	// ck is the delta/parallel/off-loop checkpoint encoder (checkpoint.go).
+	// ck is the delta/off-loop checkpoint encoder (checkpoint.go).
 	ck *ckptEnc
 
 	// Last-checkpoint server state for Config.RecoverOpt: a recovered
@@ -84,8 +86,8 @@ type Engine struct {
 	dec *decState
 
 	// Telemetry state (telemetry.go): nil unless Env.Telemetry attached a
-	// recorder. Every emission site is nil-guarded, keeping the disabled
-	// hot paths at zero allocations.
+	// recorder. Emission goes through its nil-safe emit, keeping the
+	// disabled hot paths at zero allocations.
 	tel *telState
 }
 
@@ -132,7 +134,7 @@ func newEngine(env Env, st Strategy) *Engine {
 		modelSeed: modelSeed,
 		armed:     map[uint64]scenario.Event{},
 		nextCkpt:  cfg.CheckpointEvery,
-		ck:        newCkptEnc(),
+		ck:        newCkptEnc(env.Telemetry),
 	}
 	// A scenario may start the run from a partial fleet; the rest Join later.
 	initial := M
@@ -145,8 +147,6 @@ func newEngine(env Env, st Strategy) *Engine {
 	e.rec = newRecorder(env, modelSeed, e.backend, e.srv)
 	if env.Telemetry != nil {
 		e.tel = newTelState(env.Telemetry, M)
-		e.rec.wallMs = env.Telemetry.Meter("eval_wall_ms")
-		e.rec.stallMs = env.Telemetry.Meter("eval_stall_ms")
 	}
 	return e
 }
@@ -223,12 +223,10 @@ func (e *Engine) loop() Result {
 	e.joinWriter()
 	e.refreshConsensus()
 	points := e.rec.finish(e.srv, e.clock.Now())
-	if e.tel != nil {
-		// One final gauge row at the run's end state. Both the straight-
-		// through and the resumed run take it at the same quiescent end, so
-		// the series stays byte-identical across a resume.
-		e.telSample()
-	}
+	// One final gauge row at the run's end state. Both the straight-through
+	// and the resumed run take it at the same quiescent end, so the series
+	// stays byte-identical across a resume.
+	e.telSample()
 	res := Result{
 		Algo:           e.strategy.Algo(),
 		BNMode:         e.cfg.BNMode,
@@ -269,10 +267,8 @@ func (e *Engine) launch(m int) {
 	if w.parked {
 		return
 	}
-	if e.tel != nil {
-		w.launchAt = e.clock.Now()
-		e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KLaunch, Worker: int32(m), At: e.clock.Now()})
-	}
+	w.launchAt = e.clock.Now()
+	e.tel.emit(telemetry.Event{Kind: telemetry.KLaunch, Worker: int32(m), At: w.launchAt})
 	e.strategy.Launch(e, m)
 }
 
@@ -387,35 +383,32 @@ func (e *Engine) CopyPulledWeights(m int, dst []float64) {
 // compensation) on the backend. After wait returns, Gradient(m) and Loss(m)
 // hold the results.
 func (e *Engine) DispatchGradient(m int) (wait func()) {
-	if e.tel != nil {
-		e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KDispatch, Worker: int32(m), At: e.clock.Now(), A: 0})
-	}
 	w := &e.workers[m]
-	w.wait = e.backend.Dispatch(m, func() { w.loss, _ = w.rep.gradient() })
-	return w.wait
+	return e.dispatch(m, 0, func() { w.loss, _ = w.rep.gradient() })
 }
 
 // DispatchForward runs worker m's forward pass on the backend. After wait
 // returns, Loss(m) holds the batch loss and the replica's BN layers hold
 // their batch statistics.
 func (e *Engine) DispatchForward(m int) (wait func()) {
-	if e.tel != nil {
-		e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KDispatch, Worker: int32(m), At: e.clock.Now(), A: 1})
-	}
 	w := &e.workers[m]
-	w.wait = e.backend.Dispatch(m, func() { w.loss = w.rep.forward() })
-	return w.wait
+	return e.dispatch(m, 1, func() { w.loss = w.rep.forward() })
 }
 
 // DispatchBackward runs worker m's backward pass seeded with scale
 // (Formula 5's compensation enters here). After wait returns, Gradient(m)
 // holds the flat gradient.
 func (e *Engine) DispatchBackward(m int, scale float64) (wait func()) {
-	if e.tel != nil {
-		e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KDispatch, Worker: int32(m), At: e.clock.Now(), A: 2})
-	}
 	w := &e.workers[m]
-	w.wait = e.backend.Dispatch(m, func() { w.rep.backward(scale) })
+	return e.dispatch(m, 2, func() { w.rep.backward(scale) })
+}
+
+// dispatch traces operation op (KDispatch's A) and hands task to worker m's
+// lane, keeping its wait for the next pull to drain.
+func (e *Engine) dispatch(m int, op int64, task func()) (wait func()) {
+	e.tel.emit(telemetry.Event{Kind: telemetry.KDispatch, Worker: int32(m), At: e.clock.Now(), A: op})
+	w := &e.workers[m]
+	w.wait = e.backend.Dispatch(m, task)
 	return w.wait
 }
 
@@ -450,22 +443,16 @@ func (e *Engine) FoldStats(m int) {
 func (e *Engine) Commit(m int, grad []float64, batches int) {
 	w := &e.workers[m]
 	if w.cut {
-		if e.tel != nil {
-			e.tel.drops.Inc(m)
-			e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KDrop, Worker: int32(m), At: e.clock.Now()})
-		}
+		e.tel.emit(telemetry.Event{Kind: telemetry.KDrop, Worker: int32(m), At: e.clock.Now()})
 		e.launch(m)
 		return
 	}
 	st := e.Staleness(m)
 	e.sampleStaleness(st)
-	if e.tel != nil {
-		e.tel.commits.Inc(m)
-		e.tel.rec.Emit(telemetry.Event{
-			Kind: telemetry.KCommit, Worker: int32(m),
-			At: w.launchAt, Dur: e.clock.Now() - w.launchAt, A: int64(st),
-		})
-	}
+	e.tel.emit(telemetry.Event{
+		Kind: telemetry.KCommit, Worker: int32(m),
+		At: w.launchAt, Dur: e.clock.Now() - w.launchAt, A: int64(st),
+	})
 	e.Apply(grad, batches)
 	e.launch(m)
 }
@@ -476,24 +463,18 @@ func (e *Engine) Commit(m int, grad []float64, batches int) {
 // arms the quiescent drain (see checkpoint.go).
 func (e *Engine) Apply(grad []float64, batches int) {
 	e.srv.apply(grad, batches)
-	if e.tel != nil {
-		e.tel.rec.Emit(telemetry.Event{Kind: telemetry.KUpdate, Worker: -1, At: e.clock.Now()})
-	}
+	e.tel.emit(telemetry.Event{Kind: telemetry.KUpdate, Worker: -1, At: e.clock.Now()})
 	e.afterUpdate()
 }
 
 // sampleStaleness folds one staleness sample — a commit's update lag, or a
-// gossip exchange's iteration lag — into the run's mean/max accounting and
-// the telemetry histogram.
+// gossip exchange's iteration lag — into the run's mean/max accounting.
 func (e *Engine) sampleStaleness(st int) {
 	e.stalenessSum += st
 	if st > e.maxStale {
 		e.maxStale = st
 	}
 	e.stalenessN++
-	if e.tel != nil {
-		e.tel.staleness.Observe(float64(st))
-	}
 }
 
 // afterUpdate is the tail of every update, server or gossip: record a curve

@@ -181,6 +181,8 @@ func newRecorder(env Env, modelSeed uint64, be Backend, srv *server) *recorder {
 		lastEpoch: -1,
 		w:         make([]float64, len(srv.w)),
 		bn:        srv.bnAcc.Clone(),
+		wallMs:    env.Telemetry.Meter("eval_wall_ms"),
+		stallMs:   env.Telemetry.Meter("eval_stall_ms"),
 	}
 }
 
@@ -237,10 +239,8 @@ func (r *recorder) drain() {
 	d, _ := r.job.join()
 	r.pending.TrainErr, r.pending.TestErr = d.trainErr, d.testErr
 	r.points = append(r.points, r.pending)
-	if r.wallMs != nil {
-		r.wallMs.Observe(d.wallMs)
-		r.stallMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-	}
+	r.wallMs.Observe(d.wallMs)
+	r.stallMs.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 }
 
 // finish returns the collected points, guaranteeing a final sample.

@@ -14,13 +14,14 @@ import (
 	"lcasgd/internal/tensor"
 )
 
-// slowEvalEnv is tinyEnvSeeded with a two-batch epoch and a test set a
-// hundred times the train shard: one evaluation outlasts several epochs.
-func slowEvalEnv(algo Algo, workers, epochs int) Env {
+// slowEvalEnv is tinyEnvSeeded with a two-batch epoch and a test set of
+// test samples, a hundred or more times the train shard: one evaluation
+// outlasts several epochs.
+func slowEvalEnv(algo Algo, workers, epochs, test int) Env {
 	env := tinyEnvSeeded(algo, workers, epochs)
 	env.Train, env.Test = data.Generate(data.Config{
 		Classes: 4, C: 1, H: 6, W: 6,
-		Train: 40, Test: 4000,
+		Train: 40, Test: test,
 		NoiseSigma: 0.8, SignalScale: 0.5, Smoothing: 1, Seed: 99,
 	})
 	return env
@@ -113,7 +114,7 @@ func TestEvalCheckpointCadences(t *testing.T) {
 			for _, evEvery := range []int{1, 2} {
 				label := fmt.Sprintf("%s/ckpt%d/eval%d", kind, ckEvery, evEvery)
 				mk := func() Env {
-					env := slowEvalEnv(ASGD, 4, 7)
+					env := slowEvalEnv(ASGD, 4, 7, 4000)
 					env.Cfg.Backend = kind
 					env.Cfg.CheckpointEvery = ckEvery
 					env.Cfg.EvalEvery = evEvery
@@ -153,7 +154,7 @@ func TestEvalBackPressure(t *testing.T) {
 	const epochs = 6
 	var results []Result
 	for _, kind := range []BackendKind{BackendSequential, BackendConcurrent} {
-		env := slowEvalEnv(ASGD, 2, epochs)
+		env := slowEvalEnv(ASGD, 2, epochs, 40000)
 		env.Cfg.Backend = kind
 		env.Telemetry = telemetry.NewRecorder()
 		res := Run(env)
@@ -172,7 +173,10 @@ func TestEvalBackPressure(t *testing.T) {
 		if int(wall.N) != len(res.Points) || int(stall.N) != len(res.Points) {
 			t.Fatalf("%s: meters saw %d/%d evaluations for %d points", kind, wall.N, stall.N, len(res.Points))
 		}
-		// An epoch here is two tiny batches; an evaluation is 4040 samples.
+		// An epoch here is two tiny batches; an evaluation is 40040 samples.
+		// A loaded machine can deschedule the loop for a scheduler slice
+		// (a few ms) before it reaches the drain, time the evaluation runs
+		// unwaited for; at this size one evaluation outlasts several slices.
 		if stall.Sum < wall.Sum/2 {
 			t.Fatalf("%s: loop waited %.2f ms for %.2f ms of evaluation; back-pressure never engaged", kind, stall.Sum, wall.Sum)
 		}
@@ -187,7 +191,7 @@ func TestEvalBackPressure(t *testing.T) {
 // runs on goes: its point appended, no goroutine left.
 func TestEvalJoinedBeforeBackendClose(t *testing.T) {
 	before := runtime.NumGoroutine()
-	env := slowEvalEnv(ASGD, 2, 2)
+	env := slowEvalEnv(ASGD, 2, 2, 4000)
 	env.Cfg = env.Cfg.withDefaults()
 	e := newEngine(env, strategyFor(env.Cfg))
 	e.strategy.Setup(e)

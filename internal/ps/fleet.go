@@ -306,8 +306,6 @@ func (e *Engine) applyScenarioEvent(ev scenario.Event) {
 			e.launch(ev.Worker)
 		}
 	}
-	if e.tel != nil {
-		e.telScenarioEvent(ev)
-	}
+	e.telScenarioEvent(ev)
 	e.scnApplied++
 }

@@ -12,8 +12,8 @@ import (
 // engine. Two invariants govern every hook:
 //
 //   - Zero overhead when disabled. The engine holds one nullable pointer
-//     (Engine.tel) and every emission site is an `if e.tel != nil` branch,
-//     so the commit/gossip hot paths stay at 0 allocs/op — pinned by
+//     (Engine.tel), and every emission site is one call to its nil-safe
+//     emit, so the commit/gossip hot paths stay at 0 allocs/op — pinned by
 //     TestCommitZeroAllocSteadyState and BenchmarkTelemetryOverhead.
 //
 //   - Determinism. Every event and deterministic instrument derives from
@@ -25,15 +25,11 @@ import (
 //     byte-identity contract and the checkpoint.
 
 // telState is the engine's telemetry extension: the recorder plus the
-// engine-registered instruments and span bookkeeping. Nil when no recorder
-// is attached.
+// engine-registered instruments. Nil when no recorder is attached.
 type telState struct {
 	rec *telemetry.Recorder
 
-	// drainStart is when the current barrier drain armed (quiescing 0→1).
-	drainStart float64
-
-	// Deterministic instruments.
+	// Event counts, folded from the trace by emit.
 	staleness *telemetry.Histogram
 	drainMs   *telemetry.Histogram
 	commits   *telemetry.WorkerVec
@@ -41,17 +37,12 @@ type telState struct {
 	gossips   *telemetry.WorkerVec
 	scnEvents *telemetry.Counter
 	barriers  *telemetry.Counter
+
+	// Depth gauges, sampled by telSample.
 	inflightG *telemetry.Gauge
 	activeG   *telemetry.Gauge
 	cutG      *telemetry.Gauge
 	pendingG  *telemetry.Gauge
-
-	// Measured (wall-clock / emission-policy) meters: not deterministic,
-	// not checkpointed, dumped under a separate "measured" key.
-	encodeMs  *telemetry.Meter
-	writeMs   *telemetry.Meter
-	fullBytes *telemetry.Meter
-	delBytes  *telemetry.Meter
 }
 
 // newTelState binds the recorder to this run and registers the engine's
@@ -73,10 +64,38 @@ func newTelState(rec *telemetry.Recorder, workers int) *telState {
 		activeG:   m.Gauge("active_workers"),
 		cutG:      m.Gauge("cut_workers"),
 		pendingG:  m.Gauge("clock_pending"),
-		encodeMs:  rec.Meter("ckpt_section_encode_wall_ms"),
-		writeMs:   rec.Meter("ckpt_container_write_wall_ms"),
-		fullBytes: rec.Meter("ckpt_full_bytes"),
-		delBytes:  rec.Meter("ckpt_delta_bytes"),
+	}
+}
+
+// emit records one engine transition; without a recorder it does nothing.
+// It is the only way an event enters the trace, so the counts fold derives
+// from the event cannot disagree with it.
+func (t *telState) emit(ev telemetry.Event) {
+	if t != nil {
+		t.fold(ev)
+	}
+}
+
+// fold appends ev to the trace and counts it into the instruments it feeds.
+func (t *telState) fold(ev telemetry.Event) {
+	t.rec.Emit(ev)
+	switch ev.Kind {
+	case telemetry.KCommit:
+		t.commits.Inc(int(ev.Worker))
+		t.staleness.Observe(float64(ev.A))
+	case telemetry.KDrop:
+		t.drops.Inc(int(ev.Worker))
+	case telemetry.KGossip:
+		t.gossips.Inc(int(ev.Worker))
+		if ev.A >= 0 { // a worker that stepped alone sampled no lag
+			t.staleness.Observe(float64(ev.B))
+		}
+	case telemetry.KCrash, telemetry.KRecover, telemetry.KJoin, telemetry.KLeave,
+		telemetry.KPartition, telemetry.KHeal, telemetry.KPhaseShift:
+		t.scnEvents.Inc()
+	case telemetry.KBarrier:
+		t.drainMs.Observe(ev.Dur)
+		t.barriers.Inc()
 	}
 }
 
@@ -86,7 +105,7 @@ func newTelState(rec *telemetry.Recorder, workers int) *telState {
 // learning curve one-to-one. The row is taken here, on the loop, at the
 // boundary's state; the point's errors arrive later from the evaluator.
 func (e *Engine) recordCurve() {
-	if e.rec.maybeRecord(e.srv, e.clock.Now(), false) && e.tel != nil {
+	if e.rec.maybeRecord(e.srv, e.clock.Now(), false) {
 		e.telSample()
 	}
 }
@@ -94,6 +113,9 @@ func (e *Engine) recordCurve() {
 // telSample captures the engine's depth gauges and appends a series row.
 func (e *Engine) telSample() {
 	t := e.tel
+	if t == nil {
+		return
+	}
 	t.inflightG.Set(float64(e.inflight))
 	t.activeG.Set(float64(e.activeN))
 	t.cutG.Set(float64(e.cutN))
@@ -105,8 +127,8 @@ func (e *Engine) telSample() {
 // crossed the barrier epoch, stamping the drain's start exactly once per
 // barrier (commits keep landing while the drain is in progress).
 func (e *Engine) armQuiesce() {
-	if e.tel != nil && !e.quiescing {
-		e.tel.drainStart = e.clock.Now()
+	if !e.quiescing {
+		e.drainStart = e.clock.Now()
 	}
 	e.quiescing = true
 }
@@ -135,8 +157,7 @@ func (e *Engine) telScenarioEvent(ev scenario.Event) {
 	default:
 		return
 	}
-	e.tel.scnEvents.Inc()
-	e.tel.rec.Emit(telemetry.Event{Kind: k, Worker: int32(ev.Worker), At: e.clock.Now(), A: a, B: b})
+	e.tel.emit(telemetry.Event{Kind: k, Worker: int32(ev.Worker), At: e.clock.Now(), A: a, B: b})
 }
 
 // telBarrier records the barrier-drain span and the checkpoint instant at
@@ -144,13 +165,9 @@ func (e *Engine) telScenarioEvent(ev scenario.Event) {
 // the histogram/counter they feed) are inside the checkpoint and a resumed
 // run replays them rather than re-observing them.
 func (e *Engine) telBarrier() {
-	t := e.tel
 	now := e.clock.Now()
-	dur := now - t.drainStart
-	t.drainMs.Observe(dur)
-	t.barriers.Inc()
-	t.rec.Emit(telemetry.Event{Kind: telemetry.KBarrier, Worker: -1, At: t.drainStart, Dur: dur})
-	t.rec.Emit(telemetry.Event{Kind: telemetry.KCheckpoint, Worker: -1, At: now, A: int64(e.srv.epoch())})
+	e.tel.emit(telemetry.Event{Kind: telemetry.KBarrier, Worker: -1, At: e.drainStart, Dur: now - e.drainStart})
+	e.tel.emit(telemetry.Event{Kind: telemetry.KCheckpoint, Worker: -1, At: now, A: int64(e.srv.epoch())})
 }
 
 // --- checkpoint serialization of the instrument registry ---

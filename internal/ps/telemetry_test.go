@@ -2,6 +2,9 @@ package ps
 
 import (
 	"bytes"
+	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -263,6 +266,108 @@ func TestTelemetryBarrierEventsCheckpointed(t *testing.T) {
 	}
 }
 
+// TestTelemetryInstrumentsAreTheTraceFolded pins that the event-counting
+// instruments say nothing the trace does not: every counter, worker vector
+// and histogram in the registry equals, bit for bit and sums included, a
+// recount of rec.Events written here from the Kind docs alone. It covers
+// each telemetry algorithm on both backends under partition, heal, crash and
+// recover with a barrier every epoch, on the straight-through run and on
+// the resumed side of its first barrier, whose registry and trace prefix
+// both came out of the checkpoint.
+func TestTelemetryInstrumentsAreTheTraceFolded(t *testing.T) {
+	var scn *scenario.Scenario
+	for _, s := range equivalenceScenarios() {
+		if s.Name == "partition-heal" {
+			scn = s
+		}
+	}
+	for _, algo := range telemetryAlgos {
+		for _, kind := range []BackendKind{BackendSequential, BackendConcurrent} {
+			label := string(algo) + "/" + string(kind)
+			env := ckptEnv(algo, 4, 3, kind, scn)
+			env.Telemetry = telemetry.NewRecorder()
+			_, cks := runCapturing(env)
+			if len(cks) == 0 {
+				t.Fatalf("%s: no checkpoints emitted", label)
+			}
+			assertInstrumentsFoldTrace(t, label, env.Telemetry, 4)
+			renv := ckptEnv(algo, 4, 3, kind, scn)
+			renv.Telemetry = telemetry.NewRecorder()
+			if _, err := Resume(renv, cks[0].Data); err != nil {
+				t.Fatalf("%s: resume: %v", label, err)
+			}
+			assertInstrumentsFoldTrace(t, label+"/resumed", renv.Telemetry, 4)
+		}
+	}
+}
+
+// assertInstrumentsFoldTrace recounts rec's trace into the instruments the
+// engine registers and requires the registry to hold exactly those values.
+func assertInstrumentsFoldTrace(t *testing.T, label string, rec *telemetry.Recorder, workers int) {
+	t.Helper()
+	counters := map[string]uint64{"scenario_events_applied": 0, "checkpoint_barriers": 0}
+	vecs := map[string][]uint64{
+		"commits_per_worker":         make([]uint64, workers),
+		"partition_drops_per_worker": make([]uint64, workers),
+		"gossips_per_worker":         make([]uint64, workers),
+	}
+	hists := map[string]*telemetry.Histogram{
+		"staleness":        {Bounds: []float64{0, 1, 2, 4, 8, 16, 32, 64, 128}, Counts: make([]uint64, 10)},
+		"barrier_drain_ms": {Bounds: []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 1000}, Counts: make([]uint64, 10)},
+	}
+	observe := func(name string, v float64) {
+		h := hists[name]
+		h.Counts[sort.SearchFloat64s(h.Bounds, v)]++ // first bound ≥ v, or +Inf
+		h.Total++
+		h.Sum += v
+	}
+	for _, ev := range rec.Events {
+		switch ev.Kind {
+		case telemetry.KCommit:
+			vecs["commits_per_worker"][ev.Worker]++
+			observe("staleness", float64(ev.A))
+		case telemetry.KDrop:
+			vecs["partition_drops_per_worker"][ev.Worker]++
+		case telemetry.KGossip:
+			vecs["gossips_per_worker"][ev.Worker]++
+			if ev.A != -1 {
+				observe("staleness", float64(ev.B))
+			}
+		case telemetry.KCrash, telemetry.KRecover, telemetry.KJoin, telemetry.KLeave,
+			telemetry.KPartition, telemetry.KHeal, telemetry.KPhaseShift:
+			counters["scenario_events_applied"]++
+		case telemetry.KBarrier:
+			counters["checkpoint_barriers"]++
+			observe("barrier_drain_ms", ev.Dur)
+		}
+	}
+	if counters["scenario_events_applied"] == 0 || counters["checkpoint_barriers"] == 0 {
+		t.Fatalf("%s: trace folds to %v; the timeline exercised nothing", label, counters)
+	}
+	m := rec.Metrics
+	if len(m.Counters) != len(counters) || len(m.Vecs) != len(vecs) || len(m.Hists) != len(hists) {
+		t.Fatalf("%s: registry has %d counters, %d vectors, %d histograms; the trace folds into %d, %d, %d",
+			label, len(m.Counters), len(m.Vecs), len(m.Hists), len(counters), len(vecs), len(hists))
+	}
+	for _, c := range m.Counters {
+		if want, ok := counters[c.Name]; !ok || c.V != want {
+			t.Fatalf("%s: counter %s = %d, the trace folds to %d", label, c.Name, c.V, want)
+		}
+	}
+	for _, v := range m.Vecs {
+		if want, ok := vecs[v.Name]; !ok || !slices.Equal(v.N, want) {
+			t.Fatalf("%s: worker vector %s = %v, the trace folds to %v", label, v.Name, v.N, want)
+		}
+	}
+	for _, h := range m.Hists {
+		want, ok := hists[h.Name]
+		if !ok || !slices.Equal(h.Bounds, want.Bounds) || !slices.Equal(h.Counts, want.Counts) ||
+			h.Total != want.Total || math.Float64bits(h.Sum) != math.Float64bits(want.Sum) {
+			t.Fatalf("%s: histogram %s = %+v, the trace folds to %+v", label, h.Name, *h, want)
+		}
+	}
+}
+
 // BenchmarkTelemetryOverhead measures the steady-state commit path with the
 // telemetry layer disabled (nil recorder — must stay 0 allocs/op, the
 // CI bench-smoke guard) and enabled (the trace append + instrument cost).
@@ -287,6 +392,9 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				grad[i] = 1e-3
 			}
 			e.Commit(0, grad, 0) // warm: first commit records the epoch-0 point
+			// Join that point's evaluation: it runs off the loop, and its
+			// allocations would otherwise be charged to the commits below.
+			e.rec.drain()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -264,7 +264,7 @@ func (r *Reader) Close() error {
 // it, reading stores through it — unless the read fails, which leaves the
 // pointee unchanged. Whatever only a restore does (checking the bytes,
 // rebuilding derived state) sits under Reading; a writing walk assigns
-// nothing, so walks of one frozen state may run concurrently.
+// nothing, so taking a snapshot leaves the value exactly as it was.
 //
 // Codec is a value of two pointers, one of them nil: passing it allocates
 // nothing.

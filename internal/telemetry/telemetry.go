@@ -144,8 +144,11 @@ func (r *Recorder) Emit(ev Event) { r.Events = append(r.Events, ev) }
 // times, bytes under the process's full/delta cadence — which are genuinely
 // useful but not deterministic, so they are dumped under a separate
 // "measured" key and excluded from the byte-identity contract and from
-// checkpoints.
+// checkpoints. A nil recorder returns a nil meter, which observes nothing.
 func (r *Recorder) Meter(name string) *Meter {
+	if r == nil {
+		return nil
+	}
 	for _, m := range r.meters {
 		if m.Name == name {
 			return m
@@ -169,8 +172,11 @@ type Meter struct {
 	Max  float64 `json:"max"`
 }
 
-// Observe folds one measurement into the meter.
+// Observe folds one measurement into the meter; a nil meter ignores it.
 func (m *Meter) Observe(v float64) {
+	if m == nil {
+		return
+	}
 	m.N++
 	m.Sum += v
 	if v > m.Max {

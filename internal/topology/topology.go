@@ -1,16 +1,8 @@
 // Package topology models the communication graphs decentralized training
-// runs on. A Graph is an undirected graph over the worker ranks; the engine
-// uses it three ways:
-//
-//   - Neighbor lists drive gossip partner selection (Selector), with the
-//     randomness drawn from a labeled stream of the run's seed RNG so the
-//     draw sequence is part of the reproducibility contract.
-//   - The Metropolis–Hastings mixing matrix (Mixing) is the W of
-//     decentralized SGD analyses (Lian et al. 2017): symmetric and doubly
-//     stochastic, so repeated averaging converges to the uniform consensus.
-//   - Connectivity queries (Components, Connected) give scenario partitions
-//     their decentralized meaning: cutting workers splits the graph into
-//     components instead of silencing individual ranks.
+// runs on. A Graph is an undirected graph over the worker ranks whose
+// neighbor lists drive gossip partner selection (Selector), with the
+// randomness drawn from a labeled stream of the run's seed RNG so the draw
+// sequence is part of the reproducibility contract.
 //
 // Graphs are built either by the named constructors (Ring, Complete, Star,
 // Gossip) or from a user spec string (Parse): "ring", "complete", "star",
@@ -239,87 +231,6 @@ func (g *Graph) Workers() int { return len(g.adj) }
 // Neighbors returns rank m's sorted neighbor list. Callers must not mutate
 // it.
 func (g *Graph) Neighbors(m int) []int { return g.adj[m] }
-
-// Degree returns rank m's neighbor count.
-func (g *Graph) Degree(m int) int { return len(g.adj[m]) }
-
-// HasEdge reports whether ranks i and j are directly connected.
-func (g *Graph) HasEdge(i, j int) bool { return contains(g.adj[i], j) }
-
-// Mixing returns the Metropolis–Hastings mixing matrix:
-//
-//	W[i][j] = 1/(1+max(deg i, deg j))  for each edge {i,j}
-//	W[i][i] = 1 − Σ_{j≠i} W[i][j]
-//
-// which is symmetric and doubly stochastic for every undirected graph — the
-// property that makes repeated gossip averaging contract toward consensus.
-func (g *Graph) Mixing() [][]float64 {
-	n := len(g.adj)
-	w := make([][]float64, n)
-	for i := range w {
-		w[i] = make([]float64, n)
-	}
-	for i, ns := range g.adj {
-		rowSum := 0.0
-		for _, j := range ns {
-			d := len(g.adj[i])
-			if dj := len(g.adj[j]); dj > d {
-				d = dj
-			}
-			w[i][j] = 1 / float64(1+d)
-			rowSum += w[i][j]
-		}
-		w[i][i] = 1 - rowSum
-	}
-	return w
-}
-
-// Components labels each rank with a connected-component id, treating ranks
-// with down[m] set as removed from the graph (their label is −1 and no path
-// crosses them). Ids are assigned in ascending order of each component's
-// lowest rank, so the labeling is canonical. A nil down means all ranks are
-// up.
-func (g *Graph) Components(down []bool) []int {
-	n := len(g.adj)
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	next := 0
-	var queue []int
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 || (down != nil && down[s]) {
-			continue
-		}
-		comp[s] = next
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range g.adj[u] {
-				if comp[v] >= 0 || (down != nil && down[v]) {
-					continue
-				}
-				comp[v] = next
-				queue = append(queue, v)
-			}
-		}
-		next++
-	}
-	return comp
-}
-
-// Connected reports whether the up ranks form a single component (a graph
-// with zero up ranks counts as connected).
-func (g *Graph) Connected(down []bool) bool {
-	comp := g.Components(down)
-	for _, c := range comp {
-		if c > 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // Selector draws gossip partners from a graph using a dedicated RNG stream.
 // Every Pick consumes exactly one draw whether or not a partner exists, so
