@@ -43,7 +43,8 @@ type Cell struct {
 
 	xh   []float64 // [X+H] the step's input row [x; h], reused every Step/Backward
 	pre  []float64 // [4H] pre-activation scratch, reused every Step
-	act  []float64 // [4H] gate values [i; f; g; o], reused every Step
+	act  []float64 // [4H] gate values [i; f; g; o] of a step without a cache
+	tc   []float64 // [H] tanh(c) of a step without a cache
 	dAct []float64 // [4H] gate-gradient scratch, reused every Backward
 }
 
@@ -59,6 +60,7 @@ func NewCell(x, h int, g *rng.RNG) *Cell {
 		xh:   make([]float64, x+h),
 		pre:  make([]float64, numGates*h),
 		act:  make([]float64, numGates*h),
+		tc:   make([]float64, h),
 		dAct: make([]float64, numGates*h),
 	}
 	// The draw order is the serialized one (input weights, then hidden).
@@ -112,16 +114,18 @@ func (s State) Zero() {
 // in place between steps.
 type stepCache struct {
 	x, hPrev, cPrev []float64
-	i, f, g, o      []float64 // post-activation gate values
+	act             []float64 // [4H] post-activation gate values [i; f; g; o]
+	i, f, g, o      []float64 // the four gates' rows of act
 	c, tanhC        []float64
 }
 
 // newStepCache allocates one cache slot for a cell of input size x and
 // hidden size h.
 func newStepCache(x, h int) *stepCache {
+	act := make([]float64, numGates*h)
 	return &stepCache{
 		x: make([]float64, x), hPrev: make([]float64, h), cPrev: make([]float64, h),
-		i: make([]float64, h), f: make([]float64, h), g: make([]float64, h), o: make([]float64, h),
+		act: act, i: act[:h], f: act[h : 2*h], g: act[2*h : 3*h], o: act[3*h:],
 		c: make([]float64, h), tanhC: make([]float64, h),
 	}
 }
@@ -129,43 +133,30 @@ func newStepCache(x, h int) *stepCache {
 // Step advances the cell one timestep, updating s in place. When cache is
 // non-nil it records everything Backward needs (including copies of the
 // input and incoming state, so in-place state reuse is safe). Passing a nil
-// cache is the prediction-only fast path.
+// cache is the prediction-only fast path; both run the same update,
+// activate, which writes the gate values and tanh(c) into the cache or into
+// the cell's own scratch.
 func (c *Cell) Step(x []float64, s State, cache *stepCache) {
-	if len(x) != c.X {
-		panic(fmt.Sprintf("lstm: input size %d, want %d", len(x), c.X))
+	if len(x) != c.X || len(s.H) != c.H || len(s.C) != c.H {
+		panic(fmt.Sprintf("lstm: input size %d and state sizes %d, %d, want %d and %d", len(x), len(s.H), len(s.C), c.X, c.H))
 	}
-	h := c.H
-	xh, pre, act := c.xh, c.pre, c.act
+	xh, pre := c.xh, c.pre
 	copy(xh, x)
 	copy(xh[c.X:], s.H)
 	// Each gate's chain runs over [x; h] ascending from +0, and the bias
 	// joins once, after the sum.
 	copy(pre, c.B)
 	tensor.VecMatMulAdd(pre, xh, c.W)
+	act, tc := c.act, c.tc
 	if cache != nil {
 		copy(cache.x, x)
 		copy(cache.hPrev, s.H)
 		copy(cache.cPrev, s.C)
+		act, tc = cache.act, cache.tanhC
 	}
-	gateInto(opSigmoid, act[:gateG*h], pre[:gateG*h]) // i and f
-	gateInto(opTanh, act[gateG*h:gateO*h], pre[gateG*h:gateO*h])
-	gateInto(opSigmoid, act[gateO*h:], pre[gateO*h:])
-	i, f, g, o := act[:h], act[gateF*h:gateG*h], act[gateG*h:gateO*h], act[gateO*h:]
-	for j, cv := range s.C {
-		s.C[j] = f[j]*cv + i[j]*g[j]
-	}
-	// s.H holds tanh(c) until the last loop turns it into o ⊙ tanh(c).
-	gateInto(opTanh, s.H, s.C)
+	activate(pre, act, tc, s.C, s.H)
 	if cache != nil {
-		copy(cache.i, i)
-		copy(cache.f, f)
-		copy(cache.g, g)
-		copy(cache.o, o)
 		copy(cache.c, s.C)
-		copy(cache.tanhC, s.H)
-	}
-	for j, ov := range o {
-		s.H[j] = ov * s.H[j]
 	}
 }
 

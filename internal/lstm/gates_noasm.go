@@ -10,3 +10,7 @@ func cpuHasGateAsm() bool { return false }
 func gateAVX2(op gateOp, dst, src *float64, n int) int {
 	panic("lstm: no assembly gates in this build")
 }
+
+func cellAVX2(pre, act, tc, cs, hs *float64, h, n int) int {
+	panic("lstm: no assembly cell step in this build")
+}

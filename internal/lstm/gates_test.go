@@ -93,6 +93,21 @@ func gateRef(op gateOp, v float64) float64 {
 
 var gateOps = []gateOp{opExp, opSigmoid, opTanh}
 
+// gateInto sets dst[i] = op(src[i]) for every i < len(src) through gateAVX2
+// where the assembly runs, a group with a lane outside op's fast domain and
+// the tail through math. dst may be src.
+func gateInto(op gateOp, dst, src []float64) {
+	dst = dst[:len(src)]
+	for i := 0; i < len(src); {
+		if useGateAsm && len(src)-i >= 4 {
+			i += gateAVX2(op, &dst[i], &src[i], len(src)-i)
+		}
+		for end := min(i+4, len(src)); i < end; i++ {
+			dst[i] = op.scalar(src[i])
+		}
+	}
+}
+
 // checkGates runs every op over in, cut into runs of 1..9 elements so the
 // four-lane groups and the scalar tails take every alignment, and compares
 // each output with gateRef bitwise.
@@ -182,5 +197,116 @@ func FuzzGateMath(f *testing.F) {
 			in[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 		checkGates(t, in)
+	})
+}
+
+// scalarStep is Step by its per-unit definition, as
+// TestCellStepBitsMatchScalarGates spells it out: pre[r] = B[r] + (the
+// row-r chain over x, then h, from +0); every gate through math; c = f·C +
+// i·g; h = o·tanh(c). It advances ref and records the step in want.
+func scalarStep(c *Cell, in []float64, ref State, want *stepCache) {
+	x, h := c.X, c.H
+	wx, wh := c.serialWeights()
+	copy(want.x, in)
+	copy(want.hPrev, ref.H)
+	copy(want.cPrev, ref.C)
+	pre := make([]float64, numGates*h)
+	for r := range pre {
+		sum := 0.0
+		for j, xv := range in {
+			sum += wx[r*x+j] * xv
+		}
+		for j, hv := range ref.H {
+			sum += wh[r*h+j] * hv
+		}
+		pre[r] = c.B[r] + sum
+	}
+	sig := func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+	for j := 0; j < h; j++ {
+		iv, fv := sig(pre[gateI*h+j]), sig(pre[gateF*h+j])
+		gv, ov := math.Tanh(pre[gateG*h+j]), sig(pre[gateO*h+j])
+		cv := fv*ref.C[j] + iv*gv
+		tc := math.Tanh(cv)
+		want.i[j], want.f[j], want.g[j], want.o[j], want.c[j], want.tanhC[j] = iv, fv, gv, ov, cv, tc
+		ref.C[j], ref.H[j] = cv, ov*tc
+	}
+}
+
+// sameBits is bitwise equality, except that any two NaNs match: which NaN
+// payload survives an operation on two of them depends on operand order,
+// which the compiler picks freely for commutative ops.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// stepExtremes are bias and state values outside the assembly's fast
+// domain, or on its edge: saturated and overflowing sigmoids, tanh past
+// MAXLOG/2, non-finite values.
+var stepExtremes = []float64{
+	-800, 750, -709.7, -710, 700.5, 50, -44.1, 1e308, -1e308,
+	math.Inf(1), math.Inf(-1), math.NaN(), math.Nextafter(0.625, 0), 5e-324,
+}
+
+// FuzzCellStep holds Step — the fused assembly where it runs, the per-unit
+// Go fallback everywhere else — to its scalar definition bit for bit, on
+// the cache and the nil-cache path over three chained steps, at H in
+// [1, 80] and X in [1, 9] or X = H. A few biases are always pushed out of
+// the fast domain; each 10-byte record of poke (a little-endian uint16
+// index, then float64 bits) overwrites one more bias, or past 4H one entry
+// of the incoming C.
+func FuzzCellStep(f *testing.F) {
+	rec := func(idx uint16, v float64) []byte {
+		b := binary.LittleEndian.AppendUint16(nil, idx)
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	f.Add(uint64(1), uint8(7), uint8(9), []byte(nil))
+	f.Add(uint64(2), uint8(31), uint8(0), []byte(nil))
+	f.Add(uint64(3), uint8(79), uint8(8), rec(5, math.NaN()))
+	f.Add(uint64(4), uint8(11), uint8(2), append(rec(50, math.Inf(1)), rec(3, -709.5)...))
+	f.Add(uint64(5), uint8(3), uint8(9), rec(16, 1e300))
+	f.Fuzz(func(t *testing.T, seed uint64, hb, xb uint8, poke []byte) {
+		h, x := 1+int(hb)%80, 1+int(xb)%10
+		if x == 10 {
+			x = h
+		}
+		g := rng.New(seed)
+		c := NewCell(x, h, g)
+		g.FillNormal(c.B, 2)
+		s := NewState(h)
+		g.FillNormal(s.C, 1)
+		for k := 0; k < 3; k++ {
+			c.B[g.Intn(numGates*h)] = stepExtremes[g.Intn(len(stepExtremes))]
+		}
+		for ; len(poke) >= 10; poke = poke[10:] {
+			k, v := int(binary.LittleEndian.Uint16(poke))%((numGates+1)*h), math.Float64frombits(binary.LittleEndian.Uint64(poke[2:]))
+			if k < numGates*h {
+				c.B[k] = v
+			} else {
+				s.C[k-numGates*h] = v
+			}
+		}
+		ref, nilState := s.Clone(), NewState(h)
+		cache, want := newStepCache(x, h), newStepCache(x, h)
+		in := make([]float64, x)
+		for step := 0; step < 3; step++ {
+			g.FillNormal(in, 1.5)
+			copy(nilState.H, s.H)
+			copy(nilState.C, s.C)
+			scalarStep(c, in, ref, want)
+			c.Step(in, s, cache)
+			c.Step(in, nilState, nil)
+			for name, pair := range map[string][2][]float64{
+				"H": {s.H, ref.H}, "C": {s.C, ref.C}, "nil-cache H": {nilState.H, ref.H}, "nil-cache C": {nilState.C, ref.C},
+				"x": {cache.x, want.x}, "hPrev": {cache.hPrev, want.hPrev}, "cPrev": {cache.cPrev, want.cPrev},
+				"act": {cache.act, want.act}, "c": {cache.c, want.c}, "tanhC": {cache.tanhC, want.tanhC},
+			} {
+				for j := range pair[1] {
+					if !sameBits(pair[0][j], pair[1][j]) {
+						t.Fatalf("X=%d H=%d step %d: %s[%d] = %v (%#x), scalar gives %v (%#x)", x, h, step, name, j,
+							pair[0][j], math.Float64bits(pair[0][j]), pair[1][j], math.Float64bits(pair[1][j]))
+					}
+				}
+			}
+		}
 	})
 }

@@ -182,8 +182,8 @@ func TestCellStepBitsMatchRowLoops(t *testing.T) {
 func TestCellStepBitsMatchScalarGates(t *testing.T) {
 	g := rng.New(17)
 	sig := func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
-	for _, h := range []int{1, 3, 4, 5, 8, 24, 64} {
-		for _, x := range []int{1, 3} {
+	for _, h := range []int{1, 3, 4, 5, 8, 24, 32, 64} {
+		for _, x := range []int{1, 3, h} {
 			c := NewCell(x, h, g)
 			g.FillNormal(c.B, 2)
 			c.B[gateI*h] = -800    // sigmoid: exp(800) is outside the fast domain
@@ -452,15 +452,19 @@ func BenchmarkPredictAhead(b *testing.B) {
 	}
 }
 
-// BenchmarkCellStep is one prediction-path Step of a hidden-to-hidden cell,
-// the roll-out's unit of work.
+// BenchmarkCellStep is one prediction-path Step, the roll-out's unit of
+// work: hidden-to-hidden cells (H8, H24) and the roll-out's first layer,
+// which takes the one-wide fed-back prediction (X1_H8).
 func BenchmarkCellStep(b *testing.B) {
-	for _, h := range []int{8, 24} {
-		b.Run(fmt.Sprintf("H%d", h), func(b *testing.B) {
+	for _, sz := range []struct {
+		name string
+		x, h int
+	}{{"H8", 8, 8}, {"H24", 24, 24}, {"X1_H8", 1, 8}} {
+		b.Run(sz.name, func(b *testing.B) {
 			g := rng.New(1)
-			c := NewCell(h, h, g)
-			s := NewState(h)
-			in := make([]float64, h)
+			c := NewCell(sz.x, sz.h, g)
+			s := NewState(sz.h)
+			in := make([]float64, sz.x)
 			g.FillNormal(in, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

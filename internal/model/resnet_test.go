@@ -165,7 +165,9 @@ func TestResNetTrainsOnToyProblem(t *testing.T) {
 		ce.Forward(out, labels)
 		net.Backward(ce.Backward(1))
 		for _, p := range params {
-			tensor.AXPY(p.Value, -0.05, p.Grad)
+			for i, g := range p.Grad.Data {
+				p.Value.Data[i] -= 0.05 * g
+			}
 		}
 	}
 	last := ce.Forward(net.Forward(x, true), labels)

@@ -14,10 +14,7 @@ type Dense struct {
 	W, B    *Param
 	x       *tensor.Tensor // cached input for backward
 
-	// Reused buffers (see reuse2): per-call outputs/gradients plus the
-	// batch-independent gradient scratch allocated at construction.
-	out, dx *tensor.Tensor
-	dW, db  *tensor.Tensor
+	out, dx *tensor.Tensor // reused per-call buffers (see reuse2)
 }
 
 // NewDense constructs a dense layer with He initialization (suited to the
@@ -28,8 +25,6 @@ func NewDense(name string, in, out int, g *rng.RNG) *Dense {
 		Out: out,
 		W:   NewParam(name+".W", in, out),
 		B:   NewParam(name+".b", out),
-		dW:  tensor.New(in, out),
-		db:  tensor.New(out),
 	}
 	d.W.InitHe(g, in)
 	return d
@@ -57,12 +52,21 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // backwardParams is Backward without the input gradient (see
-// Sequential.BackwardParams).
+// Sequential.BackwardParams). It adds each gradient straight into the
+// parameter's Grad: W.Grad += xᵀ @ dY, and B.Grad[j] += the sum of dY's
+// column j, one chain from +0 over the rows ascending. Each sum joins Grad
+// once, so the bits are those of summing into zeroed scratch and adding
+// that, whatever Grad held.
 func (d *Dense) backwardParams(grad *tensor.Tensor) {
-	tensor.MatMulTransAInto(d.dW, d.x, grad)
-	tensor.AXPY(d.W.Grad, 1, d.dW)
-	tensor.RowSumInto(d.db, grad)
-	tensor.AXPY(d.B.Grad, 1, d.db)
+	tensor.MatMulTransAAdd(d.W.Grad, d.x, grad)
+	bg := d.B.Grad.Data
+	for j := range bg {
+		s := 0.0
+		for i := j; i < len(grad.Data); i += len(bg) {
+			s += grad.Data[i]
+		}
+		bg[j] += s
+	}
 }
 
 // Params returns the weight and bias.

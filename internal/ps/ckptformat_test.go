@@ -552,3 +552,121 @@ func FuzzRestoreSection(f *testing.F) {
 		}
 	})
 }
+
+// realChains returns checkpoint chains of real runs — LC-ASGD with
+// telemetry under partition-heal and AD-PSGD under crash-recovery, a full
+// every third barrier — each a full container followed by its deltas.
+func realChains(tb testing.TB) [][][]byte {
+	var chains [][][]byte
+	for _, env := range []Env{
+		ckptEnv(LCASGD, 4, 4, BackendSequential, equivalenceScenarios()[2]),
+		ckptEnv(ADPSGD, 4, 4, BackendSequential, equivalenceScenarios()[0]),
+	} {
+		env.Cfg.CheckpointFullEvery = 3
+		if env.Cfg.Algo == LCASGD {
+			env.Telemetry = telemetry.NewRecorder()
+		}
+		for _, ck := range runCapturingRaw(env) {
+			if ck.Full {
+				chains = append(chains, nil)
+			}
+			chains[len(chains)-1] = append(chains[len(chains)-1], ck.Data)
+		}
+	}
+	if len(chains) == 0 || len(chains[0]) < 3 {
+		tb.Fatalf("want a full and two deltas in the first chain, got %d chains", len(chains))
+	}
+	return chains
+}
+
+// typedContainerError reports whether err is one of the errors the
+// container layer promises for bad bytes.
+func typedContainerError(err error) bool {
+	for _, want := range []error{snapshot.ErrBadMagic, snapshot.ErrFutureVersion, snapshot.ErrChecksum,
+		snapshot.ErrCorrupt, snapshot.ErrNotFull, snapshot.ErrChainBroken} {
+		if errors.Is(err, want) {
+			return true
+		}
+	}
+	return false
+}
+
+// allocBound is what decoding n bytes of containers may allocate: the
+// section directory and its bookkeeping are a small multiple of the bytes
+// that encode them, so a length the bytes do not back shows as far more.
+func allocBound(n int) uint64 { return 64*uint64(n) + 1<<16 }
+
+// FuzzDecodeContainer holds DecodeContainer to its contract on arbitrary
+// bytes, seeded with every full and delta container of realChains: no
+// panic, no allocation sized by an unchecked length, and either a typed
+// error or a container that EncodeContainer turns back into exactly the
+// same bytes.
+func FuzzDecodeContainer(f *testing.F) {
+	for _, chain := range realChains(f) {
+		for _, b := range chain {
+			f.Add(b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		before := heapAllocated()
+		c, err := snapshot.DecodeContainer(b)
+		if got := heapAllocated() - before; got > allocBound(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(b), got)
+		}
+		if err != nil {
+			if !typedContainerError(err) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		again, err := snapshot.EncodeContainer(c)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded container: %v", err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("decode then encode moved the bytes: %d in, %d out", len(b), len(again))
+		}
+	})
+}
+
+// FuzzMaterialize holds Materialize to its contract on an arbitrary chain
+// of up to three links (full, then links mod 3 of d1, d2),
+// seeded with the real chains of realChains: no panic, no allocation sized
+// by an unchecked length, and either a typed error or a full container that
+// decodes, that materializes alone to itself, and — for a one-link chain —
+// that is the link's own bytes.
+func FuzzMaterialize(f *testing.F) {
+	for _, chain := range realChains(f) {
+		links := append(chain[:len(chain):len(chain)], nil, nil)
+		f.Add(uint8(len(chain)-1), links[0], links[1], links[2])
+	}
+	f.Fuzz(func(t *testing.T, links uint8, full, d1, d2 []byte) {
+		chain := [][]byte{full, d1, d2}[:1+int(links)%3]
+		total := 0
+		for _, b := range chain {
+			total += len(b)
+		}
+		before := heapAllocated()
+		out, err := snapshot.Materialize(chain...)
+		if got := heapAllocated() - before; got > allocBound(total) {
+			t.Fatalf("materializing %d bytes allocated %d", total, got)
+		}
+		if err != nil {
+			if !typedContainerError(err) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		c, err := snapshot.DecodeContainer(out)
+		if err != nil || c.Kind != snapshot.KindFull {
+			t.Fatalf("materialized bytes do not decode as a full container: %v", err)
+		}
+		again, err := snapshot.Materialize(out)
+		if err != nil || !bytes.Equal(again, out) {
+			t.Fatalf("a materialized container does not materialize to itself: %v", err)
+		}
+		if len(chain) == 1 && !bytes.Equal(out, full) {
+			t.Fatalf("a lone full container materialized to other bytes: %d in, %d out", len(full), len(out))
+		}
+	})
+}

@@ -152,7 +152,10 @@ func EncodeContainer(c *Container) ([]byte, error) {
 
 // DecodeContainer parses and fully verifies container bytes: magic,
 // version, framing checksum, section order, and every section payload's
-// CRC-32C. Section payloads alias b.
+// CRC-32C. Section payloads alias b. What it accepts EncodeContainer turns
+// back into the same bytes, which is why format 0 and a full container
+// naming a base (EncodeContainer and Materialize write neither) are
+// refused.
 func DecodeContainer(b []byte) (*Container, error) {
 	pos := 0
 	fail := func(what string) (*Container, error) {
@@ -167,6 +170,8 @@ func DecodeContainer(b []byte) (*Container, error) {
 	pos = 4
 	if v := u32(); v > ContainerVersion {
 		return nil, fmt.Errorf("%w: container format %d, this build reads <= %d", ErrFutureVersion, v, ContainerVersion)
+	} else if v == 0 {
+		return fail("format 0")
 	}
 	c := &Container{}
 	if !need(8) {
@@ -186,6 +191,9 @@ func DecodeContainer(b []byte) (*Container, error) {
 	c.Seq = int(int64(u64()))
 	c.BaseEpoch = int(int64(u64()))
 	c.BaseSum = u32()
+	if c.Kind == KindFull && (c.BaseEpoch != 0 || c.BaseSum != 0) {
+		return fail("chain reference on a full container")
+	}
 	nSections := int(u32())
 	if nSections < 0 || nSections > 1<<24 || !need(nSections*20) {
 		return fail("truncated directory")

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -94,6 +95,29 @@ func TestContainerRejectsCorruption(t *testing.T) {
 	}}
 	if _, err := EncodeContainer(bad); err == nil {
 		t.Fatal("encoded out-of-order sections")
+	}
+}
+
+// TestDecodeRefusesWhatEncodeNeverWrites: format 0, and a full container
+// naming a base, pass every checksum once resealed but are bytes
+// EncodeContainer never writes, so accepting them would break the exact
+// round trip (and Materialize of a lone full would move its bytes). Both
+// are refused as corrupt.
+func TestDecodeRefusesWhatEncodeNeverWrites(t *testing.T) {
+	for name, c := range map[string]*Container{
+		"format 0":           {Kind: KindFull, Key: "k0", Epoch: 1},
+		"full with a base":   {Kind: KindFull, Key: "k0", Epoch: 2, BaseEpoch: 1},
+		"full with base sum": {Kind: KindFull, Key: "k0", Epoch: 2, BaseSum: 7},
+	} {
+		c.Sections = []Section{{ID: SectionID{0, 0}, Payload: secStream(t, 1)}}
+		b := mustEncode(t, c)
+		if name == "format 0" {
+			binary.LittleEndian.PutUint32(b[4:], 0)
+			binary.LittleEndian.PutUint32(b[len(b)-4:], Checksum(b[:len(b)-4-len(c.Sections[0].Payload)]))
+		}
+		if _, err := DecodeContainer(b); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: got %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -41,14 +41,23 @@ func MatMulInto(dst, a, b *Tensor) {
 
 // MatMulTransAInto computes dst = aᵀ @ b into a preallocated dst without
 // materializing the transpose of a, which has shape [k, m] (so aᵀ is
-// [m, k]); b has shape [k, n]. It is the dense layer's weight gradient.
-// dst must not alias a or b.
+// [m, k]); b has shape [k, n]. dst must not alias a or b. It is
+// MatMulTransAAdd over a zeroed dst.
 func MatMulTransAInto(dst, a, b *Tensor) {
+	dst.Zero()
+	MatMulTransAAdd(dst, a, b)
+}
+
+// MatMulTransAAdd computes dst += aᵀ @ b, shapes as in MatMulTransAInto:
+// each element's sum is one chain from +0 over k ascending that joins dst
+// once, so over any prior dst it has the bits of MatMulTransAInto's result
+// added to it. It is the dense layer's weight gradient, accumulated
+// straight into the gradient.
+func MatMulTransAAdd(dst, a, b *Tensor) {
 	k, m := a.Shape[0], a.Shape[1]
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != b.Shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto shapes dst%v a%v b%v", dst.Shape, a.Shape, b.Shape))
+		panic(fmt.Sprintf("tensor: MatMulTransA shapes dst%v a%v b%v", dst.Shape, a.Shape, b.Shape))
 	}
-	dst.Zero()
 	matMulTransA(dst.Data, a.Data, b.Data, k, m, b.Shape[1])
 }
 
@@ -68,23 +77,32 @@ func matMulTransA(out, a, b []float64, k, m, n int) {
 
 // VecMatMulAdd computes dst += x @ b for a row vector x [k] and a row-major
 // b [k, n] given flat: dst[j] += Σ_p x[p]·b[p*n+j], the sum one chain with
-// p ascending from +0 that joins dst once — the one-row call of mmKernel,
-// lanes over j.
+// p ascending from +0 that joins dst once — mmKernel's one-row strip, lanes
+// over j, called directly: the lengths checked here are every bound the
+// strip reads, and the LSTM cell runs this product on every step.
 func VecMatMulAdd(dst, x, b []float64) {
 	n, k := len(dst), len(x)
-	if len(b) != k*n {
+	if len(b) != k*n || n > 0 && len(b)/n != k {
 		panic(fmt.Sprintf("tensor: VecMatMulAdd lens dst %d x %d b %d", n, k, len(b)))
 	}
-	mmKernel(dst, n, x, k, 1, b, n, 1, k, n)
+	switch {
+	case n == 0 || k == 0:
+	case useAVX2:
+		mmStrip1AVX2(&dst[0], &x[0], 1, &b[0], n, k, n)
+	default:
+		mmStrip1Go(dst, x, 1, b, n, k, n)
+	}
 }
 
 // MatMulTransBInto computes dst = a @ bᵀ into a preallocated dst without
 // materializing the transpose of b; a has shape [m, k] and b [n, k]. It is
 // the dense layer's input gradient. dst must not alias a or b. Every
 // element of dst is one row dot product a[i]·b[j], a chain with p ascending
-// from +0 that is assigned once, so no zeroing is needed. Nothing is tiled:
-// at every Dense shape the profiles build, all of b is a few KiB and stays
-// L1-resident across the sweep over a's rows.
+// from +0 that is assigned once, so no zeroing is needed. Columns go in
+// blocks of four, so each loaded a[i][p] feeds four independent chains,
+// then one at a time. Nothing is tiled: at every Dense shape the profiles
+// build, all of b is a few KiB and stays L1-resident across the sweep over
+// a's rows.
 func MatMulTransBInto(dst, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[0]
@@ -94,8 +112,23 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	for i := range m {
 		arow := a.Data[i*k : (i+1)*k]
 		orow := dst.Data[i*n : (i+1)*n]
-		for j := range orow {
-			brow := b.Data[j*k : (j+1)*k]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b.Data[j*k:][:len(arow)]
+			b1 := b.Data[(j+1)*k:][:len(arow)]
+			b2 := b.Data[(j+2)*k:][:len(arow)]
+			b3 := b.Data[(j+3)*k:][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for p, av := range arow {
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := b.Data[j*k:][:len(arow)]
 			s := 0.0
 			for p, av := range arow {
 				s += av * brow[p]

@@ -107,6 +107,7 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	for _, s := range []mmShape{
 		{"mlp_dx_50x96x144", 50, 96, 144},
 		{"head_dx_50x10x24", 50, 10, 24},
+		{"fleet_dx_4x16x16", 4, 16, 16},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			g := rng.New(7)

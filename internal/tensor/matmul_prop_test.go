@@ -101,9 +101,11 @@ func TestMatMulTransATiledBitExactGrid(t *testing.T) {
 
 func TestMatMulTransBTiledBitExactGrid(t *testing.T) {
 	g := rng.New(107)
-	for _, m := range propDims {
+	// Every row count to 5 and every n mod 4, small and large: the column
+	// blocks of four and the one-column tail at every split.
+	for _, m := range []int{1, 2, 3, 4, 5, 7, 64, 65, 100} {
 		for _, k := range propDims {
-			for _, n := range propDims {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 64, 65, 100} {
 				a := randMat(g, m, k)
 				b := randMat(g, n, k) // bᵀ is k x n
 				if d := maxDiff(mulTB(a, b), naiveMatMulTransB(a, b)); d != 0 {

@@ -7,8 +7,9 @@ import (
 	"slices"
 )
 
-// mmKernel is the one GEMM micro-kernel under MatMulInto, MatMulTransAInto,
-// VecMatMulAdd, ConvLowering's InputGrad and a gather geometry's Forward
+// mmKernel is the one GEMM micro-kernel under MatMulInto, MatMulTransAAdd,
+// VecMatMulAdd (its one-row strip, called directly), ConvLowering's
+// InputGrad and a gather geometry's Forward
 // (WeightGrad and a same-size Forward run its two table-addressed variants
 // below). It accumulates
 //

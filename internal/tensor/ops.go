@@ -21,14 +21,6 @@ func Scale(dst, a *Tensor, s float64) {
 	}
 }
 
-// AXPY computes dst += alpha * x, the SGD weight-update kernel.
-func AXPY(dst *Tensor, alpha float64, x *Tensor) {
-	checkSameLen("AXPY", dst, x)
-	for i := range dst.Data {
-		dst.Data[i] += alpha * x.Data[i]
-	}
-}
-
 // Apply sets dst[i] = f(a[i]).
 func Apply(dst, a *Tensor, f func(float64) float64) {
 	checkSameLen("Apply", dst, a)
@@ -58,23 +50,6 @@ func Transpose(a *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// RowSumInto computes the per-column sum over rows of the 2-D tensor a
-// (shape [r, c]) into the preallocated dst of shape [c], zeroing dst first.
-// Used for bias gradients.
-func RowSumInto(dst, a *Tensor) {
-	if a.Rank() != 2 || dst.Len() != a.Shape[1] {
-		panic(fmt.Sprintf("tensor: RowSumInto shapes dst%v a%v", dst.Shape, a.Shape))
-	}
-	dst.Zero()
-	r, c := a.Shape[0], a.Shape[1]
-	for i := 0; i < r; i++ {
-		row := a.Data[i*c : (i+1)*c]
-		for j, v := range row {
-			dst.Data[j] += v
-		}
-	}
 }
 
 // AddRowVector computes dst = a + broadcast(v) where v has shape [c] and a

@@ -77,10 +77,6 @@ func TestAddSubMulScale(t *testing.T) {
 	if dst.Data[2] != -6 {
 		t.Fatalf("Scale: %v", dst.Data)
 	}
-	AXPY(dst, 1, a) // dst = -2a + a = -a
-	if dst.Data[2] != -3 {
-		t.Fatalf("AXPY: %v", dst.Data)
-	}
 }
 
 func TestApplyAndAddScalar(t *testing.T) {
@@ -204,19 +200,6 @@ func TestTransposeInvolutionQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRowSum(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	s := New(3)
-	s.Fill(9) // poison: Into must fully overwrite
-	RowSumInto(s, a)
-	want := []float64{5, 7, 9}
-	for i, v := range want {
-		if s.Data[i] != v {
-			t.Fatalf("RowSumInto: %v", s.Data)
-		}
 	}
 }
 
