@@ -118,10 +118,35 @@ func (c *Conv2D) backward(grad, dx *tensor.Tensor) {
 		// One pass per image gathers its [OutC, HW] gradient into the
 		// group's dY [OutC, cols] and dYT [cols, OutC] and — order 3 — sums
 		// each channel over p ascending from +0 into one addend for B.Grad.
+		// Channels go four at a time, so four independent chains share the
+		// adder and dYT is written four channels per pixel, then one at a
+		// time; each chain is still its channel's alone.
 		for i := 0; i < g; i++ {
 			src := grad.Data[(i0+i)*outFeat : (i0+i+1)*outFeat]
 			t := dYT[i*hw*outC:][:hw*outC]
-			for oc := range bGrad {
+			oc := 0
+			for ; oc+4 <= outC; oc += 4 {
+				x0 := src[oc*hw : (oc+1)*hw]
+				x1, x2, x3 := src[(oc+1)*hw:][:len(x0)], src[(oc+2)*hw:][:len(x0)], src[(oc+3)*hw:][:len(x0)]
+				r0, r1 := dY[oc*cols+i*hw:][:len(x0)], dY[(oc+1)*cols+i*hw:][:len(x0)]
+				r2, r3 := dY[(oc+2)*cols+i*hw:][:len(x0)], dY[(oc+3)*cols+i*hw:][:len(x0)]
+				var s0, s1, s2, s3 float64
+				for p, v0 := range x0 {
+					v1, v2, v3 := x1[p], x2[p], x3[p]
+					r0[p], r1[p], r2[p], r3[p] = v0, v1, v2, v3
+					tp := t[p*outC+oc:][:4]
+					tp[0], tp[1], tp[2], tp[3] = v0, v1, v2, v3
+					s0 += v0
+					s1 += v1
+					s2 += v2
+					s3 += v3
+				}
+				bGrad[oc] += s0
+				bGrad[oc+1] += s1
+				bGrad[oc+2] += s2
+				bGrad[oc+3] += s3
+			}
+			for ; oc < outC; oc++ {
 				row := dY[oc*cols+i*hw:][:hw]
 				s := 0.0
 				for p, v := range src[oc*hw : (oc+1)*hw] {

@@ -159,6 +159,9 @@ func TestConv2DBitIdenticalToDirectConvolution(t *testing.T) {
 		{"5x5_p2", sq(2, 7, 5, 1, 2), 3},
 		{"stride3", sq(2, 10, 3, 3, 1), 4},
 		{"nonsquare", tensor.ConvGeom{InC: 2, InH: 5, InW: 9, KH: 3, KW: 2, Stride: 2, Pad: 1}, 3},
+		// One output channel: the bias-gradient gather's channel tail alone.
+		{"3x3_p1_outc1", sq(2, 5, 3, 1, 1), 1},
+		{"1x1_s2_outc1", sq(3, 6, 1, 2, 0), 1},
 		// QuickCIFAR: 8x8 stem and stage, 8x8 -> 4x4 -> 2x2.
 		{"cifarq_stem", sq(3, 8, 3, 1, 1), 6},
 		{"cifarq_s0", sq(6, 8, 3, 1, 1), 6},

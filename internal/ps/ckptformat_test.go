@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/metrics"
 	"testing"
@@ -667,6 +669,122 @@ func FuzzMaterialize(f *testing.F) {
 		}
 		if len(chain) == 1 && !bytes.Equal(out, full) {
 			t.Fatalf("a lone full container materialized to other bytes: %d in, %d out", len(full), len(out))
+		}
+	})
+}
+
+// FuzzLoadChain holds RunDir.LoadChain to its contract on a run directory
+// whose checkpoint payloads are arbitrary bytes: up to three links (full,
+// then links mod 3 of d1, d2) stored at epochs 1..n through SaveCheckpoint,
+// link 1's metadata saying full and each later one's a delta on the epoch
+// before, seeded with the real chains of realChains. The lowest of shape's
+// bits 0-3 that is set damages the metadata as a store can be damaged: bit
+// 0 marks link 1 a delta on epoch 0 (never stored), bit 1 marks the top
+// link full, bit 2 points the top link at itself (a loop), bit 3 at an
+// epoch never stored; bit 4, besides, deletes link 1's payload. Whatever the bytes, LoadChain must not panic or
+// allocate by an unchecked length, and must return either exactly what
+// Materialize makes of the chain the metadata names or a typed error.
+func FuzzLoadChain(f *testing.F) {
+	for i, chain := range realChains(f) {
+		links := append(chain[:len(chain):len(chain)], nil, nil)
+		f.Add(uint8(len(chain)-1), uint8(0), links[0], links[1], links[2])
+		if i == 0 {
+			for bit := uint8(1); bit < 32; bit <<= 1 {
+				f.Add(uint8(len(chain)-1), bit, links[0], links[1], links[2])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, links, shape uint8, full, d1, d2 []byte) {
+		chain := [][]byte{full, d1, d2}[:1+int(links)%3]
+		top := len(chain)
+		metas := make([]snapshot.CkptMeta, top)
+		for i := range metas {
+			metas[i] = snapshot.CkptMeta{Epoch: i + 1, Full: i == 0, BaseEpoch: i}
+		}
+		switch {
+		case shape&1 != 0:
+			metas[0].Full = false
+		case shape&2 != 0:
+			metas[top-1].Full = true
+		case shape&4 != 0:
+			metas[top-1].Full, metas[top-1].BaseEpoch = false, top
+		case shape&8 != 0:
+			metas[top-1].Full, metas[top-1].BaseEpoch = false, 99
+		}
+		st, err := snapshot.OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := st.Run("f022c4a1e0c4a1e0f022")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd.SetKeep(top)
+		total := 0
+		for i, b := range chain {
+			if err := rd.SaveCheckpoint(b, metas[i]); err != nil {
+				t.Fatal(err)
+			}
+			total += len(b)
+		}
+		if shape&16 != 0 {
+			if err := os.Remove(filepath.Join(rd.Dir(), "ckpt-00000001.bin")); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// The chain the metadata names, oldest first, or why there is none.
+		var named [][]byte
+		var walkErr error
+		seen := map[int]bool{}
+		for at := top; ; {
+			if at < 1 || at > top || at == 1 && shape&16 != 0 {
+				walkErr = snapshot.ErrNoCheckpoint
+				break
+			}
+			if seen[at] {
+				walkErr = snapshot.ErrChainBroken
+				break
+			}
+			seen[at] = true
+			named = append([][]byte{chain[at-1]}, named...)
+			if metas[at-1].Full {
+				break
+			}
+			at = metas[at-1].BaseEpoch
+		}
+
+		// The heap counter is process-wide, so an over-bound reading is
+		// taken again: a length the bytes do not back allocates every time.
+		var got []byte
+		var meta snapshot.CkptMeta
+		grew := uint64(math.MaxUint64)
+		for try := 0; try < 3 && grew > allocBound(total); try++ {
+			before := heapAllocated()
+			got, meta, err = rd.LoadChain(top)
+			grew = min(grew, heapAllocated()-before)
+		}
+		if grew > allocBound(total) {
+			t.Fatalf("loading a %d-byte chain allocated %d", total, grew)
+		}
+		if walkErr != nil {
+			if !errors.Is(err, walkErr) {
+				t.Fatalf("metadata chain broken (%v), LoadChain returned %v", walkErr, err)
+			}
+			return
+		}
+		want, wantErr := snapshot.Materialize(named...)
+		switch {
+		case wantErr != nil && err == nil:
+			t.Fatalf("Materialize refused the chain (%v), LoadChain accepted it", wantErr)
+		case err != nil && !typedContainerError(err):
+			t.Fatalf("untyped error: %v", err)
+		case err != nil && wantErr == nil:
+			t.Fatalf("Materialize accepted the chain, LoadChain returned %v", err)
+		case err == nil && !bytes.Equal(got, want):
+			t.Fatalf("LoadChain returned %d bytes, Materialize %d different ones", len(got), len(want))
+		case err == nil && meta.Epoch != top:
+			t.Fatalf("LoadChain returned the metadata of epoch %d, want %d", meta.Epoch, top)
 		}
 	})
 }

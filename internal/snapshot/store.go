@@ -282,7 +282,7 @@ func (r *RunDir) LoadChain(epoch int) ([]byte, CkptMeta, error) {
 	seen := map[int]bool{}
 	for at := epoch; ; {
 		if seen[at] {
-			return nil, topMeta, fmt.Errorf("snapshot: checkpoint chain at epoch %d loops", epoch)
+			return nil, topMeta, fmt.Errorf("%w: checkpoint chain at epoch %d loops", ErrChainBroken, epoch)
 		}
 		seen[at] = true
 		data, meta, err := r.LoadCheckpointAt(at)

@@ -9,9 +9,9 @@ import (
 // its backward mask, the residual Add, the conv bias copy-out and batch
 // norm's normalize, inference and input-gradient passes. Each is one call
 // per layer pass with two implementations of one loop, chosen as mmKernel's
-// strips are (useAVX2): AVX2 assembly (lanes_amd64.s) and the Go loops
-// below, which are the reference and what every build without the
-// assembly runs. A vector lane is one element and performs the Go loop's
+// strips are (level, from levelAVX2 up): AVX2 assembly (lanes_amd64.s) and
+// the Go loops below, which are the reference and what every build without
+// the assembly runs. A vector lane is one element and performs the Go loop's
 // IEEE operations on the same operands in the same order — no FMA, no
 // reassociation, a channel's constants broadcast — so it ends on the same
 // bits, NaN payloads included. The batch-norm and bias passes walk rows of
@@ -28,7 +28,7 @@ import (
 // clears the sign bit (VANDPD with both masks): max(v, 0) bit for bit.
 func ReLU(dst, a *Tensor) {
 	checkSameLen("ReLU", dst, a)
-	if n := len(a.Data); useAVX2 && n > 0 {
+	if n := len(a.Data); level >= levelAVX2 && n > 0 {
 		reluAVX2(&dst.Data[0], &a.Data[0], n)
 		return
 	}
@@ -50,7 +50,7 @@ func reluGo(dst, a []float64) {
 // through where the branch gave 0; inputs are finite.
 func ReLUBackward(dst, grad, x *Tensor) {
 	checkSameLen("ReLUBackward", dst, grad, x)
-	if n := len(x.Data); useAVX2 && n > 0 {
+	if n := len(x.Data); level >= levelAVX2 && n > 0 {
 		reluBackwardAVX2(&dst.Data[0], &grad.Data[0], &x.Data[0], n)
 		return
 	}
@@ -68,7 +68,7 @@ func reluBackwardGo(dst, grad, x []float64) {
 // Add computes dst = a + b elementwise. dst may alias a or b.
 func Add(dst, a, b *Tensor) {
 	checkSameLen("Add", dst, a, b)
-	if n := len(a.Data); useAVX2 && n > 0 {
+	if n := len(a.Data); level >= levelAVX2 && n > 0 {
 		addAVX2(&dst.Data[0], &a.Data[0], &b.Data[0], n)
 		return
 	}
@@ -94,7 +94,7 @@ func AddChannelBias(dst, src []float64, n, C, S, srcStride int, bias []float64) 
 		panic(fmt.Sprintf("tensor: AddChannelBias lens dst %d src %d bias %d for n %d C %d S %d stride %d",
 			len(dst), len(src), len(bias), n, C, S, srcStride))
 	}
-	if useAVX2 {
+	if level >= levelAVX2 {
 		addChannelBiasAVX2(&dst[0], &src[0], n, C, S, srcStride, &bias[0])
 		return
 	}
@@ -135,7 +135,7 @@ func bnRows(op string, C, S int, rows [][]float64, consts ...[]float64) int {
 // xhat = (x − mean[c])·inv[c] and out = gamma[c]·xhat + beta[c].
 func BatchNormTrain(xhat, out, x []float64, C, S int, mean, inv, gamma, beta []float64) {
 	rows := bnRows("BatchNormTrain", C, S, [][]float64{x, xhat, out}, mean, inv, gamma, beta)
-	if useAVX2 && rows > 0 {
+	if level >= levelAVX2 && rows > 0 {
 		bnTrainAVX2(&xhat[0], &out[0], &x[0], rows, C, S, &mean[0], &inv[0], &gamma[0], &beta[0])
 		return
 	}
@@ -159,7 +159,7 @@ func bnTrainGo(xhat, out, x []float64, rows, C, S int, mean, inv, gamma, beta []
 // out = gamma[c]·(x − mean[c])·inv[c] + beta[c], left to right.
 func BatchNormInfer(out, x []float64, C, S int, gamma, mean, inv, beta []float64) {
 	rows := bnRows("BatchNormInfer", C, S, [][]float64{x, out}, gamma, mean, inv, beta)
-	if useAVX2 && rows > 0 {
+	if level >= levelAVX2 && rows > 0 {
 		bnInferAVX2(&out[0], &x[0], rows, C, S, &gamma[0], &mean[0], &inv[0], &beta[0])
 		return
 	}
@@ -181,7 +181,7 @@ func bnInferGo(out, x []float64, rows, C, S int, gamma, mean, inv, beta []float6
 // dx = k[c]·(m·dy − sumDy[c] − xhat·sumDyXhat[c]), left to right.
 func BatchNormInputGrad(dx, dy, xhat []float64, C, S int, m float64, k, sumDy, sumDyXhat []float64) {
 	rows := bnRows("BatchNormInputGrad", C, S, [][]float64{dy, dx, xhat}, k, sumDy, sumDyXhat)
-	if useAVX2 && rows > 0 {
+	if level >= levelAVX2 && rows > 0 {
 		bnInputGradAVX2(&dx[0], &dy[0], &xhat[0], rows, C, S, m, &k[0], &sumDy[0], &sumDyXhat[0])
 		return
 	}

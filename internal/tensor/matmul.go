@@ -87,7 +87,9 @@ func VecMatMulAdd(dst, x, b []float64) {
 	}
 	switch {
 	case n == 0 || k == 0:
-	case useAVX2:
+	case level == levelAVX512:
+		mmStrip1AVX512(&dst[0], &x[0], 1, &b[0], n, k, n)
+	case level == levelAVX2:
 		mmStrip1AVX2(&dst[0], &x[0], 1, &b[0], n, k, n)
 	default:
 		mmStrip1Go(dst, x, 1, b, n, k, n)

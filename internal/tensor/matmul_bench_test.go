@@ -55,16 +55,16 @@ var transAShapes = []mmShape{
 }
 
 // benchKernels times op once per shape, sparsity and micro-kernel
-// implementation, on an A built by mkA (sparsified for the _relu variant).
+// implementation level, on an A built by mkA (sparsified for the _relu variant).
 func benchKernels(b *testing.B, shapes []mmShape, mkA func(g *rng.RNG, s mmShape) *Tensor, op func(dst, a, y *Tensor)) {
 	for _, s := range shapes {
 		for _, sparse := range []bool{false, true} {
-			for _, kernel := range []string{"asm", "go"} {
+			for kernel := levelAVX512; kernel >= levelGo; kernel-- {
 				name := s.name
 				if sparse {
 					name += "_relu"
 				}
-				b.Run(name+"/"+kernel, func(b *testing.B) {
+				b.Run(name+"/"+levelNames[kernel], func(b *testing.B) {
 					g := rng.New(7)
 					a := mkA(g, s)
 					if sparse {
@@ -79,12 +79,8 @@ func benchKernels(b *testing.B, shapes []mmShape, mkA func(g *rng.RNG, s mmShape
 							op(dst, a, y)
 						}
 					}
-					if kernel == "asm" {
-						needAsm(b)
-						run()
-					} else {
-						withGoKernel(run)
-					}
+					needLevel(b, kernel)
+					atLevel(kernel, run)
 				})
 			}
 		}
@@ -214,4 +210,29 @@ func BenchmarkConvLowerModel(b *testing.B) {
 
 func BenchmarkConvInputGradModel(b *testing.B) {
 	benchModelGroups(b, func(low *ConvLowering, _, dx, w, dY []float64, n int) { low.InputGrad(dx, w, dY, n) })
+}
+
+// BenchmarkVecMatMulAdd times the LSTM cell's product, [x; h] against the
+// 4H gate columns, at each implementation level: H = 8 (x of 8 or 1) and
+// H = 24.
+func BenchmarkVecMatMulAdd(b *testing.B) {
+	for _, s := range []struct {
+		name string
+		k, n int
+	}{{"X8_H8", 16, 32}, {"X1_H8", 9, 32}, {"X24_H24", 48, 96}} {
+		for kernel := levelAVX512; kernel >= levelGo; kernel-- {
+			b.Run(s.name+"/"+levelNames[kernel], func(b *testing.B) {
+				needLevel(b, kernel)
+				g := rng.New(7)
+				dst, x, w := make([]float64, s.n), make([]float64, s.k), make([]float64, s.k*s.n)
+				g.FillNormal(x, 1)
+				g.FillNormal(w, 1)
+				atLevel(kernel, func() {
+					for i := 0; i < b.N; i++ {
+						VecMatMulAdd(dst, x, w)
+					}
+				})
+			})
+		}
+	}
 }

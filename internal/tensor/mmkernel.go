@@ -29,13 +29,15 @@ import (
 // of a wider matrix).
 //
 // Rows go in strips of four sharing each loaded b element, then one at a
-// time. A strip has two implementations of this same contract, bit for bit
-// interchangeable: AVX2 assembly (mmkernel_amd64.s, which carries the
-// argument why vector lanes do not move bits) and the Go loops below, which
-// are what every non-amd64 build, every amd64 CPU without AVX2 and every
-// -race build runs (the race detector cannot see assembly loads and
-// stores, so the toolchain's race constraint excludes the .s file). The
-// choice is made once at init from GOARCH and CPUID; there is no knob.
+// time. A strip has three implementations of this same contract, bit for
+// bit interchangeable, one per level: AVX-512 assembly (mmkernel512_amd64.s,
+// eight lanes, opmask tails), AVX2 assembly (mmkernel_amd64.s, four lanes;
+// it carries the argument why vector lanes do not move bits) and the Go
+// loops below, which are what every non-amd64 build, every amd64 CPU
+// without AVX2 and every -race build runs (the race detector cannot see
+// assembly loads and stores, so the toolchain's race constraint excludes
+// the .s files). The level is chosen once at init from GOARCH, CPUID and
+// XCR0; there is no knob.
 //
 // There is no zero skip on a: a data-dependent branch in this loop made
 // kernel time input-dependent and cost 25-35% on post-ReLU operands (~50%
@@ -57,7 +59,16 @@ func mmKernel(out []float64, ostride int, a []float64, aRow, aK int, b []float64
 			rows, kw, jw, len(out), ostride, len(a), aRow, aK, len(b), bstride))
 	}
 	r := 0
-	if useAVX2 {
+	switch level {
+	case levelAVX512:
+		for ; r+4 <= rows; r += 4 {
+			mmStrip4AVX512(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], bstride, kw, jw)
+		}
+		for ; r < rows; r++ {
+			mmStrip1AVX512(&out[r*ostride], &a[r*aRow], aK, &b[0], bstride, kw, jw)
+		}
+		return
+	case levelAVX2:
 		for ; r+4 <= rows; r += 4 {
 			mmStrip4AVX2(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], bstride, kw, jw)
 		}
@@ -73,6 +84,16 @@ func mmKernel(out []float64, ostride int, a []float64, aRow, aK int, b []float64
 		mmStrip1Go(out[r*ostride:], a[r*aRow:], aK, b, bstride, kw, jw)
 	}
 }
+
+// The implementation levels of the micro-kernel, lowest first. level (set
+// per build in mmkernel_amd64.go or mmkernel_noasm.go) is the highest the
+// build and CPU run; the epilogue lanes (lanes.go) run their AVX2 loops at
+// every level from levelAVX2 up.
+const (
+	levelGo = iota
+	levelAVX2
+	levelAVX512
+)
 
 // reaches reports whether n floats hold m ≥ 1 rows of w ≥ 1 floats, stride
 // ≥ 0 apart: (m−1)·stride + w ≤ n. The product is taken double-width, so a
@@ -143,7 +164,16 @@ func mmKernelShift(out []float64, ostride int, a []float64, aRow, aK int, b []fl
 		}
 	}
 	r := 0
-	if useAVX2 {
+	switch level {
+	case levelAVX512:
+		for ; r+4 <= rows; r += 4 {
+			mmShiftStrip4AVX512(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], &mask[0], &tab[0], kw, jw)
+		}
+		for ; r < rows; r++ {
+			mmShiftStrip1AVX512(&out[r*ostride], &a[r*aRow], aK, &b[0], &mask[0], &tab[0], kw, jw)
+		}
+		return
+	case levelAVX2:
 		for ; r+4 <= rows; r += 4 {
 			mmShiftStrip4AVX2(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], &mask[0], &tab[0], kw, jw)
 		}
@@ -249,7 +279,16 @@ func mmKernelRows(out []float64, ostride int, a []float64, t *rowTable, b []floa
 			rows, kw, jw, len(out), ostride, len(b), bstride))
 	}
 	r := 0
-	if useAVX2 {
+	switch level {
+	case levelAVX512:
+		for ; r+4 <= rows; r += 4 {
+			mmRowsStrip4AVX512(&out[r*ostride], ostride, &a[0], &t.rowOff[r], &t.pOff[0], &b[0], bstride, kw, jw)
+		}
+		for ; r < rows; r++ {
+			mmRowsStrip1AVX512(&out[r*ostride], &a[t.rowOff[r]], &t.pOff[0], &b[0], bstride, kw, jw)
+		}
+		return
+	case levelAVX2:
 		for ; r+4 <= rows; r += 4 {
 			mmRowsStrip4AVX2(&out[r*ostride], ostride, &a[0], &t.rowOff[r], &t.pOff[0], &b[0], bstride, kw, jw)
 		}

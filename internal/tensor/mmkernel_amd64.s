@@ -924,35 +924,47 @@ done1r:
 	VZEROUPPER
 	RET
 
-// func cpuHasAVX2() bool
+// func cpuLevel() int
 //
-// AVX2 is usable when CPUID reports it (leaf 7 EBX bit 5) and the OS saves
-// the YMM state: CPUID.1:ECX has OSXSAVE (bit 27) and AVX (bit 28), and
-// XCR0 has the SSE and AVX state bits (1 and 2) set.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	MOVB   $0, ret+0(FP)
+// The highest implementation level this CPU and OS run (see mmkernel.go).
+// AVX2 (1) when CPUID reports it (leaf 7 EBX bit 5) and the OS saves the
+// YMM state: CPUID.1:ECX has OSXSAVE (bit 27) and AVX (bit 28), and XCR0
+// has the SSE and AVX state bits (1 and 2) set. AVX-512 (2) when, beyond
+// that, leaf 7 EBX reports AVX512F (bit 16) and AVX512DQ (bit 17: the
+// VANDPD zmm of the masked-row strips) and XCR0 has the opmask, ZMM_Hi256
+// and Hi16_ZMM state bits (5, 6 and 7) set.
+TEXT ·cpuLevel(SB), NOSPLIT, $0-8
+	MOVQ   $0, ret+0(FP)
 	XORL   AX, AX
 	XORL   CX, CX
 	CPUID
 	CMPL   AX, $7
-	JLT    noavx2
+	JLT    leveldone
 	MOVL   $1, AX
 	XORL   CX, CX
 	CPUID
 	ANDL   $0x18000000, CX
 	CMPL   CX, $0x18000000
-	JNE    noavx2
+	JNE    leveldone
 	XORL   CX, CX
 	XGETBV
+	MOVL   AX, R8
 	ANDL   $6, AX
 	CMPL   AX, $6
-	JNE    noavx2
+	JNE    leveldone
 	MOVL   $7, AX
 	XORL   CX, CX
 	CPUID
 	BTL    $5, BX
-	JCC    noavx2
-	MOVB   $1, ret+0(FP)
+	JCC    leveldone
+	MOVQ   $1, ret+0(FP)
+	ANDL   $0x30000, BX
+	CMPL   BX, $0x30000
+	JNE    leveldone
+	ANDL   $0xe0, R8
+	CMPL   R8, $0xe0
+	JNE    leveldone
+	MOVQ   $2, ret+0(FP)
 
-noavx2:
+leveldone:
 	RET

@@ -13,8 +13,8 @@ import (
 // mmKernelShift (1) and mmKernelRows (2), at random extents, strides,
 // A layouts and table offsets, each operand a window at a random
 // alignment in a backing slice whose margins hold a poisoned guard band.
-// A well-formed call must give the assembly strips' bits on the Go strips
-// (where this build and CPU have assembly), change nothing in out but its
+// A well-formed call must give the same bits at every implementation level
+// this build and CPU have as on the Go strips, change nothing in out but its
 // rows' first jw lanes, and store nothing outside out's window. bad != 0
 // turns the call into one malformation the wrapper is meant to reject — a
 // short operand or table, an offset past its slice, a negative stride or
@@ -31,6 +31,14 @@ func FuzzMMKernel(f *testing.F) {
 		}
 		for which := uint64(1); which < 4; which++ { // the other strides bad 9 can wrap
 			f.Add(form, uint8(6), uint8(5), uint8(9), uint8(0x12), uint8(9), which<<32|uint64(30+form))
+		}
+	}
+	// Column counts at the AVX-512 level's edges: an eight-lane tail step,
+	// a 16-column block and its neighbours, a 32-column block (the LSTM's
+	// 4H) and its neighbours, a block plus a tail.
+	for form := uint8(0); form < 3; form++ {
+		for i, jw := range []uint8{8, 15, 16, 17, 31, 32, 33, 40} {
+			f.Add(form, uint8(1+i%9), uint8(3+i), jw, uint8(i*0x13), uint8(0), uint64(50+i))
 		}
 	}
 	f.Fuzz(func(t *testing.T, form, rows8, kw8, jw8, shape, bad uint8, seed uint64) {
@@ -192,21 +200,17 @@ func FuzzMMKernel(f *testing.F) {
 			}
 		}
 
-		// run calls on a guarded copy of outInit through one kernel and
+		// run calls on a guarded copy of outInit at one kernel level and
 		// checks what a call of its kind may and may not do.
-		run := func(goKernel bool) guarded {
+		run := func(l int) guarded {
 			out := newGuardedAt(len(outInit), (off+2)&3)
 			copy(out.win, outInit)
 			panicked := false
 			func() {
 				defer func() { panicked = recover() != nil }()
-				if goKernel {
-					withGoKernel(func() { call(out.win) })
-				} else {
-					call(out.win)
-				}
+				atLevel(l, func() { call(out.win) })
 			}()
-			what := fmt.Sprintf("form %d rows %d kw %d jw %d bad %d goKernel %v", form, rows, kw, jw, bad, goKernel)
+			what := fmt.Sprintf("form %d rows %d kw %d jw %d bad %d level %s", form, rows, kw, jw, bad, levelNames[l])
 			out.check(t, what)
 			a.check(t, what+" (a)")
 			b.check(t, what+" (b)")
@@ -231,15 +235,14 @@ func FuzzMMKernel(f *testing.F) {
 			}
 			return out
 		}
-		og := run(true)
-		if !useAVX2 {
-			return
-		}
-		oa := run(false)
-		if bad == 0 {
-			if i := bitsEqual(oa.win, og.win); i >= 0 {
-				t.Fatalf("form %d rows %d kw %d jw %d: out[%d] asm %x go %x", form, rows, kw, jw, i,
-					math.Float64bits(oa.win[i]), math.Float64bits(og.win[i]))
+		og := run(levelGo)
+		for l := levelAVX2; l <= level; l++ {
+			oa := run(l)
+			if bad == 0 {
+				if i := bitsEqual(oa.win, og.win); i >= 0 {
+					t.Fatalf("form %d rows %d kw %d jw %d: out[%d] %s %x go %x", form, rows, kw, jw, i,
+						levelNames[l], math.Float64bits(oa.win[i]), math.Float64bits(og.win[i]))
+				}
 			}
 		}
 	})

@@ -3,28 +3,58 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"lcasgd/internal/rng"
 )
 
 // The assembly and Go strips implement one contract and must be
-// interchangeable bit for bit. These tests run the same call through both
-// by flipping useAVX2 (the detection result) in-package; in a build or on a
-// CPU with no assembly kernel there is nothing to compare and they skip.
+// interchangeable bit for bit. These tests run the same call at each
+// assembly level and on the Go strips by lowering level (the detection
+// result) in-package; a level this build or CPU lacks is skipped with the
+// reason logged.
 
-func needAsm(t testing.TB) {
-	if !useAVX2 {
-		t.Skip("no assembly kernel in this build or on this CPU")
+var levelNames = [...]string{levelGo: "go", levelAVX2: "avx2", levelAVX512: "avx512"}
+
+// needLevel skips t unless this build and CPU run level l.
+func needLevel(t testing.TB, l int) {
+	if level < l {
+		t.Skipf("no %s kernel in this build or on this CPU (it runs %s)", levelNames[l], levelNames[level])
 	}
 }
 
-// withGoKernel runs f on the Go strips.
-func withGoKernel(f func()) {
-	old := useAVX2
-	useAVX2 = false
-	defer func() { useAVX2 = old }()
+func needAsm(t testing.TB) { needLevel(t, levelAVX2) }
+
+// atLevel runs f with the kernels lowered to level l.
+func atLevel(l int, f func()) {
+	old := level
+	level = min(l, old)
+	defer func() { level = old }()
 	f()
+}
+
+// withGoKernel runs f on the Go strips.
+func withGoKernel(f func()) { atLevel(levelGo, f) }
+
+// eachAsmLevel runs f as one subtest per assembly level, at that level;
+// the subtest of a level this build or CPU lacks skips.
+func eachAsmLevel(t *testing.T, f func(t *testing.T)) {
+	for l := levelAVX2; l <= levelAVX512; l++ {
+		t.Run(levelNames[l], func(t *testing.T) {
+			needLevel(t, l)
+			atLevel(l, func() { f(t) })
+		})
+	}
+}
+
+// TestKernelLevel logs the level the kernels run at in this build on this
+// CPU, so a CI log shows which strips a runner exercised.
+func TestKernelLevel(t *testing.T) {
+	if level < levelGo || level > levelAVX512 {
+		t.Fatalf("level %d is not a kernel level", level)
+	}
+	t.Logf("GEMM micro-kernel level: %s (GOARCH %s)", levelNames[level], runtime.GOARCH)
 }
 
 // hostile fills s with normals salted with what a vector kernel could get
@@ -55,129 +85,145 @@ func bitsEqual(a, b []float64) int {
 	return -1
 }
 
+// TestMMKernelAsmMatchesGoGrid compares mmKernel's strips at each
+// assembly level with the Go strips bit for bit over rows 1-9 × k × jw
+// 1-40 (every opmask and VMASKMOVPD tail width and block edge) and wider,
+// both A layouts, on a dirty out. Strides exceed jw, so the kernels must
+// leave the gaps (another tile's columns) alone; the windows of out and b
+// end where a poisoned guard band begins, so a masked lane that loaded or
+// stored past the last row would show.
 func TestMMKernelAsmMatchesGoGrid(t *testing.T) {
-	needAsm(t)
-	ks := []int{108, 216, 432}
-	ws := []int{63, 64, 65, 128, 1152}
-	for i := 1; i <= 40; i++ {
-		ks = append(ks, i)
-		ws = append(ws, i)
-	}
-	const maxRows, maxK, maxW, pad = 9, 432, 1152, 3
-	g := rng.New(211)
-	// One pool per operand, sliced per case; strides are wider than jw so
-	// the kernels must leave the gaps (another tile's columns) alone.
-	aPool := make([]float64, maxRows*maxK)
-	bPool := make([]float64, maxK*(maxW+pad))
-	oPool := make([]float64, maxRows*(maxW+pad))
-	hostile(g, aPool)
-	hostile(g, bPool)
-	hostile(g, oPool)
-	outAsm := make([]float64, len(oPool))
-	outGo := make([]float64, len(oPool))
-	for rows := 1; rows <= maxRows; rows++ {
-		for _, k := range ks {
-			for _, jw := range ws {
-				ostride, bstride := jw+pad, jw+pad-1
-				for _, transA := range []bool{false, true} {
-					aRow, aK := k, 1 // row-major a [rows, k]
-					if transA {
-						aRow, aK = 1, rows // a [k, rows], read transposed
-					}
-					a, b := aPool[:rows*k], bPool[:k*bstride]
-					oa, og := outAsm[:rows*ostride], outGo[:rows*ostride]
-					copy(oa, oPool)
-					copy(og, oPool)
-					mmKernel(oa, ostride, a, aRow, aK, b, bstride, rows, k, jw)
-					withGoKernel(func() { mmKernel(og, ostride, a, aRow, aK, b, bstride, rows, k, jw) })
-					if i := bitsEqual(oa, og); i >= 0 {
-						t.Fatalf("rows=%d k=%d jw=%d transA=%v: out[%d] asm %x go %x",
-							rows, k, jw, transA, i, math.Float64bits(oa[i]), math.Float64bits(og[i]))
-					}
-					for r := 0; r < rows; r++ {
-						if i := bitsEqual(oa[r*ostride+jw:(r+1)*ostride], oPool[r*ostride+jw:(r+1)*ostride]); i >= 0 {
-							t.Fatalf("rows=%d k=%d jw=%d transA=%v: wrote past jw in row %d", rows, k, jw, transA, r)
+	eachAsmLevel(t, func(t *testing.T) {
+		ks := []int{108, 216, 432}
+		ws := []int{63, 64, 65, 128, 1152}
+		for i := 1; i <= 40; i++ {
+			ks = append(ks, i)
+			ws = append(ws, i)
+		}
+		const maxRows, maxK, maxW, pad = 9, 432, 1152, 3
+		g := rng.New(211)
+		aPool := make([]float64, maxRows*maxK)
+		oPool := make([]float64, maxRows*(maxW+pad))
+		hostile(g, aPool)
+		hostile(g, oPool)
+		b := newGuarded(maxK * (maxW + pad))
+		hostile(g, b.win)
+		outAsm, outGo := newGuarded(len(oPool)), newGuarded(len(oPool))
+		for rows := 1; rows <= maxRows; rows++ {
+			for _, k := range ks {
+				for _, jw := range ws {
+					ostride, bstride := jw+pad, jw+pad-1
+					nOut, nB := (rows-1)*ostride+jw, (k-1)*bstride+jw
+					bw := b.win[len(b.win)-nB:]
+					oa, og := outAsm.win[len(outAsm.win)-nOut:], outGo.win[len(outGo.win)-nOut:]
+					for _, transA := range []bool{false, true} {
+						aRow, aK := k, 1 // row-major a [rows, k]
+						if transA {
+							aRow, aK = 1, rows // a [k, rows], read transposed
+						}
+						a := aPool[:rows*k]
+						copy(oa, oPool)
+						copy(og, oPool)
+						mmKernel(oa, ostride, a, aRow, aK, bw, bstride, rows, k, jw)
+						withGoKernel(func() { mmKernel(og, ostride, a, aRow, aK, bw, bstride, rows, k, jw) })
+						what := fmt.Sprintf("rows=%d k=%d jw=%d transA=%v", rows, k, jw, transA)
+						outAsm.check(t, what)
+						b.check(t, what+" (b)")
+						if i := bitsEqual(oa, og); i >= 0 {
+							t.Fatalf("%s: out[%d] asm %x go %x", what, i, math.Float64bits(oa[i]), math.Float64bits(og[i]))
+						}
+						for r := 0; r < rows-1; r++ {
+							if i := bitsEqual(oa[r*ostride+jw:(r+1)*ostride], oPool[r*ostride+jw:(r+1)*ostride]); i >= 0 {
+								t.Fatalf("%s: wrote past jw in row %d", what, r)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
-// TestMMKernelShiftAsmMatchesGo compares mmKernelShift's two strips bit
-// for bit over a rows × kw × jw grid on a dirty out. Each b row sits at a
-// random offset in its own stretch of the pool and each mask row is one of
-// three shared lane masks at a random offset; every b lane its mask clears
-// holds NaN, ±Inf or −0, which must reach the chain as +0.
+// TestMMKernelShiftAsmMatchesGo compares mmKernelShift's strips at each
+// assembly level with the Go strips bit for bit over a rows × kw × jw grid
+// (jw 1-40 and wider) on a dirty out. Each b row sits at a random offset
+// in its own stretch of b — the last one flush against b's guard band —
+// and each mask row is one of three shared lane masks at a random offset;
+// every b lane its mask clears holds NaN, ±Inf or −0, which must reach the
+// chain as +0. out's window ends at its guard band.
 func TestMMKernelShiftAsmMatchesGo(t *testing.T) {
-	needAsm(t)
-	kws := []int{27, 54, 108, 216}
-	jws := []int{63, 64, 65, 128, 300}
-	for i := 1; i <= 20; i++ {
-		kws = append(kws, i)
-		jws = append(jws, i)
-	}
-	const maxRows, maxK, maxW, slack = 9, 216, 300, 5
-	g := rng.New(229)
-	aPool := make([]float64, maxRows*maxK)
-	oPool := make([]float64, maxRows*(maxW+slack))
-	hostile(g, aPool)
-	hostile(g, oPool)
-	b := make([]float64, maxK*(maxW+slack))
-	mask := make([]uint64, 3*(maxW+slack))
-	for i := range mask {
-		if g.Intn(3) > 0 {
-			mask[i] = ^uint64(0)
+	eachAsmLevel(t, func(t *testing.T) {
+		kws := []int{27, 54, 108, 216}
+		jws := []int{63, 64, 65, 128, 300}
+		for i := 1; i <= 40; i++ {
+			kws = append(kws, i)
+			jws = append(jws, i)
 		}
-	}
-	poison := []float64{math.NaN(), math.Float64frombits(0xfff4_0000_0bad_0001), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
-	tab := make([]int, 2*maxK)
-	outAsm := make([]float64, len(oPool))
-	outGo := make([]float64, len(oPool))
-	for _, kw := range kws {
-		for _, jw := range jws {
-			hostile(g, b[:kw*(jw+slack)])
-			for p := 0; p < kw; p++ {
-				o, m := p*(jw+slack)+g.Intn(slack+1), g.Intn(3)*(jw+slack)+g.Intn(slack+1)
-				tab[2*p], tab[2*p+1] = o, m
-				for j := 0; j < jw; j++ {
-					if mask[m+j] == 0 {
-						b[o+j] = poison[g.Intn(len(poison))]
-					}
-				}
+		const maxRows, maxK, maxW, slack = 9, 216, 300, 5
+		g := rng.New(229)
+		aPool := make([]float64, maxRows*maxK)
+		oPool := make([]float64, maxRows*(maxW+slack))
+		hostile(g, aPool)
+		hostile(g, oPool)
+		mask := make([]uint64, 3*(maxW+slack))
+		for i := range mask {
+			if g.Intn(3) > 0 {
+				mask[i] = ^uint64(0)
 			}
-			ostride := jw + slack
-			for rows := 1; rows <= maxRows; rows++ {
-				for _, transA := range []bool{false, true} {
-					aRow, aK := kw, 1
-					if transA {
-						aRow, aK = 1, rows
+		}
+		poison := []float64{math.NaN(), math.Float64frombits(0xfff4_0000_0bad_0001), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+		tab := make([]int, 2*maxK)
+		for _, kw := range kws {
+			for _, jw := range jws {
+				b := newGuarded(kw * (jw + slack))
+				hostile(g, b.win)
+				for p := 0; p < kw; p++ {
+					o, m := p*(jw+slack)+g.Intn(slack+1), g.Intn(3)*(jw+slack)+g.Intn(slack+1)
+					if p == kw-1 {
+						o = len(b.win) - jw
 					}
-					a := aPool[:rows*kw]
-					oa, og := outAsm[:rows*ostride], outGo[:rows*ostride]
-					copy(oa, oPool)
-					copy(og, oPool)
-					mmKernelShift(oa, ostride, a, aRow, aK, b, mask, tab, rows, kw, jw)
-					withGoKernel(func() { mmKernelShift(og, ostride, a, aRow, aK, b, mask, tab, rows, kw, jw) })
-					if i := bitsEqual(oa, og); i >= 0 {
-						t.Fatalf("rows=%d kw=%d jw=%d transA=%v: out[%d] asm %x go %x",
-							rows, kw, jw, transA, i, math.Float64bits(oa[i]), math.Float64bits(og[i]))
-					}
-					for i, v := range og {
-						if math.IsNaN(v) || math.IsInf(v, 0) {
-							t.Fatalf("rows=%d kw=%d jw=%d: out[%d] = %v, a masked lane reached the chain", rows, kw, jw, i, v)
-						}
-					}
-					for r := 0; r < rows; r++ {
-						if i := bitsEqual(oa[r*ostride+jw:(r+1)*ostride], oPool[r*ostride+jw:(r+1)*ostride]); i >= 0 {
-							t.Fatalf("rows=%d kw=%d jw=%d: wrote past jw in row %d", rows, kw, jw, r)
+					tab[2*p], tab[2*p+1] = o, m
+					for j := 0; j < jw; j++ {
+						if mask[m+j] == 0 {
+							b.win[o+j] = poison[g.Intn(len(poison))]
 						}
 					}
 				}
+				ostride := jw + slack
+				for rows := 1; rows <= maxRows; rows++ {
+					for _, transA := range []bool{false, true} {
+						aRow, aK := kw, 1
+						if transA {
+							aRow, aK = 1, rows
+						}
+						a := aPool[:rows*kw]
+						n := (rows-1)*ostride + jw
+						oa, og := newGuarded(n), newGuarded(n)
+						copy(oa.win, oPool)
+						copy(og.win, oPool)
+						mmKernelShift(oa.win, ostride, a, aRow, aK, b.win, mask, tab, rows, kw, jw)
+						withGoKernel(func() { mmKernelShift(og.win, ostride, a, aRow, aK, b.win, mask, tab, rows, kw, jw) })
+						what := fmt.Sprintf("rows=%d kw=%d jw=%d transA=%v", rows, kw, jw, transA)
+						oa.check(t, what)
+						b.check(t, what+" (b)")
+						if i := bitsEqual(oa.win, og.win); i >= 0 {
+							t.Fatalf("%s: out[%d] asm %x go %x", what, i, math.Float64bits(oa.win[i]), math.Float64bits(og.win[i]))
+						}
+						for i, v := range og.win {
+							if math.IsNaN(v) || math.IsInf(v, 0) {
+								t.Fatalf("%s: out[%d] = %v, a masked lane reached the chain", what, i, v)
+							}
+						}
+						for r := 0; r < rows-1; r++ {
+							if i := bitsEqual(oa.win[r*ostride+jw:(r+1)*ostride], oPool[r*ostride+jw:(r+1)*ostride]); i >= 0 {
+								t.Fatalf("%s: wrote past jw in row %d", what, r)
+							}
+						}
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 // nanFamilies are the operands besides finite normals that a rows-kernel
@@ -206,70 +252,76 @@ func salt(g *rng.RNG, s, family []float64) {
 	}
 }
 
-// TestMMKernelRowsAsmMatchesGo compares mmKernelRows' two strips bit for
-// bit over rows 1-9 × kw × jw 1-40 (and wider) on a dirty out whose rows
-// have guard gaps between them, and the Go strips with the contract's
-// scalar loop. Row and step offsets are random, so rows and steps overlap
+// TestMMKernelRowsAsmMatchesGo compares mmKernelRows' strips at each
+// assembly level with the Go strips bit for bit over rows 1-9 × kw × jw
+// 1-40 (and wider) on a dirty out whose rows have guard gaps between them
+// and whose window, like b's, ends at a guard band, and the Go strips with
+// the contract's scalar loop. Row and step offsets are random, so rows and steps overlap
 // the way a convolution's taps do; a holds each NaN family in turn, and
 // nothing outside out's window may be written.
 func TestMMKernelRowsAsmMatchesGo(t *testing.T) {
-	needAsm(t)
-	kws := []int{1, 2, 3, 4, 7, 16, 36, 64, 144}
-	jws := []int{63, 64, 65, 128}
-	for i := 1; i <= 40; i++ {
-		jws = append(jws, i)
-	}
-	const maxRows, maxK, maxW, gap, aLen = 9, 144, 128, 3, 700
-	g := rng.New(233)
-	a := make([]float64, aLen)
-	bPool := make([]float64, maxK*maxW)
-	hostile(g, bPool)
-	oPool := make([]float64, maxRows*(maxW+gap))
-	hostile(g, oPool)
-	rowOff, pOff := make([]int, maxRows), make([]int, maxK)
-	for ci, kw := range kws {
-		salt(g, a, nanFamilies[ci%len(nanFamilies)])
-		for i := range rowOff {
-			rowOff[i] = g.Intn(aLen / 2)
+	eachAsmLevel(t, func(t *testing.T) {
+		kws := []int{1, 2, 3, 4, 7, 16, 36, 64, 144}
+		jws := []int{63, 64, 65, 128}
+		for i := 1; i <= 40; i++ {
+			jws = append(jws, i)
 		}
-		for i := range pOff {
-			pOff[i] = g.Intn(aLen / 2)
-		}
-		tab := newRowTable(rowOff, pOff[:kw])
-		for _, jw := range jws {
-			ostride, bstride := jw+gap, jw
-			b := bPool[:kw*bstride]
-			for rows := 1; rows <= maxRows; rows++ {
-				oa, og := newGuarded(rows*ostride), newGuarded(rows*ostride)
-				copy(oa.win, oPool)
-				copy(og.win, oPool)
-				mmKernelRows(oa.win, ostride, a, tab, b, bstride, rows, kw, jw)
-				withGoKernel(func() { mmKernelRows(og.win, ostride, a, tab, b, bstride, rows, kw, jw) })
-				oa.check(t, "mmRowsStrip*AVX2")
-				og.check(t, "mmRowsStrip*Go")
-				if i := bitsEqual(oa.win, og.win); i >= 0 {
-					t.Fatalf("rows=%d kw=%d jw=%d: out[%d] asm %x go %x",
-						rows, kw, jw, i, math.Float64bits(oa.win[i]), math.Float64bits(og.win[i]))
-				}
-				for r := 0; r < rows; r++ {
-					for j := 0; j < ostride; j++ {
-						want := oPool[r*ostride+j]
-						if j < jw {
-							s := 0.0
-							for p := 0; p < kw; p++ {
-								s += a[rowOff[r]+pOff[p]] * b[p*bstride+j]
+		const maxRows, maxK, maxW, gap, aLen = 9, 144, 128, 3, 700
+		g := rng.New(233)
+		a := make([]float64, aLen)
+		bPool := make([]float64, maxK*maxW)
+		hostile(g, bPool)
+		oPool := make([]float64, maxRows*(maxW+gap))
+		hostile(g, oPool)
+		rowOff, pOff := make([]int, maxRows), make([]int, maxK)
+		for ci, kw := range kws {
+			salt(g, a, nanFamilies[ci%len(nanFamilies)])
+			for i := range rowOff {
+				rowOff[i] = g.Intn(aLen / 2)
+			}
+			for i := range pOff {
+				pOff[i] = g.Intn(aLen / 2)
+			}
+			tab := newRowTable(rowOff, pOff[:kw])
+			for _, jw := range jws {
+				ostride, bstride := jw+gap, jw
+				bg := newGuarded(kw * bstride)
+				b := bg.win
+				copy(b, bPool)
+				for rows := 1; rows <= maxRows; rows++ {
+					n := (rows-1)*ostride + jw
+					oa, og := newGuarded(n), newGuarded(n)
+					copy(oa.win, oPool)
+					copy(og.win, oPool)
+					mmKernelRows(oa.win, ostride, a, tab, b, bstride, rows, kw, jw)
+					withGoKernel(func() { mmKernelRows(og.win, ostride, a, tab, b, bstride, rows, kw, jw) })
+					what := fmt.Sprintf("rows=%d kw=%d jw=%d", rows, kw, jw)
+					oa.check(t, what+" (asm)")
+					og.check(t, what+" (go)")
+					bg.check(t, what+" (b)")
+					if i := bitsEqual(oa.win, og.win); i >= 0 {
+						t.Fatalf("%s: out[%d] asm %x go %x", what, i, math.Float64bits(oa.win[i]), math.Float64bits(og.win[i]))
+					}
+					for r := 0; r < rows; r++ {
+						for j := 0; j < ostride && r*ostride+j < n; j++ {
+							want := oPool[r*ostride+j]
+							if j < jw {
+								s := 0.0
+								for p := 0; p < kw; p++ {
+									s += a[rowOff[r]+pOff[p]] * b[p*bstride+j]
+								}
+								want += s
 							}
-							want += s
-						}
-						if got := og.win[r*ostride+j]; math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("rows=%d kw=%d jw=%d: out[%d][%d] = %x, want %x", rows, kw, jw, r, j,
-								math.Float64bits(got), math.Float64bits(want))
+							if got := og.win[r*ostride+j]; math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s: out[%d][%d] = %x, want %x", what, r, j,
+									math.Float64bits(got), math.Float64bits(want))
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestMMKernelEmptyExtents: the assembly loops are do-while, so the wrapper
@@ -535,59 +587,60 @@ func resnetConvs(in, stem int, reps []int) (geoms []ConvGeom, outCs []int) {
 // input gradient (W @ dY, or one W_tap @ dY per tap on a same-size layer)
 // and the weight gradient (one row-table call per image), at the full group
 // and at the batch's short last group, plus the dense head's forward
-// product and weight gradient — through the exported entry points on both
-// kernels.
+// product and weight gradient — through the exported entry points at each
+// assembly level and on the Go strips.
 func TestMMKernelProfileShapes(t *testing.T) {
-	needAsm(t)
-	g := rng.New(223)
-	mat := func(r, c int) *Tensor {
-		m := New(r, c)
-		hostile(g, m.Data)
-		return m
-	}
-	both := func(what string, dst *Tensor, f func()) {
-		dst.Fill(99)
-		f()
-		asm := append([]float64(nil), dst.Data...)
-		dst.Fill(99)
-		withGoKernel(f)
-		if i := bitsEqual(asm, dst.Data); i >= 0 {
-			t.Fatalf("%s: element %d asm %x go %x", what, i, math.Float64bits(asm[i]), math.Float64bits(dst.Data[i]))
+	eachAsmLevel(t, func(t *testing.T) {
+		g := rng.New(223)
+		mat := func(r, c int) *Tensor {
+			m := New(r, c)
+			hostile(g, m.Data)
+			return m
 		}
-	}
-	for _, p := range []struct {
-		name              string
-		in, stem          int
-		reps              []int
-		batch, hid, class int
-	}{
-		{"cifar-quick", 8, 6, []int{1, 1, 1}, 20, 24, 10},
-		{"cifar-full", 8, 8, []int{2, 2, 2}, 50, 32, 10},
-		{"imagenet-quick", 12, 8, []int{1, 1, 1}, 27, 32, 27},
-		{"imagenet-full", 12, 12, []int{3, 4, 3}, 50, 48, 27},
-	} {
-		geoms, outCs := resnetConvs(p.in, p.stem, p.reps)
-		for li, geom := range geoms {
-			outC, k, hw := outCs[li], geom.ColCols(), geom.ColRows()
-			low := NewConvLowering(geom, outC)
-			w := mat(k, outC)
-			for _, n := range []int{low.Group(), p.batch % low.Group()} {
-				if n == 0 {
-					continue
-				}
-				cols := n * hw
-				what := fmt.Sprintf("%s conv %d (%+v outC %d) n=%d", p.name, li, geom, outC, n)
-				x, dY := mat(n, geom.InC*geom.InH*geom.InW), mat(outC, cols)
-				y, dx := New(outC, cols), New(n, geom.InC*geom.InH*geom.InW)
-				both(what+" forward", y, func() { low.Forward(y.Data, w.Data, x.Data, n) })
-				both(what+" input grad", dx, func() { low.InputGrad(dx.Data, w.Data, dY.Data, n) })
-				dYT, wGrad := mat(cols, outC), New(k, outC)
-				both(what+" weight grad", wGrad, func() { low.WeightGrad(wGrad.Data, x.Data, dYT.Data, n) })
+		both := func(what string, dst *Tensor, f func()) {
+			dst.Fill(99)
+			f()
+			asm := append([]float64(nil), dst.Data...)
+			dst.Fill(99)
+			withGoKernel(f)
+			if i := bitsEqual(asm, dst.Data); i >= 0 {
+				t.Fatalf("%s: element %d asm %x go %x", what, i, math.Float64bits(asm[i]), math.Float64bits(dst.Data[i]))
 			}
 		}
-		x, w, dY := mat(p.batch, p.hid), mat(p.hid, p.class), mat(p.batch, p.class)
-		y, dW := New(p.batch, p.class), New(p.hid, p.class)
-		both(p.name+" head forward", y, func() { MatMulInto(y, x, w) })
-		both(p.name+" head weight grad", dW, func() { MatMulTransAInto(dW, x, dY) })
-	}
+		for _, p := range []struct {
+			name              string
+			in, stem          int
+			reps              []int
+			batch, hid, class int
+		}{
+			{"cifar-quick", 8, 6, []int{1, 1, 1}, 20, 24, 10},
+			{"cifar-full", 8, 8, []int{2, 2, 2}, 50, 32, 10},
+			{"imagenet-quick", 12, 8, []int{1, 1, 1}, 27, 32, 27},
+			{"imagenet-full", 12, 12, []int{3, 4, 3}, 50, 48, 27},
+		} {
+			geoms, outCs := resnetConvs(p.in, p.stem, p.reps)
+			for li, geom := range geoms {
+				outC, k, hw := outCs[li], geom.ColCols(), geom.ColRows()
+				low := NewConvLowering(geom, outC)
+				w := mat(k, outC)
+				for _, n := range []int{low.Group(), p.batch % low.Group()} {
+					if n == 0 {
+						continue
+					}
+					cols := n * hw
+					what := fmt.Sprintf("%s conv %d (%+v outC %d) n=%d", p.name, li, geom, outC, n)
+					x, dY := mat(n, geom.InC*geom.InH*geom.InW), mat(outC, cols)
+					y, dx := New(outC, cols), New(n, geom.InC*geom.InH*geom.InW)
+					both(what+" forward", y, func() { low.Forward(y.Data, w.Data, x.Data, n) })
+					both(what+" input grad", dx, func() { low.InputGrad(dx.Data, w.Data, dY.Data, n) })
+					dYT, wGrad := mat(cols, outC), New(k, outC)
+					both(what+" weight grad", wGrad, func() { low.WeightGrad(wGrad.Data, x.Data, dYT.Data, n) })
+				}
+			}
+			x, w, dY := mat(p.batch, p.hid), mat(p.hid, p.class), mat(p.batch, p.class)
+			y, dW := New(p.batch, p.class), New(p.hid, p.class)
+			both(p.name+" head forward", y, func() { MatMulInto(y, x, w) })
+			both(p.name+" head weight grad", dW, func() { MatMulTransAInto(dW, x, dY) })
+		}
+	})
 }
