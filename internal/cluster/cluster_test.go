@@ -141,13 +141,14 @@ func TestSamplerWorkerPhaseTargetsOneWorker(t *testing.T) {
 			t.Fatalf("worker 1 comp %v, want %v", got, want)
 		}
 	}
-	comp, comm := a.Phase(1)
-	if comp != 4 || comm != 1 {
-		t.Fatalf("effective phase (%v, %v)", comp, comm)
-	}
 	a.SetPhase(3, 2)
-	if comp, comm = a.Phase(1); comp != 12 || comm != 2 {
-		t.Fatalf("phases must compose: (%v, %v)", comp, comm)
+	for i := 0; i < 40; i++ {
+		if got, want := a.Comp(1), 12*b.Comp(1); got != want {
+			t.Fatalf("phases must compose: worker 1 comp %v, want %v", got, want)
+		}
+		if got, want := a.Comm(1), 2*b.Comm(1); got != want {
+			t.Fatalf("phases must compose: worker 1 comm %v, want %v", got, want)
+		}
 	}
 }
 
@@ -177,16 +178,22 @@ func TestSamplerPhasePanicsOnBadScales(t *testing.T) {
 		func() { s.SetPhase(0, 1) },
 		func() { s.SetPhase(1, -2) },
 		func() { s.SetWorkerPhase(0, 0, 1) },
+		func() { s.SetPhase(math.NaN(), 1) },
+		func() { s.SetPhase(1, math.Inf(1)) },
+		func() { s.SetWorkerPhase(0, 1e52, 1) },
+		func() { s.SetWorkerPhase(0, 1, math.Nextafter(MaxPhaseScale, math.Inf(1))) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("expected panic for non-positive phase scale")
+					t.Fatal("expected panic for a phase scale outside (0, MaxPhaseScale]")
 				}
 			}()
 			f()
 		}()
 	}
+	s.SetPhase(MaxPhaseScale, MaxPhaseScale)
+	s.SetWorkerPhase(0, MaxPhaseScale, MaxPhaseScale)
 }
 
 func TestSamplerZeroCommShortCircuits(t *testing.T) {

@@ -117,11 +117,28 @@ func (c CostModel) NewSampler(workers int, g *rng.RNG) *Sampler {
 	return s
 }
 
+// MaxPhaseScale bounds every phase multiplier, far above the ≤ 3.5 of the
+// canned and randomized timelines. The event loop steps through each
+// periodic scenario event while a stretched iteration is in flight, so an
+// unbounded multiplier (a restored 1e52) is a run that never ends.
+const MaxPhaseScale = 1e3
+
+// CheckPhaseScales is the one rule for a pair of phase multipliers, wherever
+// they come from (a scenario event, SetPhase, SetWorkerPhase, a restored
+// sampler): each positive, finite and at most MaxPhaseScale. NaN fails it.
+func CheckPhaseScales(comp, comm float64) error {
+	if !(comp > 0 && comp <= MaxPhaseScale && comm > 0 && comm <= MaxPhaseScale) {
+		return fmt.Errorf("phase scales %v/%v outside (0, %v]", comp, comm, MaxPhaseScale)
+	}
+	return nil
+}
+
 // SetPhase installs fleet-wide phase multipliers on computation and
-// communication times. Both must be positive; 1 restores the nominal model.
+// communication times, within CheckPhaseScales; 1 restores the nominal
+// model.
 func (s *Sampler) SetPhase(comp, comm float64) {
-	if comp <= 0 || comm <= 0 {
-		panic(fmt.Sprintf("cluster: non-positive phase scales %v/%v", comp, comm))
+	if err := CheckPhaseScales(comp, comm); err != nil {
+		panic("cluster: " + err.Error())
 	}
 	s.phaseComp, s.phaseComm = comp, comm
 }
@@ -129,15 +146,10 @@ func (s *Sampler) SetPhase(comp, comm float64) {
 // SetWorkerPhase installs phase multipliers for a single worker, composing
 // with any fleet-wide phase.
 func (s *Sampler) SetWorkerPhase(m int, comp, comm float64) {
-	if comp <= 0 || comm <= 0 {
-		panic(fmt.Sprintf("cluster: non-positive phase scales %v/%v", comp, comm))
+	if err := CheckPhaseScales(comp, comm); err != nil {
+		panic("cluster: " + err.Error())
 	}
 	s.wPhaseComp[m], s.wPhaseComm[m] = comp, comm
-}
-
-// Phase returns the effective phase multipliers for worker m.
-func (s *Sampler) Phase(m int) (comp, comm float64) {
-	return s.phaseComp * s.wPhaseComp[m], s.phaseComm * s.wPhaseComm[m]
 }
 
 // Comp samples the computation time for worker m's next iteration.
@@ -161,18 +173,26 @@ func (s *Sampler) Comm(m int) float64 {
 // the phase multipliers a scenario has installed. The fixed per-worker speed
 // multipliers and the lognormal parameters are derived from the cost model
 // at construction and are not stored — a restored sampler is always built
-// from the identical configuration, for the same worker count, first. Phase
-// multipliers scale delays, so like the scenario events that install them
-// they must be positive numbers.
+// from the identical configuration, for the same worker count, first. Each
+// stored multiplier, the fleet's and every worker's, is held to
+// CheckPhaseScales on its own, as the scenario events that install them are.
 func (s *Sampler) Walk(c snapshot.Codec) {
 	s.g.Walk(c)
 	c.F64(&s.phaseComp)
 	c.F64(&s.phaseComm)
 	c.F64sInto(s.wPhaseComp)
 	c.F64sInto(s.wPhaseComm)
+	if !c.Reading() || c.Err() != nil {
+		return
+	}
+	if err := CheckPhaseScales(s.phaseComp, s.phaseComm); err != nil {
+		c.Fail(fmt.Errorf("cluster: sampler snapshot fleet %w", err))
+		return
+	}
 	for m := range s.wPhaseComp {
-		if comp, comm := s.Phase(m); c.Reading() && c.Err() == nil && !(comp > 0 && comm > 0) {
-			c.Fail(fmt.Errorf("cluster: sampler snapshot scales worker %d by %v/%v", m, comp, comm))
+		if err := CheckPhaseScales(s.wPhaseComp[m], s.wPhaseComm[m]); err != nil {
+			c.Fail(fmt.Errorf("cluster: sampler snapshot worker %d %w", m, err))
+			return
 		}
 	}
 }
@@ -180,9 +200,6 @@ func (s *Sampler) Walk(c snapshot.Codec) {
 // Multiplier exposes worker m's fixed speed multiplier (tests read the
 // injected skew through it).
 func (s *Sampler) Multiplier(m int) float64 { return s.mult[m] }
-
-// Workers returns the configured worker count.
-func (s *Sampler) Workers() int { return len(s.mult) }
 
 // logOf is math.Log guarded for the MeanComm == 0 case (Comm
 // short-circuits zero before the distribution is consulted).

@@ -34,10 +34,3 @@ func (l *IterLog) Append(m int) int {
 	l.lastSeen[m] = idx
 	return gap
 }
-
-// Len returns the total number of recorded deliveries.
-func (l *IterLog) Len() int { return len(l.seq) }
-
-// Seq returns a copy of the full delivery order (used by the Figure 8
-// harness to plot the finishing order).
-func (l *IterLog) Seq() []int { return append([]int(nil), l.seq...) }

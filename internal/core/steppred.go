@@ -32,11 +32,9 @@ type StepPredictor struct {
 	calls int
 
 	// Overhead accounting (Tables 2–3): TrainTime is the whole of every
-	// ObserveAndPredict call, its prediction included; PredictTime is that
-	// prediction alone.
-	TrainTime   time.Duration
-	PredictTime time.Duration
-	Calls       int
+	// ObserveAndPredict call, its prediction included.
+	TrainTime time.Duration
+	Calls     int
 }
 
 // NewStepPredictor builds the predictor with the paper's hidden size of 128
@@ -106,9 +104,7 @@ func (p *StepPredictor) ObserveAndPredict(m int, observedStep int, tcomm, tcomp 
 		return p.workers - 1
 	}
 
-	pstart := time.Now()
 	raw := p.net.Predict(feat) * float64(p.workers)
-	p.PredictTime += time.Since(pstart)
 
 	k := int(math.Round(raw))
 	if k < 0 {

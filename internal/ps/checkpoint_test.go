@@ -2,12 +2,16 @@ package ps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"lcasgd/internal/cluster"
 	"lcasgd/internal/scenario"
 	"lcasgd/internal/snapshot"
 )
@@ -428,5 +432,97 @@ func TestRestoreRejectsSubMillisecondPeriod(t *testing.T) {
 	}
 	if len(r.armed) != 0 {
 		t.Fatalf("the rejected event was re-armed: %v", r.armed)
+	}
+}
+
+// TestRestoreRejectsOutOfRangePhaseScales: the cost sampler's stored phase
+// multipliers are held to the rule a scenario event is held to,
+// cluster.CheckPhaseScales, each on its own. A real AD-PSGD meta section
+// with one stored multiplier — the fleet's or a worker's, computation or
+// communication — rewritten to 1e52, +Inf, NaN, 0, −1 or just past
+// cluster.MaxPhaseScale is refused by restore (a 1e52 one accepted would
+// be a run that never ends); with all four at the bound the checkpoint
+// resumes, and the run ends within FuzzRestoreSection's 3 s.
+func TestRestoreRejectsOutOfRangePhaseScales(t *testing.T) {
+	env := ckptEnv(ADPSGD, 4, 3, BackendSequential, equivalenceScenarios()[0])
+	env.Cfg = env.Cfg.withDefaults()
+	_, cks := runCapturing(env)
+	if len(cks) == 0 {
+		t.Fatal("no checkpoints emitted")
+	}
+	base, err := snapshot.DecodeContainer(cks[0].Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := base.Sections[0]
+	if meta.ID.Kind != secMeta {
+		t.Fatalf("first section is kind %d, want the meta section", meta.ID.Kind)
+	}
+
+	// Where the multipliers sit: restore, install marker values, encode the
+	// meta section again and find each marker's word.
+	e := newEngine(env, strategyFor(env.Cfg))
+	defer e.close()
+	e.strategy.Setup(e)
+	if err := e.restore(cks[0].Data); err != nil {
+		t.Fatal(err)
+	}
+	markers := []float64{3.0625, 5.1875, 7.3125, 9.4375}
+	e.sampler.SetPhase(markers[0], markers[1])
+	e.sampler.SetWorkerPhase(2, markers[2], markers[3])
+	w := snapshot.NewWriter()
+	walkMeta(e, w.Codec(), 0)
+	if len(w.Bytes()) != len(meta.Payload) {
+		t.Fatalf("meta section re-encodes to %d bytes, the checkpoint's has %d", len(w.Bytes()), len(meta.Payload))
+	}
+	offs := make([]int, len(markers))
+	for i, v := range markers {
+		word := binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))
+		if bytes.Count(w.Bytes(), word) != 1 {
+			t.Fatalf("marker %v is not in the meta section exactly once", v)
+		}
+		offs[i] = bytes.Index(w.Bytes(), word)
+	}
+
+	// with returns the checkpoint with the multipliers at offs set to v.
+	with := func(v float64, offs ...int) []byte {
+		p := bytes.Clone(meta.Payload)
+		for _, off := range offs {
+			binary.LittleEndian.PutUint64(p[off:], math.Float64bits(v))
+		}
+		c := *base
+		c.Sections = slices.Clone(base.Sections)
+		c.Sections[0].Payload, c.Sections[0].Sum = p, 0
+		data, err := snapshot.EncodeContainer(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, off := range offs {
+		for _, v := range []float64{1.7e52, math.Inf(1), math.NaN(), 0, -1, math.Nextafter(cluster.MaxPhaseScale, math.Inf(1))} {
+			r := newEngine(env, strategyFor(env.Cfg))
+			r.strategy.Setup(r)
+			err := r.restore(with(v, off))
+			r.close()
+			if err == nil || !strings.Contains(err.Error(), "phase scales") {
+				t.Fatalf("multiplier at meta byte %d = %v: restore returned %v, want the phase-scale rule", off, v, err)
+			}
+		}
+	}
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := Resume(env, with(cluster.MaxPhaseScale, offs...))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("every multiplier at the bound: Resume returned %v", err)
+		}
+		t.Logf("every multiplier at the bound: the resumed run took %v", time.Since(start))
+	case <-time.After(3 * time.Second):
+		t.Fatal("every multiplier at the bound: the resumed run is still going after 3 s")
 	}
 }

@@ -292,6 +292,22 @@ func heapAllocated() uint64 {
 	return s[0].Value.Uint64()
 }
 
+// allocated returns what f allocates, counted from the call of f or, if f
+// calls it, from mark (work before mark is not counted). The heap counter is
+// process-wide, so a reading over bound may hold another goroutine's
+// allocation: f is run again, up to three runs in all, and the least
+// reading is returned. A length the bytes do not back allocates on every
+// run.
+func allocated(bound uint64, f func(mark func())) uint64 {
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 3 && least > bound; try++ {
+		before := heapAllocated()
+		f(func() { before = heapAllocated() })
+		least = min(least, heapAllocated()-before)
+	}
+	return least
+}
+
 // TestResumeRejectsHostileBytes is the other half of "fall back to the
 // next-older checkpoint on error": a container whose checksums pass but
 // whose contents lie must come back from restore as an error — or as a
@@ -348,23 +364,26 @@ func TestResumeRejectsHostileBytes(t *testing.T) {
 
 		// restore runs one case under the three limits and returns its verdict.
 		restore := func(what string, data []byte) error {
-			env := fresh()
-			e := newEngine(env, strategyFor(env.Cfg))
-			defer e.close()
-			e.strategy.Setup(e)
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("%s: %s: restore panicked: %v", cell.name, what, p)
+			var err error
+			bound := uint64(4*len(data) + 1<<20)
+			grew := allocated(bound, func(mark func()) {
+				env := fresh()
+				e := newEngine(env, strategyFor(env.Cfg))
+				defer e.close()
+				e.strategy.Setup(e)
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("%s: %s: restore panicked: %v", cell.name, what, p)
+					}
+				}()
+				mark()
+				start := time.Now()
+				err = e.restore(data)
+				if took := time.Since(start); took > time.Second {
+					t.Fatalf("%s: %s: restore took %v", cell.name, what, took)
 				}
-			}()
-			before := heapAllocated()
-			start := time.Now()
-			err := e.restore(data)
-			took := time.Since(start)
-			if took > time.Second {
-				t.Fatalf("%s: %s: restore took %v", cell.name, what, took)
-			}
-			if grew := heapAllocated() - before; grew > uint64(4*len(data)+1<<20) {
+			})
+			if grew > bound {
 				t.Fatalf("%s: %s: restore of a %d-byte container allocated %d bytes", cell.name, what, len(data), grew)
 			}
 			cases++
@@ -610,9 +629,9 @@ func FuzzDecodeContainer(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		before := heapAllocated()
-		c, err := snapshot.DecodeContainer(b)
-		if got := heapAllocated() - before; got > allocBound(len(b)) {
+		var c *snapshot.Container
+		var err error
+		if got := allocated(allocBound(len(b)), func(func()) { c, err = snapshot.DecodeContainer(b) }); got > allocBound(len(b)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(b), got)
 		}
 		if err != nil {
@@ -648,9 +667,9 @@ func FuzzMaterialize(f *testing.F) {
 		for _, b := range chain {
 			total += len(b)
 		}
-		before := heapAllocated()
-		out, err := snapshot.Materialize(chain...)
-		if got := heapAllocated() - before; got > allocBound(total) {
+		var out []byte
+		var err error
+		if got := allocated(allocBound(total), func(func()) { out, err = snapshot.Materialize(chain...) }); got > allocBound(total) {
 			t.Fatalf("materializing %d bytes allocated %d", total, got)
 		}
 		if err != nil {
@@ -754,17 +773,9 @@ func FuzzLoadChain(f *testing.F) {
 			at = metas[at-1].BaseEpoch
 		}
 
-		// The heap counter is process-wide, so an over-bound reading is
-		// taken again: a length the bytes do not back allocates every time.
 		var got []byte
 		var meta snapshot.CkptMeta
-		grew := uint64(math.MaxUint64)
-		for try := 0; try < 3 && grew > allocBound(total); try++ {
-			before := heapAllocated()
-			got, meta, err = rd.LoadChain(top)
-			grew = min(grew, heapAllocated()-before)
-		}
-		if grew > allocBound(total) {
+		if grew := allocated(allocBound(total), func(func()) { got, meta, err = rd.LoadChain(top) }); grew > allocBound(total) {
 			t.Fatalf("loading a %d-byte chain allocated %d", total, grew)
 		}
 		if walkErr != nil {

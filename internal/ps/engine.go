@@ -302,9 +302,6 @@ func (e *Engine) Batches() int { return e.srv.batches }
 // BatchesPerEpoch returns the global-epoch length in batches.
 func (e *Engine) BatchesPerEpoch() int { return e.srv.bpe }
 
-// Updates returns the number of server updates applied so far.
-func (e *Engine) Updates() int { return e.srv.updates }
-
 // SetLRScale installs a constant learning-rate multiplier (SSGD's linear
 // scaling). Call it from Setup.
 func (e *Engine) SetLRScale(s float64) { e.srv.lrScale = s }

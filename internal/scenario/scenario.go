@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 
+	"lcasgd/internal/cluster"
 	"lcasgd/internal/rng"
 )
 
@@ -67,8 +68,8 @@ type Event struct {
 	// whole fleet. Events targeting ranks beyond the actual fleet size are
 	// skipped at compile time, so one scenario serves any worker count.
 	Worker int
-	// CompScale and CommScale are the PhaseShift multipliers; both must be
-	// positive. Ignored by the other kinds.
+	// CompScale and CommScale are the PhaseShift multipliers, each in
+	// (0, cluster.MaxPhaseScale]. Ignored by the other kinds.
 	CompScale, CommScale float64
 }
 
@@ -98,8 +99,8 @@ func (s *Scenario) Validate() error {
 }
 
 // Validate checks one event: a known kind, a worker rank the kind accepts,
-// and times and scales that are numbers of the right sign (the conditions
-// are written so that NaN fails them).
+// times that are numbers of the right sign (the conditions are written so
+// that NaN fails them) and scales that pass cluster.CheckPhaseScales.
 func (ev Event) Validate() error {
 	if !(ev.At >= 0) {
 		return fmt.Errorf("negative time %v", ev.At)
@@ -118,8 +119,8 @@ func (ev Event) Validate() error {
 		if ev.Worker < -1 {
 			return fmt.Errorf("bad worker %d", ev.Worker)
 		}
-		if !(ev.CompScale > 0 && ev.CommScale > 0) {
-			return fmt.Errorf("non-positive phase scales %v/%v", ev.CompScale, ev.CommScale)
+		if err := cluster.CheckPhaseScales(ev.CompScale, ev.CommScale); err != nil {
+			return err
 		}
 	case Crash, Recover, Join, Leave, Partition, Heal:
 		if ev.Worker < 0 {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -29,6 +30,9 @@ func TestValidateRejectsBadEvents(t *testing.T) {
 		{"partition without worker", Scenario{Events: []Event{{Kind: Partition, Worker: -1}}}, "needs a worker"},
 		{"heal without worker", Scenario{Events: []Event{{Kind: Heal, Worker: -1}}}, "needs a worker"},
 		{"zero phase scale", Scenario{Events: []Event{{Kind: PhaseShift, Worker: -1}}}, "phase scales"},
+		{"huge phase scale", Scenario{Events: []Event{{Kind: PhaseShift, Worker: -1, CompScale: 1e52, CommScale: 1}}}, "phase scales"},
+		{"infinite phase scale", Scenario{Events: []Event{{Kind: PhaseShift, Worker: 0, CompScale: 1, CommScale: math.Inf(1)}}}, "phase scales"},
+		{"NaN phase scale", Scenario{Events: []Event{{Kind: PhaseShift, Worker: -1, CompScale: math.NaN(), CommScale: 1}}}, "phase scales"},
 		{"bad phase worker", Scenario{Events: []Event{{Kind: PhaseShift, Worker: -2, CompScale: 1, CommScale: 1}}}, "bad worker"},
 		{"negative initial", Scenario{InitialWorkers: -1}, "InitialWorkers"},
 	}

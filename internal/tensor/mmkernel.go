@@ -32,8 +32,9 @@ import (
 // time. A strip has three implementations of this same contract, bit for
 // bit interchangeable, one per level: AVX-512 assembly (mmkernel512_amd64.s,
 // eight lanes, opmask tails), AVX2 assembly (mmkernel_amd64.s, four lanes;
-// it carries the argument why vector lanes do not move bits) and the Go
-// loops below, which are what every non-amd64 build, every amd64 CPU
+// each file builds its six strips from shared macros, and the argument why
+// vector lanes do not move bits sits beside its multiply-add macros) and
+// the Go loops below, which are what every non-amd64 build, every amd64 CPU
 // without AVX2 and every -race build runs (the race detector cannot see
 // assembly loads and stores, so the toolchain's race constraint excludes
 // the .s files). The level is chosen once at init from GOARCH, CPUID and

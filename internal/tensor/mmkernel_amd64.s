@@ -12,21 +12,17 @@
 // same chain, and of its row-table variant mmKernelRows (mmRowsStrip4AVX2,
 // mmRowsStrip1AVX2), whose a operand is read at rowOff[r]+pOff[p].
 //
-// Float-bits rule. Each output element gets
-//
-//	out + (((+0 + a_0*b_0) + a_1*b_1) + ... + a_{kw-1}*b_{kw-1})
-//
-// with p ascending, every product rounded (VMULPD) before it is added
-// (VADDPD), and out added once after the chain — exactly the Go strips'
-// `s += av * bv` from s = 0, then `o[j] += s`. A vector lane is one output
-// element: lanes never meet, so a lane performs the same IEEE operations on
-// the same operands in the same order as the scalar loop and ends on the
-// same bits. Two things would break that and are therefore absent from this
-// file: fused multiply-add (VFMADD* rounds a*b+c once, the Go loop twice)
-// and any horizontal or k-direction reduction (splitting one element's chain
-// over lanes re-associates its sum). The accumulators start zeroed in
-// registers and stay there for the whole p loop; out is read and written
-// once per block.
+// The six strips are built from the macros below, one definition per block
+// the families share: accumulator zeroing, the multiply-add chains, the
+// read-add-store epilogues, the four a broadcasts. A strip body spells out
+// only its family: the argument prologue, how it loads a row of b (direct,
+// or at tab[2p] ANDed with the mask row at tab[2p+1]), which a operands it
+// broadcasts (strided, or row bases plus pOff[p]) and how its cursors
+// advance. Registers keep one convention: DI out column cursor, R8 ostride
+// (bytes), DX b column cursor, CX columns left, R15 p countdown; Y0-Y7
+// accumulators (row r of a four-row block in Y2r, Y2r+1; a one-row block's
+// four chains in Y0-Y3), Y8-Y11 broadcast a values, Y12-Y13 the b row,
+// Y14-Y15 products.
 //
 // Column tails narrower than four are run as a four-wide block under a
 // VMASKMOVPD lane mask: masked-out lanes load as zero, compute a dead
@@ -64,14 +60,192 @@ GLOBL mmLaneMask<>(SB), RODATA|NOPTR, $64
 	LEAQ    mmLaneMask<>+32(SB), BX; \
 	VMOVDQU (BX)(AX*8), Y9
 
+// ZERO4, ZERO8 and ZERO_EVEN start a block's chains from +0: the four
+// accumulators of a one-row block, all eight of a four-row block two
+// vectors wide, the four of a four-row block one vector wide.
+#define ZERO4 \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3
+
+#define ZERO8 \
+	ZERO4;             \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7
+
+#define ZERO_EVEN \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y6, Y6, Y6
+
+// A_STRIDED and A_ROWS apply M to the four a operands of step p, rows 0-3
+// in order: strided from the a cursor AX by R9 = aRow and R14 = 3*aRow
+// (plain and masked-row strips), or at R12 = pOff[p] from the row bases
+// SI, R9, R10, R14 (row-table strip). BCAST4 broadcasts them into Y8-Y11.
+#define A_STRIDED(M) M((AX), (AX)(R9*1), (AX)(R9*2), (AX)(R14*1))
+#define A_ROWS(M) M((SI)(R12*8), (R9)(R12*8), (R10)(R12*8), (R14)(R12*8))
+
+#define BCAST4(A0, A1, A2, A3) \
+	VBROADCASTSD A0, Y8;  \
+	VBROADCASTSD A1, Y9;  \
+	VBROADCASTSD A2, Y10; \
+	VBROADCASTSD A3, Y11
+
+// The multiply-add chains. Float-bits rule: each output element gets
+//
+//	out + (((+0 + a_0*b_0) + a_1*b_1) + ... + a_{kw-1}*b_{kw-1})
+//
+// with p ascending, every product rounded (VMULPD) before it is added
+// (VADDPD), and out added once after the chain — exactly the Go strips'
+// `s += av * bv` from s = 0, then `o[j] += s`. A vector lane is one output
+// element: lanes never meet, so a lane performs the same IEEE operations on
+// the same operands in the same order as the scalar loop and ends on the
+// same bits. Two things would break that and are therefore absent from
+// these macros, the only place a product meets a sum: fused multiply-add
+// (VFMADD* rounds a*b+c once, the Go loop twice) and any horizontal or
+// k-direction reduction (splitting one element's chain over lanes
+// re-associates its sum). The accumulators start zeroed in registers
+// (ZERO*) and stay there for the whole p loop; out is read and written
+// once per block (ADDSTORE*).
+//
+// MULADD_ROW adds the b row Y12-Y13 times the broadcast A to the chains
+// C0, C1 of one row. MULADD4x2 does that for all four rows; MULADD_MID
+// broadcasts each row's operand into Y8 just before its products (the
+// five- to seven-column tail, whose Y9 holds the lane mask). MULADD4x1 is
+// the four rows over the one b vector Y12, the products overwriting the
+// broadcasts; MULADD1x4 one row (broadcast Y8) over four b vectors B0-B3;
+// MULADD1x1 one row over Y12.
+#define MULADD_ROW(A, C0, C1) \
+	VMULPD Y12, A, Y14;   \
+	VMULPD Y13, A, Y15;   \
+	VADDPD Y14, C0, C0;   \
+	VADDPD Y15, C1, C1
+
+#define MULADD4x2 \
+	MULADD_ROW(Y8, Y0, Y1);  \
+	MULADD_ROW(Y9, Y2, Y3);  \
+	MULADD_ROW(Y10, Y4, Y5); \
+	MULADD_ROW(Y11, Y6, Y7)
+
+#define MULADD_MID(A0, A1, A2, A3) \
+	VBROADCASTSD A0, Y8;    \
+	MULADD_ROW(Y8, Y0, Y1); \
+	VBROADCASTSD A1, Y8;    \
+	MULADD_ROW(Y8, Y2, Y3); \
+	VBROADCASTSD A2, Y8;    \
+	MULADD_ROW(Y8, Y4, Y5); \
+	VBROADCASTSD A3, Y8;    \
+	MULADD_ROW(Y8, Y6, Y7)
+
+#define MULADD4x1 \
+	VMULPD Y12, Y8, Y8;   \
+	VMULPD Y12, Y9, Y9;   \
+	VMULPD Y12, Y10, Y10; \
+	VMULPD Y12, Y11, Y11; \
+	VADDPD Y8, Y0, Y0;    \
+	VADDPD Y9, Y2, Y2;    \
+	VADDPD Y10, Y4, Y4;   \
+	VADDPD Y11, Y6, Y6
+
+#define MULADD1x4(B0, B1, B2, B3) \
+	VMULPD B0, Y8, Y12; \
+	VMULPD B1, Y8, Y13; \
+	VMULPD B2, Y8, Y14; \
+	VMULPD B3, Y8, Y15; \
+	VADDPD Y12, Y0, Y0; \
+	VADDPD Y13, Y1, Y1; \
+	VADDPD Y14, Y2, Y2; \
+	VADDPD Y15, Y3, Y3
+
+#define MULADD1x1 \
+	VMULPD Y12, Y8, Y8; \
+	VADDPD Y8, Y0, Y0
+
+// The epilogues: each chain joins out once, read, added and stored at the
+// out cursor DI. The four-row forms take out rows at DI, DI+R8, DI+2*R8
+// and DI+OS3 (OS3 = 3*ostride); ADDSTORE4x2 covers eight columns,
+// ADDSTORE_MID five to seven (upper half under Y9, Y14-Y15 as scratch),
+// ADDSTORE4x1 up to four under Y13 (Y8-Y11 as scratch). ADDSTORE1x4
+// covers sixteen columns of one row, ADDSTORE1x1 up to four under Y13.
+#define ADDSTORE4x2(OS3) \
+	VADDPD  (DI), Y0, Y0;          \
+	VADDPD  32(DI), Y1, Y1;        \
+	VADDPD  (DI)(R8*1), Y2, Y2;    \
+	VADDPD  32(DI)(R8*1), Y3, Y3;  \
+	VADDPD  (DI)(R8*2), Y4, Y4;    \
+	VADDPD  32(DI)(R8*2), Y5, Y5;  \
+	VADDPD  (DI)(OS3*1), Y6, Y6;   \
+	VADDPD  32(DI)(OS3*1), Y7, Y7; \
+	VMOVUPD Y0, (DI);              \
+	VMOVUPD Y1, 32(DI);            \
+	VMOVUPD Y2, (DI)(R8*1);        \
+	VMOVUPD Y3, 32(DI)(R8*1);      \
+	VMOVUPD Y4, (DI)(R8*2);        \
+	VMOVUPD Y5, 32(DI)(R8*2);      \
+	VMOVUPD Y6, (DI)(OS3*1);       \
+	VMOVUPD Y7, 32(DI)(OS3*1)
+
+#define ADDSTORE_MID(OS3) \
+	VADDPD     (DI), Y0, Y0;               \
+	VMASKMOVPD 32(DI), Y9, Y14;            \
+	VADDPD     Y14, Y1, Y1;                \
+	VADDPD     (DI)(R8*1), Y2, Y2;         \
+	VMASKMOVPD 32(DI)(R8*1), Y9, Y15;      \
+	VADDPD     Y15, Y3, Y3;                \
+	VADDPD     (DI)(R8*2), Y4, Y4;         \
+	VMASKMOVPD 32(DI)(R8*2), Y9, Y14;      \
+	VADDPD     Y14, Y5, Y5;                \
+	VADDPD     (DI)(OS3*1), Y6, Y6;        \
+	VMASKMOVPD 32(DI)(OS3*1), Y9, Y15;     \
+	VADDPD     Y15, Y7, Y7;                \
+	VMOVUPD    Y0, (DI);                   \
+	VMASKMOVPD Y1, Y9, 32(DI);             \
+	VMOVUPD    Y2, (DI)(R8*1);             \
+	VMASKMOVPD Y3, Y9, 32(DI)(R8*1);       \
+	VMOVUPD    Y4, (DI)(R8*2);             \
+	VMASKMOVPD Y5, Y9, 32(DI)(R8*2);       \
+	VMOVUPD    Y6, (DI)(OS3*1);            \
+	VMASKMOVPD Y7, Y9, 32(DI)(OS3*1)
+
+#define ADDSTORE4x1(OS3) \
+	VMASKMOVPD (DI), Y13, Y8;         \
+	VMASKMOVPD (DI)(R8*1), Y13, Y9;   \
+	VMASKMOVPD (DI)(R8*2), Y13, Y10;  \
+	VMASKMOVPD (DI)(OS3*1), Y13, Y11; \
+	VADDPD     Y8, Y0, Y0;            \
+	VADDPD     Y9, Y2, Y2;            \
+	VADDPD     Y10, Y4, Y4;           \
+	VADDPD     Y11, Y6, Y6;           \
+	VMASKMOVPD Y0, Y13, (DI);         \
+	VMASKMOVPD Y2, Y13, (DI)(R8*1);   \
+	VMASKMOVPD Y4, Y13, (DI)(R8*2);   \
+	VMASKMOVPD Y6, Y13, (DI)(OS3*1)
+
+#define ADDSTORE1x4 \
+	VADDPD  (DI), Y0, Y0;   \
+	VADDPD  32(DI), Y1, Y1; \
+	VADDPD  64(DI), Y2, Y2; \
+	VADDPD  96(DI), Y3, Y3; \
+	VMOVUPD Y0, (DI);       \
+	VMOVUPD Y1, 32(DI);     \
+	VMOVUPD Y2, 64(DI);     \
+	VMOVUPD Y3, 96(DI)
+
+#define ADDSTORE1x1 \
+	VMASKMOVPD (DI), Y13, Y12; \
+	VADDPD     Y12, Y0, Y0;    \
+	VMASKMOVPD Y0, Y13, (DI)
+
 // func mmStrip4AVX2(out *float64, ostride int, a *float64, aRow, aK int, b *float64, bstride, kw, jw int)
 //
 // DI out column cursor, R8 ostride, R13 3*ostride (bytes from here on)
 // SI a,                 R9 aRow,    R14 3*aRow,   R10 aK
 // DX b column cursor,   R11 bstride
 // R12 kw, CX columns left; AX/BX/R15 a cursor, b cursor and p countdown.
-// Y0-Y7 accumulators (row r in Y2r, Y2r+1), Y8-Y11 the four broadcast a
-// values, Y12-Y13 the b row, Y14-Y15 products.
 TEXT ·mmStrip4AVX2(SB), NOSPLIT, $0-72
 	MOVQ out+0(FP), DI
 	MOVQ ostride+8(FP), R8
@@ -92,184 +266,72 @@ TEXT ·mmStrip4AVX2(SB), NOSPLIT, $0-72
 	JLT  tail4
 
 wide4:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ    SI, AX
-	MOVQ    DX, BX
-	MOVQ    R12, R15
+	ZERO8
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R12, R15
 
 wide4p:
-	VMOVUPD      (BX), Y12
-	VMOVUPD      32(BX), Y13
-	VBROADCASTSD (AX), Y8
-	VBROADCASTSD (AX)(R9*1), Y9
-	VBROADCASTSD (AX)(R9*2), Y10
-	VBROADCASTSD (AX)(R14*1), Y11
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y0, Y0
-	VADDPD       Y15, Y1, Y1
-	VMULPD       Y12, Y9, Y14
-	VMULPD       Y13, Y9, Y15
-	VADDPD       Y14, Y2, Y2
-	VADDPD       Y15, Y3, Y3
-	VMULPD       Y12, Y10, Y14
-	VMULPD       Y13, Y10, Y15
-	VADDPD       Y14, Y4, Y4
-	VADDPD       Y15, Y5, Y5
-	VMULPD       Y12, Y11, Y14
-	VMULPD       Y13, Y11, Y15
-	VADDPD       Y14, Y6, Y6
-	VADDPD       Y15, Y7, Y7
-	ADDQ         R10, AX
-	ADDQ         R11, BX
-	DECQ         R15
-	JNZ          wide4p
+	VMOVUPD (BX), Y12
+	VMOVUPD 32(BX), Y13
+	A_STRIDED(BCAST4)
+	MULADD4x2
+	ADDQ    R10, AX
+	ADDQ    R11, BX
+	DECQ    R15
+	JNZ     wide4p
 
-	VADDPD  (DI), Y0, Y0
-	VADDPD  32(DI), Y1, Y1
-	VADDPD  (DI)(R8*1), Y2, Y2
-	VADDPD  32(DI)(R8*1), Y3, Y3
-	VADDPD  (DI)(R8*2), Y4, Y4
-	VADDPD  32(DI)(R8*2), Y5, Y5
-	VADDPD  (DI)(R13*1), Y6, Y6
-	VADDPD  32(DI)(R13*1), Y7, Y7
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, (DI)(R8*1)
-	VMOVUPD Y3, 32(DI)(R8*1)
-	VMOVUPD Y4, (DI)(R8*2)
-	VMOVUPD Y5, 32(DI)(R8*2)
-	VMOVUPD Y6, (DI)(R13*1)
-	VMOVUPD Y7, 32(DI)(R13*1)
-	ADDQ    $64, DI
-	ADDQ    $64, DX
-	SUBQ    $8, CX
-	CMPQ    CX, $8
-	JGE     wide4
+	ADDSTORE4x2(R13)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  wide4
 
 tail4:
 	CMPQ CX, $5
 	JLT  narrow4
-
-	// Five to seven columns: one eight-wide block, the upper four lanes
-	// under Y9's mask. Y8 takes the four rows' broadcasts in turn.
 	MID_MASK
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ   SI, AX
-	MOVQ   DX, BX
-	MOVQ   R12, R15
+	ZERO8
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R12, R15
 
 mid4p:
-	VMOVUPD      (BX), Y12
-	VMASKMOVPD   32(BX), Y9, Y13
-	VBROADCASTSD (AX), Y8
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y0, Y0
-	VADDPD       Y15, Y1, Y1
-	VBROADCASTSD (AX)(R9*1), Y8
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y2, Y2
-	VADDPD       Y15, Y3, Y3
-	VBROADCASTSD (AX)(R9*2), Y8
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y4, Y4
-	VADDPD       Y15, Y5, Y5
-	VBROADCASTSD (AX)(R14*1), Y8
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y6, Y6
-	VADDPD       Y15, Y7, Y7
-	ADDQ         R10, AX
-	ADDQ         R11, BX
-	DECQ         R15
-	JNZ          mid4p
+	VMOVUPD    (BX), Y12
+	VMASKMOVPD 32(BX), Y9, Y13
+	A_STRIDED(MULADD_MID)
+	ADDQ       R10, AX
+	ADDQ       R11, BX
+	DECQ       R15
+	JNZ        mid4p
 
-	VADDPD     (DI), Y0, Y0
-	VMASKMOVPD 32(DI), Y9, Y14
-	VADDPD     Y14, Y1, Y1
-	VADDPD     (DI)(R8*1), Y2, Y2
-	VMASKMOVPD 32(DI)(R8*1), Y9, Y15
-	VADDPD     Y15, Y3, Y3
-	VADDPD     (DI)(R8*2), Y4, Y4
-	VMASKMOVPD 32(DI)(R8*2), Y9, Y14
-	VADDPD     Y14, Y5, Y5
-	VADDPD     (DI)(R13*1), Y6, Y6
-	VMASKMOVPD 32(DI)(R13*1), Y9, Y15
-	VADDPD     Y15, Y7, Y7
-	VMOVUPD    Y0, (DI)
-	VMASKMOVPD Y1, Y9, 32(DI)
-	VMOVUPD    Y2, (DI)(R8*1)
-	VMASKMOVPD Y3, Y9, 32(DI)(R8*1)
-	VMOVUPD    Y4, (DI)(R8*2)
-	VMASKMOVPD Y5, Y9, 32(DI)(R8*2)
-	VMOVUPD    Y6, (DI)(R13*1)
-	VMASKMOVPD Y7, Y9, 32(DI)(R13*1)
-	JMP        done4
+	ADDSTORE_MID(R13)
+	JMP done4
 
 narrow4:
 	TESTQ CX, CX
 	JLE   done4
 	NARROW_MASK
-	VXORPD     Y0, Y0, Y0
-	VXORPD     Y2, Y2, Y2
-	VXORPD     Y4, Y4, Y4
-	VXORPD     Y6, Y6, Y6
-	MOVQ       SI, AX
-	MOVQ       DX, BX
-	MOVQ       R12, R15
+	ZERO_EVEN
+	MOVQ  SI, AX
+	MOVQ  DX, BX
+	MOVQ  R12, R15
 
 narrow4p:
-	VMASKMOVPD   (BX), Y13, Y12
-	VBROADCASTSD (AX), Y8
-	VBROADCASTSD (AX)(R9*1), Y9
-	VBROADCASTSD (AX)(R9*2), Y10
-	VBROADCASTSD (AX)(R14*1), Y11
-	VMULPD       Y12, Y8, Y8
-	VMULPD       Y12, Y9, Y9
-	VMULPD       Y12, Y10, Y10
-	VMULPD       Y12, Y11, Y11
-	VADDPD       Y8, Y0, Y0
-	VADDPD       Y9, Y2, Y2
-	VADDPD       Y10, Y4, Y4
-	VADDPD       Y11, Y6, Y6
-	ADDQ         R10, AX
-	ADDQ         R11, BX
-	DECQ         R15
-	JNZ          narrow4p
+	VMASKMOVPD (BX), Y13, Y12
+	A_STRIDED(BCAST4)
+	MULADD4x1
+	ADDQ       R10, AX
+	ADDQ       R11, BX
+	DECQ       R15
+	JNZ        narrow4p
 
-	VMASKMOVPD (DI), Y13, Y8
-	VMASKMOVPD (DI)(R8*1), Y13, Y9
-	VMASKMOVPD (DI)(R8*2), Y13, Y10
-	VMASKMOVPD (DI)(R13*1), Y13, Y11
-	VADDPD     Y8, Y0, Y0
-	VADDPD     Y9, Y2, Y2
-	VADDPD     Y10, Y4, Y4
-	VADDPD     Y11, Y6, Y6
-	VMASKMOVPD Y0, Y13, (DI)
-	VMASKMOVPD Y2, Y13, (DI)(R8*1)
-	VMASKMOVPD Y4, Y13, (DI)(R8*2)
-	VMASKMOVPD Y6, Y13, (DI)(R13*1)
-	ADDQ       $32, DI
-	ADDQ       $32, DX
-	SUBQ       $4, CX
-	JMP        narrow4
+	ADDSTORE4x1(R13)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $4, CX
+	JMP  narrow4
 
 done4:
 	VZEROUPPER
@@ -295,69 +357,49 @@ TEXT ·mmStrip1AVX2(SB), NOSPLIT, $0-56
 	JLT  narrow1
 
 wide1:
-	VXORPD  Y0, Y0, Y0
-	VXORPD  Y1, Y1, Y1
-	VXORPD  Y2, Y2, Y2
-	VXORPD  Y3, Y3, Y3
-	MOVQ    SI, AX
-	MOVQ    DX, BX
-	MOVQ    R12, R15
+	ZERO4
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R12, R15
 
 wide1p:
 	VBROADCASTSD (AX), Y8
-	VMULPD       (BX), Y8, Y12
-	VMULPD       32(BX), Y8, Y13
-	VMULPD       64(BX), Y8, Y14
-	VMULPD       96(BX), Y8, Y15
-	VADDPD       Y12, Y0, Y0
-	VADDPD       Y13, Y1, Y1
-	VADDPD       Y14, Y2, Y2
-	VADDPD       Y15, Y3, Y3
+	MULADD1x4((BX), 32(BX), 64(BX), 96(BX))
 	ADDQ         R10, AX
 	ADDQ         R11, BX
 	DECQ         R15
 	JNZ          wide1p
 
-	VADDPD  (DI), Y0, Y0
-	VADDPD  32(DI), Y1, Y1
-	VADDPD  64(DI), Y2, Y2
-	VADDPD  96(DI), Y3, Y3
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, DX
-	SUBQ    $16, CX
-	CMPQ    CX, $16
-	JGE     wide1
+	ADDSTORE1x4
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $16, CX
+	CMPQ CX, $16
+	JGE  wide1
 
 narrow1:
-	TESTQ CX, CX
-	JLE   done1
+	TESTQ  CX, CX
+	JLE    done1
 	NARROW_MASK
-	VXORPD     Y0, Y0, Y0
-	MOVQ       SI, AX
-	MOVQ       DX, BX
-	MOVQ       R12, R15
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, AX
+	MOVQ   DX, BX
+	MOVQ   R12, R15
 
 narrow1p:
 	VMASKMOVPD   (BX), Y13, Y12
 	VBROADCASTSD (AX), Y8
-	VMULPD       Y12, Y8, Y8
-	VADDPD       Y8, Y0, Y0
+	MULADD1x1
 	ADDQ         R10, AX
 	ADDQ         R11, BX
 	DECQ         R15
 	JNZ          narrow1p
 
-	VMASKMOVPD (DI), Y13, Y12
-	VADDPD     Y12, Y0, Y0
-	VMASKMOVPD Y0, Y13, (DI)
-	ADDQ       $32, DI
-	ADDQ       $32, DX
-	SUBQ       $4, CX
-	JMP        narrow1
+	ADDSTORE1x1
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $4, CX
+	JMP  narrow1
 
 done1:
 	VZEROUPPER
@@ -391,127 +433,63 @@ TEXT ·mmShiftStrip4AVX2(SB), NOSPLIT, $0-80
 	JLT  narrow4s
 
 wide4s:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ   SI, AX
-	MOVQ   R12, BX
-	MOVQ   kw+64(FP), R15
+	ZERO8
+	MOVQ SI, AX
+	MOVQ R12, BX
+	MOVQ kw+64(FP), R15
 
 wide4sp:
-	MOVQ         (BX), R13
-	VMOVUPD      (DX)(R13*8), Y12
-	VMOVUPD      32(DX)(R13*8), Y13
-	MOVQ         8(BX), R13
-	VANDPD       (R11)(R13*8), Y12, Y12
-	VANDPD       32(R11)(R13*8), Y13, Y13
-	VBROADCASTSD (AX), Y8
-	VBROADCASTSD (AX)(R9*1), Y9
-	VBROADCASTSD (AX)(R9*2), Y10
-	VBROADCASTSD (AX)(R14*1), Y11
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y0, Y0
-	VADDPD       Y15, Y1, Y1
-	VMULPD       Y12, Y9, Y14
-	VMULPD       Y13, Y9, Y15
-	VADDPD       Y14, Y2, Y2
-	VADDPD       Y15, Y3, Y3
-	VMULPD       Y12, Y10, Y14
-	VMULPD       Y13, Y10, Y15
-	VADDPD       Y14, Y4, Y4
-	VADDPD       Y15, Y5, Y5
-	VMULPD       Y12, Y11, Y14
-	VMULPD       Y13, Y11, Y15
-	VADDPD       Y14, Y6, Y6
-	VADDPD       Y15, Y7, Y7
-	ADDQ         R10, AX
-	ADDQ         $16, BX
-	DECQ         R15
-	JNZ          wide4sp
+	MOVQ    (BX), R13
+	VMOVUPD (DX)(R13*8), Y12
+	VMOVUPD 32(DX)(R13*8), Y13
+	MOVQ    8(BX), R13
+	VANDPD  (R11)(R13*8), Y12, Y12
+	VANDPD  32(R11)(R13*8), Y13, Y13
+	A_STRIDED(BCAST4)
+	MULADD4x2
+	ADDQ    R10, AX
+	ADDQ    $16, BX
+	DECQ    R15
+	JNZ     wide4sp
 
-	LEAQ    (R8)(R8*2), R13
-	VADDPD  (DI), Y0, Y0
-	VADDPD  32(DI), Y1, Y1
-	VADDPD  (DI)(R8*1), Y2, Y2
-	VADDPD  32(DI)(R8*1), Y3, Y3
-	VADDPD  (DI)(R8*2), Y4, Y4
-	VADDPD  32(DI)(R8*2), Y5, Y5
-	VADDPD  (DI)(R13*1), Y6, Y6
-	VADDPD  32(DI)(R13*1), Y7, Y7
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, (DI)(R8*1)
-	VMOVUPD Y3, 32(DI)(R8*1)
-	VMOVUPD Y4, (DI)(R8*2)
-	VMOVUPD Y5, 32(DI)(R8*2)
-	VMOVUPD Y6, (DI)(R13*1)
-	VMOVUPD Y7, 32(DI)(R13*1)
-	ADDQ    $64, DI
-	ADDQ    $64, DX
-	ADDQ    $64, R11
-	SUBQ    $8, CX
-	CMPQ    CX, $8
-	JGE     wide4s
+	LEAQ (R8)(R8*2), R13
+	ADDSTORE4x2(R13)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	ADDQ $64, R11
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  wide4s
 
 narrow4s:
 	TESTQ CX, CX
 	JLE   done4s
 	NARROW_MASK
-	VXORPD Y0, Y0, Y0
-	VXORPD Y2, Y2, Y2
-	VXORPD Y4, Y4, Y4
-	VXORPD Y6, Y6, Y6
-	MOVQ   SI, AX
-	MOVQ   R12, BX
-	MOVQ   kw+64(FP), R15
+	ZERO_EVEN
+	MOVQ  SI, AX
+	MOVQ  R12, BX
+	MOVQ  kw+64(FP), R15
 
 narrow4sp:
-	MOVQ         (BX), R13
-	VMASKMOVPD   (DX)(R13*8), Y13, Y12
-	MOVQ         8(BX), R13
-	VMASKMOVPD   (R11)(R13*8), Y13, Y14
-	VANDPD       Y14, Y12, Y12
-	VBROADCASTSD (AX), Y8
-	VBROADCASTSD (AX)(R9*1), Y9
-	VBROADCASTSD (AX)(R9*2), Y10
-	VBROADCASTSD (AX)(R14*1), Y11
-	VMULPD       Y12, Y8, Y8
-	VMULPD       Y12, Y9, Y9
-	VMULPD       Y12, Y10, Y10
-	VMULPD       Y12, Y11, Y11
-	VADDPD       Y8, Y0, Y0
-	VADDPD       Y9, Y2, Y2
-	VADDPD       Y10, Y4, Y4
-	VADDPD       Y11, Y6, Y6
-	ADDQ         R10, AX
-	ADDQ         $16, BX
-	DECQ         R15
-	JNZ          narrow4sp
+	MOVQ       (BX), R13
+	VMASKMOVPD (DX)(R13*8), Y13, Y12
+	MOVQ       8(BX), R13
+	VMASKMOVPD (R11)(R13*8), Y13, Y14
+	VANDPD     Y14, Y12, Y12
+	A_STRIDED(BCAST4)
+	MULADD4x1
+	ADDQ       R10, AX
+	ADDQ       $16, BX
+	DECQ       R15
+	JNZ        narrow4sp
 
-	LEAQ       (R8)(R8*2), R13
-	VMASKMOVPD (DI), Y13, Y8
-	VMASKMOVPD (DI)(R8*1), Y13, Y9
-	VMASKMOVPD (DI)(R8*2), Y13, Y10
-	VMASKMOVPD (DI)(R13*1), Y13, Y11
-	VADDPD     Y8, Y0, Y0
-	VADDPD     Y9, Y2, Y2
-	VADDPD     Y10, Y4, Y4
-	VADDPD     Y11, Y6, Y6
-	VMASKMOVPD Y0, Y13, (DI)
-	VMASKMOVPD Y2, Y13, (DI)(R8*1)
-	VMASKMOVPD Y4, Y13, (DI)(R8*2)
-	VMASKMOVPD Y6, Y13, (DI)(R13*1)
-	ADDQ       $32, DI
-	ADDQ       $32, DX
-	ADDQ       $32, R11
-	SUBQ       $4, CX
-	JMP        narrow4s
+	LEAQ (R8)(R8*2), R13
+	ADDSTORE4x1(R13)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	ADDQ $32, R11
+	SUBQ $4, CX
+	JMP  narrow4s
 
 done4s:
 	VZEROUPPER
@@ -520,7 +498,8 @@ done4s:
 // func mmShiftStrip1AVX2(out *float64, a *float64, aK int, b *float64, mask *uint64, tab *int, kw, jw int)
 //
 // The one-row remainder of mmKernelShift, sixteen columns wide as
-// mmStrip1AVX2. Registers as in mmShiftStrip4AVX2.
+// mmStrip1AVX2, the masked b row in Y4-Y7. Registers as in
+// mmShiftStrip4AVX2.
 TEXT ·mmShiftStrip1AVX2(SB), NOSPLIT, $0-64
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -534,13 +513,10 @@ TEXT ·mmShiftStrip1AVX2(SB), NOSPLIT, $0-64
 	JLT  narrow1s
 
 wide1s:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ   SI, AX
-	MOVQ   R12, BX
-	MOVQ   kw+48(FP), R15
+	ZERO4
+	MOVQ SI, AX
+	MOVQ R12, BX
+	MOVQ kw+48(FP), R15
 
 wide1sp:
 	MOVQ         (BX), R13
@@ -554,37 +530,23 @@ wide1sp:
 	VANDPD       64(R11)(R13*8), Y6, Y6
 	VANDPD       96(R11)(R13*8), Y7, Y7
 	VBROADCASTSD (AX), Y8
-	VMULPD       Y4, Y8, Y12
-	VMULPD       Y5, Y8, Y13
-	VMULPD       Y6, Y8, Y14
-	VMULPD       Y7, Y8, Y15
-	VADDPD       Y12, Y0, Y0
-	VADDPD       Y13, Y1, Y1
-	VADDPD       Y14, Y2, Y2
-	VADDPD       Y15, Y3, Y3
+	MULADD1x4(Y4, Y5, Y6, Y7)
 	ADDQ         R10, AX
 	ADDQ         $16, BX
 	DECQ         R15
 	JNZ          wide1sp
 
-	VADDPD  (DI), Y0, Y0
-	VADDPD  32(DI), Y1, Y1
-	VADDPD  64(DI), Y2, Y2
-	VADDPD  96(DI), Y3, Y3
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, DX
-	ADDQ    $128, R11
-	SUBQ    $16, CX
-	CMPQ    CX, $16
-	JGE     wide1s
+	ADDSTORE1x4
+	ADDQ $128, DI
+	ADDQ $128, DX
+	ADDQ $128, R11
+	SUBQ $16, CX
+	CMPQ CX, $16
+	JGE  wide1s
 
 narrow1s:
-	TESTQ CX, CX
-	JLE   done1s
+	TESTQ  CX, CX
+	JLE    done1s
 	NARROW_MASK
 	VXORPD Y0, Y0, Y0
 	MOVQ   SI, AX
@@ -598,21 +560,18 @@ narrow1sp:
 	VMASKMOVPD   (R11)(R13*8), Y13, Y14
 	VANDPD       Y14, Y12, Y12
 	VBROADCASTSD (AX), Y8
-	VMULPD       Y12, Y8, Y8
-	VADDPD       Y8, Y0, Y0
+	MULADD1x1
 	ADDQ         R10, AX
 	ADDQ         $16, BX
 	DECQ         R15
 	JNZ          narrow1sp
 
-	VMASKMOVPD (DI), Y13, Y12
-	VADDPD     Y12, Y0, Y0
-	VMASKMOVPD Y0, Y13, (DI)
-	ADDQ       $32, DI
-	ADDQ       $32, DX
-	ADDQ       $32, R11
-	SUBQ       $4, CX
-	JMP        narrow1s
+	ADDSTORE1x1
+	ADDQ $32, DI
+	ADDQ $32, DX
+	ADDQ $32, R11
+	SUBQ $4, CX
+	JMP  narrow1s
 
 done1s:
 	VZEROUPPER
@@ -650,187 +609,78 @@ TEXT ·mmRowsStrip4AVX2(SB), NOSPLIT, $0-72
 	JLT  tail4r
 
 wide4r:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ   R13, AX
-	MOVQ   DX, BX
-	MOVQ   kw+56(FP), R15
+	ZERO8
+	MOVQ R13, AX
+	MOVQ DX, BX
+	MOVQ kw+56(FP), R15
 
 wide4rp:
-	MOVQ         (AX), R12
-	VMOVUPD      (BX), Y12
-	VMOVUPD      32(BX), Y13
-	VBROADCASTSD (SI)(R12*8), Y8
-	VBROADCASTSD (R9)(R12*8), Y9
-	VBROADCASTSD (R10)(R12*8), Y10
-	VBROADCASTSD (R14)(R12*8), Y11
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y0, Y0
-	VADDPD       Y15, Y1, Y1
-	VMULPD       Y12, Y9, Y14
-	VMULPD       Y13, Y9, Y15
-	VADDPD       Y14, Y2, Y2
-	VADDPD       Y15, Y3, Y3
-	VMULPD       Y12, Y10, Y14
-	VMULPD       Y13, Y10, Y15
-	VADDPD       Y14, Y4, Y4
-	VADDPD       Y15, Y5, Y5
-	VMULPD       Y12, Y11, Y14
-	VMULPD       Y13, Y11, Y15
-	VADDPD       Y14, Y6, Y6
-	VADDPD       Y15, Y7, Y7
-	ADDQ         $8, AX
-	ADDQ         R11, BX
-	DECQ         R15
-	JNZ          wide4rp
+	MOVQ    (AX), R12
+	VMOVUPD (BX), Y12
+	VMOVUPD 32(BX), Y13
+	A_ROWS(BCAST4)
+	MULADD4x2
+	ADDQ    $8, AX
+	ADDQ    R11, BX
+	DECQ    R15
+	JNZ     wide4rp
 
-	LEAQ    (R8)(R8*2), R12
-	VADDPD  (DI), Y0, Y0
-	VADDPD  32(DI), Y1, Y1
-	VADDPD  (DI)(R8*1), Y2, Y2
-	VADDPD  32(DI)(R8*1), Y3, Y3
-	VADDPD  (DI)(R8*2), Y4, Y4
-	VADDPD  32(DI)(R8*2), Y5, Y5
-	VADDPD  (DI)(R12*1), Y6, Y6
-	VADDPD  32(DI)(R12*1), Y7, Y7
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, (DI)(R8*1)
-	VMOVUPD Y3, 32(DI)(R8*1)
-	VMOVUPD Y4, (DI)(R8*2)
-	VMOVUPD Y5, 32(DI)(R8*2)
-	VMOVUPD Y6, (DI)(R12*1)
-	VMOVUPD Y7, 32(DI)(R12*1)
-	ADDQ    $64, DI
-	ADDQ    $64, DX
-	SUBQ    $8, CX
-	CMPQ    CX, $8
-	JGE     wide4r
+	LEAQ (R8)(R8*2), R12
+	ADDSTORE4x2(R12)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $8, CX
+	CMPQ CX, $8
+	JGE  wide4r
 
 tail4r:
 	CMPQ CX, $5
 	JLT  narrow4r
 	MID_MASK
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-	MOVQ   R13, AX
-	MOVQ   DX, BX
-	MOVQ   kw+56(FP), R15
+	ZERO8
+	MOVQ R13, AX
+	MOVQ DX, BX
+	MOVQ kw+56(FP), R15
 
 mid4rp:
-	MOVQ         (AX), R12
-	VMOVUPD      (BX), Y12
-	VMASKMOVPD   32(BX), Y9, Y13
-	VBROADCASTSD (SI)(R12*8), Y8
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y0, Y0
-	VADDPD       Y15, Y1, Y1
-	VBROADCASTSD (R9)(R12*8), Y8
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y2, Y2
-	VADDPD       Y15, Y3, Y3
-	VBROADCASTSD (R10)(R12*8), Y8
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y4, Y4
-	VADDPD       Y15, Y5, Y5
-	VBROADCASTSD (R14)(R12*8), Y8
-	VMULPD       Y12, Y8, Y14
-	VMULPD       Y13, Y8, Y15
-	VADDPD       Y14, Y6, Y6
-	VADDPD       Y15, Y7, Y7
-	ADDQ         $8, AX
-	ADDQ         R11, BX
-	DECQ         R15
-	JNZ          mid4rp
+	MOVQ       (AX), R12
+	VMOVUPD    (BX), Y12
+	VMASKMOVPD 32(BX), Y9, Y13
+	A_ROWS(MULADD_MID)
+	ADDQ       $8, AX
+	ADDQ       R11, BX
+	DECQ       R15
+	JNZ        mid4rp
 
-	LEAQ       (R8)(R8*2), R12
-	VADDPD     (DI), Y0, Y0
-	VMASKMOVPD 32(DI), Y9, Y14
-	VADDPD     Y14, Y1, Y1
-	VADDPD     (DI)(R8*1), Y2, Y2
-	VMASKMOVPD 32(DI)(R8*1), Y9, Y15
-	VADDPD     Y15, Y3, Y3
-	VADDPD     (DI)(R8*2), Y4, Y4
-	VMASKMOVPD 32(DI)(R8*2), Y9, Y14
-	VADDPD     Y14, Y5, Y5
-	VADDPD     (DI)(R12*1), Y6, Y6
-	VMASKMOVPD 32(DI)(R12*1), Y9, Y15
-	VADDPD     Y15, Y7, Y7
-	VMOVUPD    Y0, (DI)
-	VMASKMOVPD Y1, Y9, 32(DI)
-	VMOVUPD    Y2, (DI)(R8*1)
-	VMASKMOVPD Y3, Y9, 32(DI)(R8*1)
-	VMOVUPD    Y4, (DI)(R8*2)
-	VMASKMOVPD Y5, Y9, 32(DI)(R8*2)
-	VMOVUPD    Y6, (DI)(R12*1)
-	VMASKMOVPD Y7, Y9, 32(DI)(R12*1)
-	JMP        done4r
+	LEAQ (R8)(R8*2), R12
+	ADDSTORE_MID(R12)
+	JMP  done4r
 
 narrow4r:
 	TESTQ CX, CX
 	JLE   done4r
 	NARROW_MASK
-	VXORPD Y0, Y0, Y0
-	VXORPD Y2, Y2, Y2
-	VXORPD Y4, Y4, Y4
-	VXORPD Y6, Y6, Y6
-	MOVQ   R13, AX
-	MOVQ   DX, BX
-	MOVQ   kw+56(FP), R15
+	ZERO_EVEN
+	MOVQ  R13, AX
+	MOVQ  DX, BX
+	MOVQ  kw+56(FP), R15
 
 narrow4rp:
-	MOVQ         (AX), R12
-	VMASKMOVPD   (BX), Y13, Y12
-	VBROADCASTSD (SI)(R12*8), Y8
-	VBROADCASTSD (R9)(R12*8), Y9
-	VBROADCASTSD (R10)(R12*8), Y10
-	VBROADCASTSD (R14)(R12*8), Y11
-	VMULPD       Y12, Y8, Y8
-	VMULPD       Y12, Y9, Y9
-	VMULPD       Y12, Y10, Y10
-	VMULPD       Y12, Y11, Y11
-	VADDPD       Y8, Y0, Y0
-	VADDPD       Y9, Y2, Y2
-	VADDPD       Y10, Y4, Y4
-	VADDPD       Y11, Y6, Y6
-	ADDQ         $8, AX
-	ADDQ         R11, BX
-	DECQ         R15
-	JNZ          narrow4rp
+	MOVQ       (AX), R12
+	VMASKMOVPD (BX), Y13, Y12
+	A_ROWS(BCAST4)
+	MULADD4x1
+	ADDQ       $8, AX
+	ADDQ       R11, BX
+	DECQ       R15
+	JNZ        narrow4rp
 
-	LEAQ       (R8)(R8*2), R12
-	VMASKMOVPD (DI), Y13, Y8
-	VMASKMOVPD (DI)(R8*1), Y13, Y9
-	VMASKMOVPD (DI)(R8*2), Y13, Y10
-	VMASKMOVPD (DI)(R12*1), Y13, Y11
-	VADDPD     Y8, Y0, Y0
-	VADDPD     Y9, Y2, Y2
-	VADDPD     Y10, Y4, Y4
-	VADDPD     Y11, Y6, Y6
-	VMASKMOVPD Y0, Y13, (DI)
-	VMASKMOVPD Y2, Y13, (DI)(R8*1)
-	VMASKMOVPD Y4, Y13, (DI)(R8*2)
-	VMASKMOVPD Y6, Y13, (DI)(R12*1)
-	ADDQ       $32, DI
-	ADDQ       $32, DX
-	SUBQ       $4, CX
-	JMP        narrow4r
+	LEAQ (R8)(R8*2), R12
+	ADDSTORE4x1(R12)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $4, CX
+	JMP  narrow4r
 
 done4r:
 	VZEROUPPER
@@ -854,47 +704,30 @@ TEXT ·mmRowsStrip1AVX2(SB), NOSPLIT, $0-56
 	JLT  narrow1r
 
 wide1r:
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	MOVQ   R13, AX
-	MOVQ   DX, BX
-	MOVQ   kw+40(FP), R15
+	ZERO4
+	MOVQ R13, AX
+	MOVQ DX, BX
+	MOVQ kw+40(FP), R15
 
 wide1rp:
 	MOVQ         (AX), R12
 	VBROADCASTSD (SI)(R12*8), Y8
-	VMULPD       (BX), Y8, Y12
-	VMULPD       32(BX), Y8, Y13
-	VMULPD       64(BX), Y8, Y14
-	VMULPD       96(BX), Y8, Y15
-	VADDPD       Y12, Y0, Y0
-	VADDPD       Y13, Y1, Y1
-	VADDPD       Y14, Y2, Y2
-	VADDPD       Y15, Y3, Y3
+	MULADD1x4((BX), 32(BX), 64(BX), 96(BX))
 	ADDQ         $8, AX
 	ADDQ         R11, BX
 	DECQ         R15
 	JNZ          wide1rp
 
-	VADDPD  (DI), Y0, Y0
-	VADDPD  32(DI), Y1, Y1
-	VADDPD  64(DI), Y2, Y2
-	VADDPD  96(DI), Y3, Y3
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	ADDQ    $128, DI
-	ADDQ    $128, DX
-	SUBQ    $16, CX
-	CMPQ    CX, $16
-	JGE     wide1r
+	ADDSTORE1x4
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $16, CX
+	CMPQ CX, $16
+	JGE  wide1r
 
 narrow1r:
-	TESTQ CX, CX
-	JLE   done1r
+	TESTQ  CX, CX
+	JLE    done1r
 	NARROW_MASK
 	VXORPD Y0, Y0, Y0
 	MOVQ   R13, AX
@@ -905,20 +738,17 @@ narrow1rp:
 	MOVQ         (AX), R12
 	VMASKMOVPD   (BX), Y13, Y12
 	VBROADCASTSD (SI)(R12*8), Y8
-	VMULPD       Y12, Y8, Y8
-	VADDPD       Y8, Y0, Y0
+	MULADD1x1
 	ADDQ         $8, AX
 	ADDQ         R11, BX
 	DECQ         R15
 	JNZ          narrow1rp
 
-	VMASKMOVPD (DI), Y13, Y12
-	VADDPD     Y12, Y0, Y0
-	VMASKMOVPD Y0, Y13, (DI)
-	ADDQ       $32, DI
-	ADDQ       $32, DX
-	SUBQ       $4, CX
-	JMP        narrow1r
+	ADDSTORE1x1
+	ADDQ $32, DI
+	ADDQ $32, DX
+	SUBQ $4, CX
+	JMP  narrow1r
 
 done1r:
 	VZEROUPPER

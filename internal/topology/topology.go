@@ -24,15 +24,14 @@ import (
 // identified by ranks 0..n-1. Self-loops and parallel edges are never
 // stored.
 type Graph struct {
-	name string
-	adj  [][]int // sorted neighbor lists
+	adj [][]int // sorted neighbor lists
 }
 
 // New builds a graph over n workers from an explicit edge list. Edges
 // touching ranks outside 0..n-1 are skipped — mirroring the scenario
 // convention that one spec serves any worker count — and duplicates and
 // self-loops are dropped.
-func New(name string, n int, edges [][2]int) *Graph {
+func New(n int, edges [][2]int) *Graph {
 	if n < 1 {
 		panic(fmt.Sprintf("topology: graph over %d workers", n))
 	}
@@ -50,7 +49,7 @@ func New(name string, n int, edges [][2]int) *Graph {
 	for _, ns := range adj {
 		sort.Ints(ns)
 	}
-	return &Graph{name: name, adj: adj}
+	return &Graph{adj: adj}
 }
 
 func contains(s []int, v int) bool {
@@ -69,7 +68,7 @@ func Ring(n int) *Graph {
 	for m := 0; m < n; m++ {
 		edges = append(edges, [2]int{m, (m + 1) % n})
 	}
-	return New("ring", n, edges)
+	return New(n, edges)
 }
 
 // Complete connects every pair of ranks — gossip averaging with a uniform
@@ -81,7 +80,7 @@ func Complete(n int) *Graph {
 			edges = append(edges, [2]int{i, j})
 		}
 	}
-	return New("complete", n, edges)
+	return New(n, edges)
 }
 
 // Star connects every rank to rank 0 — the parameter-server shape expressed
@@ -92,7 +91,7 @@ func Star(n int) *Graph {
 	for m := 1; m < n; m++ {
 		edges = append(edges, [2]int{0, m})
 	}
-	return New("star", n, edges)
+	return New(n, edges)
 }
 
 // Gossip builds a seeded random graph: a random Hamiltonian cycle (so the
@@ -117,7 +116,7 @@ func Gossip(n int, g *rng.RNG) *Graph {
 		j := int(g.Uint64() % uint64(n))
 		edges = append(edges, [2]int{i, j}) // self/dup edges dropped by New
 	}
-	return New("gossip", n, edges)
+	return New(n, edges)
 }
 
 // Parse builds the graph named by spec over n workers. Valid specs are the
@@ -142,7 +141,7 @@ func Parse(spec string, n int, g *rng.RNG) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		return New(spec, n, edges), nil
+		return New(n, edges), nil
 	}
 	return nil, fmt.Errorf("topology: unknown spec %q (valid: %s)", spec, strings.Join(Names(), ", "))
 }
@@ -221,9 +220,6 @@ func parseEdgeList(s string) ([][2]int, error) {
 	}
 	return edges, nil
 }
-
-// Name returns the spec the graph was built from.
-func (g *Graph) Name() string { return g.name }
 
 // Workers returns the number of ranks the graph spans.
 func (g *Graph) Workers() int { return len(g.adj) }
