@@ -69,7 +69,7 @@ func TestSamplerHeterogeneity(t *testing.T) {
 	s := m.NewSampler(16, rng.New(7))
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for w := 0; w < 16; w++ {
-		v := s.Multiplier(w)
+		v := s.mult[w]
 		if v < lo {
 			lo = v
 		}

@@ -197,10 +197,6 @@ func (s *Sampler) Walk(c snapshot.Codec) {
 	}
 }
 
-// Multiplier exposes worker m's fixed speed multiplier (tests read the
-// injected skew through it).
-func (s *Sampler) Multiplier(m int) float64 { return s.mult[m] }
-
 // logOf is math.Log guarded for the MeanComm == 0 case (Comm
 // short-circuits zero before the distribution is consulted).
 func logOf(v float64) float64 {

@@ -7,10 +7,8 @@ import (
 	"testing/quick"
 	"time"
 
-	"lcasgd/internal/nn"
 	"lcasgd/internal/rng"
 	"lcasgd/internal/snapshot"
-	"lcasgd/internal/tensor"
 )
 
 func TestIterLogGaps(t *testing.T) {
@@ -239,30 +237,25 @@ func TestStepPredictorRestoreRejectsHostileRows(t *testing.T) {
 }
 
 func TestBNAccumulatorReplaceMode(t *testing.T) {
-	bns := []*nn.BatchNorm{nn.NewBatchNorm("a", 2, 1)}
-	acc := NewBNAccumulator(BNReplace, 0.2, bns)
-	acc.Update([]LayerStats{{Mean: []float64{5, 6}, Var: []float64{2, 3}}})
-	mean, vari := acc.Snapshot()
-	if mean[0][0] != 5 || vari[0][1] != 3 {
-		t.Fatalf("replace mode: %v %v", mean, vari)
+	acc := NewBNAccumulator(BNReplace, 0.2, []int{2})
+	acc.Update([]float64{5, 6}, []float64{2, 3})
+	if acc.Mean[0] != 5 || acc.Var[1] != 3 {
+		t.Fatalf("replace mode: %v %v", acc.Mean, acc.Var)
 	}
-	acc.Update([]LayerStats{{Mean: []float64{-1, -1}, Var: []float64{1, 1}}})
-	mean, _ = acc.Snapshot()
-	if mean[0][0] != -1 {
+	acc.Update([]float64{-1, -1}, []float64{1, 1})
+	if acc.Mean[0] != -1 {
 		t.Fatal("replace mode must overwrite")
 	}
 }
 
 func TestBNAccumulatorAsyncEMA(t *testing.T) {
-	bns := []*nn.BatchNorm{nn.NewBatchNorm("a", 1, 1)}
-	acc := NewBNAccumulator(BNAsync, 0.5, bns)
-	acc.Update([]LayerStats{{Mean: []float64{4}, Var: []float64{3}}})
-	mean, vari := acc.Snapshot()
-	if mean[0][0] != 2 { // 0.5*0 + 0.5*4
-		t.Fatalf("EMA mean %v", mean[0][0])
+	acc := NewBNAccumulator(BNAsync, 0.5, []int{1})
+	acc.Update([]float64{4}, []float64{3})
+	if acc.Mean[0] != 2 { // 0.5*0 + 0.5*4
+		t.Fatalf("EMA mean %v", acc.Mean[0])
 	}
-	if vari[0][0] != 2 { // 0.5*1 + 0.5*3
-		t.Fatalf("EMA var %v", vari[0][0])
+	if acc.Var[0] != 2 { // 0.5*1 + 0.5*3
+		t.Fatalf("EMA var %v", acc.Var[0])
 	}
 }
 
@@ -270,42 +263,29 @@ func TestBNAccumulatorAsyncIsSmoother(t *testing.T) {
 	// Feed alternating extreme stats; Async-BN's EMA must end closer to the
 	// long-run average than replace-by-latest.
 	build := func(mode BNMode) float64 {
-		bns := []*nn.BatchNorm{nn.NewBatchNorm("a", 1, 1)}
-		acc := NewBNAccumulator(mode, 0.2, bns)
+		acc := NewBNAccumulator(mode, 0.2, []int{1})
 		for i := 0; i < 100; i++ {
 			v := 10.0
 			if i%2 == 0 {
 				v = -10
 			}
-			acc.Update([]LayerStats{{Mean: []float64{v}, Var: []float64{1}}})
+			acc.Update([]float64{v}, []float64{1})
 		}
-		mean, _ := acc.Snapshot()
-		return math.Abs(mean[0][0]) // distance from the true average 0
+		return math.Abs(acc.Mean[0]) // distance from the true average 0
 	}
 	if build(BNAsync) >= build(BNReplace) {
 		t.Fatal("Async-BN should track the long-run average better than replace")
 	}
 }
 
-func TestBNAccumulatorApply(t *testing.T) {
-	bn := nn.NewBatchNorm("a", 2, 1)
-	acc := NewBNAccumulator(BNReplace, 0.2, []*nn.BatchNorm{bn})
-	acc.Update([]LayerStats{{Mean: []float64{7, 8}, Var: []float64{4, 5}}})
-	acc.Apply([]*nn.BatchNorm{bn})
-	m, v := bn.Running()
-	if m[0] != 7 || v[1] != 5 {
-		t.Fatalf("apply: %v %v", m, v)
-	}
-}
-
 func TestBNAccumulatorShapePanics(t *testing.T) {
-	acc := NewBNAccumulator(BNAsync, 0.2, []*nn.BatchNorm{nn.NewBatchNorm("a", 2, 1)})
+	acc := NewBNAccumulator(BNAsync, 0.2, []int{2})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	acc.Update([]LayerStats{{Mean: []float64{1}, Var: []float64{1}}})
+	acc.Update([]float64{1}, []float64{1})
 }
 
 func TestBNModeString(t *testing.T) {
@@ -389,48 +369,6 @@ func TestCompensationScalePropertyQuick(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestCollectStatsIntoRefreshesInPlace: the first call sizes the view from
-// the layers, every later one rewrites the same slices with the statistics
-// of the latest forward.
-func TestCollectStatsIntoRefreshesInPlace(t *testing.T) {
-	bn1 := nn.NewBatchNorm("a", 3, 1)
-	bn2 := nn.NewBatchNorm("b", 2, 1)
-	bns := []*nn.BatchNorm{bn1, bn2}
-	check := func(dst []LayerStats) {
-		t.Helper()
-		for li, bn := range bns {
-			mean, vari := make([]float64, bn.C), make([]float64, bn.C)
-			bn.ReadBatchStats(mean, vari)
-			for c := range mean {
-				if dst[li].Mean[c] != mean[c] || dst[li].Var[c] != vari[c] {
-					t.Fatalf("layer %d channel %d stats differ", li, c)
-				}
-			}
-		}
-	}
-	bn1.Forward(mkBatch(4, 3, 7), true)
-	bn2.Forward(mkBatch(4, 2, 8), true)
-	dst := CollectStatsInto(nil, bns)
-	check(dst)
-	m0 := dst[0].Mean
-	old := m0[0]
-	bn1.Forward(mkBatch(4, 3, 9), true)
-	dst = CollectStatsInto(dst, bns)
-	if &dst[0].Mean[0] != &m0[0] {
-		t.Fatal("CollectStatsInto reallocated a matching destination")
-	}
-	if dst[0].Mean[0] == old {
-		t.Fatal("CollectStatsInto did not refresh values")
-	}
-	check(dst)
-}
-
-func mkBatch(n, c int, seed uint64) *tensor.Tensor {
-	x := tensor.New(n, c)
-	rng.New(seed).FillNormal(x.Data, 1)
-	return x
 }
 
 // TestPredictorSteadyStateAllocs pins the per-iteration predictor calls:

@@ -112,18 +112,20 @@ func (p *StepPredictor) Walk(c snapshot.Codec) {
 	walkTrace(c, &p.trace)
 }
 
-// Walk walks the global BN statistics, restoring into an accumulator of the
-// identical layer shape.
+// Walk walks the global BN statistics a layer at a time, restoring into an
+// accumulator of the identical layer shape.
 func (a *BNAccumulator) Walk(c snapshot.Codec) {
-	layers := len(a.mean)
+	layers := len(a.chans)
 	c.Int(&layers)
-	if c.Reading() && c.Err() == nil && layers != len(a.mean) {
-		c.Fail(fmt.Errorf("core: BN snapshot has %d layers, accumulator has %d", layers, len(a.mean)))
+	if c.Reading() && c.Err() == nil && layers != len(a.chans) {
+		c.Fail(fmt.Errorf("core: BN snapshot has %d layers, accumulator has %d", layers, len(a.chans)))
 		return
 	}
-	for li := range a.mean {
-		c.F64sInto(a.mean[li])
-		c.F64sInto(a.vari[li])
+	off := 0
+	for _, n := range a.chans {
+		c.F64sInto(a.Mean[off : off+n])
+		c.F64sInto(a.Var[off : off+n])
+		off += n
 	}
 }
 
@@ -131,17 +133,13 @@ func (a *BNAccumulator) Walk(c snapshot.Codec) {
 // last checkpoint's statistics so a recovered worker can optionally restart
 // from them (Config.RecoverOpt) instead of the live server state.
 func (a *BNAccumulator) Clone() *BNAccumulator {
-	c := &BNAccumulator{Mode: a.Mode, Decay: a.Decay}
-	c.mean, c.vari = a.Snapshot()
-	return c
+	return &BNAccumulator{Mode: a.Mode, Decay: a.Decay, Mean: slices.Clone(a.Mean), Var: slices.Clone(a.Var), chans: a.chans}
 }
 
 // CopyFrom overwrites a's statistics with src's, reusing a's buffers — the
 // allocation-free refresh of a Clone taken earlier from the same
 // accumulator (the recorder's frozen copy, once per curve point).
 func (a *BNAccumulator) CopyFrom(src *BNAccumulator) {
-	for li := range a.mean {
-		copy(a.mean[li], src.mean[li])
-		copy(a.vari[li], src.vari[li])
-	}
+	copy(a.Mean, src.Mean)
+	copy(a.Var, src.Var)
 }

@@ -41,9 +41,6 @@ func ResNetLite50(numClasses int) Config {
 	}
 }
 
-// InFeatures returns the flattened input width the network expects.
-func (c Config) InFeatures() int { return c.InC * c.InH * c.InW }
-
 // Build materializes the network with deterministic initialization from g.
 // Two calls with generators in the same state produce identical weights —
 // the property the experiment harness relies on to start every algorithm

@@ -15,12 +15,14 @@ const BNEpsilon = 1e-5
 // transform: y = γ·x̂ + β (Ioffe & Szegedy 2015).
 //
 // The layer is the integration point for the paper's Async-BN (Section 4,
-// Formulas 6–7): the parameter server owns the global running mean/variance,
-// and the distributed strategies read the worker's freshly computed batch
-// statistics (ReadBatchStats) and write back globally accumulated ones
-// (SetRunning). Inference always normalizes with the running statistics, so
-// the quality of the server's accumulation policy is directly visible in the
-// measured test error — exactly the effect Table 1 reports.
+// Formulas 6–7): the parameter server owns the global running mean/variance.
+// In a packed network (Sequential.State) the layer's running and batch
+// statistics are windows of the State's flat vectors, so a worker's push
+// reads its freshly computed batch statistics there and its pull writes the
+// globally accumulated ones there. Inference always normalizes with the
+// running statistics, so the quality of the server's accumulation policy is
+// directly visible in the measured test error — exactly the effect Table 1
+// reports.
 //
 // Float bits: a channel's four reductions (Σx, Σ(x−μ)², Σdy, Σdy·x̂) each
 // run over the images in batch order and an image's positions ascending,
@@ -40,7 +42,7 @@ type BatchNorm struct {
 	RunningMean, RunningVar []float64
 	Momentum                float64
 
-	// Last batch statistics, exposed to the distributed strategies.
+	// Last batch statistics, the State's BatchMean/BatchVar once packed.
 	batchMean, batchVar []float64
 
 	// Backward caches. xhat is reused across iterations (reuse2); out/dx
@@ -173,33 +175,6 @@ func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 
 // OutFeatures reports C*Spatial.
 func (bn *BatchNorm) OutFeatures() int { return bn.C * bn.Spatial }
-
-// ReadBatchStats copies the most recent training-batch statistics into the
-// caller-provided slices (length C each), for the per-iteration statistics
-// push.
-func (bn *BatchNorm) ReadBatchStats(mean, variance []float64) {
-	if len(mean) != bn.C || len(variance) != bn.C {
-		panic(fmt.Sprintf("nn: ReadBatchStats expects %d channels, got %d/%d", bn.C, len(mean), len(variance)))
-	}
-	copy(mean, bn.batchMean)
-	copy(variance, bn.batchVar)
-}
-
-// SetRunning overwrites the running statistics — the hook the parameter
-// server uses to push its globally accumulated (Async-BN) or
-// latest-worker (regular distributed BN) statistics into a worker replica.
-func (bn *BatchNorm) SetRunning(mean, variance []float64) {
-	if len(mean) != bn.C || len(variance) != bn.C {
-		panic(fmt.Sprintf("nn: SetRunning expects %d channels, got %d/%d", bn.C, len(mean), len(variance)))
-	}
-	copy(bn.RunningMean, mean)
-	copy(bn.RunningVar, variance)
-}
-
-// Running returns copies of the current running statistics.
-func (bn *BatchNorm) Running() (mean, variance []float64) {
-	return append([]float64(nil), bn.RunningMean...), append([]float64(nil), bn.RunningVar...)
-}
 
 // chanSums, chanSqDevs and chanGradSums are the training step's
 // reductions. Each fills dst[c] with channel c's sum over x [n, C*S] (here

@@ -1,6 +1,10 @@
 package nn
 
-import "lcasgd/internal/tensor"
+import (
+	"fmt"
+
+	"lcasgd/internal/tensor"
+)
 
 // Layer is one differentiable stage of a network. Inputs and outputs are
 // 2-D tensors of shape [batch, features]; convolutional layers interpret the
@@ -33,14 +37,13 @@ type Layer interface {
 type Sequential struct {
 	Layers []Layer
 
-	// Cached layer-tree walks, invalidated by Add. ZeroGrad and the
-	// per-iteration BN statistics push would otherwise re-walk and
-	// re-allocate the tree every worker iteration. Mutating a nested
+	// The cached Params walk, invalidated by Add; ZeroGrad would otherwise
+	// re-walk and re-allocate the tree every iteration. Mutating a nested
 	// container after its parent has cached a walk is unsupported: build
 	// the tree bottom-up (as internal/model does), then train.
 	paramsCache []*Param
-	bnsCache    []*BatchNorm
-	bnsCached   bool
+
+	state *State // set by State; the layer tree is fixed from then on
 }
 
 // NewSequential builds a container from the given layers.
@@ -48,12 +51,14 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Add appends a layer and invalidates the cached Params/BatchNorms walks.
+// Add appends a layer and invalidates the cached Params walk. It panics once
+// the container is packed (State).
 func (s *Sequential) Add(l Layer) {
+	if s.state != nil {
+		panic("nn: Add to a packed Sequential")
+	}
 	s.Layers = append(s.Layers, l)
 	s.paramsCache = nil
-	s.bnsCache = nil
-	s.bnsCached = false
 }
 
 // Forward runs every layer in order.
@@ -115,19 +120,14 @@ func (s *Sequential) OutFeatures() int {
 // ZeroGrad clears every parameter gradient in the container.
 func (s *Sequential) ZeroGrad() {
 	for _, p := range s.Params() {
-		p.ZeroGrad()
+		p.Grad.Zero()
 	}
 }
 
 // BatchNorms returns every BatchNorm layer in the container, recursing into
-// nested sequentials and residual blocks. The distributed algorithms use
-// this to collect and inject normalization statistics (Async-BN). Like
-// Params, the walk is cached until the next Add; treat the result as
-// read-only.
+// nested sequentials and residual blocks, in the order State lays out their
+// statistics.
 func (s *Sequential) BatchNorms() []*BatchNorm {
-	if s.bnsCached {
-		return s.bnsCache
-	}
 	var bns []*BatchNorm
 	var walk func(l Layer)
 	walk = func(l Layer) {
@@ -148,9 +148,50 @@ func (s *Sequential) BatchNorms() []*BatchNorm {
 	for _, l := range s.Layers {
 		walk(l)
 	}
-	s.bnsCache = bns
-	s.bnsCached = true
 	return bns
+}
+
+// State packs the network into one flat State on its first call and returns
+// that State on every call. Packing copies every parameter's values and
+// gradients and every BN layer's statistics into the flat vectors, then
+// re-points the layers' slices at their windows of them, so the layers read
+// and write the same values at new addresses. Packing layers already packed
+// panics — a nested Sequential of a packed net is one such case — and so
+// does a later Add.
+func (s *Sequential) State() *State {
+	if s.state != nil {
+		return s.state
+	}
+	params, bns := s.Params(), s.BatchNorms()
+	n, c := ParamCount(params), 0
+	for _, bn := range bns {
+		c += bn.C
+	}
+	st := &State{
+		Values: make([]float64, n), Grads: make([]float64, n),
+		RunningMean: make([]float64, c), RunningVar: make([]float64, c),
+		BatchMean: make([]float64, c), BatchVar: make([]float64, c),
+	}
+	off := 0
+	for _, p := range params {
+		if p.packed {
+			panic(fmt.Sprintf("nn: parameter %s is already packed", p.Name))
+		}
+		p.packed = true
+		p.Value.Data = view(st.Values, off, p.Value.Data)
+		p.Grad.Data = view(st.Grads, off, p.Grad.Data)
+		off += len(p.Value.Data)
+	}
+	off = 0
+	for _, bn := range bns {
+		bn.RunningMean = view(st.RunningMean, off, bn.RunningMean)
+		bn.RunningVar = view(st.RunningVar, off, bn.RunningVar)
+		bn.batchMean = view(st.BatchMean, off, bn.batchMean)
+		bn.batchVar = view(st.BatchVar, off, bn.batchVar)
+		off += bn.C
+	}
+	s.state = st
+	return st
 }
 
 // ReLULayer applies the rectifier elementwise. It is stateless apart from

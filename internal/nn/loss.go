@@ -57,15 +57,3 @@ func (l *SoftmaxCrossEntropy) Backward(scale float64) *tensor.Tensor {
 	tensor.Scale(grad, grad, scale/float64(n))
 	return grad
 }
-
-// Accuracy returns the fraction of rows whose argmax matches the label.
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	pred := tensor.ArgmaxRows(logits)
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(labels))
-}

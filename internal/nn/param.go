@@ -1,13 +1,12 @@
 // Package nn is a from-scratch neural-network substrate: layers with
-// explicit forward/backward passes, a sequential container, parameter
-// flattening for parameter-server communication, and the loss functions used
-// by the LC-ASGD reproduction. It supports the layer types the paper's
+// explicit forward/backward passes, a sequential container whose flat State
+// holds the vectors a parameter server exchanges, and the loss functions
+// used by the LC-ASGD reproduction. It supports the layer types the paper's
 // networks need — dense, convolution, batch normalization (with hooks for
 // distributed statistics), ReLU, pooling, and residual blocks.
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"lcasgd/internal/rng"
@@ -19,15 +18,14 @@ type Param struct {
 	Name  string
 	Value *tensor.Tensor
 	Grad  *tensor.Tensor
+
+	packed bool // Value and Grad are views of a State
 }
 
 // NewParam allocates a parameter and matching gradient of the given shape.
 func NewParam(name string, shape ...int) *Param {
 	return &Param{Name: name, Value: tensor.New(shape...), Grad: tensor.New(shape...)}
 }
-
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // InitHe fills the parameter with He-normal initialization for fanIn inputs,
 // the standard choice for ReLU networks (He et al. 2015).
@@ -44,40 +42,22 @@ func ParamCount(params []*Param) int {
 	return n
 }
 
-// FlattenValues copies every parameter's values into dst in order. dst must
-// have exactly ParamCount(params) elements. This is the wire format the
-// simulated parameter server exchanges with workers.
-func FlattenValues(dst []float64, params []*Param) {
-	off := 0
-	for _, p := range params {
-		n := copy(dst[off:], p.Value.Data)
-		off += n
-	}
-	if off != len(dst) {
-		panic(fmt.Sprintf("nn: FlattenValues wrote %d of %d elements", off, len(dst)))
-	}
+// State is a network's flat state (Sequential.State): every parameter's
+// values and gradients in Params() order, and every BN layer's running and
+// latest batch statistics in BatchNorms() order. The layers hold views of
+// these vectors and compute in place on them, so they are the wire format
+// the parameter server exchanges: a pull copies into Values and the running
+// statistics, and the push reads Grads and the batch statistics.
+type State struct {
+	Values, Grads           []float64
+	RunningMean, RunningVar []float64
+	BatchMean, BatchVar     []float64
 }
 
-// UnflattenValues copies src into every parameter's values in order.
-func UnflattenValues(params []*Param, src []float64) {
-	off := 0
-	for _, p := range params {
-		n := copy(p.Value.Data, src[off:off+p.Value.Len()])
-		off += n
-	}
-	if off != len(src) {
-		panic(fmt.Sprintf("nn: UnflattenValues read %d of %d elements", off, len(src)))
-	}
-}
-
-// FlattenGrads copies every parameter's gradients into dst in order.
-func FlattenGrads(dst []float64, params []*Param) {
-	off := 0
-	for _, p := range params {
-		n := copy(dst[off:], p.Grad.Data)
-		off += n
-	}
-	if off != len(dst) {
-		panic(fmt.Sprintf("nn: FlattenGrads wrote %d of %d elements", off, len(dst)))
-	}
+// view copies src to dst[off:] and returns that window of dst with its
+// capacity cut at its length, so no append can run past it.
+func view(dst []float64, off int, src []float64) []float64 {
+	v := dst[off : off+len(src) : off+len(src)]
+	copy(v, src)
+	return v
 }

@@ -28,7 +28,7 @@ func TestWorkerIterationZeroAllocSteadyState(t *testing.T) {
 				rep.pull(w, bnAcc)
 				rep.forward()
 				rep.backward(1.25) // compensated path, like LC-ASGD
-				bnAcc.Update(rep.stats())
+				bnAcc.Update(rep.st.BatchMean, rep.st.BatchVar)
 			}
 			// Warm across an epoch wrap so the reshuffle path is exercised.
 			for i := 0; i < 12; i++ {
@@ -59,7 +59,7 @@ func TestReplicaRecoveryRepullZeroAlloc(t *testing.T) {
 	for i := 0; i < 12; i++ { // warm across an epoch wrap
 		cycle()
 	}
-	if loss <= 0 || len(grad) != rep.nParams {
+	if loss <= 0 || len(grad) != len(rep.st.Values) {
 		t.Fatalf("recovered iteration produced loss %v, %d grads", loss, len(grad))
 	}
 	if a := testing.AllocsPerRun(20, cycle); a != 0 {

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"lcasgd/internal/cluster"
@@ -92,9 +93,8 @@ func benchReplica(env Env) (*replica, []float64, *core.BNAccumulator) {
 	seedRng := rng.New(cfg.Seed)
 	modelSeed := seedRng.Uint64()
 	rep := newReplica(env.Build, modelSeed, env.Train, cfg.BatchSize, seedRng.SplitLabeled(300))
-	bnAcc := core.NewBNAccumulator(cfg.BNMode, 0.2, rep.bns)
-	w := make([]float64, rep.nParams)
-	nn.FlattenValues(w, rep.params)
+	bnAcc := core.NewBNAccumulator(cfg.BNMode, 0.2, rep.bnChannels())
+	w := slices.Clone(rep.st.Values)
 	return rep, w, bnAcc
 }
 
@@ -120,7 +120,7 @@ func BenchmarkWorkerIteration(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep.pull(w, bnAcc)
 				rep.gradient()
-				bnAcc.Update(rep.stats())
+				bnAcc.Update(rep.st.BatchMean, rep.st.BatchVar)
 			}
 		})
 	}

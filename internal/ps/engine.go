@@ -2,10 +2,10 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 
 	"lcasgd/internal/cluster"
 	"lcasgd/internal/core"
-	"lcasgd/internal/nn"
 	"lcasgd/internal/rng"
 	"lcasgd/internal/scenario"
 	"lcasgd/internal/simclock"
@@ -116,9 +116,8 @@ func newEngine(env Env, st Strategy) *Engine {
 	if bf, ok := st.(BNModeFixer); ok {
 		bnMode = bf.FixBNMode(bnMode)
 	}
-	bnAcc := core.NewBNAccumulator(bnMode, cfg.BNDecay, rep0.bns)
-	w := make([]float64, rep0.nParams)
-	nn.FlattenValues(w, rep0.params)
+	bnAcc := core.NewBNAccumulator(bnMode, cfg.BNDecay, rep0.bnChannels())
+	w := slices.Clone(rep0.st.Values)
 	bpe := env.Train.Len() / cfg.BatchSize
 
 	e := &Engine{
@@ -284,7 +283,7 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Workers() int { return len(e.workers) }
 
 // NParams is the flat parameter count of the model.
-func (e *Engine) NParams() int { return e.workers[0].rep.nParams }
+func (e *Engine) NParams() int { return len(e.workers[0].rep.st.Values) }
 
 // Done reports whether the sample budget is exhausted.
 func (e *Engine) Done() bool { return e.srv.done() }
@@ -367,13 +366,13 @@ func (e *Engine) Pull(m int) {
 	w.snapUpdates = e.srv.updates
 }
 
-// CopyPulledWeights flattens the parameters worker m's replica currently
+// CopyPulledWeights copies the parameters worker m's replica currently
 // holds into dst. Immediately after Pull this is the exact vector the
 // worker's gradient will be computed at — which is what DC-ASGD's delay
 // compensation must back up, and which under RecoverOpt is not necessarily
 // the live server state Weights returns.
 func (e *Engine) CopyPulledWeights(m int, dst []float64) {
-	nn.FlattenValues(dst, e.workers[m].rep.params)
+	copy(dst, e.workers[m].rep.st.Values)
 }
 
 // DispatchGradient runs worker m's full local step (forward + backward, no
@@ -416,7 +415,7 @@ func (e *Engine) Loss(m int) float64 { return e.workers[m].loss }
 // Gradient returns worker m's flat gradient buffer. Valid only after the
 // corresponding dispatch's wait has returned; the buffer is reused by the
 // worker's next backward pass, which cannot start before the next Launch.
-func (e *Engine) Gradient(m int) []float64 { return e.workers[m].rep.grad }
+func (e *Engine) Gradient(m int) []float64 { return e.workers[m].rep.st.Grads }
 
 // FoldStats folds worker m's batch-normalization statistics into the global
 // accumulator per the configured BN mode (Formulas 6–7). A partitioned
@@ -428,7 +427,7 @@ func (e *Engine) FoldStats(m int) {
 	if e.dec == nil && w.cut {
 		return
 	}
-	e.srv.bnAcc.Update(w.rep.stats())
+	e.srv.bnAcc.Update(w.rep.st.BatchMean, w.rep.st.BatchVar)
 }
 
 // Commit lands grad on the server at the current virtual time: staleness

@@ -32,14 +32,13 @@ type evaluator struct {
 
 // evalNet is one inference replica of the pool with its per-shard buffers.
 type evalNet struct {
-	net    *nn.Sequential
-	bns    []*nn.BatchNorm
-	params []*nn.Param
-	x      *tensor.Tensor // input batch, capacity [batchSize, features]
-	chunk  *tensor.Tensor // header on evalChunk rows of x
-	idx    []int
-	y      []int
-	pred   []int
+	net   *nn.Sequential
+	st    *nn.State
+	x     *tensor.Tensor // input batch, capacity [batchSize, features]
+	chunk *tensor.Tensor // header on evalChunk rows of x
+	idx   []int
+	y     []int
+	pred  []int
 }
 
 func newEvaluator(build func(*rng.RNG) *nn.Sequential, modelSeed uint64, batchSize int, be Backend) *evaluator {
@@ -51,7 +50,7 @@ func (e *evaluator) pool(n int) []*evalNet {
 	for len(e.nets) < n {
 		net := e.build(rng.New(e.modelSeed))
 		e.nets = append(e.nets, &evalNet{
-			net: net, bns: net.BatchNorms(), params: net.Params(),
+			net: net, st: net.State(),
 			idx:  make([]int, e.batchSize),
 			y:    make([]int, e.batchSize),
 			pred: make([]int, e.batchSize),
@@ -68,13 +67,12 @@ func (e *evaluator) errOn(ds *data.Dataset, w []float64, bnAcc *core.BNAccumulat
 	shards := max(min(e.backend.Parallelism(), nBatches), 1)
 	nets := e.pool(shards)
 	counts := make([]int, shards)
-	// Each shard refreshes its own net inside the parallel body: the weight
-	// copy and BN application only read shared state (SetRunning copies), so
-	// the O(shards × nParams) refresh overlaps instead of serializing on the
+	// Each shard refreshes its own net inside the parallel body: the three
+	// copies into its flat state only read shared state, so the
+	// O(shards × nParams) refresh overlaps instead of serializing on the
 	// event loop.
 	e.backend.ParallelFor(shards, func(i int) {
-		nn.UnflattenValues(nets[i].params, w)
-		bnAcc.Apply(nets[i].bns)
+		install(nets[i].st, w, bnAcc)
 		counts[i] = nets[i].countCorrect(ds, e.batchSize, i, shards)
 	})
 	correct := 0

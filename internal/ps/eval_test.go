@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"lcasgd/internal/data"
-	"lcasgd/internal/nn"
 	"lcasgd/internal/rng"
 	"lcasgd/internal/snapshot"
 	"lcasgd/internal/telemetry"
@@ -249,13 +248,11 @@ func TestEvalChunksMatchWholeBatch(t *testing.T) {
 	_, w, bnAcc := benchReplica(env)
 	modelSeed := rng.New(env.Cfg.withDefaults().Seed).Uint64()
 	ref := env.Build(rng.New(modelSeed))
-	nn.UnflattenValues(ref.Params(), w)
-	bnAcc.Apply(ref.BatchNorms())
+	install(ref.State(), w, bnAcc)
 	for _, ds := range []*data.Dataset{env.Train, env.Test} {
 		for _, batch := range []int{ds.Len(), 2 * evalChunk, 2*evalChunk + 5, evalChunk, 7} {
 			net := newEvaluator(env.Build, modelSeed, batch, seqBackend{}).pool(1)[0]
-			nn.UnflattenValues(net.params, w)
-			bnAcc.Apply(net.bns)
+			install(net.st, w, bnAcc)
 			got := net.countCorrect(ds, batch, 0, 1)
 			want := 0
 			var last []int
@@ -267,7 +264,8 @@ func TestEvalChunksMatchWholeBatch(t *testing.T) {
 				}
 				x := tensor.New(size, ds.Features())
 				ds.BatchInto(x, y, idx)
-				last = tensor.ArgmaxRows(ref.Forward(x, false))
+				last = make([]int, size)
+				tensor.ArgmaxRowsInto(last, ref.Forward(x, false))
 				for i, p := range last {
 					if p == y[i] {
 						want++

@@ -2,6 +2,7 @@ package ps
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"lcasgd/internal/cluster"
@@ -307,12 +308,47 @@ func TestEvaluatorMatchesAccuracy(t *testing.T) {
 	e := tinyEnvSeeded(SGD, 1, 1)
 	ev := newEvaluator(e.Build, 5, 32, seqBackend{})
 	rep := newReplica(e.Build, 5, e.Train, 20, rng.New(1))
-	w := make([]float64, rep.nParams)
-	nn.FlattenValues(w, rep.params)
-	bn := core.NewBNAccumulator(core.BNAsync, 0.2, rep.bns)
+	w := slices.Clone(rep.st.Values)
+	bn := core.NewBNAccumulator(core.BNAsync, 0.2, rep.bnChannels())
 	errRate := ev.errOn(e.Test, w, bn)
 	if errRate < 0 || errRate > 1 {
 		t.Fatalf("error rate %v", errRate)
+	}
+}
+
+// TestReplicaPullInstallsServerState: a pull lands the server's weights in
+// every parameter in Params order, and its global BN statistics, a layer's
+// channels at a time in BatchNorms order, in every BN layer's running
+// statistics.
+func TestReplicaPullInstallsServerState(t *testing.T) {
+	rep, w, bnAcc := benchReplica(convEnvSeeded(ASGD, 1, 2))
+	for i := range w {
+		w[i] = float64(i)
+	}
+	for i := range bnAcc.Mean {
+		bnAcc.Mean[i], bnAcc.Var[i] = float64(i), float64(-i)
+	}
+	rep.pull(w, bnAcc)
+	off := 0
+	for _, p := range rep.net.Params() {
+		for j, v := range p.Value.Data {
+			if v != w[off+j] {
+				t.Fatalf("%s[%d] = %v after the pull, want %v", p.Name, j, v, w[off+j])
+			}
+		}
+		off += p.Value.Len()
+	}
+	off = 0
+	for li, bn := range rep.net.BatchNorms() {
+		if bn.C != rep.bnChannels()[li] {
+			t.Fatalf("BN layer %d has %d channels, the accumulator %d", li, bn.C, rep.bnChannels()[li])
+		}
+		for c := range bn.C {
+			if bn.RunningMean[c] != bnAcc.Mean[off+c] || bn.RunningVar[c] != bnAcc.Var[off+c] {
+				t.Fatalf("BN layer %d channel %d runs (%v, %v) after the pull", li, c, bn.RunningMean[c], bn.RunningVar[c])
+			}
+		}
+		off += bn.C
 	}
 }
 

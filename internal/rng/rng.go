@@ -153,11 +153,6 @@ func (r *RNG) Normal() float64 {
 	}
 }
 
-// NormalScaled returns mean + stddev*Normal().
-func (r *RNG) NormalScaled(mean, stddev float64) float64 {
-	return mean + stddev*r.Normal()
-}
-
 // LogNormal returns a lognormal deviate with the given parameters of the
 // underlying normal (mu, sigma). It is the distribution used for the
 // simulated compute/communication costs of cluster workers, matching the

@@ -5,27 +5,11 @@ import (
 	"math"
 )
 
-// Sub computes dst = a - b elementwise.
-func Sub(dst, a, b *Tensor) {
-	checkSameLen("Sub", dst, a, b)
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
 // Scale computes dst = s * a.
 func Scale(dst, a *Tensor, s float64) {
 	checkSameLen("Scale", dst, a)
 	for i := range dst.Data {
 		dst.Data[i] = s * a.Data[i]
-	}
-}
-
-// Apply sets dst[i] = f(a[i]).
-func Apply(dst, a *Tensor, f func(float64) float64) {
-	checkSameLen("Apply", dst, a)
-	for i := range dst.Data {
-		dst.Data[i] = f(a.Data[i])
 	}
 }
 
@@ -96,17 +80,6 @@ func Softmax(dst, logits *Tensor) {
 			out[j] *= inv
 		}
 	}
-}
-
-// ArgmaxRows returns, for a 2-D tensor, the index of the max element in each
-// row. Used to turn logits into class predictions.
-func ArgmaxRows(a *Tensor) []int {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: ArgmaxRows needs rank 2, got %v", a.Shape))
-	}
-	out := make([]int, a.Shape[0])
-	ArgmaxRowsInto(out, a)
-	return out
 }
 
 // ArgmaxRowsInto writes each row's argmax into the preallocated dst, which

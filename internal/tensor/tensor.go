@@ -10,7 +10,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -124,43 +123,4 @@ func (t *Tensor) String() string {
 	}
 	b.WriteString("]")
 	return b.String()
-}
-
-// MaxAbs returns the maximum absolute element value, or 0 for empty tensors.
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
-}
-
-// HasNaN reports whether any element is NaN or Inf, used by training-loop
-// sanity checks and failure-injection tests.
-func (t *Tensor) HasNaN() bool {
-	for _, v := range t.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
 }

@@ -69,22 +69,9 @@ func TestAddSubMulScale(t *testing.T) {
 	if dst.Data[2] != 9 {
 		t.Fatalf("Add: %v", dst.Data)
 	}
-	Sub(dst, b, a)
-	if dst.Data[0] != 3 {
-		t.Fatalf("Sub: %v", dst.Data)
-	}
 	Scale(dst, a, -2)
 	if dst.Data[2] != -6 {
 		t.Fatalf("Scale: %v", dst.Data)
-	}
-}
-
-func TestApplyAndAddScalar(t *testing.T) {
-	a := FromSlice([]float64{1, 4, 9}, 3)
-	dst := New(3)
-	Apply(dst, a, math.Sqrt)
-	if dst.Data[2] != 3 {
-		t.Fatalf("Apply: %v", dst.Data)
 	}
 }
 
@@ -241,8 +228,10 @@ func TestSoftmaxStableWithLargeLogits(t *testing.T) {
 	a := FromSlice([]float64{1000, 1001, 999}, 1, 3)
 	s := New(1, 3)
 	Softmax(s, a)
-	if s.HasNaN() {
-		t.Fatal("softmax overflowed on large logits")
+	for _, v := range s.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatal("softmax overflowed on large logits")
+		}
 	}
 	if s.Data[1] < s.Data[0] || s.Data[0] < s.Data[2] {
 		t.Fatalf("softmax ordering wrong: %v", s.Data)
@@ -251,38 +240,9 @@ func TestSoftmaxStableWithLargeLogits(t *testing.T) {
 
 func TestArgmaxRows(t *testing.T) {
 	a := FromSlice([]float64{1, 5, 2, 9, 0, 3}, 2, 3)
-	got := ArgmaxRows(a)
-	if got[0] != 1 || got[1] != 0 {
-		t.Fatalf("ArgmaxRows: %v", got)
-	}
 	into := []int{9, 9}
 	ArgmaxRowsInto(into, a)
 	if into[0] != 1 || into[1] != 0 {
 		t.Fatalf("ArgmaxRowsInto: %v", into)
-	}
-}
-
-func TestSumMeanDotNorm(t *testing.T) {
-	a := FromSlice([]float64{3, 4}, 2)
-	if a.Sum() != 7 || a.Mean() != 3.5 {
-		t.Fatal("Sum/Mean broken")
-	}
-	if a.MaxAbs() != 4 {
-		t.Fatal("MaxAbs broken")
-	}
-}
-
-func TestHasNaN(t *testing.T) {
-	a := FromSlice([]float64{1, math.NaN()}, 2)
-	if !a.HasNaN() {
-		t.Fatal("HasNaN missed NaN")
-	}
-	b := FromSlice([]float64{1, math.Inf(1)}, 2)
-	if !b.HasNaN() {
-		t.Fatal("HasNaN missed Inf")
-	}
-	c := FromSlice([]float64{1, 2}, 2)
-	if c.HasNaN() {
-		t.Fatal("HasNaN false positive")
 	}
 }

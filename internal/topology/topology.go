@@ -119,22 +119,39 @@ func Gossip(n int, g *rng.RNG) *Graph {
 	return New(n, edges)
 }
 
+// named is the vocabulary of named topologies, in Names order: each spec
+// with its builder. The empty spec means "ring".
+var named = []struct {
+	spec  string
+	build func(n int, g *rng.RNG) *Graph
+}{
+	{"ring", func(n int, _ *rng.RNG) *Graph { return Ring(n) }},
+	{"complete", func(n int, _ *rng.RNG) *Graph { return Complete(n) }},
+	{"star", func(n int, _ *rng.RNG) *Graph { return Star(n) }},
+	{"gossip", Gossip},
+}
+
+// builder returns the builder of a named spec, or nil.
+func builder(spec string) func(int, *rng.RNG) *Graph {
+	if spec == "" {
+		spec = "ring"
+	}
+	for _, t := range named {
+		if t.spec == spec {
+			return t.build
+		}
+	}
+	return nil
+}
+
 // Parse builds the graph named by spec over n workers. Valid specs are the
-// Names() vocabulary: "ring", "complete", "star", "gossip", or
-// "edges:i-j,k-l,…". The RNG is consumed only by random topologies
-// ("gossip"), but callers should pass a dedicated labeled stream
-// unconditionally so the parent stream's position does not depend on the
-// spec.
+// Names() vocabulary: a named topology or "edges:i-j,k-l,…". The RNG is
+// consumed only by random topologies ("gossip"), but callers should pass a
+// dedicated labeled stream unconditionally so the parent stream's position
+// does not depend on the spec.
 func Parse(spec string, n int, g *rng.RNG) (*Graph, error) {
-	switch spec {
-	case "", "ring":
-		return Ring(n), nil
-	case "complete":
-		return Complete(n), nil
-	case "star":
-		return Star(n), nil
-	case "gossip":
-		return Gossip(n, g), nil
+	if build := builder(spec); build != nil {
+		return build(n, g), nil
 	}
 	if rest, ok := strings.CutPrefix(spec, "edges:"); ok {
 		edges, err := parseEdgeList(rest)
@@ -150,8 +167,7 @@ func Parse(spec string, n int, g *rng.RNG) (*Graph, error) {
 // cmd/lcexp's upfront flag validation reaches through SpecMinWorkers before
 // any dataset work.
 func ValidateSpec(spec string) error {
-	switch spec {
-	case "", "ring", "complete", "star", "gossip":
+	if builder(spec) != nil {
 		return nil
 	}
 	if rest, ok := strings.CutPrefix(spec, "edges:"); ok {
@@ -188,7 +204,11 @@ func SpecMinWorkers(spec string) (int, error) {
 
 // Names lists the valid topology spec forms, for flag vocabulary messages.
 func Names() []string {
-	return []string{"ring", "complete", "star", "gossip", "edges:i-j,k-l,..."}
+	names := make([]string, 0, len(named)+1)
+	for _, t := range named {
+		names = append(names, t.spec)
+	}
+	return append(names, "edges:i-j,k-l,...")
 }
 
 // parseEdgeList parses "0-1,1-2,…" into rank pairs.

@@ -42,8 +42,8 @@ func TestProfilesAreSane(t *testing.T) {
 		if p.Model.NumClasses != p.Data.Classes {
 			t.Fatalf("%s: model classes %d != data classes %d", p.Name, p.Model.NumClasses, p.Data.Classes)
 		}
-		if p.Model.InFeatures() != p.Data.C*p.Data.H*p.Data.W {
-			t.Fatalf("%s: model input %d != data features", p.Name, p.Model.InFeatures())
+		if in := p.Model.InC * p.Model.InH * p.Model.InW; in != p.Data.C*p.Data.H*p.Data.W {
+			t.Fatalf("%s: model input %d != data features", p.Name, in)
 		}
 		if err := p.Cost.Validate(); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
