@@ -7,8 +7,10 @@ import (
 	"testing/quick"
 	"time"
 
+	"lcasgd/internal/nn"
 	"lcasgd/internal/rng"
 	"lcasgd/internal/snapshot"
+	"lcasgd/internal/tensor"
 )
 
 func TestIterLogGaps(t *testing.T) {
@@ -286,6 +288,80 @@ func TestBNAccumulatorShapePanics(t *testing.T) {
 		}
 	}()
 	acc.Update([]float64{1}, []float64{1})
+}
+
+// TestCollectStatsIntoRefreshesInPlace: a packed net's State holds every
+// BN layer's latest batch statistics in BN order, sized from the layers;
+// every training forward rewrites the same slices, and the accumulator
+// built from the layers' channel counts takes them as reported.
+func TestCollectStatsIntoRefreshesInPlace(t *testing.T) {
+	bnA, bnB := nn.NewBatchNorm("a", 3, 1), nn.NewBatchNorm("b", 3, 1)
+	net := nn.NewSequential(bnA, bnB)
+	st := net.State()
+	var chans []int
+	for _, bn := range net.BatchNorms() {
+		chans = append(chans, bn.C)
+	}
+	acc := NewBNAccumulator(BNReplace, 0.2, chans)
+	if len(st.BatchMean) != len(acc.Mean) || len(st.BatchVar) != len(acc.Var) {
+		t.Fatalf("State has %d/%d batch statistics, accumulator %d", len(st.BatchMean), len(st.BatchVar), len(acc.Mean))
+	}
+	// colStats is the biased per-column mean and variance of an [n, c] batch.
+	colStats := func(x []float64, n, c int) (mean, vari []float64) {
+		mean, vari = make([]float64, c), make([]float64, c)
+		for i := 0; i < n*c; i++ {
+			mean[i%c] += x[i] / float64(n)
+		}
+		for i := 0; i < n*c; i++ {
+			d := x[i] - mean[i%c]
+			vari[i%c] += d * d / float64(n)
+		}
+		return mean, vari
+	}
+	check := func(x *tensor.Tensor) {
+		t.Helper()
+		n, c := x.Shape[0], x.Shape[1]
+		meanA, varA := colStats(x.Data, n, c)
+		y := make([]float64, n*c) // bnA's output: γ = 1, β = 0
+		for i, v := range x.Data {
+			y[i] = (v - meanA[i%c]) / math.Sqrt(varA[i%c]+nn.BNEpsilon)
+		}
+		meanB, varB := colStats(y, n, c)
+		want := [][]float64{append(meanA, meanB...), append(varA, varB...)}
+		for k, got := range [][]float64{st.BatchMean, st.BatchVar} {
+			for i := range got {
+				if math.Abs(got[i]-want[k][i]) > 1e-9 {
+					t.Fatalf("statistic %d channel %d: State has %v, batch gives %v", k, i, got[i], want[k][i])
+				}
+			}
+		}
+	}
+	x := mkBatch(4, 3, 7)
+	net.Forward(x, true)
+	check(x)
+	m0 := &st.BatchMean[0]
+	old := st.BatchMean[0]
+	x = mkBatch(4, 3, 9)
+	net.Forward(x, true)
+	if &st.BatchMean[0] != m0 {
+		t.Fatal("the batch statistics moved")
+	}
+	if st.BatchMean[0] == old {
+		t.Fatal("a training forward did not refresh the batch statistics")
+	}
+	check(x)
+	acc.Update(st.BatchMean, st.BatchVar)
+	for i := range acc.Mean {
+		if acc.Mean[i] != st.BatchMean[i] || acc.Var[i] != st.BatchVar[i] {
+			t.Fatalf("channel %d: accumulator took %v/%v, State reports %v/%v", i, acc.Mean[i], acc.Var[i], st.BatchMean[i], st.BatchVar[i])
+		}
+	}
+}
+
+func mkBatch(n, c int, seed uint64) *tensor.Tensor {
+	x := tensor.New(n, c)
+	rng.New(seed).FillNormal(x.Data, 1)
+	return x
 }
 
 func TestBNModeString(t *testing.T) {

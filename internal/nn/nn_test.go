@@ -301,6 +301,48 @@ func TestSoftmaxCEGradientScale(t *testing.T) {
 	}
 }
 
+// TestFlattenRoundTrip: packing flattens every parameter's values into
+// State.Values; writing the layers writes the flat vector, and copying the
+// saved flat values back restores every layer.
+func TestFlattenRoundTrip(t *testing.T) {
+	g := rng.New(11)
+	net := NewSequential(NewDense("a", 3, 4, g), NewBatchNorm("bn", 4, 1), NewDense("b", 4, 2, g))
+	params := net.Params()
+	var want []float64
+	for _, p := range params {
+		want = append(want, p.Value.Data...)
+	}
+	st := net.State()
+	buf := append([]float64(nil), st.Values...)
+	if len(buf) != ParamCount(params) {
+		t.Fatalf("flat values %d, want %d", len(buf), ParamCount(params))
+	}
+	for i := range buf {
+		if buf[i] != want[i] {
+			t.Fatal("packing did not keep the parameter values")
+		}
+	}
+	// Perturb and restore.
+	for _, p := range params {
+		p.Value.Fill(0)
+	}
+	for _, v := range st.Values {
+		if v != 0 {
+			t.Fatal("a layer write missed the flat values")
+		}
+	}
+	copy(st.Values, buf)
+	off := 0
+	for _, p := range params {
+		for j, v := range p.Value.Data {
+			if v != buf[off+j] {
+				t.Fatal("flatten/unflatten round trip failed")
+			}
+		}
+		off += p.Value.Len()
+	}
+}
+
 func TestBatchNormsDiscovery(t *testing.T) {
 	g := rng.New(13)
 	inner := NewSequential(NewDense("d", 4, 4, g), NewBatchNorm("bn1", 4, 1))
