@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"lcasgd/internal/lstm"
@@ -31,8 +32,13 @@ type LossPredictor struct {
 	fb       []float64
 	feedback func(float64) []float64
 
-	trace     []TracePoint
+	trace []TracePoint
+	// nextPred is the one-step forecast from lastLoss, the Predicted of the
+	// next trace point. stale says it has not been formed since the last
+	// Observe: PredictDelay's roll-out forms it (its first output is that
+	// forecast), and whatever reads it first otherwise.
 	nextPred  float64
+	stale     bool
 	iteration int
 
 	// Overhead accounting (Tables 2–3): cumulative wall time spent in
@@ -73,33 +79,48 @@ func (p *LossPredictor) Observe(lossM float64) {
 		p.Calls++
 	}()
 	if p.seeded {
+		p.forecast()
 		p.trace = append(p.trace, TracePoint{Iteration: p.iteration, Actual: lossM, Predicted: p.nextPred})
 		p.in[0] = p.lastLoss
 		p.net.TrainStep(p.in, lossM) // TrainStep copies the input into its window
 	} else {
 		p.seeded = true
-		p.nextPred = lossM
 	}
 	p.iteration++
 	p.lastLoss = lossM
-	// Pre-compute the one-step forecast so the next Observe can log it.
-	p.in[0] = lossM
-	p.nextPred = p.net.Predict(p.in)
+	p.stale = true
+}
+
+// forecast forms nextPred if it is stale: the one-step prediction from
+// lastLoss on the weights and window the last Observe left.
+func (p *LossPredictor) forecast() {
+	if p.stale {
+		p.in[0] = p.lastLoss
+		p.nextPred = p.net.Predict(p.in)
+		p.stale = false
+	}
 }
 
 // PredictDelay implements Algorithm 3 lines 2–3 and Formula 9: roll the
 // LSTM k steps into the future (feeding each prediction back as the next
-// input) and return the sum of the predicted losses.
+// input) and return the sum of the predicted losses. Called right after
+// Observe with the same loss, as LC-ASGD does, the roll-out's first output
+// is Observe's one-step forecast bit for bit — the same weights, window and
+// input — so it becomes nextPred, and at k ≤ 0 one step still runs for it.
 func (p *LossPredictor) PredictDelay(lossM float64, k int) float64 {
-	if k <= 0 {
+	fresh := p.stale && math.Float64bits(lossM) == math.Float64bits(p.lastLoss)
+	if k <= 0 && !fresh {
 		return 0
 	}
 	start := time.Now()
 	defer func() { p.PredictTime += time.Since(start) }()
 	p.in[0] = lossM
-	preds := p.net.PredictAhead(p.in, k, p.feedback)
+	preds := p.net.PredictAhead(p.in, max(k, 1), p.feedback)
+	if fresh {
+		p.nextPred, p.stale = preds[0], false
+	}
 	sum := 0.0
-	for _, v := range preds {
+	for _, v := range preds[:max(k, 0)] {
 		// A loss forecast below zero is an artifact of the linear head;
 		// clamp so the compensation value stays physical.
 		if v < 0 {

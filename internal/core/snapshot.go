@@ -53,10 +53,14 @@ func walkTrace(c snapshot.Codec, tr *[]TracePoint) {
 // in full). It restores into a freshly-built predictor of the same hidden
 // size.
 func (p *LossPredictor) Walk(c snapshot.Codec) {
+	if !c.Reading() {
+		p.forecast()
+	}
 	p.net.Walk(c)
 	c.F64(&p.lastLoss)
 	c.Bool(&p.seeded)
 	c.F64(&p.nextPred)
+	p.stale = false
 	c.Int(&p.iteration)
 	walkTrace(c, &p.trace)
 }

@@ -53,11 +53,8 @@ func (c Config) Build(g *rng.RNG) *nn.Sequential {
 
 	// Stem: 3x3 conv, BN, ReLU at full resolution.
 	geom := tensor.ConvGeom{InC: c.InC, InH: c.InH, InW: c.InW, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	stem := nn.NewConv2D(c.Name+".stem", geom, c.Stem, g)
-	net.Add(stem)
 	h, w, ch := c.InH, c.InW, c.Stem
-	net.Add(nn.NewBatchNorm(c.Name+".stem.bn", ch, h*w))
-	net.Add(nn.NewReLU(ch * h * w))
+	net.Add(convBN(c.Name+".stem", c.Name+".stem.bn", geom, ch, true, g))
 
 	for si, reps := range c.StageReps {
 		outCh := c.Stem << si
@@ -85,21 +82,22 @@ func basicBlock(name string, inCh, h, w, outCh, stride int, g *rng.RNG) (*nn.Res
 	oh, ow := g1.OutH(), g1.OutW()
 	g2 := tensor.ConvGeom{InC: outCh, InH: oh, InW: ow, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	path := nn.NewSequential(
-		nn.NewConv2D(name+".c1", g1, outCh, g),
-		nn.NewBatchNorm(name+".bn1", outCh, oh*ow),
-		nn.NewReLU(outCh*oh*ow),
-		nn.NewConv2D(name+".c2", g2, outCh, g),
-		nn.NewBatchNorm(name+".bn2", outCh, oh*ow),
+		convBN(name+".c1", name+".bn1", g1, outCh, true, g),
+		convBN(name+".c2", name+".bn2", g2, outCh, false, g),
 	)
 	var shortcut *nn.Sequential
 	if stride != 1 || inCh != outCh {
 		gs := tensor.ConvGeom{InC: inCh, InH: h, InW: w, KH: 1, KW: 1, Stride: stride, Pad: 0}
-		shortcut = nn.NewSequential(
-			nn.NewConv2D(name+".proj", gs, outCh, g),
-			nn.NewBatchNorm(name+".projbn", outCh, oh*ow),
-		)
+		shortcut = nn.NewSequential(convBN(name+".proj", name+".projbn", gs, outCh, false, g))
 	}
 	return nn.NewResidual(path, shortcut), oh, ow
+}
+
+// convBN is a convolution and its batch norm, with the ReLU after them if
+// relu, as one nn.ConvBN unit; its parameters keep the layered stack's
+// names.
+func convBN(conv, bn string, geom tensor.ConvGeom, outCh int, relu bool, g *rng.RNG) *nn.ConvBN {
+	return nn.NewConvBN(nn.NewConv2D(conv, geom, outCh, g), nn.NewBatchNorm(bn, outCh, geom.ColRows()), relu)
 }
 
 // MLP returns a small two-hidden-layer perceptron with BN, used by unit

@@ -8,23 +8,21 @@ import (
 	"lcasgd/internal/tensor"
 )
 
-// convTestNet builds a net covering the whole layer zoo: conv, BN (dense
-// and spatial), residual (identity and projection), average pooling, ReLU,
-// dense.
+// convTestNet builds a net covering the whole layer zoo: conv units with
+// and without the rectifier, residual (a projection shortcut), average
+// pooling, dense BN, ReLU, dense.
 func convTestNet(g *rng.RNG) *Sequential {
-	geom := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}
-	conv := NewConv2D("c0", geom, 4, g)
-	path := NewSequential(
-		NewConv2D("r.c", tensor.ConvGeom{InC: 4, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 4, g),
-		NewBatchNorm("r.bn", 4, 16),
-	)
-	short := NewSequential(NewBatchNorm("r.s", 4, 16))
+	unit := func(name string, geom tensor.ConvGeom, relu bool) *ConvBN {
+		return NewConvBN(NewConv2D(name, geom, 4, g), NewBatchNorm(name+".bn", 4, geom.ColRows()), relu)
+	}
+	path := NewSequential(unit("r.c", tensor.ConvGeom{InC: 4, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, false))
+	short := NewSequential(unit("r.s", tensor.ConvGeom{InC: 4, InH: 4, InW: 4, KH: 1, KW: 1, Stride: 1, Pad: 0}, false))
 	return NewSequential(
-		conv,
-		NewBatchNorm("bn0", 4, 16),
-		NewReLU(64),
+		unit("c0", tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}, true),
 		NewResidual(path, short),
 		NewGlobalAvgPool(4, 16),
+		NewBatchNorm("bnd", 4, 1),
+		NewReLU(4),
 		NewDense("fc", 4, 3, g),
 	)
 }
@@ -53,7 +51,7 @@ func TestForwardBackwardZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestBackwardParamsSkipsFirstInputGrad: the workers' backward pass
-// (BackwardParams) never gives a first Conv2D or Dense an input-gradient
+// (BackwardParams) never gives a first ConvBN or Dense an input-gradient
 // buffer, and runs at zero allocations like Backward.
 func TestBackwardParamsSkipsFirstInputGrad(t *testing.T) {
 	g := rng.New(26)
@@ -73,9 +71,9 @@ func TestBackwardParamsSkipsFirstInputGrad(t *testing.T) {
 			t.Fatalf("steady-state BackwardParams allocates %v times per iteration, want 0", allocs)
 		}
 		switch l := net.Layers[0].(type) {
-		case *Conv2D:
+		case *ConvBN:
 			if l.dx != nil {
-				t.Fatal("BackwardParams allocated the first Conv2D's input gradient")
+				t.Fatal("BackwardParams allocated the first ConvBN's input gradient")
 			}
 		case *Dense:
 			if l.dx != nil {

@@ -12,7 +12,10 @@ const BNEpsilon = 1e-5
 
 // BatchNorm normalizes activations per channel over the batch (and spatial
 // positions, for convolutional inputs), then applies a learned affine
-// transform: y = γ·x̂ + β (Ioffe & Szegedy 2015).
+// transform: y = γ·x̂ + β (Ioffe & Szegedy 2015). As a layer it is the
+// dense one (Spatial 1, a channel a column); a convolution's batch norm
+// (Spatial > 1) runs inside its ConvBN, on the unit's channel-major
+// pre-activation, through the same statistics code below.
 //
 // The layer is the integration point for the paper's Async-BN (Section 4,
 // Formulas 6–7): the parameter server owns the global running mean/variance.
@@ -27,10 +30,8 @@ const BNEpsilon = 1e-5
 // Float bits: a channel's four reductions (Σx, Σ(x−μ)², Σdy, Σdy·x̂) each
 // run over the images in batch order and an image's positions ascending,
 // from +0. That order is the contract; channels never meet, so the order
-// across channels is not, and the training step runs four channels' chains
-// side by side (chanSums and its siblings below). The element-wise passes
-// of a conv-shaped layer (Spatial > 1) are tensor's epilogue lanes, one
-// call a pass; a dense layer's walk a channel's column here.
+// across channels is not, and the training step runs several channels'
+// chains side by side (chanSums and its siblings below, tensor.BNGradSums).
 type BatchNorm struct {
 	C       int // channels
 	Spatial int // H*W (1 for dense layers)
@@ -44,17 +45,17 @@ type BatchNorm struct {
 
 	// Last batch statistics, the State's BatchMean/BatchVar once packed.
 	batchMean, batchVar []float64
+	invStd              []float64
 
-	// Backward caches. xhat is reused across iterations (reuse2); out/dx
-	// are the layer's reused output and input-gradient buffers.
+	// The dense layer's backward caches: xhat is reused across iterations
+	// (reuse2); out/dx are its reused output and input-gradient buffers.
 	x       *tensor.Tensor
 	xhat    *tensor.Tensor
-	invStd  []float64
 	out, dx *tensor.Tensor
 
-	sumDy, sumDyXhat []float64 // Backward's per-channel reductions
+	sumDy, sumDyXhat []float64 // the backward pass's per-channel reductions
 	// scale is a per-channel factor of the pass in hand: the inference
-	// 1/σ, or Backward's γ·inv/m.
+	// 1/σ, or the backward pass's γ·inv/m.
 	scale []float64
 }
 
@@ -83,11 +84,52 @@ func NewBatchNorm(name string, c, spatial int) *BatchNorm {
 	return bn
 }
 
-// Forward normalizes x ([N, C*Spatial]). In training mode it uses batch
-// statistics and updates the running EMA; in inference mode it uses the
-// running statistics.
+// trainStats forms the batch statistics of x, n rows of C rows of S
+// elements — a dense batch [n, C] at S = 1, a unit's channel-major
+// pre-activation at n = 1 — folds them into the running EMA and sets
+// invStd.
+func (bn *BatchNorm) trainStats(x []float64, n, S int) {
+	m := float64(n * S)
+	mean, variance := bn.batchMean, bn.batchVar
+	chanSums(mean, x, n, bn.C, S)
+	for c := range mean {
+		mean[c] /= m
+	}
+	chanSqDevs(variance, x, mean, n, bn.C, S)
+	for c := range variance {
+		variance[c] /= m
+		bn.RunningMean[c] = (1-bn.Momentum)*bn.RunningMean[c] + bn.Momentum*mean[c]
+		bn.RunningVar[c] = (1-bn.Momentum)*bn.RunningVar[c] + bn.Momentum*variance[c]
+		bn.invStd[c] = 1 / math.Sqrt(variance[c]+BNEpsilon)
+	}
+}
+
+// inferScale sets scale to the inference 1/σ of the running variance.
+func (bn *BatchNorm) inferScale() {
+	for c, v := range bn.RunningVar {
+		bn.scale[c] = 1 / math.Sqrt(v+BNEpsilon)
+	}
+}
+
+// gradStep adds the backward reductions to β's and γ's gradients and sets
+// scale to the input gradient's γ·inv/m.
+func (bn *BatchNorm) gradStep(m float64) {
+	for c := 0; c < bn.C; c++ {
+		bn.Beta.Grad.Data[c] += bn.sumDy[c]
+		bn.Gamma.Grad.Data[c] += bn.sumDyXhat[c]
+		// dx = (γ·inv/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
+		bn.scale[c] = bn.Gamma.Value.Data[c] * bn.invStd[c] / m
+	}
+}
+
+// Forward normalizes x ([N, C]). In training mode it uses batch statistics
+// and updates the running EMA; in inference mode it uses the running
+// statistics.
 func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	feat := bn.C * bn.Spatial
+	if bn.Spatial != 1 {
+		panic(fmt.Sprintf("nn: BatchNorm %s of Spatial %d runs inside a ConvBN", bn.Gamma.Name, bn.Spatial))
+	}
+	feat := bn.C
 	if x.Rank() != 2 || x.Shape[1] != feat {
 		panic(fmt.Sprintf("nn: BatchNorm %s expects [N,%d], got %v", bn.Gamma.Name, feat, x.Shape))
 	}
@@ -96,26 +138,9 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		bn.x = x
 		bn.xhat = reuse2(&bn.xhat, n, feat)
-		m := float64(n * bn.Spatial)
-		mean, variance := bn.batchMean, bn.batchVar
-		chanSums(mean, x.Data, n, bn.C, bn.Spatial)
-		for c := range mean {
-			mean[c] /= m
-		}
-		chanSqDevs(variance, x.Data, mean, n, bn.C, bn.Spatial)
-		for c := range variance {
-			variance[c] /= m
-			bn.RunningMean[c] = (1-bn.Momentum)*bn.RunningMean[c] + bn.Momentum*mean[c]
-			bn.RunningVar[c] = (1-bn.Momentum)*bn.RunningVar[c] + bn.Momentum*variance[c]
-			bn.invStd[c] = 1 / math.Sqrt(variance[c]+BNEpsilon)
-		}
-		if bn.Spatial > 1 {
-			tensor.BatchNormTrain(bn.xhat.Data, out.Data, x.Data, bn.C, bn.Spatial,
-				mean, bn.invStd, bn.Gamma.Value.Data, bn.Beta.Value.Data)
-			return out
-		}
+		bn.trainStats(x.Data, n, 1)
 		for c := 0; c < bn.C; c++ { // a channel is a column: no rows to walk
-			mu, inv := mean[c], bn.invStd[c]
+			mu, inv := bn.batchMean[c], bn.invStd[c]
 			g, b := bn.Gamma.Value.Data[c], bn.Beta.Value.Data[c]
 			for j := c; j < len(out.Data); j += feat {
 				xh := (x.Data[j] - mu) * inv
@@ -125,14 +150,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		return out
 	}
-	for c, v := range bn.RunningVar {
-		bn.scale[c] = 1 / math.Sqrt(v+BNEpsilon)
-	}
-	if bn.Spatial > 1 {
-		tensor.BatchNormInfer(out.Data, x.Data, bn.C, bn.Spatial,
-			bn.Gamma.Value.Data, bn.RunningMean, bn.scale, bn.Beta.Value.Data)
-		return out
-	}
+	bn.inferScale()
 	for c := 0; c < bn.C; c++ {
 		inv := bn.scale[c]
 		g, b := bn.Gamma.Value.Data[c], bn.Beta.Value.Data[c]
@@ -146,21 +164,11 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements the standard batch-norm gradient.
 func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n := bn.x.Shape[0]
-	feat := bn.C * bn.Spatial
+	n, feat := bn.x.Shape[0], bn.C
 	dx := reuse2(&bn.dx, n, feat) // every element is assigned below
-	m := float64(n * bn.Spatial)
-	chanGradSums(bn.sumDy, bn.sumDyXhat, grad.Data, bn.xhat.Data, n, bn.C, bn.Spatial)
-	for c := 0; c < bn.C; c++ {
-		bn.Beta.Grad.Data[c] += bn.sumDy[c]
-		bn.Gamma.Grad.Data[c] += bn.sumDyXhat[c]
-		// dx = (γ·inv/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
-		bn.scale[c] = bn.Gamma.Value.Data[c] * bn.invStd[c] / m
-	}
-	if bn.Spatial > 1 {
-		tensor.BatchNormInputGrad(dx.Data, grad.Data, bn.xhat.Data, bn.C, bn.Spatial, m, bn.scale, bn.sumDy, bn.sumDyXhat)
-		return dx
-	}
+	m := float64(n)
+	chanGradSums(bn.sumDy, bn.sumDyXhat, grad.Data, bn.xhat.Data, n, bn.C)
+	bn.gradStep(m)
 	for c := 0; c < bn.C; c++ {
 		k, sumDy, sumDyXhat := bn.scale[c], bn.sumDy[c], bn.sumDyXhat[c]
 		for j := c; j < len(dx.Data); j += feat {
@@ -176,17 +184,18 @@ func (bn *BatchNorm) Params() []*Param { return []*Param{bn.Gamma, bn.Beta} }
 // OutFeatures reports C*Spatial.
 func (bn *BatchNorm) OutFeatures() int { return bn.C * bn.Spatial }
 
-// chanSums, chanSqDevs and chanGradSums are the training step's
-// reductions. Each fills dst[c] with channel c's sum over x [n, C*S] (here
-// Σx), images in batch order, positions ascending, from +0 —
-// the chain of one addition per element that the float bits are pinned to,
-// and that costs a floating-point add latency per element when it runs
-// alone. So four channels' chains run side by side over their rows of an
-// image: four independent accumulators in registers, one pass, no index
-// arithmetic in the loop. The last group of a channel count that is not a
-// multiple of four repeats channel C−1 in its spare lanes, which computes
-// and stores the same sum again. At S == 1 a row is one element and there
-// is nothing to walk: the chains interleave the other way, every channel's
+// chanSums and chanSqDevs are the training step's forward reductions.
+// Each fills dst[c] with channel c's sum over x [n, C*S] (here Σx), images
+// in batch order, positions ascending, from +0 — the chain of one addition
+// per element that the float bits are pinned to, and that costs a
+// floating-point add latency per element when it runs alone. So four
+// channels' chains run side by side over their rows of an image (a unit's
+// pre-activation is one image of n·HW-long rows): four independent
+// accumulators in registers, one pass, no index arithmetic in the loop.
+// The last group of a channel count that is not a multiple of four repeats
+// channel C−1 in its spare lanes, which computes and stores the same sum
+// again. At S == 1 (a dense batch) a row is one element and there is
+// nothing to walk: the chains interleave the other way, every channel's
 // accumulator advancing once per image.
 func chanSums(dst, x []float64, n, C, S int) {
 	feat := C * S
@@ -248,37 +257,16 @@ func chanSqDevs(dst, x, mean []float64, n, C, S int) {
 	}
 }
 
-// chanGradSums: sumDy[c] = Σ dy, sumDyXhat[c] = Σ dy·x̂ — two chains a
-// channel, so two channels a pass fill the same four lanes.
-func chanGradSums(sumDy, sumDyXhat, dy, xhat []float64, n, C, S int) {
-	feat := C * S
-	if S == 1 {
-		clear(sumDy)
-		clear(sumDyXhat)
-		for i := 0; i < n; i++ {
-			xh := xhat[i*feat:][:feat]
-			for c, v := range dy[i*feat:][:feat] {
-				sumDy[c] += v
-				sumDyXhat[c] += v * xh[c]
-			}
+// chanGradSums: sumDy[c] = Σ dy, sumDyXhat[c] = Σ dy·x̂ over a dense
+// batch [n, C], every channel's two accumulators advancing once per row.
+func chanGradSums(sumDy, sumDyXhat, dy, xhat []float64, n, C int) {
+	clear(sumDy)
+	clear(sumDyXhat)
+	for i := 0; i < n; i++ {
+		xh := xhat[i*C:][:C]
+		for c, v := range dy[i*C:][:C] {
+			sumDy[c] += v
+			sumDyXhat[c] += v * xh[c]
 		}
-		return
-	}
-	for c0 := 0; c0 < C; c0 += 2 {
-		c1 := min(c0+1, C-1)
-		var a0, a1, b0, b1 float64
-		for i := 0; i < n; i++ {
-			g0, g1 := dy[i*feat+c0*S:][:S], dy[i*feat+c1*S:][:S]
-			h0, h1 := xhat[i*feat+c0*S:][:S], xhat[i*feat+c1*S:][:S]
-			for s, v := range g0 {
-				w := g1[s]
-				a0 += v
-				b0 += v * h0[s]
-				a1 += w
-				b1 += w * h1[s]
-			}
-		}
-		sumDy[c0], sumDy[c1] = a0, a1
-		sumDyXhat[c0], sumDyXhat[c1] = b0, b1
 	}
 }

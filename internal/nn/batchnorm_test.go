@@ -106,12 +106,21 @@ func (r *refBatchNorm) infer(x []float64, n int) []float64 {
 // batch and running statistics equal the one-channel-at-a-time reference
 // over two consecutive training steps, and the inference output after
 // them, for channel counts on every side of any interleave width and the
-// dense (Spatial 1) and conv shapes.
+// dense (Spatial 1) and conv shapes. A conv-shaped batch norm runs in its
+// unit, here behind a 1×1 convolution, against the reference composed
+// with the direct convolution's (checkUnit).
 func TestBatchNormBitIdenticalToScalarReference(t *testing.T) {
 	for _, c := range []int{1, 2, 3, 4, 5, 6, 8, 12, 24} {
-		for _, spatial := range []int{1, 4, 9, 64, 144} {
+		for _, side := range []int{1, 2, 3, 8, 12} {
+			spatial := side * side
 			for _, n := range []int{1, 4, 20} {
 				g := rng.New(uint64(1000*c + 10*spatial + n))
+				if spatial > 1 {
+					geom := tensor.ConvGeom{InC: c, InH: side, InW: side, KH: 1, KW: 1, Stride: 1, Pad: 0}
+					u := NewConvBN(NewConv2D("c", geom, c, g), NewBatchNorm("bn", c, spatial), false)
+					checkUnit(t, u, g, []int{n, n})
+					continue
+				}
 				feat := c * spatial
 				bn := NewBatchNorm("bn", c, spatial)
 				g.FillNormal(bn.Gamma.Value.Data, 1)
@@ -163,17 +172,15 @@ func TestBatchNormBitIdenticalToScalarReference(t *testing.T) {
 }
 
 // BenchmarkBatchNormTrain is one training step (Forward + Backward) of a
-// BN layer at the model's shapes: the MLP's dense layer (fleet_scale; the
-// guard that the conv-shaped loops cost the Spatial == 1 shape nothing) and
-// the quick-CIFAR net's widest and deepest stages.
+// BN layer at the MLP's dense shape (fleet_scale's network); a conv-shaped
+// batch norm is timed inside its unit (BenchmarkConvForward and
+// BenchmarkConvBackward).
 func BenchmarkBatchNormTrain(b *testing.B) {
 	for _, s := range []struct {
 		name          string
 		c, spatial, n int
 	}{
 		{"dense_C16_S1_n4", 16, 1, 4},
-		{"conv_C6_S64_n20", 6, 64, 20},
-		{"conv_C24_S4_n20", 24, 4, 20},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			g := rng.New(3)

@@ -8,9 +8,10 @@ import (
 	"lcasgd/internal/tensor"
 )
 
-// Layer-level conv benchmarks: the forward product and copy-out (these
-// same-size shapes read the staged input, no panel) and the gather ->
-// weight-grad -> input-grad path (backward: the weight gradient reads a
+// Layer-level conv benchmarks, on the conv-BN-ReLU unit: the forward
+// product, batch statistics and normalize (these same-size shapes read the
+// staged input, no panel) and the backward's reductions -> input-gradient
+// pass -> weight-grad -> input-grad path (the weight gradient reads a
 // zero-bordered stage of each image, the input gradient adds W·dY per tap
 // into dx; no panel either)
 // at the paper networks' layer shapes, with post-ReLU-like
@@ -52,7 +53,7 @@ func BenchmarkConvForward(b *testing.B) {
 		b.Run(fmt.Sprintf("%s_n%d", s.name, s.batch), func(b *testing.B) {
 			g := rng.New(11)
 			geom := tensor.ConvGeom{InC: s.inC, InH: s.inH, InW: s.inH, KH: 3, KW: 3, Stride: 1, Pad: 1}
-			layer := NewConv2D("bench", geom, s.out, g)
+			layer := NewConvBN(NewConv2D("bench", geom, s.out, g), NewBatchNorm("bn", s.out, geom.ColRows()), true)
 			x := benchConvInput(s, g)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -67,7 +68,7 @@ func BenchmarkConvBackward(b *testing.B) {
 		b.Run(fmt.Sprintf("%s_n%d", s.name, s.batch), func(b *testing.B) {
 			g := rng.New(11)
 			geom := tensor.ConvGeom{InC: s.inC, InH: s.inH, InW: s.inH, KH: 3, KW: 3, Stride: 1, Pad: 1}
-			layer := NewConv2D("bench", geom, s.out, g)
+			layer := NewConvBN(NewConv2D("bench", geom, s.out, g), NewBatchNorm("bn", s.out, geom.ColRows()), true)
 			x := benchConvInput(s, g)
 			out := layer.Forward(x, true)
 			grad := tensor.New(out.Shape[0], out.Shape[1])

@@ -137,12 +137,14 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 }
 
 // TestConv2DBitIdenticalToDirectConvolution is the float-bits contract of
-// the grouped lowering: forward output, dx, W.Grad and B.Grad equal the
-// direct-convolution reference bit for bit, over the kernel/stride/pad
-// combinations the lowering has cases for, the quick profiles' stage shapes,
-// batch sizes on every side of the group size, post-ReLU-like inputs, and
-// gradients accumulated over two backward calls into non-zero Grad (the
-// second writing dx over the first's).
+// the grouped lowering inside its unit: the convolution's output, dx,
+// W.Grad and B.Grad — and the batch norm and rectifier after them — equal
+// the direct-convolution reference composed with the batch-norm one (see
+// checkUnit) bit for bit, over the kernel/stride/pad combinations the
+// lowering has cases for, the quick profiles' stage shapes, batch sizes on
+// every side of the group size, post-ReLU-like inputs, and gradients
+// accumulated over two backward calls into non-zero Grad (the second
+// writing dx over the first's).
 func TestConv2DBitIdenticalToDirectConvolution(t *testing.T) {
 	sq := func(inC, hw, k, stride, pad int) tensor.ConvGeom {
 		return tensor.ConvGeom{InC: inC, InH: hw, InW: hw, KH: k, KW: k, Stride: stride, Pad: pad}
@@ -159,7 +161,7 @@ func TestConv2DBitIdenticalToDirectConvolution(t *testing.T) {
 		{"5x5_p2", sq(2, 7, 5, 1, 2), 3},
 		{"stride3", sq(2, 10, 3, 3, 1), 4},
 		{"nonsquare", tensor.ConvGeom{InC: 2, InH: 5, InW: 9, KH: 3, KW: 2, Stride: 2, Pad: 1}, 3},
-		// One output channel: the bias-gradient gather's channel tail alone.
+		// One output channel: the input-gradient pass's channel tail alone.
 		{"3x3_p1_outc1", sq(2, 5, 3, 1, 1), 1},
 		{"1x1_s2_outc1", sq(3, 6, 1, 2, 0), 1},
 		// QuickCIFAR: 8x8 stem and stage, 8x8 -> 4x4 -> 2x2.
@@ -183,50 +185,18 @@ func TestConv2DBitIdenticalToDirectConvolution(t *testing.T) {
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rng.New(uint64(ci) + 900)
-			layer := NewConv2D("c", tc.g, tc.outC, r)
-			r.FillNormal(layer.B.Value.Data, 0.5)
-			ref := refConv{g: tc.g, outC: tc.outC, w: layer.W.Value.Data, b: layer.B.Value.Data}
-			group := layer.low.Group()
-			inFeat := tc.g.InC * tc.g.InH * tc.g.InW
-			for _, n := range []int{1, group - 1, group, group + 1, 20, 27} {
-				if n < 1 {
-					continue
-				}
-				x := tensor.New(n, inFeat)
-				r.FillNormal(x.Data, 1)
-				for i := range x.Data { // about a third exact zeros
-					if r.Float64() < 1.0/3 {
-						x.Data[i] = 0
-					}
-				}
-				r.FillNormal(layer.W.Grad.Data, 0.3) // non-zero starting Grad
-				r.FillNormal(layer.B.Grad.Data, 0.3)
-				wantW := append([]float64(nil), layer.W.Grad.Data...)
-				wantB := append([]float64(nil), layer.B.Grad.Data...)
-
-				out := layer.Forward(x, true)
-				bitsEqual(t, fmt.Sprintf("n=%d out", n), out.Data, ref.forward(x.Data, n))
-				for pass := 0; pass < 2; pass++ {
-					grad := tensor.New(n, layer.OutFeatures())
-					r.FillNormal(grad.Data, 0.2)
-					dx := layer.Backward(grad)
-					wantDx := ref.backward(x.Data, grad.Data, n, wantW, wantB)
-					bitsEqual(t, fmt.Sprintf("n=%d pass %d dx", n, pass), dx.Data, wantDx)
-					bitsEqual(t, fmt.Sprintf("n=%d pass %d W.Grad", n, pass), layer.W.Grad.Data, wantW)
-					bitsEqual(t, fmt.Sprintf("n=%d pass %d B.Grad", n, pass), layer.B.Grad.Data, wantB)
-				}
-			}
+			u := NewConvBN(NewConv2D("c", tc.g, tc.outC, r), NewBatchNorm("bn", tc.outC, tc.g.ColRows()), ci%2 == 0)
+			checkUnit(t, u, r, groupSizes(u))
 		})
 	}
 }
 
 // TestConv2DBackwardNeverLowers: no backward pass reads what the forward
-// pass left in the layer's lowering. Forward runs on a batch of NaN, which
-// fills a gather layer's panel and a same-size layer's stage with NaN, and
-// the layer's cached input is then pointed at the real batch: both
-// backward passes (Backward and the parameter-only one) must still match
-// the direct convolution of the real batch bit for bit, without
-// allocating.
+// pass left in the convolution's lowering. After the unit's training
+// Forward, the lowering runs on a batch of NaN, which fills a gather
+// layer's panel and a same-size layer's stage with NaN: both backward
+// passes (Backward and the parameter-only one) must still match the
+// layered reference bit for bit, without allocating.
 func TestConv2DBackwardNeverLowers(t *testing.T) {
 	sq := func(inC, hw, k, stride, pad int) tensor.ConvGeom {
 		return tensor.ConvGeom{InC: inC, InH: hw, InW: hw, KH: k, KW: k, Stride: stride, Pad: pad}
@@ -240,30 +210,31 @@ func TestConv2DBackwardNeverLowers(t *testing.T) {
 		{sq(6, 8, 1, 2, 0), 12}, // gather, ColCols < OutC
 	} {
 		r := rng.New(uint64(ci) + 950)
-		layer := NewConv2D("c", tc.g, tc.outC, r)
+		u := NewConvBN(NewConv2D("c", tc.g, tc.outC, r), NewBatchNorm("bn", tc.outC, tc.g.ColRows()), true)
+		c := u.Conv
 		const n = 13
-		x, nan := tensor.New(n, tc.g.InC*tc.g.InH*tc.g.InW), tensor.New(n, tc.g.InC*tc.g.InH*tc.g.InW)
+		x, nan := tensor.New(n, c.inFeatures()), tensor.New(n, c.inFeatures())
 		r.FillNormal(x.Data, 1)
 		nan.Fill(math.NaN())
-		grad := tensor.New(n, layer.OutFeatures())
+		grad := tensor.New(n, u.OutFeatures())
 		r.FillNormal(grad.Data, 0.2)
-		ref := refConv{g: tc.g, outC: tc.outC, w: layer.W.Value.Data, b: layer.B.Value.Data}
+		ref := newRefUnit(u)
 		for _, params := range []bool{false, true} {
-			layer.Forward(nan, true)
-			layer.x = x
-			wantW := append([]float64(nil), layer.W.Grad.Data...)
-			wantB := append([]float64(nil), layer.B.Grad.Data...)
-			wantDx := ref.backward(x.Data, grad.Data, n, wantW, wantB)
+			bitsEqual(t, fmt.Sprintf("%+v out", tc.g), u.Forward(x, true).Data, ref.forward(x.Data, n))
+			g := min(c.low.Group(), n)
+			c.forward(c.y, g*c.Geom.ColRows(), nan.Data, 0, g)
+			wantDx := ref.backward(grad.Data)
 			if params {
-				layer.backwardParams(grad)
+				u.backwardParams(grad)
 			} else {
-				bitsEqual(t, fmt.Sprintf("%+v dx", tc.g), layer.Backward(grad).Data, wantDx)
+				bitsEqual(t, fmt.Sprintf("%+v dx", tc.g), u.Backward(grad).Data, wantDx)
 			}
-			bitsEqual(t, fmt.Sprintf("%+v params %v W.Grad", tc.g, params), layer.W.Grad.Data, wantW)
-			bitsEqual(t, fmt.Sprintf("%+v params %v B.Grad", tc.g, params), layer.B.Grad.Data, wantB)
-			if a := testing.AllocsPerRun(5, func() { layer.backwardParams(grad) }); a != 0 {
-				t.Fatalf("%+v: backward pass allocates %v times, want 0", tc.g, a)
-			}
+			bitsEqual(t, fmt.Sprintf("%+v params %v W.Grad", tc.g, params), c.W.Grad.Data, ref.wGrad)
+			bitsEqual(t, fmt.Sprintf("%+v params %v B.Grad", tc.g, params), c.B.Grad.Data, ref.bGrad)
+			bitsEqual(t, fmt.Sprintf("%+v params %v gamma grad", tc.g, params), u.BN.Gamma.Grad.Data, ref.bn.gammaGrad)
+		}
+		if a := testing.AllocsPerRun(5, func() { u.backwardParams(grad) }); a != 0 {
+			t.Fatalf("%+v: backward pass allocates %v times, want 0", tc.g, a)
 		}
 	}
 }
@@ -271,28 +242,27 @@ func TestConv2DBackwardNeverLowers(t *testing.T) {
 // TestConv2DDeepStageGroupedZeroAlloc pins the group-size rule on the
 // shape that stresses it: a full-profile deep stage (many channels, tiny
 // planes) still gets a real group, trains without allocating, and matches
-// the direct convolution bit for bit.
+// the layered reference bit for bit.
 func TestConv2DDeepStageGroupedZeroAlloc(t *testing.T) {
 	deep := tensor.ConvGeom{InC: 48, InH: 3, InW: 3, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	layer := NewConv2D("deep", deep, 48, rng.New(5))
-	if g := layer.low.Group(); g < 2 {
+	u := NewConvBN(NewConv2D("deep", deep, 48, rng.New(5)), NewBatchNorm("bn", 48, 9), true)
+	if g := u.Conv.low.Group(); g < 2 {
 		t.Fatalf("deep 3x3 stage group = %d, want a real group", g)
 	}
 	x := tensor.New(7, 48*9)
 	rng.New(6).FillNormal(x.Data, 1)
-	grad := tensor.New(7, layer.OutFeatures())
+	grad := tensor.New(7, u.OutFeatures())
 	rng.New(7).FillNormal(grad.Data, 1)
 	iter := func() {
-		layer.Forward(x, true)
-		layer.Backward(grad)
+		u.Forward(x, true)
+		u.Backward(grad)
 	}
 	iter()
 	if a := testing.AllocsPerRun(10, iter); a != 0 {
 		t.Fatalf("deep stage forward+backward allocates %v times, want 0", a)
 	}
-	ref := refConv{g: deep, outC: 48, w: layer.W.Value.Data, b: layer.B.Value.Data}
-	wantW := append([]float64(nil), layer.W.Grad.Data...)
-	wantB := append([]float64(nil), layer.B.Grad.Data...)
-	dx := layer.Backward(grad)
-	bitsEqual(t, "deep dx", dx.Data, ref.backward(x.Data, grad.Data, 7, wantW, wantB))
+	ref := newRefUnit(u)
+	bitsEqual(t, "deep out", u.Forward(x, true).Data, ref.forward(x.Data, 7))
+	bitsEqual(t, "deep dx", u.Backward(grad).Data, ref.backward(grad.Data))
+	bitsEqual(t, "deep W.Grad", u.Conv.W.Grad.Data, ref.wGrad)
 }

@@ -79,7 +79,7 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // BackwardParams is Backward for a caller that discards the input gradient:
 // every parameter gradient accumulates exactly as under Backward, but a
-// first layer that can skip its input gradient (Conv2D, Dense) does, and
+// first layer that can skip its input gradient (ConvBN, Dense) does, and
 // allocates no buffer for it.
 func (s *Sequential) BackwardParams(grad *tensor.Tensor) {
 	if len(s.Layers) == 0 {
@@ -134,6 +134,8 @@ func (s *Sequential) BatchNorms() []*BatchNorm {
 		switch v := l.(type) {
 		case *BatchNorm:
 			bns = append(bns, v)
+		case *ConvBN:
+			bns = append(bns, v.BN)
 		case *Sequential:
 			for _, inner := range v.Layers {
 				walk(inner)

@@ -60,10 +60,8 @@ func TestDenseGradCheck(t *testing.T) {
 func TestConvGradCheck(t *testing.T) {
 	g := rng.New(3)
 	geom := tensor.ConvGeom{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv := NewConv2D("c1", geom, 3, g)
 	net := NewSequential(
-		conv,
-		NewReLU(conv.OutFeatures()),
+		NewConvBN(NewConv2D("c1", geom, 3, g), NewBatchNorm("bn", 3, 25), true),
 		NewGlobalAvgPool(3, 25),
 		NewDense("fc", 3, 2, g),
 	)
@@ -89,8 +87,9 @@ func TestConvGradCheck(t *testing.T) {
 func TestConvStride2GradCheck(t *testing.T) {
 	g := rng.New(4)
 	geom := tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 2, Pad: 1}
-	conv := NewConv2D("c1", geom, 2, g)
-	net := NewSequential(conv, NewGlobalAvgPool(2, conv.Geom.OutH()*conv.Geom.OutW()), NewDense("fc", 2, 2, g))
+	hw := geom.ColRows()
+	net := NewSequential(NewConvBN(NewConv2D("c1", geom, 2, g), NewBatchNorm("bn", 2, hw), false),
+		NewGlobalAvgPool(2, hw), NewDense("fc", 2, 2, g))
 	x := tensor.New(2, 36)
 	g.FillNormal(x.Data, 1)
 	labels := []int{1, 0}
@@ -137,9 +136,8 @@ func TestBatchNormGradCheck(t *testing.T) {
 func TestBatchNormSpatialGradCheck(t *testing.T) {
 	g := rng.New(6)
 	geom := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv := NewConv2D("c", geom, 2, g)
-	bn := NewBatchNorm("bn", 2, 16)
-	net := NewSequential(conv, bn, NewReLU(32), NewGlobalAvgPool(2, 16), NewDense("fc", 2, 2, g))
+	unit := NewConvBN(NewConv2D("c", geom, 2, g), NewBatchNorm("bn", 2, 16), true)
+	net := NewSequential(unit, NewGlobalAvgPool(2, 16), NewDense("fc", 2, 2, g))
 	x := tensor.New(3, 16)
 	g.FillNormal(x.Data, 1)
 	labels := []int{0, 1, 1}
@@ -348,10 +346,12 @@ func TestBatchNormsDiscovery(t *testing.T) {
 	inner := NewSequential(NewDense("d", 4, 4, g), NewBatchNorm("bn1", 4, 1))
 	short := NewSequential(NewBatchNorm("bn2", 4, 1))
 	block := NewResidual(inner, short)
-	net := NewSequential(NewBatchNorm("bn0", 4, 1), block, NewSequential(NewBatchNorm("bn3", 4, 1)))
+	geom := tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, Stride: 1, Pad: 0}
+	unit := NewConvBN(NewConv2D("c", geom, 1, g), NewBatchNorm("bn4", 1, 4), true)
+	net := NewSequential(NewBatchNorm("bn0", 4, 1), block, NewSequential(NewBatchNorm("bn3", 4, 1), unit))
 	bns := net.BatchNorms()
-	if len(bns) != 4 {
-		t.Fatalf("found %d BN layers, want 4", len(bns))
+	if len(bns) != 5 || bns[4] != unit.BN {
+		t.Fatalf("found %d BN layers, want 5 ending in the unit's", len(bns))
 	}
 }
 

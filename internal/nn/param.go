@@ -2,8 +2,9 @@
 // explicit forward/backward passes, a sequential container whose flat State
 // holds the vectors a parameter server exchanges, and the loss functions
 // used by the LC-ASGD reproduction. It supports the layer types the paper's
-// networks need — dense, convolution, batch normalization (with hooks for
-// distributed statistics), ReLU, pooling, and residual blocks.
+// networks need — dense, batch normalization (with hooks for distributed
+// statistics), ReLU, a convolution with its batch norm and ReLU as one unit
+// (ConvBN), pooling, and residual blocks.
 package nn
 
 import (

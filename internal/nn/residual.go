@@ -14,9 +14,8 @@ type Residual struct {
 	Path     *Sequential
 	Shortcut *Sequential // nil means identity
 
-	sum *tensor.Tensor // pre-activation cache for the final ReLU backward
-
-	// Reused buffers (see reuse2).
+	// Reused buffers (see reuse2). out doubles as the final ReLU's
+	// backward mask: out = max(sum, 0) is > 0 exactly where sum is.
 	out, dSum, dx *tensor.Tensor
 }
 
@@ -40,18 +39,18 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if !main.SameShape(skip) {
 		panic(fmt.Sprintf("nn: residual shape mismatch %v vs %v (missing projection shortcut?)", main.Shape, skip.Shape))
 	}
-	sum := reuse2(&r.sum, main.Shape[0], main.Shape[1])
-	tensor.Add(sum, main, skip)
 	out := reuse2(&r.out, main.Shape[0], main.Shape[1])
-	tensor.ReLU(out, sum)
+	tensor.AddReLU(out, main, skip)
 	return out
 }
 
 // Backward propagates through the final ReLU, then through both branches,
-// summing their input gradients.
+// summing their input gradients. The ReLU's mask is read from the output:
+// the sign-bit test of ReLUBackward gives the same mask on max(sum, 0) as
+// on sum except on a NaN sum with its sign set, and inputs are finite.
 func (r *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	dSum := reuse2(&r.dSum, grad.Shape[0], grad.Shape[1])
-	tensor.ReLUBackward(dSum, grad, r.sum)
+	tensor.ReLUBackward(dSum, grad, r.out)
 	dxPath := r.Path.Backward(dSum)
 	var dxSkip *tensor.Tensor
 	if r.Shortcut != nil {

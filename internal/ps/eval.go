@@ -82,12 +82,21 @@ func (e *evaluator) errOn(ds *data.Dataset, w []float64, bnAcc *core.BNAccumulat
 	return 1 - float64(correct)/float64(ds.Len())
 }
 
-// evalChunk is the row count an evaluation Forward runs at: at 32 rows the
-// quick-ImageNet net's widest activation (8 channels of 12×12) is 288 KiB,
-// where a 150-row batch's is 1.4 MB and falls out of L2. Inference is
-// row-independent — a row's output has the same bits whatever rows share
-// its Forward — so the chunk changes no prediction.
-const evalChunk = 32
+// evalChunk is the row count an evaluation Forward runs at, picked by
+// measurement: one single-threaded pass over a quick profile's training
+// set (the best of 21 passes interleaved across the sizes, the best of
+// four such runs; 2-vCPU Xeon, go1.24.0) took
+//
+//	rows                      4        8        16       32
+//	quick-ImageNet (1080)   40.9 ms  40.1 ms  40.3 ms  42.4 ms
+//	quick-CIFAR     (800)    8.6 ms   8.2 ms   8.4 ms   8.3 ms
+//
+// At 8 rows the quick-ImageNet net's widest activation (8 channels of
+// 12×12) is 72 KiB and a chunk's layer buffers sit in L2 together; a
+// 150-row batch's is 1.4 MB. Inference is row-independent — a row's output
+// has the same bits whatever rows share its Forward — so the chunk changes
+// no prediction.
+const evalChunk = 8
 
 // countCorrect evaluates batches start, start+stride, start+2·stride, … and
 // returns the number of correctly classified samples. Each batch is

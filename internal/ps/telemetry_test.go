@@ -2,6 +2,7 @@ package ps
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"slices"
 	"sort"
@@ -20,7 +21,11 @@ func telemetryBytes(t *testing.T, rec *telemetry.Recorder, workers int) ([]byte,
 	if err := telemetry.WriteChromeTrace(&buf, []telemetry.TraceRun{{Name: "run", Workers: workers, Events: rec.Events}}); err != nil {
 		t.Fatalf("render trace: %v", err)
 	}
-	return buf.Bytes(), rec.Metrics.DeterministicJSON()
+	js, err := json.Marshal(rec.Metrics)
+	if err != nil {
+		t.Fatalf("marshal metrics: %v", err)
+	}
+	return buf.Bytes(), js
 }
 
 // telemetryAlgos is the cross-family subset the telemetry suites sweep: a

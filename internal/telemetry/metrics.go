@@ -165,17 +165,6 @@ func gaugeNames(m *Metrics) []string {
 	return names
 }
 
-// DeterministicJSON renders the registry's deterministic instruments as
-// stable JSON — the byte stream the equivalence and resume telemetry tests
-// compare. Measured meters are deliberately absent.
-func (m *Metrics) DeterministicJSON() []byte {
-	b, err := json.Marshal(m)
-	if err != nil {
-		panic(fmt.Sprintf("telemetry: marshal metrics: %v", err)) // plain structs; cannot fail
-	}
-	return b
-}
-
 // AppendCSV appends the registry as flat CSV rows — section,name,key,value —
 // prefixed with the given cell label column. Deterministic: fixed section
 // order, registration order within each.

@@ -54,7 +54,7 @@ func (g ConvGeom) Validate() error {
 // the entry is the input pixel that tap reads there (0 where it falls in
 // the padding). With W [ColCols, OutC]:
 //
-//	forward          Y  [OutC, n*HW]    = Wᵀ @ panel    (Forward)
+//	forward          Y  [OutC, n*HW]   += Wᵀ @ panel    (Forward)
 //	input gradient   dx                 ← W @ dY        (InputGrad)
 //	weight gradient  W.Grad[r, oc]     += panel[r]·dY[oc], image by image (WeightGrad)
 //
@@ -289,33 +289,34 @@ func NewConvLowering(g ConvGeom, outC int) *ConvLowering {
 // width: a function of the geometry alone.
 func (l *ConvLowering) Group() int { return l.tab.width }
 
-// Forward writes y [OutC, n*HW] = Wᵀ @ panel for n ≤ Group() images x
-// [n, InC, InH, InW], from w [ColCols, OutC]; y may hold anything. Each
-// element is order 1 of nn.Conv2D: the taps (c, ky, kx) ascending from +0,
-// every product rounded before it is added, a padding tap multiplying W by
-// +0. x may hold anything.
+// Forward adds Wᵀ @ panel, the product [OutC, n*HW], to y for n ≤ Group()
+// images x [n, InC, InH, InW], from w [ColCols, OutC]: row oc of the
+// product joins y[oc*ldy:][:n*HW], ldy ≥ n*HW. Each element is order 1 of
+// nn.Conv2D: the taps (c, ky, kx) ascending from +0, every product rounded
+// before it is added, a padding tap multiplying W by +0, and the chain
+// joins y once — so a y seeded with the bias ends as bias + chain. x may
+// hold anything.
 //
 // A gather geometry lowers x into the lowering's panel and runs the
-// transposed-A product over a cleared y. A same-size geometry forms no
-// panel: it stages x once, channel-major with the images side by side
-// between guards, and makes one mmKernelShift call whose row p = (c, tap)
-// is channel c's staged row at the tap's shift, masked by the tap's lanes.
-// A masked lane multiplies W by the +0 the panel holds on a padding entry,
-// whatever a guard, a wrapped row or the next image held there, NaN
-// included, so both paths have the panel product's bits.
-func (l *ConvLowering) Forward(y, w, x []float64, n int) {
+// transposed-A product. A same-size geometry forms no panel: it stages x
+// once, channel-major with the images side by side between guards, and
+// makes one mmKernelShift call whose row p = (c, tap) is channel c's staged
+// row at the tap's shift, masked by the tap's lanes. A masked lane
+// multiplies W by the +0 the panel holds on a padding entry, whatever a
+// guard, a wrapped row or the next image held there, NaN included, so both
+// paths have the panel product's bits.
+func (l *ConvLowering) Forward(y []float64, ldy int, w, x []float64, n int) {
 	t := l.tab
 	k, hw, inC := l.g.ColCols(), l.g.ColRows(), l.g.InC
 	cols, plane := n*hw, l.g.InH*l.g.InW
-	if n < 1 || n > l.tab.width || len(y) != l.outC*cols || len(w) != k*l.outC || len(x) != n*inC*plane {
-		panic(fmt.Sprintf("tensor: Forward lens y %d w %d x %d for n %d (group %d) k %d outC %d",
-			len(y), len(w), len(x), n, l.tab.width, k, l.outC))
+	if n < 1 || n > l.tab.width || ldy < cols || !reaches(len(y), l.outC, ldy, cols) || len(w) != k*l.outC || len(x) != n*inC*plane {
+		panic(fmt.Sprintf("tensor: Forward lens y %d stride %d w %d x %d for n %d (group %d) k %d outC %d",
+			len(y), ldy, len(w), len(x), n, l.tab.width, k, l.outC))
 	}
-	clear(y)
 	if t.shift == nil {
 		p := l.dPanel[:k*cols]
 		t.lower(p, x, n, l.g)
-		matMulTransA(y, w, p, k, l.outC, cols)
+		matMulTransA(y, ldy, w, p, k, l.outC, cols)
 		return
 	}
 	for c := 0; c < inC; c++ {
@@ -324,7 +325,7 @@ func (l *ConvLowering) Forward(y, w, x []float64, n int) {
 			copy(row[i*hw:][:hw], x[(i*inC+c)*hw:])
 		}
 	}
-	mmKernelShift(y, cols, w, 1, l.outC, l.stage, t.lanes, t.fwdTab, l.outC, k, cols)
+	mmKernelShift(y, ldy, w, 1, l.outC, l.stage, t.lanes, t.fwdTab, l.outC, k, cols)
 }
 
 // InputGrad writes dx, the gradients [InC, InH, InW] of n ≤ Group() images,

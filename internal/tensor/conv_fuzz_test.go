@@ -91,9 +91,10 @@ func wantBits(t *testing.T, what string, got, want []float64) {
 // dx and on one already holding values, −0 among them; dPanel's padding
 // entries, poisoned, reach no pixel and come back as −0, its other entries
 // survive; InputGrad writes over a dirty dx what order 4 builds from +0 out
-// of each contribution's oc chain, and leaves dY as it was; Forward writes
-// over a poisoned y, from a lowering whose scratch holds NaN, what order 1
-// builds from +0 with the panel's +0 on every padding tap; WeightGrad, with
+// of each contribution's oc chain, and leaves dY as it was; Forward adds to
+// a y whose rows hold a bias, from a lowering whose scratch holds NaN, what
+// order 1 builds from +0 with the panel's +0 on every padding tap, leaving
+// the poisoned gaps between y's rows as they were; WeightGrad, with
 // Forward and InputGrad run on the same lowering in between and its panel
 // and stage poisoned with NaN after Forward, adds onto a dirty wGrad what
 // order 2 builds — per image in batch order, Σ_p from +0 over the panel's
@@ -274,21 +275,38 @@ func FuzzConvLowering(f *testing.F) {
 				}
 			}
 		}
+		bias := make([]float64, outC)
+		r.FillNormal(bias, 1)
 		for _, group := range []int{1, low.Group()} {
 			for i0 := 0; i0 < n; i0 += group {
 				m := min(group, n-i0)
 				cols := m * hw
-				y := newGuarded(outC * cols)
+				ldy := cols + i0%3 // rows with a poisoned gap between them, or none
+				y := newGuarded(outC*ldy - (ldy - cols))
 				for j := range y.win {
 					y.win[j] = math.Float64frombits(guardPoison)
 				}
+				for oc, b := range bias {
+					for j := range cols {
+						y.win[oc*ldy+j] = b
+					}
+				}
 				poison(low.stage, low.dPanel)
-				low.Forward(y.win, w, xf[i0*inFeat:(i0+m)*inFeat], m)
+				low.Forward(y.win, ldy, w, xf[i0*inFeat:(i0+m)*inFeat], m)
 				y.check(t, "Forward")
-				for i := 0; i < m; i++ {
-					for oc := 0; oc < outC; oc++ {
+				for oc, b := range bias {
+					for i := 0; i < m; i++ {
+						want := make([]float64, hw)
+						for p, v := range wantY[((i0+i)*outC+oc)*hw:][:hw] {
+							want[p] = b + v
+						}
 						wantBits(t, fmt.Sprintf("Forward y (group %d, image %d, channel %d)", group, i0+i, oc),
-							y.win[oc*cols+i*hw:][:hw], wantY[((i0+i)*outC+oc)*hw:][:hw])
+							y.win[oc*ldy+i*hw:][:hw], want)
+					}
+					for _, v := range y.win[min(oc*ldy+cols, len(y.win)):min((oc+1)*ldy, len(y.win))] {
+						if math.Float64bits(v) != guardPoison {
+							t.Fatalf("Forward stored between rows %d and %d", oc, oc+1)
+						}
 					}
 				}
 			}
@@ -349,7 +367,7 @@ func FuzzConvLowering(f *testing.F) {
 				}
 				// Forward stages or lowers x in the lowering too; neither
 				// backward call may read what it leaves.
-				low.Forward(make([]float64, outC*cols), w, x[i0*inFeat:(i0+m)*inFeat], m)
+				low.Forward(make([]float64, outC*cols), cols, w, x[i0*inFeat:(i0+m)*inFeat], m)
 				poison(low.stage, low.dPanel)
 				xs := xw[i0*inFeat : (i0+m)*inFeat]
 				keptX, keptT := append([]float64(nil), xs...), append([]float64(nil), dYT...)

@@ -12,18 +12,24 @@ func reluBackwardAVX2(dst, grad, x *float64, n int) {
 
 func addAVX2(dst, a, b *float64, n int) { panic("tensor: no assembly lanes in this build") }
 
-func addChannelBiasAVX2(dst, src *float64, n, c, s, srcStride int, bias *float64) {
+func addReLUAVX2(dst, a, b *float64, n int) { panic("tensor: no assembly lanes in this build") }
+
+func bnTrainAVX2(out, x *float64, ld, n, c, s int, relu bool, mean, inv, gamma, beta *float64) {
 	panic("tensor: no assembly lanes in this build")
 }
 
-func bnTrainAVX2(xhat, out, x *float64, rows, c, s int, mean, inv, gamma, beta *float64) {
+func bnInferAVX2(out, x *float64, ld, n, c, s int, relu bool, gamma, mean, inv, beta *float64) {
 	panic("tensor: no assembly lanes in this build")
 }
 
-func bnInferAVX2(out, x *float64, rows, c, s int, gamma, mean, inv, beta *float64) {
+func bnGradRowsAVX2(dY, dYT, x, dy, pack, bGrad *float64, fresh *uint64, ld, dyld, n, c, s int, m float64) {
 	panic("tensor: no assembly lanes in this build")
 }
 
-func bnInputGradAVX2(dx, dy, xhat *float64, rows, c, s int, m float64, k, sumDy, sumDyXhat *float64) {
+func bnGradSumsAVX2(sumDy, sumDyXhat, x, dy, pack *float64, ld, n, c, s int) {
+	panic("tensor: no assembly lanes in this build")
+}
+
+func fillRowsAVX2(dst *float64, ld, w int, vals *float64, rows int) {
 	panic("tensor: no assembly lanes in this build")
 }

@@ -58,20 +58,20 @@ func MatMulTransAAdd(dst, a, b *Tensor) {
 	if b.Shape[0] != k || dst.Shape[0] != m || dst.Shape[1] != b.Shape[1] {
 		panic(fmt.Sprintf("tensor: MatMulTransA shapes dst%v a%v b%v", dst.Shape, a.Shape, b.Shape))
 	}
-	matMulTransA(dst.Data, a.Data, b.Data, k, m, b.Shape[1])
+	matMulTransA(dst.Data, b.Shape[1], a.Data, b.Data, k, m, b.Shape[1])
 }
 
-// matMulTransA accumulates out [m, n] += aᵀ @ b for a [k, m] and b [k, n]:
-// mmKernel with A's strides swapped, so the transpose is never
-// materialized. The output is cut into column tiles so the k x taJB slab of
+// matMulTransA accumulates out [m, n] += aᵀ @ b for a [k, m] and b [k, n],
+// out's rows ldo apart: mmKernel with A's strides swapped, so the
+// transpose is never materialized. The output is cut into column tiles so the k x taJB slab of
 // b every row strip streams stays cache-resident across the strips. Tiles
 // partition j only, so each out element's k chain is untouched.
-func matMulTransA(out, a, b []float64, k, m, n int) {
+func matMulTransA(out []float64, ldo int, a, b []float64, k, m, n int) {
 	if m == 0 || k == 0 {
 		return // empty operands cannot be tile-sliced
 	}
 	for j0 := 0; j0 < n; j0 += taJB {
-		mmKernel(out[j0:], n, a, 1, m, b[j0:], n, m, k, min(taJB, n-j0))
+		mmKernel(out[j0:], ldo, a, 1, m, b[j0:], n, m, k, min(taJB, n-j0))
 	}
 }
 

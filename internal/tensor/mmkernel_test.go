@@ -631,7 +631,7 @@ func TestMMKernelProfileShapes(t *testing.T) {
 					what := fmt.Sprintf("%s conv %d (%+v outC %d) n=%d", p.name, li, geom, outC, n)
 					x, dY := mat(n, geom.InC*geom.InH*geom.InW), mat(outC, cols)
 					y, dx := New(outC, cols), New(n, geom.InC*geom.InH*geom.InW)
-					both(what+" forward", y, func() { low.Forward(y.Data, w.Data, x.Data, n) })
+					both(what+" forward", y, func() { low.Forward(y.Data, cols, w.Data, x.Data, n) })
 					both(what+" input grad", dx, func() { low.InputGrad(dx.Data, w.Data, dY.Data, n) })
 					dYT, wGrad := mat(cols, outC), New(k, outC)
 					both(what+" weight grad", wGrad, func() { low.WeightGrad(wGrad.Data, x.Data, dYT.Data, n) })
