@@ -13,11 +13,11 @@ import "math"
 //   - The assembly replicates math.Exp's FMA path, so it runs only where
 //     math.Exp takes that path: on a CPU with AVX, FMA and AVX2, in a build
 //     with the .s file (amd64, not -race), and only if the init self-check
-//     agrees with math — each function alone through gateAVX2, which is
-//     built from the same lane code, and whole steps through cellAVX2, the
-//     entry Step uses. The probes include inputs whose exp differs between
-//     math's FMA and non-FMA paths, so GODEBUG=cpu.fma=off, or a Go release
-//     that changes math.Exp, turns the assembly off instead of moving bits.
+//     agrees with math on whole steps through cellAVX2, the one entry.
+//     The probes include inputs whose σ or tanh differs between
+//     math.Exp's FMA and non-FMA paths, so GODEBUG=cpu.fma=off, or a Go
+//     release that changes math.Exp, turns the assembly off instead of
+//     moving bits.
 //   - A group of four units with a lane outside the fast domain of any of
 //     its five non-linearities (see the .s header) is computed by math,
 //     whole, from its original C: the assembly writes the state only for
@@ -25,27 +25,7 @@ import "math"
 //
 // The choice is made once at init; there is no knob.
 
-// gateOp selects the function gateAVX2 applies.
-type gateOp int
-
-const (
-	opExp gateOp = iota
-	opSigmoid
-	opTanh
-)
-
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
-
-// scalar is op on one value, through math.
-func (op gateOp) scalar(v float64) float64 {
-	switch op {
-	case opExp:
-		return math.Exp(v)
-	case opSigmoid:
-		return sigmoid(v)
-	}
-	return math.Tanh(v)
-}
 
 // useGateAsm selects the assembly. It is a variable only so in-package
 // tests can check the choice.
@@ -84,33 +64,26 @@ func activateUnits(pre, act, tc, C, H []float64, j0, end int) {
 	}
 }
 
-// gateProbes is the init self-check's input set: inside every op's fast
-// domain, a multiple of four long, covering tanh's branches and their
-// boundaries, and led by inputs whose exp differs in the last bit between
-// math.Exp's FMA and non-FMA paths.
+// gateProbes is the init self-check's input set: inside the fast domain of
+// σ and tanh, a multiple of four long, covering tanh's branches and their
+// boundaries, and holding inputs whose σ or tanh differs in the last bit
+// between math.Exp's FMA and non-FMA paths (TestGateMathDispatch counts
+// them). The last row was found by a seeded search for such inputs among
+// multiples of 0.01 in [−40, 40]: the first four with σ sensitive, the
+// first four with tanh sensitive.
 var gateProbes = [...]float64{
 	-699.625, -600, -39.8, -18.4, -7.9, -2.52, -1.01, -0.14,
 	0.01, 0.31, 1.04, 2.23, 4.22, 7.9, 18.4, 333.3,
 	0, math.Copysign(0, -1), 5e-324, 1e-10, 0.3, -0.45, math.Nextafter(0.625, 0), 0.625,
 	-0.625, 0.9, -3.3, 20.5, 44.014845965556527147994, math.Nextafter(44.014845965556527147994, 100), -60, 650,
+	-22.2, -10.26, -38.62, -11.31, -1.22, 1.22, 1.18, -2.23,
 }
 
 // gateSelfCheck reports whether the assembly reproduces math on gateProbes,
-// bit for bit: every op through gateAVX2, then steps of a 12-unit cell
-// (a pair of groups and a lone one) through cellAVX2, with every probe in
-// every gate row and the probes again, scaled down, as the incoming C.
+// bit for bit: steps of a 12-unit cell (a pair of groups and a lone one)
+// through cellAVX2, with every probe in every gate row and the probes
+// again, scaled down, as the incoming C.
 func gateSelfCheck() bool {
-	var got [len(gateProbes)]float64
-	for _, op := range []gateOp{opExp, opSigmoid, opTanh} {
-		if gateAVX2(op, &got[0], &gateProbes[0], len(gateProbes)) != len(gateProbes) {
-			return false
-		}
-		for i, v := range gateProbes {
-			if math.Float64bits(got[i]) != math.Float64bits(op.scalar(v)) {
-				return false
-			}
-		}
-	}
 	const h = 12
 	var pre, act, wantAct [numGates * h]float64
 	var c, hs, tc, wantC, wantH, wantTC [h]float64

@@ -2,20 +2,24 @@
 
 #include "textflag.h"
 
-// AVX2+FMA gate non-linearities, lane-exact replicas of Go's math, and the
-// LSTM cell step built from them:
+// The LSTM cell step after its product, in AVX2+FMA, on lane-exact replicas
+// of Go's math. One entry:
 //
-//	cellAVX2          everything of Cell.Step after the [x; h] product, for
-//	                  each four-unit group: σ(i), σ(f), tanh(g), σ(o),
-//	                  c = f·C + i·g, tanh(c) and h = o·tanh(c)
-//	gateAVX2 op 0     dst[i] = math.Exp(src[i])
-//	gateAVX2 op 1     dst[i] = 1 / (1 + math.Exp(-src[i]))
-//	gateAVX2 op 2     dst[i] = math.Tanh(src[i])
+//	cellAVX2   for each four-unit group: i = σ(pre_i), f = σ(pre_f),
+//	           g = tanh(pre_g), o = σ(pre_o), c = f·C + i·g,
+//	           tanh(c) and h = o·tanh(c)
 //
-// Both entries are built from the same lane code (the EXP, SIG_* and TANH_*
-// macros below); gateAVX2 exists so the init self-check and the tests can
-// hold each function to math on its own.
+// built from three kinds of lane code (the EXP, SIG_* and TANH_* macros
+// below):
 //
+//	σ(v)       1 / (1 + math.Exp(-v))   the i, f and o rows
+//	tanh(v)    math.Tanh(v)             the g row and c
+//	exp(v)     math.Exp(v)              inside σ and tanh only
+//
+// The init self-check and the tests hold σ and tanh to math through this
+// entry alone: any value in a gate row, and tanh(c) on the incoming C of a
+// step whose f is σ(40) = 1 and whose i·g is +0·g = −0, so that c = C.
+
 // Float-bits rule. A vector lane is one element, lanes never meet, and every
 // lane performs the scalar code's IEEE operations on the same operands in
 // the same order, so it ends on the same bits:
@@ -57,10 +61,9 @@
 // archExp reaches its normal ldexp step (NaN and ±Inf give the out-of-range
 // integer, so they fall out too); sigmoid needs the same of its saturated
 // argument, which leaves out NaN and −710 < v < −709.44. tanh needs every
-// lane finite. An entry stores a group of four only when all its lanes are
-// in the domain of every function the group goes through — for the cell
-// step that is all five non-linearities, tanh(c) included — and otherwise
-// stops and returns how many elements (units) it finished; the Go caller
+// lane finite. cellAVX2 stores a group of four only when all its lanes are
+// in the domain of all five non-linearities of its units, tanh(c) included,
+// and otherwise stops and returns how many units it finished; the Go caller
 // computes the group with math. No denormal, overflow or NaN path is
 // vectorised.
 //
@@ -277,91 +280,6 @@ F64X4(tanhQ2<>, $4.84406305325125486048e3)
 	VCMPPD    $0x00, Y14, T, Y14;            \
 	VBLENDVPD Y14, T, Y12, Y12;              \
 	VBLENDVPD Y15, V, Y12, V
-
-// func gateAVX2(op gateOp, dst, src *float64, n int) int
-//
-// Up to four groups per pass, one per slot: the pass takes g = min(CX/4, 4)
-// groups, and slots past the last group repeat it (offsets R9-R11 clamped
-// to L = 32·(g−1) bytes), so their loads and stores repeat its bits. SI src
-// cursor, DI dst cursor, CX elements left, AX elements written, R8 op, R13
-// L.
-TEXT ·gateAVX2(SB), NOSPLIT, $64-40
-	MOVQ op+0(FP), R8
-	MOVQ dst+8(FP), DI
-	MOVQ src+16(FP), SI
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
-
-loop:
-	CMPQ    CX, $4
-	JLT     stop
-	MOVQ    CX, R13
-	SHRQ    $2, R13
-	MOVQ    $4, BX
-	CMPQ    R13, BX
-	CMOVQGT BX, R13
-	DECQ    R13
-	SHLQ    $5, R13
-	MOVQ    $32, R9
-	CMPQ    R9, R13
-	CMOVQGT R13, R9
-	MOVQ    $64, R10
-	CMPQ    R10, R13
-	CMOVQGT R13, R10
-	MOVQ    $96, R11
-	CMPQ    R11, R13
-	CMOVQGT R13, R11
-	CMPQ    R8, $1
-	JEQ     sigmoid
-	JGT     tanh
-
-	VMOVUPD (SI), Y0
-	VMOVUPD (SI)(R9*1), Y1
-	VMOVUPD (SI)(R10*1), Y2
-	VMOVUPD (SI)(R11*1), Y3
-	EXP(SLOTS4)
-	JMP     store
-
-sigmoid:
-	SIG_ARG(Y0, Y6, (SI))
-	SIG_ARG(Y1, Y7, (SI)(R9*1))
-	SIG_ARG(Y2, Y8, (SI)(R10*1))
-	SIG_ARG(Y3, Y9, (SI)(R11*1))
-	EXP(SLOTS4)
-	SIG_POST(Y0, Y6, (SI))
-	SIG_POST(Y1, Y7, (SI)(R9*1))
-	SIG_POST(Y2, Y8, (SI)(R10*1))
-	SIG_POST(Y3, Y9, (SI)(R11*1))
-	JMP store
-
-tanh:
-	TANH_ARG(Y0, Y6, (SI))
-	TANH_ARG(Y1, Y7, (SI)(R9*1))
-	TANH_ARG(Y2, Y8, (SI)(R10*1))
-	TANH_ARG(Y3, Y9, (SI)(R11*1))
-	EXP(SLOTS4)
-	TANH_POST(Y0, Y6, (SI))
-	TANH_POST(Y1, Y7, (SI)(R9*1))
-	TANH_POST(Y2, Y8, (SI)(R10*1))
-	TANH_POST(Y3, Y9, (SI)(R11*1))
-
-store:
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, (DI)(R9*1)
-	VMOVUPD Y2, (DI)(R10*1)
-	VMOVUPD Y3, (DI)(R11*1)
-	LEAQ    32(R13), BX
-	ADDQ    BX, SI
-	ADDQ    BX, DI
-	SHRQ    $3, BX
-	ADDQ    BX, AX
-	SUBQ    BX, CX
-	JMP     loop
-
-stop:
-	MOVQ AX, ret+32(FP)
-	VZEROUPPER
-	RET
 
 // func cellAVX2(pre, act, tc, cs, hs *float64, h, n int) int
 //

@@ -44,21 +44,43 @@ func archExpReplica(x float64, fused bool) float64 {
 	return r * math.Float64frombits(uint64(int64(n)+1023)<<52)
 }
 
+// sigmoidReplica and tanhReplica are σ and math.Tanh on archExpReplica.
+// Only tanh's middle branch, 0.625 <= |x| <= MAXLOG/2, calls exp; tanhReplica
+// leaves the others to math.Tanh.
+func sigmoidReplica(v float64, fused bool) float64 { return 1 / (1 + archExpReplica(-v, fused)) }
+
+func tanhReplica(x float64, fused bool) float64 {
+	const maxlog = 8.8029691931113054295988e+01
+	z := math.Abs(x)
+	if !(z >= 0.625 && z <= 0.5*maxlog) {
+		return math.Tanh(x)
+	}
+	z = 1 - 2/(archExpReplica(2*z, fused)+1)
+	if x < 0 {
+		return -z
+	}
+	return z
+}
+
+// sigRef is the scalar σ every gate row but g must reproduce bit for bit.
+func sigRef(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+
 // TestGateMathDispatch pins when the assembly runs: exactly where the CPU
 // supports it and math.Exp takes its FMA path (under GODEBUG=cpu.fma=off,
 // -race or another GOARCH it must not). It also pins what makes the init
-// self-check able to tell those paths apart: probes whose exp differs
-// between them.
+// self-check able to tell those paths apart at the cell's outputs: probes
+// whose σ or tanh differs between them.
 func TestGateMathDispatch(t *testing.T) {
 	sensitive, fmaPath := 0, true
 	for _, v := range gateProbes {
-		if archExpReplica(v, true) != archExpReplica(v, false) {
+		s, th := sigmoidReplica(v, true), tanhReplica(v, true)
+		if s != sigmoidReplica(v, false) || th != tanhReplica(v, false) {
 			sensitive++
-			fmaPath = fmaPath && math.Exp(v) == archExpReplica(v, true)
+			fmaPath = fmaPath && sigRef(v) == s && math.Tanh(v) == th
 		}
 	}
 	if sensitive < 8 {
-		t.Fatalf("%d gate probes tell math.Exp's FMA path from its SSE2 path, want at least 8", sensitive)
+		t.Fatalf("%d gate probes give a different σ or tanh on math.Exp's FMA and SSE2 paths, want at least 8", sensitive)
 	}
 	if runtime.GOARCH == "amd64" {
 		// The replicas must be what they claim: math.Exp is one of them.
@@ -80,48 +102,48 @@ func TestGateMathDispatch(t *testing.T) {
 	t.Logf("assembly gates: %v", useGateAsm)
 }
 
-// gateRef is the scalar definition each op must reproduce bit for bit.
-func gateRef(op gateOp, v float64) float64 {
-	switch op {
-	case opExp:
-		return math.Exp(v)
-	case opSigmoid:
-		return 1 / (1 + math.Exp(-v))
-	}
-	return math.Tanh(v)
-}
-
-var gateOps = []gateOp{opExp, opSigmoid, opTanh}
-
-// gateInto sets dst[i] = op(src[i]) for every i < len(src) through gateAVX2
-// where the assembly runs, a group with a lane outside op's fast domain and
-// the tail through math. dst may be src.
-func gateInto(op gateOp, dst, src []float64) {
-	dst = dst[:len(src)]
-	for i := 0; i < len(src); {
-		if useGateAsm && len(src)-i >= 4 {
-			i += gateAVX2(op, &dst[i], &src[i], len(src)-i)
-		}
-		for end := min(i+4, len(src)); i < end; i++ {
-			dst[i] = op.scalar(src[i])
-		}
-	}
-}
-
-// checkGates runs every op over in, cut into runs of 1..9 elements so the
-// four-lane groups and the scalar tails take every alignment, and compares
-// each output with gateRef bitwise.
+// checkGates holds σ and tanh to math, bit for bit, on every value of in,
+// through activate: cellAVX2 where the assembly runs, math for a group with
+// a lane outside a fast domain and for the tail. in is cut into cells of
+// 1..9 units, so the four-unit groups and the tails take every alignment,
+// and each cell takes two steps:
+//   - the values in every gate row: σ on the i, f and o rows, tanh on g;
+//   - the values as the incoming C, with f = σ(40) = 1, i = σ(−800) = +0
+//     and g = tanh(−1) < 0, so that i·g = −0 and c = 1·C + (−0) is C:
+//     tanh alone on the values, as tanh(c), and o = σ(40) = 1 makes H
+//     tanh(c) too. c must come back as C, bit for bit (a signalling NaN
+//     quieted by 1·C aside).
 func checkGates(t testing.TB, in []float64) {
-	out := make([]float64, len(in))
-	for _, op := range gateOps {
-		for i, n := 0, 1; i < len(in); i, n = i+n, n%9+1 {
-			end := min(i+n, len(in))
-			gateInto(op, out[i:end], in[i:end])
+	const maxH = 9
+	var pre, act [numGates * maxH]float64
+	var tc, cs, hs [maxH]float64
+	for i, n := 0, 1; i < len(in); i, n = i+n, n%maxH+1 {
+		v := in[i:min(i+n, len(in))]
+		h := len(v)
+		for r := 0; r < numGates; r++ {
+			copy(pre[r*h:], v)
 		}
-		for i, v := range in {
-			if want := gateRef(op, v); math.Float64bits(out[i]) != math.Float64bits(want) {
-				t.Fatalf("op %d of %v (%#x): got %v (%#x), want %v (%#x)", op, v, math.Float64bits(v),
-					out[i], math.Float64bits(out[i]), want, math.Float64bits(want))
+		clear(cs[:h])
+		activate(pre[:numGates*h], act[:numGates*h], tc[:h], cs[:h], hs[:h])
+		for j, x := range v {
+			for r, want := range [numGates]float64{sigRef(x), sigRef(x), math.Tanh(x), sigRef(x)} {
+				if got := act[r*h+j]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("gate row %d of %v (%#x): got %v (%#x), want %v (%#x)", r, x, math.Float64bits(x),
+						got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+		for j := range v {
+			pre[gateI*h+j], pre[gateF*h+j], pre[gateG*h+j], pre[gateO*h+j] = -800, 40, -1, 40
+		}
+		copy(cs[:h], v)
+		activate(pre[:numGates*h], act[:numGates*h], tc[:h], cs[:h], hs[:h])
+		for j, x := range v {
+			want := math.Tanh(x)
+			if !sameBits(cs[j], x) || !sameBits(tc[j], want) || !sameBits(hs[j], want) {
+				t.Fatalf("tanh(c) of C = %v (%#x): c %v (%#x), tanh(c) %v (%#x), H %v (%#x), want c = C and tanh %v (%#x)",
+					x, math.Float64bits(x), cs[j], math.Float64bits(cs[j]), tc[j], math.Float64bits(tc[j]),
+					hs[j], math.Float64bits(hs[j]), want, math.Float64bits(want))
 			}
 		}
 	}
@@ -148,9 +170,9 @@ func gateBoundaries() []float64 {
 }
 
 // TestGateMathBitsMatchScalar: over 10⁷ inputs spread across magnitudes and
-// random bit patterns, plus the boundary corpus at every lane position,
-// the vector gates return math's bits (on a build or CPU without them this
-// checks the fallback).
+// random bit patterns, plus the boundary corpus at every lane position, the
+// cell step's σ and tanh return math's bits (on a build or CPU without the
+// assembly this checks the fallback).
 func TestGateMathBitsMatchScalar(t *testing.T) {
 	n := 10_000_000
 	if !useGateAsm {
@@ -180,8 +202,9 @@ func TestGateMathBitsMatchScalar(t *testing.T) {
 	checkGates(t, in)
 }
 
-// FuzzGateMath holds the vector gates to math bit for bit on arbitrary
-// inputs: the bytes are read as up to 64 float64s.
+// FuzzGateMath holds the cell step's σ and tanh to math bit for bit on
+// arbitrary inputs, as checkGates does: the bytes are read as up to 64
+// float64s.
 func FuzzGateMath(f *testing.F) {
 	corpus := gateBoundaries()
 	for i := 0; i+9 <= len(corpus); i += 9 {
@@ -221,10 +244,9 @@ func scalarStep(c *Cell, in []float64, ref State, want *stepCache) {
 		}
 		pre[r] = c.B[r] + sum
 	}
-	sig := func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 	for j := 0; j < h; j++ {
-		iv, fv := sig(pre[gateI*h+j]), sig(pre[gateF*h+j])
-		gv, ov := math.Tanh(pre[gateG*h+j]), sig(pre[gateO*h+j])
+		iv, fv := sigRef(pre[gateI*h+j]), sigRef(pre[gateF*h+j])
+		gv, ov := math.Tanh(pre[gateG*h+j]), sigRef(pre[gateO*h+j])
 		cv := fv*ref.C[j] + iv*gv
 		tc := math.Tanh(cv)
 		want.i[j], want.f[j], want.g[j], want.o[j], want.c[j], want.tanhC[j] = iv, fv, gv, ov, cv, tc

@@ -56,9 +56,9 @@ type Engine struct {
 	blockedN     int
 	reviveArmedN int
 
-	// inflight counts scheduled-but-unfired worker events (After and
-	// AfterWorker). Zero means every worker pipeline has drained — the
-	// quiescence condition a checkpoint barrier waits for.
+	// inflight counts scheduled-but-unfired worker events (AfterWorker).
+	// Zero means every worker pipeline has drained — the quiescence
+	// condition a checkpoint barrier waits for.
 	inflight int
 
 	// Checkpoint-barrier state (checkpoint.go): the next barrier epoch,
@@ -315,16 +315,6 @@ func (e *Engine) CommSample(m int) float64 { return e.sampler.Comm(m) }
 
 // CompSample draws a computation time for worker m's next iteration.
 func (e *Engine) CompSample(m int) float64 { return e.sampler.Comp(m) }
-
-// After schedules f on the virtual clock, delay milliseconds from now. Like
-// AfterWorker it counts toward the engine's in-flight tally (see fleet.go).
-func (e *Engine) After(delay float64, f func()) {
-	e.inflight++
-	e.clock.ScheduleAfter(delay, func() {
-		e.inflight--
-		f()
-	})
-}
 
 // beginPull is what Pull and PullLocal do first. It drains the worker's
 // most recent dispatch: a crash cancels the completion event that would have

@@ -185,7 +185,7 @@ func (toyStrategy) Setup(*Engine) {}
 func (toyStrategy) Launch(e *Engine, m int) {
 	e.Pull(m)
 	wait := e.DispatchGradient(m)
-	e.After(e.CompSample(m), func() {
+	e.AfterWorker(m, e.CompSample(m), func() {
 		if e.Done() {
 			return
 		}

@@ -87,14 +87,13 @@ func (e *Engine) setLink(m int, to link) {
 	*l = to
 }
 
-// AfterWorker schedules f on the virtual clock like After, bound to worker
-// m's current fleet generation: if m is retired before the event fires, the
-// event is dropped. Strategies use it for every per-worker pipeline stage so
-// a crash cancels the worker's in-flight iteration; events that must fire
-// regardless of fleet churn use After. Both are counted in the engine's
-// in-flight tally so a checkpoint barrier knows when the pipelines have
-// drained (a generation-dropped event still occupies the clock until its
-// time, and still counts down when it fires).
+// AfterWorker schedules f on the virtual clock, delay milliseconds from now,
+// bound to worker m's current fleet generation: if m is retired before the
+// event fires, the event is dropped. Strategies use it for every per-worker
+// pipeline stage so a crash cancels the worker's in-flight iteration. It is
+// counted in the engine's in-flight tally so a checkpoint barrier knows when
+// the pipelines have drained (a generation-dropped event still occupies the
+// clock until its time, and still counts down when it fires).
 func (e *Engine) AfterWorker(m int, delay float64, f func()) {
 	gen := e.workers[m].gen
 	e.inflight++

@@ -131,17 +131,23 @@ var named = []struct {
 	{"gossip", Gossip},
 }
 
-// builder returns the builder of a named spec, or nil.
-func builder(spec string) func(int, *rng.RNG) *Graph {
+// parseSpec is the one reading of a spec string: a named topology's
+// builder ("" is "ring"), or an "edges:" list's rank pairs with a nil
+// builder, or an error naming the valid forms.
+func parseSpec(spec string) (build func(int, *rng.RNG) *Graph, edges [][2]int, err error) {
 	if spec == "" {
 		spec = "ring"
 	}
 	for _, t := range named {
 		if t.spec == spec {
-			return t.build
+			return t.build, nil, nil
 		}
 	}
-	return nil
+	if rest, ok := strings.CutPrefix(spec, "edges:"); ok {
+		edges, err = parseEdgeList(rest)
+		return nil, edges, err
+	}
+	return nil, nil, fmt.Errorf("topology: unknown spec %q (valid: %s)", spec, strings.Join(Names(), ", "))
 }
 
 // Parse builds the graph named by spec over n workers. Valid specs are the
@@ -150,31 +156,22 @@ func builder(spec string) func(int, *rng.RNG) *Graph {
 // dedicated labeled stream unconditionally so the parent stream's position
 // does not depend on the spec.
 func Parse(spec string, n int, g *rng.RNG) (*Graph, error) {
-	if build := builder(spec); build != nil {
+	build, edges, err := parseSpec(spec)
+	switch {
+	case err != nil:
+		return nil, err
+	case build != nil:
 		return build(n, g), nil
 	}
-	if rest, ok := strings.CutPrefix(spec, "edges:"); ok {
-		edges, err := parseEdgeList(rest)
-		if err != nil {
-			return nil, err
-		}
-		return New(n, edges), nil
-	}
-	return nil, fmt.Errorf("topology: unknown spec %q (valid: %s)", spec, strings.Join(Names(), ", "))
+	return New(n, edges), nil
 }
 
 // ValidateSpec checks a spec string without building a graph — what
 // cmd/lcexp's upfront flag validation reaches through SpecMinWorkers before
 // any dataset work.
 func ValidateSpec(spec string) error {
-	if builder(spec) != nil {
-		return nil
-	}
-	if rest, ok := strings.CutPrefix(spec, "edges:"); ok {
-		_, err := parseEdgeList(rest)
-		return err
-	}
-	return fmt.Errorf("topology: unknown spec %q (valid: %s)", spec, strings.Join(Names(), ", "))
+	_, _, err := parseSpec(spec)
+	return err
 }
 
 // SpecMinWorkers returns the smallest fleet a spec can span: the highest
@@ -183,23 +180,12 @@ func ValidateSpec(spec string) error {
 // lose the out-of-range edges (New drops them) and can leave the graph
 // disconnected, so flag-level callers reject the pairing up front instead.
 func SpecMinWorkers(spec string) (int, error) {
-	rest, ok := strings.CutPrefix(spec, "edges:")
-	if !ok {
-		return 0, ValidateSpec(spec)
-	}
-	edges, err := parseEdgeList(rest)
-	if err != nil {
-		return 0, err
-	}
-	min := 0
+	_, edges, err := parseSpec(spec)
+	n := 0
 	for _, e := range edges {
-		for _, r := range e {
-			if r+1 > min {
-				min = r + 1
-			}
-		}
+		n = max(n, e[0]+1, e[1]+1)
 	}
-	return min, nil
+	return n, err
 }
 
 // Names lists the valid topology spec forms, for flag vocabulary messages.
