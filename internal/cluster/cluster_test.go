@@ -239,12 +239,9 @@ func TestSamplerSnapshotRoundTrip(t *testing.T) {
 	w := snapshot.NewWriter()
 	a.Walk(w.Codec())
 	b := model.NewSampler(4, rng.New(3)) // same construction, stale position/phases
-	r, err := snapshot.NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := snapshot.NewReader(w.Bytes())
 	if b.Walk(r.Codec()); r.Err() != nil {
-		t.Fatal(err)
+		t.Fatal(r.Err())
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 )
 
 func TestIterLogGaps(t *testing.T) {
-	l := NewIterLog()
+	l := NewIterLog(3)
 	if g := l.Append(0); g != -1 {
 		t.Fatalf("first delivery gap %d, want -1", g)
 	}
@@ -33,7 +33,7 @@ func TestIterLogGaps(t *testing.T) {
 func TestIterLogGapPropertyQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := rng.New(seed)
-		l := NewIterLog()
+		l := NewIterLog(8)
 		last := map[int]int{}
 		for i := 0; i < 200; i++ {
 			m := g.Intn(8)
@@ -159,21 +159,17 @@ func TestStepPredictorClamps(t *testing.T) {
 }
 
 // TestStepPredictorRestoreRejectsHostileRows: a snapshot's per-worker
-// feature rows must name fleet workers in ascending order and have the
-// network's input width — a width-1 row or a worker past the fleet used to
-// restore cleanly and panic at the next ObserveAndPredict. A real snapshot
-// restores and re-emits its exact bytes.
+// feature vector and seen-list must be the fleet's length — a shorter one
+// would restore cleanly and panic at the next ObserveAndPredict. A real
+// snapshot restores and re-emits its exact bytes.
 func TestStepPredictorRestoreRejectsHostileRows(t *testing.T) {
 	src := NewStepPredictorSized(4, 8, rng.New(7))
-	for i := 0; i < 16; i++ {
-		src.ObserveAndPredict(i%4, i/4-1, 1, 10)
+	for i := 0; i < 16; i++ { // worker 3 stays unseen
+		src.ObserveAndPredict(i%3, i/3-1, 1, 10)
 	}
 	restore := func(b []byte) (*StepPredictor, error) {
 		dst := NewStepPredictorSized(4, 8, rng.New(8))
-		r, err := snapshot.NewReader(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := snapshot.NewReader(b)
 		if dst.Walk(r.Codec()); r.Err() != nil {
 			return nil, r.Err()
 		}
@@ -192,35 +188,28 @@ func TestStepPredictorRestoreRejectsHostileRows(t *testing.T) {
 	if !bytes.Equal(w.Bytes(), valid) {
 		t.Fatal("restored predictor re-emits different bytes")
 	}
-	dst.ObserveAndPredict(2, 1, 1, 10)
+	dst.ObserveAndPredict(3, 1, 1, 10)
 
-	type row struct {
-		m    int
-		feat []float64
-	}
-	feat := []float64{0.1, 0.2, 0.3}
+	seen := []bool{true, false, true, true}
 	for _, tc := range []struct {
 		name string
-		rows []row
+		feat []float64
+		seen []bool
 		ok   bool
 	}{
-		{"fleet rows", []row{{0, feat}, {3, feat}}, true},
-		{"width-1 row", []row{{0, feat}, {2, feat[:1]}}, false},
-		{"width-4 row", []row{{1, append(feat, 0.4)}}, false},
-		{"worker past the fleet", []row{{0, feat}, {99, feat}}, false},
-		{"worker at the fleet size", []row{{4, feat}}, false},
-		{"negative worker", []row{{-1, feat}}, false},
-		{"repeated worker", []row{{1, feat}, {1, feat}}, false},
-		{"descending workers", []row{{2, feat}, {1, feat}}, false},
+		{"fleet lengths", make([]float64, 12), seen, true},
+		{"short feature vector", make([]float64, 11), seen, false},
+		{"long feature vector", make([]float64, 15), seen, false},
+		{"short seen-list", make([]float64, 12), seen[:3], false},
+		{"long seen-list", make([]float64, 12), append(seen, true), false},
 	} {
-		// Walk's layout with the feature rows replaced.
+		// Walk's layout with the per-worker vectors replaced.
 		w := snapshot.NewWriter()
 		src.net.Walk(w.Codec())
-		w.Int(src.workers)
-		w.Int(len(tc.rows))
-		for _, r := range tc.rows {
-			w.Int(r.m)
-			w.F64s(r.feat)
+		w.F64s(tc.feat)
+		w.Int(len(tc.seen))
+		for _, b := range tc.seen {
+			w.Bool(b)
 		}
 		w.F64(src.commScale)
 		w.F64(src.compScale)
@@ -231,8 +220,8 @@ func TestStepPredictorRestoreRejectsHostileRows(t *testing.T) {
 			t.Fatalf("%s: restore error %v, want ok=%v", tc.name, err, tc.ok)
 		}
 		if tc.ok {
-			for _, r := range tc.rows {
-				p.ObserveAndPredict(r.m, 1, 1, 10)
+			for m := range 4 {
+				p.ObserveAndPredict(m, 1, 1, 10)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"lcasgd/internal/snapshot"
@@ -16,16 +15,27 @@ import (
 // overhead counters (TrainTime etc.) are excluded — they measure the host
 // machine, not the run.
 
-// Walk walks the delivery log; a restore rebuilds the per-worker last-seen
-// index.
+// Walk walks the delivery log: the count, then every worker's last
+// position. A restore wants a position per worker of the fleet, each before
+// the count.
 func (l *IterLog) Walk(c snapshot.Codec) {
-	c.Ints(&l.seq)
-	if c.Reading() && c.Err() == nil {
-		l.lastSeen = make(map[int]int, 16)
-		for i, m := range l.seq {
-			l.lastSeen[m] = i
+	last := l.last
+	c.Int(&l.n)
+	c.Ints(&last)
+	if !c.Reading() || c.Err() != nil {
+		return
+	}
+	if len(last) != len(l.last) {
+		c.Fail(fmt.Errorf("core: iter log snapshot for %d workers, have %d", len(last), len(l.last)))
+		return
+	}
+	for m, at := range last {
+		if at < -1 || at >= l.n {
+			c.Fail(fmt.Errorf("core: iter log puts worker %d at delivery %d of %d", m, at, l.n))
+			return
 		}
 	}
+	l.last = last
 }
 
 // walkTrace walks a predictor trace series. A restored empty trace is nil,
@@ -66,49 +76,20 @@ func (p *LossPredictor) Walk(c snapshot.Codec) {
 }
 
 // Walk walks the step predictor: LSTM weights and window, the per-worker
-// feature memory (in ascending worker order — map iteration order must not
-// leak into the stream), the running normalization scales, and the trace.
-// A restore wants what a writing walk emits: ranks ascending, each a worker
-// of the fleet, with a feature row of the network's input width; anything
-// else would make the next ObserveAndPredict panic.
+// feature memory and which workers it holds a row for, the running
+// normalization scales, and the trace. Both per-worker vectors have a
+// length fixed by the fleet size, which a restore requires.
 func (p *StepPredictor) Walk(c snapshot.Codec) {
-	reading := c.Reading()
 	p.net.Walk(c)
-	workers := p.workers
-	c.Int(&workers)
-	if reading && c.Err() == nil && workers != p.workers {
-		c.Fail(fmt.Errorf("core: step predictor snapshot for %d workers, have %d", workers, p.workers))
+	c.F64sInto(p.lastFeat)
+	n := len(p.seen)
+	c.Len(&n, 8)
+	if c.Reading() && c.Err() == nil && n != len(p.seen) {
+		c.Fail(fmt.Errorf("core: step predictor snapshot for %d workers, have %d", n, len(p.seen)))
 		return
 	}
-	var ranks []int
-	if !reading {
-		ranks = slices.Sorted(maps.Keys(p.lastFeat))
-	}
-	n := len(ranks)
-	c.Len(&n, 2*8) // an entry is a rank and a length prefix at the least
-	if reading && c.Err() == nil {
-		p.lastFeat = make(map[int][]float64, n)
-	}
-	prev := -1
-	for i := 0; i < n && c.Err() == nil; i++ {
-		var m int
-		var feat []float64
-		if !reading {
-			m = ranks[i]
-			feat = p.lastFeat[m]
-		}
-		c.Int(&m)
-		c.F64s(&feat)
-		switch {
-		case !reading || c.Err() != nil:
-		case m <= prev || m >= p.workers:
-			c.Fail(fmt.Errorf("core: step predictor feature row for worker %d after %d, fleet of %d", m, prev, p.workers))
-		case len(feat) != len(p.feat):
-			c.Fail(fmt.Errorf("core: step predictor feature row of width %d, want %d", len(feat), len(p.feat)))
-		default:
-			p.lastFeat[m] = feat
-			prev = m
-		}
+	for m := range p.seen {
+		c.Bool(&p.seen[m])
 	}
 	c.F64(&p.commScale)
 	c.F64(&p.compScale)

@@ -18,10 +18,12 @@ type StepPredictor struct {
 	net     *lstm.Network
 	workers int
 
-	// Per-worker last feature vector, used as the training input when the
-	// realized staleness label arrives (Algorithm 4 line 2). Each worker's
-	// slice is allocated once and overwritten in place thereafter.
-	lastFeat map[int][]float64
+	// lastFeat holds each worker's last feature vector, row m at
+	// [numFeat*m, numFeat*(m+1)), used as the training input when the
+	// realized staleness label arrives (Algorithm 4 line 2); seen[m] says
+	// whether row m has been written yet.
+	lastFeat []float64
+	seen     []bool
 	// feat is the reused scratch the current iteration's features are
 	// assembled in before being copied into lastFeat.
 	feat []float64
@@ -45,17 +47,22 @@ func NewStepPredictor(workers int, g *rng.RNG) *StepPredictor {
 
 // NewStepPredictorSized allows the hidden width to be varied.
 func NewStepPredictorSized(workers, hidden int, g *rng.RNG) *StepPredictor {
-	n := lstm.NewNetwork(3, []int{hidden, hidden}, g)
+	n := lstm.NewNetwork(numFeat, []int{hidden, hidden}, g)
 	n.LR = 0.02
 	n.Window = 12
 	return &StepPredictor{
 		net:       n,
 		workers:   workers,
-		lastFeat:  make(map[int][]float64),
-		feat:      make([]float64, 3),
+		lastFeat:  make([]float64, numFeat*workers),
+		seen:      make([]bool, workers),
+		feat:      make([]float64, numFeat),
 		commScale: 1, compScale: 1,
 	}
 }
+
+// numFeat is the width of the step predictor's input: staleness, t_comm
+// and t_comp.
+const numFeat = 3
 
 // features normalizes (step, tcomm, tcomp) into the LSTM's input space:
 // staleness is scaled by the worker count, times by running magnitude
@@ -89,17 +96,14 @@ func (p *StepPredictor) ObserveAndPredict(m int, observedStep int, tcomm, tcomp 
 		p.Calls++
 	}()
 	feat := p.features(float64(observedStep), tcomm, tcomp)
-	if prev, ok := p.lastFeat[m]; ok && observedStep >= 0 {
-		// TrainStep copies prev into its window, so the per-worker buffer
-		// can be overwritten right after.
+	prev := p.lastFeat[numFeat*m : numFeat*(m+1)]
+	if p.seen[m] && observedStep >= 0 {
+		// TrainStep copies prev into its window, so the per-worker row can
+		// be overwritten right after.
 		p.net.TrainStep(prev, float64(observedStep)/float64(p.workers))
 	}
-	buf, ok := p.lastFeat[m]
-	if !ok {
-		buf = make([]float64, len(feat))
-		p.lastFeat[m] = buf
-	}
-	copy(buf, feat)
+	copy(prev, feat)
+	p.seen[m] = true
 	if observedStep < 0 {
 		return p.workers - 1
 	}

@@ -317,12 +317,9 @@ func TestBatchIterSnapshotRoundTrip(t *testing.T) {
 	w := snapshot.NewWriter()
 	a.Walk(w.Codec())
 	b := NewBatchIter(ds, 30, rng.New(99)) // different seed: all state restored
-	r, err := snapshot.NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := snapshot.NewReader(w.Bytes())
 	if b.Walk(r.Codec()); r.Err() != nil {
-		t.Fatal(err)
+		t.Fatal(r.Err())
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -361,10 +358,7 @@ func TestBatchIterRestoreRejectsMismatch(t *testing.T) {
 	cfg.Train = 60
 	ds2, _ := Generate(cfg)
 	b := NewBatchIter(ds2, 10, rng.New(1))
-	r, err := snapshot.NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := snapshot.NewReader(w.Bytes())
 	if b.Walk(r.Codec()); r.Err() == nil {
 		t.Fatal("mismatched dataset size accepted")
 	}

@@ -63,7 +63,8 @@ func NewCell(x, h int, g *rng.RNG) *Cell {
 		tc:   make([]float64, h),
 		dAct: make([]float64, numGates*h),
 	}
-	// The draw order is the serialized one (input weights, then hidden).
+	// The seed stream draws the input weights, then the hidden ones, each
+	// block gate-row major: the transposes of W's two row blocks.
 	wx, wh := make([]float64, numGates*h*x), make([]float64, numGates*h*h)
 	g.FillNormal(wx, math.Sqrt(1/float64(x+h)))
 	g.FillNormal(wh, math.Sqrt(1/float64(x+h)))
@@ -74,16 +75,9 @@ func NewCell(x, h int, g *rng.RNG) *Cell {
 	return c
 }
 
-// serialWeights returns the weights in the order snapshots (and the seed
-// stream) use: the input weights [4H, X], then the hidden weights [4H, H],
-// both gate-row major — the transposes of W's two row blocks.
-func (c *Cell) serialWeights() (wx, wh []float64) {
-	n4, split := numGates*c.H, c.X*numGates*c.H
-	return tensor.Transpose(tensor.FromSlice(c.W[:split], c.X, n4)).Data,
-		tensor.Transpose(tensor.FromSlice(c.W[split:], c.H, n4)).Data
-}
-
-// setSerialWeights loads weights given in serialWeights order.
+// setSerialWeights loads weights given in the seed stream's order: the
+// input weights [4H, X], then the hidden weights [4H, H], both gate-row
+// major.
 func (c *Cell) setSerialWeights(wx, wh []float64) {
 	n4, split := numGates*c.H, c.X*numGates*c.H
 	copy(c.W[:split], tensor.Transpose(tensor.FromSlice(wx, n4, c.X)).Data)

@@ -68,15 +68,18 @@ func activateUnits(pre, act, tc, C, H []float64, j0, end int) {
 // σ and tanh, a multiple of four long, covering tanh's branches and their
 // boundaries, and holding inputs whose σ or tanh differs in the last bit
 // between math.Exp's FMA and non-FMA paths (TestGateMathDispatch counts
-// them). The last row was found by a seeded search for such inputs among
-// multiples of 0.01 in [−40, 40]: the first four with σ sensitive, the
-// first four with tanh sensitive.
+// them). The row of eight was found by a seeded search for such inputs
+// among multiples of 0.01 in [−40, 40]: the first four with σ sensitive,
+// the first four with tanh sensitive. The last four are σ inputs whose
+// exp lands one ulp off when the last step of exp's Horner chain is a
+// multiply then an add instead of one FMA.
 var gateProbes = [...]float64{
 	-699.625, -600, -39.8, -18.4, -7.9, -2.52, -1.01, -0.14,
 	0.01, 0.31, 1.04, 2.23, 4.22, 7.9, 18.4, 333.3,
 	0, math.Copysign(0, -1), 5e-324, 1e-10, 0.3, -0.45, math.Nextafter(0.625, 0), 0.625,
 	-0.625, 0.9, -3.3, 20.5, 44.014845965556527147994, math.Nextafter(44.014845965556527147994, 100), -60, 650,
 	-22.2, -10.26, -38.62, -11.31, -1.22, 1.22, 1.18, -2.23,
+	-70.26805661355812, -218.6862254277862, -462.6022619972187, -487.47848951645346,
 }
 
 // gateSelfCheck reports whether the assembly reproduces math on gateProbes,

@@ -229,7 +229,7 @@ func FuzzGateMath(f *testing.F) {
 // i·g; h = o·tanh(c). It advances ref and records the step in want.
 func scalarStep(c *Cell, in []float64, ref State, want *stepCache) {
 	x, h := c.X, c.H
-	wx, wh := c.serialWeights()
+	wx, wh := serialWeights(c)
 	copy(want.x, in)
 	copy(want.hPrev, ref.H)
 	copy(want.cPrev, ref.C)

@@ -7,6 +7,7 @@ import (
 
 	"lcasgd/internal/rng"
 	"lcasgd/internal/snapshot"
+	"lcasgd/internal/tensor"
 )
 
 // cellLoss runs one forward step and returns Σh + Σc, the scalar whose
@@ -100,10 +101,18 @@ func TestCellBackwardMatchesFiniteDiff(t *testing.T) {
 	}
 }
 
-// TestCellSerialWeightOrder pins the serialized weight order — input
+// serialWeights returns c's weights in setSerialWeights order: the input
+// weights [4H, X], then the hidden weights [4H, H], both gate-row major —
+// the transposes of W's two row blocks.
+func serialWeights(c *Cell) (wx, wh []float64) {
+	n4, split := numGates*c.H, c.X*numGates*c.H
+	return tensor.Transpose(tensor.FromSlice(c.W[:split], c.X, n4)).Data,
+		tensor.Transpose(tensor.FromSlice(c.W[split:], c.H, n4)).Data
+}
+
+// TestCellSerialWeightOrder pins the seed stream's weight order — input
 // weights [4H, X] then hidden weights [4H, H], gate-row major — against the
-// packed in-memory W [(X+H), 4H], both ways: checkpoints and the init draw
-// depend on it.
+// packed in-memory W [(X+H), 4H], both ways: the init draw depends on it.
 func TestCellSerialWeightOrder(t *testing.T) {
 	const x, h = 2, 3
 	c := NewCell(x, h, rng.New(1))
@@ -113,7 +122,7 @@ func TestCellSerialWeightOrder(t *testing.T) {
 			c.W[j*n4+r] = float64(100*j + r)
 		}
 	}
-	wx, wh := c.serialWeights()
+	wx, wh := serialWeights(c)
 	for r := 0; r < n4; r++ {
 		for j := 0; j < x; j++ {
 			if got, want := wx[r*x+j], float64(100*j+r); got != want {
@@ -152,7 +161,7 @@ func TestCellStepBitsMatchRowLoops(t *testing.T) {
 		s := NewState(h)
 		g.FillNormal(s.H, 0.5)
 		g.FillNormal(s.C, 0.5)
-		wx, wh := c.serialWeights()
+		wx, wh := serialWeights(c)
 		want := make([]float64, numGates*h)
 		for r := range want {
 			sum := 0.0
@@ -199,7 +208,7 @@ func TestCellStepBitsMatchScalarGates(t *testing.T) {
 				g.FillNormal(in, 1.5)
 				copy(nilState.H, s.H)
 				copy(nilState.C, s.C)
-				wx, wh := c.serialWeights()
+				wx, wh := serialWeights(c)
 				pre := make([]float64, numGates*h)
 				for r := range pre {
 					sum := 0.0
@@ -493,12 +502,9 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 	w := snapshot.NewWriter()
 	a.Walk(w.Codec())
 	b := build() // fresh weights, fresh window — all overwritten by restore
-	r, err := snapshot.NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := snapshot.NewReader(w.Bytes())
 	if b.Walk(r.Codec()); r.Err() != nil {
-		t.Fatal(err)
+		t.Fatal(r.Err())
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -526,10 +532,7 @@ func TestNetworkRestoreRejectsShapeMismatch(t *testing.T) {
 	w := snapshot.NewWriter()
 	a.Walk(w.Codec())
 	b := NewNetwork(2, []int{4, 4}, rng.New(42))
-	r, err := snapshot.NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := snapshot.NewReader(w.Bytes())
 	if b.Walk(r.Codec()); r.Err() == nil {
 		t.Fatal("shape mismatch accepted")
 	}

@@ -321,12 +321,7 @@ func (n *Network) Walk(c snapshot.Codec) {
 			c.Fail(fmt.Errorf("lstm: snapshot cell %dx%d, network cell %dx%d", x, h, cell.X, cell.H))
 			return
 		}
-		wx, wh := cell.serialWeights()
-		c.F64sInto(wx)
-		c.F64sInto(wh)
-		if reading && c.Err() == nil {
-			cell.setSerialWeights(wx, wh)
-		}
+		c.F64sInto(cell.W)
 		c.F64sInto(cell.B)
 	}
 	c.F64sInto(n.HeadW)

@@ -679,11 +679,8 @@ func (e *Engine) restore(data []byte) error {
 			if len(rest) == 0 || rest[0].ID != id {
 				return fmt.Errorf("checkpoint has no section (%d,%d) where one belongs", id.Kind, id.Index)
 			}
-			r, err := snapshot.NewReader(rest[0].Payload)
+			r := snapshot.NewReader(rest[0].Payload)
 			rest = rest[1:]
-			if err != nil {
-				return err
-			}
 			sec.walk(e, r.Codec(), i)
 			if err := r.Close(); err != nil {
 				return fmt.Errorf("checkpoint section (%d,%d): %w", id.Kind, id.Index, err)

@@ -386,10 +386,7 @@ func TestArmedEventsEncodeInArmOrder(t *testing.T) {
 	r := engine()
 	defer r.close()
 	r.ck.restoring = len(meta)
-	rd, err := snapshot.NewReader(meta)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rd := snapshot.NewReader(meta)
 	if walkMeta(r, rd.Codec(), 0); rd.Err() != nil {
 		t.Fatal(rd.Err())
 	}
@@ -422,10 +419,7 @@ func TestRestoreRejectsSubMillisecondPeriod(t *testing.T) {
 	r := engine()
 	defer r.close()
 	r.ck.restoring = len(w.Bytes())
-	rd, err := snapshot.NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rd := snapshot.NewReader(w.Bytes())
 	walkMeta(r, rd.Codec(), 0)
 	if err := rd.Err(); err == nil || !strings.Contains(err.Error(), "under 1 ms") {
 		t.Fatalf("restore of a 1e-9 ms period: err %v, want the period floor", err)

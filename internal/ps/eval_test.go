@@ -86,10 +86,7 @@ func decodePoints(t *testing.T, data []byte) []Point {
 		if s.ID.Kind != secRecChunk {
 			continue
 		}
-		r, err := snapshot.NewReader(s.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := snapshot.NewReader(s.Payload)
 		for n := r.Int(); n > 0; n-- {
 			pts = append(pts, Point{Epoch: r.Int(), Time: r.F64(), TrainErr: r.F64(), TestErr: r.F64()})
 		}

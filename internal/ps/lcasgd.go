@@ -1,8 +1,6 @@
 package ps
 
 import (
-	"fmt"
-
 	"lcasgd/internal/core"
 	"lcasgd/internal/snapshot"
 )
@@ -39,7 +37,7 @@ func (*lcStrategy) Algo() Algo { return LCASGD }
 func (s *lcStrategy) Setup(e *Engine) {
 	s.cfg = e.Config()
 	predRng := e.Rng(400)
-	s.iterLog = core.NewIterLog()
+	s.iterLog = core.NewIterLog(e.Workers())
 	s.lossPred = core.NewLossPredictorSized(s.cfg.LossPredHidden, predRng.SplitLabeled(1))
 	s.stepPred = core.NewStepPredictorSized(e.Workers(), s.cfg.StepPredHidden, predRng.SplitLabeled(2))
 	if s.cfg.EMALossPredictor {
@@ -63,7 +61,7 @@ func (s *lcStrategy) Launch(e *Engine, m int) {
 		}
 		fwdWait()
 		scale := 1.0
-		serverMs := s.cfg.PredVirtualMs
+		serverMs := *s.cfg.PredVirtualMs
 		if e.Partitioned(m) {
 			// The server is unreachable: no state push, no predictor
 			// training, no compensation reply and no server-side prediction
@@ -119,20 +117,16 @@ func (s *lcStrategy) Launch(e *Engine, m int) {
 
 // WalkState walks everything LC-ASGD accumulates on the server across
 // iterations: the iter delivery log, both online LSTM predictors (weights,
-// windows, traces), the EMA ablation predictor when configured, and the
-// per-worker previous-computation-time memory. At a quiescent barrier no
-// worker is mid-pipeline, so this is the algorithm's entire live state.
+// windows, traces), the EMA ablation predictor when the config has one (a
+// restore runs under the ConfigKey that wrote the checkpoint, so both sides
+// agree on that), and the per-worker previous-computation-time memory. At a
+// quiescent barrier no worker is mid-pipeline, so this is the algorithm's
+// entire live state.
 func (s *lcStrategy) WalkState(_ *Engine, c snapshot.Codec) {
 	s.iterLog.Walk(c)
 	s.lossPred.Walk(c)
 	s.stepPred.Walk(c)
-	hasEMA := s.emaLoss != nil
-	c.Bool(&hasEMA)
-	if c.Reading() && c.Err() == nil && hasEMA != (s.emaLoss != nil) {
-		c.Fail(fmt.Errorf("ps: checkpoint EMA-predictor presence %v, config expects %v", hasEMA, s.emaLoss != nil))
-		return
-	}
-	if hasEMA {
+	if s.emaLoss != nil {
 		c.F64(&s.emaLoss.level)
 		c.F64(&s.emaLoss.trend)
 		c.Bool(&s.emaLoss.seen)

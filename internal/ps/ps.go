@@ -102,8 +102,9 @@ type Config struct {
 	LossPredHidden, StepPredHidden int
 	// PredVirtualMs is the virtual per-iteration server-side prediction
 	// overhead injected into LC-ASGD's timeline (Tables 2–3 report the
-	// real measured times alongside).
-	PredVirtualMs float64
+	// real measured times alongside). nil means the paper's 2.7 ms; a
+	// pointer to 0 takes the charge off the critical path.
+	PredVirtualMs *float64
 
 	// Ablations (DESIGN.md).
 	SumCompensation    bool // use the raw-sum compensation scale
@@ -173,8 +174,9 @@ func (c Config) withDefaults() Config {
 	if c.StepPredHidden == 0 {
 		c.StepPredHidden = 128
 	}
-	if c.PredVirtualMs == 0 {
-		c.PredVirtualMs = 2.7
+	if c.PredVirtualMs == nil {
+		ms := 2.7
+		c.PredVirtualMs = &ms
 	}
 	if c.Backend == "" {
 		c.Backend = BackendSequential

@@ -205,6 +205,29 @@ func TestAblationFlagsRun(t *testing.T) {
 	}
 }
 
+// TestPredVirtualMsZeroMeansZero: PredVirtualMs left unset is the paper's
+// 2.7 ms — the same run, under the same ConfigKey, as an explicit 2.7 — and
+// a pointer to 0 takes the charge off LC-ASGD's critical path, so the same
+// epochs take less virtual time.
+func TestPredVirtualMsZeroMeansZero(t *testing.T) {
+	def := tinyEnvSeeded(LCASGD, 4, 2)
+	paper, off := 2.7, 0.0
+	explicit := def.Cfg
+	explicit.PredVirtualMs = &paper
+	if ConfigKey(explicit) != ConfigKey(def.Cfg) {
+		t.Fatal("an explicit 2.7 ms changed the config key of the default")
+	}
+	free := def
+	free.Cfg.PredVirtualMs = &off
+	if ConfigKey(free.Cfg) == ConfigKey(def.Cfg) {
+		t.Fatal("PredVirtualMs = 0 shares the default's config key")
+	}
+	charged, uncharged := Run(def), Run(free)
+	if !(uncharged.VirtualMs < charged.VirtualMs) {
+		t.Fatalf("virtual time with the charge off %v ms, with it %v ms", uncharged.VirtualMs, charged.VirtualMs)
+	}
+}
+
 func TestCompensateDCFormula(t *testing.T) {
 	g := []float64{1, -2}
 	wNow := []float64{1, 1}

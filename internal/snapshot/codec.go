@@ -9,10 +9,10 @@
 // The codec's contract is bit-exactness, not schema evolution: a snapshot
 // restored into the engine that wrote it replays the remaining run
 // float-bit-identically (see DESIGN.md "Persistence & resume"). A stream is
-// a byte slice in memory — the body of one container section — that opens
-// with a magic string and a format version, so foreign bytes and snapshots
-// from a future format fail loudly instead of corrupting a resume. Bit rot
-// is the container's business: it checksums every section body.
+// a byte slice in memory — the bare body of one container section. The
+// container owns everything around it: its magic and its one format version
+// make foreign bytes and other formats fail loudly instead of corrupting a
+// resume, and it checksums every section body against bit rot.
 package snapshot
 
 import (
@@ -23,18 +23,13 @@ import (
 	"slices"
 )
 
-// Magic identifies a snapshot stream; Version is the current format.
-const (
-	Magic   = "LCSN"
-	Version = 1
-)
-
 var (
-	// ErrBadMagic marks a stream that is not a snapshot at all.
+	// ErrBadMagic marks bytes that are not a checkpoint container at all.
 	ErrBadMagic = errors.New("snapshot: bad magic (not a snapshot file)")
-	// ErrFutureVersion marks a snapshot written by a newer format than this
-	// build understands.
-	ErrFutureVersion = errors.New("snapshot: snapshot from a future format version")
+	// ErrVersion marks a container written in a format version other than
+	// this build's — older or newer. Nothing reads one format under
+	// another's layout; a resume that meets one re-runs its cell.
+	ErrVersion = errors.New("snapshot: container format version this build does not read")
 	// ErrChecksum marks bytes whose checksum does not match.
 	ErrChecksum = errors.New("snapshot: checksum mismatch (corrupted snapshot)")
 	// ErrCorrupt marks a structurally implausible stream (truncation, a
@@ -46,20 +41,13 @@ var (
 // cannot fail: call sites stay linear and take Bytes at the end.
 type Writer struct{ b []byte }
 
-// NewWriter starts a snapshot stream with the header.
-func NewWriter() *Writer {
-	w := &Writer{b: make([]byte, 0, 64)}
-	w.Reset()
-	return w
-}
+// NewWriter starts an empty snapshot stream.
+func NewWriter() *Writer { return &Writer{b: make([]byte, 0, 64)} }
 
-// Reset starts the stream over, header and nothing else, in the buffer the
-// writer already has — so whatever Bytes returned before is overwritten by
-// what is written next, and a caller keeping it copies it out first.
-func (w *Writer) Reset() {
-	w.b = append(w.b[:0], Magic...)
-	w.U64(Version)
-}
+// Reset starts the stream over in the buffer the writer already has — so
+// whatever Bytes returned before is overwritten by what is written next,
+// and a caller keeping it copies it out first.
+func (w *Writer) Reset() { w.b = w.b[:0] }
 
 // Bytes returns the stream written so far.
 func (w *Writer) Bytes() []byte { return w.b }
@@ -134,19 +122,8 @@ type Reader struct {
 	err error
 }
 
-// NewReader validates the header of stream b and returns a reader positioned
-// at the first payload value. It returns ErrBadMagic for foreign streams and
-// ErrFutureVersion (wrapped with the found version) for newer formats.
-func NewReader(b []byte) (*Reader, error) {
-	if len(b) < len(Magic)+8 || string(b[:len(Magic)]) != Magic {
-		return nil, ErrBadMagic
-	}
-	r := &Reader{b: b[len(Magic):]}
-	if v := r.U64(); v > Version {
-		return nil, fmt.Errorf("%w: format %d, this build reads <= %d", ErrFutureVersion, v, Version)
-	}
-	return r, nil
-}
+// NewReader returns a reader positioned at the first value of stream b.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
 // U64 reads a fixed 8-byte little-endian unsigned integer.
 func (r *Reader) U64() uint64 {

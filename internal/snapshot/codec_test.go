@@ -31,10 +31,7 @@ func writeSample(w *Writer) {
 
 func TestCodecRoundTripBitExact(t *testing.T) {
 	data := encodeSample(t)
-	r, err := NewReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewReader(data)
 	if v := r.U64(); v != 42 {
 		t.Fatalf("u64 %d", v)
 	}
@@ -98,10 +95,7 @@ func TestCodecNaNPayloadPreserved(t *testing.T) {
 	nan := math.Float64frombits(0x7ff80000deadbeef)
 	w := NewWriter()
 	w.F64(nan)
-	r, err := NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewReader(w.Bytes())
 	if got := math.Float64bits(r.F64()); got != 0x7ff80000deadbeef {
 		t.Fatalf("NaN payload %x", got)
 	}
@@ -110,34 +104,10 @@ func TestCodecNaNPayloadPreserved(t *testing.T) {
 	}
 }
 
-func TestReaderRejectsWrongMagic(t *testing.T) {
-	data := encodeSample(t)
-	data[0] = 'X'
-	if _, err := NewReader(data); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err %v, want ErrBadMagic", err)
-	}
-	// An empty stream is also not a snapshot.
-	if _, err := NewReader(nil); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("empty stream err %v, want ErrBadMagic", err)
-	}
-}
-
-func TestReaderRejectsFutureVersion(t *testing.T) {
-	w := NewWriter()
-	data := w.Bytes()
-	data[len(Magic)] = Version + 1 // bump the little-endian version field
-	if _, err := NewReader(data); !errors.Is(err, ErrFutureVersion) {
-		t.Fatalf("err %v, want ErrFutureVersion", err)
-	}
-}
-
 func TestReaderDetectsTruncation(t *testing.T) {
 	data := encodeSample(t)
 	// Cut mid-payload: some read must report corruption, and Close with it.
-	r, err := NewReader(data[:len(data)/2])
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewReader(data[:len(data)/2])
 	for i := 0; i < 64 && r.Err() == nil; i++ {
 		r.U64()
 	}
@@ -152,10 +122,7 @@ func TestReaderDetectsTruncation(t *testing.T) {
 // TestReaderRejectsTrailingBytes: a stream is exactly what its decoder
 // reads. Bytes left over mean the two disagree about the format.
 func TestReaderRejectsTrailingBytes(t *testing.T) {
-	r, err := NewReader(append(encodeSample(t), 0, 0, 0, 0, 0, 0, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewReader(append(encodeSample(t), 0, 0, 0, 0, 0, 0, 0, 0))
 	if err := drainSample(r); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("close err %v, want ErrCorrupt for eight unread bytes", err)
 	}
@@ -169,10 +136,7 @@ func TestReaderRejectsImplausibleLength(t *testing.T) {
 		w := NewWriter()
 		w.U64(n) // masquerades as a length prefix
 		w.U64(7)
-		r, err := NewReader(w.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := NewReader(w.Bytes())
 		if v := r.F64s(); v != nil {
 			t.Fatalf("decoded %d elements from a length prefix of %d", len(v), n)
 		}
@@ -185,10 +149,7 @@ func TestReaderRejectsImplausibleLength(t *testing.T) {
 func TestF64sIntoValidatesLength(t *testing.T) {
 	w := NewWriter()
 	w.F64s([]float64{1, 2, 3})
-	r, err := NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewReader(w.Bytes())
 	dst := make([]float64, 2)
 	r.F64sInto(dst)
 	if !errors.Is(r.Err(), ErrCorrupt) {
@@ -247,10 +208,7 @@ func walkerCase[T any](name string, v, old func() T, walk func(Codec, *T), put f
 		tail := NewWriter()
 		tail.U64(0xfeed)
 		tail.U64(0xbeef)
-		r, err := NewReader(append(bytes.Clone(want), tail.Bytes()[len(Magic)+8:]...))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := NewReader(append(bytes.Clone(want), tail.Bytes()...))
 		got := old()
 		walk(r.Codec(), &got)
 		if a, b := r.U64(), r.U64(); a != 0xfeed || b != 0xbeef || r.Close() != nil || !r.Codec().Reading() {
@@ -261,11 +219,8 @@ func walkerCase[T any](name string, v, old func() T, walk func(Codec, *T), put f
 		}
 
 		unchanged := encode(old())
-		for cut := len(Magic) + 8; cut < len(want); cut++ {
-			r, err := NewReader(want[:cut])
-			if err != nil {
-				t.Fatal(err)
-			}
+		for cut := 0; cut < len(want); cut++ {
+			r := NewReader(want[:cut])
 			got := old()
 			walk(r.Codec(), &got)
 			if err := r.Codec().Err(); !errors.Is(err, ErrCorrupt) {
@@ -312,10 +267,7 @@ func TestCodecContract(t *testing.T) {
 	// against the bytes left.
 	w := NewWriter()
 	w.F64s([]float64{1, 2, 3})
-	r, err := NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewReader(w.Bytes())
 	dst := []float64{7, 7}
 	r.Codec().F64sInto(dst)
 	if !errors.Is(r.Err(), ErrCorrupt) || dst[0] != 7 || dst[1] != 7 {
@@ -325,9 +277,7 @@ func TestCodecContract(t *testing.T) {
 	w.Int(3)
 	w.U64(1)
 	w.U64(2)
-	if r, err = NewReader(w.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	r = NewReader(w.Bytes())
 	n := -1
 	r.Codec().Len(&n, 8)
 	if !errors.Is(r.Err(), ErrCorrupt) || n != -1 {

@@ -30,16 +30,17 @@ import (
 // its base container's trailer value, so a chain cannot silently skip or
 // reorder links even though validation never re-hashes the base payloads.
 //
-// Section payloads are codec streams (codec.go), which carry no checksum of
-// their own. Sections appear in strictly ascending SectionID order, so the
+// Section payloads are bare codec streams (codec.go): the container's magic
+// and version are the only format marks, and its checksums the only ones. Sections appear in strictly ascending SectionID order, so the
 // on-disk bytes are deterministic regardless of how many goroutines
 // encoded the payloads.
 
 // ContainerMagic identifies a checkpoint container; ContainerVersion is the
-// current container format.
+// checkpoint format's only version number, and the only one DecodeContainer
+// reads.
 const (
 	ContainerMagic   = "LCSC"
-	ContainerVersion = 1
+	ContainerVersion = 2
 )
 
 // Container kinds.
@@ -152,10 +153,10 @@ func EncodeContainer(c *Container) ([]byte, error) {
 
 // DecodeContainer parses and fully verifies container bytes: magic,
 // version, framing checksum, section order, and every section payload's
-// CRC-32C. Section payloads alias b. What it accepts EncodeContainer turns
-// back into the same bytes, which is why format 0 and a full container
-// naming a base (EncodeContainer and Materialize write neither) are
-// refused.
+// CRC-32C. Section payloads alias b. Any version but ContainerVersion is
+// ErrVersion. What it accepts EncodeContainer turns back into the same
+// bytes, which is why a full container naming a base (EncodeContainer and
+// Materialize write none) is refused.
 func DecodeContainer(b []byte) (*Container, error) {
 	pos := 0
 	fail := func(what string) (*Container, error) {
@@ -168,10 +169,8 @@ func DecodeContainer(b []byte) (*Container, error) {
 		return nil, ErrBadMagic
 	}
 	pos = 4
-	if v := u32(); v > ContainerVersion {
-		return nil, fmt.Errorf("%w: container format %d, this build reads <= %d", ErrFutureVersion, v, ContainerVersion)
-	} else if v == 0 {
-		return fail("format 0")
+	if v := u32(); v != ContainerVersion {
+		return nil, fmt.Errorf("%w: format %d, this build reads %d", ErrVersion, v, ContainerVersion)
 	}
 	c := &Container{}
 	if !need(8) {

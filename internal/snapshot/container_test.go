@@ -48,10 +48,7 @@ func TestContainerRoundTrip(t *testing.T) {
 		if s.ID != c.Sections[i].ID || !bytes.Equal(s.Payload, c.Sections[i].Payload) {
 			t.Fatalf("section %d mismatch", i)
 		}
-		r, err := NewReader(s.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := NewReader(s.Payload)
 		if vals := r.F64s(); len(vals) == 0 || r.Close() != nil {
 			t.Fatalf("section %d body unreadable", i)
 		}
@@ -98,25 +95,44 @@ func TestContainerRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodeRefusesWhatEncodeNeverWrites: format 0, and a full container
-// naming a base, pass every checksum once resealed but are bytes
-// EncodeContainer never writes, so accepting them would break the exact
-// round trip (and Materialize of a lone full would move its bytes). Both
-// are refused as corrupt.
+// TestDecodeRefusesWhatEncodeNeverWrites: a full container naming a base
+// passes every checksum once resealed but is bytes EncodeContainer never
+// writes, so accepting it would break the exact round trip (and
+// Materialize of a lone full would move its bytes). It is refused as
+// corrupt.
 func TestDecodeRefusesWhatEncodeNeverWrites(t *testing.T) {
 	for name, c := range map[string]*Container{
-		"format 0":           {Kind: KindFull, Key: "k0", Epoch: 1},
 		"full with a base":   {Kind: KindFull, Key: "k0", Epoch: 2, BaseEpoch: 1},
 		"full with base sum": {Kind: KindFull, Key: "k0", Epoch: 2, BaseSum: 7},
 	} {
 		c.Sections = []Section{{ID: SectionID{0, 0}, Payload: secStream(t, 1)}}
-		b := mustEncode(t, c)
-		if name == "format 0" {
-			binary.LittleEndian.PutUint32(b[4:], 0)
-			binary.LittleEndian.PutUint32(b[len(b)-4:], Checksum(b[:len(b)-4-len(c.Sections[0].Payload)]))
-		}
-		if _, err := DecodeContainer(b); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeContainer(mustEncode(t, c)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestDecodeRefusesOtherVersions: ContainerVersion is the one format this
+// build reads. A container of any other version — 0, the older 1 (whose
+// section payloads each opened with an "LCSN" stream header), the future 3
+// — is ErrVersion even with every checksum resealed, so no byte of it is
+// read under this format's layout.
+func TestDecodeRefusesOtherVersions(t *testing.T) {
+	v1Header := binary.LittleEndian.AppendUint64([]byte("LCSN"), 1)
+	for _, v := range []uint32{0, 1, 3} {
+		payload := secStream(t, 1, 2)
+		if v == 1 {
+			payload = append(bytes.Clone(v1Header), payload...)
+		}
+		c := &Container{Kind: KindFull, Key: "k0", Epoch: 1, Sections: []Section{{ID: SectionID{0, 0}, Payload: payload}}}
+		b := mustEncode(t, c)
+		binary.LittleEndian.PutUint32(b[4:], v)
+		binary.LittleEndian.PutUint32(b[len(b)-4:], Checksum(b[:len(b)-4-len(payload)]))
+		if _, err := DecodeContainer(b); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
+		}
+		if _, err := Materialize(b); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: Materialize got %v, want ErrVersion", v, err)
 		}
 	}
 }

@@ -166,19 +166,13 @@ func Parse(spec string, n int, g *rng.RNG) (*Graph, error) {
 	return New(n, edges), nil
 }
 
-// ValidateSpec checks a spec string without building a graph — what
-// cmd/lcexp's upfront flag validation reaches through SpecMinWorkers before
-// any dataset work.
-func ValidateSpec(spec string) error {
-	_, _, err := parseSpec(spec)
-	return err
-}
-
 // SpecMinWorkers returns the smallest fleet a spec can span: the highest
 // rank an explicit edge list names plus one, or 0 for the named topologies,
 // which scale to any fleet size. Fleets below the minimum would silently
 // lose the out-of-range edges (New drops them) and can leave the graph
 // disconnected, so flag-level callers reject the pairing up front instead.
+// Its error is Parse's for the same spec, so it also validates a spec
+// without building a graph.
 func SpecMinWorkers(spec string) (int, error) {
 	_, edges, err := parseSpec(spec)
 	n := 0

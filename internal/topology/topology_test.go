@@ -129,23 +129,25 @@ func TestSelectorStateRoundTrip(t *testing.T) {
 }
 
 // Parse must accept the whole Names vocabulary and reject junk with the
-// vocabulary in the message; edge specs must clip out-of-range ranks like
-// scenarios do.
+// vocabulary in the message, and SpecMinWorkers, which validates specs
+// without building a graph, must give the same verdicts with the same
+// errors; edge specs must clip out-of-range ranks like scenarios do.
 func TestParseAndValidate(t *testing.T) {
 	for _, spec := range []string{"", "ring", "complete", "star", "gossip", "edges:0-1,1-2"} {
-		if err := ValidateSpec(spec); err != nil {
-			t.Fatalf("ValidateSpec(%q): %v", spec, err)
+		if _, err := SpecMinWorkers(spec); err != nil {
+			t.Fatalf("SpecMinWorkers(%q): %v", spec, err)
 		}
 		if _, err := Parse(spec, 4, rng.New(1)); err != nil {
 			t.Fatalf("Parse(%q): %v", spec, err)
 		}
 	}
 	for _, spec := range []string{"mesh", "edges:", "edges:0-0", "edges:1", "edges:a-b", "edges:-1-2"} {
-		if err := ValidateSpec(spec); err == nil {
-			t.Fatalf("ValidateSpec(%q) accepted", spec)
+		_, verr := SpecMinWorkers(spec)
+		if verr == nil {
+			t.Fatalf("SpecMinWorkers(%q) accepted", spec)
 		}
-		if _, err := Parse(spec, 4, rng.New(1)); err == nil {
-			t.Fatalf("Parse(%q) accepted", spec)
+		if _, err := Parse(spec, 4, rng.New(1)); err == nil || err.Error() != verr.Error() {
+			t.Fatalf("Parse(%q): %v, SpecMinWorkers: %v", spec, err, verr)
 		}
 	}
 	// Out-of-range edges clip rather than error: one spec serves any M.

@@ -1,7 +1,10 @@
 package trainer
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -377,5 +380,87 @@ func TestRobustnessTablePersists(t *testing.T) {
 	}
 	if len(back) != len(rows) || back[0].Algo != rows[0].Algo {
 		t.Fatalf("table round-trip: %d rows", len(back))
+	}
+}
+
+// formatOne rewrites a current full checkpoint container the way format 1
+// laid it out: each section payload behind a stream header of its own
+// ("LCSN", then version 1 as a u64), version 1 in the container header, and
+// the framing checksum resealed, so only the version can refuse it.
+func formatOne(t *testing.T, b []byte) []byte {
+	t.Helper()
+	c, err := snapshot.DecodeContainer(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := binary.LittleEndian.AppendUint64([]byte("LCSN"), 1)
+	payloads := 0
+	for i := range c.Sections {
+		s := &c.Sections[i]
+		s.Payload, s.Sum = append(bytes.Clone(header), s.Payload...), 0
+		payloads += len(s.Payload)
+	}
+	out, err := snapshot.EncodeContainer(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(out[4:], 1)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], snapshot.Checksum(out[:len(out)-4-payloads]))
+	return out
+}
+
+// TestResumeOverOlderFormatReRunsCell: a killed LC-ASGD cell whose stored
+// checkpoints are all of format 1 does not resume from them — each is
+// refused with snapshot.ErrVersion — so the resumed sweep re-runs the cell
+// from the start, returns the uninterrupted result bit for bit, and leaves
+// checkpoints of the current format behind.
+func TestResumeOverOlderFormatReRunsCell(t *testing.T) {
+	dir := t.TempDir()
+	profile := func(resume bool) Profile {
+		p := persistProfile(t, dir, resume)
+		p.CkptKeep, p.CkptFullEvery = 8, 1
+		return p
+	}
+	p := profile(false)
+	orig := RunCell(p, ps.LCASGD, 4, core.BNAsync, 1)
+	rd, err := p.Store.Run(ps.ConfigKey(cellConfig(p, ps.LCASGD, 4, core.BNAsync, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metas, err := rd.Checkpoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(metas) < 2 {
+		t.Fatalf("retention kept %d checkpoints, want every barrier", len(metas))
+	}
+	bin := func(epoch int) string { return filepath.Join(rd.Dir(), fmt.Sprintf("ckpt-%08d.bin", epoch)) }
+	for _, m := range metas {
+		b, err := os.ReadFile(bin(m.Epoch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(bin(m.Epoch), formatOne(t, b), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := rd.LoadChain(m.Epoch); !errors.Is(err, snapshot.ErrVersion) {
+			t.Fatalf("format-1 checkpoint at epoch %d loads with %v, want ErrVersion", m.Epoch, err)
+		}
+	}
+	if err := os.Remove(filepath.Join(rd.Dir(), "result.json")); err != nil {
+		t.Fatal(err)
+	}
+
+	pr := profile(true)
+	train, test := data.GenerateCached(pr.Data)
+	env := ps.Env{Train: train, Test: test, Build: pr.Model.Build, Cfg: cellConfig(pr, ps.LCASGD, 4, core.BNAsync, 1)}
+	if _, ran := resumeFromCheckpoint(pr, env, rd); ran {
+		t.Fatal("resumed from a format-1 checkpoint")
+	}
+	assertSameResult(t, "format-1 store", orig, RunCell(pr, ps.LCASGD, 4, core.BNAsync, 1))
+	for _, m := range metas {
+		if _, _, err := rd.LoadChain(m.Epoch); err != nil {
+			t.Fatalf("re-run left epoch %d unloadable: %v", m.Epoch, err)
+		}
 	}
 }
