@@ -213,8 +213,7 @@ func TestStepPredictorRestoreRejectsHostileRows(t *testing.T) {
 		}
 		w.F64(src.commScale)
 		w.F64(src.compScale)
-		w.Int(src.calls)
-		walkTrace(w.Codec(), &src.trace)
+		walkTrace(w.Codec(), &src.trace, 0)
 		p, err := restore(w.Bytes())
 		if (err == nil) != tc.ok {
 			t.Fatalf("%s: restore error %v, want ok=%v", tc.name, err, tc.ok)

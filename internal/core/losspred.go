@@ -10,7 +10,9 @@ import (
 
 // TracePoint pairs an observed value with the predictor's one-step-ahead
 // forecast made before the observation arrived — the data behind Figures 7
-// and 8.
+// and 8. Iteration is the point's place in its trace: the index + 1 in the
+// loss predictor's (whose first observation has no forecast), the index in
+// the step predictor's.
 type TracePoint struct {
 	Iteration int
 	Actual    float64
@@ -37,9 +39,8 @@ type LossPredictor struct {
 	// next trace point. stale says it has not been formed since the last
 	// Observe: PredictDelay's roll-out forms it (its first output is that
 	// forecast), and whatever reads it first otherwise.
-	nextPred  float64
-	stale     bool
-	iteration int
+	nextPred float64
+	stale    bool
 
 	// Overhead accounting (Tables 2–3): cumulative wall time spent in
 	// online training (Observe) and in the k-step roll-out (PredictDelay),
@@ -80,13 +81,12 @@ func (p *LossPredictor) Observe(lossM float64) {
 	}()
 	if p.seeded {
 		p.forecast()
-		p.trace = append(p.trace, TracePoint{Iteration: p.iteration, Actual: lossM, Predicted: p.nextPred})
+		p.trace = append(p.trace, TracePoint{Iteration: len(p.trace) + 1, Actual: lossM, Predicted: p.nextPred})
 		p.in[0] = p.lastLoss
 		p.net.TrainStep(p.in, lossM) // TrainStep copies the input into its window
 	} else {
 		p.seeded = true
 	}
-	p.iteration++
 	p.lastLoss = lossM
 	p.stale = true
 }

@@ -38,11 +38,13 @@ func (l *IterLog) Walk(c snapshot.Codec) {
 	l.last = last
 }
 
-// walkTrace walks a predictor trace series. A restored empty trace is nil,
-// like a predictor that has not traced yet, not an empty slice.
-func walkTrace(c snapshot.Codec, tr *[]TracePoint) {
+// walkTrace walks a predictor trace series: each point's actual and
+// predicted value. Iteration is not walked: a restore sets it to the
+// point's index plus first. A restored empty trace is nil, like a predictor
+// that has not traced yet, not an empty slice.
+func walkTrace(c snapshot.Codec, tr *[]TracePoint, first int) {
 	n := len(*tr)
-	c.Len(&n, 3*8)
+	c.Len(&n, 2*8)
 	if c.Reading() && c.Err() == nil {
 		*tr = nil
 		if n > 0 {
@@ -51,9 +53,11 @@ func walkTrace(c snapshot.Codec, tr *[]TracePoint) {
 	}
 	for i := range *tr {
 		tp := &(*tr)[i]
-		c.Int(&tp.Iteration)
 		c.F64(&tp.Actual)
 		c.F64(&tp.Predicted)
+		if c.Reading() {
+			tp.Iteration = first + i
+		}
 	}
 }
 
@@ -71,8 +75,7 @@ func (p *LossPredictor) Walk(c snapshot.Codec) {
 	c.Bool(&p.seeded)
 	c.F64(&p.nextPred)
 	p.stale = false
-	c.Int(&p.iteration)
-	walkTrace(c, &p.trace)
+	walkTrace(c, &p.trace, 1)
 }
 
 // Walk walks the step predictor: LSTM weights and window, the per-worker
@@ -93,8 +96,7 @@ func (p *StepPredictor) Walk(c snapshot.Codec) {
 	}
 	c.F64(&p.commScale)
 	c.F64(&p.compScale)
-	c.Int(&p.calls)
-	walkTrace(c, &p.trace)
+	walkTrace(c, &p.trace, 0)
 }
 
 // Walk walks the global BN statistics a layer at a time, restoring into an

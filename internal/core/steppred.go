@@ -31,7 +31,6 @@ type StepPredictor struct {
 	commScale, compScale float64
 
 	trace []TracePoint
-	calls int
 
 	// Overhead accounting (Tables 2–3): TrainTime is the whole of every
 	// ObserveAndPredict call, its prediction included.
@@ -117,8 +116,7 @@ func (p *StepPredictor) ObserveAndPredict(m int, observedStep int, tcomm, tcomp 
 	if max := 3 * p.workers; k > max {
 		k = max
 	}
-	p.trace = append(p.trace, TracePoint{Iteration: p.calls, Actual: float64(observedStep), Predicted: raw})
-	p.calls++
+	p.trace = append(p.trace, TracePoint{Iteration: len(p.trace), Actual: float64(observedStep), Predicted: raw})
 	return k
 }
 

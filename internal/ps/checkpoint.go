@@ -200,7 +200,7 @@ const (
 	secStrategy   = 3 // StrategySnapshotter payload (present iff implemented)
 	secRecChunk   = 4 // learning-curve points, chunked
 	secWorker     = 5 // per-worker state, indexed by rank
-	secTelMetrics = 6 // telemetry instrument registry (present iff a recorder is attached)
+	secTelMetrics = 6 // telemetry gauge series (present iff a recorder is attached)
 	secTelTrace   = 7 // telemetry trace events, chunked
 )
 
@@ -274,7 +274,7 @@ var sections = [...]section{
 		kind:       secTelMetrics,
 		count:      func(e *Engine) int { return oneIf(e.tel != nil) },
 		everyDelta: true,
-		walk:       func(e *Engine, c snapshot.Codec, _ int) { e.walkTelMetrics(c) },
+		walk:       walkTelSeries,
 	},
 	{
 		kind: secTelTrace,
@@ -307,7 +307,6 @@ func walkMeta(e *Engine, c snapshot.Codec, _ int) {
 	workers, now := len(e.workers), e.clock.Now()
 	c.Int(&workers)
 	c.F64(&now)
-	c.F64(&e.srv.lrScale)
 	c.Int(&e.srv.batches)
 	c.Int(&e.srv.updates)
 	if ok() {
@@ -328,7 +327,6 @@ func walkMeta(e *Engine, c snapshot.Codec, _ int) {
 	c.Int(&e.stalenessN)
 	c.Int(&e.maxStale)
 	c.Int(&e.scnApplied)
-	c.Int(&e.rec.lastEpoch)
 	// listLen walks the length of a list whose items take at least width
 	// bytes each in their chunk sections: the container cannot hold more of
 	// them than it has bytes for.
@@ -472,11 +470,14 @@ func walkPoints(e *Engine, c snapshot.Codec, i int) {
 	}
 }
 
-// walkTrace is one chunk of the telemetry trace, the same way.
+// walkTrace is one chunk of the telemetry trace, the same way. A restore
+// wants every event of a known kind on a lane of the fleet or the run lane,
+// and a worker's own lane for the kinds the end-of-run fold counts per
+// worker.
 func walkTrace(e *Engine, c snapshot.Codec, i int) {
 	evs := e.tel.rec.Events
 	lo, hi := chunkLen(c, "telemetry trace", len(evs), telChunkLen, i)
-	for j := lo; j < hi; j++ {
+	for j := lo; j < hi && c.Err() == nil; j++ {
 		ev := &evs[j]
 		kind, worker := uint64(ev.Kind), int64(ev.Worker)
 		c.U64(&kind)
@@ -485,8 +486,13 @@ func walkTrace(e *Engine, c snapshot.Codec, i int) {
 		c.F64(&ev.Dur)
 		c.I64(&ev.A)
 		c.I64(&ev.B)
-		if c.Reading() {
-			ev.Kind, ev.Worker = telemetry.Kind(kind), int32(worker)
+		if !c.Reading() || c.Err() != nil {
+			continue
+		}
+		ev.Kind, ev.Worker = telemetry.Kind(kind), int32(worker)
+		perWorker := ev.Kind == telemetry.KCommit || ev.Kind == telemetry.KDrop || ev.Kind == telemetry.KGossip
+		if kind >= uint64(telemetry.NumKinds) || worker < -1 || worker >= int64(len(e.workers)) || perWorker && worker < 0 {
+			c.Fail(fmt.Errorf("checkpoint trace event %d: kind %d on lane %d of %d workers", j, kind, worker, len(e.workers)))
 		}
 	}
 }
@@ -691,6 +697,11 @@ func (e *Engine) restore(data []byte) error {
 		return fmt.Errorf("checkpoint has a section (%d,%d) this engine's state has no place for", rest[0].ID.Kind, rest[0].ID.Index)
 	}
 
+	// The recorder's last boundary is the last point's: a barrier joins the
+	// point in flight before it serializes the curve.
+	if n := len(e.rec.points); n > 0 {
+		e.rec.lastEpoch = e.rec.points[n-1].Epoch
+	}
 	e.rebuildFleetCounters()
 	e.atBarrier()
 	// The chain cursor stays at -1 — the first post-resume checkpoint is

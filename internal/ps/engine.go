@@ -222,10 +222,7 @@ func (e *Engine) loop() Result {
 	e.joinWriter()
 	e.refreshConsensus()
 	points := e.rec.finish(e.srv, e.clock.Now())
-	// One final gauge row at the run's end state. Both the straight-through
-	// and the resumed run take it at the same quiescent end, so the series
-	// stays byte-identical across a resume.
-	e.telSample()
+	e.telFinish()
 	res := Result{
 		Algo:           e.strategy.Algo(),
 		BNMode:         e.cfg.BNMode,
@@ -301,8 +298,9 @@ func (e *Engine) Batches() int { return e.srv.batches }
 // BatchesPerEpoch returns the global-epoch length in batches.
 func (e *Engine) BatchesPerEpoch() int { return e.srv.bpe }
 
-// SetLRScale installs a constant learning-rate multiplier (SSGD's linear
-// scaling). Call it from Setup.
+// SetLRScale installs a constant learning-rate multiplier (SSGD's and
+// SA-ASGD's linear scaling). Call it from Setup, which a resume runs too, so
+// no checkpoint holds the multiplier.
 func (e *Engine) SetLRScale(s float64) { e.srv.lrScale = s }
 
 // Rng derives a labeled child stream from the run's seed stream. Draw it in

@@ -3,6 +3,7 @@ package ps
 import (
 	"lcasgd/internal/core"
 	"lcasgd/internal/snapshot"
+	"lcasgd/internal/telemetry"
 )
 
 // lcStrategy executes the paper's LC-ASGD (Algorithms 1–4). Each worker
@@ -103,6 +104,10 @@ func (s *lcStrategy) Launch(e *Engine, m int) {
 				}
 			}
 			s.lastComp[m] = tbwd
+			e.tel.emit(telemetry.Event{
+				Kind: telemetry.KCompensate, Worker: int32(m), At: e.Now(),
+				A: int64(k), B: int64(scale * 1e6),
+			})
 		}
 		bwdWait := e.DispatchBackward(m, scale)
 		e.AfterWorker(m, serverMs+tcomm+tbwd+e.CommSample(m), func() {

@@ -298,7 +298,7 @@ type server struct {
 	bnAcc   *core.BNAccumulator
 	sched   opt.StepSchedule
 	wd      float64
-	lrScale float64 // SSGD's linear LR scaling (see runSSGD)
+	lrScale float64 // constant LR multiplier Setup installs (SetLRScale)
 	bpe     int     // batches per (global) epoch
 	batches int     // batches consumed so far
 	updates int

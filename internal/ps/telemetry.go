@@ -1,8 +1,6 @@
 package ps
 
 import (
-	"fmt"
-
 	"lcasgd/internal/scenario"
 	"lcasgd/internal/snapshot"
 	"lcasgd/internal/telemetry"
@@ -17,9 +15,11 @@ import (
 //     TestCommitZeroAllocSteadyState and BenchmarkTelemetryOverhead.
 //
 //   - Determinism. Every event and deterministic instrument derives from
-//     event-loop state and virtual time only, and the whole telemetry state
-//     (registry + trace) is serialized into checkpoints (the last two rows
-//     of the sections table), so a resumed run's final telemetry bytes
+//     event-loop state and virtual time only, so equivalent runs record the
+//     same bytes. The trace and the gauge series are serialized into
+//     checkpoints (the last two rows of the sections table); the
+//     event-counting instruments are a fold of the trace, taken once where
+//     every run ends (telFinish), so a resumed run's final telemetry bytes
 //     equal the uninterrupted run's. Wall-clock checkpoint costs go to the
 //     recorder's measured meters, which are excluded from both the
 //     byte-identity contract and the checkpoint.
@@ -29,9 +29,10 @@ import (
 type telState struct {
 	rec *telemetry.Recorder
 
-	// Event counts, folded from the trace by emit.
+	// Event counts, folded from the trace by fold.
 	staleness *telemetry.Histogram
 	drainMs   *telemetry.Histogram
+	compScale *telemetry.Histogram
 	commits   *telemetry.WorkerVec
 	drops     *telemetry.WorkerVec
 	gossips   *telemetry.WorkerVec
@@ -46,8 +47,8 @@ type telState struct {
 }
 
 // newTelState binds the recorder to this run and registers the engine's
-// instruments in their fixed order — the order is the checkpoint
-// serialization order, so it is part of the on-disk format.
+// instruments in their fixed order: the dump's order, and for the gauges the
+// order of every checkpointed series row, so part of the on-disk format.
 func newTelState(rec *telemetry.Recorder, workers int) *telState {
 	rec.Bind()
 	m := rec.Metrics
@@ -55,6 +56,10 @@ func newTelState(rec *telemetry.Recorder, workers int) *telState {
 		rec:       rec,
 		staleness: m.Histogram("staleness", []float64{0, 1, 2, 4, 8, 16, 32, 64, 128}),
 		drainMs:   m.Histogram("barrier_drain_ms", []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 1000}),
+		// The scale lies in [core.MinScale, core.MaxScale] = [0.1, 1]: the
+		// first bucket counts pushes at the floor, the +Inf one those at
+		// the ceiling.
+		compScale: m.Histogram("compensation_scale", []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.999999}),
 		commits:   m.WorkerVec("commits_per_worker", workers),
 		drops:     m.WorkerVec("partition_drops_per_worker", workers),
 		gossips:   m.WorkerVec("gossips_per_worker", workers),
@@ -67,35 +72,52 @@ func newTelState(rec *telemetry.Recorder, workers int) *telState {
 	}
 }
 
-// emit records one engine transition; without a recorder it does nothing.
-// It is the only way an event enters the trace, so the counts fold derives
-// from the event cannot disagree with it.
+// emit appends one engine transition to the trace; without a recorder it
+// does nothing. The trace is the one record of what happened: the counts
+// are folded from it when the run ends.
 func (t *telState) emit(ev telemetry.Event) {
 	if t != nil {
-		t.fold(ev)
+		t.rec.Emit(ev)
 	}
 }
 
-// fold appends ev to the trace and counts it into the instruments it feeds.
-func (t *telState) fold(ev telemetry.Event) {
-	t.rec.Emit(ev)
-	switch ev.Kind {
-	case telemetry.KCommit:
-		t.commits.Inc(int(ev.Worker))
-		t.staleness.Observe(float64(ev.A))
-	case telemetry.KDrop:
-		t.drops.Inc(int(ev.Worker))
-	case telemetry.KGossip:
-		t.gossips.Inc(int(ev.Worker))
-		if ev.A >= 0 { // a worker that stepped alone sampled no lag
-			t.staleness.Observe(float64(ev.B))
+// fold counts the whole trace into the instruments it feeds. It runs once
+// per run, into the zero counts the instruments were registered with. A
+// restore has checked that every per-worker event names a worker of the
+// fleet (walkTrace).
+func (t *telState) fold() {
+	for _, ev := range t.rec.Events {
+		switch ev.Kind {
+		case telemetry.KCommit:
+			t.commits.Inc(int(ev.Worker))
+			t.staleness.Observe(float64(ev.A))
+		case telemetry.KDrop:
+			t.drops.Inc(int(ev.Worker))
+		case telemetry.KGossip:
+			t.gossips.Inc(int(ev.Worker))
+			if ev.A >= 0 { // a worker that stepped alone sampled no lag
+				t.staleness.Observe(float64(ev.B))
+			}
+		case telemetry.KCrash, telemetry.KRecover, telemetry.KJoin, telemetry.KLeave,
+			telemetry.KPartition, telemetry.KHeal, telemetry.KPhaseShift:
+			t.scnEvents.Inc()
+		case telemetry.KBarrier:
+			t.drainMs.Observe(ev.Dur)
+			t.barriers.Inc()
+		case telemetry.KCompensate:
+			t.compScale.Observe(float64(ev.B) / 1e6)
 		}
-	case telemetry.KCrash, telemetry.KRecover, telemetry.KJoin, telemetry.KLeave,
-		telemetry.KPartition, telemetry.KHeal, telemetry.KPhaseShift:
-		t.scnEvents.Inc()
-	case telemetry.KBarrier:
-		t.drainMs.Observe(ev.Dur)
-		t.barriers.Inc()
+	}
+}
+
+// telFinish completes the run's telemetry where every run ends, straight
+// through or resumed: one final gauge row at the run's end state — both
+// sides take it at the same quiescent end, so the series stays
+// byte-identical across a resume — and the counts folded from the trace.
+func (e *Engine) telFinish() {
+	if e.tel != nil {
+		e.telSample()
+		e.tel.fold()
 	}
 }
 
@@ -161,82 +183,32 @@ func (e *Engine) telScenarioEvent(ev scenario.Event) {
 }
 
 // telBarrier records the barrier-drain span and the checkpoint instant at
-// the quiescent point — before the snapshot serializes, so both events (and
-// the histogram/counter they feed) are inside the checkpoint and a resumed
-// run replays them rather than re-observing them.
+// the quiescent point — before the snapshot serializes, so both events are
+// inside the checkpoint and a resumed run replays them rather than
+// re-observing them.
 func (e *Engine) telBarrier() {
 	now := e.clock.Now()
 	e.tel.emit(telemetry.Event{Kind: telemetry.KBarrier, Worker: -1, At: e.drainStart, Dur: now - e.drainStart})
 	e.tel.emit(telemetry.Event{Kind: telemetry.KCheckpoint, Worker: -1, At: now, A: int64(e.srv.epoch())})
 }
 
-// --- checkpoint serialization of the instrument registry ---
-//
-// (The trace rides the checkpoint in chunks; see the sections table in
-// checkpoint.go.)
-
-// walkTelMetrics walks the deterministic instrument registry. Instrument
-// names are included and a restore checks them, and the shapes, by
-// position: a mismatch means the checkpoint was written by an engine with a
-// different registration order, which must fail loudly rather than restore
-// values into the wrong instruments.
-func (e *Engine) walkTelMetrics(c snapshot.Codec) {
+// walkTelSeries walks the gauge series, the one part of the registry the
+// trace does not fold to: each row's epoch and virtual time, then exactly
+// one value per registered gauge.
+func walkTelSeries(e *Engine, c snapshot.Codec, _ int) {
 	m := e.tel.rec.Metrics
-	group := func(what string, have int) {
-		n := have
-		c.Int(&n)
-		if c.Reading() && c.Err() == nil && n != have {
-			c.Fail(fmt.Errorf("telemetry snapshot has %d %s, engine registers %d", n, what, have))
-		}
-	}
-	name := func(have string) {
-		got := have
-		c.String(&got)
-		if c.Reading() && c.Err() == nil && got != have {
-			c.Fail(fmt.Errorf("telemetry instrument %q, engine expects %q", got, have))
-		}
-	}
-	slots := func(dst []uint64, owner string) {
-		v := dst
-		c.U64s(&v)
-		if c.Reading() && c.Err() == nil {
-			if len(v) != len(dst) {
-				c.Fail(fmt.Errorf("telemetry instrument %q has %d slots, engine expects %d", owner, len(v), len(dst)))
-			}
-			copy(dst, v)
-		}
-	}
-	group("counters", len(m.Counters))
-	for _, ct := range m.Counters {
-		name(ct.Name)
-		c.U64(&ct.V)
-	}
-	group("gauges", len(m.Gauges))
-	for _, g := range m.Gauges {
-		name(g.Name)
-		c.F64(&g.V)
-	}
-	group("histograms", len(m.Hists))
-	for _, h := range m.Hists {
-		name(h.Name)
-		slots(h.Counts, h.Name)
-		c.U64(&h.Total)
-		c.F64(&h.Sum)
-	}
-	group("worker vectors", len(m.Vecs))
-	for _, v := range m.Vecs {
-		name(v.Name)
-		slots(v.N, v.Name)
-	}
 	n := len(m.Series)
-	c.Len(&n, 3*8) // a row is two words and a length prefix at the least
+	c.Len(&n, (3+len(m.Gauges))*8) // two words, a length prefix and the values
 	if c.Reading() && c.Err() == nil {
-		m.Series = append(m.Series[:0], make([]telemetry.Sample, n)...)
+		m.Series = make([]telemetry.Sample, n)
+		for i := range m.Series {
+			m.Series[i].Values = make([]float64, len(m.Gauges))
+		}
 	}
 	for i := range m.Series {
 		s := &m.Series[i]
 		c.Int(&s.Epoch)
 		c.F64(&s.AtMs)
-		c.F64s(&s.Values)
+		c.F64sInto(s.Values)
 	}
 }

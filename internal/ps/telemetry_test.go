@@ -2,7 +2,9 @@ package ps
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"lcasgd/internal/scenario"
+	"lcasgd/internal/snapshot"
 	"lcasgd/internal/telemetry"
 )
 
@@ -319,6 +322,9 @@ func assertInstrumentsFoldTrace(t *testing.T, label string, rec *telemetry.Recor
 	hists := map[string]*telemetry.Histogram{
 		"staleness":        {Bounds: []float64{0, 1, 2, 4, 8, 16, 32, 64, 128}, Counts: make([]uint64, 10)},
 		"barrier_drain_ms": {Bounds: []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 1000}, Counts: make([]uint64, 10)},
+		"compensation_scale": {
+			Bounds: []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.999999}, Counts: make([]uint64, 11),
+		},
 	}
 	observe := func(name string, v float64) {
 		h := hists[name]
@@ -344,6 +350,8 @@ func assertInstrumentsFoldTrace(t *testing.T, label string, rec *telemetry.Recor
 		case telemetry.KBarrier:
 			counters["checkpoint_barriers"]++
 			observe("barrier_drain_ms", ev.Dur)
+		case telemetry.KCompensate:
+			observe("compensation_scale", float64(ev.B)/1e6)
 		}
 	}
 	if counters["scenario_events_applied"] == 0 || counters["checkpoint_barriers"] == 0 {
@@ -370,6 +378,119 @@ func assertInstrumentsFoldTrace(t *testing.T, label string, rec *telemetry.Recor
 			h.Total != want.Total || math.Float64bits(h.Sum) != math.Float64bits(want.Sum) {
 			t.Fatalf("%s: histogram %s = %+v, the trace folds to %+v", label, h.Name, *h, want)
 		}
+	}
+}
+
+// resealSection returns the full container data with its first section of
+// the given kind replaced by edit's result, resealed so the checksums pass.
+func resealSection(t *testing.T, data []byte, kind uint32, edit func(p []byte) []byte) []byte {
+	t.Helper()
+	c, err := snapshot.DecodeContainer(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range c.Sections {
+		if s.ID.Kind == kind {
+			c.Sections[i].Payload, c.Sections[i].Sum = edit(bytes.Clone(s.Payload)), 0
+			out, err := snapshot.EncodeContainer(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+	}
+	t.Fatalf("container has no section of kind %d", kind)
+	return nil
+}
+
+// resumeMustRefuse resumes ASGD's checkpoint env from data with a fresh
+// recorder and requires an error, not a panic and not a restored run.
+func resumeMustRefuse(t *testing.T, what string, data []byte) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("%s: Resume panicked: %v", what, p)
+		}
+	}()
+	env := ckptEnv(ASGD, 4, 3, BackendSequential, nil)
+	env.Telemetry = telemetry.NewRecorder()
+	if _, err := Resume(env, data); err == nil {
+		t.Fatalf("%s: accepted", what)
+	}
+}
+
+// TestResumeRefusesMalformedGaugeRow: a gauge-series row holds exactly one
+// value per registered gauge. A checkpoint whose last row holds one more or
+// one fewer is refused at resume; accepted, the longer row sent the resumed
+// cell's CSV metrics dump past the gauge names (an index-out-of-range panic
+// in Metrics.AppendCSV).
+func TestResumeRefusesMalformedGaugeRow(t *testing.T) {
+	env := ckptEnv(ASGD, 4, 3, BackendSequential, nil)
+	env.Telemetry = telemetry.NewRecorder()
+	_, cks := runCapturing(env)
+	if len(cks) < 2 {
+		t.Fatalf("%d checkpoints emitted, want 2", len(cks))
+	}
+	gauges := len(env.Telemetry.Metrics.Gauges)
+	for _, grow := range []int{1, -1} {
+		data := resealSection(t, cks[1].Data, secTelMetrics, func(p []byte) []byte {
+			at := len(p) - 8*(gauges+1) // the series ends with the last row's values
+			if n := binary.LittleEndian.Uint64(p[at:]); n != uint64(gauges) {
+				t.Fatalf("word at %d of the series section is %d, not the last row's %d values", at, n, gauges)
+			}
+			binary.LittleEndian.PutUint64(p[at:], uint64(gauges+grow))
+			if grow > 0 {
+				return append(p, make([]byte, 8*grow)...)
+			}
+			return p[:len(p)+8*grow]
+		})
+		resumeMustRefuse(t, fmt.Sprintf("a gauge row of %d values for %d gauges", gauges+grow, gauges), data)
+	}
+}
+
+// TestResumeRefusesHostileTraceEvents: the end-of-run fold counts commits,
+// drops and gossips into per-worker slots, so a restore refuses a trace
+// event of an unknown kind, on a lane outside [-1, M), or on the run lane
+// (-1) for a per-worker kind — including the words that alias a valid kind
+// or rank once narrowed to the event's fields.
+func TestResumeRefusesHostileTraceEvents(t *testing.T) {
+	env := ckptEnv(ASGD, 4, 3, BackendSequential, nil)
+	env.Telemetry = telemetry.NewRecorder()
+	_, cks := runCapturing(env)
+	data := cks[0].Data
+	renv := ckptEnv(ASGD, 4, 3, BackendSequential, nil)
+	renv.Telemetry = telemetry.NewRecorder()
+	if _, err := Resume(renv, resealSection(t, data, secTelTrace, func(p []byte) []byte { return p })); err != nil {
+		t.Fatalf("resealed but untouched trace refused: %v", err)
+	}
+	// Chunk 0 of the trace: its event count, then six words per event.
+	find := func(p []byte, k telemetry.Kind) int {
+		for at := 8; at+48 <= len(p); at += 48 {
+			if binary.LittleEndian.Uint64(p[at:]) == uint64(k) {
+				return at
+			}
+		}
+		t.Fatalf("trace chunk 0 has no %v event", k)
+		return 0
+	}
+	for _, tc := range []struct {
+		on          telemetry.Kind
+		word        int // 0 the kind, 1 the worker
+		value       int64
+		description string
+	}{
+		{telemetry.KCommit, 0, int64(telemetry.NumKinds), "kind past the last"},
+		{telemetry.KCommit, 0, 256 + int64(telemetry.KCommit), "kind aliasing commit in a byte"},
+		{telemetry.KCommit, 1, 4, "commit on worker M"},
+		{telemetry.KCommit, 1, -1, "commit on the run lane"},
+		{telemetry.KCommit, 1, 1 << 32, "commit on a worker aliasing 0 in 32 bits"},
+		{telemetry.KLaunch, 1, -2, "launch on lane -2"},
+	} {
+		hostile := resealSection(t, data, secTelTrace, func(p []byte) []byte {
+			binary.LittleEndian.PutUint64(p[find(p, tc.on)+8*tc.word:], uint64(tc.value))
+			return p
+		})
+		resumeMustRefuse(t, tc.description, hostile)
 	}
 }
 

@@ -40,7 +40,7 @@ import (
 // reads.
 const (
 	ContainerMagic   = "LCSC"
-	ContainerVersion = 2
+	ContainerVersion = 3
 )
 
 // Container kinds.

@@ -114,12 +114,12 @@ func TestDecodeRefusesWhatEncodeNeverWrites(t *testing.T) {
 
 // TestDecodeRefusesOtherVersions: ContainerVersion is the one format this
 // build reads. A container of any other version — 0, the older 1 (whose
-// section payloads each opened with an "LCSN" stream header), the future 3
-// — is ErrVersion even with every checksum resealed, so no byte of it is
-// read under this format's layout.
+// section payloads each opened with an "LCSN" stream header) and 2, the
+// future 4 — is ErrVersion even with every checksum resealed, so no byte of
+// it is read under this format's layout.
 func TestDecodeRefusesOtherVersions(t *testing.T) {
 	v1Header := binary.LittleEndian.AppendUint64([]byte("LCSN"), 1)
-	for _, v := range []uint32{0, 1, 3} {
+	for _, v := range []uint32{0, 1, 2, 4} {
 		payload := secStream(t, 1, 2)
 		if v == 1 {
 			payload = append(bytes.Clone(v1Header), payload...)

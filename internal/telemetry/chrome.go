@@ -141,6 +141,8 @@ func renderEvent(pid, workers int, ev Event) chromeEvent {
 			add("comm_scale", jsonFloat(float64(ev.B)/1e6))
 	case KCheckpoint:
 		ce.Args = (&args{}).add("epoch", ev.A)
+	case KCompensate:
+		ce.Args = (&args{}).add("k", ev.A).add("scale", jsonFloat(float64(ev.B)/1e6))
 	}
 	return ce
 }

@@ -15,9 +15,11 @@ import (
 // backends, across a checkpoint/resume split) hold bit-identical
 // registries — the property the engine's telemetry tests diff for.
 //
-// Instruments are registered once, by the engine, in a fixed order; the
-// registration order is the serialization order, so the checkpoint codec
-// can restore by position and validate by name.
+// Instruments are registered once, by the engine, in a fixed order. The
+// counters, histograms and worker vectors count trace events: the engine
+// folds them from the whole trace once, when the run ends, so they are never
+// checkpointed. The gauge series is, and each of its rows holds one value
+// per gauge in registration order, so the gauges' order is on-disk format.
 //
 // The struct tags are the JSON dump's layout (MarshalJSON): encoding/json
 // emits struct fields in declaration order, which is what makes the dump

@@ -62,15 +62,21 @@ const (
 	// full/delta or byte payload: those depend on the process's emission
 	// history, which a resume restarts.
 	KCheckpoint
+	// KCompensate is one LC-ASGD state push the server answered (instant):
+	// A is the predicted staleness k̂, B the compensation scale the worker's
+	// gradient is seeded with, fixed-point ×1e6 (1e6 while compensation is
+	// gated off in the first epoch).
+	KCompensate
 
-	numKinds
+	// NumKinds bounds the kinds: every Kind below it is one of the above.
+	NumKinds
 )
 
 // kindNames maps Kind to its stable wire/display name.
-var kindNames = [numKinds]string{
+var kindNames = [NumKinds]string{
 	"launch", "dispatch", "commit", "drop", "gossip", "update",
 	"crash", "recover", "join", "leave", "partition", "heal",
-	"phase-shift", "barrier", "checkpoint",
+	"phase-shift", "barrier", "checkpoint", "compensate",
 }
 
 // String returns the kind's stable display name.
