@@ -237,10 +237,10 @@ func scalarStep(c *Cell, in []float64, ref State, want *stepCache) {
 	for r := range pre {
 		sum := 0.0
 		for j, xv := range in {
-			sum += wx[r*x+j] * xv
+			sum = math.FMA(wx[r*x+j], xv, sum)
 		}
 		for j, hv := range ref.H {
-			sum += wh[r*h+j] * hv
+			sum = math.FMA(wh[r*h+j], hv, sum)
 		}
 		pre[r] = c.B[r] + sum
 	}

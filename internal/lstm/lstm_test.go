@@ -166,10 +166,10 @@ func TestCellStepBitsMatchRowLoops(t *testing.T) {
 		for r := range want {
 			sum := 0.0
 			for j, xv := range in {
-				sum += wx[r*x+j] * xv
+				sum = math.FMA(wx[r*x+j], xv, sum)
 			}
 			for j, hv := range s.H {
-				sum += wh[r*h+j] * hv
+				sum = math.FMA(wh[r*h+j], hv, sum)
 			}
 			want[r] = c.B[r] + sum
 		}
@@ -213,10 +213,10 @@ func TestCellStepBitsMatchScalarGates(t *testing.T) {
 				for r := range pre {
 					sum := 0.0
 					for j, xv := range in {
-						sum += wx[r*x+j] * xv
+						sum = math.FMA(wx[r*x+j], xv, sum)
 					}
 					for j, hv := range ref.H {
-						sum += wh[r*h+j] * hv
+						sum = math.FMA(wh[r*h+j], hv, sum)
 					}
 					pre[r] = c.B[r] + sum
 				}

@@ -48,7 +48,7 @@ func (r refConv) forward(x []float64, n int) []float64 {
 						for ky := 0; ky < g.KH; ky++ {
 							for kx := 0; kx < g.KW; kx++ {
 								v, _, _ := r.tap(img, c, ky, kx, oy, ox)
-								s += v * r.w[row*r.outC+oc]
+								s = math.FMA(v, r.w[row*r.outC+oc], s)
 								row++
 							}
 						}
@@ -89,7 +89,7 @@ func (r refConv) backward(x, grad []float64, n int, wGrad, bGrad []float64) []fl
 						for oy := 0; oy < outH; oy++ {
 							for ox := 0; ox < outW; ox++ {
 								v, _, _ := r.tap(img, c, ky, kx, oy, ox)
-								s += v * dOut[oc*hw+oy*outW+ox]
+								s = math.FMA(v, dOut[oc*hw+oy*outW+ox], s)
 							}
 						}
 						wGrad[row*r.outC+oc] += s
@@ -109,7 +109,7 @@ func (r refConv) backward(x, grad []float64, n int, wGrad, bGrad []float64) []fl
 							if _, off, ok := r.tap(img, c, ky, kx, oy, ox); ok {
 								s := 0.0
 								for oc := 0; oc < r.outC; oc++ {
-									s += dOut[oc*hw+oy*outW+ox] * r.w[row*r.outC+oc]
+									s = math.FMA(dOut[oc*hw+oy*outW+ox], r.w[row*r.outC+oc], s)
 								}
 								dImg[off] += s
 							}

@@ -41,7 +41,7 @@ func TestDenseBackwardBitIdenticalToScalarReference(t *testing.T) {
 				for j := 0; j < s.out; j++ {
 					sum := 0.0
 					for r := 0; r < s.batch; r++ {
-						sum += x.Data[r*s.in+i] * dY.Data[r*s.out+j]
+						sum = math.FMA(x.Data[r*s.in+i], dY.Data[r*s.out+j], sum)
 					}
 					wGrad[i*s.out+j] += sum
 				}

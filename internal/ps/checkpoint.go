@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"time"
 
@@ -472,8 +473,10 @@ func walkPoints(e *Engine, c snapshot.Codec, i int) {
 
 // walkTrace is one chunk of the telemetry trace, the same way. A restore
 // wants every event of a known kind on a lane of the fleet or the run lane,
-// and a worker's own lane for the kinds the end-of-run fold counts per
-// worker.
+// a worker's own lane for the kinds the end-of-run fold counts per worker,
+// and a time and duration a run can record (badReading): the fold sums
+// barrier durations into a histogram the metrics dump writes as JSON, which
+// has no NaN.
 func walkTrace(e *Engine, c snapshot.Codec, i int) {
 	evs := e.tel.rec.Events
 	lo, hi := chunkLen(c, "telemetry trace", len(evs), telChunkLen, i)
@@ -493,9 +496,15 @@ func walkTrace(e *Engine, c snapshot.Codec, i int) {
 		perWorker := ev.Kind == telemetry.KCommit || ev.Kind == telemetry.KDrop || ev.Kind == telemetry.KGossip
 		if kind >= uint64(telemetry.NumKinds) || worker < -1 || worker >= int64(len(e.workers)) || perWorker && worker < 0 {
 			c.Fail(fmt.Errorf("checkpoint trace event %d: kind %d on lane %d of %d workers", j, kind, worker, len(e.workers)))
+		} else if badReading(ev.At) || badReading(ev.Dur) {
+			c.Fail(fmt.Errorf("checkpoint trace event %d: at %v for %v ms", j, ev.At, ev.Dur))
 		}
 	}
 }
+
+// badReading reports whether v is no time, duration or gauge value a run
+// records: those are finite and not negative. NaN fails both comparisons.
+func badReading(v float64) bool { return !(v >= 0 && v <= math.MaxFloat64) }
 
 // --- emit ---
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"lcasgd/internal/data"
 	"lcasgd/internal/rng"
@@ -184,7 +185,10 @@ func TestEvalBackPressure(t *testing.T) {
 // TestEvalJoinedBeforeBackendClose builds an engine the way the commit
 // micro-tests do — never run, its first commit starts the epoch-0 point —
 // and closes it. The evaluation must be joined there, before the backend it
-// runs on goes: its point appended, no goroutine left.
+// runs on goes: its point appended, no goroutine left. A goroutine that has
+// sent its report still has to return, and a closed backend's lanes to see
+// the close, so the count is polled for up to a few seconds; a goroutine
+// that leaked never leaves.
 func TestEvalJoinedBeforeBackendClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 	env := slowEvalEnv(ASGD, 2, 2, 4000)
@@ -200,8 +204,13 @@ func TestEvalJoinedBeforeBackendClose(t *testing.T) {
 	if e.rec.job.busy || len(e.rec.points) != 1 || e.rec.points[0].Epoch != 0 {
 		t.Fatalf("after close: busy %v, points %+v", e.rec.job.busy, e.rec.points)
 	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before the engine, %d after it closed", before, after)
+	deadline := time.Now().Add(5 * time.Second)
+	after := runtime.NumGoroutine()
+	for ; after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("%d goroutines before the engine, %d 5 s after it closed", before, after)
 	}
 }
 

@@ -1,6 +1,9 @@
 package ps
 
 import (
+	"fmt"
+	"slices"
+
 	"lcasgd/internal/scenario"
 	"lcasgd/internal/snapshot"
 	"lcasgd/internal/telemetry"
@@ -194,7 +197,8 @@ func (e *Engine) telBarrier() {
 
 // walkTelSeries walks the gauge series, the one part of the registry the
 // trace does not fold to: each row's epoch and virtual time, then exactly
-// one value per registered gauge.
+// one value per registered gauge. A restore refuses a row whose time or
+// value no run records (badReading).
 func walkTelSeries(e *Engine, c snapshot.Codec, _ int) {
 	m := e.tel.rec.Metrics
 	n := len(m.Series)
@@ -210,5 +214,8 @@ func walkTelSeries(e *Engine, c snapshot.Codec, _ int) {
 		c.Int(&s.Epoch)
 		c.F64(&s.AtMs)
 		c.F64sInto(s.Values)
+		if c.Reading() && c.Err() == nil && (badReading(s.AtMs) || slices.ContainsFunc(s.Values, badReading)) {
+			c.Fail(fmt.Errorf("checkpoint gauge row %d: at %v, values %v", i, s.AtMs, s.Values))
+		}
 	}
 }

@@ -385,22 +385,37 @@ func assertInstrumentsFoldTrace(t *testing.T, label string, rec *telemetry.Recor
 // the given kind replaced by edit's result, resealed so the checksums pass.
 func resealSection(t *testing.T, data []byte, kind uint32, edit func(p []byte) []byte) []byte {
 	t.Helper()
+	return resealSectionOf(t, data, kind, false, edit)
+}
+
+// resealLastSection is resealSection on the last section of the kind: the
+// newest chunk of a chunked list.
+func resealLastSection(t *testing.T, data []byte, kind uint32, edit func(p []byte) []byte) []byte {
+	t.Helper()
+	return resealSectionOf(t, data, kind, true, edit)
+}
+
+func resealSectionOf(t *testing.T, data []byte, kind uint32, last bool, edit func(p []byte) []byte) []byte {
+	t.Helper()
 	c, err := snapshot.DecodeContainer(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	at := -1
 	for i, s := range c.Sections {
-		if s.ID.Kind == kind {
-			c.Sections[i].Payload, c.Sections[i].Sum = edit(bytes.Clone(s.Payload)), 0
-			out, err := snapshot.EncodeContainer(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return out
+		if s.ID.Kind == kind && (at < 0 || last) {
+			at = i
 		}
 	}
-	t.Fatalf("container has no section of kind %d", kind)
-	return nil
+	if at < 0 {
+		t.Fatalf("container has no section of kind %d", kind)
+	}
+	c.Sections[at].Payload, c.Sections[at].Sum = edit(bytes.Clone(c.Sections[at].Payload)), 0
+	out, err := snapshot.EncodeContainer(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // resumeMustRefuse resumes ASGD's checkpoint env from data with a fresh
@@ -488,6 +503,55 @@ func TestResumeRefusesHostileTraceEvents(t *testing.T) {
 	} {
 		hostile := resealSection(t, data, secTelTrace, func(p []byte) []byte {
 			binary.LittleEndian.PutUint64(p[find(p, tc.on)+8*tc.word:], uint64(tc.value))
+			return p
+		})
+		resumeMustRefuse(t, tc.description, hostile)
+	}
+}
+
+// TestResumeRefusesNonFiniteTimes: every time, duration and gauge value a
+// run records is finite and not negative, so a restore refuses a trace event
+// or a gauge row with any other. Accepted, a barrier event lasting NaN ms
+// reached the end-of-run fold's barrier_drain_ms histogram, and the metrics
+// dump's JSON encoder failed on it.
+func TestResumeRefusesNonFiniteTimes(t *testing.T) {
+	env := ckptEnv(ASGD, 4, 3, BackendSequential, nil)
+	env.Telemetry = telemetry.NewRecorder()
+	_, cks := runCapturing(env)
+	data := cks[0].Data
+	renv := ckptEnv(ASGD, 4, 3, BackendSequential, nil)
+	renv.Telemetry = telemetry.NewRecorder()
+	if _, err := Resume(renv, resealLastSection(t, data, secTelTrace, func(p []byte) []byte { return p })); err != nil {
+		t.Fatalf("resealed but untouched trace refused: %v", err)
+	}
+	gauges := len(env.Telemetry.Metrics.Gauges)
+	for _, tc := range []struct {
+		section     uint32
+		word        int // 8-byte word of the edited record: an event's or the series' last row's
+		value       float64
+		description string
+	}{
+		{secTelTrace, 3, math.NaN(), "barrier lasting NaN ms"},
+		{secTelTrace, 3, -1, "barrier lasting -1 ms"},
+		{secTelTrace, 2, math.Inf(1), "barrier at +Inf"},
+		{secTelTrace, 2, -0.5, "barrier at -0.5 ms"},
+		{secTelMetrics, 1, math.NaN(), "gauge row at NaN"},
+		{secTelMetrics, 3, math.NaN(), "gauge value NaN"},
+		{secTelMetrics, 3 + gauges - 1, math.Inf(-1), "gauge value -Inf"},
+	} {
+		hostile := resealLastSection(t, data, tc.section, func(p []byte) []byte {
+			// The trace chunk is its event count, then six words per event
+			// (kind, worker, at, dur, a, b); the barrier closes the newest
+			// chunk but for the checkpoint event after it. The series ends
+			// with its last row: epoch, at, the values' count, the values.
+			at := len(p) - 8*(3+gauges)
+			if tc.section == secTelTrace {
+				at = len(p) - 2*48
+				if k := binary.LittleEndian.Uint64(p[at:]); k != uint64(telemetry.KBarrier) {
+					t.Fatalf("event before the trace's last is of kind %d, not a barrier", k)
+				}
+			}
+			binary.LittleEndian.PutUint64(p[at+8*tc.word:], math.Float64bits(tc.value))
 			return p
 		})
 		resumeMustRefuse(t, tc.description, hostile)

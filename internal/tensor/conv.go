@@ -342,8 +342,9 @@ func (l *ConvLowering) Forward(y []float64, ldy int, w, x []float64, n int) {
 // gradient, held channel-major with the images side by side as Forward
 // stages x, at the tap's shift. A lane on a padding column must add
 // nothing, so the call reads dY with the tap's padding columns zeroed: that
-// chain is +0, and x + (+0) has the bits of x for every pixel here, since a
-// pixel built from +0 by adding chains that also began at +0 is never −0.
+// chain is +0 (each step adds w·(+0), an exact ±0, to +0), and x + (+0) has
+// the bits of x for every pixel here, since a sum is −0 only when both
+// addends are, so a pixel built from +0 by additions is never −0.
 // What a shifted lane carries across an image boundary is always such a
 // column. A tap that reaches no pixel is skipped.
 func (l *ConvLowering) InputGrad(dx, w, dY []float64, n int) {

@@ -238,7 +238,7 @@ func FuzzConvLowering(f *testing.F) {
 						}
 						s := 0.0
 						for oc := 0; oc < outC; oc++ {
-							s += w[(c*kk+tap)*outC+oc] * gy[(i*outC+oc)*hw+p]
+							s = fma(w[(c*kk+tap)*outC+oc], gy[(i*outC+oc)*hw+p], s)
 						}
 						want[(i*inC+c)*plane+pix] += s
 					}
@@ -268,7 +268,7 @@ func FuzzConvLowering(f *testing.F) {
 							if pix, ok := tapPixel(g, tap/kw, tap%kw, p/g.OutW(), p%g.OutW()); ok {
 								v = xf[(i*inC+c)*plane+pix]
 							}
-							s += w[(c*kk+tap)*outC+oc] * v
+							s = fma(w[(c*kk+tap)*outC+oc], v, s)
 						}
 					}
 					wantY[(i*outC+oc)*hw+p] = s
@@ -342,7 +342,7 @@ func FuzzConvLowering(f *testing.F) {
 							if pix, ok := tapPixel(g, tap/kw, tap%kw, p/g.OutW(), p%g.OutW()); ok {
 								v = xw[(i*inC+c)*plane+pix]
 							}
-							s += v * gy[(i*outC+oc)*hw+p]
+							s = fma(v, gy[(i*outC+oc)*hw+p], s)
 						}
 						wantW[(c*kk+tap)*outC+oc] += s
 					}

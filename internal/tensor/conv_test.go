@@ -56,7 +56,7 @@ func naiveConv(img []float64, w []float64, g ConvGeom) []float64 {
 						if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
 							continue
 						}
-						s += img[c*g.InH*g.InW+iy*g.InW+ix] * w[c*g.KH*g.KW+ky*g.KW+kx]
+						s = fma(img[c*g.InH*g.InW+iy*g.InW+ix], w[c*g.KH*g.KW+ky*g.KW+kx], s)
 					}
 				}
 			}
@@ -230,7 +230,7 @@ func TestConvLoweringGroupLayout(t *testing.T) {
 			for oc := 0; oc < outC; oc++ {
 				s := 0.0
 				for p := 0; p < hw; p++ {
-					s += panel[row*cols+i*hw+p] * dY[oc*cols+i*hw+p]
+					s = fma(panel[row*cols+i*hw+p], dY[oc*cols+i*hw+p], s)
 				}
 				wantW[row*outC+oc] += s
 			}

@@ -170,7 +170,7 @@ func bnTrainGo(out, x []float64, ld, n, C, S int, relu bool, mean, inv, gamma, b
 			o := out[(i*C+c)*S:][:S]
 			for s, v := range x[c*ld+i*S:][:S] {
 				h := (v - mu) * iv
-				o[s] = g*h + b
+				o[s] = float64(g*h) + b
 			}
 			if relu {
 				reluGo(o, o)
@@ -198,7 +198,7 @@ func bnInferGo(out, x []float64, ld, n, C, S int, relu bool, gamma, mean, inv, b
 			g, mu, iv, b := gamma[c], mean[c], inv[c], beta[c]
 			o := out[(i*C+c)*S:][:S]
 			for s, v := range x[c*ld+i*S:][:S] {
-				o[s] = g*(v-mu)*iv + b
+				o[s] = float64(g*(v-mu)*iv) + b
 			}
 			if relu {
 				reluGo(o, o)
@@ -300,13 +300,13 @@ func bnGradSumsGo(k *BNGrad, x []float64, ld int, dy []float64, n, C, S int, rel
 				h1 := (x1[p] - mu1) * iv1
 				d0, d1 := y0[p], y1[p]
 				if relu {
-					d0 = reluMask(d0, g0*h0+b0)
-					d1 = reluMask(d1, g1*h1+b1)
+					d0 = reluMask(d0, float64(g0*h0)+b0)
+					d1 = reluMask(d1, float64(g1*h1)+b1)
 				}
 				s0 += d0
-				t0 += d0 * h0
+				t0 += float64(d0 * h0)
 				s1 += d1
-				t1 += d1 * h1
+				t1 += float64(d1 * h1)
 			}
 		}
 		k.SumDy[c0], k.SumDy[c1] = s0, s1
@@ -358,9 +358,9 @@ func bnGradGo(dY, dYT, bGrad, x []float64, ld int, dy []float64, n, C, S int, re
 				h := (v - mu) * iv
 				d := src[p]
 				if relu {
-					d = reluMask(d, g*h+b)
+					d = reluMask(d, float64(g*h)+b)
 				}
-				o := kc * (m*d - sd - h*sdx)
+				o := float64(kc * (float64(m*d) - sd - float64(h*sdx)))
 				row[p] = o
 				t[p*C+c] = o
 				s += o

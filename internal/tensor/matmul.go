@@ -122,10 +122,10 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 			b3 := b.Data[(j+3)*k:][:len(arow)]
 			var s0, s1, s2, s3 float64
 			for p, av := range arow {
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+				s0 += float64(av * b0[p])
+				s1 += float64(av * b1[p])
+				s2 += float64(av * b2[p])
+				s3 += float64(av * b3[p])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
@@ -133,7 +133,7 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 			brow := b.Data[j*k:][:len(arow)]
 			s := 0.0
 			for p, av := range arow {
-				s += av * brow[p]
+				s += float64(av * brow[p])
 			}
 			orow[j] = s
 		}

@@ -22,7 +22,7 @@ func naiveMatMulTransA(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for p := 0; p < k; p++ {
-				s += a.At(p, i) * b.At(p, j)
+				s = fma(a.At(p, i), b.At(p, j), s)
 			}
 			out.Set(i, j, s)
 		}

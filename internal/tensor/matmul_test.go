@@ -17,7 +17,7 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s = fma(a.At(i, p), b.At(p, j), s)
 			}
 			out.Set(i, j, s)
 		}

@@ -16,29 +16,40 @@ import (
 //	out[r*ostride+j] += Σ_p a[r*aRow+p*aK] * b[p*bstride+j]    r < rows, j < jw
 //
 // Float bits: each element's sum is one chain that starts from +0, runs p
-// 0..kw-1 ascending and rounds every product before adding it — the naive
-// triple loop's chain (see the tiling note in matmul.go) — and is added to
-// out once, after the chain. Over a zeroed out that is the chain itself: a
-// chain begun at +0 is never −0, so +0 + S has the bits of S. Over a
-// non-zero out it is one addend, which is what WeightGrad's per-image
-// order, InputGrad's per-tap order and the LSTM cell's bias-after-the-sum
-// rule ask for. A is
-// addressed by two strides so one contract serves both layouts: a
-// row-major A block is (aRow, aK) = (row stride, 1), the transposed A of
-// matMulTransA is (1, row stride). ostride and bstride may exceed jw (tiles
-// of a wider matrix).
+// 0..kw-1 ascending as s = fma(a, b, s) — every product added unrounded,
+// the sum rounded once per step: IEEE 754's fused multiply-add — and is
+// added to out once, after the chain. Over a zeroed out that is the chain
+// itself — +0 + S has the bits of S — unless S is −0, which a fused chain
+// can end on (a step whose negative product underflows past the smallest
+// subnormal rounds to −0); +0 + −0 is +0. Over a non-zero out it is one
+// addend,
+// which is what WeightGrad's per-image order, InputGrad's per-tap order and
+// the LSTM cell's bias-after-the-sum rule ask for. A is addressed by two
+// strides so one contract serves both layouts: a row-major A block is
+// (aRow, aK) = (row stride, 1), the transposed A of matMulTransA is
+// (1, row stride). ostride and bstride may exceed jw (tiles of a wider
+// matrix).
 //
-// Rows go in strips of four sharing each loaded b element, then one at a
-// time. A strip has three implementations of this same contract, bit for
-// bit interchangeable, one per level: AVX-512 assembly (mmkernel512_amd64.s,
-// eight lanes, opmask tails), AVX2 assembly (mmkernel_amd64.s, four lanes;
-// each file builds its six strips from shared macros, and the argument why
-// vector lanes do not move bits sits beside its multiply-add macros) and
-// the Go loops below, which are what every non-amd64 build, every amd64 CPU
-// without AVX2 and every -race build runs (the race detector cannot see
-// assembly loads and stores, so the toolchain's race constraint excludes
-// the .s files). The level is chosen once at init from GOARCH, CPUID and
-// XCR0; there is no knob.
+// Rows go in strips of four sharing each loaded b element; the assembly
+// levels then run a remainder of two or three rows as a two-row strip and
+// a last odd row as a one-row strip, the Go level every remainder row as a
+// one-row strip. A strip's shape never changes an element's chain, so
+// every dispatch gives the same bits. A strip has three implementations of
+// this same contract, bit for bit interchangeable, one per level: AVX-512
+// assembly (mmkernel512_amd64.s, eight lanes, opmask tails), AVX2+FMA
+// assembly (mmkernel_amd64.s, four lanes; each file builds its nine strips
+// from shared macros, and the argument why vector lanes do not move bits
+// sits beside its multiply-add macros) and the Go loops below, whose fma is
+// the chain's definition and which are what every non-amd64
+// build, every amd64 CPU without AVX2 and FMA and every -race build runs
+// (the race detector cannot see assembly loads and stores, so the
+// toolchain's race constraint excludes the .s files). The level is chosen
+// once at init from GOARCH, CPUID and XCR0; there is no knob.
+//
+// Every other multiply-add in this package rounds its product explicitly
+// (float64(x*y)), so the compiler of an architecture that fuses x*y + z on
+// its own (arm64 among them) keeps their bits; the Go strips' fma is the
+// only fused operation, on every architecture.
 //
 // There is no zero skip on a: a data-dependent branch in this loop made
 // kernel time input-dependent and cost 25-35% on post-ReLU operands (~50%
@@ -65,7 +76,11 @@ func mmKernel(out []float64, ostride int, a []float64, aRow, aK int, b []float64
 		for ; r+4 <= rows; r += 4 {
 			mmStrip4AVX512(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], bstride, kw, jw)
 		}
-		for ; r < rows; r++ {
+		if r+2 <= rows {
+			mmStrip2AVX512(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], bstride, kw, jw)
+			r += 2
+		}
+		if r < rows {
 			mmStrip1AVX512(&out[r*ostride], &a[r*aRow], aK, &b[0], bstride, kw, jw)
 		}
 		return
@@ -73,7 +88,11 @@ func mmKernel(out []float64, ostride int, a []float64, aRow, aK int, b []float64
 		for ; r+4 <= rows; r += 4 {
 			mmStrip4AVX2(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], bstride, kw, jw)
 		}
-		for ; r < rows; r++ {
+		if r+2 <= rows {
+			mmStrip2AVX2(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], bstride, kw, jw)
+			r += 2
+		}
+		if r < rows {
 			mmStrip1AVX2(&out[r*ostride], &a[r*aRow], aK, &b[0], bstride, kw, jw)
 		}
 		return
@@ -110,15 +129,27 @@ func reachesA(n, rows, aRow, kw, aK int) bool {
 	return reaches(n, kw, aK, 1) && reaches(n, rows, aRow, (kw-1)*aK+1)
 }
 
+// fma is one step of a chain, a·b + s rounded once. It is math.FMA but for
+// a zero addend: there math.FMA's software fallback, which a CPU without
+// FMA runs, returns a*b + s with the product rounded first, +0 where a
+// negative product underflows and the fused result, the assembly's, is −0.
+// With s = ±0 and a·b non-zero the exact sum is a·b, rounded once by a*b.
+func fma(a, b, s float64) float64 {
+	if s == 0 && a != 0 && b != 0 {
+		return float64(a * b)
+	}
+	return math.FMA(a, b, s)
+}
+
 func mmStrip4Go(out []float64, ostride int, a []float64, aRow, aK int, b []float64, bstride, kw, jw int) {
 	for j := 0; j < jw; j++ {
 		var s0, s1, s2, s3 float64
 		for p := 0; p < kw; p++ {
 			bv := b[p*bstride+j]
-			s0 += a[p*aK] * bv
-			s1 += a[aRow+p*aK] * bv
-			s2 += a[2*aRow+p*aK] * bv
-			s3 += a[3*aRow+p*aK] * bv
+			s0 = fma(a[p*aK], bv, s0)
+			s1 = fma(a[aRow+p*aK], bv, s1)
+			s2 = fma(a[2*aRow+p*aK], bv, s2)
+			s3 = fma(a[3*aRow+p*aK], bv, s3)
 		}
 		out[j] += s0
 		out[ostride+j] += s1
@@ -131,7 +162,7 @@ func mmStrip1Go(out, a []float64, aK int, b []float64, bstride, kw, jw int) {
 	for j := 0; j < jw; j++ {
 		s := 0.0
 		for p := 0; p < kw; p++ {
-			s += a[p*aK] * b[p*bstride+j]
+			s = fma(a[p*aK], b[p*bstride+j], s)
 		}
 		out[j] += s
 	}
@@ -170,7 +201,11 @@ func mmKernelShift(out []float64, ostride int, a []float64, aRow, aK int, b []fl
 		for ; r+4 <= rows; r += 4 {
 			mmShiftStrip4AVX512(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], &mask[0], &tab[0], kw, jw)
 		}
-		for ; r < rows; r++ {
+		if r+2 <= rows {
+			mmShiftStrip2AVX512(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], &mask[0], &tab[0], kw, jw)
+			r += 2
+		}
+		if r < rows {
 			mmShiftStrip1AVX512(&out[r*ostride], &a[r*aRow], aK, &b[0], &mask[0], &tab[0], kw, jw)
 		}
 		return
@@ -178,7 +213,11 @@ func mmKernelShift(out []float64, ostride int, a []float64, aRow, aK int, b []fl
 		for ; r+4 <= rows; r += 4 {
 			mmShiftStrip4AVX2(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], &mask[0], &tab[0], kw, jw)
 		}
-		for ; r < rows; r++ {
+		if r+2 <= rows {
+			mmShiftStrip2AVX2(&out[r*ostride], ostride, &a[r*aRow], aRow, aK, &b[0], &mask[0], &tab[0], kw, jw)
+			r += 2
+		}
+		if r < rows {
 			mmShiftStrip1AVX2(&out[r*ostride], &a[r*aRow], aK, &b[0], &mask[0], &tab[0], kw, jw)
 		}
 		return
@@ -201,10 +240,10 @@ func mmShiftStrip4Go(out []float64, ostride int, a []float64, aRow, aK int, b []
 		var s0, s1, s2, s3 float64
 		for p := 0; p < kw; p++ {
 			bv := maskedLane(b[tab[2*p]+j], mask[tab[2*p+1]+j])
-			s0 += a[p*aK] * bv
-			s1 += a[aRow+p*aK] * bv
-			s2 += a[2*aRow+p*aK] * bv
-			s3 += a[3*aRow+p*aK] * bv
+			s0 = fma(a[p*aK], bv, s0)
+			s1 = fma(a[aRow+p*aK], bv, s1)
+			s2 = fma(a[2*aRow+p*aK], bv, s2)
+			s3 = fma(a[3*aRow+p*aK], bv, s3)
 		}
 		out[j] += s0
 		out[ostride+j] += s1
@@ -217,7 +256,7 @@ func mmShiftStrip1Go(out, a []float64, aK int, b []float64, mask []uint64, tab [
 	for j := 0; j < jw; j++ {
 		s := 0.0
 		for p := 0; p < kw; p++ {
-			s += a[p*aK] * maskedLane(b[tab[2*p]+j], mask[tab[2*p+1]+j])
+			s = fma(a[p*aK], maskedLane(b[tab[2*p]+j], mask[tab[2*p+1]+j]), s)
 		}
 		out[j] += s
 	}
@@ -285,7 +324,11 @@ func mmKernelRows(out []float64, ostride int, a []float64, t *rowTable, b []floa
 		for ; r+4 <= rows; r += 4 {
 			mmRowsStrip4AVX512(&out[r*ostride], ostride, &a[0], &t.rowOff[r], &t.pOff[0], &b[0], bstride, kw, jw)
 		}
-		for ; r < rows; r++ {
+		if r+2 <= rows {
+			mmRowsStrip2AVX512(&out[r*ostride], ostride, &a[0], &t.rowOff[r], &t.pOff[0], &b[0], bstride, kw, jw)
+			r += 2
+		}
+		if r < rows {
 			mmRowsStrip1AVX512(&out[r*ostride], &a[t.rowOff[r]], &t.pOff[0], &b[0], bstride, kw, jw)
 		}
 		return
@@ -293,7 +336,11 @@ func mmKernelRows(out []float64, ostride int, a []float64, t *rowTable, b []floa
 		for ; r+4 <= rows; r += 4 {
 			mmRowsStrip4AVX2(&out[r*ostride], ostride, &a[0], &t.rowOff[r], &t.pOff[0], &b[0], bstride, kw, jw)
 		}
-		for ; r < rows; r++ {
+		if r+2 <= rows {
+			mmRowsStrip2AVX2(&out[r*ostride], ostride, &a[0], &t.rowOff[r], &t.pOff[0], &b[0], bstride, kw, jw)
+			r += 2
+		}
+		if r < rows {
 			mmRowsStrip1AVX2(&out[r*ostride], &a[t.rowOff[r]], &t.pOff[0], &b[0], bstride, kw, jw)
 		}
 		return
@@ -312,10 +359,10 @@ func mmRowsStrip4Go(out []float64, ostride int, a []float64, rowOff, pOff []int,
 		var s0, s1, s2, s3 float64
 		for p, o := range pOff {
 			bv := b[p*bstride+j]
-			s0 += a0[o] * bv
-			s1 += a1[o] * bv
-			s2 += a2[o] * bv
-			s3 += a3[o] * bv
+			s0 = fma(a0[o], bv, s0)
+			s1 = fma(a1[o], bv, s1)
+			s2 = fma(a2[o], bv, s2)
+			s3 = fma(a3[o], bv, s3)
 		}
 		out[j] += s0
 		out[ostride+j] += s1
@@ -328,7 +375,7 @@ func mmRowsStrip1Go(out, a []float64, pOff []int, b []float64, bstride, jw int) 
 	for j := 0; j < jw; j++ {
 		s := 0.0
 		for p, o := range pOff {
-			s += a[o] * b[p*bstride+j]
+			s = fma(a[o], b[p*bstride+j], s)
 		}
 		out[j] += s
 	}

@@ -3,24 +3,30 @@
 #include "textflag.h"
 
 // AVX-512 implementation of the GEMM micro-kernel contract in mmkernel.go,
-// the same six strips as mmkernel_amd64.s with ZMM registers: eight lanes
+// the same nine strips as mmkernel_amd64.s with ZMM registers: eight lanes
 // where AVX2 has four, built the same way from macros and with the same
 // register convention, Z for Y. The float-bits argument sits beside the
 // multiply-add macros.
 //
 // The four-row strips take 16-column blocks (row r in Z2r, Z2r+1: eight
-// accumulators); the one-row strips take 32-column blocks (Z0-Z3: four
-// independent chains). The columns a block does not cover run under an
-// opmask: a zeroing-masked load (VMOVUPD.Z) reads a masked-out lane as
-// +0 and, the architecture guarantees, touches no memory there (so it
-// cannot fault); the lane computes a dead product and sum; a masked store
-// leaves its memory alone. A one-row strip runs its 1-31 tail columns as
-// one pass under four opmasks (K1-K4, one per register), which costs what
-// a full block costs: the pass is bound by its four chains' latency. A
-// four-row strip runs its 1-15 tail columns in steps of eight under one
-// opmask (K1), so a tail of up to eight — the 6- and 8-column weight
-// gradients of the quick profiles' narrow layers among them — does half a
-// block's work rather than a full one.
+// accumulators); the two-row strips take 32-column blocks (row r in
+// Z4r-Z4r+3: eight accumulators) and the one-row strips 32-column blocks
+// (Z0-Z3: four). A chain step is one FMA whose four-cycle latency the
+// next step of that chain waits for, and the core issues two FMAs a cycle:
+// eight independent chains keep both units busy, four — a one-row block —
+// only one. That is why a remainder of two rows runs as one two-row strip
+// rather than as two one-row strips.
+//
+// The columns a block does not cover run under an opmask: a
+// zeroing-masked load (VMOVUPD.Z) reads a masked-out lane as +0 and, the
+// architecture guarantees, touches no memory there (so it cannot fault);
+// the lane computes a dead product and sum; a masked store leaves its
+// memory alone. A one- or two-row strip runs its 1-31 tail columns as one
+// pass under four opmasks (K1-K4, one per register), which costs what a
+// full block costs. A four-row strip runs its 1-15 tail columns in steps
+// of eight under one opmask (K1), so a tail of up to eight — the 6- and
+// 8-column weight gradients of the quick profiles' narrow layers among
+// them — does half a block's work rather than a full one.
 //
 // K1 = (1<<CX)-1 (CX the columns left, < 32); an opmask register is read
 // for as many bits as the instruction has lanes, so K1 has min(CX, 8)
@@ -72,7 +78,8 @@
 	VXORPD Z6, Z6, Z6
 
 // A_STRIDED and A_ROWS apply M to the four a operands of step p, as in
-// mmkernel_amd64.s; BCAST4 broadcasts them into Z8-Z11.
+// mmkernel_amd64.s; BCAST4 broadcasts them into Z8-Z11, BCAST2 the first
+// two (rows 0 and 1 of a two-row strip) into Z8-Z9.
 #define A_STRIDED(M) M((AX), (AX)(R9*1), (AX)(R9*2), (AX)(R14*1))
 #define A_ROWS(M) M((SI)(R12*8), (R9)(R12*8), (R10)(R12*8), (R14)(R12*8))
 
@@ -82,23 +89,60 @@
 	VBROADCASTSD A2, Z10; \
 	VBROADCASTSD A3, Z11
 
+#define BCAST2(A0, A1, A2, A3) \
+	VBROADCASTSD A0, Z8; \
+	VBROADCASTSD A1, Z9
+
+// B4 loads a 32-column b row from M0-M3 into Z12-Z15; B4_MASKED loads the
+// lanes K1-K4 hold and +0 in the others. AND4 ANDs Z12-Z15 with the mask
+// row at M0-M3 (VANDPD, bitwise: a lane is b's bits or +0); AND4_MASKED
+// first loads that row's K1-K4 lanes into Z8-Z11, so it comes before the
+// a broadcasts.
+#define B4(M0, M1, M2, M3) \
+	VMOVUPD M0, Z12; \
+	VMOVUPD M1, Z13; \
+	VMOVUPD M2, Z14; \
+	VMOVUPD M3, Z15
+
+#define B4_MASKED(M0, M1, M2, M3) \
+	VMOVUPD.Z M0, K1, Z12; \
+	VMOVUPD.Z M1, K2, Z13; \
+	VMOVUPD.Z M2, K3, Z14; \
+	VMOVUPD.Z M3, K4, Z15
+
+#define AND4(M0, M1, M2, M3) \
+	VANDPD M0, Z12, Z12; \
+	VANDPD M1, Z13, Z13; \
+	VANDPD M2, Z14, Z14; \
+	VANDPD M3, Z15, Z15
+
+#define AND4_MASKED(M0, M1, M2, M3) \
+	VMOVUPD.Z M0, K1, Z8;  \
+	VMOVUPD.Z M1, K2, Z9;  \
+	VMOVUPD.Z M2, K3, Z10; \
+	VMOVUPD.Z M3, K4, Z11; \
+	VANDPD    Z8, Z12, Z12;  \
+	VANDPD    Z9, Z13, Z13;  \
+	VANDPD    Z10, Z14, Z14; \
+	VANDPD    Z11, Z15, Z15
+
 // The multiply-add chains, the only place a product meets a sum. The
 // float-bits argument is mmkernel_amd64.s's, unchanged: a lane is one
-// output element whose chain starts from +0 (ZERO*), runs p ascending with
-// every product rounded (VMULPD) before it is added (VADDPD), and joins out
-// once after the chain (ADDSTORE*). No FMA, no horizontal or k-direction
-// reduction, so a lane ends on the scalar loop's bits; a masked-out lane's
-// dead sum is never stored.
+// output element whose chain starts from +0 (ZERO*), runs p ascending as
+// one fused multiply-add per step (VFMADD231PD: c + a*b rounded once, the
+// Go strips' fma), and joins out once after the chain (ADDSTORE*).
+// No horizontal or k-direction reduction, so a lane ends on the Go strips'
+// bits; a masked-out lane's dead sum is never stored.
 //
 // MULADD_ROW adds the b row Z12-Z13 times the broadcast A to the chains
 // C0, C1 of one row; MULADD4x2 does that for all four rows. MULADD4x1 is
-// the four rows over the one b vector Z12, the products overwriting the
-// broadcasts; MULADD1x4 one row (broadcast Z8) over four b vectors B0-B3.
+// the four rows over the one b vector Z12. MULADD_ROW4 adds the four b
+// vectors B0-B3 times the broadcast A to the chains C0-C3 of one row:
+// MULADD1x4 is row 0 (broadcast Z8, chains Z0-Z3, b in registers or
+// memory), MULADD2x4 rows 0 and 1 (Z9 into Z4-Z7) over the b row Z12-Z15.
 #define MULADD_ROW(A, C0, C1) \
-	VMULPD Z12, A, Z14; \
-	VMULPD Z13, A, Z15; \
-	VADDPD Z14, C0, C0; \
-	VADDPD Z15, C1, C1
+	VFMADD231PD Z12, A, C0; \
+	VFMADD231PD Z13, A, C1
 
 #define MULADD4x2 \
 	MULADD_ROW(Z8, Z0, Z1);  \
@@ -107,31 +151,31 @@
 	MULADD_ROW(Z11, Z6, Z7)
 
 #define MULADD4x1 \
-	VMULPD Z12, Z8, Z8;   \
-	VMULPD Z12, Z9, Z9;   \
-	VMULPD Z12, Z10, Z10; \
-	VMULPD Z12, Z11, Z11; \
-	VADDPD Z8, Z0, Z0;    \
-	VADDPD Z9, Z2, Z2;    \
-	VADDPD Z10, Z4, Z4;   \
-	VADDPD Z11, Z6, Z6
+	VFMADD231PD Z12, Z8, Z0;  \
+	VFMADD231PD Z12, Z9, Z2;  \
+	VFMADD231PD Z12, Z10, Z4; \
+	VFMADD231PD Z12, Z11, Z6
 
-#define MULADD1x4(B0, B1, B2, B3) \
-	VMULPD B0, Z8, Z12; \
-	VMULPD B1, Z8, Z13; \
-	VMULPD B2, Z8, Z14; \
-	VMULPD B3, Z8, Z15; \
-	VADDPD Z12, Z0, Z0; \
-	VADDPD Z13, Z1, Z1; \
-	VADDPD Z14, Z2, Z2; \
-	VADDPD Z15, Z3, Z3
+#define MULADD_ROW4(A, B0, B1, B2, B3, C0, C1, C2, C3) \
+	VFMADD231PD B0, A, C0; \
+	VFMADD231PD B1, A, C1; \
+	VFMADD231PD B2, A, C2; \
+	VFMADD231PD B3, A, C3
+
+#define MULADD1x4(B0, B1, B2, B3) MULADD_ROW4(Z8, B0, B1, B2, B3, Z0, Z1, Z2, Z3)
+
+#define MULADD2x4 \
+	MULADD1x4(Z12, Z13, Z14, Z15); \
+	MULADD_ROW4(Z9, Z12, Z13, Z14, Z15, Z4, Z5, Z6, Z7)
 
 // The epilogues: each chain joins out once, read, added and stored at the
 // out cursor DI. The four-row forms take out rows at DI, DI+R8, DI+2*R8
 // and DI+OS3 (OS3 = 3*ostride); ADDSTORE4x2 covers sixteen columns,
-// ADDSTORE4x1 up to eight under K1 (Z8-Z11 as scratch). ADDSTORE1x4 covers
-// 32 columns of one row, ADDSTORE1x4_MASKED up to 31 under K1-K4 (Z4-Z7 as
-// scratch).
+// ADDSTORE4x1 up to eight under K1 (Z8-Z11 as scratch). ADDSTORE1x4 adds
+// the chains C0-C3 to the 32 columns of one row at O, ADDSTORE1x4_MASKED
+// to up to 31 under K1-K4 (Z12-Z15 as scratch); the two-row forms
+// ADDSTORE2x4 and ADDSTORE2x4_MASKED take row 0 at DI from Z0-Z3 and row 1
+// at R14 = DI+R8 from Z4-Z7.
 #define ADDSTORE4x2(OS3) \
 	VADDPD  (DI), Z0, Z0;          \
 	VADDPD  64(DI), Z1, Z1;        \
@@ -164,29 +208,39 @@
 	VMOVUPD   Z4, K1, (DI)(R8*2);   \
 	VMOVUPD   Z6, K1, (DI)(OS3*1)
 
-#define ADDSTORE1x4 \
-	VADDPD  (DI), Z0, Z0;    \
-	VADDPD  64(DI), Z1, Z1;  \
-	VADDPD  128(DI), Z2, Z2; \
-	VADDPD  192(DI), Z3, Z3; \
-	VMOVUPD Z0, (DI);        \
-	VMOVUPD Z1, 64(DI);      \
-	VMOVUPD Z2, 128(DI);     \
-	VMOVUPD Z3, 192(DI)
+#define ADDSTORE1x4(O, C0, C1, C2, C3) \
+	VADDPD  (O), C0, C0;    \
+	VADDPD  64(O), C1, C1;  \
+	VADDPD  128(O), C2, C2; \
+	VADDPD  192(O), C3, C3; \
+	VMOVUPD C0, (O);        \
+	VMOVUPD C1, 64(O);      \
+	VMOVUPD C2, 128(O);     \
+	VMOVUPD C3, 192(O)
 
-#define ADDSTORE1x4_MASKED \
-	VMOVUPD.Z (DI), K1, Z4;    \
-	VMOVUPD.Z 64(DI), K2, Z5;  \
-	VMOVUPD.Z 128(DI), K3, Z6; \
-	VMOVUPD.Z 192(DI), K4, Z7; \
-	VADDPD    Z4, Z0, Z0;      \
-	VADDPD    Z5, Z1, Z1;      \
-	VADDPD    Z6, Z2, Z2;      \
-	VADDPD    Z7, Z3, Z3;      \
-	VMOVUPD   Z0, K1, (DI);    \
-	VMOVUPD   Z1, K2, 64(DI);  \
-	VMOVUPD   Z2, K3, 128(DI); \
-	VMOVUPD   Z3, K4, 192(DI)
+#define ADDSTORE1x4_MASKED(O, C0, C1, C2, C3) \
+	VMOVUPD.Z (O), K1, Z12;    \
+	VMOVUPD.Z 64(O), K2, Z13;  \
+	VMOVUPD.Z 128(O), K3, Z14; \
+	VMOVUPD.Z 192(O), K4, Z15; \
+	VADDPD    Z12, C0, C0;     \
+	VADDPD    Z13, C1, C1;     \
+	VADDPD    Z14, C2, C2;     \
+	VADDPD    Z15, C3, C3;     \
+	VMOVUPD   C0, K1, (O);     \
+	VMOVUPD   C1, K2, 64(O);   \
+	VMOVUPD   C2, K3, 128(O);  \
+	VMOVUPD   C3, K4, 192(O)
+
+#define ADDSTORE2x4 \
+	ADDSTORE1x4(DI, Z0, Z1, Z2, Z3); \
+	LEAQ (DI)(R8*1), R14;            \
+	ADDSTORE1x4(R14, Z4, Z5, Z6, Z7)
+
+#define ADDSTORE2x4_MASKED \
+	ADDSTORE1x4_MASKED(DI, Z0, Z1, Z2, Z3); \
+	LEAQ (DI)(R8*1), R14;                   \
+	ADDSTORE1x4_MASKED(R14, Z4, Z5, Z6, Z7)
 
 // func mmStrip4AVX512(out *float64, ostride int, a *float64, aRow, aK int, b *float64, bstride, kw, jw int)
 //
@@ -261,6 +315,74 @@ done4:
 	VZEROUPPER
 	RET
 
+// func mmStrip2AVX512(out *float64, ostride int, a *float64, aRow, aK int, b *float64, bstride, kw, jw int)
+//
+// The two-row strip: 32 columns of both rows in eight chains, each loaded
+// b row shared by the two. Registers as in mmStrip4AVX512, R14 the row-1
+// out pointer of the epilogue.
+TEXT ·mmStrip2AVX512(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ ostride+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ aRow+24(FP), R9
+	MOVQ aK+32(FP), R10
+	MOVQ b+40(FP), DX
+	MOVQ bstride+48(FP), R11
+	MOVQ kw+56(FP), R12
+	MOVQ jw+64(FP), CX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	SHLQ $3, R11
+	CMPQ CX, $32
+	JLT  tail2
+
+wide2:
+	ZERO8
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R12, R15
+
+wide2p:
+	B4((BX), 64(BX), 128(BX), 192(BX))
+	A_STRIDED(BCAST2)
+	MULADD2x4
+	ADDQ R10, AX
+	ADDQ R11, BX
+	DECQ R15
+	JNZ  wide2p
+
+	ADDSTORE2x4
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $32, CX
+	CMPQ CX, $32
+	JGE  wide2
+
+tail2:
+	TESTQ CX, CX
+	JLE   done2
+	TAIL_MASKS
+	ZERO8
+	MOVQ  SI, AX
+	MOVQ  DX, BX
+	MOVQ  R12, R15
+
+tail2p:
+	B4_MASKED((BX), 64(BX), 128(BX), 192(BX))
+	A_STRIDED(BCAST2)
+	MULADD2x4
+	ADDQ R10, AX
+	ADDQ R11, BX
+	DECQ R15
+	JNZ  tail2p
+
+	ADDSTORE2x4_MASKED
+
+done2:
+	VZEROUPPER
+	RET
+
 // func mmStrip1AVX512(out *float64, a *float64, aK int, b *float64, bstride, kw, jw int)
 //
 // The one-row strip: 32 columns in four chains (Z0-Z3). Registers as in
@@ -292,7 +414,7 @@ wide1p:
 	DECQ         R15
 	JNZ          wide1p
 
-	ADDSTORE1x4
+	ADDSTORE1x4(DI, Z0, Z1, Z2, Z3)
 	ADDQ $256, DI
 	ADDQ $256, DX
 	SUBQ $32, CX
@@ -309,18 +431,15 @@ tail1:
 	MOVQ  R12, R15
 
 tail1p:
-	VMOVUPD.Z    (BX), K1, Z4
-	VMOVUPD.Z    64(BX), K2, Z5
-	VMOVUPD.Z    128(BX), K3, Z6
-	VMOVUPD.Z    192(BX), K4, Z7
+	B4_MASKED((BX), 64(BX), 128(BX), 192(BX))
 	VBROADCASTSD (AX), Z8
-	MULADD1x4(Z4, Z5, Z6, Z7)
+	MULADD1x4(Z12, Z13, Z14, Z15)
 	ADDQ         R10, AX
 	ADDQ         R11, BX
 	DECQ         R15
 	JNZ          tail1p
 
-	ADDSTORE1x4_MASKED
+	ADDSTORE1x4_MASKED(DI, Z0, Z1, Z2, Z3)
 
 done1:
 	VZEROUPPER
@@ -412,11 +531,85 @@ done4s:
 	VZEROUPPER
 	RET
 
+// func mmShiftStrip2AVX512(out *float64, ostride int, a *float64, aRow, aK int, b *float64, mask *uint64, tab *int, kw, jw int)
+//
+// The two-row strip of mmKernelShift, 32 columns in eight chains as
+// mmStrip2AVX512, the masked b row in Z12-Z15. Registers as in
+// mmShiftStrip4AVX512, R14 the row-1 out pointer of the epilogue.
+TEXT ·mmShiftStrip2AVX512(SB), NOSPLIT, $0-80
+	MOVQ out+0(FP), DI
+	MOVQ ostride+8(FP), R8
+	MOVQ a+16(FP), SI
+	MOVQ aRow+24(FP), R9
+	MOVQ aK+32(FP), R10
+	MOVQ b+40(FP), DX
+	MOVQ mask+48(FP), R11
+	MOVQ tab+56(FP), R12
+	MOVQ jw+72(FP), CX
+	SHLQ $3, R8
+	SHLQ $3, R9
+	SHLQ $3, R10
+	CMPQ CX, $32
+	JLT  tail2s
+
+wide2s:
+	ZERO8
+	MOVQ SI, AX
+	MOVQ R12, BX
+	MOVQ kw+64(FP), R15
+
+wide2sp:
+	MOVQ (BX), R13
+	B4((DX)(R13*8), 64(DX)(R13*8), 128(DX)(R13*8), 192(DX)(R13*8))
+	MOVQ 8(BX), R13
+	AND4((R11)(R13*8), 64(R11)(R13*8), 128(R11)(R13*8), 192(R11)(R13*8))
+	A_STRIDED(BCAST2)
+	MULADD2x4
+	ADDQ R10, AX
+	ADDQ $16, BX
+	DECQ R15
+	JNZ  wide2sp
+
+	ADDSTORE2x4
+	ADDQ $256, DI
+	ADDQ $256, DX
+	ADDQ $256, R11
+	SUBQ $32, CX
+	CMPQ CX, $32
+	JGE  wide2s
+
+tail2s:
+	TESTQ CX, CX
+	JLE   done2s
+	TAIL_MASKS
+	ZERO8
+	MOVQ  SI, AX
+	MOVQ  R12, BX
+	MOVQ  kw+64(FP), R15
+
+tail2sp:
+	MOVQ (BX), R13
+	B4_MASKED((DX)(R13*8), 64(DX)(R13*8), 128(DX)(R13*8), 192(DX)(R13*8))
+	MOVQ 8(BX), R13
+	AND4_MASKED((R11)(R13*8), 64(R11)(R13*8), 128(R11)(R13*8), 192(R11)(R13*8))
+	A_STRIDED(BCAST2)
+	MULADD2x4
+	ADDQ R10, AX
+	ADDQ $16, BX
+	DECQ R15
+	JNZ  tail2sp
+
+	ADDSTORE2x4_MASKED
+
+done2s:
+	VZEROUPPER
+	RET
+
 // func mmShiftStrip1AVX512(out *float64, a *float64, aK int, b *float64, mask *uint64, tab *int, kw, jw int)
 //
 // The one-row strip of mmKernelShift, 32 columns in four chains as
-// mmStrip1AVX512. Registers as in mmShiftStrip4AVX512; Z4-Z7 the masked b
-// row, Z12-Z15 the mask row in the tail, then products.
+// mmStrip1AVX512, the masked b row in Z12-Z15. Registers as in
+// mmShiftStrip4AVX512.
 TEXT ·mmShiftStrip1AVX512(SB), NOSPLIT, $0-64
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -437,23 +630,17 @@ wide1s:
 
 wide1sp:
 	MOVQ         (BX), R13
-	VMOVUPD      (DX)(R13*8), Z4
-	VMOVUPD      64(DX)(R13*8), Z5
-	VMOVUPD      128(DX)(R13*8), Z6
-	VMOVUPD      192(DX)(R13*8), Z7
+	B4((DX)(R13*8), 64(DX)(R13*8), 128(DX)(R13*8), 192(DX)(R13*8))
 	MOVQ         8(BX), R13
-	VANDPD       (R11)(R13*8), Z4, Z4
-	VANDPD       64(R11)(R13*8), Z5, Z5
-	VANDPD       128(R11)(R13*8), Z6, Z6
-	VANDPD       192(R11)(R13*8), Z7, Z7
+	AND4((R11)(R13*8), 64(R11)(R13*8), 128(R11)(R13*8), 192(R11)(R13*8))
 	VBROADCASTSD (AX), Z8
-	MULADD1x4(Z4, Z5, Z6, Z7)
+	MULADD1x4(Z12, Z13, Z14, Z15)
 	ADDQ         R10, AX
 	ADDQ         $16, BX
 	DECQ         R15
 	JNZ          wide1sp
 
-	ADDSTORE1x4
+	ADDSTORE1x4(DI, Z0, Z1, Z2, Z3)
 	ADDQ $256, DI
 	ADDQ $256, DX
 	ADDQ $256, R11
@@ -472,27 +659,17 @@ tail1s:
 
 tail1sp:
 	MOVQ         (BX), R13
-	VMOVUPD.Z    (DX)(R13*8), K1, Z4
-	VMOVUPD.Z    64(DX)(R13*8), K2, Z5
-	VMOVUPD.Z    128(DX)(R13*8), K3, Z6
-	VMOVUPD.Z    192(DX)(R13*8), K4, Z7
+	B4_MASKED((DX)(R13*8), 64(DX)(R13*8), 128(DX)(R13*8), 192(DX)(R13*8))
 	MOVQ         8(BX), R13
-	VMOVUPD.Z    (R11)(R13*8), K1, Z12
-	VMOVUPD.Z    64(R11)(R13*8), K2, Z13
-	VMOVUPD.Z    128(R11)(R13*8), K3, Z14
-	VMOVUPD.Z    192(R11)(R13*8), K4, Z15
-	VANDPD       Z12, Z4, Z4
-	VANDPD       Z13, Z5, Z5
-	VANDPD       Z14, Z6, Z6
-	VANDPD       Z15, Z7, Z7
+	AND4_MASKED((R11)(R13*8), 64(R11)(R13*8), 128(R11)(R13*8), 192(R11)(R13*8))
 	VBROADCASTSD (AX), Z8
-	MULADD1x4(Z4, Z5, Z6, Z7)
+	MULADD1x4(Z12, Z13, Z14, Z15)
 	ADDQ         R10, AX
 	ADDQ         $16, BX
 	DECQ         R15
 	JNZ          tail1sp
 
-	ADDSTORE1x4_MASKED
+	ADDSTORE1x4_MASKED(DI, Z0, Z1, Z2, Z3)
 
 done1s:
 	VZEROUPPER
@@ -580,6 +757,78 @@ done4r:
 	VZEROUPPER
 	RET
 
+// func mmRowsStrip2AVX512(out *float64, ostride int, a *float64, rowOff, pOff *int, b *float64, bstride, kw, jw int)
+//
+// mmKernelRows' two-row strip: mmStrip2AVX512 with row r of a based at
+// a+rowOff[r] and step p at pOff[p] from each base; pOff[p] is loaded once
+// per p for both rows. Registers as in mmRowsStrip4AVX512 with SI, R9 the
+// two row bases and R14 the row-1 out pointer of the epilogue.
+TEXT ·mmRowsStrip2AVX512(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ ostride+8(FP), R8
+	MOVQ a+16(FP), AX
+	MOVQ rowOff+24(FP), BX
+	MOVQ pOff+32(FP), R13
+	MOVQ b+40(FP), DX
+	MOVQ bstride+48(FP), R11
+	MOVQ jw+64(FP), CX
+	MOVQ (BX), SI
+	MOVQ 8(BX), R9
+	LEAQ (AX)(SI*8), SI
+	LEAQ (AX)(R9*8), R9
+	SHLQ $3, R8
+	SHLQ $3, R11
+	CMPQ CX, $32
+	JLT  tail2r
+
+wide2r:
+	ZERO8
+	MOVQ R13, AX
+	MOVQ DX, BX
+	MOVQ kw+56(FP), R15
+
+wide2rp:
+	MOVQ (AX), R12
+	B4((BX), 64(BX), 128(BX), 192(BX))
+	A_ROWS(BCAST2)
+	MULADD2x4
+	ADDQ $8, AX
+	ADDQ R11, BX
+	DECQ R15
+	JNZ  wide2rp
+
+	ADDSTORE2x4
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $32, CX
+	CMPQ CX, $32
+	JGE  wide2r
+
+tail2r:
+	TESTQ CX, CX
+	JLE   done2r
+	TAIL_MASKS
+	ZERO8
+	MOVQ  R13, AX
+	MOVQ  DX, BX
+	MOVQ  kw+56(FP), R15
+
+tail2rp:
+	MOVQ (AX), R12
+	B4_MASKED((BX), 64(BX), 128(BX), 192(BX))
+	A_ROWS(BCAST2)
+	MULADD2x4
+	ADDQ $8, AX
+	ADDQ R11, BX
+	DECQ R15
+	JNZ  tail2rp
+
+	ADDSTORE2x4_MASKED
+
+done2r:
+	VZEROUPPER
+	RET
+
 // func mmRowsStrip1AVX512(out *float64, a *float64, pOff *int, b *float64, bstride, kw, jw int)
 //
 // The one-row strip of mmKernelRows, 32 columns in four chains as
@@ -611,7 +860,7 @@ wide1rp:
 	DECQ         R15
 	JNZ          wide1rp
 
-	ADDSTORE1x4
+	ADDSTORE1x4(DI, Z0, Z1, Z2, Z3)
 	ADDQ $256, DI
 	ADDQ $256, DX
 	SUBQ $32, CX
@@ -629,18 +878,15 @@ tail1r:
 
 tail1rp:
 	MOVQ         (AX), R12
-	VMOVUPD.Z    (BX), K1, Z4
-	VMOVUPD.Z    64(BX), K2, Z5
-	VMOVUPD.Z    128(BX), K3, Z6
-	VMOVUPD.Z    192(BX), K4, Z7
+	B4_MASKED((BX), 64(BX), 128(BX), 192(BX))
 	VBROADCASTSD (SI)(R12*8), Z8
-	MULADD1x4(Z4, Z5, Z6, Z7)
+	MULADD1x4(Z12, Z13, Z14, Z15)
 	ADDQ         $8, AX
 	ADDQ         R11, BX
 	DECQ         R15
 	JNZ          tail1rp
 
-	ADDSTORE1x4_MASKED
+	ADDSTORE1x4_MASKED(DI, Z0, Z1, Z2, Z3)
 
 done1r:
 	VZEROUPPER

@@ -41,6 +41,15 @@ func FuzzMMKernel(f *testing.F) {
 			f.Add(form, uint8(1+i%9), uint8(3+i), jw, uint8(i*0x13), uint8(0), uint64(50+i))
 		}
 	}
+	// Row counts whose dispatch ends in the two-row strip (2, 3, 6, 7) at
+	// block, tail and block-plus-tail widths of both assembly levels.
+	for form := uint8(0); form < 3; form++ {
+		for i, rows := range []uint8{2, 3, 6, 7} {
+			for k, jw := range []uint8{5, 16, 33} {
+				f.Add(form, rows, uint8(2+3*i+k), jw, uint8(i*0x29+k), uint8(0), uint64(70+4*i+k))
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, form, rows8, kw8, jw8, shape, bad uint8, seed uint64) {
 		form %= 3
 		rows, kw, jw := int(rows8)%12, int(kw8)%48, int(jw8)%80

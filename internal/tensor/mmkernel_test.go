@@ -49,12 +49,73 @@ func eachAsmLevel(t *testing.T, f func(t *testing.T)) {
 }
 
 // TestKernelLevel logs the level the kernels run at in this build on this
-// CPU, so a CI log shows which strips a runner exercised.
+// CPU, and whether CPUID reported the FMA both assembly levels need, so a
+// CI log shows which strips a runner exercised and why.
 func TestKernelLevel(t *testing.T) {
 	if level < levelGo || level > levelAVX512 {
 		t.Fatalf("level %d is not a kernel level", level)
 	}
-	t.Logf("GEMM micro-kernel level: %s (GOARCH %s)", levelNames[level], runtime.GOARCH)
+	if level > levelGo && !cpuFMA {
+		t.Fatalf("level %s chosen without FMA", levelNames[level])
+	}
+	t.Logf("GEMM micro-kernel level: %s (GOARCH %s; CPUID FMA %v, read only by amd64 builds without -race)",
+		levelNames[level], runtime.GOARCH, cpuFMA)
+}
+
+// TestKernelChainIsFused runs a two-step chain whose bits tell a fused
+// multiply-add from a rounded product and an add, through every form of the
+// kernel, every row dispatch and block and tail width, at every level this
+// build and CPU have. After a·b = 1 the chain adds (1+2⁻³⁰)·−(1−2⁻³⁰) =
+// −(1−2⁻⁶⁰): fused, the sum is 2⁻⁶⁰ exactly; rounded first, the product is
+// −1 and the sum 0.
+func TestKernelChainIsFused(t *testing.T) {
+	eps := math.Ldexp(1, -30)
+	want := math.Ldexp(1, -60)
+	for l := levelGo; l <= level; l++ {
+		atLevel(l, func() {
+			for rows := 1; rows <= 9; rows++ {
+				for _, jw := range []int{1, 3, 4, 7, 8, 15, 16, 17, 31, 32, 33, 40, 64} {
+					a := make([]float64, 2*rows) // rows × 2, row-major
+					for r := 0; r < rows; r++ {
+						a[2*r], a[2*r+1] = 1, 1+eps
+					}
+					b := make([]float64, 2*jw)
+					mask := make([]uint64, jw)
+					for j := 0; j < jw; j++ {
+						b[j], b[jw+j], mask[j] = 1, -(1 - eps), ^uint64(0)
+					}
+					rt := newRowTable(make([]int, rows), []int{0, 1})
+					stage := []float64{1, 1 + eps}
+					for form, call := range []func(out []float64){
+						func(out []float64) { mmKernel(out, jw, a, 2, 1, b, jw, rows, 2, jw) },
+						func(out []float64) { mmKernelShift(out, jw, a, 2, 1, b, mask, []int{0, 0, jw, 0}, rows, 2, jw) },
+						func(out []float64) { mmKernelRows(out, jw, stage, rt, b, jw, rows, 2, jw) },
+					} {
+						out := make([]float64, rows*jw)
+						call(out)
+						for i, v := range out {
+							if v != want {
+								t.Fatalf("level %s form %d rows %d jw %d: out[%d] = %g, want 2⁻⁶⁰ (0 is an unfused chain)",
+									levelNames[l], form, rows, jw, i, v)
+							}
+						}
+					}
+				}
+			}
+			for _, n := range []int{1, 8, 31, 32, 33} {
+				dst, b := make([]float64, n), make([]float64, 2*n)
+				for j := 0; j < n; j++ {
+					b[j], b[n+j] = 1, -(1 - eps)
+				}
+				VecMatMulAdd(dst, []float64{1, 1 + eps}, b)
+				for j, v := range dst {
+					if v != want {
+						t.Fatalf("level %s VecMatMulAdd n %d: dst[%d] = %g, want 2⁻⁶⁰", levelNames[l], n, j, v)
+					}
+				}
+			}
+		})
+	}
 }
 
 // hostile fills s with normals salted with what a vector kernel could get
@@ -86,8 +147,9 @@ func bitsEqual(a, b []float64) int {
 }
 
 // TestMMKernelAsmMatchesGoGrid compares mmKernel's strips at each
-// assembly level with the Go strips bit for bit over rows 1-9 × k × jw
-// 1-40 (every opmask and VMASKMOVPD tail width and block edge) and wider,
+// assembly level with the Go strips bit for bit over rows 1-9 (every row
+// dispatch: strips of four, then two, then one) × k × jw 1-40 (every
+// opmask and VMASKMOVPD tail width and block edge) and wider,
 // both A layouts, on a dirty out. Strides exceed jw, so the kernels must
 // leave the gaps (another tile's columns) alone; the windows of out and b
 // end where a poisoned guard band begins, so a masked lane that loaded or
@@ -146,7 +208,7 @@ func TestMMKernelAsmMatchesGoGrid(t *testing.T) {
 
 // TestMMKernelShiftAsmMatchesGo compares mmKernelShift's strips at each
 // assembly level with the Go strips bit for bit over a rows × kw × jw grid
-// (jw 1-40 and wider) on a dirty out. Each b row sits at a random offset
+// (rows 1-9, every row dispatch; jw 1-40 and wider) on a dirty out. Each b row sits at a random offset
 // in its own stretch of b — the last one flush against b's guard band —
 // and each mask row is one of three shared lane masks at a random offset;
 // every b lane its mask clears holds NaN, ±Inf or −0, which must reach the
@@ -253,8 +315,8 @@ func salt(g *rng.RNG, s, family []float64) {
 }
 
 // TestMMKernelRowsAsmMatchesGo compares mmKernelRows' strips at each
-// assembly level with the Go strips bit for bit over rows 1-9 × kw × jw
-// 1-40 (and wider) on a dirty out whose rows have guard gaps between them
+// assembly level with the Go strips bit for bit over rows 1-9 (every row
+// dispatch) × kw × jw 1-40 (and wider) on a dirty out whose rows have guard gaps between them
 // and whose window, like b's, ends at a guard band, and the Go strips with
 // the contract's scalar loop. Row and step offsets are random, so rows and steps overlap
 // the way a convolution's taps do; a holds each NaN family in turn, and
@@ -308,7 +370,7 @@ func TestMMKernelRowsAsmMatchesGo(t *testing.T) {
 							if j < jw {
 								s := 0.0
 								for p := 0; p < kw; p++ {
-									s += a[rowOff[r]+pOff[p]] * b[p*bstride+j]
+									s = fma(a[rowOff[r]+pOff[p]], b[p*bstride+j], s)
 								}
 								want += s
 							}
