@@ -154,6 +154,36 @@ func (c *Cell) Step(x []float64, s State, cache *stepCache) {
 	}
 }
 
+// settled reports whether another Step on the input of the last one would
+// change nothing that reaches H, now or at any later such Step: s.H is still
+// the h that Step read, so the gates would repeat, and under those gates
+// every unit's C holds (see holds). It reads that Step's input and gates
+// from the cell's scratch, so the Step must have been made without a cache
+// and be the last thing run on the cell (Backward reuses xh).
+func (c *Cell) settled(s State) bool {
+	for j, v := range s.H {
+		if math.Float64bits(v) != math.Float64bits(c.xh[c.X+j]) {
+			return false
+		}
+	}
+	h, act := c.H, c.act
+	for j, cv := range s.C {
+		if !holds(act[j], act[h+j], act[2*h+j], cv) {
+			return false
+		}
+	}
+	return true
+}
+
+// hold is a Step on a settled cell: it advances s.C by the last Step's
+// gates, which is all that Step would change.
+func (c *Cell) hold(s State) {
+	h, act := c.H, c.act
+	for j, cv := range s.C {
+		s.C[j] = cellUpdate(act[h+j], cv, act[j], act[2*h+j])
+	}
+}
+
 // Backward consumes dh/dc for this timestep's outputs and the cache from
 // Step; it accumulates parameter gradients and writes the input gradient
 // into dx and the through-time gradients into dhPrev/dcPrev (all
@@ -165,7 +195,7 @@ func (c *Cell) Backward(dh, dc []float64, cache *stepCache, dx, dhPrev, dcPrev [
 	dAct := c.dAct
 	for j := 0; j < h; j++ {
 		o, tc := cache.o[j], cache.tanhC[j]
-		dct := dc[j] + dh[j]*o*(1-tc*tc)
+		dct := dc[j] + float64(dh[j]*o*(1-float64(tc*tc)))
 		do := dh[j] * tc
 		di := dct * cache.g[j]
 		dg := dct * cache.i[j]
@@ -173,7 +203,7 @@ func (c *Cell) Backward(dh, dc []float64, cache *stepCache, dx, dhPrev, dcPrev [
 		dcPrev[j] = dct * cache.f[j]
 		dAct[gateI*h+j] = di * cache.i[j] * (1 - cache.i[j])
 		dAct[gateF*h+j] = df * cache.f[j] * (1 - cache.f[j])
-		dAct[gateG*h+j] = dg * (1 - cache.g[j]*cache.g[j])
+		dAct[gateG*h+j] = dg * (1 - float64(cache.g[j]*cache.g[j]))
 		dAct[gateO*h+j] = do * o * (1 - o)
 	}
 	for r, da := range dAct {
@@ -190,8 +220,8 @@ func (c *Cell) Backward(dh, dc []float64, cache *stepCache, dx, dhPrev, dcPrev [
 		wRow, dRow := c.W[j*n4:(j+1)*n4], c.dW[j*n4:(j+1)*n4]
 		sum := 0.0
 		for r, da := range dAct {
-			dRow[r] += da * v
-			sum += da * wRow[r]
+			dRow[r] += float64(da * v)
+			sum += float64(da * wRow[r])
 		}
 		xh[j] = sum
 	}
@@ -226,6 +256,6 @@ func apply(w, g []float64, lr, clip float64) {
 		} else if gv < -clip {
 			gv = -clip
 		}
-		w[i] -= lr * gv
+		w[i] -= float64(lr * gv)
 	}
 }

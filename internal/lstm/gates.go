@@ -58,10 +58,44 @@ func activateUnits(pre, act, tc, C, H []float64, j0, end int) {
 		iv, fv := sigmoid(pre[j]), sigmoid(pre[h+j])
 		gv, ov := math.Tanh(pre[2*h+j]), sigmoid(pre[3*h+j])
 		act[j], act[h+j], act[2*h+j], act[3*h+j] = iv, fv, gv, ov
-		C[j] = fv*C[j] + iv*gv
+		C[j] = cellUpdate(fv, C[j], iv, gv)
 		tc[j] = math.Tanh(C[j])
 		H[j] = ov * tc[j]
 	}
+}
+
+// cellUpdate is the state update of a unit, c' = f·c + i·g: both products
+// rounded on their own, then the sum — how the expression compiles on
+// amd64 and how cellAVX2 computes it. The explicit roundings keep arm64 from
+// fusing it.
+func cellUpdate(f, c, i, g float64) float64 { return float64(f*c) + float64(i*g) }
+
+// tanhOne is a bound past 0.5·MAXLOG ≈ 44.0148, beyond which math.Tanh
+// returns exactly ±1 by branch.
+const tanhOne = 45
+
+// holds reports whether a unit's state c, updated again and again under the
+// same gates i, f and g, leaves tanh(c) — and so the unit's h — as it is
+// for good. Either c is a fixed point of cellUpdate, bit for bit, and not a
+// NaN, or c is finite with |c| ≥ 45 and i·g pushes it outward by at least
+// what f takes away: sign(c)·fl(i·g) ≥ 45·(1−f) + 1e−12, each operation on
+// the right rounded. |i·g| ≤ 1, so that needs f ≥ 44/45 and no product
+// underflows.
+// With c ≥ 45 (c ≤ −45 is the mirror image) and u = 2⁻⁵³, the update's
+// rounded products then sum to at least
+// 45·f·(1−u) + 45·(1−f)·(1−u)³ + 1e−12·(1−u) ≥ 45·(1−u)³ + 1e−12·(1−u) > 45,
+// so the rounded c' is ≥ 45 again, while f ≤ 1 and |i·g| ≤ 1 keep it
+// finite. The gates are the same at every step, so this holds forever.
+func holds(i, f, g, c float64) bool {
+	if math.Float64bits(cellUpdate(f, c, i, g)) == math.Float64bits(c) {
+		return !math.IsNaN(c) // which NaN an update returns may hang on operand order
+	}
+	ig := float64(i * g)
+	if c < 0 {
+		ig = -ig
+	}
+	return math.Abs(c) >= tanhOne && !math.IsInf(c, 0) &&
+		ig >= float64(tanhOne*(1-f))+1e-12
 }
 
 // gateProbes is the init self-check's input set: inside the fast domain of

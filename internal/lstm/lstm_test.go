@@ -443,13 +443,27 @@ func BenchmarkTrainStepH64(b *testing.B) {
 // BenchmarkPredictAhead rolls a full-window two-layer loss-predictor
 // network out k steps at the shapes the workloads run: H = 8 at k = 1023
 // (fleet_scale, M = 1024), H = 24 at k = 3 (the quick profiles' M = 4) and
-// the paper's H = 64 at k = 8.
+// the paper's H = 64 at k = 8. Those networks are fresh and never settle;
+// H8_k1023_saturated is the fleet shape with every gate saturated
+// (rolloutNet), so most of its roll-out runs on the absorbed update.
 func BenchmarkPredictAhead(b *testing.B) {
-	for _, sz := range []struct{ h, k int }{{8, 1023}, {24, 3}, {64, 8}} {
-		b.Run(fmt.Sprintf("H%d_k%d", sz.h, sz.k), func(b *testing.B) {
-			n := NewNetwork(1, []int{sz.h, sz.h}, rng.New(1))
-			for i := 0; i < n.Window; i++ {
-				n.Observe([]float64{0.5}, 0.4)
+	for _, sz := range []struct {
+		h, k      int
+		saturated bool
+	}{{8, 1023, false}, {8, 1023, true}, {24, 3, false}, {64, 8, false}} {
+		name := fmt.Sprintf("H%d_k%d", sz.h, sz.k)
+		if sz.saturated {
+			name += "_saturated"
+		}
+		b.Run(name, func(b *testing.B) {
+			var n *Network
+			if sz.saturated {
+				n = rolloutNet(1, 1, []int{sz.h, sz.h}, biasSaturated)
+			} else {
+				n = NewNetwork(1, []int{sz.h, sz.h}, rng.New(1))
+				for i := 0; i < n.Window; i++ {
+					n.Observe([]float64{0.5}, 0.4)
+				}
 			}
 			in, fb := []float64{0.5}, []float64{0}
 			feedback := func(o float64) []float64 { fb[0] = o; return fb }

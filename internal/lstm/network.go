@@ -2,6 +2,7 @@ package lstm
 
 import (
 	"fmt"
+	"math"
 
 	"lcasgd/internal/rng"
 	"lcasgd/internal/snapshot"
@@ -85,7 +86,7 @@ func (n *Network) InputSize() int { return n.Cells[0].X }
 func (n *Network) head(h []float64) float64 {
 	s := n.HeadB
 	for j, w := range n.HeadW {
-		s += w * h[j]
+		s += float64(w * h[j])
 	}
 	return s
 }
@@ -186,7 +187,7 @@ func (n *Network) fitWindow() float64 {
 	dOuts := n.dOuts[:T]
 	for t := 0; t < T; t++ {
 		d := outs[t] - n.targets[t]
-		loss += d * d
+		loss += float64(d * d)
 		dOuts[t] = 2 * d / float64(T)
 	}
 	loss /= float64(T)
@@ -220,8 +221,8 @@ func (n *Network) fitWindow() float64 {
 			topH[j] = hTop.o[j] * hTop.tanhC[j]
 		}
 		for j := range n.HeadW {
-			n.dHeadW[j] += g * topH[j]
-			dhTop[j] += g * n.HeadW[j]
+			n.dHeadW[j] += float64(g * topH[j])
+			dhTop[j] += float64(g * n.HeadW[j])
 		}
 		dh := dhTop
 		dc := n.dc[top]
@@ -250,7 +251,7 @@ func (n *Network) fitWindow() float64 {
 	} else if db < -n.Clip {
 		db = -n.Clip
 	}
-	n.HeadB -= n.LR * db
+	n.HeadB -= float64(n.LR * db)
 	return loss
 }
 
@@ -266,35 +267,91 @@ func (n *Network) Predict(input []float64) float64 {
 // This is exactly Algorithm 3's "forward-propagating goes on k iterations".
 // The returned slice is a reused buffer, valid until the next PredictAhead
 // call.
+//
+// A roll-out often settles: the fed-back input repeats bit for bit, and so
+// does every layer's h, while each unit's c either stays put or sits past
+// the point where tanh(c) is exactly ±1 and keeps moving outward (see
+// holds). From there every output is the last one, so the roll-out stops
+// stepping the cells: each remaining step still calls feedback, checks that
+// the input still repeats, and advances every c by its scalar update, so
+// the outputs and the state are the stepped loop's, bit for bit. An input
+// that changes sends it back to full steps.
 func (n *Network) PredictAhead(input []float64, k int, feedback func(out float64) []float64) []float64 {
+	outs, _ := n.rollout(input, k, feedback)
+	return outs
+}
+
+// rollout is PredictAhead. It also returns the first step that the
+// absorbed update served instead of the cells, or k if there was none.
+func (n *Network) rollout(input []float64, k int, feedback func(out float64) []float64) ([]float64, int) {
 	if k <= 0 {
-		return nil
+		return nil, 0
 	}
 	for li := range n.states {
 		n.states[li].Zero()
 	}
-	run := func(x []float64) float64 {
-		cur := x
-		for li, cell := range n.Cells {
-			cell.Step(cur, n.states[li], nil)
-			cur = n.states[li].H
-		}
-		return n.head(cur)
-	}
 	for t := 0; t < n.count; t++ {
-		run(n.rows[t])
+		n.step(n.rows[t])
 	}
 	if cap(n.ahead) < k {
 		n.ahead = make([]float64, k)
 	}
 	outs := n.ahead[:k]
-	out := run(input)
+	out := n.step(input)
 	outs[0] = out
+	absorbed, first := false, k
 	for i := 1; i < k; i++ {
-		out = run(feedback(out))
+		x := feedback(out)
+		// Once absorbed, settled stays true for as long as the input
+		// repeats: the gates repeat, and a c that holds keeps holding.
+		absorbed = n.repeats(x) && (absorbed || n.settled())
+		if absorbed {
+			for li, cell := range n.Cells {
+				cell.hold(n.states[li])
+			}
+			first = min(first, i)
+		} else {
+			out = n.step(x)
+		}
 		outs[i] = out
 	}
-	return outs
+	return outs, first
+}
+
+// step runs one prediction timestep through the stack and returns the
+// head's output.
+func (n *Network) step(x []float64) float64 {
+	for li, cell := range n.Cells {
+		cell.Step(x, n.states[li], nil)
+		x = n.states[li].H
+	}
+	return n.head(x)
+}
+
+// repeats reports whether x is, bit for bit, the input of the last step.
+func (n *Network) repeats(x []float64) bool {
+	c := n.Cells[0]
+	if len(x) != c.X {
+		return false
+	}
+	for j, v := range x {
+		if math.Float64bits(v) != math.Float64bits(c.xh[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// settled reports whether every layer is settled after the last step
+// (Cell.settled). With an input that repeats, each layer's input then
+// repeats too, since the layer below leaves its h as it is.
+func (n *Network) settled() bool {
+	for li, cell := range n.Cells {
+		if !cell.settled(n.states[li]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Walk walks everything that survives across online-training calls: every
