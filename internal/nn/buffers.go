@@ -9,16 +9,18 @@ import "lcasgd/internal/tensor"
 // This is the memory model of the whole layer zoo (see DESIGN.md "Memory
 // model"): every layer keeps one output buffer and one input-gradient
 // buffer alive per instance instead of calling tensor.New per Forward/
-// Backward. Because each simulated worker owns a private replica of the
-// network (the Layer contract) this is single-owner state, and because the
-// buffers are distinct per layer, forward activations cached for the
-// backward pass can never alias the gradients flowing back through other
-// layers. A smaller batch (an evaluation remainder batch) reslices the
-// buffer it already has and the next full batch reslices it back, so
-// alternating batch sizes allocate nothing once the largest has been seen;
-// only a larger batch or a different row width reallocates. The header is
-// re-pointed in place: a tensor a layer returned describes that layer's
-// latest pass, never an earlier one.
+// Backward. Because a network computes for one caller at a time (the Layer
+// contract) this is single-owner state; because a pass writes every element
+// before it reads one, the buffers carry nothing from one bound State to
+// the next (Sequential.Bind); and because the buffers are distinct per
+// layer, forward activations cached for the backward pass can never alias
+// the gradients flowing back through other layers. A smaller batch (an
+// evaluation remainder batch) reslices the buffer it already has and the
+// next full batch reslices it back, so alternating batch sizes allocate
+// nothing once the largest has been seen; only a larger batch or a
+// different row width reallocates. The header is re-pointed in place: a
+// tensor a layer returned describes that layer's latest pass, never an
+// earlier one.
 //
 // The returned tensor's contents are unspecified; every caller overwrites
 // every element.

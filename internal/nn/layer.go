@@ -14,8 +14,8 @@ import (
 // Backward returns the gradient with respect to the layer input and
 // accumulates parameter gradients (it adds to Param.Grad rather than
 // overwriting, so gradient accumulation across micro-batches works).
-// Layers are not safe for concurrent use; each simulated worker owns a
-// private replica of the network.
+// Layers are not safe for concurrent use; a network computes for one
+// caller at a time, on the State it is bound to (Sequential.Bind).
 //
 // Buffer-reuse contract (the zero-allocation hot path): the tensors
 // returned by Forward and Backward are layer-owned buffers that the SAME
@@ -43,7 +43,12 @@ type Sequential struct {
 	// the tree bottom-up (as internal/model does), then train.
 	paramsCache []*Param
 
-	state *State // set by State; the layer tree is fixed from then on
+	// The State the layers view, set by State and moved by Bind (the layer
+	// tree is fixed from then on); the BatchNorms walk Bind re-points; and
+	// the layout, the parameter and BN channel counts.
+	state     *State
+	bns       []*BatchNorm
+	nP, nChan int
 }
 
 // NewSequential builds a container from the given layers.
@@ -154,12 +159,12 @@ func (s *Sequential) BatchNorms() []*BatchNorm {
 }
 
 // State packs the network into one flat State on its first call and returns
-// that State on every call. Packing copies every parameter's values and
-// gradients and every BN layer's statistics into the flat vectors, then
-// re-points the layers' slices at their windows of them, so the layers read
-// and write the same values at new addresses. Packing layers already packed
-// panics — a nested Sequential of a packed net is one such case — and so
-// does a later Add.
+// the State its layers view on every call. Packing copies every parameter's
+// values and gradients and every BN layer's statistics into the flat
+// vectors, then re-points the layers' slices at their windows of them, so
+// the layers read and write the same values at new addresses. Packing
+// layers already packed panics — a nested Sequential of a packed net is one
+// such case — and so does a later Add.
 func (s *Sequential) State() *State {
 	if s.state != nil {
 		return s.state
@@ -169,31 +174,74 @@ func (s *Sequential) State() *State {
 	for _, bn := range bns {
 		c += bn.C
 	}
-	st := &State{
-		Values: make([]float64, n), Grads: make([]float64, n),
-		RunningMean: make([]float64, c), RunningVar: make([]float64, c),
-		BatchMean: make([]float64, c), BatchVar: make([]float64, c),
-	}
+	st := newState(n, c)
 	off := 0
 	for _, p := range params {
 		if p.packed {
 			panic(fmt.Sprintf("nn: parameter %s is already packed", p.Name))
 		}
 		p.packed = true
-		p.Value.Data = view(st.Values, off, p.Value.Data)
-		p.Grad.Data = view(st.Grads, off, p.Grad.Data)
+		copy(st.Values[off:], p.Value.Data)
+		copy(st.Grads[off:], p.Grad.Data)
 		off += len(p.Value.Data)
 	}
 	off = 0
 	for _, bn := range bns {
-		bn.RunningMean = view(st.RunningMean, off, bn.RunningMean)
-		bn.RunningVar = view(st.RunningVar, off, bn.RunningVar)
-		bn.batchMean = view(st.BatchMean, off, bn.batchMean)
-		bn.batchVar = view(st.BatchVar, off, bn.batchVar)
+		copy(st.RunningMean[off:], bn.RunningMean)
+		copy(st.RunningVar[off:], bn.RunningVar)
+		copy(st.BatchMean[off:], bn.batchMean)
+		copy(st.BatchVar[off:], bn.batchVar)
+		off += bn.C
+	}
+	s.bns, s.nP, s.nChan = bns, n, c
+	s.bind(st)
+	return st
+}
+
+// NewState packs the network (State) and allocates a zeroed State of its
+// layout, one Bind accepts.
+func (s *Sequential) NewState() *State {
+	s.State()
+	return newState(s.nP, s.nChan)
+}
+
+// Bind re-points the network's parameters and BN statistics at st, a State
+// of its layout (NewState), and State then returns st. Nothing is copied:
+// the layers compute in place on st's vectors, through views whose capacity
+// ends at their window, until the next Bind. So one network computes for
+// many States in turn, each standing for a network of its own: the layers
+// keep no value across passes that Bind leaves behind, only buffers every
+// pass overwrites. Bind packs an unpacked network first (State), and panics
+// when a vector of st is not the layout's length.
+func (s *Sequential) Bind(st *State) {
+	s.State()
+	n, c := s.nP, s.nChan
+	if len(st.Values) != n || len(st.Grads) != n || len(st.RunningMean) != c || len(st.RunningVar) != c ||
+		len(st.BatchMean) != c || len(st.BatchVar) != c {
+		panic(fmt.Sprintf("nn: Bind a State of %d/%d values and %d/%d/%d/%d statistics to a net of %d and %d",
+			len(st.Values), len(st.Grads), len(st.RunningMean), len(st.RunningVar), len(st.BatchMean), len(st.BatchVar), n, c))
+	}
+	s.bind(st)
+}
+
+// bind points every parameter and BN layer at its window of st.
+func (s *Sequential) bind(st *State) {
+	off := 0
+	for _, p := range s.paramsCache {
+		n := len(p.Value.Data)
+		p.Value.Data = window(st.Values, off, n)
+		p.Grad.Data = window(st.Grads, off, n)
+		off += n
+	}
+	off = 0
+	for _, bn := range s.bns {
+		bn.RunningMean = window(st.RunningMean, off, bn.C)
+		bn.RunningVar = window(st.RunningVar, off, bn.C)
+		bn.batchMean = window(st.BatchMean, off, bn.C)
+		bn.batchVar = window(st.BatchVar, off, bn.C)
 		off += bn.C
 	}
 	s.state = st
-	return st
 }
 
 // ReLULayer applies the rectifier elementwise. It is stateless apart from

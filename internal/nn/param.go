@@ -48,17 +48,24 @@ func ParamCount(params []*Param) int {
 // latest batch statistics in BatchNorms() order. The layers hold views of
 // these vectors and compute in place on them, so they are the wire format
 // the parameter server exchanges: a pull copies into Values and the running
-// statistics, and the push reads Grads and the batch statistics.
+// statistics, and the push reads Grads and the batch statistics. A network
+// computes on one State at a time; Bind moves it to another of the same
+// layout.
 type State struct {
 	Values, Grads           []float64
 	RunningMean, RunningVar []float64
 	BatchMean, BatchVar     []float64
 }
 
-// view copies src to dst[off:] and returns that window of dst with its
-// capacity cut at its length, so no append can run past it.
-func view(dst []float64, off int, src []float64) []float64 {
-	v := dst[off : off+len(src) : off+len(src)]
-	copy(v, src)
-	return v
+// newState allocates a zeroed State of n parameters and c BN channels.
+func newState(n, c int) *State {
+	return &State{
+		Values: make([]float64, n), Grads: make([]float64, n),
+		RunningMean: make([]float64, c), RunningVar: make([]float64, c),
+		BatchMean: make([]float64, c), BatchVar: make([]float64, c),
+	}
 }
+
+// window returns v[off:off+n] with its capacity cut at its length, so no
+// append can run past it.
+func window(v []float64, off, n int) []float64 { return v[off : off+n : off+n] }

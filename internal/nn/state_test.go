@@ -1,6 +1,7 @@
 package nn_test
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -183,4 +184,122 @@ func TestFlatStatePackGuards(t *testing.T) {
 	mustPanic("Add after packing", func() { net.Add(nn.NewReLU(2)) })
 	mustPanic("packing a nested Sequential of a packed net", func() { inner.State() })
 	mustPanic("packing a net around a packed one", func() { nn.NewSequential(net).State() })
+}
+
+// bindNets lists the networks a fleet computes on: the fleet benchmark's
+// MLP and the quick-CIFAR ResNet, whose stem and identity blocks run
+// same-size convolutions and whose downsampling blocks gather, through
+// projection shortcuts.
+func bindNets() []struct {
+	name  string
+	in    int
+	build func(*rng.RNG) *nn.Sequential
+} {
+	p := trainer.QuickCIFAR()
+	return []struct {
+		name  string
+		in    int
+		build func(*rng.RNG) *nn.Sequential
+	}{
+		{"mlp", 4, func(g *rng.RNG) *nn.Sequential { return model.MLP("fleet", 4, 16, 4, g) }},
+		{p.Name, p.Model.InC * p.Model.InH * p.Model.InW, p.Model.Build},
+	}
+}
+
+// TestBindCarriesNothingBetweenStates: one network bound alternately to two
+// States, every layer buffer filled with NaN before each bind, computes what
+// two private networks holding those States compute, bit for bit — the
+// training forward's logits and loss, the backward's input gradient, the
+// State it leaves (gradients, batch and running statistics), and the
+// inference forward — at full and short batches. A State of another
+// layout, or one vector short, panics.
+func TestBindCarriesNothingBetweenStates(t *testing.T) {
+	for _, tc := range bindNets() {
+		shared := tc.build(rng.New(1))
+		var priv [2]*nn.Sequential
+		var sts [2]*nn.State
+		for k := range priv {
+			priv[k] = tc.build(rng.New(uint64(10 + k)))
+			own := priv[k].State()
+			for i := range own.RunningVar {
+				own.RunningMean[i], own.RunningVar[i] = 0.1*float64(k+i), 1+0.2*float64(k)
+			}
+			sts[k] = shared.NewState()
+			copy(sts[k].Values, own.Values)
+			copy(sts[k].RunningMean, own.RunningMean)
+			copy(sts[k].RunningVar, own.RunningVar)
+		}
+		var ce nn.SoftmaxCrossEntropy
+		var ces [2]nn.SoftmaxCrossEntropy
+		g := rng.New(3)
+		for step, batch := range []int{6, 6, 3, 6, 1} {
+			for k := range priv {
+				label := fmt.Sprintf("%s step %d batch %d state %d", tc.name, step, batch, k)
+				x := tensor.New(batch, tc.in)
+				g.FillNormal(x.Data, 1)
+				labels := make([]int, batch)
+				for i := range labels {
+					labels[i] = (step + i) % 4
+				}
+				nn.Scribble(shared)
+				nn.ScribbleLoss(&ce)
+				shared.Bind(sts[k])
+				if shared.State() != sts[k] {
+					t.Fatalf("%s: State is not the bound State", label)
+				}
+				st, own := sts[k], priv[k].State()
+				clear(st.Grads)
+				clear(own.Grads)
+				out := shared.Forward(x, true)
+				want := priv[k].Forward(x, true)
+				sameBits(t, label+" logits", out.Data, want.Data)
+				loss, wantLoss := ce.Forward(out, labels), ces[k].Forward(want, labels)
+				sameBits(t, label+" loss", []float64{loss}, []float64{wantLoss})
+				dx := shared.Backward(ce.Backward(1.5))
+				wantDx := priv[k].Backward(ces[k].Backward(1.5))
+				sameBits(t, label+" input gradient", dx.Data, wantDx.Data)
+				for _, c := range []struct {
+					what      string
+					got, want []float64
+				}{
+					{"values", st.Values, own.Values}, {"gradient", st.Grads, own.Grads},
+					{"batch mean", st.BatchMean, own.BatchMean}, {"batch var", st.BatchVar, own.BatchVar},
+					{"running mean", st.RunningMean, own.RunningMean}, {"running var", st.RunningVar, own.RunningVar},
+				} {
+					sameBits(t, label+" "+c.what, c.got, c.want)
+				}
+				nn.Scribble(shared)
+				sameBits(t, label+" inference", shared.Forward(x, false).Data, priv[k].Forward(x, false).Data)
+			}
+		}
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	nets := bindNets()
+	mlp, resnet := nets[0].build(rng.New(1)), nets[1].build(rng.New(1))
+	short := mlp.NewState()
+	short.BatchVar = short.BatchVar[:len(short.BatchVar)-1]
+	mustPanic("binding a State one statistic short", func() { mlp.Bind(short) })
+	mustPanic("binding another net's layout", func() { mlp.Bind(resnet.NewState()) })
+}
+
+// sameBits fails unless got and want hold the same float64 bits.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
 }

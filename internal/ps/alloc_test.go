@@ -23,11 +23,11 @@ func TestWorkerIterationZeroAllocSteadyState(t *testing.T) {
 		{"resnet", convEnvSeeded(ASGD, 1, 2)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, w, bnAcc := benchReplica(tc.env)
+			rep, x, w, bnAcc := benchReplica(tc.env)
 			iter := func() {
 				rep.pull(w, bnAcc)
-				rep.forward()
-				rep.backward(1.25) // compensated path, like LC-ASGD
+				rep.forward(x)
+				rep.backward(x, 1.25) // compensated path, like LC-ASGD
 				bnAcc.Update(rep.st.BatchMean, rep.st.BatchVar)
 			}
 			// Warm across an epoch wrap so the reshuffle path is exercised.
@@ -47,14 +47,14 @@ func TestWorkerIterationZeroAllocSteadyState(t *testing.T) {
 // input buffer, so the recovered iteration produces a real gradient and the
 // whole cycle allocates nothing.
 func TestReplicaRecoveryRepullZeroAlloc(t *testing.T) {
-	rep, w, bnAcc := benchReplica(tinyEnvSeeded(ASGD, 1, 2))
+	rep, x, w, bnAcc := benchReplica(tinyEnvSeeded(ASGD, 1, 2))
 	var loss float64
 	var grad []float64
 	cycle := func() {
 		rep.pull(w, bnAcc)
-		rep.forward()
+		rep.forward(x)
 		rep.pull(w, bnAcc) // crash-recovery re-pull, iteration abandoned
-		loss, grad = rep.gradient()
+		loss, grad = rep.gradient(x)
 	}
 	for i := 0; i < 12; i++ { // warm across an epoch wrap
 		cycle()
@@ -79,12 +79,12 @@ func TestReplicaRecoveryRepullZeroAlloc(t *testing.T) {
 func TestEvalZeroAllocSteadyState(t *testing.T) {
 	env := tinyEnvSeeded(ASGD, 1, 2)
 	cfg := env.Cfg.withDefaults()
-	_, w, bnAcc := benchReplica(env)
-	ev := newEvaluator(env.Build, rng.New(cfg.Seed).Uint64(), cfg.EvalBatch, seqBackend{})
+	_, _, w, bnAcc := benchReplica(env)
+	ev := newEvaluator(newExecPool(env.Build, rng.New(cfg.Seed).Uint64()), cfg.EvalBatch, seqBackend{})
 	ev.errOn(env.Train, w, bnAcc) // warm pool + buffers
 	ev.errOn(env.Test, w, bnAcc)
-	inputs := make([]*tensor.Tensor, len(ev.nets))
-	for i, n := range ev.nets {
+	inputs := make([]*tensor.Tensor, len(ev.shards))
+	for i, n := range ev.shards {
 		inputs[i] = n.x
 	}
 	iter := func() {
@@ -98,8 +98,8 @@ func TestEvalZeroAllocSteadyState(t *testing.T) {
 		// as dozens per iteration.
 		t.Fatalf("steady-state evaluation allocates %v times per train+test pass, want <= 4", a)
 	}
-	// One input buffer per shard net served all three batch sizes.
-	for i, n := range ev.nets {
+	// One input buffer per shard served all three batch sizes.
+	for i, n := range ev.shards {
 		if want := cfg.EvalBatch * env.Train.Features(); n.x != inputs[i] || cap(n.x.Data) != want {
 			t.Fatalf("shard %d: input buffer replaced or capacity %d, want the warm buffer at %d", i, cap(n.x.Data), want)
 		}

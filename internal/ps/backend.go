@@ -27,13 +27,16 @@ const (
 //
 //   - Dispatch may only be called from the event loop. Tasks for the same
 //     worker run in dispatch order; tasks for different workers may run
-//     concurrently. A task must touch only that worker's private state.
+//     concurrently. A task must touch only that worker's private state and
+//     the executor it holds: one it took from the engine's pool (whose
+//     free list is the one shared structure tasks touch, under its mutex)
+//     or the one the worker's forward left it holding.
 //   - All shared state (server weights, BN accumulator, predictors, cost
 //     sampler, the recorder's points) is read and written exclusively on
 //     the event loop, after wait() has returned for every task whose output
 //     is consumed. The one goroutine beside the loop and the lanes is the
 //     recorder's evaluator (eval.go): it reads a frozen copy of (w, BN) the
-//     loop took at the boundary, owns the evaluation net pool, and hands
+//     loop took at the boundary, on executors from the same pool, and hands
 //     its two error rates back through a channel the loop drains.
 //   - ParallelFor is for data-parallel side work (evaluation shards) whose
 //     combination is order-independent. It is called from the evaluator
@@ -88,7 +91,7 @@ func (seqBackend) Close() {}
 // send in Dispatch happens-before the task runs, and the close of the done
 // channel happens-before wait returns, so the event loop's writes to a
 // replica are visible to its lane and the lane's results are visible back —
-// no locks needed on the hot path.
+// no locks on the hot path beyond the executor pool's.
 type concBackend struct {
 	lanes []chan func()
 	wg    sync.WaitGroup
@@ -138,8 +141,8 @@ func (b *concBackend) ParallelFor(n int, body func(int)) {
 }
 
 // Parallelism is the lane count capped at the core count: its one caller
-// keeps a pooled net per evaluation shard (nParams of weights, refreshed
-// per evaluation), and shards beyond the cores add memory, not throughput.
+// runs an executor per evaluation shard, and shards beyond the cores add
+// memory, not throughput.
 func (b *concBackend) Parallelism() int { return min(len(b.lanes), runtime.GOMAXPROCS(0)) }
 
 // Close drains the lanes: in-flight tasks finish (they only touch worker

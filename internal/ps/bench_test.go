@@ -85,17 +85,18 @@ func convEnvSeeded(algo Algo, workers, epochs int) Env {
 	return env
 }
 
-// benchReplica builds a standalone worker replica plus the server-side
-// state one pull needs, bypassing the engine so the benchmark isolates the
-// worker-local compute path.
-func benchReplica(env Env) (*replica, []float64, *core.BNAccumulator) {
+// benchReplica builds a standalone worker replica, an executor to compute
+// it, plus the server-side state one pull needs, bypassing the engine so
+// the benchmark isolates the worker-local compute path.
+func benchReplica(env Env) (*replica, *executor, []float64, *core.BNAccumulator) {
 	cfg := env.Cfg.withDefaults()
 	seedRng := rng.New(cfg.Seed)
 	modelSeed := seedRng.Uint64()
-	rep := newReplica(env.Build, modelSeed, env.Train, cfg.BatchSize, seedRng.SplitLabeled(300))
-	bnAcc := core.NewBNAccumulator(cfg.BNMode, 0.2, rep.bnChannels())
-	w := slices.Clone(rep.st.Values)
-	return rep, w, bnAcc
+	x := newExecPool(env.Build, modelSeed).get()
+	rep := newReplica(x.net.NewState(), env.Train, cfg.BatchSize, seedRng.SplitLabeled(300))
+	bnAcc := core.NewBNAccumulator(cfg.BNMode, 0.2, bnChannels(x.net))
+	w := slices.Clone(x.net.State().Values)
+	return rep, x, w, bnAcc
 }
 
 // BenchmarkWorkerIteration measures one steady-state worker iteration —
@@ -112,14 +113,14 @@ func BenchmarkWorkerIteration(b *testing.B) {
 	}
 	for _, bc := range benches {
 		b.Run(bc.name, func(b *testing.B) {
-			rep, w, bnAcc := benchReplica(bc.env)
+			rep, x, w, bnAcc := benchReplica(bc.env)
 			rep.pull(w, bnAcc)
-			rep.gradient() // warm the layer buffers
+			rep.gradient(x) // warm the layer buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rep.pull(w, bnAcc)
-				rep.gradient()
+				rep.gradient(x)
 				bnAcc.Update(rep.st.BatchMean, rep.st.BatchVar)
 			}
 		})

@@ -13,13 +13,14 @@ import (
 )
 
 // Engine owns everything a training run shares across algorithms: the
-// worker replica fleet and its data shards, the parameter server, the BN
-// statistics accumulator, the cost sampler, the curve recorder, the
-// discrete-event clock, and the execution backend. A Strategy drives it
-// through the exported primitives below; the engine guarantees that all
-// shared state mutates only on the event loop, in virtual-clock order, so
-// every backend produces bit-identical results. (The recorder evaluates a
-// frozen copy of that state beside the loop; see eval.go.)
+// worker replica fleet and its data shards, the executors that compute it,
+// the parameter server, the BN statistics accumulator, the cost sampler,
+// the curve recorder, the discrete-event clock, and the execution backend.
+// A Strategy drives it through the exported primitives below; the engine
+// guarantees that all shared state mutates only on the event loop, in
+// virtual-clock order, so every backend produces bit-identical results.
+// (The recorder evaluates a frozen copy of that state beside the loop; see
+// eval.go.)
 type Engine struct {
 	cfg      Config
 	env      Env
@@ -28,12 +29,12 @@ type Engine struct {
 
 	clock   *simclock.Clock
 	sampler *cluster.Sampler
-	workers []worker // the fleet, indexed by rank (fleet.go)
+	workers []worker  // the fleet, indexed by rank (fleet.go)
+	execs   *execPool // the networks dispatched tasks and evaluation shards compute on
 	srv     *server
 	rec     *recorder
 
-	seedRng   *rng.RNG
-	modelSeed uint64
+	seedRng *rng.RNG
 
 	stalenessSum int
 	stalenessN   int
@@ -106,34 +107,38 @@ func newEngine(env Env, st Strategy) *Engine {
 	if fs, ok := st.(FleetSizer); ok {
 		M = fs.FleetSize(cfg.Workers)
 	}
+	// One network gives the server's initial weights and BN layout, and
+	// then computes as the pool's first executor; a worker is a flat state.
+	execs := newExecPool(env.Build, modelSeed)
+	x0 := execs.get()
 	shards := workerData(env, M)
 	workers := make([]worker, M)
 	for m := range workers {
-		workers[m].rep = newReplica(env.Build, modelSeed, shards[m], cfg.BatchSize, seedRng.SplitLabeled(uint64(300+m)))
+		workers[m].rep = newReplica(x0.net.NewState(), shards[m], cfg.BatchSize, seedRng.SplitLabeled(uint64(300+m)))
 	}
-	rep0 := workers[0].rep
 	bnMode := cfg.BNMode
 	if bf, ok := st.(BNModeFixer); ok {
 		bnMode = bf.FixBNMode(bnMode)
 	}
-	bnAcc := core.NewBNAccumulator(bnMode, cfg.BNDecay, rep0.bnChannels())
-	w := slices.Clone(rep0.st.Values)
+	bnAcc := core.NewBNAccumulator(bnMode, cfg.BNDecay, bnChannels(x0.net))
+	w := slices.Clone(x0.net.State().Values)
+	execs.put(x0)
 	bpe := env.Train.Len() / cfg.BatchSize
 
 	e := &Engine{
-		cfg:       cfg,
-		env:       env,
-		strategy:  st,
-		backend:   newBackend(cfg.Backend, M),
-		clock:     simclock.New(),
-		sampler:   cfg.Cost.NewSampler(M, costRng),
-		workers:   workers,
-		srv:       newServer(w, bnAcc, cfg, bpe),
-		seedRng:   seedRng,
-		modelSeed: modelSeed,
-		armed:     map[uint64]scenario.Event{},
-		nextCkpt:  cfg.CheckpointEvery,
-		ck:        newCkptEnc(env.Telemetry),
+		cfg:      cfg,
+		env:      env,
+		strategy: st,
+		backend:  newBackend(cfg.Backend, M),
+		clock:    simclock.New(),
+		sampler:  cfg.Cost.NewSampler(M, costRng),
+		workers:  workers,
+		execs:    execs,
+		srv:      newServer(w, bnAcc, cfg, bpe),
+		seedRng:  seedRng,
+		armed:    map[uint64]scenario.Event{},
+		nextCkpt: cfg.CheckpointEvery,
+		ck:       newCkptEnc(env.Telemetry),
 	}
 	// A scenario may start the run from a partial fleet; the rest Join later.
 	initial := M
@@ -143,7 +148,7 @@ func newEngine(env Env, st Strategy) *Engine {
 	for m := 0; m < initial; m++ {
 		e.setLink(m, link{active: true})
 	}
-	e.rec = newRecorder(env, modelSeed, e.backend, e.srv)
+	e.rec = newRecorder(env, execs, e.backend, e.srv)
 	if env.Telemetry != nil {
 		e.tel = newTelState(env.Telemetry, M)
 	}
@@ -364,27 +369,44 @@ func (e *Engine) CopyPulledWeights(m int, dst []float64) {
 }
 
 // DispatchGradient runs worker m's full local step (forward + backward, no
-// compensation) on the backend. After wait returns, Gradient(m) and Loss(m)
-// hold the results.
+// compensation) on the backend, on an executor the task takes from the pool
+// and gives back. After wait returns, Gradient(m) and Loss(m) hold the
+// results.
 func (e *Engine) DispatchGradient(m int) (wait func()) {
 	w := &e.workers[m]
-	return e.dispatch(m, 0, func() { w.loss, _ = w.rep.gradient() })
+	return e.dispatch(m, 0, func() {
+		x := e.execs.get()
+		w.loss, _ = w.rep.gradient(x)
+		e.execs.put(x)
+	})
 }
 
 // DispatchForward runs worker m's forward pass on the backend. After wait
-// returns, Loss(m) holds the batch loss and the replica's BN layers hold
-// their batch statistics.
+// returns, Loss(m) holds the batch loss and the replica's state holds its
+// batch statistics. The executor stays with the worker for its
+// DispatchBackward; a worker whose backward never came (a crash in between)
+// computes its next forward on the executor it still holds.
 func (e *Engine) DispatchForward(m int) (wait func()) {
 	w := &e.workers[m]
-	return e.dispatch(m, 1, func() { w.loss = w.rep.forward() })
+	return e.dispatch(m, 1, func() {
+		if w.exec == nil {
+			w.exec = e.execs.get()
+		}
+		w.loss = w.rep.forward(w.exec)
+	})
 }
 
 // DispatchBackward runs worker m's backward pass seeded with scale
-// (Formula 5's compensation enters here). After wait returns, Gradient(m)
+// (Formula 5's compensation enters here) on the executor of its forward,
+// and returns that executor to the pool. After wait returns, Gradient(m)
 // holds the flat gradient.
 func (e *Engine) DispatchBackward(m int, scale float64) (wait func()) {
 	w := &e.workers[m]
-	return e.dispatch(m, 2, func() { w.rep.backward(scale) })
+	return e.dispatch(m, 2, func() {
+		w.rep.backward(w.exec, scale)
+		e.execs.put(w.exec)
+		w.exec = nil
+	})
 }
 
 // dispatch traces operation op (KDispatch's A) and hands task to worker m's

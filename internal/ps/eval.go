@@ -6,34 +6,37 @@ import (
 	"lcasgd/internal/core"
 	"lcasgd/internal/data"
 	"lcasgd/internal/nn"
-	"lcasgd/internal/rng"
 	"lcasgd/internal/telemetry"
 	"lcasgd/internal/tensor"
 )
 
-// evaluator measures the global model's error rate on a dataset. It owns a
-// pool of dedicated replicas so evaluation never disturbs worker state, and
-// runs in inference mode so BN uses the server's global running statistics
-// — which is what makes the BN-vs-Async-BN difference measurable (Table 1).
+// evaluator measures the global model's error rate on a dataset. Its
+// shards compute on executors drawn from the engine's pool, bound to one
+// State of the weights and BN statistics handed in — inference only reads
+// them — so evaluation never disturbs worker state, and runs in inference
+// mode so BN uses the server's global running statistics — which is what
+// makes the BN-vs-Async-BN difference measurable (Table 1).
 //
 // Evaluation batches are sharded across the execution backend's
-// ParallelFor; each shard counts correct predictions on its own net, and
-// the integer counts sum identically whatever the parallelism, so both
-// backends report bit-identical error rates. Each shard net owns its input
+// ParallelFor; each shard counts correct predictions on its own executor,
+// and the integer counts sum identically whatever the parallelism, so both
+// backends report bit-identical error rates. Each shard owns its input
 // batch plus label/prediction buffers, so a steady-state evaluation batch
 // allocates nothing.
 type evaluator struct {
-	build     func(*rng.RNG) *nn.Sequential
-	modelSeed uint64
+	execs     *execPool
 	batchSize int
 	backend   Backend
-	nets      []*evalNet
+	shards    []*evalShard
+
+	// st is the State the shards bind: errOn points Values and the running
+	// statistics at its arguments; Grads and the batch statistics, which
+	// inference never touches, are allocated once to the layout's lengths.
+	st nn.State
 }
 
-// evalNet is one inference replica of the pool with its per-shard buffers.
-type evalNet struct {
-	net   *nn.Sequential
-	st    *nn.State
+// evalShard is one shard's buffers.
+type evalShard struct {
 	x     *tensor.Tensor // input batch, capacity [batchSize, features]
 	chunk *tensor.Tensor // header on evalChunk rows of x
 	idx   []int
@@ -41,22 +44,20 @@ type evalNet struct {
 	pred  []int
 }
 
-func newEvaluator(build func(*rng.RNG) *nn.Sequential, modelSeed uint64, batchSize int, be Backend) *evaluator {
-	return &evaluator{build: build, modelSeed: modelSeed, batchSize: batchSize, backend: be}
+func newEvaluator(execs *execPool, batchSize int, be Backend) *evaluator {
+	return &evaluator{execs: execs, batchSize: batchSize, backend: be}
 }
 
-// pool grows the inference-replica pool to n nets and returns them.
-func (e *evaluator) pool(n int) []*evalNet {
-	for len(e.nets) < n {
-		net := e.build(rng.New(e.modelSeed))
-		e.nets = append(e.nets, &evalNet{
-			net: net, st: net.State(),
+// pool grows the shard buffers to n shards and returns them.
+func (e *evaluator) pool(n int) []*evalShard {
+	for len(e.shards) < n {
+		e.shards = append(e.shards, &evalShard{
 			idx:  make([]int, e.batchSize),
 			y:    make([]int, e.batchSize),
 			pred: make([]int, e.batchSize),
 		})
 	}
-	return e.nets[:n]
+	return e.shards[:n]
 }
 
 // errOn returns the classification error rate of (w, bn stats) on ds.
@@ -65,15 +66,18 @@ func (e *evaluator) errOn(ds *data.Dataset, w []float64, bnAcc *core.BNAccumulat
 	// Shard counts are result-neutral: each shard contributes an integer
 	// correct-count and integer sums are order-independent.
 	shards := max(min(e.backend.Parallelism(), nBatches), 1)
-	nets := e.pool(shards)
+	sh := e.pool(shards)
+	if e.st.Grads == nil {
+		e.st.Grads = make([]float64, len(w))
+		e.st.BatchMean, e.st.BatchVar = make([]float64, len(bnAcc.Mean)), make([]float64, len(bnAcc.Var))
+	}
+	e.st.Values, e.st.RunningMean, e.st.RunningVar = w, bnAcc.Mean, bnAcc.Var
 	counts := make([]int, shards)
-	// Each shard refreshes its own net inside the parallel body: the three
-	// copies into its flat state only read shared state, so the
-	// O(shards × nParams) refresh overlaps instead of serializing on the
-	// event loop.
 	e.backend.ParallelFor(shards, func(i int) {
-		install(nets[i].st, w, bnAcc)
-		counts[i] = nets[i].countCorrect(ds, e.batchSize, i, shards)
+		x := e.execs.get()
+		x.net.Bind(&e.st)
+		counts[i] = sh[i].countCorrect(x.net, ds, e.batchSize, i, shards)
+		e.execs.put(x)
 	})
 	correct := 0
 	for _, c := range counts {
@@ -101,13 +105,13 @@ const evalChunk = 8
 // countCorrect evaluates batches start, start+stride, start+2·stride, … and
 // returns the number of correctly classified samples. Each batch is
 // gathered whole, then runs through the net evalChunk rows at a time, the
-// net-owned chunk header re-pointed at the rows in hand.
+// shard-owned chunk header re-pointed at the rows in hand.
 //
 // A remainder batch (ds.Len() not a multiple of batchSize) runs at its true
 // size: the input buffer, like the layers' reuse buffers, is re-pointed at
 // the leading rows of its full-batch capacity, so the tail allocates nothing
 // and infers no padding rows.
-func (n *evalNet) countCorrect(ds *data.Dataset, batchSize, start, stride int) int {
+func (n *evalShard) countCorrect(net *nn.Sequential, ds *data.Dataset, batchSize, start, stride int) int {
 	nBatches := (ds.Len() + batchSize - 1) / batchSize
 	f := ds.Features()
 	if n.x == nil {
@@ -129,7 +133,7 @@ func (n *evalNet) countCorrect(ds *data.Dataset, batchSize, start, stride int) i
 		for r0 := 0; r0 < size; r0 += evalChunk {
 			m := min(evalChunk, size-r0)
 			chunk.Shape[0], chunk.Data = m, x.Data[r0*f:(r0+m)*f]
-			tensor.ArgmaxRowsInto(n.pred[r0:r0+m], n.net.Forward(chunk, false))
+			tensor.ArgmaxRowsInto(n.pred[r0:r0+m], net.Forward(chunk, false))
 		}
 		pred := n.pred[:size]
 		for i, p := range pred {
@@ -180,10 +184,10 @@ type evalDone struct {
 // boundary's evaluation was handed to its goroutine.
 var evalHandoff func(r *recorder, srv *server)
 
-func newRecorder(env Env, modelSeed uint64, be Backend, srv *server) *recorder {
+func newRecorder(env Env, execs *execPool, be Backend, srv *server) *recorder {
 	return &recorder{
 		env:       env,
-		eval:      newEvaluator(env.Build, modelSeed, env.Cfg.EvalBatch, be),
+		eval:      newEvaluator(execs, env.Cfg.EvalBatch, be),
 		evalEvery: env.Cfg.EvalEvery,
 		lastEpoch: -1,
 		w:         make([]float64, len(srv.w)),

@@ -44,7 +44,7 @@ func TestEvalReadsFrozenCopy(t *testing.T) {
 		saved := []float64(nil)
 		evalHandoff = func(r *recorder, srv *server) {
 			if inline == nil {
-				inline = newEvaluator(env.Build, r.eval.modelSeed, r.eval.batchSize, seqBackend{})
+				inline = newEvaluator(newExecPool(env.Build, r.eval.execs.modelSeed), r.eval.batchSize, seqBackend{})
 			}
 			if &r.w[0] == &srv.w[0] || r.bn == srv.bnAcc {
 				t.Fatalf("%s: recorder evaluates the live server state, not a copy", kind)
@@ -251,15 +251,17 @@ func TestEvalHandoffReusesBuffers(t *testing.T) {
 // with remainder batches.
 func TestEvalChunksMatchWholeBatch(t *testing.T) {
 	env := convEnvSeeded(ASGD, 1, 2)
-	_, w, bnAcc := benchReplica(env)
+	rep, _, w, bnAcc := benchReplica(env)
+	rep.pull(w, bnAcc)
 	modelSeed := rng.New(env.Cfg.withDefaults().Seed).Uint64()
 	ref := env.Build(rng.New(modelSeed))
-	install(ref.State(), w, bnAcc)
+	ref.Bind(rep.st)
 	for _, ds := range []*data.Dataset{env.Train, env.Test} {
 		for _, batch := range []int{ds.Len(), 2 * evalChunk, 2*evalChunk + 5, evalChunk, 7} {
-			net := newEvaluator(env.Build, modelSeed, batch, seqBackend{}).pool(1)[0]
-			install(net.st, w, bnAcc)
-			got := net.countCorrect(ds, batch, 0, 1)
+			x := newExecPool(env.Build, modelSeed).get()
+			x.net.Bind(rep.st)
+			net := newEvaluator(nil, batch, seqBackend{}).pool(1)[0]
+			got := net.countCorrect(x.net, ds, batch, 0, 1)
 			want := 0
 			var last []int
 			for lo := 0; lo < ds.Len(); lo += batch {

@@ -329,10 +329,11 @@ func TestEMAPredictor(t *testing.T) {
 
 func TestEvaluatorMatchesAccuracy(t *testing.T) {
 	e := tinyEnvSeeded(SGD, 1, 1)
-	ev := newEvaluator(e.Build, 5, 32, seqBackend{})
-	rep := newReplica(e.Build, 5, e.Train, 20, rng.New(1))
-	w := slices.Clone(rep.st.Values)
-	bn := core.NewBNAccumulator(core.BNAsync, 0.2, rep.bnChannels())
+	execs := newExecPool(e.Build, 5)
+	ev := newEvaluator(execs, 32, seqBackend{})
+	net := execs.get().net
+	w := slices.Clone(net.State().Values)
+	bn := core.NewBNAccumulator(core.BNAsync, 0.2, bnChannels(net))
 	errRate := ev.errOn(e.Test, w, bn)
 	if errRate < 0 || errRate > 1 {
 		t.Fatalf("error rate %v", errRate)
@@ -344,7 +345,7 @@ func TestEvaluatorMatchesAccuracy(t *testing.T) {
 // channels at a time in BatchNorms order, in every BN layer's running
 // statistics.
 func TestReplicaPullInstallsServerState(t *testing.T) {
-	rep, w, bnAcc := benchReplica(convEnvSeeded(ASGD, 1, 2))
+	rep, x, w, bnAcc := benchReplica(convEnvSeeded(ASGD, 1, 2))
 	for i := range w {
 		w[i] = float64(i)
 	}
@@ -352,8 +353,9 @@ func TestReplicaPullInstallsServerState(t *testing.T) {
 		bnAcc.Mean[i], bnAcc.Var[i] = float64(i), float64(-i)
 	}
 	rep.pull(w, bnAcc)
+	x.net.Bind(rep.st)
 	off := 0
-	for _, p := range rep.net.Params() {
+	for _, p := range x.net.Params() {
 		for j, v := range p.Value.Data {
 			if v != w[off+j] {
 				t.Fatalf("%s[%d] = %v after the pull, want %v", p.Name, j, v, w[off+j])
@@ -362,9 +364,9 @@ func TestReplicaPullInstallsServerState(t *testing.T) {
 		off += p.Value.Len()
 	}
 	off = 0
-	for li, bn := range rep.net.BatchNorms() {
-		if bn.C != rep.bnChannels()[li] {
-			t.Fatalf("BN layer %d has %d channels, the accumulator %d", li, bn.C, rep.bnChannels()[li])
+	for li, bn := range x.net.BatchNorms() {
+		if bn.C != bnChannels(x.net)[li] {
+			t.Fatalf("BN layer %d has %d channels, the accumulator %d", li, bn.C, bnChannels(x.net)[li])
 		}
 		for c := range bn.C {
 			if bn.RunningMean[c] != bnAcc.Mean[off+c] || bn.RunningVar[c] != bnAcc.Var[off+c] {

@@ -1,6 +1,8 @@
 package ps
 
 import (
+	"sync"
+
 	"lcasgd/internal/core"
 	"lcasgd/internal/data"
 	"lcasgd/internal/nn"
@@ -8,82 +10,129 @@ import (
 	"lcasgd/internal/tensor"
 )
 
-// replica is one worker's private copy of the model plus its view of the
-// shared dataset. All replicas are built from the same model seed so every
-// algorithm starts from the identical random initialization, as the paper's
-// experimental protocol requires.
+// replica is what a worker is between dispatches: its flat model state st
+// (the vectors the server exchanges and that must outlive a dispatch), its
+// view of the shared dataset, and its input batch and labels. It holds no
+// network: a dispatched task binds a pooled executor to st (nn.Sequential
+// Bind), computes, and gives it back.
 //
-// Memory model (see DESIGN.md): the replica owns its input batch x and
-// label buffer, the network's layers own their activation/gradient buffers,
-// and the network's flat state st is what the server exchanges — the pull
-// copies into it and the push reads it in place — so a steady-state
-// iteration (pull + forward + backward + stats) performs zero heap
-// allocations.
+// Memory model (see DESIGN.md): the replica owns its state, input batch x
+// and label buffer; an executor's layers own the activation and gradient
+// buffers and compute in place on the bound state — the pull copies into
+// it and the push reads it in place — so a steady-state iteration (pull +
+// forward + backward + stats) performs zero heap allocations.
 type replica struct {
-	net  *nn.Sequential
 	st   *nn.State
 	iter *data.BatchIter
-	ce   nn.SoftmaxCrossEntropy
 
 	x *tensor.Tensor // input batch [batch, features], refilled every forward
 	y []int          // reusable label buffer
 }
 
-// newReplica builds a worker replica. modelSeed fixes the initialization;
-// dataRng drives this worker's private batch order.
-func newReplica(build func(*rng.RNG) *nn.Sequential, modelSeed uint64, ds *data.Dataset, batch int, dataRng *rng.RNG) *replica {
-	net := build(rng.New(modelSeed))
+// newReplica builds a worker replica around st, a State of the model's
+// layout the first pull fills; dataRng drives this worker's private batch
+// order.
+func newReplica(st *nn.State, ds *data.Dataset, batch int, dataRng *rng.RNG) *replica {
 	return &replica{
-		net:  net,
-		st:   net.State(),
+		st:   st,
 		iter: data.NewBatchIter(ds, batch, dataRng),
 		x:    tensor.New(batch, ds.Features()),
 		y:    make([]int, batch),
 	}
 }
 
-// bnChannels lists every BN layer's channel count in BatchNorms order, the
-// layer shape of the server's statistics.
-func (r *replica) bnChannels() (chans []int) {
-	for _, bn := range r.net.BatchNorms() {
-		chans = append(chans, bn.C)
-	}
-	return chans
-}
-
 // pull installs the server's weights and global BN statistics, the worker
 // side of Algorithm 1 lines 1–2.
-func (r *replica) pull(w []float64, bnAcc *core.BNAccumulator) { install(r.st, w, bnAcc) }
-
-// install copies weights w and the global BN statistics into a network's
-// flat state: a worker's pull and an evaluation shard's refresh.
-func install(st *nn.State, w []float64, bnAcc *core.BNAccumulator) {
-	copy(st.Values, w)
-	copy(st.RunningMean, bnAcc.Mean)
-	copy(st.RunningVar, bnAcc.Var)
+func (r *replica) pull(w []float64, bnAcc *core.BNAccumulator) {
+	copy(r.st.Values, w)
+	copy(r.st.RunningMean, bnAcc.Mean)
+	copy(r.st.RunningVar, bnAcc.Var)
 }
 
-// forward takes the next mini-batch and runs the forward pass in training
-// mode, returning the batch loss (Algorithm 1 line 4). BN layers capture
-// their batch statistics in st as a side effect (lines 6–7).
-func (r *replica) forward() float64 {
+// forward binds x to the replica, takes the next mini-batch and runs the
+// forward pass in training mode, returning the batch loss (Algorithm 1
+// line 4). BN layers capture their batch statistics in st as a side effect
+// (lines 6–7).
+func (r *replica) forward(x *executor) float64 {
+	x.net.Bind(r.st)
 	r.iter.NextInto(r.x, r.y)
-	out := r.net.Forward(r.x, true)
-	return r.ce.Forward(out, r.y)
+	out := x.net.Forward(r.x, true)
+	return x.ce.Forward(out, r.y)
 }
 
-// backward runs backpropagation seeded with the given scale (Formula 5's
-// compensation enters here, see core.CompensationScale) and returns the
-// flat gradient, st.Grads, which the next backward overwrites.
-func (r *replica) backward(scale float64) []float64 {
+// backward runs backpropagation on x, the executor of the replica's last
+// forward, seeded with the given scale (Formula 5's compensation enters
+// here, see core.CompensationScale) and returns the flat gradient, st.Grads,
+// which the next backward overwrites.
+func (r *replica) backward(x *executor, scale float64) []float64 {
 	clear(r.st.Grads)
-	r.net.BackwardParams(r.ce.Backward(scale))
+	x.net.BackwardParams(x.ce.Backward(scale))
 	return r.st.Grads
 }
 
 // gradient is forward+backward with no compensation, the whole local step
 // of the non-LC algorithms. It returns the loss and the flat gradient.
-func (r *replica) gradient() (float64, []float64) {
-	loss := r.forward()
-	return loss, r.backward(1)
+func (r *replica) gradient(x *executor) (float64, []float64) {
+	loss := r.forward(x)
+	return loss, r.backward(x, 1)
+}
+
+// bnChannels lists every BN layer's channel count in BatchNorms order, the
+// layer shape of the server's statistics.
+func bnChannels(net *nn.Sequential) (chans []int) {
+	for _, bn := range net.BatchNorms() {
+		chans = append(chans, bn.C)
+	}
+	return chans
+}
+
+// executor is what computes a replica, or an evaluation shard: a network
+// with its activation buffers and the loss that seeds its backward pass.
+// It holds no value a later dispatch reads — the weights, gradients and BN
+// statistics are those of whatever State it is bound to — so any executor
+// computes any worker's step to the same bits.
+type executor struct {
+	net *nn.Sequential
+	ce  nn.SoftmaxCrossEntropy
+}
+
+// execPool is an engine's free list of executors, shared by its workers'
+// dispatched tasks and its evaluation shards, which take from it on their
+// lanes and goroutines: a mutex-guarded LIFO, grown by building a network
+// from the model seed when empty. So it holds at most as many executors as
+// have computed at once — a pipeline in flight or an evaluation shard —
+// however large the fleet. It is per engine: runs never share one.
+type execPool struct {
+	build     func(*rng.RNG) *nn.Sequential
+	modelSeed uint64
+
+	mu   sync.Mutex
+	free []*executor
+}
+
+func newExecPool(build func(*rng.RNG) *nn.Sequential, modelSeed uint64) *execPool {
+	return &execPool{build: build, modelSeed: modelSeed}
+}
+
+// get takes the most recently returned executor, or builds one (outside the
+// lock) when none is free.
+func (p *execPool) get() *executor {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		x := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return x
+	}
+	p.mu.Unlock()
+	net := p.build(rng.New(p.modelSeed))
+	net.State()
+	return &executor{net: net}
+}
+
+// put returns x to the pool.
+func (p *execPool) put(x *executor) {
+	p.mu.Lock()
+	p.free = append(p.free, x)
+	p.mu.Unlock()
 }
