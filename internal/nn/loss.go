@@ -42,11 +42,9 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 	return loss / float64(n)
 }
 
-// Backward returns dLoss/dLogits for the most recent Forward. The optional
-// scale multiplies the gradient — this is the seam the LC-ASGD loss
-// compensation uses to rescale a stale gradient by the ratio of the
-// compensated loss to the observed loss (see internal/core). The returned
-// tensor is a reused buffer, overwritten by the next Backward call.
+// Backward returns scale·dLoss/dLogits for the most recent Forward; a
+// training step seeds backpropagation with scale 1. The returned tensor is a
+// reused buffer, overwritten by the next Backward call.
 func (l *SoftmaxCrossEntropy) Backward(scale float64) *tensor.Tensor {
 	n, c := l.probs.Shape[0], l.probs.Shape[1]
 	grad := reuse2(&l.grad, n, c)

@@ -291,6 +291,45 @@ func TestBindCarriesNothingBetweenStates(t *testing.T) {
 	mustPanic("binding another net's layout", func() { mlp.Bind(resnet.NewState()) })
 }
 
+// TestBackwardLinearInSeed: after one training-mode forward, backpropagation
+// is linear in the loss gradient that seeds it — the ReLU masks and the batch
+// statistics are the forward's — so the parameter gradient of a seed scaled
+// by s is s times the unit seed's, up to rounding. This is what lets LC-ASGD
+// compensate a finished gradient instead of seeding its backward pass. The
+// bound is relative to the gradient's largest entry: entries that are zero in
+// exact arithmetic (the bias of a layer a batch norm follows) come out as
+// rounding residue of either sign, which no per-entry bound can hold.
+func TestBackwardLinearInSeed(t *testing.T) {
+	for _, tc := range bindNets() {
+		net := tc.build(rng.New(1))
+		st := net.State()
+		x := tensor.New(6, tc.in)
+		rng.New(3).FillNormal(x.Data, 1)
+		var ce nn.SoftmaxCrossEntropy
+		ce.Forward(net.Forward(x, true), []int{0, 1, 2, 3, 0, 1})
+		clear(st.Grads)
+		net.BackwardParams(ce.Backward(1))
+		unit := slices.Clone(st.Grads)
+		largest := 0.0
+		for _, u := range unit {
+			largest = max(largest, math.Abs(u))
+		}
+		if largest == 0 {
+			t.Fatalf("%s: the unit seed's gradient is zero", tc.name)
+		}
+		for _, s := range []float64{0.1, 0.5, 0.975} {
+			clear(st.Grads)
+			net.BackwardParams(ce.Backward(s))
+			for i, g := range st.Grads {
+				if d := math.Abs(g - s*unit[i]); d > 1e-12*s*largest {
+					t.Fatalf("%s: seed scale %v: gradient[%d] = %v, want %v (s times the unit seed's) within %.0e of the largest entry",
+						tc.name, s, i, g, s*unit[i], 1e-12)
+				}
+			}
+		}
+	}
+}
+
 // sameBits fails unless got and want hold the same float64 bits.
 func sameBits(t *testing.T, what string, got, want []float64) {
 	t.Helper()

@@ -28,9 +28,8 @@ const (
 //   - Dispatch may only be called from the event loop. Tasks for the same
 //     worker run in dispatch order; tasks for different workers may run
 //     concurrently. A task must touch only that worker's private state and
-//     the executor it holds: one it took from the engine's pool (whose
-//     free list is the one shared structure tasks touch, under its mutex)
-//     or the one the worker's forward left it holding.
+//     the executor it took from the engine's pool (whose free list is the
+//     one shared structure tasks touch, under its mutex).
 //   - All shared state (server weights, BN accumulator, predictors, cost
 //     sampler, the recorder's points) is read and written exclusively on
 //     the event loop, after wait() has returned for every task whose output

@@ -368,53 +368,18 @@ func (e *Engine) CopyPulledWeights(m int, dst []float64) {
 	copy(dst, e.workers[m].rep.st.Values)
 }
 
-// DispatchGradient runs worker m's full local step (forward + backward, no
-// compensation) on the backend, on an executor the task takes from the pool
-// and gives back. After wait returns, Gradient(m) and Loss(m) hold the
-// results.
+// DispatchGradient runs worker m's full local step (forward + backward) on
+// the backend, on an executor the task takes from the pool and gives back,
+// and keeps the task's wait for the next pull to drain. After wait returns,
+// Gradient(m), Loss(m) and the replica's batch statistics hold the results.
 func (e *Engine) DispatchGradient(m int) (wait func()) {
+	e.tel.emit(telemetry.Event{Kind: telemetry.KDispatch, Worker: int32(m), At: e.clock.Now()})
 	w := &e.workers[m]
-	return e.dispatch(m, 0, func() {
+	w.wait = e.backend.Dispatch(m, func() {
 		x := e.execs.get()
-		w.loss, _ = w.rep.gradient(x)
+		w.loss = w.rep.gradient(x)
 		e.execs.put(x)
 	})
-}
-
-// DispatchForward runs worker m's forward pass on the backend. After wait
-// returns, Loss(m) holds the batch loss and the replica's state holds its
-// batch statistics. The executor stays with the worker for its
-// DispatchBackward; a worker whose backward never came (a crash in between)
-// computes its next forward on the executor it still holds.
-func (e *Engine) DispatchForward(m int) (wait func()) {
-	w := &e.workers[m]
-	return e.dispatch(m, 1, func() {
-		if w.exec == nil {
-			w.exec = e.execs.get()
-		}
-		w.loss = w.rep.forward(w.exec)
-	})
-}
-
-// DispatchBackward runs worker m's backward pass seeded with scale
-// (Formula 5's compensation enters here) on the executor of its forward,
-// and returns that executor to the pool. After wait returns, Gradient(m)
-// holds the flat gradient.
-func (e *Engine) DispatchBackward(m int, scale float64) (wait func()) {
-	w := &e.workers[m]
-	return e.dispatch(m, 2, func() {
-		w.rep.backward(w.exec, scale)
-		e.execs.put(w.exec)
-		w.exec = nil
-	})
-}
-
-// dispatch traces operation op (KDispatch's A) and hands task to worker m's
-// lane, keeping its wait for the next pull to drain.
-func (e *Engine) dispatch(m int, op int64, task func()) (wait func()) {
-	e.tel.emit(telemetry.Event{Kind: telemetry.KDispatch, Worker: int32(m), At: e.clock.Now(), A: op})
-	w := &e.workers[m]
-	w.wait = e.backend.Dispatch(m, task)
 	return w.wait
 }
 
@@ -424,7 +389,7 @@ func (e *Engine) Loss(m int) float64 { return e.workers[m].loss }
 
 // Gradient returns worker m's flat gradient buffer. Valid only after the
 // corresponding dispatch's wait has returned; the buffer is reused by the
-// worker's next backward pass, which cannot start before the next Launch.
+// worker's next dispatch, which cannot start before the next Launch.
 func (e *Engine) Gradient(m int) []float64 { return e.workers[m].rep.st.Grads }
 
 // FoldStats folds worker m's batch-normalization statistics into the global

@@ -12,7 +12,7 @@ import (
 
 // runCountingBuilds runs env on a hand-built engine, counting its calls to
 // Env.Build, and checks the pool's books once the run has closed: every
-// executor built is either free or held by the worker whose forward took it.
+// executor built is free again.
 func runCountingBuilds(t *testing.T, label string, env Env) (Result, int) {
 	t.Helper()
 	var builds atomic.Int64
@@ -24,14 +24,8 @@ func runCountingBuilds(t *testing.T, label string, env Env) (Result, int) {
 	env.Cfg = env.Cfg.withDefaults()
 	e := newEngine(env, strategyFor(env.Cfg))
 	res := e.run()
-	held := 0
-	for m := range e.workers {
-		if e.workers[m].exec != nil {
-			held++
-		}
-	}
-	if n := len(e.execs.free) + held; n != int(builds.Load()) {
-		t.Fatalf("%s: %d executors free and %d held of %d built", label, len(e.execs.free), held, builds.Load())
+	if n := len(e.execs.free); n != int(builds.Load()) {
+		t.Fatalf("%s: %d executors free of %d built", label, n, builds.Load())
 	}
 	if res.Updates == 0 {
 		t.Fatalf("%s: the run made no update", label)
@@ -41,15 +35,13 @@ func runCountingBuilds(t *testing.T, label string, env Env) (Result, int) {
 
 // TestExecutorPoolBounded: workers are flat states and networks come from
 // the engine's pool, so what a run builds follows what computes at once,
-// not the fleet. On the sequential backend the loop runs one dispatch at a
-// time beside one evaluation shard, so at M = 256 every algorithm whose
-// step is one dispatch calls Env.Build at most twice. An LC-ASGD worker
-// holds its executor from forward to backward, and keeps it across a crash
-// in between, so under random crash/recover churn the pool stays within M
-// plus the evaluation shards on either backend, and so do ASGD, SSGD and
-// AD-PSGD on the concurrent backend, whose lanes share the pool.
+// not the fleet. Every algorithm's step is one dispatch, and on the
+// sequential backend the loop runs one at a time beside one evaluation
+// shard, so at M = 256 every algorithm calls Env.Build at most twice. Under
+// random crash/recover churn the pool stays within M plus the evaluation
+// shards on either backend, whose lanes share the pool.
 func TestExecutorPoolBounded(t *testing.T) {
-	for _, algo := range []Algo{SGD, SSGD, ASGD, SAASGD, DCASGD, ADPSGD} {
+	for _, algo := range []Algo{SGD, SSGD, ASGD, SAASGD, DCASGD, ADPSGD, LCASGD} {
 		label := fmt.Sprintf("%s/sequential/M256", algo)
 		if _, builds := runCountingBuilds(t, label, tinyEnvSeeded(algo, 256, 2)); builds > 2 {
 			t.Fatalf("%s: %d networks built, want at most 2 whatever the fleet size", label, builds)

@@ -24,15 +24,13 @@ type FleetWatcher interface {
 }
 
 // worker is everything the engine keeps per worker, indexed by rank: the
-// replica, the results of its last dispatch and the executor a forward left
-// it holding, its place in the fleet, and
+// replica, the results of its last dispatch, its place in the fleet, and
 // the state a decentralized run or an attached recorder adds. walkWorker
 // says which of it a checkpoint carries.
 type worker struct {
 	rep  *replica
-	loss float64   // last forward loss, set by dispatched compute
-	wait func()    // waits for the most recent dispatch (orphan drain, see Pull)
-	exec *executor // held from a DispatchForward to its DispatchBackward; touched only by dispatched tasks
+	loss float64 // last forward loss, set by dispatched compute
+	wait func()  // waits for the most recent dispatch (orphan drain, see Pull)
 
 	// link is the worker's membership, connectivity and armed-Heal count; it
 	// changes only through setLink.

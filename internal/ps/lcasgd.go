@@ -7,23 +7,27 @@ import (
 )
 
 // lcStrategy executes the paper's LC-ASGD (Algorithms 1–4). Each worker
-// iteration has two server interactions:
+// iteration is one gradient task with two server interactions:
 //
-//  1. After the forward pass the worker pushes state_m = {loss, BN stats,
-//     t_comm, t_comp}. The server appends m to the iter log (observing the
-//     realized staleness), trains the step predictor and forecasts k_m,
-//     trains the loss predictor and forecasts ℓ_delay over the next k_m
-//     steps (Formula 9), folds the BN statistics in per the BN mode, and
-//     replies with ℓ_delay.
-//  2. The worker computes the compensated gradient (Formula 5 via the
-//     gradient-scaling interpretation) and pushes it; the server applies
-//     Formula 8.
+//  1. Once the forward pass is done the worker pushes state_m = {loss, BN
+//     stats, t_comm, t_comp}. The server appends m to the iter log
+//     (observing the realized staleness), trains the step predictor and
+//     forecasts k_m, trains the loss predictor and forecasts ℓ_delay over
+//     the next k_m steps (Formula 9), folds the BN statistics in per the BN
+//     mode, and replies with ℓ_delay.
+//  2. The worker pushes the compensated gradient (Formula 5 via the
+//     gradient-scaling interpretation) and the server applies Formula 8.
+//
+// Backpropagation is linear in its seed — the ReLU masks and BN statistics
+// are fixed by the forward pass — so compensating the seed and scaling the
+// finished gradient agree up to rounding: the task computes the plain
+// gradient, and the commit scales it in place.
 //
 // The server-side predictor work adds PredVirtualMs to each iteration's
 // virtual critical path, and the real measured predictor times are reported
-// for Tables 2–3. On the concurrent backend the forward and backward passes
-// run on the worker's lane while the server-side predictor work stays on
-// the event loop, preserving the delivery order the predictors train on.
+// for Tables 2–3. On the concurrent backend the gradient task runs on the
+// worker's lane while the server-side predictor work stays on the event
+// loop, preserving the delivery order the predictors train on.
 type lcStrategy struct {
 	cfg      Config // taken from the engine in Setup — the single source
 	iterLog  *core.IterLog
@@ -51,8 +55,10 @@ func (s *lcStrategy) Launch(e *Engine, m int) {
 	// Algorithm 1 lines 1–3: pull weights, record t_comm.
 	e.Pull(m)
 	tcomm := e.CommSample(m)
-	// Lines 4–8: forward pass, record loss and BN statistics, push state.
-	fwdWait := e.DispatchForward(m)
+	// Lines 4–12 compute as one task: the forward pass (loss and BN
+	// statistics, pushed as state_m once tfwd has elapsed) and the gradient
+	// the commit compensates.
+	wait := e.DispatchGradient(m)
 	tcomp := e.CompSample(m)
 	tfwd := tcomp / 3
 	tbwd := tcomp - tfwd
@@ -60,7 +66,7 @@ func (s *lcStrategy) Launch(e *Engine, m int) {
 		if e.Done() {
 			return
 		}
-		fwdWait()
+		wait()
 		scale := 1.0
 		serverMs := *s.cfg.PredVirtualMs
 		if e.Partitioned(m) {
@@ -91,7 +97,7 @@ func (s *lcStrategy) Launch(e *Engine, m int) {
 				ldelay = s.lossPred.PredictDelay(loss, k)
 			}
 			e.FoldStats(m)
-			// Algorithm 1 lines 9–12: compensated backward pass, push grads.
+			// Algorithm 1 lines 9–12: compensate the gradient, push it.
 			// Compensation is gated off during the first epoch: the online
 			// predictors have not seen enough of the loss series yet, and
 			// the paper itself notes prediction error "generally occurs at
@@ -109,13 +115,17 @@ func (s *lcStrategy) Launch(e *Engine, m int) {
 				A: int64(k), B: int64(scale * 1e6),
 			})
 		}
-		bwdWait := e.DispatchBackward(m, scale)
 		e.AfterWorker(m, serverMs+tcomm+tbwd+e.CommSample(m), func() {
 			if e.Done() {
 				return
 			}
-			bwdWait()
-			e.Commit(m, e.Gradient(m), 1) // Formula 8
+			grad := e.Gradient(m)
+			if scale != 1 {
+				for i := range grad {
+					grad[i] *= scale
+				}
+			}
+			e.Commit(m, grad, 1) // Formula 8
 		})
 	})
 }

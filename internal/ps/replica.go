@@ -20,12 +20,12 @@ import (
 // and label buffer; an executor's layers own the activation and gradient
 // buffers and compute in place on the bound state — the pull copies into
 // it and the push reads it in place — so a steady-state iteration (pull +
-// forward + backward + stats) performs zero heap allocations.
+// gradient + stats) performs zero heap allocations.
 type replica struct {
 	st   *nn.State
 	iter *data.BatchIter
 
-	x *tensor.Tensor // input batch [batch, features], refilled every forward
+	x *tensor.Tensor // input batch [batch, features], refilled by every gradient
 	y []int          // reusable label buffer
 }
 
@@ -49,32 +49,18 @@ func (r *replica) pull(w []float64, bnAcc *core.BNAccumulator) {
 	copy(r.st.RunningVar, bnAcc.Var)
 }
 
-// forward binds x to the replica, takes the next mini-batch and runs the
-// forward pass in training mode, returning the batch loss (Algorithm 1
-// line 4). BN layers capture their batch statistics in st as a side effect
-// (lines 6–7).
-func (r *replica) forward(x *executor) float64 {
+// gradient binds x to the replica, takes the next mini-batch and runs the
+// whole local step on it: the forward pass in training mode (Algorithm 1
+// line 4), whose BN layers capture their batch statistics in st as a side
+// effect (lines 6–7), then backpropagation into st.Grads, which the next
+// gradient overwrites. It returns the batch loss.
+func (r *replica) gradient(x *executor) float64 {
 	x.net.Bind(r.st)
 	r.iter.NextInto(r.x, r.y)
-	out := x.net.Forward(r.x, true)
-	return x.ce.Forward(out, r.y)
-}
-
-// backward runs backpropagation on x, the executor of the replica's last
-// forward, seeded with the given scale (Formula 5's compensation enters
-// here, see core.CompensationScale) and returns the flat gradient, st.Grads,
-// which the next backward overwrites.
-func (r *replica) backward(x *executor, scale float64) []float64 {
+	loss := x.ce.Forward(x.net.Forward(r.x, true), r.y)
 	clear(r.st.Grads)
-	x.net.BackwardParams(x.ce.Backward(scale))
-	return r.st.Grads
-}
-
-// gradient is forward+backward with no compensation, the whole local step
-// of the non-LC algorithms. It returns the loss and the flat gradient.
-func (r *replica) gradient(x *executor) (float64, []float64) {
-	loss := r.forward(x)
-	return loss, r.backward(x, 1)
+	x.net.BackwardParams(x.ce.Backward(1))
+	return loss
 }
 
 // bnChannels lists every BN layer's channel count in BatchNorms order, the
@@ -100,7 +86,7 @@ type executor struct {
 // dispatched tasks and its evaluation shards, which take from it on their
 // lanes and goroutines: a mutex-guarded LIFO, grown by building a network
 // from the model seed when empty. So it holds at most as many executors as
-// have computed at once — a pipeline in flight or an evaluation shard —
+// have computed at once — a dispatched task or an evaluation shard —
 // however large the fleet. It is per engine: runs never share one.
 type execPool struct {
 	build     func(*rng.RNG) *nn.Sequential

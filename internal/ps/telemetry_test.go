@@ -232,6 +232,35 @@ func TestTelemetryScenarioEventsInTrace(t *testing.T) {
 	}
 }
 
+// TestLCASGDOneDispatchPerLaunch: an LC-ASGD iteration is one gradient
+// task, the commit scaling it, so under random crash/recover churn every
+// worker's trace holds exactly one dispatch per launch.
+func TestLCASGDOneDispatchPerLaunch(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		env := randomizedEnv(LCASGD, 8, 3, seed, 120, 12)
+		env.Telemetry = telemetry.NewRecorder()
+		Run(env)
+		launches, dispatches := make([]int, 8), make([]int, 8)
+		crashes := 0
+		for _, ev := range env.Telemetry.Events {
+			switch ev.Kind {
+			case telemetry.KLaunch:
+				launches[ev.Worker]++
+			case telemetry.KDispatch:
+				dispatches[ev.Worker]++
+			case telemetry.KCrash:
+				crashes++
+			}
+		}
+		if crashes == 0 {
+			t.Fatalf("seed %d: the timeline crashed no worker", seed)
+		}
+		if !slices.Equal(launches, dispatches) || slices.Max(launches) == 0 {
+			t.Fatalf("seed %d: launches %v, dispatches %v per worker, want one dispatch per launch", seed, launches, dispatches)
+		}
+	}
+}
+
 // TestTelemetryBarrierEventsCheckpointed pins that barrier spans and drain
 // durations are observed before the snapshot serializes: a run with
 // checkpoint barriers must trace one KBarrier span and one KCheckpoint

@@ -124,13 +124,6 @@ func renderEvent(pid, workers int, ev Event) chromeEvent {
 		ce.S = "t"
 	}
 	switch ev.Kind {
-	case KDispatch:
-		ops := [...]string{"gradient", "forward", "backward"}
-		op := "unknown"
-		if int(ev.A) < len(ops) {
-			op = ops[ev.A]
-		}
-		ce.Args = (&args{}).add("op", op)
 	case KCommit:
 		ce.Args = (&args{}).add("staleness", ev.A)
 	case KGossip:

@@ -27,8 +27,8 @@ type Kind uint8
 const (
 	// KLaunch marks a worker's iteration being armed (instant).
 	KLaunch Kind = iota
-	// KDispatch marks worker compute handed to the backend (instant);
-	// A is the operation: 0 gradient, 1 forward, 2 backward.
+	// KDispatch marks a worker's gradient task (forward + backward) handed
+	// to the backend (instant).
 	KDispatch
 	// KCommit is a parameter-server commit span: At is the launch time of
 	// the committing iteration, Dur the full pull→compute→push latency,
