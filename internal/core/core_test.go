@@ -98,6 +98,57 @@ func TestLossPredictorPredictDelaySumsK(t *testing.T) {
 	}
 }
 
+// TestLossPredictorStartJoinMatchesPredictDelay runs one loss series
+// through two predictors of the same seed: one calls PredictDelay after
+// each Observe, the other StartDelay, runs the job on a goroutine while it
+// keeps training on the next losses, and joins it two observations later.
+// Every ℓ_delay and the trace must agree bit for bit, and the joined jobs'
+// time lands in PredictTime.
+func TestLossPredictorStartJoinMatchesPredictDelay(t *testing.T) {
+	a, b := NewLossPredictorSized(8, rng.New(5)), NewLossPredictorSized(8, rng.New(5))
+	var slots [3]Rollout
+	type inflight struct {
+		done chan Delay
+		want float64
+	}
+	var pending []inflight
+	join := func() {
+		f := pending[0]
+		pending = pending[1:]
+		if got := b.JoinDelay(<-f.done); math.Float64bits(got) != math.Float64bits(f.want) {
+			t.Fatalf("joined delay %v, PredictDelay gives %v", got, f.want)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		loss := 1/float64(i+1) + 0.1*math.Sin(float64(i))
+		k := []int{0, 1, 5, 200}[i%4]
+		a.Observe(loss)
+		want := a.PredictDelay(loss, k)
+		b.Observe(loss)
+		if len(pending) == len(slots)-1 {
+			join()
+		}
+		job, done := b.StartDelay(&slots[i%len(slots)], k), make(chan Delay, 1)
+		go func() { done <- job() }()
+		pending = append(pending, inflight{done, want})
+	}
+	for len(pending) > 0 {
+		join()
+	}
+	at, bt := a.Trace(), b.Trace()
+	if len(at) != len(bt) {
+		t.Fatalf("trace lengths %d and %d", len(at), len(bt))
+	}
+	for i := range at {
+		if math.Float64bits(at[i].Predicted) != math.Float64bits(bt[i].Predicted) {
+			t.Fatalf("trace point %d: forecast %v, PredictDelay's predictor has %v", i, bt[i].Predicted, at[i].Predicted)
+		}
+	}
+	if b.PredictTime <= 0 {
+		t.Fatal("StartDelay/JoinDelay charged no roll-out time")
+	}
+}
+
 func TestLossPredictorOverheadAccounting(t *testing.T) {
 	p := NewLossPredictorSized(8, rng.New(3))
 	for i := 0; i < 10; i++ {

@@ -37,14 +37,15 @@ type LossPredictor struct {
 	trace []TracePoint
 	// nextPred is the one-step forecast from lastLoss, the Predicted of the
 	// next trace point. stale says it has not been formed since the last
-	// Observe: PredictDelay's roll-out forms it (its first output is that
-	// forecast), and whatever reads it first otherwise.
+	// Observe: the roll-out of PredictDelay or StartDelay forms it (its
+	// first output is that forecast), and whatever reads it first otherwise.
 	nextPred float64
 	stale    bool
 
 	// Overhead accounting (Tables 2–3): cumulative wall time spent in
-	// online training (Observe) and in the k-step roll-out (PredictDelay),
-	// and the number of Observe calls — one of each per update.
+	// online training (Observe) and in the k-step roll-out (PredictDelay,
+	// or StartDelay's part and the job's, added at JoinDelay), and the
+	// number of Observe calls — one of each per update.
 	TrainTime   time.Duration
 	PredictTime time.Duration
 	Calls       int
@@ -107,6 +108,8 @@ func (p *LossPredictor) forecast() {
 // Observe with the same loss, as LC-ASGD does, the roll-out's first output
 // is Observe's one-step forecast bit for bit — the same weights, window and
 // input — so it becomes nextPred, and at k ≤ 0 one step still runs for it.
+// StartDelay and JoinDelay are the same roll-out split around the event
+// loop.
 func (p *LossPredictor) PredictDelay(lossM float64, k int) float64 {
 	fresh := p.stale && math.Float64bits(lossM) == math.Float64bits(p.lastLoss)
 	if k <= 0 && !fresh {
@@ -115,10 +118,15 @@ func (p *LossPredictor) PredictDelay(lossM float64, k int) float64 {
 	start := time.Now()
 	defer func() { p.PredictTime += time.Since(start) }()
 	p.in[0] = lossM
-	preds := p.net.PredictAhead(p.in, max(k, 1), p.feedback)
+	out := p.net.Prime(p.in)
 	if fresh {
-		p.nextPred, p.stale = preds[0], false
+		p.nextPred, p.stale = out, false
 	}
+	return delaySum(p.net.Continue(out, max(k, 1), p.feedback), k)
+}
+
+// delaySum is ℓ_delay from a roll-out's outputs: the sum of the first k.
+func delaySum(preds []float64, k int) float64 {
 	sum := 0.0
 	for _, v := range preds[:max(k, 0)] {
 		// A loss forecast below zero is an artifact of the linear head;
@@ -129,6 +137,60 @@ func (p *LossPredictor) PredictDelay(lossM float64, k int) float64 {
 		sum += v
 	}
 	return sum
+}
+
+// Rollout is one slot for a roll-out that runs off the event loop: a copy
+// of the predictor's primed stack (lstm.Network.CopyPrimed) that the
+// roll-out continues on, and its own feedback buffer. The zero value is
+// ready; the copy is built on first use.
+type Rollout struct {
+	net      *lstm.Network
+	fb       []float64
+	feedback func(float64) []float64
+}
+
+// Delay is a finished off-loop roll-out: ℓ_delay, and the wall time the
+// roll-out took off the loop.
+type Delay struct {
+	Sum  float64
+	Took time.Duration
+}
+
+// StartDelay is PredictDelay for the loss Observe just took, split at the
+// event loop. Here it runs the roll-out's first step — the one-step
+// forecast, which becomes nextPred as in PredictDelay — and copies the
+// primed stack into r; it returns the other k − 1 steps as a job that reads
+// and writes only r, so it may run on any goroutine while the predictor
+// trains on. JoinDelay takes the job's result back on the loop. r must not
+// be started again before its job has returned. The sum is PredictDelay's
+// bit for bit: the same steps on the same state, summed in the same order.
+func (p *LossPredictor) StartDelay(r *Rollout, k int) func() Delay {
+	start := time.Now()
+	p.in[0] = p.lastLoss
+	out := p.net.Prime(p.in)
+	p.nextPred, p.stale = out, false
+	r.net = p.net.CopyPrimed(r.net)
+	if r.feedback == nil {
+		r.fb = make([]float64, 1)
+		r.feedback = func(o float64) []float64 {
+			r.fb[0] = o
+			return r.fb
+		}
+	}
+	p.PredictTime += time.Since(start)
+	return func() Delay {
+		start := time.Now()
+		sum := delaySum(r.net.Continue(out, max(k, 1), r.feedback), k)
+		return Delay{Sum: sum, Took: time.Since(start)}
+	}
+}
+
+// JoinDelay takes a StartDelay job's result back on the event loop: it
+// charges the job's wall time to PredictTime, where PredictDelay's goes,
+// and returns ℓ_delay.
+func (p *LossPredictor) JoinDelay(d Delay) float64 {
+	p.PredictTime += d.Took
+	return d.Sum
 }
 
 // Trace returns the recorded (actual, predicted) series for Figure 7.

@@ -266,7 +266,7 @@ func (n *Network) Predict(input []float64) float64 {
 // a scalar prediction to the next input vector) for a total of k outputs.
 // This is exactly Algorithm 3's "forward-propagating goes on k iterations".
 // The returned slice is a reused buffer, valid until the next PredictAhead
-// call.
+// call. It is Prime followed by Continue.
 //
 // A roll-out often settles: the fed-back input repeats bit for bit, and so
 // does every layer's h, while each unit's c either stays put or sits past
@@ -287,17 +287,42 @@ func (n *Network) rollout(input []float64, k int, feedback func(out float64) []f
 	if k <= 0 {
 		return nil, 0
 	}
+	return n.advance(n.Prime(input), k, feedback)
+}
+
+// Prime is a roll-out's first step: it replays the window from zero state,
+// feeds input and returns the head's output, the one-step forecast. It
+// leaves the stack primed: Continue takes the roll-out on from there, on
+// this network or on a CopyPrimed of it.
+func (n *Network) Prime(input []float64) float64 {
 	for li := range n.states {
 		n.states[li].Zero()
 	}
 	for t := 0; t < n.count; t++ {
 		n.step(n.rows[t])
 	}
+	return n.step(input)
+}
+
+// Continue takes a primed roll-out whose first output was out on to k
+// outputs in all, out included, and returns them in a reused buffer, valid
+// until the next Continue or PredictAhead. Nothing may run on the stack
+// between the Prime (or CopyPrimed) and the Continue.
+func (n *Network) Continue(out float64, k int, feedback func(out float64) []float64) []float64 {
+	outs, _ := n.advance(out, k, feedback)
+	return outs
+}
+
+// advance is Continue. It also returns the first step that the absorbed
+// update served instead of the cells, or k if there was none.
+func (n *Network) advance(out float64, k int, feedback func(out float64) []float64) ([]float64, int) {
+	if k <= 0 {
+		return nil, 0
+	}
 	if cap(n.ahead) < k {
 		n.ahead = make([]float64, k)
 	}
 	outs := n.ahead[:k]
-	out := n.step(input)
 	outs[0] = out
 	absorbed, first := false, k
 	for i := 1; i < k; i++ {
@@ -316,6 +341,40 @@ func (n *Network) rollout(input []float64, k int, feedback func(out float64) []f
 		outs[i] = out
 	}
 	return outs, first
+}
+
+// CopyPrimed copies everything Continue reads of a primed stack into dst
+// and returns it: every cell's weights and biases, the input row and gates
+// of its last step (which settled and hold read), every layer's h and c,
+// and the head. A nil dst is built first, holding only that: no window and
+// no training storage, so it can continue a roll-out and do nothing else.
+// A non-nil dst must come from an earlier CopyPrimed of a network of this
+// shape.
+func (n *Network) CopyPrimed(dst *Network) *Network {
+	if dst == nil {
+		dst = &Network{HeadW: make([]float64, len(n.HeadW)), states: make([]State, len(n.Cells))}
+		for li, c := range n.Cells {
+			dst.Cells = append(dst.Cells, &Cell{
+				X: c.X, H: c.H,
+				W: make([]float64, len(c.W)), B: make([]float64, len(c.B)),
+				xh: make([]float64, len(c.xh)), pre: make([]float64, len(c.pre)),
+				act: make([]float64, len(c.act)), tc: make([]float64, len(c.tc)),
+			})
+			dst.states[li] = NewState(c.H)
+		}
+	}
+	for li, c := range n.Cells {
+		d := dst.Cells[li]
+		copy(d.W, c.W)
+		copy(d.B, c.B)
+		copy(d.xh, c.xh)
+		copy(d.act, c.act)
+		copy(dst.states[li].H, n.states[li].H)
+		copy(dst.states[li].C, n.states[li].C)
+	}
+	copy(dst.HeadW, n.HeadW)
+	dst.HeadB = n.HeadB
+	return dst
 }
 
 // step runs one prediction timestep through the stack and returns the

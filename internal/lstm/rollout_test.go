@@ -3,6 +3,7 @@ package lstm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"lcasgd/internal/rng"
@@ -163,6 +164,51 @@ func TestPredictAheadAbsorbed(t *testing.T) {
 	n.PredictAhead(in, 1023, feedback)
 	if a := testing.AllocsPerRun(5, func() { n.PredictAhead(in, 1023, feedback) }); a != 0 {
 		t.Fatalf("absorbed PredictAhead allocates %v times, want 0", a)
+	}
+}
+
+// TestContinueOnPrimedCopy holds the split roll-out — Prime on the
+// network, CopyPrimed, Continue on the copy — to PredictAhead bit for bit,
+// outputs and final states, with one copy reused across networks of the
+// same shape whose weights, windows and biases differ, and with an input
+// that changes mid-roll-out. A reused copy costs no allocation.
+func TestContinueOnPrimedCopy(t *testing.T) {
+	const k = 400
+	for _, shape := range []struct {
+		x      int
+		hidden []int
+	}{{1, []int{8, 8}}, {3, []int{5, 6, 5}}} {
+		var cp *Network
+		for seed := uint64(1); seed <= 6; seed++ {
+			mode, from := int(seed%3), int(seed%2)*150
+			n := rolloutNet(seed, shape.x, shape.hidden, mode)
+			in := make([]float64, shape.x)
+			in[0] = 0.3
+			want := slices.Clone(n.PredictAhead(in, k, rolloutFeedback(shape.x, from)))
+			wantSt := make([]State, len(n.states))
+			for li, st := range n.states {
+				wantSt[li] = st.Clone()
+			}
+			out := n.Prime(in)
+			cp = n.CopyPrimed(cp)
+			got := cp.Continue(out, k, rolloutFeedback(shape.x, from))
+			for i := range want {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("X%d %v seed %d: output %d = %v on the copy, PredictAhead gives %v", shape.x, shape.hidden, seed, i, got[i], want[i])
+				}
+			}
+			for li, st := range wantSt {
+				for j := range st.H {
+					if !sameBits(cp.states[li].H[j], st.H[j]) || !sameBits(cp.states[li].C[j], st.C[j]) {
+						t.Fatalf("X%d %v seed %d: layer %d unit %d ends at h=%v c=%v on the copy, PredictAhead gives h=%v c=%v",
+							shape.x, shape.hidden, seed, li, j, cp.states[li].H[j], cp.states[li].C[j], st.H[j], st.C[j])
+					}
+				}
+			}
+			if a := testing.AllocsPerRun(5, func() { n.CopyPrimed(cp) }); a != 0 {
+				t.Fatalf("CopyPrimed into a built copy allocates %v times, want 0", a)
+			}
+		}
 	}
 }
 

@@ -33,10 +33,14 @@ const (
 //   - All shared state (server weights, BN accumulator, predictors, cost
 //     sampler, the recorder's points) is read and written exclusively on
 //     the event loop, after wait() has returned for every task whose output
-//     is consumed. The one goroutine beside the loop and the lanes is the
-//     recorder's evaluator (eval.go): it reads a frozen copy of (w, BN) the
-//     loop took at the boundary, on executors from the same pool, and hands
-//     its two error rates back through a channel the loop drains.
+//     is consumed. Beside the loop and the lanes run the engine's off-loop
+//     jobs (offloop, engine.go), each on a copy the loop froze for it and
+//     joined by the loop before anything reads its result: the recorder's
+//     evaluator (eval.go) reads a frozen (w, BN) on executors from the same
+//     pool and hands back its two error rates; the checkpoint writer frames
+//     encoded sections; and LC-ASGD's loss roll-outs (lcasgd.go), one per
+//     worker, each continue a copy of the loss predictor's stack primed at
+//     the push and are joined by the commit.
 //   - ParallelFor is for data-parallel side work (evaluation shards) whose
 //     combination is order-independent. It is called from the evaluator
 //     goroutine, concurrently with Dispatch on the loop, so it must not

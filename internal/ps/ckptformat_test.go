@@ -214,7 +214,7 @@ func TestFullCadenceExcludedFromConfigKey(t *testing.T) {
 // on purpose (TestFingerprint's golden moves with it) moves these bytes
 // without changing the encoding: it updates the golden and keeps the
 // version.
-const checkpointFormatGolden = "c7b20829c74ec79c7c73a5a3393ad7d24fa61b76a8e0e24a7e049a10cbb8df3b"
+const checkpointFormatGolden = "ee33662e90992d8cea95f997b1bdc3bcb8fcb04eb176824a6ecaf18435d444ff"
 
 // TestCheckpointFormatGolden hashes the exact bytes of every full and delta
 // container emitted by all registered algorithms under no churn and the three

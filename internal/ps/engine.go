@@ -156,9 +156,10 @@ func newEngine(env Env, st Strategy) *Engine {
 }
 
 // offloop runs one job at a time on a goroutine beside the event loop — the
-// shape the curve evaluator and the checkpoint writer share: the loop
-// freezes what the job will read, starts it, carries on, and joins it at a
-// closed list of places (the table in DESIGN.md "Persistence & resume").
+// shape the curve evaluator, the checkpoint writer and LC-ASGD's per-worker
+// loss roll-outs share: the loop freezes what the job will read, starts it,
+// carries on, and joins it at a closed list of places (the table in
+// DESIGN.md "Persistence & resume").
 // The zero value is idle; a job is one goroutine, so there is nothing to
 // close.
 type offloop[T any] struct {

@@ -12,22 +12,30 @@ import (
 //  1. Once the forward pass is done the worker pushes state_m = {loss, BN
 //     stats, t_comm, t_comp}. The server appends m to the iter log
 //     (observing the realized staleness), trains the step predictor and
-//     forecasts k_m, trains the loss predictor and forecasts ℓ_delay over
-//     the next k_m steps (Formula 9), folds the BN statistics in per the BN
-//     mode, and replies with ℓ_delay.
-//  2. The worker pushes the compensated gradient (Formula 5 via the
-//     gradient-scaling interpretation) and the server applies Formula 8.
+//     forecasts k_m, trains the loss predictor and starts its forecast of
+//     ℓ_delay over the next k_m steps (Formula 9), and folds the BN
+//     statistics in per the BN mode.
+//  2. The worker pushes its gradient; the server compensates it (Formula 5
+//     via the gradient-scaling interpretation) with the ℓ_delay forecast
+//     from the push, and applies Formula 8.
 //
 // Backpropagation is linear in its seed — the ReLU masks and BN statistics
 // are fixed by the forward pass — so compensating the seed and scaling the
 // finished gradient agree up to rounding: the task computes the plain
 // gradient, and the commit scales it in place.
 //
+// The k-step roll-out behind ℓ_delay is server work nothing reads until the
+// commit, so it runs beside the event loop: the push trains the loss
+// predictor and takes the roll-out's first step on the loop, copies the
+// primed stack into the worker's roll-out slot and starts the other k − 1
+// steps there (core.LossPredictor.StartDelay); the commit joins them. A
+// roll-out is a pure function of its copy, so where it runs moves no bit.
+//
 // The server-side predictor work adds PredVirtualMs to each iteration's
 // virtual critical path, and the real measured predictor times are reported
 // for Tables 2–3. On the concurrent backend the gradient task runs on the
-// worker's lane while the server-side predictor work stays on the event
-// loop, preserving the delivery order the predictors train on.
+// worker's lane while the predictor training stays on the event loop,
+// preserving the delivery order the predictors train on.
 type lcStrategy struct {
 	cfg      Config // taken from the engine in Setup — the single source
 	iterLog  *core.IterLog
@@ -35,6 +43,21 @@ type lcStrategy struct {
 	stepPred *core.StepPredictor
 	emaLoss  *emaPredictor
 	lastComp []float64 // previous iteration's t_comp per worker
+	pushes   []lcPush  // per worker: the last push, until its commit answers it
+	orphans  int       // roll-outs a worker's next push joined (join)
+}
+
+// lcPush is what a state push leaves for its commit: the worker's roll-out
+// slot and the job in flight on it, and what the compensation scale reads,
+// captured at the push.
+type lcPush struct {
+	ro     core.Rollout
+	job    offloop[core.Delay]
+	at     float64 // virtual time of the push
+	loss   float64
+	k      int
+	ldelay float64 // the EMA ablation's ℓ_delay, formed at the push
+	gated  bool    // compensation is on: the first epoch was over at the push
 }
 
 func (*lcStrategy) Algo() Algo { return LCASGD }
@@ -49,6 +72,7 @@ func (s *lcStrategy) Setup(e *Engine) {
 		s.emaLoss = newEMAPredictor(0.3)
 	}
 	s.lastComp = make([]float64, e.Workers())
+	s.pushes = make([]lcPush, e.Workers())
 }
 
 func (s *lcStrategy) Launch(e *Engine, m int) {
@@ -67,67 +91,106 @@ func (s *lcStrategy) Launch(e *Engine, m int) {
 			return
 		}
 		wait()
-		scale := 1.0
 		serverMs := *s.cfg.PredVirtualMs
-		if e.Partitioned(m) {
-			// The server is unreachable: no state push, no predictor
-			// training, no compensation reply and no server-side prediction
-			// time on the critical path. The worker proceeds uncompensated;
-			// its gradient will be dropped at commit time anyway.
-			serverMs = 0
-		} else {
-			loss := e.Loss(m)
-			// Algorithm 2 lines 1–7: server handles state_m.
-			observed := s.iterLog.Append(m)
-			var k int
-			if s.cfg.NaiveStepPredictor {
-				k = observed
-				if k < 0 {
-					k = e.Workers() - 1
-				}
-			} else {
-				k = s.stepPred.ObserveAndPredict(m, observed, tcomm, s.lastComp[m])
-			}
-			var ldelay float64
-			if s.emaLoss != nil {
-				s.emaLoss.Observe(loss)
-				ldelay = s.emaLoss.PredictDelay(k)
-			} else {
-				s.lossPred.Observe(loss)
-				ldelay = s.lossPred.PredictDelay(loss, k)
-			}
-			e.FoldStats(m)
-			// Algorithm 1 lines 9–12: compensate the gradient, push it.
-			// Compensation is gated off during the first epoch: the online
-			// predictors have not seen enough of the loss series yet, and
-			// the paper itself notes prediction error "generally occurs at
-			// the beginning of the training process".
-			if e.Batches() >= e.BatchesPerEpoch() {
-				if s.cfg.SumCompensation {
-					scale = core.CompensationScaleSum(loss, ldelay, s.cfg.Lambda)
-				} else {
-					scale = core.CompensationScale(loss, ldelay, k, s.cfg.Lambda)
-				}
-			}
+		// A partitioned worker cannot reach the server: no state push, no
+		// predictor training, no compensation and no server-side prediction
+		// time on the critical path. The worker proceeds uncompensated; its
+		// gradient will be dropped at commit time anyway.
+		pushed := !e.Partitioned(m)
+		if pushed {
+			s.push(e, m, tcomm)
 			s.lastComp[m] = tbwd
-			e.tel.emit(telemetry.Event{
-				Kind: telemetry.KCompensate, Worker: int32(m), At: e.Now(),
-				A: int64(k), B: int64(scale * 1e6),
-			})
+		} else {
+			serverMs = 0
 		}
 		e.AfterWorker(m, serverMs+tcomm+tbwd+e.CommSample(m), func() {
 			if e.Done() {
 				return
 			}
 			grad := e.Gradient(m)
-			if scale != 1 {
-				for i := range grad {
-					grad[i] *= scale
+			if pushed {
+				if scale := s.answer(e, m); scale != 1 {
+					for i := range grad {
+						grad[i] *= scale
+					}
 				}
 			}
 			e.Commit(m, grad, 1) // Formula 8
 		})
 	})
+}
+
+// push is Algorithm 2 lines 1–7 on worker m's state_m: log the delivery,
+// forecast k, train the loss predictor and start its k-step roll-out, and
+// fold the BN statistics. What the commit's scale reads is captured here.
+func (s *lcStrategy) push(e *Engine, m int, tcomm float64) {
+	p := &s.pushes[m]
+	if _, ok := s.join(p); ok {
+		// The roll-out of an iteration that crashed between its push and its
+		// commit: no commit joined it.
+		s.orphans++
+	}
+	loss := e.Loss(m)
+	observed := s.iterLog.Append(m)
+	var k int
+	if s.cfg.NaiveStepPredictor {
+		k = observed
+		if k < 0 {
+			k = e.Workers() - 1
+		}
+	} else {
+		k = s.stepPred.ObserveAndPredict(m, observed, tcomm, s.lastComp[m])
+	}
+	if s.emaLoss != nil {
+		s.emaLoss.Observe(loss)
+		p.ldelay = s.emaLoss.PredictDelay(k)
+	} else {
+		s.lossPred.Observe(loss)
+		p.job.start(s.lossPred.StartDelay(&p.ro, k))
+	}
+	e.FoldStats(m)
+	// Compensation is gated off during the first epoch: the online
+	// predictors have not seen enough of the loss series yet, and the paper
+	// itself notes prediction error "generally occurs at the beginning of
+	// the training process".
+	p.at, p.loss, p.k = e.Now(), loss, k
+	p.gated = e.Batches() >= e.BatchesPerEpoch()
+}
+
+// answer is the commit's half of worker m's push (Algorithm 1 lines 9–12):
+// it joins the roll-out, forms Formula 5's scale from what the push
+// captured, and traces it at the push's time.
+func (s *lcStrategy) answer(e *Engine, m int) float64 {
+	p := &s.pushes[m]
+	ldelay := p.ldelay
+	if l, ok := s.join(p); ok {
+		ldelay = l
+	}
+	scale := 1.0
+	if p.gated {
+		if s.cfg.SumCompensation {
+			scale = core.CompensationScaleSum(p.loss, ldelay, s.cfg.Lambda)
+		} else {
+			scale = core.CompensationScale(p.loss, ldelay, p.k, s.cfg.Lambda)
+		}
+	}
+	e.tel.emit(telemetry.Event{
+		Kind: telemetry.KCompensate, Worker: int32(m), At: p.at,
+		A: int64(p.k), B: int64(scale * 1e6),
+	})
+	return scale
+}
+
+// join joins the roll-out in flight on worker slot p, if there is one,
+// charges its time to the loss predictor and returns its ℓ_delay. The commit
+// joins its push's roll-out; a roll-out no commit joined is joined by the
+// worker's next push (orphans counts those) or by Finish.
+func (s *lcStrategy) join(p *lcPush) (ldelay float64, ok bool) {
+	d, ok := p.job.join()
+	if ok {
+		ldelay = s.lossPred.JoinDelay(d)
+	}
+	return ldelay, ok
 }
 
 // WalkState walks everything LC-ASGD accumulates on the server across
@@ -136,7 +199,8 @@ func (s *lcStrategy) Launch(e *Engine, m int) {
 // restore runs under the ConfigKey that wrote the checkpoint, so both sides
 // agree on that), and the per-worker previous-computation-time memory. At a
 // quiescent barrier no worker is mid-pipeline, so this is the algorithm's
-// entire live state.
+// entire live state: a crashed iteration's roll-out may still run beside
+// the loop, but its result reaches nothing but the wall-time counters.
 func (s *lcStrategy) WalkState(_ *Engine, c snapshot.Codec) {
 	s.iterLog.Walk(c)
 	s.lossPred.Walk(c)
@@ -151,6 +215,11 @@ func (s *lcStrategy) WalkState(_ *Engine, c snapshot.Codec) {
 }
 
 func (s *lcStrategy) Finish(e *Engine, res *Result) {
+	// The roll-outs of the pushes the budget ran out on, and of crashed
+	// iterations whose worker never pushed again.
+	for m := range s.pushes {
+		s.join(&s.pushes[m])
+	}
 	res.LossTrace = s.lossPred.Trace()
 	res.StepTrace = s.stepPred.Trace()
 	res.AvgLossPredMs = s.lossPred.AvgTrainMs()

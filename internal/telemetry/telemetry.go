@@ -62,10 +62,13 @@ const (
 	// full/delta or byte payload: those depend on the process's emission
 	// history, which a resume restarts.
 	KCheckpoint
-	// KCompensate is one LC-ASGD state push the server answered (instant):
-	// A is the predicted staleness k̂, B the compensation scale the worker's
-	// gradient is seeded with, fixed-point ×1e6 (1e6 while compensation is
-	// gated off in the first epoch).
+	// KCompensate is one LC-ASGD state push the server answered (instant),
+	// emitted by the commit that applies the compensation scale, with At the
+	// time of the push it answers: A is the predicted staleness k̂, B the
+	// scale the commit multiplies the worker's gradient by, fixed-point ×1e6
+	// (1e6 while compensation is gated off in the first epoch). A push whose
+	// commit never comes — its worker crashed, or the budget ran out — has
+	// none.
 	KCompensate
 
 	// NumKinds bounds the kinds: every Kind below it is one of the above.
