@@ -28,11 +28,10 @@ type LossPredictor struct {
 	lastLoss float64
 	seeded   bool
 
-	// Reused buffers: the 1-wide LSTM input and the PredictAhead feedback
-	// closure (bound once so the per-iteration calls allocate nothing).
-	in       []float64
-	fb       []float64
-	feedback func(float64) []float64
+	// Reused: the 1-wide LSTM input, and the roll-out slot PredictDelay
+	// continues on the predictor's own stack.
+	in  []float64
+	own Rollout
 
 	trace []TracePoint
 	// nextPred is the one-step forecast from lastLoss, the Predicted of the
@@ -63,12 +62,7 @@ func NewLossPredictorSized(hidden int, g *rng.RNG) *LossPredictor {
 	n := lstm.NewNetwork(1, []int{hidden, hidden}, g)
 	n.LR = 0.2
 	n.Window = 12
-	p := &LossPredictor{net: n, in: make([]float64, 1), fb: make([]float64, 1)}
-	p.feedback = func(o float64) []float64 {
-		p.fb[0] = o
-		return p.fb
-	}
-	return p
+	return &LossPredictor{net: n, in: make([]float64, 1), own: Rollout{net: n}}
 }
 
 // Observe implements Algorithm 3 line 1: the previous loss ℓ_t is the input
@@ -97,7 +91,7 @@ func (p *LossPredictor) Observe(lossM float64) {
 func (p *LossPredictor) forecast() {
 	if p.stale {
 		p.in[0] = p.lastLoss
-		p.nextPred = p.net.Predict(p.in)
+		p.nextPred = p.net.Prime(p.in)
 		p.stale = false
 	}
 }
@@ -122,31 +116,39 @@ func (p *LossPredictor) PredictDelay(lossM float64, k int) float64 {
 	if fresh {
 		p.nextPred, p.stale = out, false
 	}
-	return delaySum(p.net.Continue(out, max(k, 1), p.feedback), k)
-}
-
-// delaySum is ℓ_delay from a roll-out's outputs: the sum of the first k.
-func delaySum(preds []float64, k int) float64 {
-	sum := 0.0
-	for _, v := range preds[:max(k, 0)] {
-		// A loss forecast below zero is an artifact of the linear head;
-		// clamp so the compensation value stays physical.
-		if v < 0 {
-			v = 0
-		}
-		sum += v
-	}
-	return sum
+	return p.own.delay(out, k)
 }
 
 // Rollout is one slot for a roll-out that runs off the event loop: a copy
 // of the predictor's primed stack (lstm.Network.CopyPrimed) that the
-// roll-out continues on, and its own feedback buffer. The zero value is
-// ready; the copy is built on first use.
+// roll-out continues on, its own feedback buffer and the sum it adds up.
+// The zero value is ready; the copy is built on first use.
 type Rollout struct {
 	net      *lstm.Network
 	fb       []float64
+	sum      float64
 	feedback func(float64) []float64
+}
+
+// delay continues r.net's primed roll-out, whose first output was out, to
+// k outputs and returns ℓ_delay: their sum, added in order as they come,
+// each clamped at 0 — a loss forecast below zero is an artifact of the
+// linear head, and the clamp keeps the compensation value physical.
+func (r *Rollout) delay(out float64, k int) float64 {
+	if k <= 0 {
+		return 0
+	}
+	if r.feedback == nil {
+		r.fb = make([]float64, 1)
+		r.feedback = func(o float64) []float64 {
+			r.sum += max(o, 0)
+			r.fb[0] = o
+			return r.fb
+		}
+	}
+	r.sum = 0
+	last := r.net.Last(out, k, r.feedback)
+	return r.sum + max(last, 0)
 }
 
 // Delay is a finished off-loop roll-out: ℓ_delay, and the wall time the
@@ -170,17 +172,10 @@ func (p *LossPredictor) StartDelay(r *Rollout, k int) func() Delay {
 	out := p.net.Prime(p.in)
 	p.nextPred, p.stale = out, false
 	r.net = p.net.CopyPrimed(r.net)
-	if r.feedback == nil {
-		r.fb = make([]float64, 1)
-		r.feedback = func(o float64) []float64 {
-			r.fb[0] = o
-			return r.fb
-		}
-	}
 	p.PredictTime += time.Since(start)
 	return func() Delay {
 		start := time.Now()
-		sum := delaySum(r.net.Continue(out, max(k, 1), r.feedback), k)
+		sum := r.delay(out, k)
 		return Delay{Sum: sum, Took: time.Since(start)}
 	}
 }

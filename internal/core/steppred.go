@@ -107,7 +107,7 @@ func (p *StepPredictor) ObserveAndPredict(m int, observedStep int, tcomm, tcomp 
 		return p.workers - 1
 	}
 
-	raw := p.net.Predict(feat) * float64(p.workers)
+	raw := p.net.Prime(feat) * float64(p.workers)
 
 	k := int(math.Round(raw))
 	if k < 0 {

@@ -8,7 +8,7 @@
 // The package is built for the zero-allocation hot path: a Network owns
 // every buffer its train/predict calls need (step caches, recurrent
 // states, BPTT scratch, the sliding window itself), so steady-state
-// TrainStep/Predict/PredictAhead calls perform no heap allocations. This
+// TrainStep/Prime/PredictAhead calls perform no heap allocations. This
 // matters doubly here: the predictors run on the parameter server once per
 // worker iteration, and their REAL measured wall time is a paper artifact
 // (Tables 2–3) that allocation noise would distort.

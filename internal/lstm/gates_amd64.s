@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // The LSTM cell step after its product, in AVX2+FMA, on lane-exact replicas
-// of Go's math. One entry:
+// of internal/fmath. One entry:
 //
 //	cellAVX2   for each four-unit group: i = σ(pre_i), f = σ(pre_f),
 //	           g = tanh(pre_g), o = σ(pre_o), c = f·C + i·g,
@@ -12,39 +12,38 @@
 // built from three kinds of lane code (the EXP, SIG_* and TANH_* macros
 // below):
 //
-//	σ(v)       1 / (1 + math.Exp(-v))   the i, f and o rows
-//	tanh(v)    math.Tanh(v)             the g row and c
-//	exp(v)     math.Exp(v)              inside σ and tanh only
+//	σ(v)       1 / (1 + fmath.Exp(-v))  the i, f and o rows
+//	tanh(v)    fmath.Tanh(v)            the g row and c
+//	exp(v)     fmath.Exp(v)             inside σ and tanh only
 //
-// The init self-check and the tests hold σ and tanh to math through this
-// entry alone: any value in a gate row, and tanh(c) on the incoming C of a
-// step whose f is σ(40) = 1 and whose i·g is +0·g = −0, so that c = C.
+// The tests hold σ and tanh to fmath through this entry alone: any value
+// in a gate row, and tanh(c) on the incoming C of a step whose f is
+// σ(40) = 1 and whose i·g is +0·g = −0, so that c = C.
 
 // Float-bits rule. A vector lane is one element, lanes never meet, and every
 // lane performs the scalar code's IEEE operations on the same operands in
 // the same order, so it ends on the same bits:
 //
-//   - exp is math.archExp's FMA path ($GOROOT/src/math/exp_amd64.s, taken
-//     when the CPU has AVX and FMA) op for op: n = round-to-even(LOG2E·x)
-//     (VCVTPD2DQ under the default MXCSR, like CVTSD2SL; the float n the
-//     reduction multiplies is (t + 1.5·2^52) − 1.5·2^52, which rounds t to
-//     even the same way and is exact wherever n is in range), r = x − n·LN2U
-//     and r −= n·LN2L as single-rounding VFNMADD231PD, r·0.0625, the
-//     VFMADD213PD Horner chain from c8 down to 1, r·p, three (r+2)·r
-//     squarings, the fused (r+2)·r + 1, then ·2^n with 2^n built by
-//     shifting n+1023 into the exponent field — the same multiply as the
-//     scalar ldexp step. The same decimal constants as exp_amd64.s round to
-//     the same doubles.
+//   - exp is fmath.Exp, the FMA path of $GOROOT/src/math/exp_amd64.s, op
+//     for op: n = round-to-even(LOG2E·x) (VCVTPD2DQ under the default
+//     MXCSR, like CVTSD2SL; the float n the reduction multiplies is
+//     (t + 1.5·2^52) − 1.5·2^52, which rounds t to even the same way and is
+//     exact wherever n is in range), r = x − n·LN2U and r −= n·LN2L as
+//     single-rounding VFNMADD231PD, r·0.0625, the VFMADD213PD Horner chain
+//     from c8 down to 1, r·p, three (r+2)·r squarings, the fused
+//     (r+2)·r + 1, then ·2^n with 2^n built by shifting n+1023 into the
+//     exponent field — the same multiply as the scalar ldexp step. The same
+//     decimal constants as exp_amd64.s round to the same doubles.
 //   - sigmoid negates (exact), then 1 + e and 1 / that, as the Go
 //     expression compiles (VADDPD/VDIVPD, each rounded once). Two facts
 //     about the scalar sigmoid keep saturated lanes (a quarter of the
 //     fleet_scale roll-out's) vectorised without ever taking exp outside
-//     its domain: from v = 37 on, math.Exp(−v) < 2^−53, so 1 + e rounds
+//     its domain: from v = 37 on, exp(−v) < 2^−53, so 1 + e rounds
 //     to 1 and the result is exactly 1 — a lane above 700 therefore runs
-//     as 700; from v = −710 down (−Inf included), −v exceeds archExp's
-//     Overflow, math.Exp returns +Inf and the result is exactly +0 — such
+//     as 700; from v = −710 down (−Inf included), −v exceeds Exp's
+//     Overflow, Exp returns +Inf and the result is exactly +0 — such
 //     a lane runs as 0 and is zeroed at the end.
-//   - tanh evaluates math.tanh's three branches in every lane and blends
+//   - tanh evaluates fmath.Tanh's three branches in every lane and blends
 //     them: |x| > MAXLOG/2 gives ±1; |x| >= 0.625 gives 1 − 2/(exp(2|x|)+1)
 //     with x's sign; otherwise x + x·s·P(s)/Q(s), s = x·x, every operation
 //     rounded on its own in Go's left-to-right order; x == 0 returns x.
@@ -58,13 +57,13 @@
 //     expression f*C + i*g compiles on amd64.
 //
 // Fast domain. exp needs every lane's n in [−1022, 1023]: the lanes where
-// archExp reaches its normal ldexp step (NaN and ±Inf give the out-of-range
+// Exp reaches its normal ldexp step (NaN and ±Inf give the out-of-range
 // integer, so they fall out too); sigmoid needs the same of its saturated
 // argument, which leaves out NaN and −710 < v < −709.44. tanh needs every
 // lane finite. cellAVX2 stores a group of four only when all its lanes are
 // in the domain of all five non-linearities of its units, tanh(c) included,
 // and otherwise stops and returns how many units it finished; the Go caller
-// computes the group with math. No denormal, overflow or NaN path is
+// computes the group with fmath. No denormal, overflow or NaN path is
 // vectorised.
 //
 // Slots. exp is a ~30-op dependent chain, and one chain alone leaves the
@@ -390,10 +389,9 @@ stop:
 
 // func cpuHasGateAsm() bool
 //
-// The vector gates need what math.Exp's FMA path needs — AVX and FMA
-// (CPUID.1:ECX bits 28 and 12) with OSXSAVE (bit 27) and the OS saving the
-// YMM state (XCR0 bits 1 and 2) — plus AVX2 (CPUID.7:EBX bit 5) for the
-// integer lanes.
+// The vector gates need AVX and FMA (CPUID.1:ECX bits 28 and 12) with
+// OSXSAVE (bit 27) and the OS saving the YMM state (XCR0 bits 1 and 2), plus
+// AVX2 (CPUID.7:EBX bit 5) for the integer lanes.
 TEXT ·cpuHasGateAsm(SB), NOSPLIT, $0-1
 	MOVB  $0, ret+0(FP)
 	XORL  AX, AX

@@ -3,107 +3,27 @@ package lstm
 import (
 	"encoding/binary"
 	"math"
-	"runtime"
 	"testing"
 
+	"lcasgd/internal/fmath"
 	"lcasgd/internal/rng"
 )
 
-// archExpReplica is math.archExp's amd64 algorithm ($GOROOT/src/math/
-// exp_amd64.s) in Go, for an argument on its normal ldexp path. With fused
-// it is the FMA path (math.FMA rounds a·b+c once, like VFMADD); without, the
-// SSE2 path, which rounds the product before the add — there the fused
-// final step is a fourth squaring followed by +1, the same operations.
-func archExpReplica(x float64, fused bool) float64 {
-	fma := func(a, b, c float64) float64 { return float64(a*b) + c }
-	if fused {
-		fma = math.FMA
-	}
-	const (
-		log2e = 1.4426950408889634073599246810018920
-		ln2u  = 0.69314718055966295651160180568695068359375
-		ln2l  = 0.28235290563031577122588448175013436025525412068e-12
-	)
-	n := int32(math.RoundToEven(log2e * x))
-	nf := float64(n)
-	r := fma(-nf, ln2u, x)
-	r = fma(-nf, ln2l, r)
-	r *= 0.0625
-	p := 2.4801587301587301587e-5
-	for _, c := range []float64{
-		1.9841269841269841270e-4, 1.3888888888888888889e-3, 8.3333333333333333333e-3,
-		4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1,
-	} {
-		p = fma(p, r, c)
-	}
-	r *= p
-	for i := 0; i < 3; i++ {
-		r *= r + 2
-	}
-	r = fma(r+2, r, 1)
-	return r * math.Float64frombits(uint64(int64(n)+1023)<<52)
-}
-
-// sigmoidReplica and tanhReplica are σ and math.Tanh on archExpReplica.
-// Only tanh's middle branch, 0.625 <= |x| <= MAXLOG/2, calls exp; tanhReplica
-// leaves the others to math.Tanh.
-func sigmoidReplica(v float64, fused bool) float64 { return 1 / (1 + archExpReplica(-v, fused)) }
-
-func tanhReplica(x float64, fused bool) float64 {
-	const maxlog = 8.8029691931113054295988e+01
-	z := math.Abs(x)
-	if !(z >= 0.625 && z <= 0.5*maxlog) {
-		return math.Tanh(x)
-	}
-	z = 1 - 2/(archExpReplica(2*z, fused)+1)
-	if x < 0 {
-		return -z
-	}
-	return z
-}
-
 // sigRef is the scalar σ every gate row but g must reproduce bit for bit.
-func sigRef(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+func sigRef(v float64) float64 { return 1 / (1 + fmath.Exp(-v)) }
 
 // TestGateMathDispatch pins when the assembly runs: exactly where the CPU
-// supports it and math.Exp takes its FMA path (under GODEBUG=cpu.fma=off,
-// -race or another GOARCH it must not). It also pins what makes the init
-// self-check able to tell those paths apart at the cell's outputs: probes
-// whose σ or tanh differs between them.
+// supports it (never under -race or on another GOARCH), whatever path
+// math.Exp takes there. It logs the choice.
 func TestGateMathDispatch(t *testing.T) {
-	sensitive, fmaPath := 0, true
-	for _, v := range gateProbes {
-		s, th := sigmoidReplica(v, true), tanhReplica(v, true)
-		if s != sigmoidReplica(v, false) || th != tanhReplica(v, false) {
-			sensitive++
-			fmaPath = fmaPath && sigRef(v) == s && math.Tanh(v) == th
-		}
-	}
-	if sensitive < 8 {
-		t.Fatalf("%d gate probes give a different σ or tanh on math.Exp's FMA and SSE2 paths, want at least 8", sensitive)
-	}
-	if runtime.GOARCH == "amd64" {
-		// The replicas must be what they claim: math.Exp is one of them.
-		g := rng.New(3)
-		for i := 0; i < 100000; i++ {
-			x := (g.Float64() - 0.5) * 1400
-			e := math.Exp(x)
-			if e != archExpReplica(x, true) && e != archExpReplica(x, false) {
-				t.Fatalf("math.Exp(%v) = %x matches neither replica", x, math.Float64bits(e))
-			}
-		}
-	} else {
-		fmaPath = false
-	}
-	if want := cpuHasGateAsm() && fmaPath; useGateAsm != want {
-		t.Fatalf("useGateAsm = %v, want %v (CPU support %v, math.Exp on its FMA path %v)",
-			useGateAsm, want, cpuHasGateAsm(), fmaPath)
+	if useGateAsm != cpuHasGateAsm() {
+		t.Fatalf("useGateAsm = %v, CPU support %v", useGateAsm, cpuHasGateAsm())
 	}
 	t.Logf("assembly gates: %v", useGateAsm)
 }
 
-// checkGates holds σ and tanh to math, bit for bit, on every value of in,
-// through activate: cellAVX2 where the assembly runs, math for a group with
+// checkGates holds σ and tanh to fmath, bit for bit, on every value of in,
+// through activate: cellAVX2 where the assembly runs, fmath for a group with
 // a lane outside a fast domain and for the tail. in is cut into cells of
 // 1..9 units, so the four-unit groups and the tails take every alignment,
 // and each cell takes two steps:
@@ -126,7 +46,7 @@ func checkGates(t testing.TB, in []float64) {
 		clear(cs[:h])
 		activate(pre[:numGates*h], act[:numGates*h], tc[:h], cs[:h], hs[:h])
 		for j, x := range v {
-			for r, want := range [numGates]float64{sigRef(x), sigRef(x), math.Tanh(x), sigRef(x)} {
+			for r, want := range [numGates]float64{sigRef(x), sigRef(x), fmath.Tanh(x), sigRef(x)} {
 				if got := act[r*h+j]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("gate row %d of %v (%#x): got %v (%#x), want %v (%#x)", r, x, math.Float64bits(x),
 						got, math.Float64bits(got), want, math.Float64bits(want))
@@ -139,7 +59,7 @@ func checkGates(t testing.TB, in []float64) {
 		copy(cs[:h], v)
 		activate(pre[:numGates*h], act[:numGates*h], tc[:h], cs[:h], hs[:h])
 		for j, x := range v {
-			want := math.Tanh(x)
+			want := fmath.Tanh(x)
 			if !sameBits(cs[j], x) || !sameBits(tc[j], want) || !sameBits(hs[j], want) {
 				t.Fatalf("tanh(c) of C = %v (%#x): c %v (%#x), tanh(c) %v (%#x), H %v (%#x), want c = C and tanh %v (%#x)",
 					x, math.Float64bits(x), cs[j], math.Float64bits(cs[j]), tc[j], math.Float64bits(tc[j]),
@@ -171,7 +91,7 @@ func gateBoundaries() []float64 {
 
 // TestGateMathBitsMatchScalar: over 10⁷ inputs spread across magnitudes and
 // random bit patterns, plus the boundary corpus at every lane position, the
-// cell step's σ and tanh return math's bits (on a build or CPU without the
+// cell step's σ and tanh return fmath's bits (on a build or CPU without the
 // assembly this checks the fallback).
 func TestGateMathBitsMatchScalar(t *testing.T) {
 	n := 10_000_000
@@ -202,7 +122,7 @@ func TestGateMathBitsMatchScalar(t *testing.T) {
 	checkGates(t, in)
 }
 
-// FuzzGateMath holds the cell step's σ and tanh to math bit for bit on
+// FuzzGateMath holds the cell step's σ and tanh to fmath bit for bit on
 // arbitrary inputs, as checkGates does: the bytes are read as up to 64
 // float64s.
 func FuzzGateMath(f *testing.F) {
@@ -225,7 +145,7 @@ func FuzzGateMath(f *testing.F) {
 
 // scalarStep is Step by its per-unit definition, as
 // TestCellStepBitsMatchScalarGates spells it out: pre[r] = B[r] + (the
-// row-r chain over x, then h, from +0); every gate through math; c = f·C +
+// row-r chain over x, then h, from +0); every gate through fmath; c = f·C +
 // i·g; h = o·tanh(c). It advances ref and records the step in want.
 func scalarStep(c *Cell, in []float64, ref State, want *stepCache) {
 	x, h := c.X, c.H
@@ -246,9 +166,9 @@ func scalarStep(c *Cell, in []float64, ref State, want *stepCache) {
 	}
 	for j := 0; j < h; j++ {
 		iv, fv := sigRef(pre[gateI*h+j]), sigRef(pre[gateF*h+j])
-		gv, ov := math.Tanh(pre[gateG*h+j]), sigRef(pre[gateO*h+j])
+		gv, ov := fmath.Tanh(pre[gateG*h+j]), sigRef(pre[gateO*h+j])
 		cv := fv*ref.C[j] + iv*gv
-		tc := math.Tanh(cv)
+		tc := fmath.Tanh(cv)
 		want.i[j], want.f[j], want.g[j], want.o[j], want.c[j], want.tanhC[j] = iv, fv, gv, ov, cv, tc
 		ref.C[j], ref.H[j] = cv, ov*tc
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"lcasgd/internal/fmath"
 	"lcasgd/internal/rng"
 	"lcasgd/internal/snapshot"
 	"lcasgd/internal/tensor"
@@ -183,14 +184,13 @@ func TestCellStepBitsMatchRowLoops(t *testing.T) {
 }
 
 // TestCellStepBitsMatchScalarGates runs Step against the per-unit scalar
-// definition of the cell — every gate through math, c = f·C + i·g, h =
+// definition of the cell — every gate through fmath, c = f·C + i·g, h =
 // o·tanh(c) — and compares the new state and every cache field bitwise,
 // over several steps and at widths that give the gates full groups, scalar
 // tails and both. A few biases are pushed out of the vector fast domain so
-// whole groups fall back to math inside Step.
+// whole groups fall back to fmath inside Step.
 func TestCellStepBitsMatchScalarGates(t *testing.T) {
 	g := rng.New(17)
-	sig := func(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 	for _, h := range []int{1, 3, 4, 5, 8, 24, 32, 64} {
 		for _, x := range []int{1, 3, h} {
 			c := NewCell(x, h, g)
@@ -225,10 +225,10 @@ func TestCellStepBitsMatchScalarGates(t *testing.T) {
 				copy(want.hPrev, ref.H)
 				copy(want.cPrev, ref.C)
 				for j := 0; j < h; j++ {
-					iv, fv := sig(pre[gateI*h+j]), sig(pre[gateF*h+j])
-					gv, ov := math.Tanh(pre[gateG*h+j]), sig(pre[gateO*h+j])
+					iv, fv := sigRef(pre[gateI*h+j]), sigRef(pre[gateF*h+j])
+					gv, ov := fmath.Tanh(pre[gateG*h+j]), sigRef(pre[gateO*h+j])
 					cv := fv*ref.C[j] + iv*gv
-					tc := math.Tanh(cv)
+					tc := fmath.Tanh(cv)
 					want.i[j], want.f[j], want.g[j], want.o[j], want.c[j], want.tanhC[j] = iv, fv, gv, ov, cv, tc
 					ref.C[j], ref.H[j] = cv, ov*tc
 				}
@@ -284,8 +284,8 @@ func TestNetworkLearnsConstant(t *testing.T) {
 	if loss > 1e-3 {
 		t.Fatalf("did not fit constant: loss %v", loss)
 	}
-	if math.Abs(n.Predict([]float64{0.5})-0.7) > 0.05 {
-		t.Fatalf("prediction %v, want ~0.7", n.Predict([]float64{0.5}))
+	if math.Abs(n.Prime([]float64{0.5})-0.7) > 0.05 {
+		t.Fatalf("prediction %v, want ~0.7", n.Prime([]float64{0.5}))
 	}
 }
 
@@ -304,7 +304,7 @@ func TestNetworkLearnsDecayingSeries(t *testing.T) {
 	if lastLoss > 5e-3 {
 		t.Fatalf("online loss on decaying series: %v", lastLoss)
 	}
-	pred := n.Predict([]float64{val})
+	pred := n.Prime([]float64{val})
 	if math.Abs(pred-val*0.99) > 0.05 {
 		t.Fatalf("one-step prediction %v, want ~%v", pred, val*0.99)
 	}
@@ -399,14 +399,14 @@ func TestTrainingIsDeterministic(t *testing.T) {
 		return n
 	}
 	a, b := build(), build()
-	pa, pb := a.Predict([]float64{2}), b.Predict([]float64{2})
+	pa, pb := a.Prime([]float64{2}), b.Prime([]float64{2})
 	if pa != pb {
 		t.Fatalf("identical seeds diverged: %v vs %v", pa, pb)
 	}
 }
 
 // TestTrainPredictZeroAllocSteadyState pins the predictor substrate's hot
-// calls — online TrainStep, Predict and PredictAhead — to zero heap
+// calls — online TrainStep, Prime and PredictAhead — to zero heap
 // allocations once the window and scratch buffers are warm. These run on
 // the parameter server once per worker iteration, and their REAL measured
 // wall times feed Tables 2–3, so allocation noise here distorts a paper
@@ -418,14 +418,14 @@ func TestTrainPredictZeroAllocSteadyState(t *testing.T) {
 	feedback := func(o float64) []float64 { fb[0] = o; return fb }
 	for i := 0; i < 20; i++ { // fill the window, warm every scratch buffer
 		n.TrainStep(in, 0.4)
-		n.Predict(in)
+		n.Prime(in)
 		n.PredictAhead(in, 5, feedback)
 	}
 	if a := testing.AllocsPerRun(20, func() { n.TrainStep(in, 0.4) }); a != 0 {
 		t.Fatalf("steady-state TrainStep allocates %v times, want 0", a)
 	}
-	if a := testing.AllocsPerRun(20, func() { n.Predict(in) }); a != 0 {
-		t.Fatalf("steady-state Predict allocates %v times, want 0", a)
+	if a := testing.AllocsPerRun(20, func() { n.Prime(in) }); a != 0 {
+		t.Fatalf("steady-state Prime allocates %v times, want 0", a)
 	}
 	if a := testing.AllocsPerRun(20, func() { n.PredictAhead(in, 5, feedback) }); a != 0 {
 		t.Fatalf("steady-state PredictAhead allocates %v times, want 0", a)
@@ -532,7 +532,7 @@ func TestNetworkSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("step %d: window loss diverged %x vs %x", i, la, lb)
 		}
 		probe := []float64{0.5, -0.5}
-		if pa, pb := a.Predict(probe), b.Predict(probe); pa != pb {
+		if pa, pb := a.Prime(probe), b.Prime(probe); pa != pb {
 			t.Fatalf("step %d: prediction diverged %x vs %x", i, pa, pb)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 //
 // All working storage — the window, recurrent states, per-timestep caches
 // and BPTT scratch — is owned by the Network and reused, so steady-state
-// TrainStep/Predict/PredictAhead calls are allocation-free. Set Window
+// TrainStep/Prime/PredictAhead calls are allocation-free. Set Window
 // before the first Observe/TrainStep.
 type Network struct {
 	Cells  []*Cell
@@ -44,7 +44,7 @@ type Network struct {
 	hTop   []float64   // recomputed top hidden vector (o ⊙ tanh c)
 	dh, dc [][]float64 // per-layer through-time gradients
 	dx     [][]float64 // per-layer input gradients
-	ahead  []float64   // PredictAhead output buffer (reused across calls)
+	ahead  []float64   // Continue's output buffer (reused across calls)
 }
 
 // NewNetwork builds a stack with the given input size and hidden sizes
@@ -255,12 +255,6 @@ func (n *Network) fitWindow() float64 {
 	return loss
 }
 
-// Predict returns the one-step-ahead output after replaying the window and
-// feeding the given input.
-func (n *Network) Predict(input []float64) float64 {
-	return n.PredictAhead(input, 1, nil)[0]
-}
-
 // PredictAhead forecasts future values: it replays the window, feeds input,
 // then recursively feeds each prediction back through feedback (which maps
 // a scalar prediction to the next input vector) for a total of k outputs.
@@ -277,23 +271,16 @@ func (n *Network) Predict(input []float64) float64 {
 // the outputs and the state are the stepped loop's, bit for bit. An input
 // that changes sends it back to full steps.
 func (n *Network) PredictAhead(input []float64, k int, feedback func(out float64) []float64) []float64 {
-	outs, _ := n.rollout(input, k, feedback)
-	return outs
-}
-
-// rollout is PredictAhead. It also returns the first step that the
-// absorbed update served instead of the cells, or k if there was none.
-func (n *Network) rollout(input []float64, k int, feedback func(out float64) []float64) ([]float64, int) {
 	if k <= 0 {
-		return nil, 0
+		return nil
 	}
-	return n.advance(n.Prime(input), k, feedback)
+	return n.Continue(n.Prime(input), k, feedback)
 }
 
-// Prime is a roll-out's first step: it replays the window from zero state,
-// feeds input and returns the head's output, the one-step forecast. It
-// leaves the stack primed: Continue takes the roll-out on from there, on
-// this network or on a CopyPrimed of it.
+// Prime is a roll-out's first step, and the predictors' one-step forecast:
+// it replays the window from zero state, feeds input and returns the head's
+// output. It leaves the stack primed: Continue takes the roll-out on from
+// there, on this network or on a CopyPrimed of it.
 func (n *Network) Prime(input []float64) float64 {
 	for li := range n.states {
 		n.states[li].Zero()
@@ -309,21 +296,31 @@ func (n *Network) Prime(input []float64) float64 {
 // until the next Continue or PredictAhead. Nothing may run on the stack
 // between the Prime (or CopyPrimed) and the Continue.
 func (n *Network) Continue(out float64, k int, feedback func(out float64) []float64) []float64 {
-	outs, _ := n.advance(out, k, feedback)
-	return outs
-}
-
-// advance is Continue. It also returns the first step that the absorbed
-// update served instead of the cells, or k if there was none.
-func (n *Network) advance(out float64, k int, feedback func(out float64) []float64) ([]float64, int) {
 	if k <= 0 {
-		return nil, 0
+		return nil
 	}
 	if cap(n.ahead) < k {
 		n.ahead = make([]float64, k)
 	}
-	outs := n.ahead[:k]
-	outs[0] = out
+	n.advance(out, k, feedback, n.ahead[:k])
+	return n.ahead[:k]
+}
+
+// Last is Continue without the outputs: it runs the same steps, hands
+// every output but the last to feedback in order, and returns the last. It
+// writes no buffer, so a CopyPrimed copy that only runs Last holds none.
+func (n *Network) Last(out float64, k int, feedback func(out float64) []float64) float64 {
+	last, _ := n.advance(out, k, feedback, nil)
+	return last
+}
+
+// advance is Continue into outs, k long or nil: it returns the last output
+// and the first step that the absorbed update served instead of the cells,
+// or k if there was none.
+func (n *Network) advance(out float64, k int, feedback func(out float64) []float64, outs []float64) (float64, int) {
+	if outs != nil {
+		outs[0] = out
+	}
 	absorbed, first := false, k
 	for i := 1; i < k; i++ {
 		x := feedback(out)
@@ -338,9 +335,11 @@ func (n *Network) advance(out float64, k int, feedback func(out float64) []float
 		} else {
 			out = n.step(x)
 		}
-		outs[i] = out
+		if outs != nil {
+			outs[i] = out
+		}
 	}
-	return outs, first
+	return out, first
 }
 
 // CopyPrimed copies everything Continue reads of a primed stack into dst

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"lcasgd/internal/fmath"
 	"lcasgd/internal/rng"
 )
 
@@ -109,7 +110,8 @@ func checkRollout(t testing.TB, n *Network, k, from int) int {
 		input[j] = 0.1 * float64(j+1)
 	}
 	want, wantSt := steppedRollout(n, input, k, rolloutFeedback(x, from))
-	got, first := n.rollout(input, k, rolloutFeedback(x, from))
+	got := make([]float64, k)
+	_, first := n.advance(n.Prime(input), k, rolloutFeedback(x, from), got)
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
 			t.Fatalf("k=%d change at %d (absorbed at %d): output %d = %v, stepped gives %v", k, from, first, i, got[i], want[i])
@@ -228,9 +230,9 @@ func TestHoldsKeepsTanh(t *testing.T) {
 		if !holds(u.i, u.f, u.g, u.c) {
 			t.Fatalf("holds(%v) = false", u)
 		}
-		c, tc := u.c, math.Tanh(u.c)
+		c, tc := u.c, fmath.Tanh(u.c)
 		for step := 0; step < 10000; step++ {
-			if c = cellUpdate(u.f, c, u.i, u.g); !sameBits(math.Tanh(c), tc) {
+			if c = cellUpdate(u.f, c, u.i, u.g); !sameBits(fmath.Tanh(c), tc) {
 				t.Fatalf("%v: tanh(c) moved at step %d: c = %v", u, step, c)
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"lcasgd/internal/fmath"
 	"lcasgd/internal/snapshot"
 )
 
@@ -158,7 +159,7 @@ func (r *RNG) Normal() float64 {
 // simulated compute/communication costs of cluster workers, matching the
 // heavy-tailed latencies the paper's introduction describes.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Normal())
+	return fmath.Exp(mu + sigma*r.Normal())
 }
 
 // Perm returns a random permutation of [0, n) via Fisher-Yates.

@@ -2,7 +2,8 @@ package tensor
 
 import (
 	"fmt"
-	"math"
+
+	"lcasgd/internal/fmath"
 )
 
 // Scale computes dst = s * a.
@@ -71,7 +72,7 @@ func Softmax(dst, logits *Tensor) {
 		}
 		sum := 0.0
 		for j, v := range row {
-			e := math.Exp(v - maxv)
+			e := fmath.Exp(v - maxv)
 			out[j] = e
 			sum += e
 		}
